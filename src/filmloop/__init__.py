@@ -10,7 +10,7 @@ resulting bifurcation diagram.
 __version__ = "0.1.0"
 
 from .mesh import TriMesh, generate_disk_mesh, validate_mesh
-from .energy import EnergyParams, EnergyBreakdown, energy, gradient, energy_and_gradient
+from .energy import EnergyParams, EnergyBreakdown, energy, energy_and_gradient
 from .optimize import (MinimizeOptions, MinimizeResult, minimize, perturb,
                        polish, relax)
 from .stability import disk_solution, second_order_coefficient, critical_gamma
@@ -19,7 +19,7 @@ from .sweep import SweepSchedule, BifurcationDiagram, run_sweep, detect_transiti
 
 __all__ = [
     "TriMesh", "generate_disk_mesh", "validate_mesh",
-    "EnergyParams", "EnergyBreakdown", "energy", "gradient", "energy_and_gradient",
+    "EnergyParams", "EnergyBreakdown", "energy", "energy_and_gradient",
     "MinimizeOptions", "MinimizeResult", "minimize", "perturb", "polish",
     "relax",
     "disk_solution", "second_order_coefficient", "critical_gamma",

@@ -21,7 +21,7 @@ from . import __version__
 from .mesh import generate_disk_mesh, validate_mesh, scale_to_boundary_length, MeshError
 from .meshio import write_obj
 from .energy import EnergyParams, EnergyError, gamma_numeric, SIGMA_PER_SPRING_K
-from .optimize import MinimizeOptions, NumericalError, relax
+from .optimize import MinimizeOptions, NumericalError, perturb, relax
 from .diffgeo import (boundary_geometry, gauss_bonnet_defect, planarity,
                       write_boundary_observables, DiffGeoError)
 from .stability import threshold_table
@@ -114,11 +114,10 @@ def cmd_mesh(args):
 def cmd_relax(args):
     mesh, x0 = generate_disk_mesh(args.rings, args.elongation)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    x0 = perturb(x0, 1e-3 / (2.0 * np.pi), args.seed)
     params = EnergyParams(alpha=1.0, spring_k=args.kl3a, target_length=1.0)
     opts = MinimizeOptions(max_iterations=args.max_iterations,
-                           gradient_tolerance=args.gradient_tolerance,
-                           rng_seed=args.seed,
-                           perturbation_amplitude=1e-3 / (2.0 * np.pi))
+                           gradient_tolerance=args.gradient_tolerance)
     res = relax(mesh, x0, params, opts)
     os.makedirs(args.out, exist_ok=True)
     write_obj(os.path.join(args.out, "relaxed.obj"), res.x, mesh.triangles)
@@ -147,33 +146,27 @@ def cmd_relax(args):
 
 
 def _sweep_schedule_from_args(args):
-    if args.config:
-        schedule = read_manifest(args.config)
-    else:
-        if args.start is None or args.stop is None or args.num is None:
-            raise UsageError("sweep needs --config or --start/--stop/--num")
-        schedule = SweepSchedule(values=np.linspace(args.start, args.stop,
-                                                    args.num))
-    overrides = {}
+    """Schedule from --config (if any) with individual flags taking precedence."""
+    config = read_manifest(args.config).to_dict() if args.config else {}
+    if args.start is not None and args.stop is not None and args.num is not None:
+        config["values"] = [float(v) for v in
+                            np.linspace(args.start, args.stop, args.num)]
+    elif not args.config:
+        raise UsageError("sweep needs --config or --start/--stop/--num")
     for name in ("rings", "elongation", "base_seed", "direction"):
-        v = getattr(args, name, None)
+        v = getattr(args, name)
         if v is not None:
-            overrides[name] = v
-    if args.start is not None and args.stop is not None and args.num is not None \
-            and args.config:
-        overrides["values"] = np.linspace(args.start, args.stop, args.num)
+            config[name] = v
     if args.no_warm_start:
-        overrides["warm_start"] = False
-    if overrides:
-        d = schedule.to_dict()
-        d.update({k: (v if not isinstance(v, np.ndarray) else list(map(float, v)))
-                  for k, v in overrides.items()})
-        schedule = SweepSchedule.from_dict(d)
-    return schedule
+        config["warm_start"] = False
+    return SweepSchedule.from_dict(config)
 
 
 def cmd_sweep(args):
     schedule = _sweep_schedule_from_args(args)
+    if args.jobs > 1 and schedule.warm_start:
+        raise UsageError("--jobs needs --no-warm-start: warm-started points "
+                         "run one after another")
     diagram = run_sweep(schedule, out_dir=args.out, jobs=args.jobs,
                         save_meshes=args.save_meshes)
     n_conv = len(diagram.converged_points())
@@ -210,11 +203,10 @@ def cmd_asymptotic(args):
             e_series = saddle.constrained_energy_series(L, t, sigma, alpha)
             e_quad, _ = saddle.energy_quadrature(fam, sigma, alpha)
             ik_quad, _ = saddle.int_K_quadrature(fam)
+            int_abs_kn = saddle.int_abs_kn_quadrature(fam)
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (gam, t, fam.R, e_series, e_quad,
-                        saddle.int_abs_kn_quadrature(fam),
-                        saddle.int_abs_kn_quadrature(fam)
-                        / saddle.length_quadrature(fam)[0],
+                     % (gam, t, fam.R, e_series, e_quad, int_abs_kn,
+                        int_abs_kn / saddle.length_quadrature(fam)[0],
                         ik_quad, saddle.int_K_gauss_bonnet(fam)))
     if args.save_meshes:
         for t in (0.05, 0.2, 0.5):
@@ -253,21 +245,14 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.verbose:
-        logging.basicConfig(level=logging.INFO,
-                            format="%(levelname)s %(name)s: %(message)s")
-    try:
+        args = build_parser().parse_args(argv)
+        if args.verbose:
+            logging.basicConfig(level=logging.INFO,
+                                format="%(levelname)s %(name)s: %(message)s")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MeshError, ValueError, json.JSONDecodeError, OSError) as exc:
+    except (UsageError, MeshError, ValueError, json.JSONDecodeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EnergyError, NumericalError, DiffGeoError, FitError,

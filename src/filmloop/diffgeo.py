@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .mesh import boundary_frame, boundary_length
+
 
 class DiffGeoError(RuntimeError):
     pass
@@ -106,12 +108,9 @@ def boundary_geometry(mesh, x):
     kappa_g its projection on the inward co-normal N x t_bar.
     """
     loop = mesh.boundary_loop
-    e = x[np.roll(loop, -1)] - x[loop]
-    s = np.linalg.norm(e, axis=1)
+    _, s, t, savg = boundary_frame(mesh, x)
     if np.any(s <= 0.0):
         raise DiffGeoError("degenerate boundary edge")
-    t = e / s[:, None]
-    savg = 0.5 * (s + np.roll(s, 1))
     cvec = (t - np.roll(t, 1, axis=0)) / savg[:, None]
     kappa = np.linalg.norm(cvec, axis=1)
 
@@ -296,7 +295,6 @@ def el_residuals(curve, contact_angle, alpha, sigma, beta):
 
 def planarity(mesh, x):
     """RMS distance to the best-fit plane, normalized by L_boundary / (2 pi)."""
-    from .mesh import boundary_length
     centered = x - x.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     rms = svals[-1] / np.sqrt(len(x))

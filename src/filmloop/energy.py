@@ -29,6 +29,8 @@ from typing import Optional
 
 import numpy as np
 
+from .mesh import boundary_frame
+
 
 class EnergyError(RuntimeError):
     pass
@@ -91,18 +93,6 @@ def gamma_numeric(spring_k, target_length, alpha):
     return kl3a, SIGMA_PER_SPRING_K * kl3a
 
 
-def _boundary_arrays(mesh, x, p):
-    """Edge vectors, lengths, unit tangents of the boundary loop, with guard."""
-    loop = mesh.boundary_loop
-    e = x[np.roll(loop, -1)] - x[loop]
-    s = np.linalg.norm(e, axis=1)
-    if np.any(s < 1e-12 * p.target_length):
-        raise DegenerateBoundaryError(
-            "boundary edge shorter than 1e-12 * L, curvature undefined")
-    t = e / s[:, None]
-    return loop, e, s, t
-
-
 def _penalty_terms(s, p):
     """Penalty energy and its derivative with respect to each edge length."""
     e_pen = 0.0
@@ -124,27 +114,16 @@ def _penalty_terms(s, p):
 
 def energy(mesh, x, p):
     """Evaluate the energy breakdown at configuration x."""
-    loop, e, s, t = _boundary_arrays(mesh, x, p)
-    c = t - np.roll(t, 1, axis=0)               # curvature vector numerator at v
-    savg = 0.5 * (s + np.roll(s, 1))
-    bending = p.alpha * float(np.sum(np.einsum("ij,ij->i", c, c) / savg))
-
-    springs = 0.0
-    if p.spring_k != 0.0 and len(mesh.interior_edges):
-        lap = mesh.interior_laplacian()
-        springs = p.spring_k * float(np.sum(x * (lap @ x)))
-
-    e_pen, _ = _penalty_terms(s, p)
-    blen = float(s.sum())
-    return EnergyBreakdown(bending=bending, springs=springs, length_penalty=e_pen,
-                           total=bending + springs + e_pen, boundary_length=blen)
+    return energy_and_gradient(mesh, x, p)[0]
 
 
 def energy_and_gradient(mesh, x, p):
     """Energy breakdown and its exact gradient, one fused evaluation."""
-    loop, e, s, t = _boundary_arrays(mesh, x, p)
-    c = t - np.roll(t, 1, axis=0)
-    savg = 0.5 * (s + np.roll(s, 1))
+    _, s, t, savg = boundary_frame(mesh, x)
+    if np.any(s < 1e-12 * p.target_length):
+        raise DegenerateBoundaryError(
+            "boundary edge shorter than 1e-12 * L, curvature undefined")
+    c = t - np.roll(t, 1, axis=0)               # curvature vector numerator at v
     c_sq = np.einsum("ij,ij->i", c, c)
     bending = p.alpha * float(np.sum(c_sq / savg))
 
@@ -176,8 +155,8 @@ def energy_and_gradient(mesh, x, p):
     # chain rule to edge endpoints: dt/de = (I - t t^T)/s, ds/de = t
     g_e = (g_t - np.einsum("ij,ij->i", g_t, t)[:, None] * t) / s[:, None] \
         + g_s[:, None] * t
-    np.add.at(grad, np.roll(loop, -1), g_e)
-    np.subtract.at(grad, loop, g_e)
+    np.add.at(grad, mesh.boundary_edges[:, 1], g_e)
+    np.subtract.at(grad, mesh.boundary_edges[:, 0], g_e)
 
     blen = float(s.sum())
     breakdown = EnergyBreakdown(bending=bending, springs=springs,
@@ -185,8 +164,3 @@ def energy_and_gradient(mesh, x, p):
                                 total=bending + springs + e_pen,
                                 boundary_length=blen)
     return breakdown, grad
-
-
-def gradient(mesh, x, p):
-    """Gradient of energy(...).total with respect to every coordinate."""
-    return energy_and_gradient(mesh, x, p)[1]

@@ -12,7 +12,7 @@ winding.  Downstream code relies on that orientation for signed curvatures.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse
@@ -260,11 +260,32 @@ def check_configuration(mesh, x):
     return x
 
 
+class BoundaryFrame(NamedTuple):
+    """Edge data of the boundary loop; row i is boundary_edges[i]."""
+
+    edge: np.ndarray          # (B, 3) vectors boundary_loop[i] -> [i+1]
+    length: np.ndarray        # (B,) edge lengths s_i
+    tangent: np.ndarray       # (B, 3) unit tangents e_i / s_i
+    s_weight: np.ndarray      # (B,) <s_v> = (s_i + s_{i-1}) / 2 at boundary_loop[i]
+
+
+def boundary_frame(mesh, x):
+    """Edge vectors, lengths, unit tangents and vertex arc weights of the loop.
+
+    There is no guard: a zero-length edge leaves non-finite tangents, and
+    each caller raises its own error for it.
+    """
+    ends = mesh.boundary_edges
+    e = x[ends[:, 1]] - x[ends[:, 0]]
+    s = np.linalg.norm(e, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = e / s[:, None]
+    return BoundaryFrame(e, s, t, 0.5 * (s + np.roll(s, 1)))
+
+
 def boundary_length(mesh, x):
     """Total length of the boundary loop polyline."""
-    loop = mesh.boundary_loop
-    e = x[np.roll(loop, -1)] - x[loop]
-    return float(np.linalg.norm(e, axis=1).sum())
+    return float(boundary_frame(mesh, x).length.sum())
 
 
 def scale_to_boundary_length(mesh, x, target):

@@ -1,25 +1,32 @@
 """Energy minimization by nonlinear conjugate gradient.
 
 Polak-Ribiere(+) directions with a strong-Wolfe cubic-interpolation line
-search, periodic restarts, and a scale-aware gradient tolerance:
+search (constants WOLFE_C1, WOLFE_C2), a steepest-descent restart every
+RESTART_INTERVAL iterations, and a scale-aware gradient tolerance:
 
     converged  iff  ||g||_inf <= gradient_tolerance * (spring_k * L + alpha / L^2)
 
 so the stopping rule is invariant under rescaling the energy unit.  A failed
 line search retries once from steepest descent, then returns the best
 iterate found, flagged with its own status; non-finite energies or
-gradients abort with NumericalError.
+gradients abort with NumericalError.  MinimizeOptions holds the three
+settings a caller may change: max_iterations, gradient_tolerance and
+precondition.
 
 The vertex-wise bending stiffness grows like alpha / spacing^3, so at fine
 boundary resolution the Hessian spectrum spans six or more decades and
-plain CG stalls.  minimize() therefore preconditions with a static
-per-vertex diagonal stiffness estimate (springs + bending + penalty) built
-from the starting configuration; convergence is still judged on the raw
-gradient.  Set MinimizeOptions.precondition = False for the unscaled method.
+plain CG stalls.  minimize() therefore preconditions (make_preconditioner)
+with the exact inverse of a circulant bending + edge-penalty operator along
+the boundary loop and the spring-graph diagonal elsewhere, built from the
+starting configuration; convergence is still judged on the raw gradient.
+Set MinimizeOptions.precondition = False for the unscaled method.
 
 relax() wraps minimize() in the boundary-length penalty escalation loop:
 the quadratic penalty stiffness is multiplied by 10 between rounds until the
 boundary length matches its target to 1e-3 relative, at most 5 rounds.
+
+Nothing here perturbs its input: callers that need to break the planar
+symmetry (the sweep driver, the relax command) apply perturb() first.
 
 polish() continues from a minimized state with a gradient-only secant line
 search, for use when residuals below the energy-difference resolution of
@@ -28,12 +35,12 @@ checks).
 """
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .energy import energy_and_gradient
+from .mesh import boundary_frame
 
 logger = logging.getLogger(__name__)
 
@@ -44,29 +51,24 @@ class NumericalError(RuntimeError):
     """Energy or gradient became non-finite during minimization."""
 
 
+# strong-Wolfe constants (sufficient decrease, curvature) and the number of
+# CG iterations between forced steepest-descent restarts
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.1
+RESTART_INTERVAL = 200
+
+
 @dataclass
 class MinimizeOptions:
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-6
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.1
-    restart_interval: int = 200
-    rng_seed: int = 0
-    perturbation_amplitude: float = 0.0
     precondition: bool = True
-    debug_wolfe: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.restart_interval < 1:
-            raise ValueError("restart_interval must be >= 1")
-        if self.perturbation_amplitude < 0:
-            raise ValueError("perturbation_amplitude must be >= 0")
 
 
 @dataclass
@@ -103,20 +105,14 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     """Conjugate-gradient core on a generic objective fun(x) -> (value, grad).
 
     Polak-Ribiere(+) with strong-Wolfe line search; stops when the raw
-    gradient infinity norm reaches gtol_abs.  minv, when given, is a
-    positive array broadcastable against the gradient and acts as a diagonal
-    inverse preconditioner: directions use minv * g and the PR+ numerator
-    and denominator use the preconditioned inner product.  step_scale sets
-    the displacement of the very first trial step.  callback(it, f, ginf)
-    runs per accepted iterate.
+    gradient infinity norm reaches gtol_abs.  minv, when given, is a callable
+    g -> M^{-1} g applying a positive-definite inverse preconditioner:
+    directions use minv(g) and the PR+ numerator and denominator use the
+    preconditioned inner product.  step_scale sets the displacement of the
+    very first trial step.  callback(it, f, ginf) runs per accepted iterate.
     Returns (x, f, grad, iterations, status, f_history, ginf_history).
     """
-    if minv is None:
-        apply_minv = lambda g: g
-    elif callable(minv):
-        apply_minv = minv
-    else:
-        apply_minv = lambda g: minv * g
+    apply_minv = minv if minv is not None else (lambda g: g)
 
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -157,8 +153,7 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
             a0 = step_prev * dphi_prev / dphi0
             a0 = float(np.clip(a0, 1e-14 * step_prev, 1e4 * step_prev))
 
-        ls = _wolfe_search(fun, x, d, f, dphi0, a0,
-                           opts.wolfe_c1, opts.wolfe_c2)
+        ls = _wolfe_search(fun, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
         if ls is None:
             if not just_reset:
                 # retry once from steepest descent with a fresh step size
@@ -172,19 +167,14 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
             logger.debug("line search failed at iteration %d", it)
             break
         just_reset = False
-        a, x_new, f_new, g_new, dphi_a = ls
-        if opts.debug_wolfe:
-            assert f_new <= f + opts.wolfe_c1 * a * dphi0 + 1e-12 * abs(f), \
-                "sufficient decrease violated"
-            assert abs(dphi_a) <= -opts.wolfe_c2 * dphi0 + 1e-12 * abs(dphi0), \
-                "curvature condition violated"
+        a, x_new, f_new, g_new, _ = ls
 
         z_new = apply_minv(g_new)
         g_new_flat = g_new.ravel()
         gz_new = float(g_new_flat @ z_new.ravel())
         beta = max(0.0, float((z_new - z).ravel() @ g_new_flat) / gz)
         it += 1
-        if it % opts.restart_interval == 0:
+        if it % RESTART_INTERVAL == 0:
             beta = 0.0
         d = -z_new + beta * d
         step_prev, dphi_prev = a, dphi0
@@ -196,48 +186,6 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
             callback(it, f, ghist[-1])
 
     return x, f, g, it, status, np.array(fhist), np.array(ghist)
-
-
-def diagonal_preconditioner(mesh, x0, params):
-    """Per-vertex inverse stiffness estimate for preconditioned CG.
-
-    The diagonal Hessian scale at each vertex combines the interior spring
-    graph (2k per incident interior edge), the boundary bending term (which
-    grows like alpha / spacing^3 and dominates at fine resolution), and the
-    boundary-length penalty.  Returns an (N, 1) array of 1/m_v ready to
-    broadcast against an (N, 3) gradient; all three coordinates share one
-    scale so the preconditioner cannot bias the surface orientation.
-    """
-    n = mesh.vertex_count
-    m = np.zeros(n)
-    if params.spring_k > 0:
-        deg = np.asarray(mesh.interior_laplacian().diagonal()).ravel()
-        m += 2.0 * params.spring_k * deg
-
-    loop = mesh.boundary_loop
-    pts = x0[loop]
-    edge = np.roll(pts, -1, axis=0) - pts
-    s = np.linalg.norm(edge, axis=1)
-    s = np.maximum(s, 1e-12 * max(s.max(), 1.0))
-    savg = 0.5 * (s + np.roll(s, 1))        # spacing centered on each vertex
-    if params.alpha > 0:
-        s_prev = np.roll(s, 1)
-        m_bend = 2.0 * params.alpha * (
-            (1.0 / s_prev**2) * (1.0 / np.roll(savg, 1) + 1.0 / savg)
-            + (1.0 / s**2) * (1.0 / savg + 1.0 / np.roll(savg, -1)))
-        np.add.at(m, loop, m_bend)
-    if params.length_penalty_k > 0:
-        t = edge / s[:, None]
-        turn = np.linalg.norm(t - np.roll(t, 1, axis=0), axis=1)
-        np.add.at(m, loop, 2.0 * params.length_penalty_k * turn**2)
-    if params.edge_penalty_k > 0:
-        np.add.at(m, loop, 4.0 * params.edge_penalty_k * np.ones(len(loop)))
-
-    top = m.max()
-    if top <= 0.0:
-        return np.ones((n, 1))
-    m = np.maximum(m, 1e-12 * top)
-    return (1.0 / m)[:, None]
 
 
 def make_preconditioner(mesh, x0, params):
@@ -262,10 +210,7 @@ def make_preconditioner(mesh, x0, params):
         deg = np.asarray(mesh.interior_laplacian().diagonal()).ravel()
         diag += 2.0 * params.spring_k * deg
 
-    pts = x0[loop]
-    edge = np.roll(pts, -1, axis=0) - pts
-    s = np.linalg.norm(edge, axis=1)
-    sbar = max(float(s.mean()), 1e-300)
+    sbar = max(float(boundary_frame(mesh, x0).length.mean()), 1e-300)
     w = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nb))
     symbol = 2.0 * params.alpha * w**2 / sbar**3
     symbol = symbol + 2.0 * params.edge_penalty_k * w  # boundary edge chain
@@ -291,14 +236,10 @@ def make_preconditioner(mesh, x0, params):
 def minimize(mesh, x0, params, opts=None, log_stream=None):
     """Minimize the discrete energy from x0; deterministic for fixed inputs.
 
-    If opts.perturbation_amplitude > 0 the initial configuration is first
-    perturbed transversally with opts.rng_seed.  log_stream, when given,
-    receives one CSV row per iteration.
+    log_stream, when given, receives one CSV row per iteration.
     """
     opts = opts or MinimizeOptions()
     x = np.array(x0, dtype=float)
-    if opts.perturbation_amplitude > 0:
-        x = perturb(x, opts.perturbation_amplitude, opts.rng_seed)
 
     L = params.target_length
     gscale = params.spring_k * L + params.alpha / L**2
@@ -401,12 +342,13 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, length_tol=1e-3,
           log_stream=None):
     """Minimize with automatic boundary-length penalty escalation.
 
-    The transverse perturbation (if any) is applied once, before the first
-    round.  If params.length_penalty_k is 0 a starting stiffness of
+    If params.length_penalty_k is 0 a starting stiffness of
     100 * (spring_k + alpha / L^3) is chosen; it is multiplied by 10 after
     every round whose boundary length misses the target by more than
-    length_tol relative.
+    length_tol relative, for at most max_rounds (>= 1) rounds.
     """
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     opts = opts or MinimizeOptions()
     p = params
     L = p.target_length
@@ -419,17 +361,12 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, length_tol=1e-3,
         p = replace(p, edge_penalty_k=100.0 * stiffness)
 
     x = np.array(x0, dtype=float)
-    if opts.perturbation_amplitude > 0:
-        x = perturb(x, opts.perturbation_amplitude, opts.rng_seed)
-    inner = replace(opts, perturbation_amplitude=0.0)
-
     total_iters = 0
-    res = None
     for rnd in range(1, max_rounds + 1):
-        res = minimize(mesh, x, p, inner, log_stream=log_stream)
+        res = minimize(mesh, x, p, opts, log_stream=log_stream)
         total_iters += res.iterations
         x = res.x
-        err = abs(res.energy.boundary_length - L) / L
+        err = res.length_error
         logger.debug("penalty round %d: length error %.3g, status %s",
                      rnd, err, res.status)
         if err < length_tol:
@@ -438,8 +375,6 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, length_tol=1e-3,
 
     res.iterations = total_iters
     res.penalty_rounds = rnd
-    res.params = p
-    res.length_error = err
     return res
 
 
@@ -496,7 +431,7 @@ def polish(mesh, x0, params, iterations=400, opts=None):
         z_new = apply_minv(g_new)
         gz_new = float(g_new.ravel() @ z_new.ravel())
         beta = max(0.0, float((z_new - z).ravel() @ g_new.ravel()) / gz)
-        if (it + 1) % opts.restart_interval == 0:
+        if (it + 1) % RESTART_INTERVAL == 0:
             beta = 0.0
         d = -z_new + beta * d
         g, z, gz, a_prev = g_new, z_new, gz_new, a

@@ -180,6 +180,25 @@ def _trapezoid_phi(values, nphi):
     return float(values.sum()) * (2.0 * np.pi / nphi)
 
 
+def _halving(at, fine, coarse, tol, what):
+    """(at(*fine), |at(*fine) - at(*coarse)|); QuadratureError above tol."""
+    val = at(*fine)
+    err = abs(val - at(*coarse))
+    if tol is not None and err > tol:
+        raise QuadratureError(f"{what} quadrature error estimate {err:.3g} > {tol:.3g}")
+    return val, err
+
+
+def _disk_integral(fam, integrand, nr, nphi):
+    """Gauss-Legendre (r) x trapezoid (phi) integral of integrand(r, phi) dr dphi."""
+    xg, wg = np.polynomial.legendre.leggauss(nr)
+    r = 0.5 * (xg + 1.0) * fam.R
+    wr = 0.5 * fam.R * wg
+    phi = np.arange(nphi) * (2.0 * np.pi / nphi)
+    rg, pg = np.meshgrid(r, phi, indexing="ij")
+    return float((integrand(rg, pg) * wr[:, None]).sum()) * (2.0 * np.pi / nphi)
+
+
 def length_quadrature(fam, nphi=2048, tol=None):
     """Boundary length by periodic trapezoid rule; returns (value, error estimate)."""
     _check_panels(nphi)
@@ -189,11 +208,7 @@ def length_quadrature(fam, nphi=2048, tol=None):
         c1, _, _ = boundary_derivatives(fam, phi)
         return _trapezoid_phi(np.linalg.norm(c1, axis=-1), n)
 
-    val, coarse = at(nphi), at(nphi // 2)
-    err = abs(val - coarse)
-    if tol is not None and err > tol:
-        raise QuadratureError(f"length quadrature error estimate {err:.3g} > {tol:.3g}")
-    return val, err
+    return _halving(at, (nphi,), (nphi // 2,), tol, "length")
 
 
 def length_series(fam):
@@ -206,21 +221,12 @@ def area_quadrature(fam, nr=96, nphi=1024, tol=None):
     """Surface area by Gauss-Legendre (r) x trapezoid (phi)."""
     _check_panels(nphi)
 
-    def at(nr_, nphi_):
-        xg, wg = np.polynomial.legendre.leggauss(nr_)
-        r = 0.5 * (xg + 1.0) * fam.R
-        wr = 0.5 * fam.R * wg
-        phi = np.arange(nphi_) * (2.0 * np.pi / nphi_)
-        rg, pg = np.meshgrid(r, phi, indexing="ij")
+    def dA(rg, pg):
         g_rr, g_rp, g_pp = family_metric(fam, rg, pg)
-        det = g_rr * g_pp - g_rp**2
-        return float((np.sqrt(det) * wr[:, None]).sum()) * (2.0 * np.pi / nphi_)
+        return np.sqrt(g_rr * g_pp - g_rp**2)
 
-    val = at(nr, nphi)
-    err = abs(val - at(max(8, nr // 2), nphi // 2))
-    if tol is not None and err > tol:
-        raise QuadratureError(f"area quadrature error estimate {err:.3g} > {tol:.3g}")
-    return val, err
+    return _halving(lambda nr_, nphi_: _disk_integral(fam, dA, nr_, nphi_),
+                    (nr, nphi), (max(8, nr // 2), nphi // 2), tol, "area")
 
 
 def bending_quadrature(fam, nphi=2048, tol=None):
@@ -235,11 +241,7 @@ def bending_quadrature(fam, nphi=2048, tol=None):
         k2 = np.einsum("...i,...i->...", cr, cr) / sp**6
         return _trapezoid_phi(k2 * sp, n)
 
-    val, coarse = at(nphi), at(nphi // 2)
-    err = abs(val - coarse)
-    if tol is not None and err > tol:
-        raise QuadratureError(f"bending quadrature error estimate {err:.3g} > {tol:.3g}")
-    return val, err
+    return _halving(at, (nphi,), (nphi // 2,), tol, "bending")
 
 
 def energy_quadrature(fam, sigma, alpha, nr=96, nphi=1024, tol=None):
@@ -269,12 +271,7 @@ def int_K_quadrature(fam, nr=96, nphi=1024, tol=None):
     """Integral of K dA from the full second fundamental form."""
     _check_panels(nphi)
 
-    def at(nr_, nphi_):
-        xg, wg = np.polynomial.legendre.leggauss(nr_)
-        r = 0.5 * (xg + 1.0) * fam.R
-        wr = 0.5 * fam.R * wg
-        phi = np.arange(nphi_) * (2.0 * np.pi / nphi_)
-        rg, pg = np.meshgrid(r, phi, indexing="ij")
+    def K_dA(rg, pg):
         x_r, x_p, x_rr, x_rp, x_pp = _surface_derivs(fam, rg, pg)
         n = np.cross(x_r, x_p)
         nn = np.linalg.norm(n, axis=-1)
@@ -283,34 +280,29 @@ def int_K_quadrature(fam, nr=96, nphi=1024, tol=None):
         f = np.einsum("...i,...i->...", nhat, x_rp)
         g = np.einsum("...i,...i->...", nhat, x_pp)
         # K dA = (LN - M^2)/sqrt(EG - F^2) dr dphi, and sqrt(EG - F^2) = |n|
-        integrand = (e * g - f * f) / nn
-        return float((integrand * wr[:, None]).sum()) * (2.0 * np.pi / nphi_)
+        return (e * g - f * f) / nn
 
-    val = at(nr, nphi)
-    err = abs(val - at(max(8, nr // 2), nphi // 2))
-    if tol is not None and err > tol:
-        raise QuadratureError(f"K quadrature error estimate {err:.3g} > {tol:.3g}")
-    return val, err
+    return _halving(lambda nr_, nphi_: _disk_integral(fam, K_dA, nr_, nphi_),
+                    (nr, nphi), (max(8, nr // 2), nphi // 2), tol, "K")
+
+
+def _boundary_integral(fam, nphi, density):
+    """Trapezoid integral of density(kappa_n, kappa_g) ds around the boundary."""
+    _check_panels(nphi)
+    phi = np.arange(nphi) * (2.0 * np.pi / nphi)
+    kn, kg = boundary_curvatures_exact(fam, phi)
+    c1, _, _ = boundary_derivatives(fam, phi)
+    return _trapezoid_phi(density(kn, kg) * np.linalg.norm(c1, axis=-1), nphi)
 
 
 def int_K_gauss_bonnet(fam, nphi=2048):
     """Integral of K dA via 2 pi minus the integrated geodesic curvature."""
-    _check_panels(nphi)
-    phi = np.arange(nphi) * (2.0 * np.pi / nphi)
-    _, kg = boundary_curvatures_exact(fam, phi)
-    c1, _, _ = boundary_derivatives(fam, phi)
-    sp = np.linalg.norm(c1, axis=-1)
-    return 2.0 * np.pi - _trapezoid_phi(kg * sp, nphi)
+    return 2.0 * np.pi - _boundary_integral(fam, nphi, lambda kn, kg: kg)
 
 
 def int_abs_kn_quadrature(fam, nphi=2048):
     """Integral of |kappa_n| ds around the boundary (exact curvatures)."""
-    _check_panels(nphi)
-    phi = np.arange(nphi) * (2.0 * np.pi / nphi)
-    kn, _ = boundary_curvatures_exact(fam, phi)
-    c1, _, _ = boundary_derivatives(fam, phi)
-    sp = np.linalg.norm(c1, axis=-1)
-    return _trapezoid_phi(np.abs(kn) * sp, nphi)
+    return _boundary_integral(fam, nphi, lambda kn, kg: np.abs(kn))
 
 
 def int_abs_kn_leading(fam):

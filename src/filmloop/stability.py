@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import boundary_frame
+
 
 @dataclass
 class DiskSolution:
@@ -80,13 +82,11 @@ def boundary_mode_spectrum(mesh, x, n_samples=256):
     in arc length before the transform; returns (modes, amplitudes) for
     modes 1 .. n_samples // 2.
     """
-    loop = mesh.boundary_loop
-    pts = x[loop]
+    pts = x[mesh.boundary_loop]
     centroid = pts.mean(axis=0)
     r = np.linalg.norm(pts - centroid, axis=1)
 
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    u = np.concatenate([[0.0], np.cumsum(seg)])
+    u = np.concatenate([[0.0], np.cumsum(boundary_frame(mesh, x).length)])
     total = u[-1]
     r_closed = np.concatenate([r, r[:1]])
     u_uniform = np.linspace(0.0, total, n_samples, endpoint=False)

@@ -17,7 +17,7 @@ import dataclasses
 import json
 import logging
 import os
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from typing import List, Optional
 
 import numpy as np
@@ -81,11 +81,22 @@ class SweepSchedule:
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict; ValueError names any key it does not know."""
         d = dict(d)
         opts = d.pop("options", {})
+        _reject_unknown_keys(d, cls, "sweep config")
+        if "values" not in d:
+            raise ValueError("sweep config has no 'values'")
         if isinstance(opts, dict):
+            _reject_unknown_keys(opts, MinimizeOptions, "sweep options")
             opts = MinimizeOptions(**opts)
         return cls(options=opts, **d)
+
+
+def _reject_unknown_keys(d, cls, what):
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 @dataclass
@@ -162,9 +173,8 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
     start = x_start if x_start is not None else x0_cold
     start_energy = energy(mesh, start, params).total
 
-    opts = replace(schedule.options, rng_seed=seed, perturbation_amplitude=0.0)
     x_pert = perturb(start, schedule.amplitude(), seed)
-    res = relax(mesh, x_pert, params, opts,
+    res = relax(mesh, x_pert, params, schedule.options,
                 max_rounds=schedule.max_penalty_rounds)
 
     bg = boundary_geometry(mesh, res.x)
@@ -484,8 +494,11 @@ def read_diagram_csv(path):
         if header != CSV_COLUMNS:
             raise ValueError(f"unexpected diagram columns in {path}")
         points = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.strip().split(",")
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {lineno}: {len(cells)} cells, "
+                                 f"header has {len(CSV_COLUMNS)}")
             kwargs = {}
             for name, cell in zip(CSV_COLUMNS, cells):
                 if name == "status":

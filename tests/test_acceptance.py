@@ -22,7 +22,7 @@ from filmloop.diffgeo import (boundary_geometry, el_residuals, frenet_analyze,
 from filmloop.energy import (EnergyParams, SIGMA_PER_SPRING_K, energy,
                              energy_and_gradient)
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
-from filmloop.optimize import MinimizeOptions, polish, relax
+from filmloop.optimize import MinimizeOptions, perturb, polish, relax
 from filmloop.stability import (critical_gamma, disk_solution, kl3a_from_gamma,
                                 second_order_coefficient)
 from filmloop.sweep import (SweepSchedule, detect_transitions, fit_exponent,
@@ -58,13 +58,12 @@ def subcritical_state():
     """Perturbed relaxation at half the buckling threshold, then a
     gradient-only polish to push transverse residuals to rounding level."""
     mesh, x0 = generate_disk_mesh(RINGS, 1.2)
-    x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0),
+                 1e-3 / (2.0 * np.pi), 0)
     params = EnergyParams(alpha=1.0,
                           spring_k=float(kl3a_from_gamma(0.5 * critical_gamma(2))),
                           target_length=1.0)
-    opts = MinimizeOptions(max_iterations=60000, rng_seed=0,
-                           perturbation_amplitude=1e-3 / (2.0 * np.pi))
-    res = relax(mesh, x0, params, opts)
+    res = relax(mesh, x0, params, MinimizeOptions(max_iterations=60000))
     assert res.converged, res.status
     pol = polish(mesh, res.x, res.params)
     return mesh, pol.x, res.params

@@ -83,6 +83,30 @@ def test_sweep_command_and_manifest_rerun(tmp_path, capsys):
             == (out2 / "diagram.csv").read_bytes())
 
 
+def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
+    # a key at either level of the config is rejected by name, before any
+    # relaxation runs
+    for bad, cfg in (("bogus", {"values": [20.0, 40.0], "rings": 3,
+                                "bogus": 1}),
+                     ("rng_seed", {"values": [20.0, 40.0], "rings": 3,
+                                   "options": {"rng_seed": 0}})):
+        path = tmp_path / f"{bad}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / bad)]) == 1
+        err = capsys.readouterr().err
+        assert bad in err and "Traceback" not in err
+        assert not (tmp_path / bad).exists()
+
+
+def test_sweep_jobs_needs_no_warm_start(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["sweep", "--start", "20", "--stop", "60", "--num", "3",
+                 "--rings", "3", "--jobs", "2", "--out", str(out)]) == 1
+    assert "--no-warm-start" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_fit_csv(path, n):
     gammas = np.linspace(1010.0, 1240.0, n)
     points = []
@@ -125,6 +149,19 @@ def test_fit_command_error_codes(tmp_path):
     _write_fit_csv(sparse, 5)
     assert main(["fit", "--diagram", str(sparse), "--threshold", "1000",
                  "--units", "gamma"]) == 2
+
+
+def test_fit_rejects_ragged_rows(tmp_path, capsys):
+    good = tmp_path / "diagram.csv"
+    _write_fit_csv(good, 12)
+    lines = good.read_text().splitlines()
+    for name, row in (("short", ",".join(lines[3].split(",")[:-2])),
+                      ("long", lines[3] + ",1.0")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines[:3] + [row] + lines[4:]) + "\n")
+        assert main(["fit", "--diagram", str(path), "--threshold", "1000",
+                     "--units", "gamma"]) == 1
+        assert "line 4" in capsys.readouterr().err
 
 
 def test_asymptotic_command_table(tmp_path, capsys):

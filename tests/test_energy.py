@@ -11,7 +11,7 @@ import pytest
 
 from filmloop.energy import (SIGMA_PER_SPRING_K, DegenerateBoundaryError,
                              EnergyParams, energy, energy_and_gradient,
-                             gamma_numeric, gradient, sigma_from_spring_k,
+                             gamma_numeric, sigma_from_spring_k,
                              spring_k_from_sigma)
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 
@@ -79,16 +79,6 @@ def test_gradient_matches_finite_differences():
             xm[i, c] -= h
             fd = (energy(mesh, xp, p).total - energy(mesh, xm, p).total) / (2 * h)
             assert abs(g[i, c] - fd) / gscale < 1e-6
-
-
-def test_gradient_function_matches_pair():
-    mesh, x0 = generate_disk_mesh(2)
-    rng = np.random.default_rng(2)
-    x = x0 + 0.1 * rng.standard_normal(x0.shape)
-    p = EnergyParams(alpha=1.0, spring_k=2.0, target_length=12.0,
-                     length_penalty_k=1.0, edge_penalty_k=1.0)
-    _, g = energy_and_gradient(mesh, x, p)
-    assert np.array_equal(gradient(mesh, x, p), g)
 
 
 def test_gradient_sums_to_zero():
