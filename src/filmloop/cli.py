@@ -21,7 +21,8 @@ from . import __version__
 from .mesh import generate_disk_mesh, validate_mesh, scale_to_boundary_length, MeshError
 from .meshio import write_obj
 from .energy import EnergyParams, EnergyError, gamma_numeric, SIGMA_PER_SPRING_K
-from .optimize import MinimizeOptions, NumericalError, perturb, relax
+from .optimize import (MinimizeOptions, NumericalError, kick_amplitude,
+                       perturb, relax)
 from .diffgeo import (boundary_geometry, gauss_bonnet_defect, planarity,
                       write_boundary_observables, DiffGeoError)
 from .stability import threshold_table
@@ -114,7 +115,7 @@ def cmd_mesh(args):
 def cmd_relax(args):
     mesh, x0 = generate_disk_mesh(args.rings, args.elongation)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
-    x0 = perturb(x0, 1e-3 / (2.0 * np.pi), args.seed)
+    x0 = perturb(x0, kick_amplitude(1.0), args.seed)
     params = EnergyParams(alpha=1.0, spring_k=args.kl3a, target_length=1.0)
     opts = MinimizeOptions(max_iterations=args.max_iterations,
                            gradient_tolerance=args.gradient_tolerance)

@@ -9,8 +9,8 @@ The energy has three parts:
   springs        spring_k * sum over interior edges of |e|^2
                  (zero-rest-length springs standing in for film tension);
   length penalty length_penalty_k * (total boundary length - L)^2
-                 plus edge_penalty_k * sum (|e_i| - rest_i)^2 over boundary
-                 edges (rest lengths uniform L/B unless supplied).
+                 plus edge_penalty_k * sum (|e_i| - L/B)^2 over the B
+                 boundary edges.
 
 The global term pins the total length but is indifferent to how vertices
 distribute along the loop; because the spring term is a Dirichlet energy,
@@ -24,8 +24,7 @@ sigma = 4 k / sqrt(3), so the control parameter k L^3 / alpha maps to
 gamma = sigma L^3 / alpha = (4 / sqrt(3)) k L^3 / alpha.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class EnergyParams:
     target_length: float = 1.0
     length_penalty_k: float = 0.0
     edge_penalty_k: float = 0.0
-    edge_rest_lengths: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if (self.alpha < 0 or self.spring_k < 0 or self.length_penalty_k < 0
@@ -102,10 +100,7 @@ def _penalty_terms(s, p):
         e_pen += p.length_penalty_k * excess**2
         dpen_ds = np.full(len(s), 2.0 * p.length_penalty_k * excess)
     if p.edge_penalty_k != 0.0:
-        rest = p.edge_rest_lengths
-        if rest is None:
-            rest = p.target_length / len(s)
-        diff = s - rest
+        diff = s - p.target_length / len(s)
         e_pen += p.edge_penalty_k * float(diff @ diff)
         d_edge = 2.0 * p.edge_penalty_k * diff
         dpen_ds = d_edge if dpen_ds is None else dpen_ds + d_edge

@@ -250,16 +250,6 @@ def generate_disk_mesh(rings, elongation=1.0):
     return mesh, positions
 
 
-def check_configuration(mesh, x):
-    """Raise MeshError unless x is a finite (vertex_count, 3) float array."""
-    x = np.asarray(x)
-    if x.shape != (mesh.vertex_count, 3):
-        raise MeshError(f"configuration shape {x.shape} != ({mesh.vertex_count}, 3)")
-    if not np.all(np.isfinite(x)):
-        raise MeshError("configuration contains non-finite coordinates")
-    return x
-
-
 class BoundaryFrame(NamedTuple):
     """Edge data of the boundary loop; row i is boundary_edges[i]."""
 

@@ -1,8 +1,6 @@
-"""Wavefront OBJ and ASCII PLY export, OBJ import for restart runs."""
+"""Wavefront OBJ export and import."""
 
 import numpy as np
-
-from .mesh import TriMesh
 
 
 def write_obj(path, positions, triangles=None):
@@ -39,25 +37,3 @@ def read_obj(path):
                 tris.append([i - 1 for i in idx])
     return np.array(verts, dtype=float), np.array(tris, dtype=np.int64)
 
-
-def read_obj_mesh(path):
-    """Read an OBJ file into (TriMesh, positions)."""
-    positions, tris = read_obj(path)
-    return TriMesh.from_triangles(len(positions), tris), positions
-
-
-def write_ply(path, positions, triangles):
-    """Write an ASCII PLY file with double-precision vertex coordinates."""
-    x = np.asarray(positions, dtype=float)
-    tris = np.asarray(triangles, dtype=np.int64)
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write("element vertex %d\n" % len(x))
-        fh.write("property double x\nproperty double y\nproperty double z\n")
-        fh.write("element face %d\n" % len(tris))
-        fh.write("property list uchar int vertex_indices\n")
-        fh.write("end_header\n")
-        for p in x:
-            fh.write("%.17g %.17g %.17g\n" % (p[0], p[1], p[2]))
-        for a, b, c in tris:
-            fh.write("3 %d %d %d\n" % (a, b, c))

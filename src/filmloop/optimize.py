@@ -9,9 +9,8 @@ RESTART_INTERVAL iterations, and a scale-aware gradient tolerance:
 so the stopping rule is invariant under rescaling the energy unit.  A failed
 line search retries once from steepest descent, then returns the best
 iterate found, flagged with its own status; non-finite energies or
-gradients abort with NumericalError.  MinimizeOptions holds the three
-settings a caller may change: max_iterations, gradient_tolerance and
-precondition.
+gradients abort with NumericalError.  MinimizeOptions holds the two
+settings a caller may change: max_iterations and gradient_tolerance.
 
 The vertex-wise bending stiffness grows like alpha / spacing^3, so at fine
 boundary resolution the Hessian spectrum spans six or more decades and
@@ -19,14 +18,14 @@ plain CG stalls.  minimize() therefore preconditions (make_preconditioner)
 with the exact inverse of a circulant bending + edge-penalty operator along
 the boundary loop and the spring-graph diagonal elsewhere, built from the
 starting configuration; convergence is still judged on the raw gradient.
-Set MinimizeOptions.precondition = False for the unscaled method.
 
 relax() wraps minimize() in the boundary-length penalty escalation loop:
 the quadratic penalty stiffness is multiplied by 10 between rounds until the
-boundary length matches its target to 1e-3 relative, at most 5 rounds.
+boundary length matches its target to LENGTH_TOL relative.
 
 Nothing here perturbs its input: callers that need to break the planar
-symmetry (the sweep driver, the relax command) apply perturb() first.
+symmetry (the sweep driver, the relax command) apply perturb() first, with
+half-width kick_amplitude(L).
 
 polish() continues from a minimized state with a gradient-only secant line
 search, for use when residuals below the energy-difference resolution of
@@ -34,7 +33,9 @@ the Wolfe search are needed (near-exact planarity, curvature cancellation
 checks).
 """
 
+import dataclasses
 import logging
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,14 +58,33 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.1
 RESTART_INTERVAL = 200
 
+# relative boundary-length error a relaxed state must reach
+LENGTH_TOL = 1e-3
+
+
+def kick_amplitude(target_length):
+    """Half-width of the transverse kick before a solve: 1e-3 R, R = L / 2pi."""
+    return 1e-3 * target_length / (2.0 * np.pi)
+
+
+def check_field_types(obj, what):
+    """ValueError naming the first field of dataclass obj whose value does not
+    match its annotation; a bool passes only for a bool field."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        kind = {int: numbers.Integral, float: numbers.Real}.get(f.type, f.type)
+        if not isinstance(v, kind) or (isinstance(v, bool) and f.type is not bool):
+            raise ValueError(f"{what} {f.name!r} must be {f.type.__name__}, "
+                             f"got {v!r}")
+
 
 @dataclass
 class MinimizeOptions:
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-6
-    precondition: bool = True
 
     def __post_init__(self):
+        check_field_types(self, "option")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
         if self.max_iterations < 0:
@@ -265,7 +285,7 @@ def minimize(mesh, x0, params, opts=None, log_stream=None):
             blen_err = abs(last_fb[0].boundary_length - L)
             log_stream.write("%d,%.17g,%.17g,%.17g\n" % (it, f, ginf, blen_err))
 
-    minv = make_preconditioner(mesh, x, params) if opts.precondition else None
+    minv = make_preconditioner(mesh, x, params)
     x_fin, f_fin, g_fin, it, status, fhist, ghist = minimize_function(
         fun, x, opts, gtol, step_scale=L, callback=log_cb, minv=minv)
     fb_fin, _ = energy_and_gradient(mesh, x_fin, params)
@@ -338,14 +358,13 @@ def _zoom(phi, f0, dphi0, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2, max_zoom):
     return None
 
 
-def relax(mesh, x0, params, opts=None, max_rounds=5, length_tol=1e-3,
-          log_stream=None):
+def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
     """Minimize with automatic boundary-length penalty escalation.
 
     If params.length_penalty_k is 0 a starting stiffness of
     100 * (spring_k + alpha / L^3) is chosen; it is multiplied by 10 after
     every round whose boundary length misses the target by more than
-    length_tol relative, for at most max_rounds (>= 1) rounds.
+    LENGTH_TOL relative, for at most max_rounds (>= 1) rounds.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -369,7 +388,7 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, length_tol=1e-3,
         err = res.length_error
         logger.debug("penalty round %d: length error %.3g, status %s",
                      rnd, err, res.status)
-        if err < length_tol:
+        if err < LENGTH_TOL:
             break
         p = replace(p, length_penalty_k=10.0 * p.length_penalty_k)
 
@@ -378,7 +397,7 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, length_tol=1e-3,
     return res
 
 
-def polish(mesh, x0, params, iterations=400, opts=None):
+def polish(mesh, x0, params, iterations=400):
     """Gradient-only refinement of an already minimized configuration.
 
     A Wolfe search compares energies, so it stops resolving steps once the
@@ -390,7 +409,6 @@ def polish(mesh, x0, params, iterations=400, opts=None):
     rounding level.  Returns the iterate with the smallest gradient
     infinity norm encountered; status is "polished".
     """
-    opts = opts or MinimizeOptions()
     x = np.array(x0, dtype=float)
 
     def grad(xc):
@@ -398,7 +416,7 @@ def polish(mesh, x0, params, iterations=400, opts=None):
         _check_finite(fb.total, g)
         return g
 
-    minv = make_preconditioner(mesh, x, params) if opts.precondition else None
+    minv = make_preconditioner(mesh, x, params)
     apply_minv = minv if minv is not None else (lambda g: g)
 
     g = grad(x)

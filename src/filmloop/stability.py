@@ -18,6 +18,9 @@ import numpy as np
 
 from .mesh import boundary_frame
 
+# uniform arc-length samples of the boundary radius in the mode spectrum
+_MODE_SAMPLES = 256
+
 
 @dataclass
 class DiskSolution:
@@ -75,12 +78,12 @@ def threshold_table(max_mode=6):
     return rows
 
 
-def boundary_mode_spectrum(mesh, x, n_samples=256):
+def boundary_mode_spectrum(mesh, x):
     """Fourier amplitudes of the boundary's radial deviation from its centroid.
 
-    The radius (3D distance to the boundary centroid) is resampled uniformly
-    in arc length before the transform; returns (modes, amplitudes) for
-    modes 1 .. n_samples // 2.
+    The radius (3D distance to the boundary centroid) is resampled at
+    _MODE_SAMPLES points uniform in arc length before the transform; returns
+    (modes, amplitudes) for modes 1 .. _MODE_SAMPLES // 2.
     """
     pts = x[mesh.boundary_loop]
     centroid = pts.mean(axis=0)
@@ -89,18 +92,11 @@ def boundary_mode_spectrum(mesh, x, n_samples=256):
     u = np.concatenate([[0.0], np.cumsum(boundary_frame(mesh, x).length)])
     total = u[-1]
     r_closed = np.concatenate([r, r[:1]])
-    u_uniform = np.linspace(0.0, total, n_samples, endpoint=False)
+    u_uniform = np.linspace(0.0, total, _MODE_SAMPLES, endpoint=False)
     r_uniform = np.interp(u_uniform, u, r_closed)
 
     dev = r_uniform - r_uniform.mean()
-    coef = np.fft.rfft(dev) / n_samples
+    coef = np.fft.rfft(dev) / _MODE_SAMPLES
     amps = 2.0 * np.abs(coef[1:])
     modes = np.arange(1, len(amps) + 1)
     return modes, amps
-
-
-def dominant_boundary_mode(mesh, x, n_samples=256):
-    """(mode, amplitude) of the largest nonzero Fourier mode of the boundary."""
-    modes, amps = boundary_mode_spectrum(mesh, x, n_samples)
-    i = int(np.argmax(amps))
-    return int(modes[i]), float(amps[i])

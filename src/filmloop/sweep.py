@@ -27,7 +27,8 @@ import scipy.spatial
 from . import __version__
 from .mesh import generate_disk_mesh, scale_to_boundary_length
 from .energy import EnergyParams, energy, gamma_numeric
-from .optimize import MinimizeOptions, perturb, relax
+from .optimize import (LENGTH_TOL, MinimizeOptions, check_field_types,
+                       kick_amplitude, perturb, relax)
 from .diffgeo import (boundary_geometry, gaussian_curvature, gauss_bonnet_defect,
                       planarity)
 from .stability import boundary_mode_spectrum
@@ -56,23 +57,24 @@ class SweepSchedule:
     base_seed: int = 0
     warm_start: bool = True
     direction: str = "up"                     # "down" iterates in reverse
-    perturbation_amplitude: Optional[float] = None
     options: MinimizeOptions = field(default_factory=MinimizeOptions)
-    max_penalty_rounds: int = 5
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        try:
+            self.values = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"sweep config 'values' must be a list of "
+                             f"numbers, got {self.values!r}") from None
+        check_field_types(self, "sweep config")
+        for name in ("alpha", "target_length"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"sweep config {name!r} must be positive")
         if self.values.ndim != 1 or len(self.values) == 0:
             raise ValueError("schedule needs a nonempty 1D value array")
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("schedule values must be strictly increasing")
         if self.direction not in ("up", "down"):
             raise ValueError("direction must be 'up' or 'down'")
-
-    def amplitude(self):
-        if self.perturbation_amplitude is not None:
-            return self.perturbation_amplitude
-        return 1e-3 * self.target_length / (2.0 * np.pi)
 
     def to_dict(self):
         d = asdict(self)
@@ -82,18 +84,18 @@ class SweepSchedule:
     @classmethod
     def from_dict(cls, d):
         """Inverse of to_dict; ValueError names any key it does not know."""
-        d = dict(d)
-        opts = d.pop("options", {})
-        _reject_unknown_keys(d, cls, "sweep config")
+        _check_keys(d, cls, "sweep config")
+        opts = d.get("options", {})
+        _check_keys(opts, MinimizeOptions, "sweep options")
         if "values" not in d:
             raise ValueError("sweep config has no 'values'")
-        if isinstance(opts, dict):
-            _reject_unknown_keys(opts, MinimizeOptions, "sweep options")
-            opts = MinimizeOptions(**opts)
-        return cls(options=opts, **d)
+        return cls(**dict(d, options=MinimizeOptions(**opts)))
 
 
-def _reject_unknown_keys(d, cls, what):
+def _check_keys(d, cls, what):
+    """ValueError unless d is a dict whose keys are all fields of cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
@@ -131,8 +133,7 @@ class SweepPoint:
 
 
 CSV_COLUMNS = [f.name for f in dataclasses.fields(SweepPoint)]
-_INT_COLUMNS = {"index", "dominant_mode", "self_intersections", "iterations",
-                "penalty_rounds", "seed", "converged"}
+_COLUMN_TYPES = {f.name: f.type for f in dataclasses.fields(SweepPoint)}
 
 
 @dataclass
@@ -173,9 +174,8 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
     start = x_start if x_start is not None else x0_cold
     start_energy = energy(mesh, start, params).total
 
-    x_pert = perturb(start, schedule.amplitude(), seed)
-    res = relax(mesh, x_pert, params, schedule.options,
-                max_rounds=schedule.max_penalty_rounds)
+    x_pert = perturb(start, kick_amplitude(L), seed)
+    res = relax(mesh, x_pert, params, schedule.options)
 
     bg = boundary_geometry(mesh, res.x)
     field_k = gaussian_curvature(mesh, res.x)
@@ -200,7 +200,7 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
         gauss_bonnet=gauss_bonnet_defect(mesh, res.x),
         self_intersections=count_self_intersections(mesh, res.x),
         iterations=res.iterations, penalty_rounds=res.penalty_rounds,
-        seed=seed, converged=int(res.converged and res.length_error < 1e-3),
+        seed=seed, converged=int(res.converged and res.length_error < LENGTH_TOL),
         status=res.status)
     return point, res.x
 
@@ -499,15 +499,9 @@ def read_diagram_csv(path):
             if len(cells) != len(CSV_COLUMNS):
                 raise ValueError(f"{path} line {lineno}: {len(cells)} cells, "
                                  f"header has {len(CSV_COLUMNS)}")
-            kwargs = {}
-            for name, cell in zip(CSV_COLUMNS, cells):
-                if name == "status":
-                    kwargs[name] = cell
-                elif name in _INT_COLUMNS:
-                    kwargs[name] = int(cell)
-                else:
-                    kwargs[name] = float(cell)
-            points.append(SweepPoint(**kwargs))
+            points.append(SweepPoint(**{
+                name: _COLUMN_TYPES[name](cell)
+                for name, cell in zip(CSV_COLUMNS, cells)}))
     return BifurcationDiagram(points=points, schedule=None)
 
 
@@ -526,5 +520,5 @@ def read_manifest(path):
     """Load a manifest (or plain config) back into a SweepSchedule."""
     with open(path) as fh:
         doc = json.load(fh)
-    cfg = doc.get("config", doc)
+    cfg = doc.get("config", doc) if isinstance(doc, dict) else doc
     return SweepSchedule.from_dict(cfg)

@@ -84,12 +84,18 @@ def test_sweep_command_and_manifest_rerun(tmp_path, capsys):
 
 
 def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
-    # a key at either level of the config is rejected by name, before any
-    # relaxation runs
-    for bad, cfg in (("bogus", {"values": [20.0, 40.0], "rings": 3,
-                                "bogus": 1}),
-                     ("rng_seed", {"values": [20.0, 40.0], "rings": 3,
-                                   "options": {"rng_seed": 0}})):
+    # an unknown key at either level of the config is rejected by name,
+    # before any relaxation runs; the last three are keys of manifests
+    # written before preconditioning, the kick amplitude and the penalty
+    # round limit became constants
+    base = {"values": [20.0, 40.0], "rings": 3}
+    for bad, cfg in (("bogus", dict(base, bogus=1)),
+                     ("rng_seed", dict(base, options={"rng_seed": 0})),
+                     ("precondition", dict(base,
+                                           options={"precondition": True})),
+                     ("perturbation_amplitude",
+                      dict(base, perturbation_amplitude=None)),
+                     ("max_penalty_rounds", dict(base, max_penalty_rounds=5))):
         path = tmp_path / f"{bad}.json"
         path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(path),
@@ -97,6 +103,31 @@ def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert bad in err and "Traceback" not in err
         assert not (tmp_path / bad).exists()
+
+
+@pytest.mark.parametrize("key, cfg", [
+    ("max_iterations", {"options": {"max_iterations": "x"}}),
+    ("base_seed", {"base_seed": "a"}),
+    ("options", {"options": 5}),
+    ("warm_start", {"warm_start": "no"}),
+    ("rings", {"rings": 3.5}),
+    ("alpha", {"alpha": 0}),
+    ("JSON", [1, 2]),
+])
+def test_sweep_config_bad_value_types_exit_one(tmp_path, capsys, key, cfg):
+    # a value of the wrong type (or a zero modulus, which would divide by
+    # zero) is rejected by key before any relaxation runs; a manifest that
+    # is not a JSON object is rejected as such
+    if isinstance(cfg, dict):
+        cfg = dict({"values": [20.0, 40.0], "rings": 3}, **cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_jobs_needs_no_warm_start(tmp_path, capsys):

@@ -43,11 +43,6 @@ def test_penalty_terms_closed_form():
     p = EnergyParams(alpha=1.0, target_length=L, edge_penalty_k=3.0)
     assert np.isclose(energy(mesh, x, p).length_penalty,
                       3.0 * n * (s - L / n) ** 2, rtol=1e-12)
-    rest = np.full(n, 0.9 * s)
-    p = EnergyParams(alpha=1.0, target_length=L, edge_penalty_k=3.0,
-                     edge_rest_lengths=rest)
-    assert np.isclose(energy(mesh, x, p).length_penalty,
-                      3.0 * n * (0.1 * s) ** 2, rtol=1e-10)
 
 
 def test_breakdown_total_is_sum_of_parts():

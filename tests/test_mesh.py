@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from filmloop.mesh import (MeshError, TriMesh, boundary_length,
-                           check_configuration, generate_disk_mesh,
-                           scale_to_boundary_length, validate_mesh)
+                           generate_disk_mesh, scale_to_boundary_length,
+                           validate_mesh)
 
 ANNULUS_TRIS = np.array([[0, 1, 4], [0, 4, 3], [1, 2, 5],
                          [1, 5, 4], [2, 0, 3], [2, 3, 5]], dtype=np.int64)
@@ -113,17 +113,6 @@ def test_generate_rejects_bad_arguments():
         generate_disk_mesh(3, 0.0)
     with pytest.raises(MeshError):
         generate_disk_mesh(3, np.inf)
-
-
-def test_check_configuration():
-    mesh, x = generate_disk_mesh(2)
-    assert check_configuration(mesh, x) is not None
-    with pytest.raises(MeshError):
-        check_configuration(mesh, x[:, :2])
-    bad = x.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(MeshError):
-        check_configuration(mesh, bad)
 
 
 def test_boundary_length_and_rescale():

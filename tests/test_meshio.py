@@ -1,10 +1,10 @@
-"""OBJ round-trips and PLY structure for the mesh exchange helpers."""
+"""OBJ round-trips for the mesh exchange helpers."""
 
 import numpy as np
 import pytest
 
-from filmloop.mesh import generate_disk_mesh, validate_mesh
-from filmloop.meshio import read_obj, read_obj_mesh, write_obj, write_ply
+from filmloop.mesh import TriMesh, generate_disk_mesh, validate_mesh
+from filmloop.meshio import read_obj, write_obj
 
 
 def test_obj_roundtrip_preserves_geometry(tmp_path):
@@ -26,11 +26,12 @@ def test_obj_vertices_only(tmp_path):
     assert back_t.size == 0
 
 
-def test_read_obj_mesh_restores_connectivity(tmp_path):
+def test_read_obj_restores_connectivity(tmp_path):
     mesh, x = generate_disk_mesh(2, 1.0)
     path = tmp_path / "disk.obj"
     write_obj(path, x, mesh.triangles)
-    back_mesh, back_x = read_obj_mesh(path)
+    back_x, back_t = read_obj(path)
+    back_mesh = TriMesh.from_triangles(len(back_x), back_t)
     assert validate_mesh(back_mesh).passed
     assert np.array_equal(back_mesh.triangles, mesh.triangles)
     assert np.array_equal(back_mesh.boundary_loop, mesh.boundary_loop)
@@ -56,17 +57,3 @@ def test_read_obj_rejects_bad_faces(tmp_path):
     with pytest.raises(ValueError):
         read_obj(neg)
 
-
-def test_ply_header_structure(tmp_path):
-    mesh, x = generate_disk_mesh(1, 1.0)
-    path = tmp_path / "disk.ply"
-    write_ply(path, x, mesh.triangles)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ply"
-    assert lines[1] == "format ascii 1.0"
-    assert f"element vertex {len(x)}" in lines
-    assert f"element face {len(mesh.triangles)}" in lines
-    end = lines.index("end_header")
-    body = lines[end + 1:]
-    assert len(body) == len(x) + len(mesh.triangles)
-    assert all(row.startswith("3 ") for row in body[len(x):])

@@ -7,12 +7,13 @@ import io
 import numpy as np
 import pytest
 
-from filmloop.energy import EnergyParams
+from filmloop.energy import EnergyParams, energy_and_gradient
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 from filmloop.diffgeo import planarity
 from filmloop import optimize
-from filmloop.optimize import (MinimizeOptions, NumericalError, minimize,
-                               minimize_function, perturb, polish, relax)
+from filmloop.optimize import (MinimizeOptions, NumericalError, kick_amplitude,
+                               minimize, minimize_function, perturb, polish,
+                               relax)
 
 
 def quadratic_problem(n, seed):
@@ -91,6 +92,7 @@ def test_perturb_touches_only_z():
     assert not np.array_equal(perturb(x, 1e-2, seed=6), y)
     with pytest.raises(ValueError):
         perturb(x, -1.0, seed=0)
+    assert np.isclose(kick_amplitude(2.0 * np.pi), 1e-3)   # 1e-3 R at R = 1
 
 
 def test_max_iterations_zero_returns_start():
@@ -124,7 +126,7 @@ def test_relax_flattens_subcritical_disk():
     mesh, x0 = generate_disk_mesh(6)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     p = EnergyParams(alpha=1.0, spring_k=20.0, target_length=1.0)
-    x0 = perturb(x0, 1e-3 / (2.0 * np.pi), 0)
+    x0 = perturb(x0, kick_amplitude(1.0), 0)
     res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
     assert res.converged
     assert res.length_error < 1e-3
@@ -169,14 +171,23 @@ def test_relax_needs_a_round():
 
 
 def test_precondition_off_reaches_same_minimum():
+    # plain CG on the energy of relax's last round, from the same start and
+    # to the same scaled tolerance, reaches the preconditioned minimum
     mesh, x0 = generate_disk_mesh(4)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     p = EnergyParams(alpha=1.0, spring_k=20.0, target_length=1.0)
-    on = relax(mesh, x0, p, MinimizeOptions(max_iterations=40000))
-    off = relax(mesh, x0, p, MinimizeOptions(max_iterations=40000,
-                                             precondition=False))
-    assert on.converged and off.converged
-    assert np.isclose(on.energy.total, off.energy.total, rtol=1e-7)
+    opts = MinimizeOptions(max_iterations=40000)
+    on = relax(mesh, x0, p, opts)
+
+    def fun(x):
+        fb, g = energy_and_gradient(mesh, x, on.params)
+        return fb.total, g
+
+    gtol = opts.gradient_tolerance * (p.spring_k + p.alpha)   # L = 1
+    _, f_off, _, _, status, *_ = minimize_function(fun, x0, opts, gtol,
+                                                   minv=None)
+    assert on.converged and status == "converged"
+    assert np.isclose(on.energy.total, f_off, rtol=1e-7)
 
 
 def test_wolfe_debug_assertions_hold(monkeypatch):
@@ -210,7 +221,7 @@ def test_polish_descends_past_wolfe_floor():
     mesh, x0 = generate_disk_mesh(6)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     p = EnergyParams(alpha=1.0, spring_k=50.0, target_length=1.0)
-    x0 = perturb(x0, 1e-3 / (2.0 * np.pi), 0)
+    x0 = perturb(x0, kick_amplitude(1.0), 0)
     res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
     pol = polish(mesh, res.x, res.params, iterations=300)
     entry = pol.gradient_norm_history[0]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from filmloop.stability import (boundary_mode_spectrum, critical_gamma,
-                                disk_solution, dominant_boundary_mode,
-                                kl3a_from_gamma, second_order_coefficient,
-                                threshold_table)
+                                disk_solution, kl3a_from_gamma,
+                                second_order_coefficient, threshold_table)
 from filmloop.mesh import generate_disk_mesh
 
 from helpers import fan_mesh
@@ -61,9 +60,10 @@ def test_mode_spectrum_recovers_imposed_harmonic():
     r = 1.0 + eps * np.cos(k * ang)
     x[1:, 0] = r * np.cos(ang)
     x[1:, 1] = r * np.sin(ang)
-    mode, amp = dominant_boundary_mode(mesh, x)
-    assert mode == k
-    assert abs(amp - eps) < 2e-3
+    modes, amps = boundary_mode_spectrum(mesh, x)
+    i = np.argmax(amps)
+    assert modes[i] == k
+    assert abs(amps[i] - eps) < 2e-3
 
 
 def test_mode_spectrum_flat_for_regular_polygon():
@@ -74,6 +74,7 @@ def test_mode_spectrum_flat_for_regular_polygon():
 
 def test_elongated_lattice_is_mode_two_dominated():
     mesh, x = generate_disk_mesh(8, 1.2)
-    mode, amp = dominant_boundary_mode(mesh, x)
-    assert mode == 2
-    assert amp > 0.1
+    modes, amps = boundary_mode_spectrum(mesh, x)
+    i = np.argmax(amps)
+    assert modes[i] == 2
+    assert amps[i] > 0.1
