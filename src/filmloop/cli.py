@@ -149,9 +149,12 @@ def cmd_relax(args):
 def _sweep_schedule_from_args(args):
     """Schedule from --config (if any) with individual flags taking precedence."""
     config = read_manifest(args.config).to_dict() if args.config else {}
-    if args.start is not None and args.stop is not None and args.num is not None:
+    given = [v is not None for v in (args.start, args.stop, args.num)]
+    if all(given):
         config["values"] = [float(v) for v in
                             np.linspace(args.start, args.stop, args.num)]
+    elif any(given):
+        raise UsageError("--start, --stop and --num go together")
     elif not args.config:
         raise UsageError("sweep needs --config or --start/--stop/--num")
     for name in ("rings", "elongation", "base_seed", "direction"):
@@ -164,6 +167,8 @@ def _sweep_schedule_from_args(args):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     schedule = _sweep_schedule_from_args(args)
     if args.jobs > 1 and schedule.warm_start:
         raise UsageError("--jobs needs --no-warm-start: warm-started points "

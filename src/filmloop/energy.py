@@ -44,8 +44,9 @@ class EnergyParams:
     """Physical parameters of the discrete energy.
 
     alpha >= 0 (bending modulus), spring_k >= 0, target_length > 0,
-    length_penalty_k >= 0.  A springs-only model (alpha = 0) is allowed;
-    it is useful for testing the optimizer against a linear solve.
+    length_penalty_k >= 0, edge_penalty_k >= 0, all finite.  A springs-only
+    model (alpha = 0) is allowed; it is useful for testing the optimizer
+    against a linear solve.
     """
 
     alpha: float = 1.0
@@ -55,11 +56,14 @@ class EnergyParams:
     edge_penalty_k: float = 0.0
 
     def __post_init__(self):
-        if (self.alpha < 0 or self.spring_k < 0 or self.length_penalty_k < 0
-                or self.edge_penalty_k < 0):
-            raise ValueError("moduli must be nonnegative")
-        if self.target_length <= 0:
-            raise ValueError("target_length must be positive")
+        for name in ("alpha", "spring_k", "length_penalty_k", "edge_penalty_k"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v >= 0):
+                raise ValueError(f"energy parameter {name!r} must be finite "
+                                 f"and nonnegative, got {v!r}")
+        if not (np.isfinite(self.target_length) and self.target_length > 0):
+            raise ValueError(f"energy parameter 'target_length' must be finite "
+                             f"and positive, got {self.target_length!r}")
 
 
 @dataclass

@@ -85,8 +85,10 @@ class MinimizeOptions:
 
     def __post_init__(self):
         check_field_types(self, "option")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+        if not (np.isfinite(self.gradient_tolerance)
+                and self.gradient_tolerance > 0):
+            raise ValueError(f"option 'gradient_tolerance' must be finite and "
+                             f"positive, got {self.gradient_tolerance!r}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
 

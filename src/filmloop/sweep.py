@@ -66,11 +66,16 @@ class SweepSchedule:
             raise ValueError(f"sweep config 'values' must be a list of "
                              f"numbers, got {self.values!r}") from None
         check_field_types(self, "sweep config")
-        for name in ("alpha", "target_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"sweep config {name!r} must be positive")
+        for name in ("alpha", "target_length", "elongation"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"sweep config {name!r} must be finite and "
+                                 f"positive, got {v!r}")
         if self.values.ndim != 1 or len(self.values) == 0:
             raise ValueError("schedule needs a nonempty 1D value array")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"sweep config 'values' must be finite, got "
+                             f"{self.values.tolist()!r}")
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("schedule values must be strictly increasing")
         if self.direction not in ("up", "down"):
@@ -414,56 +419,67 @@ def fit_linear_K(diagram, gamma_c):
 def count_self_intersections(mesh, x):
     """Number of transversally intersecting non-adjacent triangle pairs.
 
-    Candidate pairs come from a centroid KD-tree query; a pair counts when
-    an edge of one triangle crosses the interior of the other.  Triangles
-    sharing a vertex are skipped, as are exactly coplanar overlaps (the
+    Candidate pairs come from a centroid KD-tree query; pairs sharing a
+    vertex and pairs whose axis-aligned bounding boxes do not overlap are
+    dropped.  One array pass of the Moller-Trumbore ray-triangle test over
+    the rest then counts a pair when an edge of one triangle crosses the
+    interior of the other.  Exactly coplanar overlaps are skipped (the
     diagnostic targets genuine crossings of the immersed surface).
     """
+    return len(_crossing_pairs(mesh, x))
+
+
+def _crossing_pairs(mesh, x):
+    """(n, 2) triangle index pairs i < j counted by count_self_intersections."""
     tris = mesh.triangles
     pts = x[tris]                                        # (f, 3, 3)
     centroids = pts.mean(axis=1)
     crad = np.linalg.norm(pts - centroids[:, None, :], axis=2).max(axis=1)
     tree = scipy.spatial.cKDTree(centroids)
     pairs = tree.query_pairs(2.0 * float(crad.max()), output_type="ndarray")
-    if len(pairs) == 0:
-        return 0
 
-    # drop pairs sharing any vertex
+    # drop pairs sharing any vertex, then pairs whose bounding boxes are apart
     va, vb = tris[pairs[:, 0]], tris[pairs[:, 1]]
     shares = (va[:, :, None] == vb[:, None, :]).any(axis=(1, 2))
     pairs = pairs[~shares]
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    i, j = pairs[:, 0], pairs[:, 1]
+    pairs = pairs[((lo[i] <= hi[j]) & (lo[j] <= hi[i])).all(axis=1)]
 
-    count = 0
-    for i, j in pairs:
-        if _tri_tri_cross(pts[i], pts[j]) or _tri_tri_cross(pts[j], pts[i]):
-            count += 1
-    return count
+    a, b = pts[pairs[:, 0]], pts[pairs[:, 1]]
+    return pairs[_edges_cross(a, b) | _edges_cross(b, a)]
 
 
-def _tri_tri_cross(tri_a, tri_b, eps=1e-12):
-    """True if any edge of tri_a crosses the interior of tri_b transversally."""
-    a0, a1, a2 = tri_b
-    e1, e2 = a1 - a0, a2 - a0
-    for k in range(3):
-        p, q = tri_a[k], tri_a[(k + 1) % 3]
-        d = q - p
-        h = np.cross(d, e2)
-        det = e1 @ h
-        if abs(det) < eps:
-            continue                      # parallel or coplanar edge
-        inv = 1.0 / det
-        s = p - a0
-        u = inv * (s @ h)
-        if u <= eps or u >= 1.0 - eps:
-            continue
-        qv = np.cross(s, e1)
-        v = inv * (d @ qv)
-        if v <= eps or u + v >= 1.0 - eps:
-            continue
-        t = inv * (e2 @ qv)
-        if eps < t < 1.0 - eps:
-            return True
-    return False
+def _dot(a, b):
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _edges_cross(tri_a, tri_b, eps=1e-12):
+    """Per pair of (n, 3, 3) triangles: does any edge of tri_a cross the
+    interior of tri_b transversally?
+
+    A lane with |det| < eps (edge parallel to or in the plane of tri_b) is
+    masked out; its division by a zero or tiny det is not an error.
+    """
+    a0 = tri_b[:, 0]
+    e1, e2 = tri_b[:, 1] - a0, tri_b[:, 2] - a0
+    hit = np.zeros(len(tri_a), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(3):
+            p = tri_a[:, k]
+            d = tri_a[:, (k + 1) % 3] - p
+            h = np.cross(d, e2)
+            det = _dot(e1, h)
+            inv = 1.0 / det
+            s = p - a0
+            u = inv * _dot(s, h)
+            qv = np.cross(s, e1)
+            v = inv * _dot(d, qv)
+            t = inv * _dot(e2, qv)
+            hit |= ((np.abs(det) >= eps) & (u > eps) & (u < 1.0 - eps)
+                    & (v > eps) & (u + v < 1.0 - eps)
+                    & (t > eps) & (t < 1.0 - eps))
+    return hit
 
 
 # ---------------------------------------------------------------------------

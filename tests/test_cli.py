@@ -113,11 +113,15 @@ def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
     ("rings", {"rings": 3.5}),
     ("alpha", {"alpha": 0}),
     ("JSON", [1, 2]),
+    ("values", {"values": [100.0, float("nan")]}),
+    ("alpha", {"alpha": float("nan")}),
+    ("values", {"values": [100.0, float("inf")]}),
 ])
 def test_sweep_config_bad_value_types_exit_one(tmp_path, capsys, key, cfg):
-    # a value of the wrong type (or a zero modulus, which would divide by
-    # zero) is rejected by key before any relaxation runs; a manifest that
-    # is not a JSON object is rejected as such
+    # a value of the wrong type (or a zero or non-finite modulus, which
+    # would divide by zero or poison every energy) is rejected by key before
+    # any relaxation runs; a manifest that is not a JSON object is rejected
+    # as such
     if isinstance(cfg, dict):
         cfg = dict({"values": [20.0, 40.0], "rings": 3}, **cfg)
     path = tmp_path / "config.json"
@@ -127,6 +131,41 @@ def test_sweep_config_bad_value_types_exit_one(tmp_path, capsys, key, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--kl3a", "nan"),
+                                         ("--gradient-tolerance", "nan")])
+def test_relax_non_finite_flag_exits_one(tmp_path, capsys, flag, value):
+    # a NaN passes every "< 0" guard; it is a usage error, not a relaxation
+    # that fails with a non-finite energy
+    out = tmp_path / "relax"
+    assert main(["relax", "--rings", "3", flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_partial_range_is_a_usage_error(tmp_path, capsys):
+    # --start alone next to --config used to be ignored silently
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"values": [20.0, 40.0], "rings": 3}))
+    out = tmp_path / "s"
+    for argv in (["--config", str(cfg), "--start", "1"],
+                 ["--config", str(cfg), "--stop", "60", "--num", "3"],
+                 ["--start", "20", "--stop", "60"]):
+        assert main(["sweep", *argv, "--out", str(out)]) == 1
+        assert "--start, --stop and --num" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    out = tmp_path / "s"
+    assert main(["sweep", "--start", "20", "--stop", "60", "--num", "3",
+                 "--rings", "3", "--no-warm-start", "--jobs", jobs,
+                 "--out", str(out)]) == 1
+    assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,11 +12,15 @@ import pytest
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.mesh import TriMesh, generate_disk_mesh
 from filmloop.optimize import MinimizeOptions
+from filmloop.saddle import SaddleFamily, family_trimesh, radius_for_length
 from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
-                            SweepSchedule, count_self_intersections,
+                            SweepSchedule, _crossing_pairs,
+                            count_self_intersections,
                             detect_transitions, fit_exponent, fit_linear_K,
                             read_diagram_csv, read_manifest, run_sweep,
                             write_diagram_csv, write_manifest)
+
+from helpers import loop_crossing_pairs
 
 
 def make_point(**over):
@@ -201,19 +205,44 @@ def _brute_force_crossings(mesh, x):
     return int(np.sum(edge_hits(i, j) | edge_hits(j, i)))
 
 
-def test_counts_crossings_of_folded_pierced_disk():
-    # a bump on the left half pierces the right half folded back over it by
-    # 160 degrees; a gentle warp keeps every pair of triangles non-coplanar
-    mesh, x = generate_disk_mesh(6)
+def _folded_pierced_disk(rings, degrees):
+    # a bump on the left half pierces the right half folded back over it;
+    # a gentle warp keeps every pair of triangles non-coplanar
+    mesh, x = generate_disk_mesh(rings)
     x[:, 2] = (2.0 * np.exp(-((x[:, 0] + 3.0) ** 2 + x[:, 1] ** 2) / 2.0)
                + 0.01 * (x[:, 0] ** 2 + 2.0 * x[:, 1] ** 2))
     flap = x[:, 0] > 0
     hinge_dist = x[flap, 0]
-    x[flap, 0] = hinge_dist * np.cos(np.radians(160.0))
-    x[flap, 2] += hinge_dist * np.sin(np.radians(160.0))
+    x[flap, 0] = hinge_dist * np.cos(np.radians(degrees))
+    x[flap, 2] += hinge_dist * np.sin(np.radians(degrees))
+    return mesh, x
+
+
+def test_counts_crossings_of_folded_pierced_disk():
+    mesh, x = _folded_pierced_disk(6, 160.0)
     count = count_self_intersections(mesh, x)
     assert count == _brute_force_crossings(mesh, x)
     assert count == 26
+
+
+def _folded_saddle(rings, t):
+    fam = SaddleFamily(R=radius_for_length(2.0 * np.pi, t), t=t)
+    return family_trimesh(fam, rings)
+
+
+@pytest.mark.parametrize("shape, args", [
+    *[pytest.param(_folded_pierced_disk, (rings, degrees),
+                   id=f"disk-r{rings}-{degrees:g}deg")
+      for rings in (6, 8) for degrees in (140.0, 160.0, 175.0)],
+    pytest.param(_folded_saddle, (8, 0.9), id="saddle-r8-t0.9"),
+])
+def test_vectorized_crossings_match_per_pair_loop(shape, args):
+    # the array pass computes each pair's arithmetic as the per-pair loop
+    # does, so the bounding-box prefilter and the vectorization must leave
+    # the crossing pairs exactly as they were
+    mesh, x = shape(*args)
+    np.testing.assert_array_equal(_crossing_pairs(mesh, x),
+                                  loop_crossing_pairs(mesh, x))
 
 
 # ---------------------------------------------------------------------------
