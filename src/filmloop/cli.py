@@ -100,6 +100,15 @@ def build_parser():
     return parser
 
 
+def _require_positive(args, *names):
+    """UsageError naming the first flag whose value is not finite and > 0."""
+    for name in names:
+        v = getattr(args, name)
+        if not (np.isfinite(v) and v > 0):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite and "
+                             f"positive, got {v!r}")
+
+
 def cmd_mesh(args):
     mesh, x = generate_disk_mesh(args.rings, args.elongation)
     report = validate_mesh(mesh)
@@ -187,6 +196,8 @@ def cmd_sweep(args):
 
 
 def cmd_stability(args):
+    if args.max_mode < 2:
+        raise UsageError(f"--max-mode must be >= 2, got {args.max_mode}")
     print("mode  gamma_crit        kL^3/alpha")
     for k, gam, kl3a in threshold_table(args.max_mode):
         print(f"{k:4d}  {gam:<16.6f}  {kl3a:.6f}")
@@ -194,6 +205,7 @@ def cmd_stability(args):
 
 
 def cmd_asymptotic(args):
+    _require_positive(args, "length", "gamma_min", "gamma_max", "num", "rings")
     os.makedirs(args.out, exist_ok=True)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.num)
     L = args.length
@@ -225,6 +237,7 @@ def cmd_asymptotic(args):
 
 
 def cmd_fit(args):
+    _require_positive(args, "threshold")
     diagram = read_diagram_csv(args.diagram)
     thr = args.threshold
     if args.units == "kl3a":

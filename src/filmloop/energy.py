@@ -79,16 +79,6 @@ class EnergyBreakdown:
 SIGMA_PER_SPRING_K = 4.0 / np.sqrt(3.0)
 
 
-def sigma_from_spring_k(spring_k):
-    """Surface tension equivalent to interior spring stiffness: sigma = 4k/sqrt(3)."""
-    return SIGMA_PER_SPRING_K * spring_k
-
-
-def spring_k_from_sigma(sigma):
-    """Inverse of sigma_from_spring_k: k = sqrt(3) sigma / 4."""
-    return sigma / SIGMA_PER_SPRING_K
-
-
 def gamma_numeric(spring_k, target_length, alpha):
     """Dimensionless groups (k L^3 / alpha, gamma = sigma L^3 / alpha)."""
     kl3a = spring_k * target_length**3 / alpha

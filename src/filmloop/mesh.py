@@ -44,8 +44,9 @@ class TriMesh:
     def from_triangles(cls, vertex_count, triangles):
         """Build a TriMesh from raw triangles, extracting edges and the boundary loop.
 
-        Raises MeshError if the triangles are not a consistently oriented
-        topological disk with a single boundary cycle.
+        Raises MeshError carrying validate_mesh's summary line unless the
+        triangles are a consistently oriented topological disk with a single
+        boundary cycle.
         """
         tris = np.asarray(triangles, dtype=np.int64)
         if tris.ndim != 2 or tris.shape[1] != 3:
@@ -53,29 +54,16 @@ class TriMesh:
         if tris.size and (tris.min() < 0 or tris.max() >= vertex_count):
             raise MeshError("triangle indices out of range")
 
-        directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        keys = directed[:, 0] * vertex_count + directed[:, 1]
-        if len(np.unique(keys)) != len(keys):
-            raise MeshError("duplicated directed edge: inconsistent orientation "
-                            "or non-manifold input")
-        key_set = set(keys.tolist())
-        rev_keys = directed[:, 1] * vertex_count + directed[:, 0]
-        has_twin = np.fromiter((k in key_set for k in rev_keys.tolist()),
-                               dtype=bool, count=len(rev_keys))
-
-        boundary_dir = directed[~has_twin]
-        interior_dir = directed[has_twin]
-        # each interior undirected edge appears twice (once per direction)
-        und = np.sort(interior_dir, axis=1)
-        interior_edges = np.unique(und, axis=0)
-
-        loop = _walk_boundary(boundary_dir)
+        report, boundary_dir, interior_edges = _classify_edges(vertex_count,
+                                                               tris)
+        if not report.passed:
+            raise MeshError(report.summary())
+        succ = dict(boundary_dir.tolist())
+        loop = [int(boundary_dir[0, 0])]
+        while succ[loop[-1]] != loop[0]:
+            loop.append(succ[loop[-1]])
+        loop = np.array(loop, dtype=np.int64)
         boundary_edges = np.stack([loop, np.roll(loop, -1)], axis=1)
-
-        e_total = len(interior_edges) + len(boundary_edges)
-        chi = vertex_count - e_total + len(tris)
-        if chi != 1:
-            raise MeshError(f"Euler characteristic {chi} != 1, not a disk")
         return cls(vertex_count=vertex_count, triangles=tris,
                    boundary_loop=loop, interior_edges=interior_edges,
                    boundary_edges=boundary_edges)
@@ -120,28 +108,51 @@ class ValidationReport:
                 f"nonmanifold_edges={self.nonmanifold_edges}")
 
 
-def _walk_boundary(boundary_dir):
-    """Order directed boundary edges into a single cycle; MeshError otherwise."""
-    if len(boundary_dir) == 0:
-        raise MeshError("mesh has no boundary")
-    succ = {}
-    for a, b in boundary_dir:
-        if int(a) in succ:
-            raise MeshError("boundary is not a simple cycle (branching vertex)")
-        succ[int(a)] = int(b)
-    start = int(boundary_dir[0, 0])
-    loop = [start]
-    cur = succ[start]
-    while cur != start:
-        loop.append(cur)
-        if cur not in succ:
-            raise MeshError("boundary walk left the boundary (open chain)")
-        cur = succ[cur]
-        if len(loop) > len(boundary_dir):
-            raise MeshError("boundary walk does not close")
-    if len(loop) != len(boundary_dir):
-        raise MeshError("boundary has more than one cycle")
-    return np.array(loop, dtype=np.int64)
+def _classify_edges(vertex_count, tris):
+    """Sort the directed edges of (f, 3) triangles into boundary and interior.
+
+    Returns (ValidationReport, directed boundary edges in triangle order,
+    interior edges as sorted (a < b) pairs in lexicographic order).  An
+    undirected edge in one triangle is a boundary edge, in two an interior
+    edge, in more a non-manifold edge; a directed edge seen twice is an
+    orientation violation.  The boundary cycle count is the number of
+    independent cycles of the boundary graph (edges - vertices +
+    components), so a boundary that touches itself at a vertex counts at
+    least 2.
+    """
+    n = int(vertex_count)
+    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    und = np.sort(directed, axis=1)
+    uniq, inverse, counts = np.unique(und[:, 0] * n + und[:, 1],
+                                      return_inverse=True, return_counts=True)
+    dir_counts = np.unique(directed[:, 0] * n + directed[:, 1],
+                           return_counts=True)[1]
+    boundary_dir = directed[counts[inverse] == 1]
+    interior = uniq[counts == 2]
+    interior_edges = np.stack([interior // n, interior % n], axis=1)
+
+    root = {}                               # union-find over boundary vertices
+
+    def find(v):
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    for a, b in boundary_dir.tolist():
+        root[find(a)] = find(b)
+    components = sum(1 for v, r in root.items() if v == r)
+    cycles = len(boundary_dir) - len(root) + components
+
+    chi = n - len(uniq) + len(tris)
+    violations = int(np.sum(dir_counts > 1))
+    nonmanifold = int(np.sum(counts > 2))
+    report = ValidationReport(
+        vertex_count=n, triangle_count=len(tris), edge_count=len(uniq),
+        euler_characteristic=int(chi), boundary_cycle_count=cycles,
+        orientation_violations=violations, nonmanifold_edges=nonmanifold,
+        passed=(chi == 1 and cycles == 1 and violations == 0
+                and nonmanifold == 0))
+    return report, boundary_dir, interior_edges
 
 
 def validate_mesh(mesh):
@@ -151,60 +162,8 @@ def validate_mesh(mesh):
     Euler characteristic 1, single boundary cycle, every edge in one or two
     triangles, opposite directions on shared edges.
     """
-    tris = np.asarray(mesh.triangles, dtype=np.int64)
-    n = int(mesh.vertex_count)
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    und = np.sort(directed, axis=1)
-    und_keys = und[:, 0] * n + und[:, 1]
-    uniq, counts = np.unique(und_keys, return_counts=True)
-    edge_count = len(uniq)
-    nonmanifold = int(np.sum(counts > 2))
-
-    # orientation: among edges seen exactly twice, both copies must be
-    # opposite directions, i.e. the directed versions must be distinct
-    dir_keys = directed[:, 0] * n + directed[:, 1]
-    dir_uniq, dir_counts = np.unique(dir_keys, return_counts=True)
-    orientation_violations = int(np.sum(dir_counts > 1))
-
-    chi = n - edge_count + len(tris)
-
-    boundary_mask = np.isin(und_keys, uniq[counts == 1])
-    boundary_dir = directed[boundary_mask]
-    cycles = _count_cycles(boundary_dir)
-
-    passed = (chi == 1 and cycles == 1 and orientation_violations == 0
-              and nonmanifold == 0)
-    return ValidationReport(
-        vertex_count=n, triangle_count=len(tris), edge_count=edge_count,
-        euler_characteristic=int(chi), boundary_cycle_count=cycles,
-        orientation_violations=orientation_violations,
-        nonmanifold_edges=nonmanifold, passed=passed)
-
-
-def _count_cycles(boundary_dir):
-    """Number of connected cycles formed by directed boundary edges."""
-    if len(boundary_dir) == 0:
-        return 0
-    succ = {}
-    for a, b in boundary_dir:
-        succ.setdefault(int(a), []).append(int(b))
-    unvisited = {(int(a), int(b)) for a, b in boundary_dir}
-    cycles = 0
-    while unvisited:
-        a, b = next(iter(unvisited))
-        unvisited.discard((a, b))
-        cycles += 1
-        cur = b
-        guard = 0
-        while cur != a and guard <= len(boundary_dir):
-            guard += 1
-            nxts = [v for v in succ.get(cur, []) if (cur, v) in unvisited]
-            if not nxts:
-                break  # open chain, still counts as one component
-            nxt = nxts[0]
-            unvisited.discard((cur, nxt))
-            cur = nxt
-    return cycles
+    return _classify_edges(mesh.vertex_count,
+                           np.asarray(mesh.triangles, dtype=np.int64))[0]
 
 
 def generate_disk_mesh(rings, elongation=1.0):

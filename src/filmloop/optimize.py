@@ -27,10 +27,10 @@ Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
 half-width kick_amplitude(L).
 
-polish() continues from a minimized state with a gradient-only secant line
-search, for use when residuals below the energy-difference resolution of
-the Wolfe search are needed (near-exact planarity, curvature cancellation
-checks).
+polish() continues from a minimized state on the same CG loop with a
+gradient-only secant step in place of the Wolfe search, for use when
+residuals below the energy-difference resolution of the Wolfe search are
+needed (near-exact planarity, curvature cancellation checks).
 """
 
 import dataclasses
@@ -123,18 +123,22 @@ def _check_finite(f, g):
 
 
 def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
-                      minv=None):
+                      minv=None, search=None):
     """Conjugate-gradient core on a generic objective fun(x) -> (value, grad).
 
-    Polak-Ribiere(+) with strong-Wolfe line search; stops when the raw
-    gradient infinity norm reaches gtol_abs.  minv, when given, is a callable
-    g -> M^{-1} g applying a positive-definite inverse preconditioner:
-    directions use minv(g) and the PR+ numerator and denominator use the
-    preconditioned inner product.  step_scale sets the displacement of the
-    very first trial step.  callback(it, f, ginf) runs per accepted iterate.
-    Returns (x, f, grad, iterations, status, f_history, ginf_history).
+    Polak-Ribiere(+) directions; stops when the raw gradient infinity norm
+    reaches gtol_abs.  minv, when given, is a callable g -> M^{-1} g applying
+    a positive-definite inverse preconditioner: directions use minv(g) and
+    the PR+ numerator and denominator use the preconditioned inner product.
+    search(x, d, f, dphi0, fresh) -> (x, f, g) or None steps along d, fresh
+    meaning d was just reset to steepest descent; by default the strong-Wolfe
+    search, whose first trial after a reset moves 0.01 * step_scale.
+    callback(it, x, f, ginf) runs per accepted iterate.  Returns
+    (x, f, grad, iterations, status, f_history, ginf_history).
     """
     apply_minv = minv if minv is not None else (lambda g: g)
+    if search is None:
+        search = _wolfe_step(fun, step_scale)
 
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -146,11 +150,9 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     ghist = [float(np.max(np.abs(g)))]
     fhist = [f]
     if callback is not None:
-        callback(0, f, ghist[-1])
+        callback(0, x, f, ghist[-1])
 
-    status = "max_iterations"
-    step_prev = None
-    dphi_prev = None
+    fresh = True
     just_reset = False
     it = 0
     while True:
@@ -165,49 +167,61 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
         if dphi0 >= 0.0:                    # not a descent direction, reset
             d = -z
             dphi0 = -gz
-            step_prev = None
+            fresh = True
 
-        if step_prev is None:
-            # move a small fraction of the problem length scale
-            dnorm = float(np.linalg.norm(d.ravel()))
-            a0 = 0.01 * step_scale / max(dnorm, 1e-300)
-        else:
-            a0 = step_prev * dphi_prev / dphi0
-            a0 = float(np.clip(a0, 1e-14 * step_prev, 1e4 * step_prev))
-
-        ls = _wolfe_search(fun, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
-        if ls is None:
+        step = search(x, d, f, dphi0, fresh)
+        if step is None:
             if not just_reset:
                 # retry once from steepest descent with a fresh step size
-                logger.debug("line search stalled at iteration %d, resetting",
-                             it)
+                logger.debug("line search stalled at iteration %d", it)
                 d = -z
-                step_prev = None
-                just_reset = True
+                fresh = just_reset = True
                 continue
             status = "line_search_failed"
             logger.debug("line search failed at iteration %d", it)
             break
-        just_reset = False
-        a, x_new, f_new, g_new, _ = ls
+        fresh = just_reset = False
+        x, f, g = step
 
-        z_new = apply_minv(g_new)
-        g_new_flat = g_new.ravel()
-        gz_new = float(g_new_flat @ z_new.ravel())
-        beta = max(0.0, float((z_new - z).ravel() @ g_new_flat) / gz)
+        z_new = apply_minv(g)
+        g_flat = g.ravel()
+        beta = max(0.0, float((z_new - z).ravel() @ g_flat) / gz)
+        z, gz = z_new, float(g_flat @ z_new.ravel())
         it += 1
         if it % RESTART_INTERVAL == 0:
             beta = 0.0
-        d = -z_new + beta * d
-        step_prev, dphi_prev = a, dphi0
-        x, f, g, z, gz = x_new, f_new, g_new, z_new, gz_new
+        d = -z + beta * d
 
         ghist.append(float(np.max(np.abs(g))))
         fhist.append(f)
         if callback is not None:
-            callback(it, f, ghist[-1])
+            callback(it, x, f, ghist[-1])
 
     return x, f, g, it, status, np.array(fhist), np.array(ghist)
+
+
+def _wolfe_step(fun, step_scale):
+    """Default step of minimize_function: the strong-Wolfe search, first
+    trial scaled from the previous accepted step unless fresh."""
+    prev = None                             # (accepted step, its dphi0)
+
+    def search(x, d, f, dphi0, fresh):
+        nonlocal prev
+        if fresh:
+            # move a small fraction of the problem length scale
+            dnorm = float(np.linalg.norm(d.ravel()))
+            a0 = 0.01 * step_scale / max(dnorm, 1e-300)
+        else:
+            a, dphi_prev = prev
+            a0 = float(np.clip(a * dphi_prev / dphi0, 1e-14 * a, 1e4 * a))
+        ls = _wolfe_search(fun, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
+        if ls is None:
+            return None
+        a, x_new, f_new, g_new, _ = ls
+        prev = (a, dphi0)
+        return x_new, f_new, g_new
+
+    return search
 
 
 def make_preconditioner(mesh, x0, params):
@@ -283,7 +297,7 @@ def minimize(mesh, x0, params, opts=None, log_stream=None):
     if log_stream is not None:
         log_stream.write(_LOG_HEADER)
 
-        def log_cb(it, f, ginf):
+        def log_cb(it, x, f, ginf):
             blen_err = abs(last_fb[0].boundary_length - L)
             log_stream.write("%d,%.17g,%.17g,%.17g\n" % (it, f, ginf, blen_err))
 
@@ -406,65 +420,50 @@ def polish(mesh, x0, params, iterations=400):
     energy decrease falls below machine epsilon times the energy, which
     leaves displacement residuals of order sqrt(eps).  Gradient components
     are plain sums with no such cancellation floor, so within the quadratic
-    basin a preconditioned CG whose line search is a single secant step on
-    the directional derivative keeps converging down to the gradient
-    rounding level.  Returns the iterate with the smallest gradient
-    infinity norm encountered; status is "polished".
+    basin the preconditioned CG loop of minimize_function, stepping by a
+    single secant step on the directional derivative, keeps converging down
+    to the gradient rounding level.  Returns the iterate with the smallest
+    gradient infinity norm encountered; status is "polished".
     """
-    x = np.array(x0, dtype=float)
 
-    def grad(xc):
+    def fun(xc):
         fb, g = energy_and_gradient(mesh, xc, params)
         _check_finite(fb.total, g)
-        return g
+        return fb.total, g
 
-    minv = make_preconditioner(mesh, x, params)
-    apply_minv = minv if minv is not None else (lambda g: g)
+    a_prev = None                           # survives descent resets
 
-    g = grad(x)
-    z = apply_minv(g)
-    gz = float(g.ravel() @ z.ravel())
-    d = -z
-    ginf = float(np.max(np.abs(g)))
-    best_x, best_ginf = x.copy(), ginf
-    ghist = [ginf]
-
-    L = params.target_length
-    a_prev = 0.01 * L / max(float(np.linalg.norm(d.ravel())), 1e-300)
-    for it in range(iterations):
-        dphi0 = float(g.ravel() @ d.ravel())
-        if dphi0 >= 0.0:
-            d = -z
-            dphi0 = -gz
-        if dphi0 == 0.0:
-            break
-        g_probe = grad(x + a_prev * d)
-        dphi1 = float(g_probe.ravel() @ d.ravel())
-        denom = dphi0 - dphi1
+    def secant(x, d, f, dphi0, fresh):
+        nonlocal a_prev
+        if a_prev is None:
+            a_prev = 0.01 * params.target_length / max(
+                float(np.linalg.norm(d.ravel())), 1e-300)
+        _, g_probe = fun(x + a_prev * d)
+        denom = dphi0 - float(g_probe.ravel() @ d.ravel())
         if denom >= -1e-12 * abs(dphi0):    # no usable positive curvature
             a = a_prev
         else:
             a = float(np.clip(a_prev * dphi0 / denom,
                               1e-3 * a_prev, 1e3 * a_prev))
-        x = x + a * d
-        g_new = grad(x)
-        z_new = apply_minv(g_new)
-        gz_new = float(g_new.ravel() @ z_new.ravel())
-        beta = max(0.0, float((z_new - z).ravel() @ g_new.ravel()) / gz)
-        if (it + 1) % RESTART_INTERVAL == 0:
-            beta = 0.0
-        d = -z_new + beta * d
-        g, z, gz, a_prev = g_new, z_new, gz_new, a
-        ginf = float(np.max(np.abs(g)))
-        ghist.append(ginf)
-        if ginf < best_ginf:
-            best_ginf = ginf
-            best_x = x.copy()
+        a_prev = a
+        x_new = x + a * d
+        return (x_new, *fun(x_new))
 
-    fb, g_best = energy_and_gradient(mesh, best_x, params)
+    best = [None, np.inf]                   # (x, ||g||_inf) of the best iterate
+
+    def keep_best(it, x, f, ginf):
+        if ginf < best[1]:
+            best[:] = x, ginf
+
+    x = np.array(x0, dtype=float)
+    *_, ghist = minimize_function(
+        fun, x, MinimizeOptions(max_iterations=iterations), gtol_abs=0.0,
+        callback=keep_best, minv=make_preconditioner(mesh, x, params),
+        search=secant)
+    fb, _ = energy_and_gradient(mesh, best[0], params)
     return MinimizeResult(
-        x=best_x, energy=fb, iterations=len(ghist) - 1,
-        converged=best_ginf <= ghist[0], status="polished",
-        gradient_norm_history=np.array(ghist), energy_history=np.array([fb.total]),
+        x=best[0], energy=fb, iterations=len(ghist) - 1,
+        converged=bool(best[1] <= ghist[0]), status="polished",
+        gradient_norm_history=ghist, energy_history=np.array([fb.total]),
         params=params, penalty_rounds=0,
         length_error=abs(fb.boundary_length - params.target_length) / params.target_length)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import SIGMA_PER_SPRING_K
 from .mesh import boundary_frame
 
 # uniform arc-length samples of the boundary radius in the mode spectrum
@@ -66,7 +67,7 @@ def critical_gamma(k):
 
 def kl3a_from_gamma(gamma):
     """Convert gamma = sigma L^3/alpha to the spring-lattice group k L^3/alpha."""
-    return np.sqrt(3.0) / 4.0 * gamma
+    return gamma / SIGMA_PER_SPRING_K
 
 
 def threshold_table(max_mode=6):

@@ -55,6 +55,13 @@ def test_stability_command_prints_threshold_table(capsys):
     assert "644.453359" in out                    # same row in k L^3 / alpha
 
 
+@pytest.mark.parametrize("mode", ["1", "0", "-3"])
+def test_stability_max_mode_below_two_exits_one(capsys, mode):
+    assert main(["stability", "--max-mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert "--max-mode" in captured.err and captured.out == ""
+
+
 def test_relax_command_summary(tmp_path, capsys):
     out = tmp_path / "relax"
     rc = main(["relax", "--kl3a", "30", "--rings", "5",
@@ -221,6 +228,16 @@ def test_fit_command_error_codes(tmp_path):
                  "--units", "gamma"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1000"])
+def test_fit_bad_threshold_exits_one(tmp_path, capsys, value):
+    # a threshold that cannot be an onset is a usage error, not a failed fit
+    csv = tmp_path / "diagram.csv"
+    _write_fit_csv(csv, 12)
+    assert main(["fit", "--diagram", str(csv), "--threshold", value]) == 1
+    err = capsys.readouterr().err
+    assert "--threshold" in err and "Traceback" not in err
+
+
 def test_fit_rejects_ragged_rows(tmp_path, capsys):
     good = tmp_path / "diagram.csv"
     _write_fit_csv(good, 12)
@@ -246,3 +263,24 @@ def test_asymptotic_command_table(tmp_path, capsys):
     last = [float(v) for v in lines[3].split(",")]
     assert last[1] > 0.3                          # well above: twisted branch
     assert last[7] < 0                            # negative integrated K
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--length", ["--length", "nan", "--num", "2"]),
+    ("--length", ["--length", "-1", "--num", "2"]),
+    ("--gamma-min", ["--gamma-min", "nan", "--num", "2"]),
+    ("--gamma-max", ["--gamma-max", "inf", "--num", "2"]),
+    ("--gamma-min", ["--gamma-min", "0", "--num", "2"]),
+    ("--num", ["--num", "0"]),
+    ("--rings", ["--rings", "0", "--num", "2", "--save-meshes"]),
+], ids=["length-nan", "length-negative", "gamma-min-nan", "gamma-max-inf",
+        "gamma-min-zero", "num-zero", "rings-zero"])
+def test_asymptotic_bad_flag_exits_one_before_writing(tmp_path, capsys, flag,
+                                                      argv):
+    # a flag that cannot give a table is named and nothing is written, not
+    # even the output directory
+    out = tmp_path / "asym"
+    assert main(["asymptotic", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()

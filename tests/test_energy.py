@@ -11,8 +11,7 @@ import pytest
 
 from filmloop.energy import (SIGMA_PER_SPRING_K, DegenerateBoundaryError,
                              EnergyParams, energy, energy_and_gradient,
-                             gamma_numeric, sigma_from_spring_k,
-                             spring_k_from_sigma)
+                             gamma_numeric)
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 
 from helpers import fan_mesh
@@ -129,9 +128,6 @@ def test_degenerate_boundary_raises():
 
 def test_tension_conversions():
     assert np.isclose(SIGMA_PER_SPRING_K, 4.0 / np.sqrt(3.0), rtol=1e-15)
-    k = 17.0
-    assert np.isclose(spring_k_from_sigma(sigma_from_spring_k(k)), k,
-                      rtol=1e-15)
     kl3a, gam = gamma_numeric(3.0, 2.0, 1.5)
     assert np.isclose(kl3a, 3.0 * 8.0 / 1.5, rtol=1e-15)
     assert np.isclose(gam, SIGMA_PER_SPRING_K * kl3a, rtol=1e-15)

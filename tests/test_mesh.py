@@ -98,6 +98,22 @@ def test_validate_reports_annulus_without_raising():
     assert report.boundary_cycle_count == 2
 
 
+def test_validate_and_from_triangles_reject_bowtie():
+    # two rings-2 disks joined at one boundary vertex: chi is 1, but the
+    # boundary touches itself there, so this is not a disk
+    mesh, _ = generate_disk_mesh(2)
+    n = mesh.vertex_count
+    assert {0, n - 1} <= set(mesh.boundary_loop.tolist())
+    tris = np.concatenate([mesh.triangles, mesh.triangles + n - 1])
+    report = validate_mesh(SimpleNamespace(vertex_count=2 * n - 1,
+                                           triangles=tris))
+    assert not report.passed
+    assert report.euler_characteristic == 1
+    assert report.boundary_cycle_count >= 2
+    with pytest.raises(MeshError):
+        TriMesh.from_triangles(2 * n - 1, tris)
+
+
 def test_validate_reports_orientation_violation():
     report = validate_mesh(SimpleNamespace(
         vertex_count=4, triangles=np.array([[0, 1, 2], [0, 1, 3]])))
