@@ -423,7 +423,8 @@ def polish(mesh, x0, params, iterations=400):
     basin the preconditioned CG loop of minimize_function, stepping by a
     single secant step on the directional derivative, keeps converging down
     to the gradient rounding level.  Returns the iterate with the smallest
-    gradient infinity norm encountered; status is "polished".
+    gradient infinity norm encountered; status is "polished", and converged
+    means that norm fell strictly below the entry norm.
     """
 
     def fun(xc):
@@ -463,7 +464,7 @@ def polish(mesh, x0, params, iterations=400):
     fb, _ = energy_and_gradient(mesh, best[0], params)
     return MinimizeResult(
         x=best[0], energy=fb, iterations=len(ghist) - 1,
-        converged=bool(best[1] <= ghist[0]), status="polished",
+        converged=bool(best[1] < ghist[0]), status="polished",
         gradient_norm_history=ghist, energy_history=np.array([fb.total]),
         params=params, penalty_rounds=0,
         length_error=abs(fb.boundary_length - params.target_length) / params.target_length)

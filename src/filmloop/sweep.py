@@ -18,7 +18,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field, asdict
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import scipy.optimize
@@ -26,7 +26,7 @@ import scipy.spatial
 
 from . import __version__
 from .mesh import generate_disk_mesh, scale_to_boundary_length
-from .energy import EnergyParams, energy, gamma_numeric
+from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy
 from .optimize import (LENGTH_TOL, MinimizeOptions, check_field_types,
                        kick_amplitude, perturb, relax)
 from .diffgeo import (boundary_geometry, gaussian_curvature, gauss_bonnet_defect,
@@ -43,6 +43,7 @@ class FitError(RuntimeError):
 PLANARITY_THRESHOLD = 1e-3      # separates perturbation noise from buckling
 MODE_AMP_FACTOR = 1e-3          # ellipse detection floor, in units of R
 KN_NOISE_FLOOR_FACTOR = 1e-4    # fit-window floor for <|kappa_n|>, in 1/R
+RADIUS = 1.0 / (2.0 * np.pi)    # R of the flat disk: sweeps run at alpha = L = 1
 
 
 @dataclass
@@ -52,8 +53,6 @@ class SweepSchedule:
     values: np.ndarray
     rings: int = 16
     elongation: float = 1.0
-    alpha: float = 1.0
-    target_length: float = 1.0
     base_seed: int = 0
     warm_start: bool = True
     direction: str = "up"                     # "down" iterates in reverse
@@ -66,11 +65,9 @@ class SweepSchedule:
             raise ValueError(f"sweep config 'values' must be a list of "
                              f"numbers, got {self.values!r}") from None
         check_field_types(self, "sweep config")
-        for name in ("alpha", "target_length", "elongation"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"sweep config {name!r} must be finite and "
-                                 f"positive, got {v!r}")
+        if not (np.isfinite(self.elongation) and self.elongation > 0):
+            raise ValueError(f"sweep config 'elongation' must be finite and "
+                             f"positive, got {self.elongation!r}")
         if self.values.ndim != 1 or len(self.values) == 0:
             raise ValueError("schedule needs a nonempty 1D value array")
         if not np.all(np.isfinite(self.values)):
@@ -144,7 +141,6 @@ _COLUMN_TYPES = {f.name: f.type for f in dataclasses.fields(SweepPoint)}
 @dataclass
 class BifurcationDiagram:
     points: List[SweepPoint]
-    schedule: Optional[SweepSchedule] = None
 
     def column(self, name):
         vals = [getattr(p, name) for p in self.points]
@@ -154,10 +150,6 @@ class BifurcationDiagram:
 
     def converged_points(self):
         return [p for p in self.points if p.converged]
-
-    @property
-    def target_length(self):
-        return self.schedule.target_length if self.schedule else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +163,12 @@ def _fmt(v):
 
 def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
     """Relax one sweep point and collect its observables."""
-    L = schedule.target_length
-    spring_k = kl3a * schedule.alpha / L**3
-    params = EnergyParams(alpha=schedule.alpha, spring_k=spring_k,
-                          target_length=L)
+    params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
     start = x_start if x_start is not None else x0_cold
     start_energy = energy(mesh, start, params).total
 
-    x_pert = perturb(start, kick_amplitude(L), seed)
+    x_pert = perturb(start, kick_amplitude(1.0), seed)
     res = relax(mesh, x_pert, params, schedule.options)
 
     bg = boundary_geometry(mesh, res.x)
@@ -187,10 +176,10 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
     modes, amps = boundary_mode_spectrum(mesh, res.x)
     dom = int(modes[np.argmax(amps)])
     mode2 = float(amps[1]) if len(amps) > 1 else 0.0
-    _, gam = gamma_numeric(spring_k, L, schedule.alpha)
 
     point = SweepPoint(
-        index=idx, k_l3_alpha=kl3a, gamma=gam, spring_k=spring_k,
+        index=idx, k_l3_alpha=kl3a, gamma=SIGMA_PER_SPRING_K * kl3a,
+        spring_k=kl3a,
         energy_total=res.energy.total, energy_bending=res.energy.bending,
         energy_springs=res.energy.springs,
         energy_penalty=res.energy.length_penalty,
@@ -212,7 +201,7 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
 
 def _cold_start(schedule):
     mesh, x0 = generate_disk_mesh(schedule.rings, schedule.elongation)
-    x0 = scale_to_boundary_length(mesh, x0, schedule.target_length)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)
     return mesh, x0
 
 
@@ -262,8 +251,7 @@ def run_sweep(schedule, out_dir=None, jobs=1, save_meshes=False):
             for point in pool.map(_parallel_worker, tasks):
                 points[point.index] = point
 
-    diagram = BifurcationDiagram(
-        points=[points[i] for i in sorted(points)], schedule=schedule)
+    diagram = BifurcationDiagram(points=[points[i] for i in sorted(points)])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_diagram_csv(os.path.join(out_dir, "diagram.csv"), diagram)
@@ -292,8 +280,7 @@ def detect_transitions(diagram):
     rows = diagram.converged_points()
     if len(rows) < 3:
         raise ValueError("need at least 3 converged points")
-    radius = diagram.target_length / (2.0 * np.pi)
-    amp_thr = MODE_AMP_FACTOR * radius
+    amp_thr = MODE_AMP_FACTOR * RADIUS
 
     events = []
     ellipse_seen = False
@@ -340,24 +327,27 @@ class LinearFit:
     n_points: int
 
 
-def _fit_window(diagram, gamma_lo, gamma_hi, require_twisted=True):
-    """Converged points with gamma in (gamma_lo, gamma_hi], on the twisted branch.
+def _fit_window(diagram, gamma_lo):
+    """Converged twisted-branch points with gamma in (gamma_lo, 1.25 gamma_lo].
 
     The flat-eight branch past the second transition has kappa_n ~ 0 again,
     so fits restrict to points with planarity above threshold and a mean
-    |kappa_n| above the noise floor.
+    |kappa_n| above the noise floor.  FitError below six points.
     """
-    radius = diagram.target_length / (2.0 * np.pi)
-    floor = KN_NOISE_FLOOR_FACTOR / radius
-    rows = []
-    for p in diagram.converged_points():
-        if not (gamma_lo < p.gamma <= gamma_hi):
-            continue
-        if require_twisted and (p.planarity <= PLANARITY_THRESHOLD
-                                or p.mean_abs_kn <= floor):
-            continue
-        rows.append(p)
+    floor = KN_NOISE_FLOOR_FACTOR / RADIUS
+    rows = [p for p in diagram.converged_points()
+            if gamma_lo < p.gamma <= 1.25 * gamma_lo
+            and not (p.planarity <= PLANARITY_THRESHOLD
+                     or p.mean_abs_kn <= floor)]
+    if len(rows) < 6:
+        raise FitError(f"only {len(rows)} usable points in the fit window")
     return rows
+
+
+def _r_squared(y, pred):
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
 
 def fit_exponent(diagram, gamma_threshold):
@@ -367,9 +357,7 @@ def fit_exponent(diagram, gamma_threshold):
     (gamma_threshold, 1.25 * gamma_threshold] and gamma_c is fitted freely
     below the first data point.
     """
-    rows = _fit_window(diagram, gamma_threshold, 1.25 * gamma_threshold)
-    if len(rows) < 6:
-        raise FitError(f"only {len(rows)} usable points in the fit window")
+    rows = _fit_window(diagram, gamma_threshold)
     g = np.array([p.gamma for p in rows])
     a = np.array([p.mean_abs_kn for p in rows])
 
@@ -386,30 +374,22 @@ def fit_exponent(diagram, gamma_threshold):
             model, g, a, p0=p0, bounds=bounds, maxfev=20000)
     except RuntimeError as exc:
         raise FitError(f"power-law fit did not converge: {exc}") from exc
-    pred = model(g, *popt)
-    ss_res = float(np.sum((a - pred) ** 2))
-    ss_tot = float(np.sum((a - a.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     stderr = float(np.sqrt(pcov[2, 2])) if np.all(np.isfinite(pcov)) else np.inf
     return ExponentFit(exponent=float(popt[2]), stderr=stderr,
                        gamma_c=float(popt[1]), amplitude=float(popt[0]),
-                       r_squared=r2, n_points=len(rows))
+                       r_squared=_r_squared(a, model(g, *popt)),
+                       n_points=len(rows))
 
 
 def fit_linear_K(diagram, gamma_c):
     """Ordinary least squares of the integrated Gaussian curvature vs gamma."""
-    rows = _fit_window(diagram, gamma_c, 1.25 * gamma_c)
-    if len(rows) < 6:
-        raise FitError(f"only {len(rows)} usable points in the fit window")
+    rows = _fit_window(diagram, gamma_c)
     g = np.array([p.gamma for p in rows])
     y = np.array([p.int_K for p in rows])
     slope, intercept = np.polyfit(g, y, 1)
-    pred = slope * g + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return LinearFit(slope=float(slope), intercept=float(intercept),
-                     r_squared=r2, n_points=len(rows))
+                     r_squared=_r_squared(y, slope * g + intercept),
+                     n_points=len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +484,7 @@ def write_diagram_csv(path, diagram):
 
 
 def read_diagram_csv(path):
-    """Load a diagram written by write_diagram_csv (schedule not restored)."""
+    """Load a diagram written by write_diagram_csv."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != CSV_COLUMNS:
@@ -518,15 +498,13 @@ def read_diagram_csv(path):
             points.append(SweepPoint(**{
                 name: _COLUMN_TYPES[name](cell)
                 for name, cell in zip(CSV_COLUMNS, cells)}))
-    return BifurcationDiagram(points=points, schedule=None)
+    return BifurcationDiagram(points=points)
 
 
-def write_manifest(path, schedule, extra=None):
+def write_manifest(path, schedule):
     """JSON manifest sufficient to rerun the sweep bit for bit."""
     doc = {"command": "sweep", "version": __version__,
            "config": schedule.to_dict()}
-    if extra:
-        doc.update(extra)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -240,10 +240,10 @@ def test_criterion_08_asymptotic_oracles():
 
     # (b) series truncation residuals scale as t^6
     ts = np.geomspace(0.05, 0.3, 7)
-    res_len = [abs(saddle.length_quadrature(saddle.SaddleFamily(1.0, t))[0]
+    res_len = [abs(saddle.length_quadrature(saddle.SaddleFamily(1.0, t))
                    - saddle.length_series(saddle.SaddleFamily(1.0, t)))
                for t in ts]
-    res_en = [abs(saddle.energy_quadrature(saddle.SaddleFamily(1.0, t), 6.0, 1.0)[0]
+    res_en = [abs(saddle.energy_quadrature(saddle.SaddleFamily(1.0, t), 6.0, 1.0)
                   - saddle.energy_series(saddle.SaddleFamily(1.0, t), 6.0, 1.0))
               for t in ts]
     slope_len = float(np.polyfit(np.log(ts), np.log(res_len), 1)[0])
@@ -265,7 +265,7 @@ def test_criterion_08_asymptotic_oracles():
     intk_err = 0.0
     for t in (0.05, 0.1, 0.2, 0.4):
         fam_d = saddle.SaddleFamily(R=1.0, t=t)
-        diff = abs(saddle.int_K_quadrature(fam_d)[0]
+        diff = abs(saddle.int_K_quadrature(fam_d)
                    - saddle.int_K_gauss_bonnet(fam_d))
         intk_err = max(intk_err, diff / t**4)
     ok_d = intk_err < 1.0

@@ -92,9 +92,9 @@ def test_sweep_command_and_manifest_rerun(tmp_path, capsys):
 
 def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
     # an unknown key at either level of the config is rejected by name,
-    # before any relaxation runs; the last three are keys of manifests
-    # written before preconditioning, the kick amplitude and the penalty
-    # round limit became constants
+    # before any relaxation runs; the last five are keys of manifests
+    # written before preconditioning, the kick amplitude, the penalty
+    # round limit, the bending modulus and the loop length became constants
     base = {"values": [20.0, 40.0], "rings": 3}
     for bad, cfg in (("bogus", dict(base, bogus=1)),
                      ("rng_seed", dict(base, options={"rng_seed": 0})),
@@ -102,7 +102,9 @@ def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
                                            options={"precondition": True})),
                      ("perturbation_amplitude",
                       dict(base, perturbation_amplitude=None)),
-                     ("max_penalty_rounds", dict(base, max_penalty_rounds=5))):
+                     ("max_penalty_rounds", dict(base, max_penalty_rounds=5)),
+                     ("alpha", dict(base, alpha=1.0)),
+                     ("target_length", dict(base, target_length=1.0))):
         path = tmp_path / f"{bad}.json"
         path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(path),
@@ -118,10 +120,10 @@ def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
     ("options", {"options": 5}),
     ("warm_start", {"warm_start": "no"}),
     ("rings", {"rings": 3.5}),
-    ("alpha", {"alpha": 0}),
+    ("elongation", {"elongation": 0}),
     ("JSON", [1, 2]),
     ("values", {"values": [100.0, float("nan")]}),
-    ("alpha", {"alpha": float("nan")}),
+    ("elongation", {"elongation": float("nan")}),
     ("values", {"values": [100.0, float("inf")]}),
 ])
 def test_sweep_config_bad_value_types_exit_one(tmp_path, capsys, key, cfg):

@@ -230,3 +230,15 @@ def test_polish_descends_past_wolfe_floor():
     assert pol.converged
     assert floor < 1e-3 * entry
     assert planarity(mesh, pol.x) < 1e-12
+
+
+def test_polish_without_iterations_is_not_converged():
+    # converged means the best gradient norm fell strictly below the entry
+    # norm; with no iteration the best iterate is the entry point itself
+    mesh, x0 = generate_disk_mesh(3)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    p = EnergyParams(alpha=1.0, spring_k=50.0, target_length=1.0)
+    x0 = perturb(x0, kick_amplitude(1.0), 0)
+    pol = polish(mesh, x0, p, iterations=0)
+    assert pol.iterations == 0 and not pol.converged
+    assert np.array_equal(pol.x, x0)

@@ -69,9 +69,9 @@ def test_series_residuals_are_sixth_order():
     res_len, res_en = [], []
     for t in ts:
         fam = saddle.SaddleFamily(R=1.0, t=t)
-        res_len.append(abs(saddle.length_quadrature(fam)[0]
+        res_len.append(abs(saddle.length_quadrature(fam)
                            - saddle.length_series(fam)))
-        res_en.append(abs(saddle.energy_quadrature(fam, 6.0, 1.0)[0]
+        res_en.append(abs(saddle.energy_quadrature(fam, 6.0, 1.0)
                           - saddle.energy_series(fam, 6.0, 1.0)))
     slope_len = np.polyfit(np.log(ts), np.log(res_len), 1)[0]
     slope_en = np.polyfit(np.log(ts), np.log(res_en), 1)[0]
@@ -94,9 +94,10 @@ def test_curvature_split_matches_frenet_projection():
 
 
 def test_int_K_routes_agree():
-    for t in (0.05, 0.1, 0.2, 0.4):
+    # t = sqrt(3)/2 is the asymptotic table's top row, gamma = 2 * 96 pi^3
+    for t in (0.05, 0.1, 0.2, 0.4, np.sqrt(3.0) / 2.0):
         fam = saddle.SaddleFamily(R=1.0, t=t)
-        quad, _ = saddle.int_K_quadrature(fam)
+        quad = saddle.int_K_quadrature(fam)
         gb = saddle.int_K_gauss_bonnet(fam)
         assert quad < 0                        # saddle-shaped
         assert abs(quad - gb) < min(1e-9, t**4)
@@ -105,7 +106,7 @@ def test_int_K_routes_agree():
 def test_int_K_leading_order():
     t = 0.05
     fam = saddle.SaddleFamily(R=1.0, t=t)
-    quad, _ = saddle.int_K_quadrature(fam)
+    quad = saddle.int_K_quadrature(fam)
     lead = saddle.gaussian_K_leading(fam) * np.pi * fam.R**2
     assert abs(quad - lead) < 0.05 * abs(lead)
 
@@ -121,29 +122,19 @@ def test_int_abs_kn_leading_order():
 
 def test_circle_limit_quadratures():
     fam = saddle.SaddleFamily(R=0.7, t=0.0)
-    assert np.isclose(saddle.length_quadrature(fam)[0], 2 * np.pi * 0.7,
+    assert np.isclose(saddle.length_quadrature(fam), 2 * np.pi * 0.7,
                       rtol=1e-12)
-    assert np.isclose(saddle.area_quadrature(fam)[0], np.pi * 0.49, rtol=1e-12)
-    assert np.isclose(saddle.bending_quadrature(fam)[0], 2 * np.pi / 0.7,
+    assert np.isclose(saddle.area_quadrature(fam), np.pi * 0.49, rtol=1e-12)
+    assert np.isclose(saddle.bending_quadrature(fam), 2 * np.pi / 0.7,
                       rtol=1e-12)
-    assert abs(saddle.int_K_quadrature(fam)[0]) < 1e-10
-
-
-def test_quadrature_guards():
-    fam = saddle.SaddleFamily(R=1.0, t=0.2)
-    with pytest.raises(ValueError):
-        saddle.length_quadrature(fam, nphi=32)
-    with pytest.raises(saddle.QuadratureError):
-        saddle.area_quadrature(fam, tol=1e-30)
-    with pytest.raises(saddle.QuadratureError):
-        saddle.energy_quadrature(fam, 1.0, 1.0, tol=1e-30)
+    assert abs(saddle.int_K_quadrature(fam)) < 1e-10
 
 
 def test_radius_for_length_holds_constraint():
     L = 2.0 * np.pi
     assert np.isclose(saddle.radius_for_length(L, 0.0), 1.0, rtol=1e-15)
     fam = saddle.SaddleFamily(R=saddle.radius_for_length(L, 0.05), t=0.05)
-    assert abs(saddle.length_quadrature(fam)[0] - L) / L < 1e-6
+    assert abs(saddle.length_quadrature(fam) - L) / L < 1e-6
     with pytest.raises(ValueError):
         saddle.radius_for_length(-1.0, 0.1)
 
@@ -152,7 +143,7 @@ def test_constrained_energy_series_matches_quadrature():
     L, sigma, alpha = 2.0 * np.pi, 14.0, 1.0
     for t, tol in ((0.05, 1e-7), (0.2, 2e-4)):
         fam = saddle.SaddleFamily(R=saddle.radius_for_length(L, t), t=t)
-        quad, _ = saddle.energy_quadrature(fam, sigma, alpha)
+        quad = saddle.energy_quadrature(fam, sigma, alpha)
         series = saddle.constrained_energy_series(L, t, sigma, alpha)
         assert abs(quad - series) / abs(quad) < tol
 
