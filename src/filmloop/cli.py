@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .mesh import generate_disk_mesh, validate_mesh, scale_to_boundary_length, MeshError
 from .meshio import write_obj
-from .energy import EnergyParams, EnergyError, gamma_numeric, SIGMA_PER_SPRING_K
-from .optimize import (MinimizeOptions, NumericalError, kick_amplitude,
+from .energy import EnergyParams, EnergyError, SIGMA_PER_SPRING_K
+from .optimize import (KICK_AMPLITUDE, MinimizeOptions, NumericalError,
                        perturb, relax)
 from .diffgeo import (boundary_geometry, gauss_bonnet_defect, planarity,
                       write_boundary_observables, DiffGeoError)
@@ -125,7 +125,7 @@ def cmd_mesh(args):
 def cmd_relax(args):
     mesh, x0 = generate_disk_mesh(args.rings, args.elongation)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
-    x0 = perturb(x0, kick_amplitude(1.0), args.seed)
+    x0 = perturb(x0, KICK_AMPLITUDE, args.seed)
     params = EnergyParams(alpha=1.0, spring_k=args.kl3a, target_length=1.0)
     opts = MinimizeOptions(max_iterations=args.max_iterations,
                            gradient_tolerance=args.gradient_tolerance)
@@ -135,9 +135,8 @@ def cmd_relax(args):
     write_boundary_observables(os.path.join(args.out, "boundary.csv"),
                                mesh, res.x)
     bg = boundary_geometry(mesh, res.x)
-    kl3a, gam = gamma_numeric(params.spring_k, 1.0, 1.0)
     summary = {
-        "k_l3_alpha": kl3a, "gamma": gam,
+        "k_l3_alpha": args.kl3a, "gamma": SIGMA_PER_SPRING_K * args.kl3a,
         "status": res.status, "iterations": res.iterations,
         "energy_total": res.energy.total,
         "boundary_length": res.energy.boundary_length,
@@ -150,7 +149,7 @@ def cmd_relax(args):
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{res.status}: kL^3/a={kl3a:g} energy={res.energy.total:.6g} "
+    print(f"{res.status}: kL^3/a={args.kl3a:g} energy={res.energy.total:.6g} "
           f"planarity={summary['planarity']:.3g} "
           f"length_err={res.length_error:.3g}")
     return 0 if res.converged else 2

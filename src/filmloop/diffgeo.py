@@ -111,11 +111,11 @@ def boundary_geometry(mesh, x):
     _, s, t, savg = boundary_frame(mesh, x)
     if np.any(s <= 0.0):
         raise DiffGeoError("degenerate boundary edge")
-    cvec = (t - np.roll(t, 1, axis=0)) / savg[:, None]
+    cvec = (t - t[mesh.loop_prev]) / savg[:, None]
     kappa = np.linalg.norm(cvec, axis=1)
 
     normals = vertex_normals(mesh, x)[loop]
-    tbar = t + np.roll(t, 1, axis=0)
+    tbar = t + t[mesh.loop_prev]
     tnorm = np.linalg.norm(tbar, axis=1)
     # a nearly reversing corner leaves the averaged tangent ill-defined;
     # fall back to the outgoing edge direction there

@@ -19,6 +19,11 @@ exploits that freedom until the boundary geometry degrades.  The per-edge
 term removes the degeneracy at modest stiffness without taking over the
 length constraint.
 
+energy_and_gradient gathers the boundary loop once (boundary_frame), shifts
+along it with the index arrays cached on the mesh (loop_prev, loop_next) and
+scatters the edge gradients back in one step, keeping every float operation
+of the np.roll / np.add.at formulation in its order: results are bit-identical.
+
 The continuum tension equivalent of the spring stiffness on this lattice is
 sigma = 4 k / sqrt(3), so the control parameter k L^3 / alpha maps to
 gamma = sigma L^3 / alpha = (4 / sqrt(3)) k L^3 / alpha.
@@ -79,28 +84,6 @@ class EnergyBreakdown:
 SIGMA_PER_SPRING_K = 4.0 / np.sqrt(3.0)
 
 
-def gamma_numeric(spring_k, target_length, alpha):
-    """Dimensionless groups (k L^3 / alpha, gamma = sigma L^3 / alpha)."""
-    kl3a = spring_k * target_length**3 / alpha
-    return kl3a, SIGMA_PER_SPRING_K * kl3a
-
-
-def _penalty_terms(s, p):
-    """Penalty energy and its derivative with respect to each edge length."""
-    e_pen = 0.0
-    dpen_ds = None
-    if p.length_penalty_k != 0.0:
-        excess = float(s.sum()) - p.target_length
-        e_pen += p.length_penalty_k * excess**2
-        dpen_ds = np.full(len(s), 2.0 * p.length_penalty_k * excess)
-    if p.edge_penalty_k != 0.0:
-        diff = s - p.target_length / len(s)
-        e_pen += p.edge_penalty_k * float(diff @ diff)
-        d_edge = 2.0 * p.edge_penalty_k * diff
-        dpen_ds = d_edge if dpen_ds is None else dpen_ds + d_edge
-    return e_pen, dpen_ds
-
-
 def energy(mesh, x, p):
     """Evaluate the energy breakdown at configuration x."""
     return energy_and_gradient(mesh, x, p)[0]
@@ -108,46 +91,60 @@ def energy(mesh, x, p):
 
 def energy_and_gradient(mesh, x, p):
     """Energy breakdown and its exact gradient, one fused evaluation."""
+    loop, prev, nxt = mesh.boundary_loop, mesh.loop_prev, mesh.loop_next
     _, s, t, savg = boundary_frame(mesh, x)
-    if np.any(s < 1e-12 * p.target_length):
+    if (s < 1e-12 * p.target_length).any():
         raise DegenerateBoundaryError(
             "boundary edge shorter than 1e-12 * L, curvature undefined")
-    c = t - np.roll(t, 1, axis=0)               # curvature vector numerator at v
+    c = t - t.take(prev, axis=0)        # curvature vector numerator at v
     c_sq = np.einsum("ij,ij->i", c, c)
-    bending = p.alpha * float(np.sum(c_sq / savg))
+    bending = p.alpha * float((c_sq / savg).sum())
 
     grad = np.zeros_like(x)
     springs = 0.0
     if p.spring_k != 0.0 and len(mesh.interior_edges):
         lap = mesh.interior_laplacian()
         lx = lap @ x
-        springs = p.spring_k * float(np.sum(x * lx))
+        springs = p.spring_k * float((x * lx).sum())
         grad += 2.0 * p.spring_k * lx
 
     # bending gradient through unit tangents and edge lengths.
     # dE/dt_v collects c_v (positive sign) and c_{v+1} (negative sign);
     # dE/ds_v comes from the two <s> averages containing s_v.
     if p.alpha != 0.0:
-        c_next = np.roll(c, -1, axis=0)
-        savg_next = np.roll(savg, -1)
-        csq_next = np.roll(c_sq, -1)
-        g_t = 2.0 * p.alpha * (c / savg[:, None] - c_next / savg_next[:, None])
-        g_s = -0.5 * p.alpha * (c_sq / savg**2 + csq_next / savg_next**2)
+        c_s = c / savg[:, None]
+        csq_s2 = c_sq / savg**2
+        g_t = 2.0 * p.alpha * (c_s - c_s.take(nxt, axis=0))
+        g_s = -0.5 * p.alpha * (csq_s2 + csq_s2[nxt])
     else:
         g_t = np.zeros_like(t)
         g_s = np.zeros(len(s))
 
-    e_pen, dpen_ds = _penalty_terms(s, p)
+    # length penalties; their derivative in s is summed before joining g_s
+    blen = float(s.sum())
+    e_pen, dpen_ds = 0.0, None
+    if p.length_penalty_k != 0.0:
+        excess = blen - p.target_length
+        e_pen += p.length_penalty_k * excess**2
+        dpen_ds = 2.0 * p.length_penalty_k * excess
+    if p.edge_penalty_k != 0.0:
+        diff = s - p.target_length / len(s)
+        e_pen += p.edge_penalty_k * float(diff @ diff)
+        d_edge = 2.0 * p.edge_penalty_k * diff
+        dpen_ds = d_edge if dpen_ds is None else dpen_ds + d_edge
     if dpen_ds is not None:
         g_s = g_s + dpen_ds
 
-    # chain rule to edge endpoints: dt/de = (I - t t^T)/s, ds/de = t
+    # chain rule to edge endpoints: dt/de = (I - t t^T)/s, ds/de = t.  Edge
+    # i runs loop[i] -> loop[i+1] and the loop repeats no vertex, so loop[i]
+    # gets + g_e[i-1] then - g_e[i], the order of np.add.at, np.subtract.at
     g_e = (g_t - np.einsum("ij,ij->i", g_t, t)[:, None] * t) / s[:, None] \
         + g_s[:, None] * t
-    np.add.at(grad, mesh.boundary_edges[:, 1], g_e)
-    np.subtract.at(grad, mesh.boundary_edges[:, 0], g_e)
+    gl = grad.take(loop, axis=0)
+    gl += g_e.take(prev, axis=0)
+    gl -= g_e
+    grad[loop] = gl
 
-    blen = float(s.sum())
     breakdown = EnergyBreakdown(bending=bending, springs=springs,
                                 length_penalty=e_pen,
                                 total=bending + springs + e_pen,

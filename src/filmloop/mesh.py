@@ -29,7 +29,8 @@ class TriMesh:
     triangles are (f, 3) vertex indices with counterclockwise winding,
     boundary_loop is the ordered cycle of boundary vertices, and
     interior/boundary edges are (e, 2) index pairs.  boundary_edges[i] is
-    the loop edge from boundary_loop[i] to boundary_loop[i+1].
+    the loop edge from boundary_loop[i] to boundary_loop[i+1]; loop_prev and
+    loop_next hold the loop positions i-1 and i+1 (mod B) for loop shifts.
     """
 
     vertex_count: int
@@ -37,6 +38,8 @@ class TriMesh:
     boundary_loop: np.ndarray
     interior_edges: np.ndarray
     boundary_edges: np.ndarray
+    loop_prev: np.ndarray = field(repr=False)
+    loop_next: np.ndarray = field(repr=False)
     _laplacian: Optional[scipy.sparse.csr_matrix] = field(
         default=None, repr=False, compare=False)
 
@@ -63,10 +66,12 @@ class TriMesh:
         while succ[loop[-1]] != loop[0]:
             loop.append(succ[loop[-1]])
         loop = np.array(loop, dtype=np.int64)
-        boundary_edges = np.stack([loop, np.roll(loop, -1)], axis=1)
+        b = np.arange(len(loop))
+        prev, nxt = np.roll(b, 1), np.roll(b, -1)
         return cls(vertex_count=vertex_count, triangles=tris,
                    boundary_loop=loop, interior_edges=interior_edges,
-                   boundary_edges=boundary_edges)
+                   boundary_edges=np.stack([loop, loop[nxt]], axis=1),
+                   loop_prev=prev, loop_next=nxt)
 
     def interior_laplacian(self):
         """Graph Laplacian of the interior-edge network (sparse, cached).
@@ -224,12 +229,12 @@ def boundary_frame(mesh, x):
     There is no guard: a zero-length edge leaves non-finite tangents, and
     each caller raises its own error for it.
     """
-    ends = mesh.boundary_edges
-    e = x[ends[:, 1]] - x[ends[:, 0]]
-    s = np.linalg.norm(e, axis=1)
+    xb = x.take(mesh.boundary_loop, axis=0)
+    e = xb.take(mesh.loop_next, axis=0) - xb
+    s = np.sqrt(np.add.reduce(e * e, axis=1))     # np.linalg.norm's float ops
     with np.errstate(divide="ignore", invalid="ignore"):
         t = e / s[:, None]
-    return BoundaryFrame(e, s, t, 0.5 * (s + np.roll(s, 1)))
+    return BoundaryFrame(e, s, t, 0.5 * (s + s[mesh.loop_prev]))
 
 
 def boundary_length(mesh, x):

@@ -25,7 +25,7 @@ boundary length matches its target to LENGTH_TOL relative.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
-half-width kick_amplitude(L).
+half-width KICK_AMPLITUDE.
 
 polish() continues from a minimized state on the same CG loop with a
 gradient-only secant step in place of the Wolfe search, for use when
@@ -62,9 +62,8 @@ RESTART_INTERVAL = 200
 LENGTH_TOL = 1e-3
 
 
-def kick_amplitude(target_length):
-    """Half-width of the transverse kick before a solve: 1e-3 R, R = L / 2pi."""
-    return 1e-3 * target_length / (2.0 * np.pi)
+# half-width of the transverse kick before a solve: 1e-3 R, R = L / 2pi, L = 1
+KICK_AMPLITUDE = 1e-3 / (2.0 * np.pi)
 
 
 def check_field_types(obj, what):

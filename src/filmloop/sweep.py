@@ -27,8 +27,8 @@ import scipy.spatial
 from . import __version__
 from .mesh import generate_disk_mesh, scale_to_boundary_length
 from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy
-from .optimize import (LENGTH_TOL, MinimizeOptions, check_field_types,
-                       kick_amplitude, perturb, relax)
+from .optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
+                       check_field_types, perturb, relax)
 from .diffgeo import (boundary_geometry, gaussian_curvature, gauss_bonnet_defect,
                       planarity)
 from .stability import boundary_mode_spectrum
@@ -168,7 +168,7 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
     start = x_start if x_start is not None else x0_cold
     start_energy = energy(mesh, start, params).total
 
-    x_pert = perturb(start, kick_amplitude(1.0), seed)
+    x_pert = perturb(start, KICK_AMPLITUDE, seed)
     res = relax(mesh, x_pert, params, schedule.options)
 
     bg = boundary_geometry(mesh, res.x)

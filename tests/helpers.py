@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.spatial
 
+from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
 from filmloop.mesh import TriMesh
 
 
@@ -74,3 +75,66 @@ def _tri_tri_cross(tri_a, tri_b, eps=1e-12):
         if eps < t < 1.0 - eps:
             return True
     return False
+
+
+def reference_energy_and_gradient(mesh, x, p):
+    """Reference for energy.energy_and_gradient: the boundary frame gathered
+    per edge end, loop shifts by np.roll, the penalty derivative built by
+    np.full, and the edge gradients scattered by np.add.at and
+    np.subtract.at."""
+    ends = mesh.boundary_edges
+    e = x[ends[:, 1]] - x[ends[:, 0]]
+    s = np.linalg.norm(e, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = e / s[:, None]
+    savg = 0.5 * (s + np.roll(s, 1))
+    if np.any(s < 1e-12 * p.target_length):
+        raise DegenerateBoundaryError(
+            "boundary edge shorter than 1e-12 * L, curvature undefined")
+    c = t - np.roll(t, 1, axis=0)
+    c_sq = np.einsum("ij,ij->i", c, c)
+    bending = p.alpha * float(np.sum(c_sq / savg))
+
+    grad = np.zeros_like(x)
+    springs = 0.0
+    if p.spring_k != 0.0 and len(mesh.interior_edges):
+        lap = mesh.interior_laplacian()
+        lx = lap @ x
+        springs = p.spring_k * float(np.sum(x * lx))
+        grad += 2.0 * p.spring_k * lx
+
+    if p.alpha != 0.0:
+        c_next = np.roll(c, -1, axis=0)
+        savg_next = np.roll(savg, -1)
+        csq_next = np.roll(c_sq, -1)
+        g_t = 2.0 * p.alpha * (c / savg[:, None] - c_next / savg_next[:, None])
+        g_s = -0.5 * p.alpha * (c_sq / savg**2 + csq_next / savg_next**2)
+    else:
+        g_t = np.zeros_like(t)
+        g_s = np.zeros(len(s))
+
+    e_pen = 0.0
+    dpen_ds = None
+    if p.length_penalty_k != 0.0:
+        excess = float(s.sum()) - p.target_length
+        e_pen += p.length_penalty_k * excess**2
+        dpen_ds = np.full(len(s), 2.0 * p.length_penalty_k * excess)
+    if p.edge_penalty_k != 0.0:
+        diff = s - p.target_length / len(s)
+        e_pen += p.edge_penalty_k * float(diff @ diff)
+        d_edge = 2.0 * p.edge_penalty_k * diff
+        dpen_ds = d_edge if dpen_ds is None else dpen_ds + d_edge
+    if dpen_ds is not None:
+        g_s = g_s + dpen_ds
+
+    g_e = (g_t - np.einsum("ij,ij->i", g_t, t)[:, None] * t) / s[:, None] \
+        + g_s[:, None] * t
+    np.add.at(grad, ends[:, 1], g_e)
+    np.subtract.at(grad, ends[:, 0], g_e)
+
+    blen = float(s.sum())
+    breakdown = EnergyBreakdown(bending=bending, springs=springs,
+                                length_penalty=e_pen,
+                                total=bending + springs + e_pen,
+                                boundary_length=blen)
+    return breakdown, grad

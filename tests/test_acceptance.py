@@ -22,7 +22,7 @@ from filmloop.diffgeo import (boundary_geometry, el_residuals, frenet_analyze,
 from filmloop.energy import (EnergyParams, SIGMA_PER_SPRING_K, energy,
                              energy_and_gradient)
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
-from filmloop.optimize import (MinimizeOptions, kick_amplitude, perturb,
+from filmloop.optimize import (KICK_AMPLITUDE, MinimizeOptions, perturb,
                                polish, relax)
 from filmloop.stability import (critical_gamma, disk_solution, kl3a_from_gamma,
                                 second_order_coefficient)
@@ -60,7 +60,7 @@ def subcritical_state():
     gradient-only polish to push transverse residuals to rounding level."""
     mesh, x0 = generate_disk_mesh(RINGS, 1.2)
     x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0),
-                 kick_amplitude(1.0), 0)
+                 KICK_AMPLITUDE, 0)
     params = EnergyParams(alpha=1.0,
                           spring_k=float(kl3a_from_gamma(0.5 * critical_gamma(2))),
                           target_length=1.0)

@@ -72,6 +72,8 @@ def test_relax_command_summary(tmp_path, capsys):
     assert (out / "boundary.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
+    assert summary["k_l3_alpha"] == 30.0
+    assert summary["gamma"] == SIGMA_PER_SPRING_K * 30.0
     assert summary["planarity"] < 1e-4            # well below any onset
     assert summary["length_rel_err"] < 1e-3
     assert abs(summary["gauss_bonnet_defect"]) < 1e-9

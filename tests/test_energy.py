@@ -6,15 +6,17 @@ of a regular polygon is exactly 1/R), spring energy k n R^2 (the spokes are
 the only interior edges), boundary length 2 n R sin(pi/n).
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from filmloop.energy import (SIGMA_PER_SPRING_K, DegenerateBoundaryError,
-                             EnergyParams, energy, energy_and_gradient,
-                             gamma_numeric)
+                             EnergyParams, energy, energy_and_gradient)
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 
-from helpers import fan_mesh
+from helpers import fan_mesh, reference_energy_and_gradient
 
 
 def test_fan_energy_closed_form():
@@ -126,8 +128,75 @@ def test_degenerate_boundary_raises():
         energy(mesh, x, EnergyParams())
 
 
+# parameter sets for the reference comparison: all terms, each term or
+# penalty switched off, each penalty alone, and both penalties off
+KERNEL_PARAMS = {
+    "all": EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
+                        length_penalty_k=1e4, edge_penalty_k=100.0),
+    "alpha0": EnergyParams(alpha=0.0, spring_k=900.0, target_length=1.0,
+                           length_penalty_k=1e4, edge_penalty_k=100.0),
+    "spring0": EnergyParams(alpha=1.3, spring_k=0.0, target_length=1.0,
+                            length_penalty_k=1e4, edge_penalty_k=100.0),
+    "length_only": EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.1,
+                                length_penalty_k=2e3),
+    "edge_only": EnergyParams(alpha=1.0, spring_k=900.0, target_length=0.9,
+                              edge_penalty_k=300.0),
+    "no_penalty": EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0),
+}
+
+
+def assert_matches_reference(mesh, x, p):
+    """Breakdown fields and gradient bytes equal the np.roll/np.add.at kernel."""
+    fb, g = energy_and_gradient(mesh, x, p)
+    fb_ref, g_ref = reference_energy_and_gradient(mesh, x, p)
+    assert dataclasses.astuple(fb) == dataclasses.astuple(fb_ref)
+    assert g.tobytes() == g_ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+@pytest.mark.parametrize("elongation", [1.0, 1.2])
+@pytest.mark.parametrize("rings", [3, 8, 16])
+def test_kernel_matches_reference_bitwise(rings, elongation, name):
+    mesh, x0 = generate_disk_mesh(rings, elongation)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    rng = np.random.default_rng(rings)
+    scale = 0.2 / (6 * rings)                 # a fifth of a boundary edge
+    for _ in range(3):
+        x = x0 + scale * rng.standard_normal(x0.shape)
+        assert_matches_reference(mesh, x, KERNEL_PARAMS[name])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+def test_kernel_matches_reference_on_fan(name):
+    mesh, x0 = fan_mesh(11, 0.2)
+    rng = np.random.default_rng(11)
+    x = x0 + 0.01 * rng.standard_normal(x0.shape)
+    assert_matches_reference(mesh, x, KERNEL_PARAMS[name])
+
+
+def test_kernel_shifts_belong_to_their_mesh():
+    # two meshes built in a row must each use their own loop shifts
+    mesh3, x3 = generate_disk_mesh(3)
+    assert_matches_reference(mesh3, x3 + 0.01, KERNEL_PARAMS["all"])
+    mesh4, x4 = generate_disk_mesh(4, 1.2)
+    assert_matches_reference(mesh4, x4, KERNEL_PARAMS["all"])
+    assert_matches_reference(mesh3, x3, KERNEL_PARAMS["all"])
+    for mesh in (mesh3, mesh4):
+        b = len(mesh.boundary_loop)
+        assert np.array_equal(mesh.loop_next, (np.arange(b) + 1) % b)
+        assert np.array_equal(mesh.loop_prev, (np.arange(b) - 1) % b)
+
+
+def test_collapsed_edge_raises_without_runtime_warning():
+    mesh, x0 = generate_disk_mesh(3)
+    x = scale_to_boundary_length(mesh, x0, 1.0)
+    loop = mesh.boundary_loop
+    x[loop[4]] = x[loop[3]]                # one zero-length boundary edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateBoundaryError):
+            energy_and_gradient(mesh, x, KERNEL_PARAMS["all"])
+
+
 def test_tension_conversions():
     assert np.isclose(SIGMA_PER_SPRING_K, 4.0 / np.sqrt(3.0), rtol=1e-15)
-    kl3a, gam = gamma_numeric(3.0, 2.0, 1.5)
-    assert np.isclose(kl3a, 3.0 * 8.0 / 1.5, rtol=1e-15)
-    assert np.isclose(gam, SIGMA_PER_SPRING_K * kl3a, rtol=1e-15)

@@ -11,7 +11,7 @@ from filmloop.energy import EnergyParams, energy_and_gradient
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 from filmloop.diffgeo import planarity
 from filmloop import optimize
-from filmloop.optimize import (MinimizeOptions, NumericalError, kick_amplitude,
+from filmloop.optimize import (KICK_AMPLITUDE, MinimizeOptions, NumericalError,
                                minimize, minimize_function, perturb, polish,
                                relax)
 
@@ -92,7 +92,7 @@ def test_perturb_touches_only_z():
     assert not np.array_equal(perturb(x, 1e-2, seed=6), y)
     with pytest.raises(ValueError):
         perturb(x, -1.0, seed=0)
-    assert np.isclose(kick_amplitude(2.0 * np.pi), 1e-3)   # 1e-3 R at R = 1
+    assert KICK_AMPLITUDE * (2.0 * np.pi) == 1e-3           # 1e-3 R at L = 1
 
 
 def test_max_iterations_zero_returns_start():
@@ -126,7 +126,7 @@ def test_relax_flattens_subcritical_disk():
     mesh, x0 = generate_disk_mesh(6)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     p = EnergyParams(alpha=1.0, spring_k=20.0, target_length=1.0)
-    x0 = perturb(x0, kick_amplitude(1.0), 0)
+    x0 = perturb(x0, KICK_AMPLITUDE, 0)
     res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
     assert res.converged
     assert res.length_error < 1e-3
@@ -221,7 +221,7 @@ def test_polish_descends_past_wolfe_floor():
     mesh, x0 = generate_disk_mesh(6)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     p = EnergyParams(alpha=1.0, spring_k=50.0, target_length=1.0)
-    x0 = perturb(x0, kick_amplitude(1.0), 0)
+    x0 = perturb(x0, KICK_AMPLITUDE, 0)
     res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
     pol = polish(mesh, res.x, res.params, iterations=300)
     entry = pol.gradient_norm_history[0]
@@ -238,7 +238,7 @@ def test_polish_without_iterations_is_not_converged():
     mesh, x0 = generate_disk_mesh(3)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     p = EnergyParams(alpha=1.0, spring_k=50.0, target_length=1.0)
-    x0 = perturb(x0, kick_amplitude(1.0), 0)
+    x0 = perturb(x0, KICK_AMPLITUDE, 0)
     pol = polish(mesh, x0, p, iterations=0)
     assert pol.iterations == 0 and not pol.converged
     assert np.array_equal(pol.x, x0)
