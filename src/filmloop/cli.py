@@ -141,6 +141,7 @@ def cmd_relax(args):
         "energy_total": res.energy.total,
         "boundary_length": res.energy.boundary_length,
         "length_rel_err": res.length_error,
+        "line_tension": res.line_tension,
         "planarity": planarity(mesh, res.x),
         "mean_abs_kn": bg.mean_abs_kn,
         "int_kn_signed": bg.integral_kn,

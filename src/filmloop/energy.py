@@ -8,9 +8,14 @@ The energy has three parts:
                  incident boundary edge lengths;
   springs        spring_k * sum over interior edges of |e|^2
                  (zero-rest-length springs standing in for film tension);
-  length penalty length_penalty_k * (total boundary length - L)^2
+  length penalty length_multiplier * (total boundary length - L)
+                 plus length_penalty_k * (total boundary length - L)^2
                  plus edge_penalty_k * sum (|e_i| - L/B)^2 over the B
                  boundary edges.
+
+The linear term is the augmented-Lagrangian multiplier of the length
+constraint (optimize.relax updates it between rounds); at a minimum the
+boundary line tension is the multiplier plus the two penalties' pulls.
 
 The global term pins the total length but is indifferent to how vertices
 distribute along the loop; because the spring term is a Dirichlet energy,
@@ -24,9 +29,13 @@ along it with the index arrays cached on the mesh (loop_prev, loop_next) and
 scatters the edge gradients back in one step, keeping every float operation
 of the np.roll / np.add.at formulation in its order: results are bit-identical.
 
-The continuum tension equivalent of the spring stiffness on this lattice is
-sigma = 4 k / sqrt(3), so the control parameter k L^3 / alpha maps to
-gamma = sigma L^3 / alpha = (4 / sqrt(3)) k L^3 / alpha.
+The control parameter k L^3 / alpha maps to gamma = sigma L^3 / alpha with
+sigma = SIGMA_PER_SPRING_K * k = (4 / sqrt(3)) k.  That factor is the
+convention the reference transition values are written in (48 pi^3 * sqrt(3)
+/ 4 = 644.5 for the mode-2 threshold), not this lattice's own tension: the
+line tension of relaxed flat disks matches the continuum disk with
+sigma = 2 sqrt(3) k (tests/test_optimize.py), so the lattice's own gamma is
+1.5 times the gamma column.
 """
 
 from dataclasses import dataclass
@@ -49,9 +58,9 @@ class EnergyParams:
     """Physical parameters of the discrete energy.
 
     alpha >= 0 (bending modulus), spring_k >= 0, target_length > 0,
-    length_penalty_k >= 0, edge_penalty_k >= 0, all finite.  A springs-only
-    model (alpha = 0) is allowed; it is useful for testing the optimizer
-    against a linear solve.
+    length_penalty_k >= 0, edge_penalty_k >= 0 and a length_multiplier of
+    either sign, all finite.  A springs-only model (alpha = 0) is allowed;
+    it is useful for testing the optimizer against a linear solve.
     """
 
     alpha: float = 1.0
@@ -59,6 +68,7 @@ class EnergyParams:
     target_length: float = 1.0
     length_penalty_k: float = 0.0
     edge_penalty_k: float = 0.0
+    length_multiplier: float = 0.0
 
     def __post_init__(self):
         for name in ("alpha", "spring_k", "length_penalty_k", "edge_penalty_k"):
@@ -69,6 +79,9 @@ class EnergyParams:
         if not (np.isfinite(self.target_length) and self.target_length > 0):
             raise ValueError(f"energy parameter 'target_length' must be finite "
                              f"and positive, got {self.target_length!r}")
+        if not np.isfinite(self.length_multiplier):
+            raise ValueError(f"energy parameter 'length_multiplier' must be "
+                             f"finite, got {self.length_multiplier!r}")
 
 
 @dataclass
@@ -123,10 +136,14 @@ def energy_and_gradient(mesh, x, p):
     # length penalties; their derivative in s is summed before joining g_s
     blen = float(s.sum())
     e_pen, dpen_ds = 0.0, None
+    excess = blen - p.target_length
     if p.length_penalty_k != 0.0:
-        excess = blen - p.target_length
         e_pen += p.length_penalty_k * excess**2
         dpen_ds = 2.0 * p.length_penalty_k * excess
+    if p.length_multiplier != 0.0:
+        e_pen += p.length_multiplier * excess
+        dpen_ds = p.length_multiplier if dpen_ds is None \
+            else dpen_ds + p.length_multiplier
     if p.edge_penalty_k != 0.0:
         diff = s - p.target_length / len(s)
         e_pen += p.edge_penalty_k * float(diff @ diff)

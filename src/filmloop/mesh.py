@@ -28,16 +28,15 @@ class TriMesh:
 
     triangles are (f, 3) vertex indices with counterclockwise winding,
     boundary_loop is the ordered cycle of boundary vertices, and
-    interior/boundary edges are (e, 2) index pairs.  boundary_edges[i] is
-    the loop edge from boundary_loop[i] to boundary_loop[i+1]; loop_prev and
-    loop_next hold the loop positions i-1 and i+1 (mod B) for loop shifts.
+    interior_edges are (e, 2) index pairs.  loop_prev and loop_next hold the
+    loop positions i-1 and i+1 (mod B) for loop shifts; loop edge i runs
+    from boundary_loop[i] to boundary_loop[loop_next[i]].
     """
 
     vertex_count: int
     triangles: np.ndarray
     boundary_loop: np.ndarray
     interior_edges: np.ndarray
-    boundary_edges: np.ndarray
     loop_prev: np.ndarray = field(repr=False)
     loop_next: np.ndarray = field(repr=False)
     _laplacian: Optional[scipy.sparse.csr_matrix] = field(
@@ -70,7 +69,6 @@ class TriMesh:
         prev, nxt = np.roll(b, 1), np.roll(b, -1)
         return cls(vertex_count=vertex_count, triangles=tris,
                    boundary_loop=loop, interior_edges=interior_edges,
-                   boundary_edges=np.stack([loop, loop[nxt]], axis=1),
                    loop_prev=prev, loop_next=nxt)
 
     def interior_laplacian(self):
@@ -215,7 +213,7 @@ def generate_disk_mesh(rings, elongation=1.0):
 
 
 class BoundaryFrame(NamedTuple):
-    """Edge data of the boundary loop; row i is boundary_edges[i]."""
+    """Edge data of the boundary loop; row i is loop edge i."""
 
     edge: np.ndarray          # (B, 3) vectors boundary_loop[i] -> [i+1]
     length: np.ndarray        # (B,) edge lengths s_i

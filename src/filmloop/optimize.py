@@ -7,8 +7,12 @@ RESTART_INTERVAL iterations, and a scale-aware gradient tolerance:
     converged  iff  ||g||_inf <= gradient_tolerance * (spring_k * L + alpha / L^2)
 
 so the stopping rule is invariant under rescaling the energy unit.  A failed
-line search retries once from steepest descent, then returns the best
-iterate found, flagged with its own status; non-finite energies or
+line search retries once from steepest descent; if it fails again, the
+iterate is finished on the same CG loop by a gradient-only secant step (at
+most FINISH_ITERATIONS iterations), since a Wolfe search cannot resolve
+energy decreases below the rounding level of the energy.  The solve is
+converged only if that finish reaches the tolerance; otherwise the Wolfe
+iterate is returned with status line_search_failed.  Non-finite energies or
 gradients abort with NumericalError.  MinimizeOptions holds the two
 settings a caller may change: max_iterations and gradient_tolerance.
 
@@ -19,18 +23,23 @@ with the exact inverse of a circulant bending + edge-penalty operator along
 the boundary loop and the spring-graph diagonal elsewhere, built from the
 starting configuration; convergence is still judged on the raw gradient.
 
-relax() wraps minimize() in the boundary-length penalty escalation loop:
-the quadratic penalty stiffness is multiplied by 10 between rounds until the
-boundary length matches its target to LENGTH_TOL relative.
+relax() holds the boundary length with an augmented Lagrangian (Nocedal &
+Wright, Numerical Optimization, ch. 17): between rounds the length
+multiplier moves by 2 mu (l - L), and the quadratic stiffness mu grows
+tenfold only when a round cut the length error by less than a factor 4,
+until the boundary length matches its target to LENGTH_TOL relative.  A
+caller that starts the multiplier near its final value (the sweep's warm
+start) usually needs one round.  Its result carries the line tension beta,
+the length constraint's multiplier.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
 half-width KICK_AMPLITUDE.
 
-polish() continues from a minimized state on the same CG loop with a
-gradient-only secant step in place of the Wolfe search, for use when
-residuals below the energy-difference resolution of the Wolfe search are
-needed (near-exact planarity, curvature cancellation checks).
+polish() continues from a minimized state on the same CG loop with the
+secant step in place of the Wolfe search, for use when residuals below the
+energy-difference resolution of the Wolfe search are needed (near-exact
+planarity, curvature cancellation checks).
 """
 
 import dataclasses
@@ -60,6 +69,9 @@ RESTART_INTERVAL = 200
 
 # relative boundary-length error a relaxed state must reach
 LENGTH_TOL = 1e-3
+
+# most secant-step iterations that finish a solve whose Wolfe search stalled
+FINISH_ITERATIONS = 400
 
 
 # half-width of the transverse kick before a solve: 1e-3 R, R = L / 2pi, L = 1
@@ -101,9 +113,10 @@ class MinimizeResult:
     status: str                      # converged | max_iterations | line_search_failed
     gradient_norm_history: np.ndarray
     energy_history: np.ndarray
-    params: object = None            # EnergyParams actually used (after escalation)
+    params: object = None            # EnergyParams of the last penalty round
     penalty_rounds: int = 0
     length_error: float = 0.0
+    line_tension: float = 0.0        # beta, the length constraint's multiplier
 
 
 def perturb(x, amplitude, seed):
@@ -223,6 +236,31 @@ def _wolfe_step(fun, step_scale):
     return search
 
 
+def _secant_step(fun, step_scale):
+    """Gradient-only step of minimize_function: one probe along d, then the
+    secant minimizer of the directional derivative, clipped to within 1e3 of
+    the previous step; the first step moves 0.01 * step_scale."""
+    a_prev = None                           # survives descent resets
+
+    def search(x, d, f, dphi0, fresh):
+        nonlocal a_prev
+        if a_prev is None:
+            a_prev = 0.01 * step_scale / max(
+                float(np.linalg.norm(d.ravel())), 1e-300)
+        _, g_probe = fun(x + a_prev * d)
+        denom = dphi0 - float(g_probe.ravel() @ d.ravel())
+        if denom >= -1e-12 * abs(dphi0):    # no usable positive curvature
+            a = a_prev
+        else:
+            a = float(np.clip(a_prev * dphi0 / denom,
+                              1e-3 * a_prev, 1e3 * a_prev))
+        a_prev = a
+        x_new = x + a * d
+        return (x_new, *fun(x_new))
+
+    return search
+
+
 def make_preconditioner(mesh, x0, params):
     """Inverse-stiffness operator combining a boundary circulant with a
     vertex diagonal; returns a callable g -> M^{-1} g.
@@ -271,6 +309,8 @@ def make_preconditioner(mesh, x0, params):
 def minimize(mesh, x0, params, opts=None, log_stream=None):
     """Minimize the discrete energy from x0; deterministic for fixed inputs.
 
+    A solve whose Wolfe search stalls is finished by the secant step (see
+    the module docstring); its iterations and histories count the finish.
     log_stream, when given, receives one CSV row per iteration.
     """
     opts = opts or MinimizeOptions()
@@ -303,12 +343,45 @@ def minimize(mesh, x0, params, opts=None, log_stream=None):
     minv = make_preconditioner(mesh, x, params)
     x_fin, f_fin, g_fin, it, status, fhist, ghist = minimize_function(
         fun, x, opts, gtol, step_scale=L, callback=log_cb, minv=minv)
+    if status == "line_search_failed":
+        # the Wolfe search hit its energy-resolution floor: finish on the
+        # same CG loop with the gradient-only secant step, as polish does
+        it0 = it
+
+        def finish_cb(k, xk, f, ginf):
+            if k and log_cb is not None:
+                log_cb(it0 + k, xk, f, ginf)
+
+        x_sec, _, _, k, sec_status, fh, gh = minimize_function(
+            fun, x_fin, MinimizeOptions(max_iterations=FINISH_ITERATIONS),
+            gtol, callback=finish_cb, minv=minv,
+            search=_secant_step(fun, L))
+        it += k
+        fhist = np.concatenate([fhist, fh[1:]])
+        ghist = np.concatenate([ghist, gh[1:]])
+        if sec_status == "converged":
+            x_fin, status = x_sec, sec_status
     fb_fin, _ = energy_and_gradient(mesh, x_fin, params)
     return MinimizeResult(
         x=x_fin, energy=fb_fin, iterations=it, converged=(status == "converged"),
         status=status, gradient_norm_history=ghist, energy_history=fhist,
         params=params, penalty_rounds=0,
-        length_error=abs(fb_fin.boundary_length - L) / L)
+        length_error=abs(fb_fin.boundary_length - L) / L,
+        line_tension=_line_tension(mesh, fb_fin, params))
+
+
+def _line_tension(mesh, fb, params):
+    """Boundary line tension beta at a minimum of the penalized energy.
+
+    The length terms pull on the loop with multiplier + 2 k (l - L) through
+    the total length l and with 2 k_e (s_i - L/B) through each edge; the
+    mean of the latter over the B edges is 2 k_e (l - L) / B.
+    """
+    excess = fb.boundary_length - params.target_length
+    nb = len(mesh.boundary_loop)
+    return (params.length_multiplier
+            + 2.0 * params.length_penalty_k * excess
+            + 2.0 * params.edge_penalty_k * excess / nb)
 
 
 def _wolfe_search(fun, x, d, f0, dphi0, a0, c1, c2,
@@ -374,12 +447,17 @@ def _zoom(phi, f0, dphi0, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2, max_zoom):
 
 
 def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
-    """Minimize with automatic boundary-length penalty escalation.
+    """Minimize with the boundary length held by an augmented Lagrangian.
 
-    If params.length_penalty_k is 0 a starting stiffness of
-    100 * (spring_k + alpha / L^3) is chosen; it is multiplied by 10 after
-    every round whose boundary length misses the target by more than
-    LENGTH_TOL relative, for at most max_rounds (>= 1) rounds.
+    If params.length_penalty_k (mu) is 0 a starting stiffness of
+    100 * (spring_k + alpha / L^3) is chosen.  After every round whose
+    boundary length l misses the target by more than LENGTH_TOL relative,
+    the multiplier becomes length_multiplier + 2 mu (l - L), and mu is
+    multiplied by 10 unless the length error fell below a quarter of the
+    previous round's; at most max_rounds (>= 1) rounds.  params'
+    length_multiplier is the first round's multiplier, so a caller
+    continuing from a nearby solve can warm-start it; the result's params
+    hold the last round's multiplier and stiffness.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -396,6 +474,7 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
 
     x = np.array(x0, dtype=float)
     total_iters = 0
+    prev_err = np.inf
     for rnd in range(1, max_rounds + 1):
         res = minimize(mesh, x, p, opts, log_stream=log_stream)
         total_iters += res.iterations
@@ -405,7 +484,13 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
                      rnd, err, res.status)
         if err < LENGTH_TOL:
             break
-        p = replace(p, length_penalty_k=10.0 * p.length_penalty_k)
+        mu = p.length_penalty_k
+        lam = p.length_multiplier \
+            + 2.0 * mu * (res.energy.boundary_length - L)
+        if err >= 0.25 * prev_err:
+            mu *= 10.0
+        p = replace(p, length_penalty_k=mu, length_multiplier=lam)
+        prev_err = err
 
     res.iterations = total_iters
     res.penalty_rounds = rnd
@@ -431,24 +516,6 @@ def polish(mesh, x0, params, iterations=400):
         _check_finite(fb.total, g)
         return fb.total, g
 
-    a_prev = None                           # survives descent resets
-
-    def secant(x, d, f, dphi0, fresh):
-        nonlocal a_prev
-        if a_prev is None:
-            a_prev = 0.01 * params.target_length / max(
-                float(np.linalg.norm(d.ravel())), 1e-300)
-        _, g_probe = fun(x + a_prev * d)
-        denom = dphi0 - float(g_probe.ravel() @ d.ravel())
-        if denom >= -1e-12 * abs(dphi0):    # no usable positive curvature
-            a = a_prev
-        else:
-            a = float(np.clip(a_prev * dphi0 / denom,
-                              1e-3 * a_prev, 1e3 * a_prev))
-        a_prev = a
-        x_new = x + a * d
-        return (x_new, *fun(x_new))
-
     best = [None, np.inf]                   # (x, ||g||_inf) of the best iterate
 
     def keep_best(it, x, f, ginf):
@@ -459,11 +526,12 @@ def polish(mesh, x0, params, iterations=400):
     *_, ghist = minimize_function(
         fun, x, MinimizeOptions(max_iterations=iterations), gtol_abs=0.0,
         callback=keep_best, minv=make_preconditioner(mesh, x, params),
-        search=secant)
+        search=_secant_step(fun, params.target_length))
     fb, _ = energy_and_gradient(mesh, best[0], params)
     return MinimizeResult(
         x=best[0], energy=fb, iterations=len(ghist) - 1,
         converged=bool(best[1] < ghist[0]), status="polished",
         gradient_norm_history=ghist, energy_history=np.array([fb.total]),
         params=params, penalty_rounds=0,
-        length_error=abs(fb.boundary_length - params.target_length) / params.target_length)
+        length_error=abs(fb.boundary_length - params.target_length) / params.target_length,
+        line_tension=_line_tension(mesh, fb, params))

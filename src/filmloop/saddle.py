@@ -25,6 +25,7 @@ is a supercritical pitchfork with threshold gamma = 96 pi^3 and amplitude
 t = sqrt(3 (gamma - 96 pi^3) / (2 gamma)) above it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,16 +174,28 @@ def boundary_curvatures_exact(fam, phi):
 # more than 1.8e-13, and the two integral-of-K routes agree to 8e-15: the
 # periodic trapezoid rule converges exponentially for smooth integrands
 # (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  |kappa_n| has kinks
-# where kappa_n changes sign, so its integral converges only as 1/n^2 and
-# carries an error of about 6e-6 at 2048 panels.
+# where kappa_n changes sign, which is exactly at phi = 0, pi/2, pi, 3pi/2,
+# so its integral is taken per quarter by Gauss-Legendre with
+# KN_QUARTER_NODES nodes (against 256 nodes the difference is below 1e-12).
 GL_NODES = 96
 DISK_PANELS = 1024
 BOUNDARY_PANELS = 2048
+KN_QUARTER_NODES = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]; the
+    eigenvalue solve behind them costs more than one quadrature."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _disk_integral(fam, integrand):
     """Gauss-Legendre (r) x trapezoid (phi) integral of integrand(r, phi) dr dphi."""
-    xg, wg = np.polynomial.legendre.leggauss(GL_NODES)
+    xg, wg = _gauss_legendre(GL_NODES)
     r = 0.5 * (xg + 1.0) * fam.R
     wr = 0.5 * fam.R * wg
     phi = np.arange(DISK_PANELS) * (2.0 * np.pi / DISK_PANELS)
@@ -273,9 +286,17 @@ def int_K_gauss_bonnet(fam):
 
 
 def int_abs_kn_quadrature(fam):
-    """Integral of |kappa_n| ds around the boundary (exact curvatures)."""
-    return _boundary_integral(
-        fam, lambda phi, *_: np.abs(boundary_curvatures_exact(fam, phi)[0]))
+    """Integral of |kappa_n| ds around the boundary (exact curvatures).
+
+    kappa_n keeps one sign on each quarter between phi = 0, pi/2, pi, 3pi/2,
+    so the integral is the sum of |integral of kappa_n ds| over the quarters,
+    each a smooth Gauss-Legendre integral.
+    """
+    xg, wg = _gauss_legendre(KN_QUARTER_NODES)
+    phi = (np.arange(4)[:, None] + 0.5 * (xg + 1.0)) * (0.5 * np.pi)
+    sp = np.linalg.norm(boundary_derivatives(fam, phi)[0], axis=-1)
+    kn = boundary_curvatures_exact(fam, phi)[0]
+    return float(np.abs((kn * sp) @ wg).sum()) * (0.25 * np.pi)
 
 
 def int_abs_kn_leading(fam):

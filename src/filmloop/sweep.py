@@ -108,7 +108,6 @@ class SweepPoint:
     index: int
     k_l3_alpha: float
     gamma: float
-    spring_k: float
     energy_total: float
     energy_bending: float
     energy_springs: float
@@ -117,6 +116,7 @@ class SweepPoint:
                                  # penalty off, before perturbation
     boundary_length: float
     length_rel_err: float
+    line_tension: float          # beta, the length constraint's multiplier
     mean_abs_kn: float
     int_abs_kn: float
     int_K: float
@@ -161,15 +161,20 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
-    """Relax one sweep point and collect its observables."""
+def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a,
+                    length_multiplier=0.0):
+    """Relax one sweep point and collect its observables; returns the point
+    and the relax result.  length_multiplier starts the length constraint's
+    multiplier (0 for a cold start)."""
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
     start = x_start if x_start is not None else x0_cold
     start_energy = energy(mesh, start, params).total
 
     x_pert = perturb(start, KICK_AMPLITUDE, seed)
-    res = relax(mesh, x_pert, params, schedule.options)
+    res = relax(mesh, x_pert,
+                dataclasses.replace(params, length_multiplier=length_multiplier),
+                schedule.options)
 
     bg = boundary_geometry(mesh, res.x)
     field_k = gaussian_curvature(mesh, res.x)
@@ -179,13 +184,12 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
 
     point = SweepPoint(
         index=idx, k_l3_alpha=kl3a, gamma=SIGMA_PER_SPRING_K * kl3a,
-        spring_k=kl3a,
         energy_total=res.energy.total, energy_bending=res.energy.bending,
         energy_springs=res.energy.springs,
         energy_penalty=res.energy.length_penalty,
         start_energy=start_energy,
         boundary_length=res.energy.boundary_length,
-        length_rel_err=res.length_error,
+        length_rel_err=res.length_error, line_tension=res.line_tension,
         mean_abs_kn=bg.mean_abs_kn, int_abs_kn=bg.integral_abs_kn,
         int_K=field_k.integral_K, mean_K=field_k.mean_K,
         area=field_k.total_area,
@@ -196,7 +200,7 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a):
         iterations=res.iterations, penalty_rounds=res.penalty_rounds,
         seed=seed, converged=int(res.converged and res.length_error < LENGTH_TOL),
         status=res.status)
-    return point, res.x
+    return point, res
 
 
 def _cold_start(schedule):
@@ -209,16 +213,18 @@ def _parallel_worker(args):
     schedule_dict, idx, kl3a = args
     schedule = SweepSchedule.from_dict(schedule_dict)
     mesh, x0 = _cold_start(schedule)
-    point, _ = _evaluate_point(mesh, None, x0, schedule, idx, kl3a)
-    return point
+    return _evaluate_point(mesh, None, x0, schedule, idx, kl3a)[0]
 
 
 def run_sweep(schedule, out_dir=None, jobs=1, save_meshes=False):
     """Run the continuation protocol; returns a BifurcationDiagram.
 
     With warm_start on, points run sequentially in schedule order (reversed
-    for direction "down"), each starting from the previous relaxed state.
-    With warm_start off and jobs > 1, points run in parallel processes.
+    for direction "down"), each starting from the previous relaxed state and
+    from its length multiplier scaled by the ratio of the kL^3/alpha values
+    (the line tension grows with the film tension).  Cold points start from
+    the flat mesh and a zero multiplier; with warm_start off and jobs > 1,
+    they run in parallel processes.
     Every point perturbs its start transversally with seed base_seed + index
     (index = position in the ascending value list).
     """
@@ -230,16 +236,20 @@ def run_sweep(schedule, out_dir=None, jobs=1, save_meshes=False):
     points = {}
     saved = {}
     if schedule.warm_start or jobs <= 1:
-        prev_x = None
+        prev_x, prev_kl3a, prev_lam = None, None, 0.0
         for idx in order:
             kl3a = float(schedule.values[idx])
-            start = prev_x if schedule.warm_start else None
-            point, x_final = _evaluate_point(mesh, start, x0, schedule, idx, kl3a)
+            start, lam = None, 0.0
+            if schedule.warm_start and prev_x is not None:
+                # continue from best-so-far even if unconverged
+                start, lam = prev_x, prev_lam * kl3a / prev_kl3a
+            point, res = _evaluate_point(mesh, start, x0, schedule, idx, kl3a,
+                                         lam)
             points[idx] = point
             if save_meshes:
-                saved[idx] = x_final
-            if schedule.warm_start:
-                prev_x = x_final   # continue from best-so-far even if unconverged
+                saved[idx] = res.x
+            prev_x, prev_kl3a = res.x, kl3a
+            prev_lam = res.params.length_multiplier
             logger.info("point %d: kL^3/a=%.6g planarity=%.3g mode=%d %s",
                         idx, kl3a, point.planarity, point.dominant_mode,
                         point.status)
@@ -488,7 +498,7 @@ def read_diagram_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected diagram columns in {path}")
+            raise ValueError(f"{path}: {_header_mismatch(header)}")
         points = []
         for lineno, line in enumerate(fh, start=2):
             cells = line.strip().split(",")
@@ -499,6 +509,16 @@ def read_diagram_csv(path):
                 name: _COLUMN_TYPES[name](cell)
                 for name, cell in zip(CSV_COLUMNS, cells)}))
     return BifurcationDiagram(points=points)
+
+
+def _header_mismatch(header):
+    """Names the first column where header departs from CSV_COLUMNS."""
+    for got, want in zip(header, CSV_COLUMNS):
+        if got != want:
+            return f"unexpected diagram column {got!r} where {want!r} belongs"
+    if len(header) > len(CSV_COLUMNS):
+        return f"unexpected diagram column {header[len(CSV_COLUMNS)]!r}"
+    return f"diagram column {CSV_COLUMNS[len(header)]!r} missing"
 
 
 def write_manifest(path, schedule):

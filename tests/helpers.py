@@ -81,8 +81,9 @@ def reference_energy_and_gradient(mesh, x, p):
     """Reference for energy.energy_and_gradient: the boundary frame gathered
     per edge end, loop shifts by np.roll, the penalty derivative built by
     np.full, and the edge gradients scattered by np.add.at and
-    np.subtract.at."""
-    ends = mesh.boundary_edges
+    np.subtract.at.  No length multiplier term."""
+    loop = mesh.boundary_loop
+    ends = np.stack([loop, np.roll(loop, -1)], axis=1)
     e = x[ends[:, 1]] - x[ends[:, 0]]
     s = np.linalg.norm(e, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ import pytest
 import filmloop
 from filmloop.cli import main
 from filmloop.energy import SIGMA_PER_SPRING_K
+from filmloop.stability import disk_solution
 from filmloop.sweep import BifurcationDiagram, SweepPoint, write_diagram_csv
 
 
@@ -77,6 +78,9 @@ def test_relax_command_summary(tmp_path, capsys):
     assert summary["planarity"] < 1e-4            # well below any onset
     assert summary["length_rel_err"] < 1e-3
     assert abs(summary["gauss_bonnet_defect"]) < 1e-9
+    # a flat disk's line tension, at the lattice's film tension 2 sqrt(3) k
+    beta = disk_solution(1.0, 2.0 * np.sqrt(3.0) * 30.0, 1.0).beta
+    assert abs(summary["line_tension"] / beta - 1.0) < 0.05
 
 
 def test_sweep_command_and_manifest_rerun(tmp_path, capsys):
@@ -195,10 +199,10 @@ def _write_fit_csv(path, n):
         a = 0.1 * np.sqrt(g - 1005.0)
         points.append(SweepPoint(
             index=i, k_l3_alpha=g / SIGMA_PER_SPRING_K, gamma=g,
-            spring_k=g / SIGMA_PER_SPRING_K, energy_total=1.0,
+            energy_total=1.0,
             energy_bending=0.5, energy_springs=0.5, energy_penalty=0.0,
             start_energy=1.0, boundary_length=1.0, length_rel_err=1e-6,
-            mean_abs_kn=a, int_abs_kn=a, int_K=2.5 - 0.003 * g, mean_K=0.0,
+            line_tension=-15.0, mean_abs_kn=a, int_abs_kn=a, int_K=2.5 - 0.003 * g, mean_K=0.0,
             area=0.08, planarity=0.05, dominant_mode=2, mode2_amp=0.01,
             gauss_bonnet=1e-12, self_intersections=0, iterations=100,
             penalty_rounds=1, seed=i, converged=1, status="converged"))
@@ -253,6 +257,18 @@ def test_fit_rejects_ragged_rows(tmp_path, capsys):
         assert main(["fit", "--diagram", str(path), "--threshold", "1000",
                      "--units", "gamma"]) == 1
         assert "line 4" in capsys.readouterr().err
+
+
+def test_fit_rejects_spring_k_diagram(tmp_path, capsys):
+    # a diagram from before line_tension replaced spring_k is named, exit 1
+    csv = tmp_path / "diagram.csv"
+    _write_fit_csv(csv, 12)
+    lines = csv.read_text().splitlines()
+    lines[0] = lines[0].replace("gamma,", "gamma,spring_k,")
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--diagram", str(csv), "--threshold", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert "'spring_k'" in err and "Traceback" not in err
 
 
 def test_asymptotic_command_table(tmp_path, capsys):

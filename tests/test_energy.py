@@ -46,6 +46,19 @@ def test_penalty_terms_closed_form():
                       3.0 * n * (s - L / n) ** 2, rtol=1e-12)
 
 
+def test_multiplier_term_closed_form():
+    n, R = 12, 0.5
+    mesh, x = fan_mesh(n, R)
+    excess = n * 2.0 * R * np.sin(np.pi / n) - 2.0
+    p = EnergyParams(alpha=1.0, target_length=2.0, length_multiplier=-4.5)
+    assert np.isclose(energy(mesh, x, p).length_penalty, -4.5 * excess,
+                      rtol=1e-12)
+    p = EnergyParams(alpha=1.0, target_length=2.0, length_penalty_k=7.0,
+                     length_multiplier=-4.5)
+    assert np.isclose(energy(mesh, x, p).length_penalty,
+                      7.0 * excess**2 - 4.5 * excess, rtol=1e-12)
+
+
 def test_breakdown_total_is_sum_of_parts():
     mesh, x0 = generate_disk_mesh(3)
     rng = np.random.default_rng(0)
@@ -68,6 +81,29 @@ def test_gradient_matches_finite_differences():
     gscale = np.abs(g).max()
     h = 3e-6
     for i in rng.choice(mesh.vertex_count, size=10, replace=False):
+        for c in range(3):
+            xp = x.copy()
+            xp[i, c] += h
+            xm = x.copy()
+            xm[i, c] -= h
+            fd = (energy(mesh, xp, p).total - energy(mesh, xm, p).total) / (2 * h)
+            assert abs(g[i, c] - fd) / gscale < 1e-6
+
+
+@pytest.mark.parametrize("lam", [-450.0, 450.0])
+@pytest.mark.parametrize("length_penalty_k", [0.0, 500.0])
+def test_multiplier_gradient_matches_finite_differences(lam, length_penalty_k):
+    mesh, x0 = generate_disk_mesh(3)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    rng = np.random.default_rng(2)
+    x = x0 + 0.05 * rng.standard_normal(x0.shape) / (2.0 * np.pi)
+    p = EnergyParams(alpha=0.8, spring_k=300.0, target_length=1.0,
+                     length_penalty_k=length_penalty_k, edge_penalty_k=200.0,
+                     length_multiplier=lam)
+    _, g = energy_and_gradient(mesh, x, p)
+    gscale = np.abs(g).max()
+    h = 3e-6
+    for i in mesh.boundary_loop[::3]:
         for c in range(3):
             xp = x.copy()
             xp[i, c] += h
@@ -121,6 +157,13 @@ def test_param_validation():
         EnergyParams(target_length=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_length_multiplier_must_be_finite(value):
+    with pytest.raises(ValueError, match="length_multiplier"):
+        EnergyParams(length_multiplier=value)
+    assert EnergyParams(length_multiplier=-3.0).length_multiplier == -3.0
+
+
 def test_degenerate_boundary_raises():
     mesh, x = fan_mesh(8)
     x[2] = x[1]                      # collapse one rim edge
@@ -129,7 +172,8 @@ def test_degenerate_boundary_raises():
 
 
 # parameter sets for the reference comparison: all terms, each term or
-# penalty switched off, each penalty alone, and both penalties off
+# penalty switched off, each penalty alone, and both penalties off; all at
+# length_multiplier 0, where the kernel adds no multiplier term
 KERNEL_PARAMS = {
     "all": EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
                         length_penalty_k=1e4, edge_penalty_k=100.0),

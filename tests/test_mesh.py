@@ -24,7 +24,7 @@ def test_disk_counts(m):
     assert mesh.vertex_count == 3 * m * m + 3 * m + 1
     assert len(mesh.triangles) == 6 * m * m
     assert len(mesh.boundary_loop) == 6 * m
-    assert len(mesh.boundary_edges) == 6 * m
+    assert len(mesh.loop_next) == 6 * m
     assert len(mesh.interior_edges) == 9 * m * m - 3 * m
     assert x.shape == (mesh.vertex_count, 3)
     assert np.all(x[:, 2] == 0.0)
@@ -32,7 +32,9 @@ def test_disk_counts(m):
 
 def test_disk_has_unit_lattice_edges():
     mesh, x = generate_disk_mesh(3)
-    for edges in (mesh.interior_edges, mesh.boundary_edges):
+    loop = mesh.boundary_loop
+    loop_edges = np.stack([loop, loop[mesh.loop_next]], axis=1)
+    for edges in (mesh.interior_edges, loop_edges):
         e = x[edges[:, 1]] - x[edges[:, 0]]
         assert np.allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-12)
 
@@ -64,11 +66,11 @@ def test_elongation_keeps_connectivity():
     assert np.array_equal(m1.boundary_loop, m2.boundary_loop)
 
 
-def test_boundary_loop_matches_boundary_edges():
+def test_loop_next_walks_boundary_loop():
     mesh, _ = generate_disk_mesh(3)
     loop = mesh.boundary_loop
     walked = {frozenset(p) for p in zip(loop, np.roll(loop, -1))}
-    listed = {frozenset(p) for p in mesh.boundary_edges}
+    listed = {frozenset(p) for p in zip(loop, loop[mesh.loop_next])}
     assert walked == listed
 
 

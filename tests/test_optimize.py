@@ -1,5 +1,7 @@
 """Optimizer behavior: CG core on a quadratic oracle, mesh relaxation,
-penalty escalation, determinism, and the gradient-only polish stage.
+the augmented-Lagrangian length constraint and its line tension,
+determinism, the secant finish of a stalled search, and the gradient-only
+polish stage.
 """
 
 import io
@@ -11,9 +13,10 @@ from filmloop.energy import EnergyParams, energy_and_gradient
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 from filmloop.diffgeo import planarity
 from filmloop import optimize
-from filmloop.optimize import (KICK_AMPLITUDE, MinimizeOptions, NumericalError,
-                               minimize, minimize_function, perturb, polish,
-                               relax)
+from filmloop.optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
+                               NumericalError, minimize, minimize_function,
+                               perturb, polish, relax)
+from filmloop.stability import disk_solution
 
 
 def quadratic_problem(n, seed):
@@ -160,6 +163,95 @@ def test_relax_escalates_weak_penalty():
     assert res.penalty_rounds >= 2
     assert res.params.length_penalty_k > 1e-3
     assert res.length_error < 1e-3
+
+
+def test_cold_relax_holds_length_without_escalation():
+    # the multiplier update alone brings a cold twisted solve inside
+    # LENGTH_TOL: the penalty stiffness stays at its starting value
+    mesh, x0 = generate_disk_mesh(8, 1.2)
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
+    p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0)
+    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=60000))
+    assert res.converged
+    assert res.length_error < LENGTH_TOL
+    assert res.params.length_penalty_k == 100.0 * (900.0 + 1.0)
+    assert res.penalty_rounds == 1 or res.params.length_multiplier != 0.0
+
+
+@pytest.mark.parametrize("kl3a", [100.0, 400.0])
+def test_relaxed_disk_line_tension_matches_continuum(kl3a):
+    # the flat disk's boundary multiplier, read off the length terms, is the
+    # continuum disk's at film tension 2 sqrt(3) k: the spring lattice's own
+    # tension, not the SIGMA_PER_SPRING_K convention
+    mesh, x0 = generate_disk_mesh(16)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    p = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
+    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
+    assert res.converged
+    beta = disk_solution(1.0, 2.0 * np.sqrt(3.0) * kl3a, 1.0).beta
+    assert abs(res.line_tension / beta - 1.0) < 0.03
+
+
+def test_relax_warm_multiplier_reaches_length_in_one_round():
+    # starting from the multiplier a converged solve ended with, the same
+    # solve meets LENGTH_TOL in its first round
+    mesh, x0 = generate_disk_mesh(6)
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
+    p = EnergyParams(alpha=1.0, spring_k=200.0, target_length=1.0)
+    opts = MinimizeOptions(max_iterations=20000)
+    cold = relax(mesh, x0, p, opts)
+    assert cold.penalty_rounds >= 2
+    lam = cold.params.length_multiplier
+    warm = relax(mesh, x0, EnergyParams(alpha=1.0, spring_k=200.0,
+                                        target_length=1.0,
+                                        length_multiplier=lam), opts)
+    assert warm.penalty_rounds == 1 and warm.converged
+    assert warm.length_error < LENGTH_TOL
+    assert warm.params.length_multiplier == lam
+
+
+def _stalling_search(monkeypatch, calls_before_stall):
+    """Make the Wolfe search give up for good after a number of calls."""
+    search = optimize._wolfe_search
+    calls = [0]
+
+    def stalling(*args, **kwargs):
+        calls[0] += 1
+        return None if calls[0] > calls_before_stall else search(*args,
+                                                                 **kwargs)
+
+    monkeypatch.setattr(optimize, "_wolfe_search", stalling)
+
+
+def _stall_problem():
+    mesh, x0 = generate_disk_mesh(4)
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
+    p = EnergyParams(alpha=1.0, spring_k=30.0, target_length=1.0,
+                     length_penalty_k=3100.0, edge_penalty_k=3100.0)
+    gtol = MinimizeOptions().gradient_tolerance * (30.0 + 1.0)   # L = 1
+    return mesh, x0, p, gtol
+
+
+def test_minimize_finishes_stalled_search(monkeypatch):
+    mesh, x0, p, gtol = _stall_problem()
+    _stalling_search(monkeypatch, 20)
+    stream = io.StringIO()
+    res = minimize(mesh, x0, p, log_stream=stream)
+    _, g = energy_and_gradient(mesh, res.x, p)
+    assert res.status == "converged" and res.converged
+    assert np.abs(g).max() <= gtol
+    assert res.iterations > 20
+    assert len(stream.getvalue().strip().split("\n")) == res.iterations + 2
+
+
+def test_minimize_stays_failed_when_finish_falls_short(monkeypatch):
+    mesh, x0, p, gtol = _stall_problem()
+    _stalling_search(monkeypatch, 5)
+    monkeypatch.setattr(optimize, "FINISH_ITERATIONS", 2)
+    res = minimize(mesh, x0, p)
+    _, g = energy_and_gradient(mesh, res.x, p)
+    assert res.status == "line_search_failed" and not res.converged
+    assert np.abs(g).max() > gtol
 
 
 def test_relax_needs_a_round():

@@ -120,6 +120,19 @@ def test_int_abs_kn_leading_order():
                           4.0 * t / (np.pi * fam.R), rtol=1e-15)
 
 
+@pytest.mark.parametrize("t", [0.12, 0.44, 0.71, 0.87])
+def test_int_abs_kn_quarters_are_resolved(monkeypatch, t):
+    # kappa_n keeps its sign on each quarter, so per-quarter Gauss-Legendre
+    # is converged: 64 nodes agree with 256
+    fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
+    phi = (np.arange(4000) + 0.5) * (2.0 * np.pi / 4000)   # no quarter ends
+    kn = saddle.boundary_curvatures_exact(fam, phi)[0].reshape(4, 1000)
+    assert np.all((kn > 0).all(axis=1) | (kn < 0).all(axis=1))
+    q64 = saddle.int_abs_kn_quadrature(fam)
+    monkeypatch.setattr(saddle, "KN_QUARTER_NODES", 256)
+    assert abs(q64 - saddle.int_abs_kn_quadrature(fam)) <= 1e-12
+
+
 def test_circle_limit_quadratures():
     fam = saddle.SaddleFamily(R=0.7, t=0.0)
     assert np.isclose(saddle.length_quadrature(fam), 2 * np.pi * 0.7,

@@ -11,7 +11,8 @@ import pytest
 
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.mesh import TriMesh, generate_disk_mesh
-from filmloop.optimize import MinimizeOptions
+from filmloop import sweep
+from filmloop.optimize import MinimizeOptions, relax
 from filmloop.saddle import SaddleFamily, family_trimesh, radius_for_length
 from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
                             SweepSchedule, _crossing_pairs,
@@ -25,9 +26,10 @@ from helpers import loop_crossing_pairs
 
 def make_point(**over):
     base = dict(index=0, k_l3_alpha=100.0, gamma=100.0 * SIGMA_PER_SPRING_K,
-                spring_k=100.0, energy_total=1.0, energy_bending=0.5,
+                energy_total=1.0, energy_bending=0.5,
                 energy_springs=0.5, energy_penalty=0.0, start_energy=1.1,
-                boundary_length=1.0, length_rel_err=1e-6, mean_abs_kn=0.0,
+                boundary_length=1.0, length_rel_err=1e-6, line_tension=-15.0,
+                mean_abs_kn=0.0,
                 int_abs_kn=0.0, int_K=0.0, mean_K=0.0, area=1.0 / (4 * np.pi),
                 planarity=1e-9, dominant_mode=6, mode2_amp=0.0,
                 gauss_bonnet=1e-12, self_intersections=0, iterations=100,
@@ -274,6 +276,21 @@ def test_diagram_csv_rejects_unknown_columns(tmp_path):
         read_diagram_csv(path)
 
 
+def test_diagram_csv_rejects_spring_k_header(tmp_path):
+    # diagrams written before the line_tension column carried spring_k
+    path = tmp_path / "old.csv"
+    write_diagram_csv(path, BifurcationDiagram(points=[make_point()]))
+    lines = path.read_text().splitlines()
+    old = lines[0].replace("gamma,", "gamma,spring_k,").split(",")
+    old.remove("line_tension")
+    path.write_text(",".join(old) + "\n" + lines[1] + "\n")
+    with pytest.raises(ValueError, match="'spring_k'"):
+        read_diagram_csv(path)
+    path.write_text(",".join(lines[0].split(",")[:-1]) + "\n")
+    with pytest.raises(ValueError, match="'status' missing"):
+        read_diagram_csv(path)
+
+
 def test_manifest_roundtrip(tmp_path):
     schedule = SweepSchedule(values=np.array([20.0, 40.0, 60.0]), rings=4,
                              elongation=1.2, base_seed=3,
@@ -327,6 +344,41 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
     run_sweep(read_manifest(out1 / "manifest.json"), out_dir=out2)
     assert ((out1 / "diagram.csv").read_bytes()
             == (out2 / "diagram.csv").read_bytes())
+
+
+def _recorded_multipliers(monkeypatch, schedule):
+    """Starting length multiplier and final relax result of every point."""
+    calls = []
+
+    def recording(mesh, x0, params, opts):
+        res = relax(mesh, x0, params, opts)
+        calls.append((params.length_multiplier, res))
+        return res
+
+    monkeypatch.setattr(sweep, "relax", recording)
+    run_sweep(schedule)
+    return calls
+
+
+def test_warm_sweep_carries_scaled_multiplier(monkeypatch):
+    for direction in ("up", "down"):
+        schedule = tiny_schedule(values=np.array([200.0, 300.0, 450.0]),
+                                 direction=direction)
+        calls = _recorded_multipliers(monkeypatch, schedule)
+        values = list(schedule.values)
+        if direction == "down":
+            values.reverse()
+        assert calls[0][0] == 0.0
+        for (_, prev), (lam, _), k_prev, k in zip(calls, calls[1:], values,
+                                                  values[1:]):
+            assert prev.params.length_multiplier != 0.0
+            assert lam == prev.params.length_multiplier * k / k_prev
+
+
+def test_cold_sweep_starts_multiplier_at_zero(monkeypatch):
+    calls = _recorded_multipliers(monkeypatch, tiny_schedule(
+        values=np.array([200.0, 300.0, 450.0]), warm_start=False))
+    assert [lam for lam, _ in calls] == [0.0, 0.0, 0.0]
 
 
 def test_downward_sweep_returns_ascending_points(tmp_path):
