@@ -306,13 +306,31 @@ def make_preconditioner(mesh, x0, params):
     return apply
 
 
+def _log_writer(stream):
+    """Write the iteration-log CSV header to stream; returns the row writer
+    row(it, f, ginf, length_error)."""
+    stream.write(_LOG_HEADER)
+
+    def row(it, f, ginf, blen_err):
+        stream.write("%d,%.17g,%.17g,%.17g\n" % (it, f, ginf, blen_err))
+
+    return row
+
+
 def minimize(mesh, x0, params, opts=None, log_stream=None):
     """Minimize the discrete energy from x0; deterministic for fixed inputs.
 
     A solve whose Wolfe search stalls is finished by the secant step (see
     the module docstring); its iterations and histories count the finish.
-    log_stream, when given, receives one CSV row per iteration.
+    log_stream, when given, receives a CSV header and one row per iteration.
     """
+    return _minimize(mesh, x0, params, opts,
+                     _log_writer(log_stream) if log_stream is not None else None)
+
+
+def _minimize(mesh, x0, params, opts, log_row):
+    """minimize with the log as a row writer log_row(it, f, ginf,
+    length_error), or None."""
     opts = opts or MinimizeOptions()
     x = np.array(x0, dtype=float)
 
@@ -333,12 +351,10 @@ def minimize(mesh, x0, params, opts=None, log_stream=None):
         return fb.total, g
 
     log_cb = None
-    if log_stream is not None:
-        log_stream.write(_LOG_HEADER)
+    if log_row is not None:
 
         def log_cb(it, x, f, ginf):
-            blen_err = abs(last_fb[0].boundary_length - L)
-            log_stream.write("%d,%.17g,%.17g,%.17g\n" % (it, f, ginf, blen_err))
+            log_row(it, f, ginf, abs(last_fb[0].boundary_length - L))
 
     minv = make_preconditioner(mesh, x, params)
     x_fin, f_fin, g_fin, it, status, fhist, ghist = minimize_function(
@@ -458,6 +474,11 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
     length_multiplier is the first round's multiplier, so a caller
     continuing from a nearby solve can warm-start it; the result's params
     hold the last round's multiplier and stiffness.
+
+    log_stream, when given, receives one CSV for the whole relax: one
+    header, and an iteration column that counts on across rounds.  A later
+    round starts from the previous round's last iterate, whose number is
+    already logged, so that round's starting row is left out.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -474,9 +495,17 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
 
     x = np.array(x0, dtype=float)
     total_iters = 0
+    log_row = None
+    if log_stream is not None:
+        write_row = _log_writer(log_stream)
+
+        def log_row(it, f, ginf, blen_err):
+            if it or rnd == 1:
+                write_row(total_iters + it, f, ginf, blen_err)
+
     prev_err = np.inf
     for rnd in range(1, max_rounds + 1):
-        res = minimize(mesh, x, p, opts, log_stream=log_stream)
+        res = _minimize(mesh, x, p, opts, log_row)
         total_iters += res.iterations
         x = res.x
         err = res.length_error

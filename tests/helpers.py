@@ -5,6 +5,7 @@ import scipy.spatial
 
 from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
 from filmloop.mesh import TriMesh
+from filmloop import saddle
 
 
 def fan_mesh(n, radius=1.0):
@@ -139,3 +140,16 @@ def reference_energy_and_gradient(mesh, x, p):
                                 total=bending + springs + e_pen,
                                 boundary_length=blen)
     return breakdown, grad
+
+
+def full_period_disk_integral(fam, integrand):
+    """Reference for saddle._disk_integral: Gauss-Legendre (r) x trapezoid
+    (phi) over the whole period, the integrand evaluated on the full
+    GL_NODES x DISK_PANELS meshgrid."""
+    xg, wg = np.polynomial.legendre.leggauss(saddle.GL_NODES)
+    r = 0.5 * (xg + 1.0) * fam.R
+    wr = 0.5 * fam.R * wg
+    phi = np.arange(saddle.DISK_PANELS) * (2.0 * np.pi / saddle.DISK_PANELS)
+    rg, pg = np.meshgrid(r, phi, indexing="ij")
+    return float((integrand(rg, pg) * wr[:, None]).sum()) \
+        * (2.0 * np.pi / saddle.DISK_PANELS)

@@ -244,6 +244,27 @@ def test_minimize_finishes_stalled_search(monkeypatch):
     assert len(stream.getvalue().strip().split("\n")) == res.iterations + 2
 
 
+@pytest.mark.parametrize("stall_after", [None, 300])
+def test_relax_writes_one_log_across_rounds(monkeypatch, stall_after):
+    # a cold rings-8 relax at kL^3/alpha = 900 takes 2 penalty rounds; with
+    # the Wolfe search stalled after 300 calls both rounds end in a secant
+    # finish
+    if stall_after is not None:
+        _stalling_search(monkeypatch, stall_after)
+    mesh, x0 = generate_disk_mesh(8, 1.2)
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
+    p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0)
+    stream = io.StringIO()
+    res = relax(mesh, x0, p, log_stream=stream)
+    assert res.penalty_rounds == 2 and res.converged
+    lines = stream.getvalue().strip().split("\n")
+    assert lines[0] == optimize._LOG_HEADER.strip()
+    assert sum(line.startswith("iteration") for line in lines) == 1
+    its = np.array([int(line.split(",")[0]) for line in lines[1:]])
+    assert its[0] == 0 and its[-1] == res.iterations
+    assert np.all(np.diff(its) > 0)
+
+
 def test_minimize_stays_failed_when_finish_falls_short(monkeypatch):
     mesh, x0, p, gtol = _stall_problem()
     _stalling_search(monkeypatch, 5)

@@ -13,12 +13,18 @@ from filmloop import saddle
 from filmloop.diffgeo import frenet_analyze, gauss_bonnet_defect, planarity
 from filmloop.mesh import validate_mesh
 
+from helpers import full_period_disk_integral
+
 
 def test_family_parameter_validation():
     with pytest.raises(ValueError):
         saddle.SaddleFamily(R=0.0, t=0.1)
     with pytest.raises(ValueError):
         saddle.SaddleFamily(R=1.0, t=1.5)
+    for R, t, field in ((np.nan, 0.1, "R"), (1.0, np.nan, "t"),
+                        (np.inf, 0.2, "R")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            saddle.SaddleFamily(R=R, t=t)
     saddle.SaddleFamily(R=1.0, t=-1.0)       # endpoints are allowed
 
 
@@ -131,6 +137,18 @@ def test_int_abs_kn_quarters_are_resolved(monkeypatch, t):
     q64 = saddle.int_abs_kn_quadrature(fam)
     monkeypatch.setattr(saddle, "KN_QUARTER_NODES", 256)
     assert abs(q64 - saddle.int_abs_kn_quadrature(fam)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, 0.12, 0.44, 0.71, 0.87, 0.95])
+def test_disk_quarter_matches_full_period(monkeypatch, t):
+    # the symmetric quarter reproduces the full-period trapezoid sum up to
+    # summation order
+    fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
+    quarter = (saddle.area_quadrature(fam), saddle.int_K_quadrature(fam))
+    monkeypatch.setattr(saddle, "_disk_integral", full_period_disk_integral)
+    full = (saddle.area_quadrature(fam), saddle.int_K_quadrature(fam))
+    for q, ref in zip(quarter, full):
+        assert abs(q - ref) <= 2e-15 * max(abs(ref), 1.0)
 
 
 def test_circle_limit_quadratures():
