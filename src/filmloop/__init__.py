@@ -1,13 +1,14 @@
 """Soap films spanning inextensible elastic loops.
 
-Discrete bending + spring energies on triangulated disks, conjugate-gradient
-relaxation, boundary curvature analysis, closed-form stability thresholds for
-the flat circular state, a one-parameter twisted-saddle trial family, and a
+Discrete bending + spring energies on triangulated disks, relaxation by
+limited-memory BFGS started from a circulant boundary preconditioner,
+boundary curvature analysis, closed-form stability thresholds for the flat
+circular state, a one-parameter twisted-saddle trial family, and a
 continuation driver that sweeps the dimensionless tension and records the
 resulting bifurcation diagram.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .mesh import TriMesh, generate_disk_mesh, validate_mesh
 from .energy import EnergyParams, EnergyBreakdown, energy, energy_and_gradient

@@ -138,6 +138,7 @@ def cmd_relax(args):
     summary = {
         "k_l3_alpha": args.kl3a, "gamma": SIGMA_PER_SPRING_K * args.kl3a,
         "status": res.status, "iterations": res.iterations,
+        "function_evals": res.function_evals,
         "energy_total": res.energy.total,
         "boundary_length": res.energy.boundary_length,
         "length_rel_err": res.length_error,

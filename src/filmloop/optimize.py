@@ -1,27 +1,34 @@
-"""Energy minimization by nonlinear conjugate gradient.
+"""Energy minimization by limited-memory BFGS.
 
-Polak-Ribiere(+) directions with a strong-Wolfe cubic-interpolation line
-search (constants WOLFE_C1, WOLFE_C2), a steepest-descent restart every
-RESTART_INTERVAL iterations, and a scale-aware gradient tolerance:
+L-BFGS directions (Nocedal, Math. Comp. 35 (1980) 773; Liu & Nocedal,
+Math. Prog. 45 (1989) 503): the two-loop recursion over the last
+LBFGS_MEMORY step / gradient-change pairs, started from the preconditioner
+below, with a strong-Wolfe cubic-interpolation line search (constants
+WOLFE_C1, WOLFE_C2) that first tries the unit step, and a scale-aware
+gradient tolerance:
 
     converged  iff  ||g||_inf <= gradient_tolerance * (spring_k * L + alpha / L^2)
 
-so the stopping rule is invariant under rescaling the energy unit.  A failed
-line search retries once from steepest descent; if it fails again, the
-iterate is finished on the same CG loop by a gradient-only secant step (at
+so the stopping rule is invariant under rescaling the energy unit.  A
+direction that does not descend, or a failed line search, clears the memory
+and retries from preconditioned steepest descent; if the search fails again,
+the iterate is finished on the same loop by a gradient-only secant step (at
 most FINISH_ITERATIONS iterations), since a Wolfe search cannot resolve
 energy decreases below the rounding level of the energy.  The solve is
 converged only if that finish reaches the tolerance; otherwise the Wolfe
 iterate is returned with status line_search_failed.  Non-finite energies or
 gradients abort with NumericalError.  MinimizeOptions holds the two
-settings a caller may change: max_iterations and gradient_tolerance.
+settings a caller may change: max_iterations and gradient_tolerance.  A
+result's function_evals counts every energy_and_gradient call of the solve.
 
 The vertex-wise bending stiffness grows like alpha / spacing^3, so at fine
-boundary resolution the Hessian spectrum spans six or more decades and
-plain CG stalls.  minimize() therefore preconditions (make_preconditioner)
-with the exact inverse of a circulant bending + edge-penalty operator along
+boundary resolution the Hessian spectrum spans six or more decades.
+minimize() therefore starts the L-BFGS recursion from the inverse
+(make_preconditioner) of a circulant bending + edge-penalty operator along
 the boundary loop and the spring-graph diagonal elsewhere, built from the
 starting configuration; convergence is still judged on the raw gradient.
+That operator is already the problem's stiffness, so it is used unscaled:
+the textbook scaling s.y / y.M^{-1}y would apply it a second time.
 
 relax() holds the boundary length with an augmented Lagrangian (Nocedal &
 Wright, Numerical Optimization, ch. 17): between rounds the length
@@ -36,12 +43,13 @@ Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
 half-width KICK_AMPLITUDE.
 
-polish() continues from a minimized state on the same CG loop with the
+polish() continues from a minimized state on the same L-BFGS loop with the
 secant step in place of the Wolfe search, for use when residuals below the
 energy-difference resolution of the Wolfe search are needed (near-exact
 planarity, curvature cancellation checks).
 """
 
+import collections
 import dataclasses
 import logging
 import numbers
@@ -61,11 +69,12 @@ class NumericalError(RuntimeError):
     """Energy or gradient became non-finite during minimization."""
 
 
-# strong-Wolfe constants (sufficient decrease, curvature) and the number of
-# CG iterations between forced steepest-descent restarts
+# strong-Wolfe constants (sufficient decrease, curvature; the usual
+# quasi-Newton values, Nocedal & Wright sec. 3.1) and the number of (s, y)
+# pairs the L-BFGS directions remember
 WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.1
-RESTART_INTERVAL = 200
+WOLFE_C2 = 0.9
+LBFGS_MEMORY = 8
 
 # relative boundary-length error a relaxed state must reach
 LENGTH_TOL = 1e-3
@@ -115,6 +124,7 @@ class MinimizeResult:
     energy_history: np.ndarray
     params: object = None            # EnergyParams of the last penalty round
     penalty_rounds: int = 0
+    function_evals: int = 0          # energy_and_gradient calls of the solve
     length_error: float = 0.0
     line_tension: float = 0.0        # beta, the length constraint's multiplier
 
@@ -134,19 +144,46 @@ def _check_finite(f, g):
         raise NumericalError("non-finite energy or gradient")
 
 
+class _Objective:
+    """fun(x) -> (total energy, gradient) of the mesh energy, checked finite;
+    counts its energy_and_gradient calls in evals and keeps the latest
+    breakdown in last."""
+
+    def __init__(self, mesh, params):
+        self.mesh, self.params = mesh, params
+        self.evals = 0
+        self.last = None
+
+    def __call__(self, x):
+        fb, g = energy_and_gradient(self.mesh, x, self.params)
+        self.evals += 1
+        _check_finite(fb.total, g)
+        self.last = fb
+        return fb.total, g
+
+    def breakdown(self, x):
+        """The EnergyBreakdown at x, counted as one more call."""
+        self.evals += 1
+        return energy_and_gradient(self.mesh, x, self.params)[0]
+
+
 def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
                       minv=None, search=None):
-    """Conjugate-gradient core on a generic objective fun(x) -> (value, grad).
+    """Limited-memory BFGS core on a generic objective fun(x) -> (value, grad).
 
-    Polak-Ribiere(+) directions; stops when the raw gradient infinity norm
-    reaches gtol_abs.  minv, when given, is a callable g -> M^{-1} g applying
-    a positive-definite inverse preconditioner: directions use minv(g) and
-    the PR+ numerator and denominator use the preconditioned inner product.
-    search(x, d, f, dphi0, fresh) -> (x, f, g) or None steps along d, fresh
-    meaning d was just reset to steepest descent; by default the strong-Wolfe
-    search, whose first trial after a reset moves 0.01 * step_scale.
-    callback(it, x, f, ginf) runs per accepted iterate.  Returns
-    (x, f, grad, iterations, status, f_history, ginf_history).
+    Directions come from the two-loop recursion over the last LBFGS_MEMORY
+    pairs (s, y) = (step, gradient change), pairs with s.y <= 0 skipped;
+    stops when the raw gradient infinity norm reaches gtol_abs.  minv, when
+    given, is a callable g -> M^{-1} g applying a positive-definite inverse
+    preconditioner, used unscaled as the recursion's starting inverse
+    Hessian (the identity without it).  search(x, d, f, dphi0, fresh) ->
+    (x, f, g) or None steps along d, fresh meaning the memory is empty; by
+    default the strong-Wolfe search, whose first trial is the unit step, or
+    0.01 * step_scale when fresh.  A direction that does not descend, or a
+    first stalled search, clears the memory; a search that stalls with an
+    empty memory ends the solve.  callback(it, x, f, ginf) runs per
+    accepted iterate.  Returns (x, f, grad, iterations, status, f_history,
+    ginf_history).
     """
     apply_minv = minv if minv is not None else (lambda g: g)
     if search is None:
@@ -155,17 +192,13 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     x = np.array(x0, dtype=float)
     f, g = fun(x)
     _check_finite(f, g)
-    z = apply_minv(g)                       # preconditioned gradient
-    d = -z
-    gz = float(g.ravel() @ z.ravel())
+    memory = collections.deque(maxlen=LBFGS_MEMORY)    # (s, y, 1 / s.y)
 
     ghist = [float(np.max(np.abs(g)))]
     fhist = [f]
     if callback is not None:
         callback(0, x, f, ghist[-1])
 
-    fresh = True
-    just_reset = False
     it = 0
     while True:
         if ghist[-1] <= gtol_abs:
@@ -175,34 +208,30 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
             status = "max_iterations"
             break
 
-        dphi0 = float(g.ravel() @ d.ravel())
+        d = _two_loop(g, memory, apply_minv)
+        dphi0 = float(np.vdot(g, d))
         if dphi0 >= 0.0:                    # not a descent direction, reset
-            d = -z
-            dphi0 = -gz
-            fresh = True
+            memory.clear()
+            d = -apply_minv(g)
+            dphi0 = float(np.vdot(g, d))
 
-        step = search(x, d, f, dphi0, fresh)
+        step = search(x, d, f, dphi0, not memory)
         if step is None:
-            if not just_reset:
-                # retry once from steepest descent with a fresh step size
+            if memory:
+                # retry once from preconditioned steepest descent
                 logger.debug("line search stalled at iteration %d", it)
-                d = -z
-                fresh = just_reset = True
+                memory.clear()
                 continue
             status = "line_search_failed"
             logger.debug("line search failed at iteration %d", it)
             break
-        fresh = just_reset = False
-        x, f, g = step
-
-        z_new = apply_minv(g)
-        g_flat = g.ravel()
-        beta = max(0.0, float((z_new - z).ravel() @ g_flat) / gz)
-        z, gz = z_new, float(g_flat @ z_new.ravel())
+        x_new, f, g_new = step
+        s, y = x_new - x, g_new - g
+        sy = float(np.vdot(s, y))
+        if sy > 0.0:
+            memory.append((s, y, 1.0 / sy))
+        x, g = x_new, g_new
         it += 1
-        if it % RESTART_INTERVAL == 0:
-            beta = 0.0
-        d = -z + beta * d
 
         ghist.append(float(np.max(np.abs(g))))
         fhist.append(f)
@@ -212,26 +241,33 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     return x, f, g, it, status, np.array(fhist), np.array(ghist)
 
 
+def _two_loop(g, memory, apply_minv):
+    """L-BFGS direction -H g by the two-loop recursion (Nocedal & Wright,
+    Alg. 7.4) with starting inverse Hessian apply_minv."""
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * float(np.vdot(s, q))
+        q -= a * y
+        alphas.append(a)
+    r = apply_minv(q)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        r += (a - rho * float(np.vdot(y, r))) * s
+    return -r
+
+
 def _wolfe_step(fun, step_scale):
-    """Default step of minimize_function: the strong-Wolfe search, first
-    trial scaled from the previous accepted step unless fresh."""
-    prev = None                             # (accepted step, its dphi0)
+    """Default step of minimize_function: the strong-Wolfe search from the
+    unit step, or from a move of 0.01 * step_scale when fresh."""
 
     def search(x, d, f, dphi0, fresh):
-        nonlocal prev
+        a0 = 1.0
         if fresh:
             # move a small fraction of the problem length scale
-            dnorm = float(np.linalg.norm(d.ravel()))
-            a0 = 0.01 * step_scale / max(dnorm, 1e-300)
-        else:
-            a, dphi_prev = prev
-            a0 = float(np.clip(a * dphi_prev / dphi0, 1e-14 * a, 1e4 * a))
+            a0 = 0.01 * step_scale / max(float(np.linalg.norm(d.ravel())),
+                                         1e-300)
         ls = _wolfe_search(fun, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
-        if ls is None:
-            return None
-        a, x_new, f_new, g_new, _ = ls
-        prev = (a, dphi0)
-        return x_new, f_new, g_new
+        return None if ls is None else ls[1:4]
 
     return search
 
@@ -341,27 +377,21 @@ def _minimize(mesh, x0, params, opts, log_row):
     gtol = opts.gradient_tolerance * gscale
 
     # The line search always returns the most recently evaluated point, so
-    # this cell holds the breakdown matching each accepted iterate.
-    last_fb = [None]
-
-    def fun(xc):
-        fb, g = energy_and_gradient(mesh, xc, params)
-        _check_finite(fb.total, g)
-        last_fb[0] = fb
-        return fb.total, g
+    # fun.last holds the breakdown matching each accepted iterate.
+    fun = _Objective(mesh, params)
 
     log_cb = None
     if log_row is not None:
 
         def log_cb(it, x, f, ginf):
-            log_row(it, f, ginf, abs(last_fb[0].boundary_length - L))
+            log_row(it, f, ginf, abs(fun.last.boundary_length - L))
 
     minv = make_preconditioner(mesh, x, params)
     x_fin, f_fin, g_fin, it, status, fhist, ghist = minimize_function(
         fun, x, opts, gtol, step_scale=L, callback=log_cb, minv=minv)
     if status == "line_search_failed":
         # the Wolfe search hit its energy-resolution floor: finish on the
-        # same CG loop with the gradient-only secant step, as polish does
+        # same loop with the gradient-only secant step, as polish does
         it0 = it
 
         def finish_cb(k, xk, f, ginf):
@@ -377,11 +407,11 @@ def _minimize(mesh, x0, params, opts, log_row):
         ghist = np.concatenate([ghist, gh[1:]])
         if sec_status == "converged":
             x_fin, status = x_sec, sec_status
-    fb_fin, _ = energy_and_gradient(mesh, x_fin, params)
+    fb_fin = fun.breakdown(x_fin)
     return MinimizeResult(
         x=x_fin, energy=fb_fin, iterations=it, converged=(status == "converged"),
         status=status, gradient_norm_history=ghist, energy_history=fhist,
-        params=params, penalty_rounds=0,
+        params=params, penalty_rounds=0, function_evals=fun.evals,
         length_error=abs(fb_fin.boundary_length - L) / L,
         line_tension=_line_tension(mesh, fb_fin, params))
 
@@ -494,7 +524,7 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
         p = replace(p, edge_penalty_k=100.0 * stiffness)
 
     x = np.array(x0, dtype=float)
-    total_iters = 0
+    total_iters = total_evals = 0
     log_row = None
     if log_stream is not None:
         write_row = _log_writer(log_stream)
@@ -507,6 +537,7 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
     for rnd in range(1, max_rounds + 1):
         res = _minimize(mesh, x, p, opts, log_row)
         total_iters += res.iterations
+        total_evals += res.function_evals
         x = res.x
         err = res.length_error
         logger.debug("penalty round %d: length error %.3g, status %s",
@@ -522,6 +553,7 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
         prev_err = err
 
     res.iterations = total_iters
+    res.function_evals = total_evals
     res.penalty_rounds = rnd
     return res
 
@@ -533,18 +565,13 @@ def polish(mesh, x0, params, iterations=400):
     energy decrease falls below machine epsilon times the energy, which
     leaves displacement residuals of order sqrt(eps).  Gradient components
     are plain sums with no such cancellation floor, so within the quadratic
-    basin the preconditioned CG loop of minimize_function, stepping by a
-    single secant step on the directional derivative, keeps converging down
-    to the gradient rounding level.  Returns the iterate with the smallest
+    basin the preconditioned L-BFGS loop of minimize_function, stepping by
+    a single secant step on the directional derivative, keeps converging
+    down to the gradient rounding level.  Returns the iterate with the smallest
     gradient infinity norm encountered; status is "polished", and converged
     means that norm fell strictly below the entry norm.
     """
-
-    def fun(xc):
-        fb, g = energy_and_gradient(mesh, xc, params)
-        _check_finite(fb.total, g)
-        return fb.total, g
-
+    fun = _Objective(mesh, params)
     best = [None, np.inf]                   # (x, ||g||_inf) of the best iterate
 
     def keep_best(it, x, f, ginf):
@@ -556,11 +583,11 @@ def polish(mesh, x0, params, iterations=400):
         fun, x, MinimizeOptions(max_iterations=iterations), gtol_abs=0.0,
         callback=keep_best, minv=make_preconditioner(mesh, x, params),
         search=_secant_step(fun, params.target_length))
-    fb, _ = energy_and_gradient(mesh, best[0], params)
+    fb = fun.breakdown(best[0])
     return MinimizeResult(
         x=best[0], energy=fb, iterations=len(ghist) - 1,
         converged=bool(best[1] < ghist[0]), status="polished",
         gradient_norm_history=ghist, energy_history=np.array([fb.total]),
-        params=params, penalty_rounds=0,
+        params=params, penalty_rounds=0, function_evals=fun.evals,
         length_error=abs(fb.boundary_length - params.target_length) / params.target_length,
         line_tension=_line_tension(mesh, fb, params))

@@ -128,6 +128,7 @@ class SweepPoint:
     gauss_bonnet: float
     self_intersections: int
     iterations: int
+    function_evals: int          # energy_and_gradient calls of the relax
     penalty_rounds: int
     seed: int
     converged: int
@@ -197,7 +198,8 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a,
         dominant_mode=dom, mode2_amp=mode2,
         gauss_bonnet=gauss_bonnet_defect(mesh, res.x),
         self_intersections=count_self_intersections(mesh, res.x),
-        iterations=res.iterations, penalty_rounds=res.penalty_rounds,
+        iterations=res.iterations, function_evals=res.function_evals,
+        penalty_rounds=res.penalty_rounds,
         seed=seed, converged=int(res.converged and res.length_error < LENGTH_TOL),
         status=res.status)
     return point, res
@@ -512,9 +514,12 @@ def read_diagram_csv(path):
 
 
 def _header_mismatch(header):
-    """Names the first column where header departs from CSV_COLUMNS."""
+    """Names the first column where header departs from CSV_COLUMNS, as
+    missing when the header lacks it altogether."""
     for got, want in zip(header, CSV_COLUMNS):
         if got != want:
+            if want not in header:
+                return f"diagram column {want!r} missing"
             return f"unexpected diagram column {got!r} where {want!r} belongs"
     if len(header) > len(CSV_COLUMNS):
         return f"unexpected diagram column {header[len(CSV_COLUMNS)]!r}"
@@ -531,8 +536,17 @@ def write_manifest(path, schedule):
 
 
 def read_manifest(path):
-    """Load a manifest (or plain config) back into a SweepSchedule."""
+    """Load a manifest (or plain config) back into a SweepSchedule.
+
+    A manifest reruns bit for bit only under the filmloop version that wrote
+    it, so one whose version differs is a ValueError naming both.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    cfg = doc.get("config", doc) if isinstance(doc, dict) else doc
-    return SweepSchedule.from_dict(cfg)
+    if isinstance(doc, dict) and "config" in doc:
+        if doc.get("version") != __version__:
+            raise ValueError(f"{path}: manifest written by filmloop "
+                             f"{doc.get('version')!r}, this is "
+                             f"{__version__!r}")
+        doc = doc["config"]
+    return SweepSchedule.from_dict(doc)

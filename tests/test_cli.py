@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == filmloop.__version__
+
+
+def test_pyproject_version_matches_package():
+    pyproject = Path(filmloop.__file__).parents[2] / "pyproject.toml"
+    version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
+                        re.MULTILINE).group(1)
+    assert version == filmloop.__version__
 
 
 def test_usage_errors_exit_one():
@@ -73,6 +81,7 @@ def test_relax_command_summary(tmp_path, capsys):
     assert (out / "boundary.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
+    assert summary["function_evals"] > summary["iterations"] > 0
     assert summary["k_l3_alpha"] == 30.0
     assert summary["gamma"] == SIGMA_PER_SPRING_K * 30.0
     assert summary["planarity"] < 1e-4            # well below any onset
@@ -94,6 +103,24 @@ def test_sweep_command_and_manifest_rerun(tmp_path, capsys):
     assert rc == 0
     assert ((out1 / "diagram.csv").read_bytes()
             == (out2 / "diagram.csv").read_bytes())
+
+
+def test_sweep_manifest_of_another_version_exits_one(tmp_path, capsys):
+    # a manifest from another filmloop version is refused before any solve;
+    # the same config without the manifest wrapper runs
+    cfg = {"values": [20.0, 40.0, 60.0], "rings": 4}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"command": "sweep", "version": "0.1.0",
+                               "config": cfg}))
+    assert main(["sweep", "--config", str(old),
+                 "--out", str(tmp_path / "old")]) == 1
+    err = capsys.readouterr().err
+    assert "'0.1.0'" in err and repr(filmloop.__version__) in err
+    assert "Traceback" not in err and not (tmp_path / "old").exists()
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(plain),
+                 "--out", str(tmp_path / "plain")]) == 0
 
 
 def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
@@ -205,7 +232,8 @@ def _write_fit_csv(path, n):
             line_tension=-15.0, mean_abs_kn=a, int_abs_kn=a, int_K=2.5 - 0.003 * g, mean_K=0.0,
             area=0.08, planarity=0.05, dominant_mode=2, mode2_amp=0.01,
             gauss_bonnet=1e-12, self_intersections=0, iterations=100,
-            penalty_rounds=1, seed=i, converged=1, status="converged"))
+            function_evals=120, penalty_rounds=1, seed=i, converged=1,
+            status="converged"))
     write_diagram_csv(path, BifurcationDiagram(points=points))
 
 

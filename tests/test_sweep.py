@@ -5,10 +5,12 @@ checked for byte-level rerun determinism.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import filmloop
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.mesh import TriMesh, generate_disk_mesh
 from filmloop import sweep
@@ -33,7 +35,8 @@ def make_point(**over):
                 int_abs_kn=0.0, int_K=0.0, mean_K=0.0, area=1.0 / (4 * np.pi),
                 planarity=1e-9, dominant_mode=6, mode2_amp=0.0,
                 gauss_bonnet=1e-12, self_intersections=0, iterations=100,
-                penalty_rounds=1, seed=0, converged=1, status="converged")
+                function_evals=120, penalty_rounds=1, seed=0, converged=1,
+                status="converged")
     base.update(over)
     return SweepPoint(**base)
 
@@ -291,6 +294,19 @@ def test_diagram_csv_rejects_spring_k_header(tmp_path):
         read_diagram_csv(path)
 
 
+def test_diagram_csv_rejects_header_without_function_evals(tmp_path):
+    # diagrams written before the evaluation counter lack its column
+    path = tmp_path / "old.csv"
+    write_diagram_csv(path, BifurcationDiagram(points=[make_point()]))
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("function_evals")
+    old = [",".join(c for i, c in enumerate(line.split(",")) if i != col)
+           for line in lines]
+    path.write_text("\n".join(old) + "\n")
+    with pytest.raises(ValueError, match="'function_evals' missing"):
+        read_diagram_csv(path)
+
+
 def test_manifest_roundtrip(tmp_path):
     schedule = SweepSchedule(values=np.array([20.0, 40.0, 60.0]), rings=4,
                              elongation=1.2, base_seed=3,
@@ -300,6 +316,28 @@ def test_manifest_roundtrip(tmp_path):
     back = read_manifest(path)
     assert back.to_dict() == schedule.to_dict()
     assert back.options.max_iterations == 777
+
+
+def test_manifest_of_another_version_is_rejected(tmp_path):
+    # a manifest promises a bit-for-bit rerun only under the version that
+    # wrote it; a plain config carries no version and still loads
+    schedule = SweepSchedule(values=np.array([20.0, 40.0]), rings=4)
+    path = tmp_path / "manifest.json"
+    write_manifest(path, schedule)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == filmloop.__version__
+    for version in ("0.1.0", None):
+        path.write_text(json.dumps(dict(doc, version=version)))
+        with pytest.raises(ValueError) as exc:
+            read_manifest(path)
+        assert repr(version) in str(exc.value)
+        assert repr(filmloop.__version__) in str(exc.value)
+    del doc["version"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="None"):
+        read_manifest(path)
+    path.write_text(json.dumps(doc["config"]))
+    assert read_manifest(path).to_dict() == schedule.to_dict()
 
 
 def test_schedule_validation():
@@ -336,6 +374,10 @@ def test_run_sweep_records_schedule_columns(tmp_path):
     assert all(diagram.column("converged"))
     assert np.all(diagram.column("length_rel_err") < 1e-3)
     assert np.all(diagram.column("planarity") < 1e-3)   # far below any onset
+    # at least one evaluation per iterate, plus each round's start and end
+    assert np.all(diagram.column("function_evals")
+                  >= diagram.column("iterations")
+                  + 2 * diagram.column("penalty_rounds"))
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
