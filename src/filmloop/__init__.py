@@ -8,12 +8,11 @@ continuation driver that sweeps the dimensionless tension and records the
 resulting bifurcation diagram.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .mesh import TriMesh, generate_disk_mesh, validate_mesh
 from .energy import EnergyParams, EnergyBreakdown, energy, energy_and_gradient
-from .optimize import (MinimizeOptions, MinimizeResult, minimize, perturb,
-                       polish, relax)
+from .optimize import MinimizeOptions, MinimizeResult, minimize, perturb, relax
 from .stability import disk_solution, second_order_coefficient, critical_gamma
 from .saddle import SaddleFamily, pitchfork_amplitude, gamma_star
 from .sweep import SweepSchedule, BifurcationDiagram, run_sweep, detect_transitions
@@ -21,8 +20,7 @@ from .sweep import SweepSchedule, BifurcationDiagram, run_sweep, detect_transiti
 __all__ = [
     "TriMesh", "generate_disk_mesh", "validate_mesh",
     "EnergyParams", "EnergyBreakdown", "energy", "energy_and_gradient",
-    "MinimizeOptions", "MinimizeResult", "minimize", "perturb", "polish",
-    "relax",
+    "MinimizeOptions", "MinimizeResult", "minimize", "perturb", "relax",
     "disk_solution", "second_order_coefficient", "critical_gamma",
     "SaddleFamily", "pitchfork_amplitude", "gamma_star",
     "SweepSchedule", "BifurcationDiagram", "run_sweep", "detect_transitions",

@@ -11,15 +11,17 @@ gradient tolerance:
 
 so the stopping rule is invariant under rescaling the energy unit.  A
 direction that does not descend, or a failed line search, clears the memory
-and retries from preconditioned steepest descent; if the search fails again,
-the iterate is finished on the same loop by a gradient-only secant step (at
-most FINISH_ITERATIONS iterations), since a Wolfe search cannot resolve
-energy decreases below the rounding level of the energy.  The solve is
-converged only if that finish reaches the tolerance; otherwise the Wolfe
-iterate is returned with status line_search_failed.  Non-finite energies or
-gradients abort with NumericalError.  MinimizeOptions holds the two
-settings a caller may change: max_iterations and gradient_tolerance.  A
-result's function_evals counts every energy_and_gradient call of the solve.
+and retries from preconditioned steepest descent.  If the search fails again,
+the Wolfe search has hit its energy-resolution floor (it cannot resolve
+energy decreases below the rounding level of the energy), and the same loop
+goes on with a gradient-only secant step for at most FINISH_ITERATIONS more
+iterations: one solve, one loop, one history and one iteration count.  The
+solve is converged only if that finish reaches the tolerance; otherwise the
+Wolfe iterate is returned with status line_search_failed.  Non-finite
+energies or gradients abort with NumericalError.  MinimizeOptions holds the
+two settings a caller may change: max_iterations and gradient_tolerance.  A
+result's function_evals counts every energy_and_gradient call of the solve,
+and its energy is the breakdown computed when its iterate was accepted.
 
 The vertex-wise bending stiffness grows like alpha / spacing^3, so at fine
 boundary resolution the Hessian spectrum spans six or more decades.
@@ -42,11 +44,6 @@ the length constraint's multiplier.
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
 half-width KICK_AMPLITUDE.
-
-polish() continues from a minimized state on the same L-BFGS loop with the
-secant step in place of the Wolfe search, for use when residuals below the
-energy-difference resolution of the Wolfe search are needed (near-exact
-planarity, curvature cancellation checks).
 """
 
 import collections
@@ -120,8 +117,6 @@ class MinimizeResult:
     iterations: int
     converged: bool
     status: str                      # converged | max_iterations | line_search_failed
-    gradient_norm_history: np.ndarray
-    energy_history: np.ndarray
     params: object = None            # EnergyParams of the last penalty round
     penalty_rounds: int = 0
     function_evals: int = 0          # energy_and_gradient calls of the solve
@@ -144,31 +139,31 @@ def _check_finite(f, g):
         raise NumericalError("non-finite energy or gradient")
 
 
+class _Total(float):
+    """A total energy that carries its EnergyBreakdown as parts."""
+
+
 class _Objective:
     """fun(x) -> (total energy, gradient) of the mesh energy, checked finite;
-    counts its energy_and_gradient calls in evals and keeps the latest
-    breakdown in last."""
+    the total is a _Total, so whichever iterate minimize_function returns
+    brings the breakdown computed when it was accepted.  Counts its
+    energy_and_gradient calls in evals."""
 
     def __init__(self, mesh, params):
         self.mesh, self.params = mesh, params
         self.evals = 0
-        self.last = None
 
     def __call__(self, x):
         fb, g = energy_and_gradient(self.mesh, x, self.params)
         self.evals += 1
         _check_finite(fb.total, g)
-        self.last = fb
-        return fb.total, g
-
-    def breakdown(self, x):
-        """The EnergyBreakdown at x, counted as one more call."""
-        self.evals += 1
-        return energy_and_gradient(self.mesh, x, self.params)[0]
+        f = _Total(fb.total)
+        f.parts = fb
+        return f, g
 
 
 def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
-                      minv=None, search=None):
+                      minv=None):
     """Limited-memory BFGS core on a generic objective fun(x) -> (value, grad).
 
     Directions come from the two-loop recursion over the last LBFGS_MEMORY
@@ -176,18 +171,20 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     stops when the raw gradient infinity norm reaches gtol_abs.  minv, when
     given, is a callable g -> M^{-1} g applying a positive-definite inverse
     preconditioner, used unscaled as the recursion's starting inverse
-    Hessian (the identity without it).  search(x, d, f, dphi0, fresh) ->
-    (x, f, g) or None steps along d, fresh meaning the memory is empty; by
-    default the strong-Wolfe search, whose first trial is the unit step, or
-    0.01 * step_scale when fresh.  A direction that does not descend, or a
-    first stalled search, clears the memory; a search that stalls with an
-    empty memory ends the solve.  callback(it, x, f, ginf) runs per
-    accepted iterate.  Returns (x, f, grad, iterations, status, f_history,
-    ginf_history).
+    Hessian (the identity without it).  Steps come from the strong-Wolfe
+    search, whose first trial is the unit step, or 0.01 * step_scale when
+    the memory is empty.  A direction that does not descend, or a first
+    stalled search, clears the memory.  A search that stalls with an empty
+    memory switches the loop to the secant step for at most
+    FINISH_ITERATIONS more iterations; if those do not converge, the
+    iterate where the search stalled is returned with status
+    line_search_failed.  callback(it, x, f, ginf) runs per accepted
+    iterate.  Returns (x, f, grad, iterations, status, f_history,
+    ginf_history); f is the value fun returned at x, and the histories and
+    iterations count the finish.
     """
     apply_minv = minv if minv is not None else (lambda g: g)
-    if search is None:
-        search = _wolfe_step(fun, step_scale)
+    search = _wolfe_step(fun, step_scale)
 
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -199,13 +196,15 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     if callback is not None:
         callback(0, x, f, ghist[-1])
 
-    it = 0
+    it, limit = 0, opts.max_iterations
+    stalled = None                  # (x, f, g) where the Wolfe search stalled
     while True:
         if ghist[-1] <= gtol_abs:
             status = "converged"
             break
-        if it >= opts.max_iterations:
-            status = "max_iterations"
+        if it >= limit:
+            status = ("max_iterations" if stalled is None
+                      else "line_search_failed")
             break
 
         d = _two_loop(g, memory, apply_minv)
@@ -222,9 +221,13 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
                 logger.debug("line search stalled at iteration %d", it)
                 memory.clear()
                 continue
-            status = "line_search_failed"
+            # the Wolfe search hit its energy-resolution floor: finish with
+            # the gradient-only secant step
             logger.debug("line search failed at iteration %d", it)
-            break
+            stalled = x, f, g
+            search = _secant_step(fun, step_scale)
+            limit = it + FINISH_ITERATIONS
+            continue
         x_new, f, g_new = step
         s, y = x_new - x, g_new - g
         sy = float(np.vdot(s, y))
@@ -238,6 +241,8 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
         if callback is not None:
             callback(it, x, f, ghist[-1])
 
+    if status == "line_search_failed":
+        x, f, g = stalled
     return x, f, g, it, status, np.array(fhist), np.array(ghist)
 
 
@@ -257,8 +262,8 @@ def _two_loop(g, memory, apply_minv):
 
 
 def _wolfe_step(fun, step_scale):
-    """Default step of minimize_function: the strong-Wolfe search from the
-    unit step, or from a move of 0.01 * step_scale when fresh."""
+    """Strong-Wolfe step of minimize_function, from the unit step, or from a
+    move of 0.01 * step_scale when fresh (the memory is empty)."""
 
     def search(x, d, f, dphi0, fresh):
         a0 = 1.0
@@ -273,9 +278,12 @@ def _wolfe_step(fun, step_scale):
 
 
 def _secant_step(fun, step_scale):
-    """Gradient-only step of minimize_function: one probe along d, then the
-    secant minimizer of the directional derivative, clipped to within 1e3 of
-    the previous step; the first step moves 0.01 * step_scale."""
+    """Gradient-only step that finishes a stalled minimize_function solve:
+    one probe along d, then the secant minimizer of the directional
+    derivative, clipped to within 1e3 of the previous step; the first step
+    moves 0.01 * step_scale.  Gradients are plain sums with no cancellation
+    floor, so within the quadratic basin it keeps converging to the
+    gradient rounding level."""
     a_prev = None                           # survives descent resets
 
     def search(x, d, f, dphi0, fresh):
@@ -357,7 +365,7 @@ def minimize(mesh, x0, params, opts=None, log_stream=None):
     """Minimize the discrete energy from x0; deterministic for fixed inputs.
 
     A solve whose Wolfe search stalls is finished by the secant step (see
-    the module docstring); its iterations and histories count the finish.
+    the module docstring); its iterations and log count the finish.
     log_stream, when given, receives a CSV header and one row per iteration.
     """
     return _minimize(mesh, x0, params, opts,
@@ -376,42 +384,21 @@ def _minimize(mesh, x0, params, opts, log_row):
         gscale = 1.0
     gtol = opts.gradient_tolerance * gscale
 
-    # The line search always returns the most recently evaluated point, so
-    # fun.last holds the breakdown matching each accepted iterate.
-    fun = _Objective(mesh, params)
-
     log_cb = None
     if log_row is not None:
 
         def log_cb(it, x, f, ginf):
-            log_row(it, f, ginf, abs(fun.last.boundary_length - L))
+            log_row(it, f, ginf, abs(f.parts.boundary_length - L))
 
-    minv = make_preconditioner(mesh, x, params)
-    x_fin, f_fin, g_fin, it, status, fhist, ghist = minimize_function(
-        fun, x, opts, gtol, step_scale=L, callback=log_cb, minv=minv)
-    if status == "line_search_failed":
-        # the Wolfe search hit its energy-resolution floor: finish on the
-        # same loop with the gradient-only secant step, as polish does
-        it0 = it
-
-        def finish_cb(k, xk, f, ginf):
-            if k and log_cb is not None:
-                log_cb(it0 + k, xk, f, ginf)
-
-        x_sec, _, _, k, sec_status, fh, gh = minimize_function(
-            fun, x_fin, MinimizeOptions(max_iterations=FINISH_ITERATIONS),
-            gtol, callback=finish_cb, minv=minv,
-            search=_secant_step(fun, L))
-        it += k
-        fhist = np.concatenate([fhist, fh[1:]])
-        ghist = np.concatenate([ghist, gh[1:]])
-        if sec_status == "converged":
-            x_fin, status = x_sec, sec_status
-    fb_fin = fun.breakdown(x_fin)
+    fun = _Objective(mesh, params)
+    x_fin, f_fin, _, it, status, *_ = minimize_function(
+        fun, x, opts, gtol, step_scale=L, callback=log_cb,
+        minv=make_preconditioner(mesh, x, params))
+    fb_fin = f_fin.parts
     return MinimizeResult(
         x=x_fin, energy=fb_fin, iterations=it, converged=(status == "converged"),
-        status=status, gradient_norm_history=ghist, energy_history=fhist,
-        params=params, penalty_rounds=0, function_evals=fun.evals,
+        status=status, params=params, penalty_rounds=0,
+        function_evals=fun.evals,
         length_error=abs(fb_fin.boundary_length - L) / L,
         line_tension=_line_tension(mesh, fb_fin, params))
 
@@ -557,37 +544,3 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
     res.penalty_rounds = rnd
     return res
 
-
-def polish(mesh, x0, params, iterations=400):
-    """Gradient-only refinement of an already minimized configuration.
-
-    A Wolfe search compares energies, so it stops resolving steps once the
-    energy decrease falls below machine epsilon times the energy, which
-    leaves displacement residuals of order sqrt(eps).  Gradient components
-    are plain sums with no such cancellation floor, so within the quadratic
-    basin the preconditioned L-BFGS loop of minimize_function, stepping by
-    a single secant step on the directional derivative, keeps converging
-    down to the gradient rounding level.  Returns the iterate with the smallest
-    gradient infinity norm encountered; status is "polished", and converged
-    means that norm fell strictly below the entry norm.
-    """
-    fun = _Objective(mesh, params)
-    best = [None, np.inf]                   # (x, ||g||_inf) of the best iterate
-
-    def keep_best(it, x, f, ginf):
-        if ginf < best[1]:
-            best[:] = x, ginf
-
-    x = np.array(x0, dtype=float)
-    *_, ghist = minimize_function(
-        fun, x, MinimizeOptions(max_iterations=iterations), gtol_abs=0.0,
-        callback=keep_best, minv=make_preconditioner(mesh, x, params),
-        search=_secant_step(fun, params.target_length))
-    fb = fun.breakdown(best[0])
-    return MinimizeResult(
-        x=best[0], energy=fb, iterations=len(ghist) - 1,
-        converged=bool(best[1] < ghist[0]), status="polished",
-        gradient_norm_history=ghist, energy_history=np.array([fb.total]),
-        params=params, penalty_rounds=0, function_evals=fun.evals,
-        length_error=abs(fb.boundary_length - params.target_length) / params.target_length,
-        line_tension=_line_tension(mesh, fb, params))

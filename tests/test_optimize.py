@@ -1,7 +1,8 @@
 """Optimizer behavior: L-BFGS core on a quadratic oracle, mesh relaxation,
 the augmented-Lagrangian length constraint and its line tension,
-determinism, evaluation counts and budget, the secant finish of a stalled
-search, and the gradient-only polish stage.
+determinism, evaluation counts and budget, and the secant finish of a
+stalled Wolfe search on the same loop, down to tolerances below the search's
+energy resolution.
 """
 
 import io
@@ -9,13 +10,13 @@ import io
 import numpy as np
 import pytest
 
-from filmloop.energy import EnergyParams, energy_and_gradient
+from filmloop.energy import EnergyParams, energy, energy_and_gradient
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 from filmloop.diffgeo import planarity
 from filmloop import optimize
 from filmloop.optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
                                NumericalError, minimize, minimize_function,
-                               perturb, polish, relax)
+                               perturb, relax)
 from filmloop.stability import disk_solution
 
 
@@ -52,7 +53,10 @@ def test_cg_diagonal_preconditioner_agrees():
     assert np.abs(x - xstar).max() < 1e-8
 
 
-def test_energy_history_monotone():
+def test_energy_history_monotone(monkeypatch):
+    # the Wolfe phase only: the search stalls above this tolerance, and the
+    # secant finish that would follow does not compare energies
+    monkeypatch.setattr(optimize, "FINISH_ITERATIONS", 0)
     fun, _, _ = quadratic_problem(30, 5)
     opts = MinimizeOptions(max_iterations=300)
     *_, fh, gh = minimize_function(fun, np.zeros(30), opts, gtol_abs=1e-9)
@@ -247,6 +251,7 @@ def test_minimize_finishes_stalled_search(monkeypatch):
     assert np.abs(g).max() <= gtol
     assert res.iterations > 20
     assert len(stream.getvalue().strip().split("\n")) == res.iterations + 2
+    assert res.energy == energy(mesh, res.x, res.params)
 
 
 @pytest.mark.parametrize("stall_after", [None, 100])
@@ -284,6 +289,8 @@ def test_function_evals_counts_every_energy_call(monkeypatch, stall_after):
     res = _cold_rings8_relax()
     assert res.penalty_rounds == 2 and res.converged
     assert res.function_evals == calls[0]
+    mesh, _ = generate_disk_mesh(8, 1.2)
+    assert res.energy == energy(mesh, res.x, res.params)
 
 
 def test_cold_relax_evaluation_budget():
@@ -304,6 +311,8 @@ def test_minimize_stays_failed_when_finish_falls_short(monkeypatch):
     _, g = energy_and_gradient(mesh, res.x, p)
     assert res.status == "line_search_failed" and not res.converged
     assert np.abs(g).max() > gtol
+    # the Wolfe iterate comes back with the breakdown from its acceptance
+    assert res.energy == energy(mesh, res.x, res.params)
 
 
 def test_relax_needs_a_round():
@@ -362,30 +371,16 @@ def test_wolfe_debug_assertions_hold(monkeypatch):
     assert len(accepted) == res.iterations
 
 
-def test_polish_descends_past_wolfe_floor():
+def test_relax_finishes_below_wolfe_floor():
+    # a tolerance below the Wolfe search's energy resolution is reached by
+    # the secant finish on the same loop
     mesh, x0 = generate_disk_mesh(6)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     p = EnergyParams(alpha=1.0, spring_k=50.0, target_length=1.0)
     x0 = perturb(x0, KICK_AMPLITUDE, 0)
-    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
-    pol = polish(mesh, res.x, res.params, iterations=300)
-    # the entry point, a probe and a step per iteration, the best iterate
-    assert pol.function_evals == 2 * pol.iterations + 2
-    entry = pol.gradient_norm_history[0]
-    floor = pol.gradient_norm_history.min()
-    assert pol.status == "polished"
-    assert pol.converged
-    assert floor < 1e-3 * entry
-    assert planarity(mesh, pol.x) < 1e-12
-
-
-def test_polish_without_iterations_is_not_converged():
-    # converged means the best gradient norm fell strictly below the entry
-    # norm; with no iteration the best iterate is the entry point itself
-    mesh, x0 = generate_disk_mesh(3)
-    x0 = scale_to_boundary_length(mesh, x0, 1.0)
-    p = EnergyParams(alpha=1.0, spring_k=50.0, target_length=1.0)
-    x0 = perturb(x0, KICK_AMPLITUDE, 0)
-    pol = polish(mesh, x0, p, iterations=0)
-    assert pol.iterations == 0 and not pol.converged
-    assert np.array_equal(pol.x, x0)
+    opts = MinimizeOptions(max_iterations=20000, gradient_tolerance=1e-11)
+    res = relax(mesh, x0, p, opts)
+    _, g = energy_and_gradient(mesh, res.x, res.params)
+    assert res.status == "converged" and res.converged
+    assert np.abs(g).max() <= 1e-11 * (50.0 + 1.0)          # L = 1
+    assert planarity(mesh, res.x) < 1e-12
