@@ -41,6 +41,8 @@ class TriMesh:
     loop_next: np.ndarray = field(repr=False)
     _laplacian: Optional[scipy.sparse.csr_matrix] = field(
         default=None, repr=False, compare=False)
+    _sharing_keys: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
 
     @classmethod
     def from_triangles(cls, vertex_count, triangles):
@@ -87,6 +89,28 @@ class TriMesh:
             lap = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
             self._laplacian = lap.tocsr()
         return self._laplacian
+
+    def vertex_sharing_keys(self):
+        """Sorted keys i * f + j (i < j, f triangles) of the triangle pairs
+        that share a vertex, then the sentinel f * f (cached).
+
+        The triangle-vertex incidences are sorted by vertex; the stable sort
+        keeps each vertex's triangles in increasing order, so incidences k
+        apart within one vertex's run pair a triangle i with a later j.  The
+        sentinel, above every key, lets a sorted search for any pair key
+        land on an entry.
+        """
+        if self._sharing_keys is None:
+            f = len(self.triangles)
+            vertex = self.triangles.ravel()
+            order = np.argsort(vertex, kind="stable")
+            vertex, tri = vertex[order], order // 3
+            keys = [np.array([f * f])]
+            for k in range(1, np.bincount(vertex).max()):
+                same = vertex[k:] == vertex[:-k]
+                keys.append(tri[:-k][same] * f + tri[k:][same])
+            self._sharing_keys = np.unique(np.concatenate(keys))
+        return self._sharing_keys
 
 
 @dataclass

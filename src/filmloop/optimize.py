@@ -17,20 +17,30 @@ energy decreases below the rounding level of the energy), and the same loop
 goes on with a gradient-only secant step for at most FINISH_ITERATIONS more
 iterations: one solve, one loop, one history and one iteration count.  The
 solve is converged only if that finish reaches the tolerance; otherwise the
-Wolfe iterate is returned with status line_search_failed.  Non-finite
-energies or gradients abort with NumericalError.  MinimizeOptions holds the
-two settings a caller may change: max_iterations and gradient_tolerance.  A
-result's function_evals counts every energy_and_gradient call of the solve,
-and its energy is the breakdown computed when its iterate was accepted.
+Wolfe iterate is returned with status line_search_failed.  Every evaluation,
+line-search trials included, gets one finiteness check, isfinite(f) and
+isfinite(max |g|) (max propagates NaN), and a non-finite energy or gradient
+aborts with NumericalError.  MinimizeOptions holds the two settings a caller
+may change: max_iterations and gradient_tolerance.  A result's
+function_evals counts every energy_and_gradient call of the solve, and its
+energy is the breakdown computed when its iterate was accepted.
+
+The loop keeps its state as one flat float64 vector and reshapes only to
+call the objective, the preconditioner and the callback, and to return.
+The pairs live in a ring of two preallocated (LBFGS_MEMORY, n) arrays plus
+their 1 / s.y, and the two-loop recursion updates its work vector in place
+with BLAS ddot / daxpy.
 
 The vertex-wise bending stiffness grows like alpha / spacing^3, so at fine
 boundary resolution the Hessian spectrum spans six or more decades.
 minimize() therefore starts the L-BFGS recursion from the inverse
 (make_preconditioner) of a circulant bending + edge-penalty operator along
 the boundary loop and the spring-graph diagonal elsewhere, built from the
-starting configuration; convergence is still judged on the raw gradient.
-That operator is already the problem's stiffness, so it is used unscaled:
-the textbook scaling s.y / y.M^{-1}y would apply it a second time.
+starting configuration; the circulant inverse is one dense B x B matrix,
+built once per solve, so an apply is one small matrix product.  Convergence
+is still judged on the raw gradient.  That operator is already the
+problem's stiffness, so it is used unscaled: the textbook scaling
+s.y / y.M^{-1}y would apply it a second time.
 
 relax() holds the boundary length with an augmented Lagrangian (Nocedal &
 Wright, Numerical Optimization, ch. 17): between rounds the length
@@ -46,13 +56,14 @@ symmetry (the sweep driver, the relax command) apply perturb() first, with
 half-width KICK_AMPLITUDE.
 """
 
-import collections
 import dataclasses
 import logging
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.blas import daxpy, ddot
 
 from .energy import energy_and_gradient
 from .mesh import boundary_frame
@@ -134,19 +145,14 @@ def perturb(x, amplitude, seed):
     return out
 
 
-def _check_finite(f, g):
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
-        raise NumericalError("non-finite energy or gradient")
-
-
 class _Total(float):
     """A total energy that carries its EnergyBreakdown as parts."""
 
 
 class _Objective:
-    """fun(x) -> (total energy, gradient) of the mesh energy, checked finite;
-    the total is a _Total, so whichever iterate minimize_function returns
-    brings the breakdown computed when it was accepted.  Counts its
+    """fun(x) -> (total energy, gradient) of the mesh energy; the total is
+    a _Total, so whichever iterate minimize_function returns brings the
+    breakdown computed when it was accepted.  Counts its
     energy_and_gradient calls in evals."""
 
     def __init__(self, mesh, params):
@@ -156,7 +162,6 @@ class _Objective:
     def __call__(self, x):
         fb, g = energy_and_gradient(self.mesh, x, self.params)
         self.evals += 1
-        _check_finite(fb.total, g)
         f = _Total(fb.total)
         f.parts = fb
         return f, g
@@ -178,23 +183,37 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     memory switches the loop to the secant step for at most
     FINISH_ITERATIONS more iterations; if those do not converge, the
     iterate where the search stalled is returned with status
-    line_search_failed.  callback(it, x, f, ginf) runs per accepted
-    iterate.  Returns (x, f, grad, iterations, status, f_history,
-    ginf_history); f is the value fun returned at x, and the histories and
-    iterations count the finish.
-    """
-    apply_minv = minv if minv is not None else (lambda g: g)
-    search = _wolfe_step(fun, step_scale)
+    line_search_failed.  Every evaluation, line-search trials included,
+    raises NumericalError when the value or the gradient is not finite.
+    callback(it, x, f, ginf) runs per accepted iterate.  Returns (x, f,
+    grad, iterations, status, f_history, ginf_history); f is the value fun
+    returned at x, and the histories and iterations count the finish.
 
-    x = np.array(x0, dtype=float)
-    f, g = fun(x)
-    _check_finite(f, g)
-    memory = collections.deque(maxlen=LBFGS_MEMORY)    # (s, y, 1 / s.y)
+    The loop runs on one flat float64 copy of x0; fun, minv and callback
+    see, and the returned x and grad have, the shape of x0.
+    """
+    shape = np.shape(x0)
+
+    def evaluate(v):
+        f, g = fun(v.reshape(shape))
+        g = np.reshape(g, -1)
+        if not (np.isfinite(f) and np.isfinite(np.max(np.abs(g)))):
+            raise NumericalError("non-finite energy or gradient")
+        return f, g
+
+    def apply_minv(v):
+        return v if minv is None else np.reshape(minv(v.reshape(shape)), -1)
+
+    search = _wolfe_step(evaluate, step_scale)
+
+    x = np.array(x0, dtype=float, order="C").reshape(-1)
+    f, g = evaluate(x)
+    pairs = _PairRing(len(x))
 
     ghist = [float(np.max(np.abs(g)))]
     fhist = [f]
     if callback is not None:
-        callback(0, x, f, ghist[-1])
+        callback(0, x.reshape(shape), f, ghist[-1])
 
     it, limit = 0, opts.max_iterations
     stalled = None                  # (x, f, g) where the Wolfe search stalled
@@ -207,58 +226,88 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
                       else "line_search_failed")
             break
 
-        d = _two_loop(g, memory, apply_minv)
-        dphi0 = float(np.vdot(g, d))
+        d = pairs.direction(g, apply_minv)
+        dphi0 = ddot(g, d)
         if dphi0 >= 0.0:                    # not a descent direction, reset
-            memory.clear()
+            pairs.clear()
             d = -apply_minv(g)
-            dphi0 = float(np.vdot(g, d))
+            dphi0 = ddot(g, d)
 
-        step = search(x, d, f, dphi0, not memory)
+        step = search(x, d, f, dphi0, not pairs.count)
         if step is None:
-            if memory:
+            if pairs.count:
                 # retry once from preconditioned steepest descent
                 logger.debug("line search stalled at iteration %d", it)
-                memory.clear()
+                pairs.clear()
                 continue
             # the Wolfe search hit its energy-resolution floor: finish with
             # the gradient-only secant step
             logger.debug("line search failed at iteration %d", it)
             stalled = x, f, g
-            search = _secant_step(fun, step_scale)
+            search = _secant_step(evaluate, step_scale)
             limit = it + FINISH_ITERATIONS
             continue
         x_new, f, g_new = step
-        s, y = x_new - x, g_new - g
-        sy = float(np.vdot(s, y))
-        if sy > 0.0:
-            memory.append((s, y, 1.0 / sy))
+        pairs.push(x_new - x, g_new - g)
         x, g = x_new, g_new
         it += 1
 
         ghist.append(float(np.max(np.abs(g))))
         fhist.append(f)
         if callback is not None:
-            callback(it, x, f, ghist[-1])
+            callback(it, x.reshape(shape), f, ghist[-1])
 
     if status == "line_search_failed":
         x, f, g = stalled
-    return x, f, g, it, status, np.array(fhist), np.array(ghist)
+    return (x.reshape(shape), f, g.reshape(shape), it, status,
+            np.array(fhist), np.array(ghist))
 
 
-def _two_loop(g, memory, apply_minv):
-    """L-BFGS direction -H g by the two-loop recursion (Nocedal & Wright,
-    Alg. 7.4) with starting inverse Hessian apply_minv."""
-    q = np.array(g, dtype=float)
-    alphas = []
-    for s, y, rho in reversed(memory):
-        a = rho * float(np.vdot(s, q))
-        q -= a * y
-        alphas.append(a)
-    r = apply_minv(q)
-    for (s, y, rho), a in zip(memory, reversed(alphas)):
-        r += (a - rho * float(np.vdot(y, r))) * s
-    return -r
+class _PairRing:
+    """The last LBFGS_MEMORY step / gradient-change pairs (s, y) with
+    s.y > 0, as rows of two preallocated (LBFGS_MEMORY, n) arrays used as a
+    ring, with rho = 1 / s.y; direction() is the two-loop recursion."""
+
+    def __init__(self, n):
+        self.n = n
+        self.s = list(np.empty((LBFGS_MEMORY, n)))      # row views
+        self.y = list(np.empty((LBFGS_MEMORY, n)))
+        self.rho = [0.0] * LBFGS_MEMORY
+        self.q = np.empty(n)            # the recursion's work vector
+        self.count = 0                  # pairs held
+        self.next = 0                   # row the next pair goes to
+
+    def clear(self):
+        self.count = 0
+
+    def push(self, s, y):
+        """Keep (s, y) unless s.y <= 0; the oldest pair leaves a full ring."""
+        sy = ddot(s, y)
+        if sy > 0.0:
+            k = self.next
+            self.s[k][:] = s
+            self.y[k][:] = y
+            self.rho[k] = 1.0 / sy
+            self.next = (k + 1) % LBFGS_MEMORY
+            self.count = min(self.count + 1, LBFGS_MEMORY)
+
+    def direction(self, g, apply_minv):
+        """L-BFGS direction -H g by the two-loop recursion (Nocedal & Wright,
+        Alg. 7.4) with starting inverse Hessian apply_minv, updated in
+        place by BLAS daxpy."""
+        s, y, rho, n = self.s, self.y, self.rho, self.n
+        newest_first = [(self.next - 1 - i) % LBFGS_MEMORY
+                        for i in range(self.count)]
+        # the recursion is linear, so running it on -g yields -H g directly
+        alpha = {}
+        q = np.negative(g, out=self.q)
+        for k in newest_first:
+            alpha[k] = a = rho[k] * ddot(s[k], q)
+            q = daxpy(y[k], q, n, -a)       # positional: no keyword parsing
+        r = apply_minv(q)
+        for k in reversed(newest_first):
+            r = daxpy(s[k], r, n, alpha[k] - rho[k] * ddot(y[k], r))
+        return r
 
 
 def _wolfe_step(fun, step_scale):
@@ -269,8 +318,7 @@ def _wolfe_step(fun, step_scale):
         a0 = 1.0
         if fresh:
             # move a small fraction of the problem length scale
-            a0 = 0.01 * step_scale / max(float(np.linalg.norm(d.ravel())),
-                                         1e-300)
+            a0 = 0.01 * step_scale / max(float(np.linalg.norm(d)), 1e-300)
         ls = _wolfe_search(fun, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
         return None if ls is None else ls[1:4]
 
@@ -289,10 +337,10 @@ def _secant_step(fun, step_scale):
     def search(x, d, f, dphi0, fresh):
         nonlocal a_prev
         if a_prev is None:
-            a_prev = 0.01 * step_scale / max(
-                float(np.linalg.norm(d.ravel())), 1e-300)
+            a_prev = 0.01 * step_scale / max(float(np.linalg.norm(d)),
+                                             1e-300)
         _, g_probe = fun(x + a_prev * d)
-        denom = dphi0 - float(g_probe.ravel() @ d.ravel())
+        denom = dphi0 - ddot(g_probe, d)
         if denom >= -1e-12 * abs(dphi0):    # no usable positive curvature
             a = a_prev
         else:
@@ -313,10 +361,12 @@ def make_preconditioner(mesh, x0, params):
     fourth-difference operator with Fourier symbol 2*alpha*(2-2cos(theta))^2
     / s^3 whose eigenvalue spread scales like (B/2pi)^4; no diagonal can
     flatten that, but the exact circulant inverse applied along the loop
-    index does.  Interior vertices use the spring-graph diagonal.  All three
-    coordinates share one scale per mode, so no orientation bias.  Built
-    once from the starting geometry; a stale positive-definite scaling stays
-    a valid preconditioner even after the shape evolves.
+    index does.  That inverse is built once as a dense symmetric B x B
+    matrix from its first column irfft(1 / symbol), so one apply is one
+    small matrix product.  Interior vertices use the spring-graph diagonal.
+    All three coordinates share one scale per mode, so no orientation bias.
+    Built once from the starting geometry; a stale positive-definite scaling
+    stays a valid preconditioner even after the shape evolves.
     """
     n = mesh.vertex_count
     loop = mesh.boundary_loop
@@ -338,13 +388,14 @@ def make_preconditioner(mesh, x0, params):
         return None
     diag = np.maximum(diag, 1e-12 * top)
     symbol = np.maximum(symbol, 1e-12 * top)
-    inv_diag = (1.0 / diag)[:, None]
-    inv_symbol = (1.0 / symbol)[:, None]
+    # one inverse per vertex, repeated over x, y, z: a same-shape product
+    # is cheaper than broadcasting an (n, 1) column
+    inv_diag = np.repeat((1.0 / diag)[:, None], 3, axis=1)
+    inv_circulant = scipy.linalg.circulant(np.fft.irfft(1.0 / symbol, n=nb))
 
     def apply(g):
         z = g * inv_diag
-        gb = np.fft.rfft(g[loop], axis=0)
-        z[loop] = np.fft.irfft(gb * inv_symbol, n=nb, axis=0)
+        z[loop] = inv_circulant @ np.take(g, loop, axis=0)
         return z
 
     return apply
@@ -424,7 +475,7 @@ def _wolfe_search(fun, x, d, f0, dphi0, a0, c1, c2,
     def phi(a):
         xa = x + a * d
         fa, ga = fun(xa)
-        return xa, fa, ga, float(ga.ravel() @ d.ravel())
+        return xa, fa, ga, ddot(ga, d)
 
     a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     a = a0

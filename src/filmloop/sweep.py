@@ -412,11 +412,13 @@ def count_self_intersections(mesh, x):
     """Number of transversally intersecting non-adjacent triangle pairs.
 
     Candidate pairs come from a centroid KD-tree query; pairs sharing a
-    vertex and pairs whose axis-aligned bounding boxes do not overlap are
-    dropped.  One array pass of the Moller-Trumbore ray-triangle test over
-    the rest then counts a pair when an edge of one triangle crosses the
-    interior of the other.  Exactly coplanar overlaps are skipped (the
-    diagnostic targets genuine crossings of the immersed surface).
+    vertex (found by a sorted search of their keys i * f + j among the
+    mesh's cached vertex_sharing_keys) and pairs whose axis-aligned bounding
+    boxes do not overlap are dropped.  One array pass of the
+    Moller-Trumbore ray-triangle test over the rest then counts a pair when
+    an edge of one triangle crosses the interior of the other.  Exactly
+    coplanar overlaps are skipped (the diagnostic targets genuine crossings
+    of the immersed surface).
     """
     return len(_crossing_pairs(mesh, x))
 
@@ -431,12 +433,14 @@ def _crossing_pairs(mesh, x):
     pairs = tree.query_pairs(2.0 * float(crad.max()), output_type="ndarray")
 
     # drop pairs sharing any vertex, then pairs whose bounding boxes are apart
-    va, vb = tris[pairs[:, 0]], tris[pairs[:, 1]]
-    shares = (va[:, :, None] == vb[:, None, :]).any(axis=(1, 2))
-    pairs = pairs[~shares]
+    keys = pairs[:, 0] * len(tris) + pairs[:, 1]         # pairs have i < j
+    sharing = mesh.vertex_sharing_keys()
+    pairs = pairs[sharing[np.searchsorted(sharing, keys)] != keys]
     lo, hi = pts.min(axis=1), pts.max(axis=1)
     i, j = pairs[:, 0], pairs[:, 1]
     pairs = pairs[((lo[i] <= hi[j]) & (lo[j] <= hi[i])).all(axis=1)]
+    if len(pairs) == 0:       # spare the edge test's fixed numpy overhead
+        return pairs
 
     a, b = pts[pairs[:, 0]], pts[pairs[:, 1]]
     return pairs[_edges_cross(a, b) | _edges_cross(b, a)]

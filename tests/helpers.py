@@ -4,7 +4,7 @@ import numpy as np
 import scipy.spatial
 
 from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
-from filmloop.mesh import TriMesh
+from filmloop.mesh import TriMesh, boundary_frame
 from filmloop import saddle
 
 
@@ -153,3 +153,51 @@ def full_period_disk_integral(fam, integrand):
     rg, pg = np.meshgrid(r, phi, indexing="ij")
     return float((integrand(rg, pg) * wr[:, None]).sum()) \
         * (2.0 * np.pi / saddle.DISK_PANELS)
+
+
+def reference_two_loop(g, memory, apply_minv):
+    """Reference for the optimizer's pair ring: the L-BFGS direction -H g by
+    the two-loop recursion (Nocedal & Wright, Alg. 7.4) over a deque of
+    (s, y, 1 / s.y) tuples, oldest first, with numpy vdot and out-of-place
+    updates."""
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * float(np.vdot(s, q))
+        q -= a * y
+        alphas.append(a)
+    r = apply_minv(q)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        r += (a - rho * float(np.vdot(y, r))) * s
+    return -r
+
+
+def fft_preconditioner(mesh, x0, params):
+    """Reference for optimize.make_preconditioner: the same vertex diagonal
+    and boundary symbol, the circulant inverse applied by rfft / irfft
+    along the loop on every call."""
+    n = mesh.vertex_count
+    loop = mesh.boundary_loop
+    nb = len(loop)
+    diag = np.zeros(n)
+    if params.spring_k > 0:
+        deg = np.asarray(mesh.interior_laplacian().diagonal()).ravel()
+        diag += 2.0 * params.spring_k * deg
+    sbar = max(float(boundary_frame(mesh, x0).length.mean()), 1e-300)
+    w = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nb))
+    symbol = 2.0 * params.alpha * w**2 / sbar**3
+    symbol = symbol + 2.0 * params.edge_penalty_k * w
+    symbol = symbol + diag[loop].mean()
+    top = max(diag.max(), symbol.max())
+    diag = np.maximum(diag, 1e-12 * top)
+    symbol = np.maximum(symbol, 1e-12 * top)
+    inv_diag = (1.0 / diag)[:, None]
+    inv_symbol = (1.0 / symbol)[:, None]
+
+    def apply(g):
+        z = g * inv_diag
+        gb = np.fft.rfft(g[loop], axis=0)
+        z[loop] = np.fft.irfft(gb * inv_symbol, n=nb, axis=0)
+        return z
+
+    return apply

@@ -178,8 +178,8 @@ def test_criterion_04_transition_sequence(elongated_run, hexagon_diagram):
         "transition sequence differs from the reference values: " + detail
         + ". The spring lattice carries no in-plane shear softening, so the "
         "elongated mesh stays circular-planar until the transverse onset "
-        "near kL^3/alpha = 866, the same scale as the hexagon onset, and "
-        "no flat-eight appears below 900.")
+        "in the bracket (858, 860) of kL^3/alpha, the same scale as the "
+        "hexagon onset, and no flat-eight appears below 900.")
 
 
 def test_criterion_05_pitchfork_exponent(elongated_run):

@@ -157,3 +157,15 @@ def test_interior_laplacian_quadratic_form():
     lap = mesh.interior_laplacian()
     via_form = float(sum(y[:, d] @ (lap @ y[:, d]) for d in range(3)))
     assert np.isclose(direct, via_form, rtol=1e-12)
+
+
+def test_vertex_sharing_keys_match_pairwise_comparison():
+    mesh, _ = generate_disk_mesh(3)
+    tris = mesh.triangles
+    f = len(tris)
+    i, j = np.triu_indices(f, k=1)
+    shares = (tris[i][:, :, None] == tris[j][:, None, :]).any(axis=(1, 2))
+    keys = mesh.vertex_sharing_keys()
+    np.testing.assert_array_equal(keys[:-1], i[shares] * f + j[shares])
+    assert keys[-1] == f * f                        # the search sentinel
+    assert mesh.vertex_sharing_keys() is keys       # built once per mesh

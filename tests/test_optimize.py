@@ -2,9 +2,12 @@
 the augmented-Lagrangian length constraint and its line tension,
 determinism, evaluation counts and budget, and the secant finish of a
 stalled Wolfe search on the same loop, down to tolerances below the search's
-energy resolution.
+energy resolution.  The pair ring and the dense circulant preconditioner are
+checked against their deque and FFT references, the finiteness check at
+line-search trial points, and the loop's flat state against callers' shapes.
 """
 
+import collections
 import io
 
 import numpy as np
@@ -18,6 +21,8 @@ from filmloop.optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
                                NumericalError, minimize, minimize_function,
                                perturb, relax)
 from filmloop.stability import disk_solution
+
+from helpers import fft_preconditioner, reference_two_loop
 
 
 def quadratic_problem(n, seed):
@@ -80,6 +85,127 @@ def test_non_finite_energy_raises():
 
     with pytest.raises(NumericalError):
         minimize_function(fun, np.zeros(3), MinimizeOptions(), gtol_abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", ["nan_energy", "inf_gradient"])
+def test_non_finite_trial_point_raises(bad):
+    # finite at the start, non-finite only at the first line-search trial
+    calls = [0]
+
+    def fun(x):
+        calls[0] += 1
+        g = x - 1.0
+        f = 0.5 * float(g @ g)
+        if calls[0] > 1:
+            if bad == "nan_energy":
+                f = np.nan
+            else:
+                g = g.copy()
+                g[1] = np.inf
+        return f, g
+
+    with pytest.raises(NumericalError):
+        minimize_function(fun, np.zeros(3), MinimizeOptions(), gtol_abs=1e-6)
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_minimize_function_keeps_callers_shape(order):
+    # the loop runs flat; fun, minv, callback and the results see (n, 3)
+    rng = np.random.default_rng(11)
+    target = rng.standard_normal((7, 3))
+    weight = 1.0 + rng.random((7, 3))
+    seen = set()
+
+    def fun(x):
+        seen.add(x.shape)
+        r = x - target
+        return 0.5 * float(np.sum(weight * r * r)), weight * r
+
+    def minv(g):
+        seen.add(g.shape)
+        return g / weight
+
+    def callback(it, x, f, ginf):
+        seen.add(x.shape)
+
+    x0 = np.array(np.zeros((7, 3)), order=order)
+    x, f, g, it, status, *_ = minimize_function(
+        fun, x0, MinimizeOptions(), gtol_abs=1e-10, callback=callback,
+        minv=minv)
+    assert status == "converged"
+    assert x.shape == g.shape == (7, 3) and seen == {(7, 3)}
+    np.testing.assert_allclose(x, target, atol=1e-9)
+    np.testing.assert_array_equal(g, weight * (x - target))
+
+
+def _pair(rng, n, sign=1.0):
+    s = rng.standard_normal(n)
+    y = sign * s + 0.3 * rng.standard_normal(n)
+    return s, y
+
+
+def test_pair_ring_matches_deque_two_loop():
+    # the preallocated ring with in-place BLAS updates gives the deque
+    # recursion's directions: while filling, full, wrapped, with a rejected
+    # s.y <= 0 pair on the full ring, and after a clear
+    n = 30
+    rng = np.random.default_rng(3)
+    scale = 1.0 + rng.random(n)
+
+    def apply_minv(v):
+        return scale * v
+
+    ring = optimize._PairRing(n)
+    memory = collections.deque(maxlen=optimize.LBFGS_MEMORY)
+
+    def push(s, y):
+        ring.push(s, y)
+        sy = float(np.vdot(s, y))
+        if sy > 0.0:
+            memory.append((s, y, 1.0 / sy))
+
+    def check():
+        g = rng.standard_normal(n)
+        d = ring.direction(g, apply_minv)
+        ref = reference_two_loop(g, memory, apply_minv)
+        assert ring.count == len(memory)
+        assert np.linalg.norm(d - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    for pushes in range(1, 12):
+        rejected = pushes == 10                   # the ring is full by then
+        s, y = _pair(rng, n, -1.0 if rejected else 1.0)
+        assert (float(np.vdot(s, y)) <= 0.0) == rejected
+        push(s, y)
+        if pushes in (3, 8, 10, 11):
+            check()
+    assert len(memory) == optimize.LBFGS_MEMORY
+    ring.clear()
+    memory.clear()
+    check()
+    for _ in range(2):
+        push(*_pair(rng, n))
+    check()
+
+
+@pytest.mark.parametrize("rings", [8, 16, 32])
+def test_dense_preconditioner_matches_fft(rings):
+    mesh, x = generate_disk_mesh(rings, 1.2)
+    x = perturb(scale_to_boundary_length(mesh, x, 1.0), KICK_AMPLITUDE, 0)
+    p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
+                     length_penalty_k=90100.0, edge_penalty_k=90100.0)
+    dense = optimize.make_preconditioner(mesh, x, p)
+    fft = fft_preconditioner(mesh, x, p)
+    rng = np.random.default_rng(rings)
+    v, w = rng.standard_normal((2,) + x.shape)
+    for u in (v, w):
+        ref = fft(u)
+        assert np.linalg.norm(dense(u) - ref) <= 1e-13 * np.linalg.norm(ref)
+    # symmetric and positive definite
+    vw, wv = np.vdot(v, dense(w)), np.vdot(w, dense(v))
+    assert abs(vw - wv) <= 1e-13 * np.sqrt(np.vdot(v, dense(v))
+                                           * np.vdot(w, dense(w)))
+    assert np.vdot(v, dense(v)) > 0.0 and np.vdot(w, dense(w)) > 0.0
 
 
 def test_options_validation():
