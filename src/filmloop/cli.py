@@ -76,7 +76,6 @@ def build_parser():
     p_sweep.add_argument("--seed", type=int, dest="base_seed")
     p_sweep.add_argument("--direction", choices=["up", "down"])
     p_sweep.add_argument("--no-warm-start", action="store_true")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--save-meshes", action="store_true")
     p_sweep.add_argument("--out", default="runs/sweep")
 
@@ -123,6 +122,8 @@ def cmd_mesh(args):
 
 
 def cmd_relax(args):
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     mesh, x0 = generate_disk_mesh(args.rings, args.elongation)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     x0 = perturb(x0, KICK_AMPLITUDE, args.seed)
@@ -178,13 +179,8 @@ def _sweep_schedule_from_args(args):
 
 
 def cmd_sweep(args):
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     schedule = _sweep_schedule_from_args(args)
-    if args.jobs > 1 and schedule.warm_start:
-        raise UsageError("--jobs needs --no-warm-start: warm-started points "
-                         "run one after another")
-    diagram = run_sweep(schedule, out_dir=args.out, jobs=args.jobs,
+    diagram = run_sweep(schedule, out_dir=args.out,
                         save_meshes=args.save_meshes)
     n_conv = len(diagram.converged_points())
     print(f"sweep: {len(diagram.points)} points, {n_conv} converged, "

@@ -108,7 +108,7 @@ def boundary_geometry(mesh, x):
     kappa_g its projection on the inward co-normal N x t_bar.
     """
     loop = mesh.boundary_loop
-    _, s, t, savg = boundary_frame(mesh, x)
+    s, t, savg = boundary_frame(mesh, x)
     if np.any(s <= 0.0):
         raise DiffGeoError("degenerate boundary edge")
     cvec = (t - t[mesh.loop_prev]) / savg[:, None]

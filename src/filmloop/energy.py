@@ -105,7 +105,7 @@ def energy(mesh, x, p):
 def energy_and_gradient(mesh, x, p):
     """Energy breakdown and its exact gradient, one fused evaluation."""
     loop, prev, nxt = mesh.boundary_loop, mesh.loop_prev, mesh.loop_next
-    _, s, t, savg = boundary_frame(mesh, x)
+    s, t, savg = boundary_frame(mesh, x)
     if (s < 1e-12 * p.target_length).any():
         raise DegenerateBoundaryError(
             "boundary edge shorter than 1e-12 * L, curvature undefined")
@@ -124,33 +124,19 @@ def energy_and_gradient(mesh, x, p):
     # bending gradient through unit tangents and edge lengths.
     # dE/dt_v collects c_v (positive sign) and c_{v+1} (negative sign);
     # dE/ds_v comes from the two <s> averages containing s_v.
-    if p.alpha != 0.0:
-        c_s = c / savg[:, None]
-        csq_s2 = c_sq / savg**2
-        g_t = 2.0 * p.alpha * (c_s - c_s.take(nxt, axis=0))
-        g_s = -0.5 * p.alpha * (csq_s2 + csq_s2[nxt])
-    else:
-        g_t = np.zeros_like(t)
-        g_s = np.zeros(len(s))
+    c_s = c / savg[:, None]
+    csq_s2 = c_sq / savg**2
+    g_t = 2.0 * p.alpha * (c_s - c_s.take(nxt, axis=0))
+    g_s = -0.5 * p.alpha * (csq_s2 + csq_s2[nxt])
 
     # length penalties; their derivative in s is summed before joining g_s
     blen = float(s.sum())
-    e_pen, dpen_ds = 0.0, None
     excess = blen - p.target_length
-    if p.length_penalty_k != 0.0:
-        e_pen += p.length_penalty_k * excess**2
-        dpen_ds = 2.0 * p.length_penalty_k * excess
-    if p.length_multiplier != 0.0:
-        e_pen += p.length_multiplier * excess
-        dpen_ds = p.length_multiplier if dpen_ds is None \
-            else dpen_ds + p.length_multiplier
-    if p.edge_penalty_k != 0.0:
-        diff = s - p.target_length / len(s)
-        e_pen += p.edge_penalty_k * float(diff @ diff)
-        d_edge = 2.0 * p.edge_penalty_k * diff
-        dpen_ds = d_edge if dpen_ds is None else dpen_ds + d_edge
-    if dpen_ds is not None:
-        g_s = g_s + dpen_ds
+    diff = s - p.target_length / len(s)
+    e_pen = (p.length_penalty_k * excess**2 + p.length_multiplier * excess
+             + p.edge_penalty_k * float(diff @ diff))
+    g_s = g_s + ((2.0 * p.length_penalty_k * excess + p.length_multiplier)
+                 + 2.0 * p.edge_penalty_k * diff)
 
     # chain rule to edge endpoints: dt/de = (I - t t^T)/s, ds/de = t.  Edge
     # i runs loop[i] -> loop[i+1] and the loop repeats no vertex, so loop[i]

@@ -237,16 +237,16 @@ def generate_disk_mesh(rings, elongation=1.0):
 
 
 class BoundaryFrame(NamedTuple):
-    """Edge data of the boundary loop; row i is loop edge i."""
+    """Edge data of the boundary loop; row i is loop edge i, which runs
+    boundary_loop[i] -> boundary_loop[i + 1]."""
 
-    edge: np.ndarray          # (B, 3) vectors boundary_loop[i] -> [i+1]
     length: np.ndarray        # (B,) edge lengths s_i
-    tangent: np.ndarray       # (B, 3) unit tangents e_i / s_i
+    tangent: np.ndarray       # (B, 3) unit edge tangents
     s_weight: np.ndarray      # (B,) <s_v> = (s_i + s_{i-1}) / 2 at boundary_loop[i]
 
 
 def boundary_frame(mesh, x):
-    """Edge vectors, lengths, unit tangents and vertex arc weights of the loop.
+    """Edge lengths, unit tangents and vertex arc weights of the loop.
 
     There is no guard: a zero-length edge leaves non-finite tangents, and
     each caller raises its own error for it.
@@ -256,7 +256,7 @@ def boundary_frame(mesh, x):
     s = np.sqrt(np.add.reduce(e * e, axis=1))     # np.linalg.norm's float ops
     with np.errstate(divide="ignore", invalid="ignore"):
         t = e / s[:, None]
-    return BoundaryFrame(e, s, t, 0.5 * (s + s[mesh.loop_prev]))
+    return BoundaryFrame(s, t, 0.5 * (s + s[mesh.loop_prev]))
 
 
 def boundary_length(mesh, x):

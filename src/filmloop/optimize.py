@@ -15,9 +15,9 @@ and retries from preconditioned steepest descent.  If the search fails again,
 the Wolfe search has hit its energy-resolution floor (it cannot resolve
 energy decreases below the rounding level of the energy), and the same loop
 goes on with a gradient-only secant step for at most FINISH_ITERATIONS more
-iterations: one solve, one loop, one history and one iteration count.  The
-solve is converged only if that finish reaches the tolerance; otherwise the
-Wolfe iterate is returned with status line_search_failed.  Every evaluation,
+iterations: one solve, one loop and one iteration count.  The solve is
+converged only if that finish reaches the tolerance; otherwise the Wolfe
+iterate is returned with status line_search_failed.  Every evaluation,
 line-search trials included, gets one finiteness check, isfinite(f) and
 isfinite(max |g|) (max propagates NaN), and a non-finite energy or gradient
 aborts with NumericalError.  MinimizeOptions holds the two settings a caller
@@ -46,10 +46,11 @@ relax() holds the boundary length with an augmented Lagrangian (Nocedal &
 Wright, Numerical Optimization, ch. 17): between rounds the length
 multiplier moves by 2 mu (l - L), and the quadratic stiffness mu grows
 tenfold only when a round cut the length error by less than a factor 4,
-until the boundary length matches its target to LENGTH_TOL relative.  A
-caller that starts the multiplier near its final value (the sweep's warm
-start) usually needs one round.  Its result carries the line tension beta,
-the length constraint's multiplier.
+until the boundary length matches its target to LENGTH_TOL relative or
+MAX_PENALTY_ROUNDS rounds have run.  A caller that starts the multiplier
+near its final value (the sweep's warm start) usually needs one round.
+Its result carries the line tension beta, the length constraint's
+multiplier.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
@@ -89,6 +90,9 @@ LENGTH_TOL = 1e-3
 
 # most secant-step iterations that finish a solve whose Wolfe search stalled
 FINISH_ITERATIONS = 400
+
+# most augmented-Lagrangian rounds of one relax
+MAX_PENALTY_ROUNDS = 5
 
 
 # half-width of the transverse kick before a solve: 1e-3 R, R = L / 2pi, L = 1
@@ -185,9 +189,9 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     iterate where the search stalled is returned with status
     line_search_failed.  Every evaluation, line-search trials included,
     raises NumericalError when the value or the gradient is not finite.
-    callback(it, x, f, ginf) runs per accepted iterate.  Returns (x, f,
-    grad, iterations, status, f_history, ginf_history); f is the value fun
-    returned at x, and the histories and iterations count the finish.
+    callback(it, x, f, ginf) runs per accepted iterate, the start included
+    (it = 0).  Returns (x, f, grad, iterations, status); f is the value fun
+    returned at x, and iterations count the finish.
 
     The loop runs on one flat float64 copy of x0; fun, minv and callback
     see, and the returned x and grad have, the shape of x0.
@@ -210,15 +214,14 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     f, g = evaluate(x)
     pairs = _PairRing(len(x))
 
-    ghist = [float(np.max(np.abs(g)))]
-    fhist = [f]
+    ginf = float(np.max(np.abs(g)))
     if callback is not None:
-        callback(0, x.reshape(shape), f, ghist[-1])
+        callback(0, x.reshape(shape), f, ginf)
 
     it, limit = 0, opts.max_iterations
     stalled = None                  # (x, f, g) where the Wolfe search stalled
     while True:
-        if ghist[-1] <= gtol_abs:
+        if ginf <= gtol_abs:
             status = "converged"
             break
         if it >= limit:
@@ -252,15 +255,13 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
         x, g = x_new, g_new
         it += 1
 
-        ghist.append(float(np.max(np.abs(g))))
-        fhist.append(f)
+        ginf = float(np.max(np.abs(g)))
         if callback is not None:
-            callback(it, x.reshape(shape), f, ghist[-1])
+            callback(it, x.reshape(shape), f, ginf)
 
     if status == "line_search_failed":
         x, f, g = stalled
-    return (x.reshape(shape), f, g.reshape(shape), it, status,
-            np.array(fhist), np.array(ghist))
+    return x.reshape(shape), f, g.reshape(shape), it, status
 
 
 class _PairRing:
@@ -442,7 +443,7 @@ def _minimize(mesh, x0, params, opts, log_row):
             log_row(it, f, ginf, abs(f.parts.boundary_length - L))
 
     fun = _Objective(mesh, params)
-    x_fin, f_fin, _, it, status, *_ = minimize_function(
+    x_fin, f_fin, _, it, status = minimize_function(
         fun, x, opts, gtol, step_scale=L, callback=log_cb,
         minv=make_preconditioner(mesh, x, params))
     fb_fin = f_fin.parts
@@ -530,7 +531,7 @@ def _zoom(phi, f0, dphi0, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2, max_zoom):
     return None
 
 
-def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
+def relax(mesh, x0, params, opts=None, log_stream=None):
     """Minimize with the boundary length held by an augmented Lagrangian.
 
     If params.length_penalty_k (mu) is 0 a starting stiffness of
@@ -538,7 +539,7 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
     boundary length l misses the target by more than LENGTH_TOL relative,
     the multiplier becomes length_multiplier + 2 mu (l - L), and mu is
     multiplied by 10 unless the length error fell below a quarter of the
-    previous round's; at most max_rounds (>= 1) rounds.  params'
+    previous round's; at most MAX_PENALTY_ROUNDS rounds.  params'
     length_multiplier is the first round's multiplier, so a caller
     continuing from a nearby solve can warm-start it; the result's params
     hold the last round's multiplier and stiffness.
@@ -548,8 +549,6 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
     round starts from the previous round's last iterate, whose number is
     already logged, so that round's starting row is left out.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     opts = opts or MinimizeOptions()
     p = params
     L = p.target_length
@@ -572,7 +571,7 @@ def relax(mesh, x0, params, opts=None, max_rounds=5, log_stream=None):
                 write_row(total_iters + it, f, ginf, blen_err)
 
     prev_err = np.inf
-    for rnd in range(1, max_rounds + 1):
+    for rnd in range(1, MAX_PENALTY_ROUNDS + 1):
         res = _minimize(mesh, x, p, opts, log_row)
         total_iters += res.iterations
         total_evals += res.function_evals

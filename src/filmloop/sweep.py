@@ -75,6 +75,9 @@ class SweepSchedule:
                              f"{self.values.tolist()!r}")
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("schedule values must be strictly increasing")
+        if self.base_seed < 0:
+            raise ValueError(f"sweep config 'base_seed' must be >= 0, got "
+                             f"{self.base_seed!r}")
         if self.direction not in ("up", "down"):
             raise ValueError("direction must be 'up' or 'down'")
 
@@ -162,14 +165,12 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a,
-                    length_multiplier=0.0):
-    """Relax one sweep point and collect its observables; returns the point
-    and the relax result.  length_multiplier starts the length constraint's
-    multiplier (0 for a cold start)."""
+def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
+    """Relax one sweep point from start and collect its observables; returns
+    the point and the relax result.  length_multiplier starts the length
+    constraint's multiplier (0 for a cold start)."""
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
-    start = x_start if x_start is not None else x0_cold
     start_energy = energy(mesh, start, params).total
 
     x_pert = perturb(start, KICK_AMPLITUDE, seed)
@@ -205,63 +206,41 @@ def _evaluate_point(mesh, x_start, x0_cold, schedule, idx, kl3a,
     return point, res
 
 
-def _cold_start(schedule):
-    mesh, x0 = generate_disk_mesh(schedule.rings, schedule.elongation)
-    x0 = scale_to_boundary_length(mesh, x0, 1.0)
-    return mesh, x0
-
-
-def _parallel_worker(args):
-    schedule_dict, idx, kl3a = args
-    schedule = SweepSchedule.from_dict(schedule_dict)
-    mesh, x0 = _cold_start(schedule)
-    return _evaluate_point(mesh, None, x0, schedule, idx, kl3a)[0]
-
-
-def run_sweep(schedule, out_dir=None, jobs=1, save_meshes=False):
+def run_sweep(schedule, out_dir=None, save_meshes=False):
     """Run the continuation protocol; returns a BifurcationDiagram.
 
-    With warm_start on, points run sequentially in schedule order (reversed
-    for direction "down"), each starting from the previous relaxed state and
-    from its length multiplier scaled by the ratio of the kL^3/alpha values
-    (the line tension grows with the film tension).  Cold points start from
-    the flat mesh and a zero multiplier; with warm_start off and jobs > 1,
-    they run in parallel processes.
+    Points run one after another in schedule order (reversed for direction
+    "down").  With warm_start on, each starts from the previous relaxed
+    state and from its length multiplier scaled by the ratio of the
+    kL^3/alpha values (the line tension grows with the film tension); with
+    it off, every point starts from the flat mesh and a zero multiplier.
     Every point perturbs its start transversally with seed base_seed + index
     (index = position in the ascending value list).
     """
-    mesh, x0 = _cold_start(schedule)
+    mesh, x0 = generate_disk_mesh(schedule.rings, schedule.elongation)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)
     order = range(len(schedule.values))
     if schedule.direction == "down":
-        order = reversed(list(order))
+        order = reversed(order)
 
     points = {}
     saved = {}
-    if schedule.warm_start or jobs <= 1:
-        prev_x, prev_kl3a, prev_lam = None, None, 0.0
-        for idx in order:
-            kl3a = float(schedule.values[idx])
-            start, lam = None, 0.0
-            if schedule.warm_start and prev_x is not None:
-                # continue from best-so-far even if unconverged
-                start, lam = prev_x, prev_lam * kl3a / prev_kl3a
-            point, res = _evaluate_point(mesh, start, x0, schedule, idx, kl3a,
-                                         lam)
-            points[idx] = point
-            if save_meshes:
-                saved[idx] = res.x
-            prev_x, prev_kl3a = res.x, kl3a
-            prev_lam = res.params.length_multiplier
-            logger.info("point %d: kL^3/a=%.6g planarity=%.3g mode=%d %s",
-                        idx, kl3a, point.planarity, point.dominant_mode,
-                        point.status)
-    else:
-        import concurrent.futures
-        sched_dict = schedule.to_dict()
-        tasks = [(sched_dict, idx, float(schedule.values[idx])) for idx in order]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for point in pool.map(_parallel_worker, tasks):
-                points[point.index] = point
+    prev_x, prev_kl3a, prev_lam = None, None, 0.0
+    for idx in order:
+        kl3a = float(schedule.values[idx])
+        start, lam = x0, 0.0
+        if schedule.warm_start and prev_x is not None:
+            # continue from best-so-far even if unconverged
+            start, lam = prev_x, prev_lam * kl3a / prev_kl3a
+        point, res = _evaluate_point(mesh, start, schedule, idx, kl3a, lam)
+        points[idx] = point
+        if save_meshes:
+            saved[idx] = res.x
+        prev_x, prev_kl3a = res.x, kl3a
+        prev_lam = res.params.length_multiplier
+        logger.info("point %d: kL^3/a=%.6g planarity=%.3g mode=%d %s",
+                    idx, kl3a, point.planarity, point.dominant_mode,
+                    point.status)
 
     diagram = BifurcationDiagram(points=[points[i] for i in sorted(points)])
     if out_dir is not None:
@@ -427,7 +406,10 @@ def _crossing_pairs(mesh, x):
     """(n, 2) triangle index pairs i < j counted by count_self_intersections."""
     tris = mesh.triangles
     pts = x[tris]                                        # (f, 3, 3)
-    centroids = pts.mean(axis=1)
+    # the corner slices reduce the length-3 axis faster than axis=1 does,
+    # to the same bits
+    p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
+    centroids = (p0 + p1 + p2) / 3.0
     crad = np.linalg.norm(pts - centroids[:, None, :], axis=2).max(axis=1)
     tree = scipy.spatial.cKDTree(centroids)
     pairs = tree.query_pairs(2.0 * float(crad.max()), output_type="ndarray")
@@ -436,7 +418,8 @@ def _crossing_pairs(mesh, x):
     keys = pairs[:, 0] * len(tris) + pairs[:, 1]         # pairs have i < j
     sharing = mesh.vertex_sharing_keys()
     pairs = pairs[sharing[np.searchsorted(sharing, keys)] != keys]
-    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    lo = np.minimum(np.minimum(p0, p1), p2)
+    hi = np.maximum(np.maximum(p0, p1), p2)
     i, j = pairs[:, 0], pairs[:, 1]
     pairs = pairs[((lo[i] <= hi[j]) & (lo[j] <= hi[i])).all(axis=1)]
     if len(pairs) == 0:       # spare the edge test's fixed numpy overhead

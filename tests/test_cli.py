@@ -16,7 +16,8 @@ import filmloop
 from filmloop.cli import main
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.stability import disk_solution
-from filmloop.sweep import BifurcationDiagram, SweepPoint, write_diagram_csv
+from filmloop.sweep import (BifurcationDiagram, SweepPoint, SweepSchedule,
+                            run_sweep, write_diagram_csv)
 
 
 def test_version_flag_exits_zero(capsys):
@@ -158,12 +159,13 @@ def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
     ("values", {"values": [100.0, float("nan")]}),
     ("elongation", {"elongation": float("nan")}),
     ("values", {"values": [100.0, float("inf")]}),
+    ("base_seed", {"base_seed": -1}),
 ])
 def test_sweep_config_bad_value_types_exit_one(tmp_path, capsys, key, cfg):
     # a value of the wrong type (or a zero or non-finite modulus, which
-    # would divide by zero or poison every energy) is rejected by key before
-    # any relaxation runs; a manifest that is not a JSON object is rejected
-    # as such
+    # would divide by zero or poison every energy, or a negative seed, which
+    # no random generator takes) is rejected by key before any relaxation
+    # runs; a manifest that is not a JSON object is rejected as such
     if isinstance(cfg, dict):
         cfg = dict({"values": [20.0, 40.0], "rings": 3}, **cfg)
     path = tmp_path / "config.json"
@@ -201,22 +203,32 @@ def test_sweep_partial_range_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
-    out = tmp_path / "s"
-    assert main(["sweep", "--start", "20", "--stop", "60", "--num", "3",
-                 "--rings", "3", "--no-warm-start", "--jobs", jobs,
+def test_relax_negative_seed_exits_one(tmp_path, capsys):
+    # named by its flag before the mesh is built or anything is written
+    out = tmp_path / "relax"
+    assert main(["relax", "--rings", "3", "--seed", "-1",
                  "--out", str(out)]) == 1
-    assert "--jobs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
-def test_sweep_jobs_needs_no_warm_start(tmp_path, capsys):
-    out = tmp_path / "s"
+def test_sweep_no_warm_start(tmp_path, capsys):
+    # cold points run through the CLI exactly as through run_sweep, and the
+    # manifest carries the setting into a byte-identical rerun
+    out1, out2, lib = tmp_path / "s1", tmp_path / "s2", tmp_path / "lib"
     assert main(["sweep", "--start", "20", "--stop", "60", "--num", "3",
-                 "--rings", "3", "--jobs", "2", "--out", str(out)]) == 1
-    assert "--no-warm-start" in capsys.readouterr().err
-    assert not out.exists()
+                 "--rings", "3", "--no-warm-start", "--out", str(out1)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["config"]["warm_start"] is False
+    assert main(["sweep", "--config", str(out1 / "manifest.json"),
+                 "--out", str(out2)]) == 0
+    run_sweep(SweepSchedule(values=[20.0, 40.0, 60.0], rings=3,
+                            warm_start=False), out_dir=str(lib))
+    csv = (out1 / "diagram.csv").read_bytes()
+    assert (out2 / "diagram.csv").read_bytes() == csv
+    assert (lib / "diagram.csv").read_bytes() == csv
 
 
 def _write_fit_csv(path, n):

@@ -173,7 +173,7 @@ def test_degenerate_boundary_raises():
 
 # parameter sets for the reference comparison: all terms, each term or
 # penalty switched off, each penalty alone, and both penalties off; all at
-# length_multiplier 0, where the kernel adds no multiplier term
+# length_multiplier 0, since the reference kernel has no multiplier term
 KERNEL_PARAMS = {
     "all": EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
                         length_penalty_k=1e4, edge_penalty_k=100.0),

@@ -428,11 +428,3 @@ def test_downward_sweep_returns_ascending_points(tmp_path):
     assert np.array_equal(diagram.column("k_l3_alpha"), [20.0, 40.0, 60.0])
     assert np.array_equal(diagram.column("index"), [0, 1, 2])
     assert np.array_equal(diagram.column("seed"), [0, 1, 2])
-
-
-def test_parallel_cold_sweep_matches_serial(tmp_path):
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    run_sweep(tiny_schedule(warm_start=False), out_dir=out1, jobs=1)
-    run_sweep(tiny_schedule(warm_start=False), out_dir=out2, jobs=2)
-    assert ((out1 / "diagram.csv").read_bytes()
-            == (out2 / "diagram.csv").read_bytes())
