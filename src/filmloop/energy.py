@@ -115,7 +115,7 @@ def energy_and_gradient(mesh, x, p):
 
     grad = np.zeros_like(x)
     springs = 0.0
-    if p.spring_k != 0.0 and len(mesh.interior_edges):
+    if p.spring_k != 0.0:
         lap = mesh.interior_laplacian()
         lx = lap @ x
         springs = p.spring_k * float((x * lx).sum())

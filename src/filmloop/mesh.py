@@ -9,6 +9,12 @@ mesh can be shared read-only by many configurations.
 The boundary loop is stored explicitly, oriented counterclockwise in the
 construction plane and consistent with the (counterclockwise) triangle
 winding.  Downstream code relies on that orientation for signed curvatures.
+
+The spring film is slaved to its loop: for fixed boundary positions its
+energy is least at the harmonic interior, so TriMesh.loop_reduction
+condenses the interior Laplacian onto the loop (a Kron reduction, Doerfler &
+Bullo, IEEE TCAS-I 60 (2013) 150; static condensation, Guyan, AIAA J. 3
+(1965) 380) and gives a loop-only mesh plus the map back to the full state.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +22,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
+
+# columns of L_IB solved at a time while building the Kron reduction
+KRON_CHUNK = 16
 
 
 class MeshError(ValueError):
@@ -42,6 +52,8 @@ class TriMesh:
     _laplacian: Optional[scipy.sparse.csr_matrix] = field(
         default=None, repr=False, compare=False)
     _sharing_keys: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
+    _reduction: Optional[tuple] = field(
         default=None, repr=False, compare=False)
 
     @classmethod
@@ -77,7 +89,8 @@ class TriMesh:
         """Graph Laplacian of the interior-edge network (sparse, cached).
 
         x^T L x summed over coordinates equals the sum of squared interior
-        edge lengths, which is what the spring energy needs.
+        edge lengths, which is what the spring energy needs.  A loop mesh
+        from loop_reduction holds its dense Kron-reduced Laplacian here.
         """
         if self._laplacian is None:
             ia, ib = self.interior_edges[:, 0], self.interior_edges[:, 1]
@@ -89,6 +102,23 @@ class TriMesh:
             lap = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
             self._laplacian = lap.tocsr()
         return self._laplacian
+
+    def loop_reduction(self):
+        """The spring film condensed onto the boundary loop (cached):
+        (loop_mesh, extend).
+
+        loop_mesh has the B loop vertices, in loop order, and no triangles
+        or edges; its interior_laplacian() is the dense symmetric B x B Kron
+        reduction S = L_BB - L_BI L_II^-1 L_IB of this mesh's Laplacian L,
+        so x_B^T S x_B is the least x^T L x over interiors with boundary
+        positions x_B.  extend(x_B) returns the full (n, 3) state with that
+        interior, the harmonic one: L_II x_I = -L_IB x_B.  S comes from one
+        sparse LU factor of L_II, solved KRON_CHUNK columns at a time, and
+        extend reuses the factor; no dense n_I x B matrix is kept.
+        """
+        if self._reduction is None:
+            self._reduction = _loop_reduction(self)
+        return self._reduction
 
     def vertex_sharing_keys(self):
         """Sorted keys i * f + j (i < j, f triangles) of the triangle pairs
@@ -111,6 +141,41 @@ class TriMesh:
                 keys.append(tri[:-k][same] * f + tri[k:][same])
             self._sharing_keys = np.unique(np.concatenate(keys))
         return self._sharing_keys
+
+
+def _loop_reduction(mesh):
+    """loop_reduction's (loop_mesh, extend), built uncached."""
+    n, loop = mesh.vertex_count, mesh.boundary_loop
+    nb = len(loop)
+    inner = np.setdiff1d(np.arange(n), loop)
+    lap = mesh.interior_laplacian()
+    rows = lap[inner]
+    l_ib = rows[:, loop].tocsc()
+    # L_II is a grounded Laplacian, symmetric positive definite: a symmetric
+    # ordering and no pivoting keep the factor small
+    lu = scipy.sparse.linalg.splu(rows[:, inner].tocsc(),
+                                  permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True})
+    s = lap[loop][:, loop].toarray()
+    for j in range(0, nb, KRON_CHUNK):
+        cols = slice(j, j + KRON_CHUNK)
+        s[:, cols] -= l_ib.T @ lu.solve(l_ib[:, cols].toarray())
+    s = 0.5 * (s + s.T)
+
+    loop_mesh = TriMesh(
+        vertex_count=nb, triangles=np.empty((0, 3), dtype=np.int64),
+        boundary_loop=np.arange(nb),
+        interior_edges=np.empty((0, 2), dtype=np.int64),
+        loop_prev=mesh.loop_prev, loop_next=mesh.loop_next, _laplacian=s)
+
+    def extend(x_b):
+        x = np.empty((n, 3))
+        x[loop] = x_b
+        x[inner] = lu.solve(-(l_ib @ x_b))
+        return x
+
+    return loop_mesh, extend
 
 
 @dataclass

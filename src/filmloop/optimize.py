@@ -50,7 +50,12 @@ until the boundary length matches its target to LENGTH_TOL relative or
 MAX_PENALTY_ROUNDS rounds have run.  A caller that starts the multiplier
 near its final value (the sweep's warm start) usually needs one round.
 Its result carries the line tension beta, the length constraint's
-multiplier.
+multiplier.  relax solves on the loop alone: its rounds minimize over the
+3B loop coordinates on the loop-only mesh of mesh.TriMesh.loop_reduction,
+whose spring term k x_B^T S x_B is the film's energy at the harmonic
+interior, and the result is extended to the full mesh once, so it depends
+on the start only through its loop.  minimize works on whichever mesh it
+is given.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
@@ -131,7 +136,8 @@ class MinimizeResult:
     energy: object                   # EnergyBreakdown at x
     iterations: int
     converged: bool
-    status: str                      # converged | max_iterations | line_search_failed
+    status: str                      # converged | max_iterations |
+                                     # line_search_failed | max_penalty_rounds
     params: object = None            # EnergyParams of the last penalty round
     penalty_rounds: int = 0
     function_evals: int = 0          # energy_and_gradient calls of the solve
@@ -534,15 +540,25 @@ def _zoom(phi, f0, dphi0, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2, max_zoom):
 def relax(mesh, x0, params, opts=None, log_stream=None):
     """Minimize with the boundary length held by an augmented Lagrangian.
 
+    The solve runs on the loop alone: the rounds minimize over the B
+    boundary positions of x0 on mesh.loop_reduction()'s loop mesh, whose
+    spring term is the Kron-reduced x_B^T S x_B, and the result is the
+    extension of the last iterate with its harmonic interior.  So the
+    result depends on x0 only through its boundary loop.  That full state
+    is evaluated once more on mesh, an evaluation function_evals counts,
+    and its breakdown is the result's energy.
+
     If params.length_penalty_k (mu) is 0 a starting stiffness of
     100 * (spring_k + alpha / L^3) is chosen.  After every round whose
     boundary length l misses the target by more than LENGTH_TOL relative,
     the multiplier becomes length_multiplier + 2 mu (l - L), and mu is
     multiplied by 10 unless the length error fell below a quarter of the
-    previous round's; at most MAX_PENALTY_ROUNDS rounds.  params'
-    length_multiplier is the first round's multiplier, so a caller
-    continuing from a nearby solve can warm-start it; the result's params
-    hold the last round's multiplier and stiffness.
+    previous round's; at most MAX_PENALTY_ROUNDS rounds.  A last round
+    that converges with the length still off returns converged False and
+    status max_penalty_rounds.  params' length_multiplier is the first
+    round's multiplier, so a caller continuing from a nearby solve can
+    warm-start it; the result's params hold the last round's multiplier
+    and stiffness.
 
     log_stream, when given, receives one CSV for the whole relax: one
     header, and an iteration column that counts on across rounds.  A later
@@ -560,7 +576,8 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
         # term alone leaves that mode free and the spring energy abuses it
         p = replace(p, edge_penalty_k=100.0 * stiffness)
 
-    x = np.array(x0, dtype=float)
+    loop_mesh, extend = mesh.loop_reduction()
+    x = np.array(x0, dtype=float).take(mesh.boundary_loop, axis=0)
     total_iters = total_evals = 0
     log_row = None
     if log_stream is not None:
@@ -572,7 +589,7 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
 
     prev_err = np.inf
     for rnd in range(1, MAX_PENALTY_ROUNDS + 1):
-        res = _minimize(mesh, x, p, opts, log_row)
+        res = _minimize(loop_mesh, x, p, opts, log_row)
         total_iters += res.iterations
         total_evals += res.function_evals
         x = res.x
@@ -589,8 +606,11 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
         p = replace(p, length_penalty_k=mu, length_multiplier=lam)
         prev_err = err
 
+    if res.converged and err >= LENGTH_TOL:
+        res.converged, res.status = False, "max_penalty_rounds"
+    res.x = extend(x)
+    res.energy = energy_and_gradient(mesh, res.x, res.params)[0]
     res.iterations = total_iters
-    res.function_evals = total_evals
+    res.function_evals = total_evals + 1
     res.penalty_rounds = rnd
     return res
-

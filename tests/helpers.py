@@ -24,6 +24,18 @@ def fan_mesh(n, radius=1.0):
     return TriMesh.from_triangles(n + 1, tris), pts
 
 
+def polygon_mesh(n, radius=1.0):
+    """Regular n-gon in the z = 0 plane triangulated by the diagonals from
+    vertex 0: every vertex lies on the boundary, and the diagonals are the
+    interior edges."""
+    ang = np.arange(n) * 2.0 * np.pi / n
+    pts = np.zeros((n, 3))
+    pts[:, 0] = radius * np.cos(ang)
+    pts[:, 1] = radius * np.sin(ang)
+    tris = np.array([[0, i, i + 1] for i in range(1, n - 1)], dtype=np.int64)
+    return TriMesh.from_triangles(n, tris), pts
+
+
 def circle_samples(n, radius=1.0):
     """Uniform samples of a circle of given radius in the z = 0 plane."""
     u = np.arange(n) * 2.0 * np.pi / n

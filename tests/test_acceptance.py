@@ -178,7 +178,7 @@ def test_criterion_04_transition_sequence(elongated_run, hexagon_diagram):
         "transition sequence differs from the reference values: " + detail
         + ". The spring lattice carries no in-plane shear softening, so the "
         "elongated mesh stays circular-planar until the transverse onset "
-        "in the bracket (858, 860) of kL^3/alpha, the same scale as the "
+        "in the bracket (854, 856) of kL^3/alpha, the same scale as the "
         "hexagon onset, and no flat-eight appears below 900.")
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import filmloop
+from filmloop import optimize
 from filmloop.cli import main
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.stability import disk_solution
@@ -91,6 +92,20 @@ def test_relax_command_summary(tmp_path, capsys):
     # a flat disk's line tension, at the lattice's film tension 2 sqrt(3) k
     beta = disk_solution(1.0, 2.0 * np.sqrt(3.0) * 30.0, 1.0).beta
     assert abs(summary["line_tension"] / beta - 1.0) < 0.05
+
+
+def test_relax_command_exits_two_when_length_is_not_held(tmp_path, capsys,
+                                                         monkeypatch):
+    # one penalty round leaves a cold twisted solve's length off target
+    monkeypatch.setattr(optimize, "MAX_PENALTY_ROUNDS", 1)
+    out = tmp_path / "relax"
+    rc = main(["relax", "--kl3a", "900", "--rings", "8",
+               "--max-iterations", "60000", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().out.startswith("max_penalty_rounds:")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "max_penalty_rounds"
+    assert summary["length_rel_err"] >= 1e-3
 
 
 def test_sweep_command_and_manifest_rerun(tmp_path, capsys):

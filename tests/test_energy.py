@@ -15,6 +15,7 @@ import pytest
 from filmloop.energy import (SIGMA_PER_SPRING_K, DegenerateBoundaryError,
                              EnergyParams, energy, energy_and_gradient)
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
+from filmloop.optimize import perturb
 
 from helpers import fan_mesh, reference_energy_and_gradient
 
@@ -244,3 +245,26 @@ def test_collapsed_edge_raises_without_runtime_warning():
 
 def test_tension_conversions():
     assert np.isclose(SIGMA_PER_SPRING_K, 4.0 / np.sqrt(3.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("rings", [4, 16])
+def test_loop_mesh_energy_matches_full_mesh_at_extension(rings):
+    # at the harmonic interior the spring term is k x_B^T S x_B, the
+    # gradient's interior rows vanish and its loop rows are the loop mesh's
+    mesh, x = generate_disk_mesh(rings, 1.2)
+    x = perturb(scale_to_boundary_length(mesh, x, 1.0), 0.01, rings)
+    loop = mesh.boundary_loop
+    loop_mesh, extend = mesh.loop_reduction()
+    p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
+                     length_penalty_k=90100.0, edge_penalty_k=90100.0,
+                     length_multiplier=-3.0)
+    fl, gl = energy_and_gradient(loop_mesh, x[loop], p)
+    y = extend(x[loop])
+    ff, gf = energy_and_gradient(mesh, y, p)
+    assert abs(fl.springs - ff.springs) <= 1e-12 * ff.springs
+    for name in ("bending", "length_penalty", "boundary_length"):
+        assert getattr(fl, name) == getattr(ff, name)
+    scale = np.abs(gf).max()
+    inner = np.setdiff1d(np.arange(mesh.vertex_count), loop)
+    assert np.abs(gf[inner]).max() <= 1e-12 * scale
+    np.testing.assert_allclose(gf[loop], gl, rtol=0, atol=1e-12 * scale)

@@ -14,6 +14,8 @@ from filmloop.mesh import (MeshError, TriMesh, boundary_length,
                            generate_disk_mesh, scale_to_boundary_length,
                            validate_mesh)
 
+from helpers import fan_mesh, polygon_mesh
+
 ANNULUS_TRIS = np.array([[0, 1, 4], [0, 4, 3], [1, 2, 5],
                          [1, 5, 4], [2, 0, 3], [2, 3, 5]], dtype=np.int64)
 
@@ -169,3 +171,49 @@ def test_vertex_sharing_keys_match_pairwise_comparison():
     np.testing.assert_array_equal(keys[:-1], i[shares] * f + j[shares])
     assert keys[-1] == f * f                        # the search sentinel
     assert mesh.vertex_sharing_keys() is keys       # built once per mesh
+
+
+@pytest.mark.parametrize("rings", [1, 4, 16])
+def test_loop_reduction_is_a_laplacian_on_the_loop(rings):
+    # S = L_BB - L_BI L_II^-1 L_IB: symmetric, positive semidefinite, and
+    # zero on constants, over the B loop vertices in loop order
+    mesh, _ = generate_disk_mesh(rings)
+    loop_mesh, _ = mesh.loop_reduction()
+    nb = len(mesh.boundary_loop)
+    s = loop_mesh.interior_laplacian()
+    assert loop_mesh.vertex_count == nb and s.shape == (nb, nb)
+    np.testing.assert_array_equal(loop_mesh.boundary_loop, np.arange(nb))
+    np.testing.assert_array_equal(s, s.T)
+    eig = np.linalg.eigvalsh(s)
+    assert eig.min() >= -1e-12 * eig.max()
+    assert np.abs(s.sum(axis=1)).max() <= 1e-12 * np.abs(s).max()
+    assert mesh.loop_reduction() is mesh.loop_reduction()   # built once
+
+
+def test_fan_reduction_closed_form():
+    # a hub joined to n rim vertices: eliminating it leaves I - J / n
+    mesh, _ = fan_mesh(12)
+    s = mesh.loop_reduction()[0].interior_laplacian()
+    np.testing.assert_allclose(s, np.eye(12) - 1.0 / 12.0, rtol=0,
+                               atol=1e-15)
+
+
+def test_extend_fills_a_harmonic_interior():
+    mesh, _ = generate_disk_mesh(5, 1.2)
+    _, extend = mesh.loop_reduction()
+    xb = np.random.default_rng(3).standard_normal((len(mesh.boundary_loop), 3))
+    y = extend(xb)
+    np.testing.assert_array_equal(y[mesh.boundary_loop], xb)
+    inner = np.setdiff1d(np.arange(mesh.vertex_count), mesh.boundary_loop)
+    assert np.abs((mesh.interior_laplacian() @ y)[inner]).max() < 1e-13
+
+
+def test_reduction_without_interior_vertices_keeps_the_laplacian():
+    # nothing to eliminate: S is L_BB and extend only reorders
+    mesh, x = polygon_mesh(9)
+    loop = mesh.boundary_loop
+    loop_mesh, extend = mesh.loop_reduction()
+    lap = mesh.interior_laplacian().toarray()
+    np.testing.assert_array_equal(loop_mesh.interior_laplacian(),
+                                  lap[np.ix_(loop, loop)])
+    np.testing.assert_array_equal(extend(x[loop]), x)

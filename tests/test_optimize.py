@@ -22,7 +22,7 @@ from filmloop.optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
                                perturb, relax)
 from filmloop.stability import disk_solution
 
-from helpers import fft_preconditioner, reference_two_loop
+from helpers import fft_preconditioner, polygon_mesh, reference_two_loop
 
 
 def quadratic_problem(n, seed):
@@ -288,19 +288,73 @@ def test_relax_is_deterministic():
     assert res1.iterations == res2.iterations
 
 
-def test_relax_escalates_weak_penalty(monkeypatch):
-    # this soft start needs 9 rounds, more than relax allows by default
-    monkeypatch.setattr(optimize, "MAX_PENALTY_ROUNDS", 9)
+def _soft_penalty_start():
     mesh, x0 = generate_disk_mesh(4)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     # global penalty deliberately far too soft to hold the target length in
     # one round; edge penalty left on automatic
     p = EnergyParams(alpha=1.0, spring_k=30.0, target_length=1.0,
                      length_penalty_k=1e-3, edge_penalty_k=0.0)
+    return mesh, x0, p
+
+
+def test_relax_escalates_weak_penalty(monkeypatch):
+    # this soft start needs 9 rounds, more than relax allows by default
+    monkeypatch.setattr(optimize, "MAX_PENALTY_ROUNDS", 9)
+    mesh, x0, p = _soft_penalty_start()
     res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
     assert res.penalty_rounds >= 2
     assert res.params.length_penalty_k > 1e-3
     assert res.length_error < 1e-3
+
+
+def test_relax_fails_when_rounds_run_out_with_length_off():
+    # the same soft start at the default round limit: every round's solve
+    # converges, but the length is still off target after the last
+    mesh, x0, p = _soft_penalty_start()
+    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
+    assert res.penalty_rounds == optimize.MAX_PENALTY_ROUNDS
+    assert res.length_error >= LENGTH_TOL
+    assert res.status == "max_penalty_rounds" and not res.converged
+
+
+def test_relax_depends_on_start_only_through_loop():
+    mesh, x0 = generate_disk_mesh(4)
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
+    p = EnergyParams(alpha=1.0, spring_k=30.0, target_length=1.0)
+    moved = x0.copy()
+    inner = np.setdiff1d(np.arange(mesh.vertex_count), mesh.boundary_loop)
+    moved[inner] += 0.05
+    a, b = relax(mesh, x0, p), relax(mesh, moved, p)
+    assert np.array_equal(a.x, b.x) and a.energy == b.energy
+
+
+def test_relaxed_state_is_stationary_on_the_full_mesh():
+    # solved on the loop, extended once: the full-mesh gradient of the
+    # twisted state is within the tolerance the loop solve met
+    res = _cold_rings8_relax()
+    mesh, _ = generate_disk_mesh(8, 1.2)
+    _, g = energy_and_gradient(mesh, res.x, res.params)
+    assert res.converged
+    assert np.abs(g).max() <= MinimizeOptions().gradient_tolerance * 901.0
+
+
+@pytest.mark.parametrize("case", ["no_interior_vertex", "no_springs"])
+def test_relax_without_interior_vertices_or_springs(case):
+    # both go through the one loop-reduced path
+    if case == "no_interior_vertex":
+        mesh, x0 = polygon_mesh(24)
+        k = 3.0
+    else:
+        mesh, x0 = generate_disk_mesh(4)
+        k = 0.0
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
+    p = EnergyParams(alpha=1.0, spring_k=k, target_length=1.0)
+    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
+    _, g = energy_and_gradient(mesh, res.x, res.params)
+    assert res.converged and res.length_error < LENGTH_TOL
+    assert np.abs(g).max() <= MinimizeOptions().gradient_tolerance * (k + 1.0)
+    assert res.energy == energy(mesh, res.x, res.params)
 
 
 def _cold_rings8_relax(**kwargs):
@@ -391,7 +445,7 @@ def test_minimize_finishes_stalled_search(monkeypatch):
 @pytest.mark.parametrize("stall_after", [None, 100])
 def test_relax_writes_one_log_across_rounds(monkeypatch, stall_after):
     # a cold rings-8 relax at kL^3/alpha = 900 takes 2 penalty rounds and
-    # 225 Wolfe searches, 179 in the first round; with the search stalled
+    # 175 Wolfe searches, 140 in the first round; with the search stalled
     # after 100 calls both rounds end in a secant finish
     if stall_after is not None:
         _stalling_search(monkeypatch, stall_after)
@@ -428,8 +482,8 @@ def test_function_evals_counts_every_energy_call(monkeypatch, stall_after):
 
 
 def test_cold_relax_evaluation_budget():
-    # L-BFGS directions take the unit step almost always: 286 evaluations
-    # over 225 iterations at seed 0, where Polak-Ribiere CG took 2,099 over
+    # L-BFGS directions take the unit step almost always: 229 evaluations
+    # over 175 iterations at seed 0, where Polak-Ribiere CG took 2,099 over
     # 726
     res = _cold_rings8_relax(opts=MinimizeOptions(max_iterations=60000))
     assert res.converged
