@@ -124,6 +124,8 @@ def cmd_mesh(args):
 def cmd_relax(args):
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if not (np.isfinite(args.kl3a) and args.kl3a >= 0):
+        raise UsageError(f"--kl3a must be finite and >= 0, got {args.kl3a!r}")
     mesh, x0 = generate_disk_mesh(args.rings, args.elongation)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     x0 = perturb(x0, KICK_AMPLITUDE, args.seed)

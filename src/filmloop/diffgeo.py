@@ -35,7 +35,13 @@ class InflectionError(DiffGeoError):
 
 def triangle_geometry(mesh, x):
     """Per-triangle (unit normals, areas, corner angles); errors on zero area."""
-    tris = mesh.triangles
+    return _corner_geometry(mesh.triangles, x)
+
+
+def _corner_geometry(tris, x):
+    """triangle_geometry of the (f, 3) triangles tris.  Every quantity is
+    computed triangle by triangle, so a subset of a mesh's triangles gets
+    the same bits as the whole mesh gives it."""
     a, b, c = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
     n = np.cross(b - a, c - a)
     nlen = np.linalg.norm(n, axis=1)
@@ -52,17 +58,24 @@ def triangle_geometry(mesh, x):
     return nhat, areas, angles
 
 
-def vertex_normals(mesh, x):
-    """Angle-weighted average of incident triangle normals, normalized."""
-    nhat, _, angles = triangle_geometry(mesh, x)
+def _loop_normals(mesh, x):
+    """Angle-weighted average of the triangle normals incident on each loop
+    vertex, normalized, in loop order.
+
+    Only the triangles touching the loop (mesh.loop_triangles) are read.
+    They are accumulated corner by corner in increasing triangle order,
+    the order a pass over every triangle adds them in, so each normal has
+    the bits of the all-vertex average at that vertex.
+    """
+    tris = mesh.triangles[mesh.loop_triangles()]
+    nhat, _, angles = _corner_geometry(tris, x)
     acc = np.zeros((mesh.vertex_count, 3))
     for k in range(3):
-        np.add.at(acc, mesh.triangles[:, k], angles[:, k][:, None] * nhat)
+        np.add.at(acc, tris[:, k], angles[:, k][:, None] * nhat)
+    acc = acc[mesh.boundary_loop]
     norms = np.linalg.norm(acc, axis=1)
-    used = np.unique(mesh.triangles)
-    if np.any(norms[used] <= 0.0):
+    if np.any(norms <= 0.0):
         raise DiffGeoError("degenerate vertex normal (zero incident-angle fan)")
-    norms[norms == 0.0] = 1.0
     return acc / norms[:, None]
 
 
@@ -114,7 +127,7 @@ def boundary_geometry(mesh, x):
     cvec = (t - t[mesh.loop_prev]) / savg[:, None]
     kappa = np.linalg.norm(cvec, axis=1)
 
-    normals = vertex_normals(mesh, x)[loop]
+    normals = _loop_normals(mesh, x)
     tbar = t + t[mesh.loop_prev]
     tnorm = np.linalg.norm(tbar, axis=1)
     # a nearly reversing corner leaves the averaged tangent ill-defined;

@@ -55,6 +55,8 @@ class TriMesh:
         default=None, repr=False, compare=False)
     _reduction: Optional[tuple] = field(
         default=None, repr=False, compare=False)
+    _loop_tris: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
 
     @classmethod
     def from_triangles(cls, vertex_count, triangles):
@@ -141,6 +143,16 @@ class TriMesh:
                 keys.append(tri[:-k][same] * f + tri[k:][same])
             self._sharing_keys = np.unique(np.concatenate(keys))
         return self._sharing_keys
+
+    def loop_triangles(self):
+        """Increasing indices of the triangles with a corner on the boundary
+        loop (cached): every triangle that adds to a loop vertex's normal."""
+        if self._loop_tris is None:
+            on_loop = np.zeros(self.vertex_count, dtype=bool)
+            on_loop[self.boundary_loop] = True
+            self._loop_tris = np.flatnonzero(
+                on_loop[self.triangles].any(axis=1))
+        return self._loop_tris
 
 
 def _loop_reduction(mesh):

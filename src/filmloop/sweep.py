@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, asdict
 from typing import List
 
 import numpy as np
-import scipy.optimize
-import scipy.spatial
 
 from . import __version__
 from .mesh import generate_disk_mesh, scale_to_boundary_length
@@ -348,6 +346,8 @@ def fit_exponent(diagram, gamma_threshold):
     (gamma_threshold, 1.25 * gamma_threshold] and gamma_c is fitted freely
     below the first data point.
     """
+    import scipy.optimize
+
     rows = _fit_window(diagram, gamma_threshold)
     g = np.array([p.gamma for p in rows])
     a = np.array([p.mean_abs_kn for p in rows])
@@ -387,23 +387,70 @@ def fit_linear_K(diagram, gamma_c):
 # self-intersection diagnostic
 
 
+# least cosine between a triangle normal and the vector area, and least sine
+# of a boundary turn about the loop's centroid, for the graph certificate:
+# far above the rounding of a cross product (~1e-15), far below the tilts
+# and turns of the shapes it certifies (cosines >= 0.88 on sweep states and
+# 0.1 on the t = 0.9 saddle, sines >= 0.0058)
+GRAPH_MARGIN = 1e-9
+
+
 def count_self_intersections(mesh, x):
     """Number of transversally intersecting non-adjacent triangle pairs.
 
-    Candidate pairs come from a centroid KD-tree query; pairs sharing a
-    vertex (found by a sorted search of their keys i * f + j among the
-    mesh's cached vertex_sharing_keys) and pairs whose axis-aligned bounding
-    boxes do not overlap are dropped.  One array pass of the
+    A state that _is_graph certifies has none, and no pair is searched.
+    Otherwise candidate pairs come from a centroid KD-tree query; pairs
+    sharing a vertex (found by a sorted search of their keys i * f + j among
+    the mesh's cached vertex_sharing_keys) and pairs whose axis-aligned
+    bounding boxes do not overlap are dropped.  One array pass of the
     Moller-Trumbore ray-triangle test over the rest then counts a pair when
     an edge of one triangle crosses the interior of the other.  Exactly
     coplanar overlaps are skipped (the diagnostic targets genuine crossings
     of the immersed surface).
     """
+    if _is_graph(mesh, x):
+        return 0
     return len(_crossing_pairs(mesh, x))
+
+
+def _is_graph(mesh, x):
+    """True when the surface is a graph over the plane normal to its vector
+    area v, which makes it embedded.
+
+    Two conditions, each with GRAPH_MARGIN to spare: every triangle normal
+    has a positive component along v, and the boundary loop seen along v
+    turns monotonically about its centroid, once (turns summing to 2 pi,
+    not 4 pi or more).  The projection along v then keeps every triangle's
+    orientation and maps the boundary onto a simple, star-shaped curve, so
+    it is one-to-one (the degree argument of Lipman, SIAM J. Imaging Sci. 7
+    (2014) 1263), and triangles that share no vertex are disjoint.
+    """
+    tris = mesh.triangles
+    p0 = x[tris[:, 0]]
+    n = np.cross(x[tris[:, 1]] - p0, x[tris[:, 2]] - p0)
+    v = n.sum(axis=0)
+    v_len = float(np.sqrt(v @ v))
+    if not v_len > 0.0:            # a flat eight's two lobes cancel
+        return False
+    v = v / v_len
+    if not np.all(n @ v > GRAPH_MARGIN * np.sqrt(_dot(n, n))):
+        return False
+    r = x[mesh.boundary_loop]
+    r = r - r.mean(axis=0)
+    r = r - np.outer(r @ v, v)                    # in the plane normal to v
+    r_next = r[mesh.loop_next]
+    sin = np.cross(r, r_next) @ v
+    cos = _dot(r, r_next)
+    r_len = np.sqrt(_dot(r, r))
+    if not np.all(sin > GRAPH_MARGIN * r_len * r_len[mesh.loop_next]):
+        return False
+    return float(np.arctan2(sin, cos).sum()) < 3.0 * np.pi
 
 
 def _crossing_pairs(mesh, x):
     """(n, 2) triangle index pairs i < j counted by count_self_intersections."""
+    import scipy.spatial
+
     tris = mesh.triangles
     pts = x[tris]                                        # (f, 3, 3)
     # the corner slices reduce the length-3 axis faster than axis=1 does,

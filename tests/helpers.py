@@ -3,8 +3,9 @@
 import numpy as np
 import scipy.spatial
 
+from filmloop.diffgeo import DiffGeoError, triangle_geometry
 from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
-from filmloop.mesh import TriMesh, boundary_frame
+from filmloop.mesh import TriMesh, boundary_frame, generate_disk_mesh
 from filmloop import saddle
 
 
@@ -41,6 +42,44 @@ def circle_samples(n, radius=1.0):
     u = np.arange(n) * 2.0 * np.pi / n
     return np.stack([radius * np.cos(u), radius * np.sin(u), np.zeros(n)],
                     axis=1)
+
+
+def vertex_normals(mesh, x):
+    """Reference for boundary_geometry's normals: the angle-weighted average
+    of incident triangle normals at every vertex, normalized, over a pass of
+    all triangles."""
+    nhat, _, angles = triangle_geometry(mesh, x)
+    acc = np.zeros((mesh.vertex_count, 3))
+    for k in range(3):
+        np.add.at(acc, mesh.triangles[:, k], angles[:, k][:, None] * nhat)
+    norms = np.linalg.norm(acc, axis=1)
+    used = np.unique(mesh.triangles)
+    if np.any(norms[used] <= 0.0):
+        raise DiffGeoError("degenerate vertex normal (zero incident-angle fan)")
+    norms[norms == 0.0] = 1.0
+    return acc / norms[:, None]
+
+
+def folded_pierced_disk(rings, degrees, bump=2.0):
+    """A flat rings-r disk whose right half is folded back over its left
+    half by `degrees`; a Gaussian bump of height `bump` on the left half
+    pierces the flap (at the default height), and a gentle warp keeps every
+    pair of triangles non-coplanar."""
+    mesh, x = generate_disk_mesh(rings)
+    x[:, 2] = (bump * np.exp(-((x[:, 0] + 3.0) ** 2 + x[:, 1] ** 2) / 2.0)
+               + 0.01 * (x[:, 0] ** 2 + 2.0 * x[:, 1] ** 2))
+    flap = x[:, 0] > 0
+    hinge_dist = x[flap, 0]
+    x[flap, 0] = hinge_dist * np.cos(np.radians(degrees))
+    x[flap, 2] += hinge_dist * np.sin(np.radians(degrees))
+    return mesh, x
+
+
+def saddle_shape(rings, t):
+    """The rings-r mesh of the twisted saddle of boundary length 2 pi at
+    amplitude t."""
+    fam = saddle.SaddleFamily(R=saddle.radius_for_length(2.0 * np.pi, t), t=t)
+    return saddle.family_trimesh(fam, rings)
 
 
 def loop_crossing_pairs(mesh, x):

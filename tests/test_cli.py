@@ -205,6 +205,44 @@ def test_relax_non_finite_flag_exits_one(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+def test_relax_bad_kl3a_is_named_by_its_flag(tmp_path, capsys, value):
+    # rejected before EnergyParams could name it by its field, spring_k
+    out = tmp_path / "relax"
+    assert main(["relax", "--rings", "3", "--kl3a", value,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --kl3a must be finite and >= 0")
+    assert "spring_k" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_relax_accepts_zero_kl3a(tmp_path):
+    # no film: the bending-only loop relaxes to its circle
+    out = tmp_path / "relax"
+    assert main(["relax", "--rings", "2", "--kl3a", "0",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["k_l3_alpha"] == 0.0
+
+
+def test_relax_and_sweep_leave_spatial_and_optimize_unimported(tmp_path):
+    # the KD-tree pair search and the power-law fit import their scipy
+    # modules when they run; a relax and a sweep whose states are all
+    # certified graphs need neither
+    script = (
+        "import sys\n"
+        "from filmloop.cli import main\n"
+        f"assert main(['relax', '--rings', '2', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+        f"assert main(['sweep', '--start', '20', '--stop', '40', '--num', '2',"
+        f" '--rings', '2', '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize')"
+        " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_sweep_partial_range_is_a_usage_error(tmp_path, capsys):
     # --start alone next to --config used to be ignored silently
     cfg = tmp_path / "config.json"

@@ -14,11 +14,11 @@ from filmloop.diffgeo import (DiffGeoError, InflectionError,
                               boundary_geometry, el_residuals,
                               frenet_analyze, gauss_bonnet_defect,
                               gaussian_curvature, mean_curvature_diagnostic,
-                              planarity, vertex_normals,
-                              write_boundary_observables)
+                              planarity, write_boundary_observables)
 from filmloop.mesh import generate_disk_mesh
 
-from helpers import circle_samples, fan_mesh
+from helpers import (circle_samples, fan_mesh, folded_pierced_disk,
+                     saddle_shape, vertex_normals)
 
 
 def test_frenet_circle_second_order_convergence():
@@ -144,6 +144,44 @@ def test_vertex_normals_flat_and_unit():
     x2[:, 2] = 0.2 * np.sin(x[:, 0])
     nrm2 = vertex_normals(mesh, x2)
     assert np.allclose(np.linalg.norm(nrm2, axis=1), 1.0, atol=1e-12)
+
+
+def _lifted_disk(rings):
+    # no symmetry left: every normal differs from every other
+    mesh, x = generate_disk_mesh(rings, 1.2)
+    x[:, 2] = 0.3 * np.sin(x[:, 0] + 0.7) * np.cos(0.4 * x[:, 1]) / rings
+    return mesh, x
+
+
+@pytest.mark.parametrize("shape, args", [
+    *[pytest.param(_lifted_disk, (rings,), id=f"disk-r{rings}")
+      for rings in (1, 4, 16)],
+    *[pytest.param(saddle_shape, (16, t), id=f"saddle-r16-t{t}")
+      for t in (0.3, 0.6, 0.9)],
+    pytest.param(folded_pierced_disk, (6, 160.0), id="folded-pierced-r6"),
+])
+def test_boundary_normals_are_the_vertex_normals_bit_for_bit(shape, args):
+    # boundary_geometry reads only the triangles touching the loop (all of
+    # them at rings 1), in the order a pass over every triangle adds them
+    mesh, x = shape(*args)
+    np.testing.assert_array_equal(boundary_geometry(mesh, x).normal,
+                                  vertex_normals(mesh, x)[mesh.boundary_loop])
+
+
+def test_zero_area_interior_triangle_still_raises():
+    # boundary_geometry reads no interior triangle, so it cannot see one
+    # collapse; the curvature field that every sweep point and relax run
+    # computes on the same state does
+    mesh, x = generate_disk_mesh(4)
+    centre = int(np.argmin(np.linalg.norm(x, axis=1)))
+    tri = mesh.triangles[(mesh.triangles == centre).any(axis=1)][0]
+    assert not np.isin(tri, mesh.boundary_loop).any()
+    x[tri[0]] = x[tri[1]]                     # two triangles collapse
+    boundary_geometry(mesh, x)
+    with pytest.raises(DiffGeoError, match="zero-area"):
+        gaussian_curvature(mesh, x)
+    with pytest.raises(DiffGeoError, match="zero-area"):
+        gauss_bonnet_defect(mesh, x)
 
 
 def test_planarity_flat_vs_lifted():

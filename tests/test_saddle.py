@@ -151,6 +151,16 @@ def test_disk_quarter_matches_full_period(monkeypatch, t):
         assert abs(q - ref) <= 2e-15 * max(abs(ref), 1.0)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.44, 0.87])
+def test_disk_row_chunks_match_the_whole_grid(monkeypatch, t):
+    # evaluating the grid DISK_ROW_CHUNK rows at a time changes no bit
+    fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
+    chunked = (saddle.area_quadrature(fam), saddle.int_K_quadrature(fam))
+    monkeypatch.setattr(saddle, "DISK_ROW_CHUNK", saddle.GL_NODES)
+    assert chunked == (saddle.area_quadrature(fam),
+                       saddle.int_K_quadrature(fam))
+
+
 def test_circle_limit_quadratures():
     fam = saddle.SaddleFamily(R=0.7, t=0.0)
     assert np.isclose(saddle.length_quadrature(fam), 2 * np.pi * 0.7,

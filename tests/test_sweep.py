@@ -12,18 +12,17 @@ import pytest
 
 import filmloop
 from filmloop.energy import SIGMA_PER_SPRING_K
-from filmloop.mesh import TriMesh, generate_disk_mesh
+from filmloop.mesh import TriMesh, generate_disk_mesh, scale_to_boundary_length
 from filmloop import sweep
-from filmloop.optimize import MinimizeOptions, relax
-from filmloop.saddle import SaddleFamily, family_trimesh, radius_for_length
+from filmloop.optimize import KICK_AMPLITUDE, MinimizeOptions, perturb, relax
 from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
-                            SweepSchedule, _crossing_pairs,
+                            SweepSchedule, _crossing_pairs, _is_graph,
                             count_self_intersections,
                             detect_transitions, fit_exponent, fit_linear_K,
                             read_diagram_csv, read_manifest, run_sweep,
                             write_diagram_csv, write_manifest)
 
-from helpers import loop_crossing_pairs
+from helpers import folded_pierced_disk, loop_crossing_pairs, saddle_shape
 
 
 def make_point(**over):
@@ -210,36 +209,81 @@ def _brute_force_crossings(mesh, x):
     return int(np.sum(edge_hits(i, j) | edge_hits(j, i)))
 
 
-def _folded_pierced_disk(rings, degrees):
-    # a bump on the left half pierces the right half folded back over it;
-    # a gentle warp keeps every pair of triangles non-coplanar
-    mesh, x = generate_disk_mesh(rings)
-    x[:, 2] = (2.0 * np.exp(-((x[:, 0] + 3.0) ** 2 + x[:, 1] ** 2) / 2.0)
-               + 0.01 * (x[:, 0] ** 2 + 2.0 * x[:, 1] ** 2))
-    flap = x[:, 0] > 0
-    hinge_dist = x[flap, 0]
-    x[flap, 0] = hinge_dist * np.cos(np.radians(degrees))
-    x[flap, 2] += hinge_dist * np.sin(np.radians(degrees))
-    return mesh, x
-
-
 def test_counts_crossings_of_folded_pierced_disk():
-    mesh, x = _folded_pierced_disk(6, 160.0)
+    mesh, x = folded_pierced_disk(6, 160.0)
+    assert not _is_graph(mesh, x)             # counted by the pair search
     count = count_self_intersections(mesh, x)
     assert count == _brute_force_crossings(mesh, x)
     assert count == 26
 
 
-def _folded_saddle(rings, t):
-    fam = SaddleFamily(R=radius_for_length(2.0 * np.pi, t), t=t)
-    return family_trimesh(fam, rings)
+def _kicked_disk(rings):
+    # a sweep's start: the elongated disk at unit length, kicked off its plane
+    mesh, x = generate_disk_mesh(rings, 1.2)
+    return mesh, perturb(scale_to_boundary_length(mesh, x, 1.0),
+                         KICK_AMPLITUDE, 0)
 
 
 @pytest.mark.parametrize("shape, args", [
-    *[pytest.param(_folded_pierced_disk, (rings, degrees),
+    *[pytest.param(_kicked_disk, (rings,), id=f"disk-r{rings}")
+      for rings in (4, 8, 16)],
+    *[pytest.param(saddle_shape, (16, t), id=f"saddle-r16-t{t}")
+      for t in (0.3, 0.6, 0.9)],
+    pytest.param(folded_pierced_disk, (6, 160.0, 0.0), id="fold-r6-160deg"),
+])
+def test_graph_certificate_holds_on_embedded_shapes(shape, args):
+    # the disk, buckled and twisted states are graphs over their mean plane,
+    # and a single fold with no bump is one over the plane normal to its
+    # bisector: certified without a pair search, and the search agrees
+    mesh, x = shape(*args)
+    assert _is_graph(mesh, x)
+    assert count_self_intersections(mesh, x) == 0
+    assert len(_crossing_pairs(mesh, x)) == 0
+
+
+def test_folded_disk_without_crossings_counts_zero_by_pair_search():
+    # a bump too low to reach the flap leaves the folded disk embedded, but
+    # it tilts the lower half's normals away from the vector area (which
+    # points almost along the fold's bisector), so the pair search decides
+    mesh, x = folded_pierced_disk(6, 160.0, bump=0.75)
+    assert not _is_graph(mesh, x)
+    assert count_self_intersections(mesh, x) == 0
+    assert _brute_force_crossings(mesh, x) == 0
+
+
+def _lifted_double_cover(lift=0.05):
+    # the rings-2 disk wrapped twice around its centre (angle theta -> 2
+    # theta) and lifted by lift * theta: every triangle keeps its
+    # orientation seen from above, but the boundary winds twice and the
+    # sheets cross where the lift jumps back.  Unwarped, the lattice's
+    # symmetry makes the sheets meet only edge through edge, exactly on a
+    # triangle's edge, which the Moller-Trumbore margins skip; a shear
+    # moves the contact into the triangles' interiors.
+    mesh, x = generate_disk_mesh(2)
+    x[:, 0] += 0.05 * x[:, 1] ** 2 + 0.03 * x[:, 0] * x[:, 1]
+    r = np.hypot(x[:, 0], x[:, 1])
+    theta = np.mod(np.arctan2(x[:, 1], x[:, 0]), 2.0 * np.pi)
+    return mesh, np.stack([r * np.cos(2.0 * theta), r * np.sin(2.0 * theta),
+                           lift * theta], axis=1)
+
+
+def test_double_cover_fails_the_winding_check():
+    mesh, x = _lifted_double_cover()
+    p0 = x[mesh.triangles[:, 0]]
+    n = np.cross(x[mesh.triangles[:, 1]] - p0, x[mesh.triangles[:, 2]] - p0)
+    v = n.sum(axis=0)
+    assert np.all(n @ v > 0.9 * np.linalg.norm(n, axis=1) * np.linalg.norm(v))
+    assert not _is_graph(mesh, x)
+    count = count_self_intersections(mesh, x)
+    assert count == _brute_force_crossings(mesh, x)
+    assert count == 4
+
+
+@pytest.mark.parametrize("shape, args", [
+    *[pytest.param(folded_pierced_disk, (rings, degrees),
                    id=f"disk-r{rings}-{degrees:g}deg")
       for rings in (6, 8) for degrees in (140.0, 160.0, 175.0)],
-    pytest.param(_folded_saddle, (8, 0.9), id="saddle-r8-t0.9"),
+    pytest.param(saddle_shape, (8, 0.9), id="saddle-r8-t0.9"),
 ])
 def test_vectorized_crossings_match_per_pair_loop(shape, args):
     # the array pass computes each pair's arithmetic as the per-pair loop
