@@ -88,7 +88,8 @@ def build_parser():
     p_asym.add_argument("--gamma-max", type=float, default=2.0 * 96 * np.pi**3)
     p_asym.add_argument("--num", type=int, default=50)
     p_asym.add_argument("--length", type=float, default=2.0 * np.pi)
-    p_asym.add_argument("--rings", type=int, default=16)
+    p_asym.add_argument("--rings", type=int,
+                        help="rings of the --save-meshes meshes (default 16)")
     p_asym.add_argument("--save-meshes", action="store_true")
     p_asym.add_argument("--out", default="runs/asymptotic")
 
@@ -205,7 +206,18 @@ def cmd_stability(args):
 
 
 def cmd_asymptotic(args):
+    if args.rings is None:
+        args.rings = 16
+    elif not args.save_meshes:
+        raise UsageError("--rings only sets the meshes of --save-meshes; "
+                         "give --save-meshes too")
     _require_positive(args, "length", "gamma_min", "gamma_max", "num", "rings")
+    flat_eight = 3.0 * saddle.gamma_star()    # where the amplitude t is 1
+    for name in ("gamma_min", "gamma_max"):
+        if getattr(args, name) >= flat_eight:
+            raise UsageError(f"--{name.replace('_', '-')} must be below "
+                             f"288 pi^3 = {flat_eight:.6g}, the flat eight, "
+                             f"got {getattr(args, name)!r}")
     os.makedirs(args.out, exist_ok=True)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.num)
     L = args.length

@@ -11,13 +11,16 @@ small t it models the twisted shape at the onset of non-planarity.
 Every series expression here (metric, boundary arc length and curvature,
 energy, boundary length) is paired with an independent quadrature of the
 exact embedding, because small coefficient mistakes in the series are the
-main risk.  Quadratures use Gauss-Legendre nodes radially and the periodic
-trapezoid rule in phi (spectrally accurate for smooth periodic integrands),
-each at one fixed resolution whose measured accuracy is given with the
-resolution constants below.  The disk integrands are invariant under
-phi -> -phi and phi -> pi - phi, so the disk integrals sample one quarter
-of the phi period and weight it to the full trapezoid sum, at unchanged
-resolution and accuracy.
+main risk.  The integrands are closed forms of the embedding, not of the
+series, built on its normal x_r x x_phi (family_normal; do Carmo,
+Differential Geometry of Curves and Surfaces, 3-3 and 4-4).  Quadratures
+use Gauss-Legendre nodes radially and the periodic trapezoid rule in phi
+(spectrally accurate for smooth periodic integrands), each at one fixed
+resolution whose measured accuracy is given with the resolution constants
+below.  The disk integrands are invariant under phi -> -phi and
+phi -> pi - phi, so the disk integrals sample one quarter of the phi
+period and weight it to the full trapezoid sum, at unchanged resolution
+and accuracy.
 
 Eliminating R through the boundary-length series L = pi R (2 + 2 t^2 - t^4)
 turns the energy into a quartic in t whose stationarity condition
@@ -83,25 +86,27 @@ def family_metric(fam, r, phi):
     return g_rr, g_rp, g_pp
 
 
-def _surface_derivs(fam, r, phi):
-    """First and second partial derivatives of the embedding."""
+def family_normal(fam, r, phi):
+    """Closed-form normal x_r x x_phi
+    = r (-(2tbr/R) sin phi, -(2tar/R) cos phi, ab), a = 1 + t^2, b = 1 - t^2;
+    broadcasts over r and phi."""
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     t, R = fam.t, fam.R
-    cp, sp = np.cos(phi), np.sin(phi)
-    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
     a, b = 1.0 + t**2, 1.0 - t**2
-    zero = np.zeros(np.broadcast(r, phi).shape)
+    n = np.stack(np.broadcast_arrays(-2.0 * t * b * r / R * np.sin(phi),
+                                     -2.0 * t * a * r / R * np.cos(phi),
+                                     a * b), -1)
+    return n * r[..., None]
 
-    x_r = np.stack(np.broadcast_arrays(a * cp, b * sp, 2.0 * t * r / R * s2), -1)
-    x_p = np.stack(np.broadcast_arrays(-r * a * sp, r * b * cp,
-                                       2.0 * t * r**2 / R * c2), -1)
-    x_rr = np.stack(np.broadcast_arrays(zero, zero, 2.0 * t / R * s2), -1)
-    x_rp = np.stack(np.broadcast_arrays(-a * sp, b * cp,
-                                        4.0 * t * r / R * c2), -1)
-    x_pp = np.stack(np.broadcast_arrays(-r * a * cp, -r * b * sp,
-                                        -4.0 * t * r**2 / R * s2), -1)
-    return x_r, x_p, x_rr, x_rp, x_pp
+
+def _normal_sq(fam, r, phi):
+    """Q = |x_r x x_phi|^2 / r^2 = a^2 b^2 + (2tr/R)^2 (b^2 sin^2 phi
+    + a^2 cos^2 phi)."""
+    t, R = fam.t, fam.R
+    a, b = 1.0 + t**2, 1.0 - t**2
+    return (a * b) ** 2 + (2.0 * t * r / R) ** 2 \
+        * ((b * np.sin(phi)) ** 2 + (a * np.cos(phi)) ** 2)
 
 
 def boundary_curve(fam, phi):
@@ -156,20 +161,22 @@ def boundary_curvature_series(fam, phi):
 def boundary_curvatures_exact(fam, phi):
     """Exact (kappa_n, kappa_g) of the boundary from the embedding.
 
-    The curvature vector of the boundary curve is projected on the surface
-    normal and on the inward co-normal n x t computed at r = R.
+    The curvature vector c'' / |c'|^2 (its tangential part drops out) is
+    projected on the unit surface normal n at r = R and on the inward
+    co-normal n x t: kappa_n = c'' . n / |c'|^2 and
+    kappa_g = c'' . (n x t) / |c'|^2 = (c' x c'') . n / |c'|^3.
     """
     c1, c2, _ = boundary_derivatives(fam, phi)
-    x_r, x_p, *_ = _surface_derivs(fam, fam.R, phi)
-    n = np.cross(x_r, x_p)
+    return _curvature_split(fam, phi, c1, c2, np.linalg.norm(c1, axis=-1))
+
+
+def _curvature_split(fam, phi, c1, c2, sp):
+    """(kappa_n, kappa_g) from the boundary derivatives c', c'' and |c'|."""
+    n = family_normal(fam, fam.R, phi)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    sp2 = np.einsum("...i,...i->...", c1, c1)
-    that = c1 / np.sqrt(sp2)[..., None]
-    kvec = (c2 - np.einsum("...i,...i->...", c2, that)[..., None] * that) \
-        / sp2[..., None]
-    kn = np.einsum("...i,...i->...", kvec, n)
-    kg = np.einsum("...i,...i->...", kvec, np.cross(n, that))
-    return kn, kg
+    conormal = np.cross(n, c1 / sp[..., None])
+    return (np.einsum("...i,...i->...", c2, n) / sp**2,
+            np.einsum("...i,...i->...", c2, conormal) / sp**2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +189,17 @@ def boundary_curvatures_exact(fam, phi):
 # full-period sum within 6e-16 relative up to t = 0.95).  Over the
 # asymptotic table's range (t = 0 to 0.87) halving either resolution moves
 # no smooth integral by more than 1.8e-13, and the two integral-of-K routes
-# agree to 8e-15: the periodic trapezoid rule converges exponentially for
+# agree to 9e-15: the periodic trapezoid rule converges exponentially for
 # smooth integrands (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
 # DISK_PANELS must stay divisible by 4 for the quarter.  |kappa_n| has kinks
 # where kappa_n changes sign, which is exactly at phi = 0, pi/2, pi, 3pi/2,
 # so its integral is taken per quarter by Gauss-Legendre with
 # KN_QUARTER_NODES nodes (against 256 nodes the difference is below 1e-12).
+# The disk integrands are closed forms of the exact embedding's normal.
 GL_NODES = 96
 DISK_PANELS = 1024
 BOUNDARY_PANELS = 2048
 KN_QUARTER_NODES = 64
-# r rows of the disk grid an integrand is evaluated on at a time: a
-# (16, 257, 3) float64 temporary is 99 KB, under glibc's 128 KiB mmap
-# threshold, so the integrands' temporaries can be reused from the heap.
-# Alone in a process, the whole (96, 257) grid at once paged in about
-# 92,000 fresh pages per 50-row asymptotic table, 24 rows 51,000 and 16
-# rows 24 (where the heap is trimmed between chunks, as many as before).
-DISK_ROW_CHUNK = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,9 +221,7 @@ def _disk_integral(fam, integrand):
     trapezoid sum over DISK_PANELS (divisible by 4) panels is then taken
     exactly over the closed quarter phi_k = 2 pi k / DISK_PANELS,
     k = 0 .. DISK_PANELS / 4: the end nodes stand for orbits of 2 nodes,
-    the inner nodes for orbits of 4.  The grid is evaluated DISK_ROW_CHUNK
-    r rows at a time, which leaves every row sum, and the table, bit for
-    bit as one evaluation of the whole grid gives them.
+    the inner nodes for orbits of 4.
     """
     xg, wg = _gauss_legendre(GL_NODES)
     r = 0.5 * (xg + 1.0) * fam.R
@@ -231,9 +230,7 @@ def _disk_integral(fam, integrand):
     phi = np.arange(quarter + 1) * (2.0 * np.pi / DISK_PANELS)
     wphi = np.full(quarter + 1, 4.0)
     wphi[[0, -1]] = 2.0
-    rows = np.concatenate([
-        integrand(r[i:i + DISK_ROW_CHUNK, None], phi[None, :]) @ wphi
-        for i in range(0, GL_NODES, DISK_ROW_CHUNK)])
+    rows = integrand(r[:, None], phi[None, :]) @ wphi
     return float(wr @ rows) * (2.0 * np.pi / DISK_PANELS)
 
 
@@ -257,14 +254,26 @@ def length_series(fam):
     return np.pi * fam.R * (2.0 + 2.0 * t**2 - t**4)
 
 
+def _dA(fam, r, phi):
+    """Area element dA / (dr dphi) = |x_r x x_phi| = r sqrt(Q)."""
+    return r * np.sqrt(_normal_sq(fam, r, phi))
+
+
+def _K_dA(fam, r, phi):
+    """Gaussian curvature times the area element, K dA / (dr dphi).
+
+    With n = x_r x x_phi, (n.x_rr)(n.x_phiphi) - (n.x_rphi)^2 is exactly
+    -4 t^2 a^2 b^2 r^4 / R^2, so K |n| = -(2tab/R)^2 r / Q^(3/2).
+    """
+    t = fam.t
+    q = _normal_sq(fam, r, phi)
+    return -(2.0 * t * (1.0 + t**2) * (1.0 - t**2) / fam.R) ** 2 * r \
+        / (q * np.sqrt(q))
+
+
 def area_quadrature(fam):
     """Surface area by Gauss-Legendre (r) x trapezoid (phi)."""
-
-    def dA(rg, pg):
-        g_rr, g_rp, g_pp = family_metric(fam, rg, pg)
-        return np.sqrt(g_rr * g_pp - g_rp**2)
-
-    return _disk_integral(fam, dA)
+    return _disk_integral(fam, functools.partial(_dA, fam))
 
 
 def bending_quadrature(fam):
@@ -296,26 +305,14 @@ def gaussian_K_leading(fam):
 
 
 def int_K_quadrature(fam):
-    """Integral of K dA from the full second fundamental form."""
-
-    def K_dA(rg, pg):
-        x_r, x_p, x_rr, x_rp, x_pp = _surface_derivs(fam, rg, pg)
-        n = np.cross(x_r, x_p)
-        nn = np.linalg.norm(n, axis=-1)
-        nhat = n / nn[..., None]
-        e = np.einsum("...i,...i->...", nhat, x_rr)
-        f = np.einsum("...i,...i->...", nhat, x_rp)
-        g = np.einsum("...i,...i->...", nhat, x_pp)
-        # K dA = (LN - M^2)/sqrt(EG - F^2) dr dphi, and sqrt(EG - F^2) = |n|
-        return (e * g - f * f) / nn
-
-    return _disk_integral(fam, K_dA)
+    """Integral of K dA from the second fundamental form of the embedding."""
+    return _disk_integral(fam, functools.partial(_K_dA, fam))
 
 
 def int_K_gauss_bonnet(fam):
     """Integral of K dA via 2 pi minus the integrated geodesic curvature."""
     return 2.0 * np.pi - _boundary_integral(
-        fam, lambda phi, *_: boundary_curvatures_exact(fam, phi)[1])
+        fam, lambda phi, c1, c2, sp: _curvature_split(fam, phi, c1, c2, sp)[1])
 
 
 def int_abs_kn_quadrature(fam):
@@ -327,8 +324,9 @@ def int_abs_kn_quadrature(fam):
     """
     xg, wg = _gauss_legendre(KN_QUARTER_NODES)
     phi = (np.arange(4)[:, None] + 0.5 * (xg + 1.0)) * (0.5 * np.pi)
-    sp = np.linalg.norm(boundary_derivatives(fam, phi)[0], axis=-1)
-    kn = boundary_curvatures_exact(fam, phi)[0]
+    c1, c2, _ = boundary_derivatives(fam, phi)
+    sp = np.linalg.norm(c1, axis=-1)
+    kn = _curvature_split(fam, phi, c1, c2, sp)[0]
     return float(np.abs((kn * sp) @ wg).sum()) * (0.25 * np.pi)
 
 

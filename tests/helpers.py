@@ -206,6 +206,58 @@ def full_period_disk_integral(fam, integrand):
         * (2.0 * np.pi / saddle.DISK_PANELS)
 
 
+def surface_derivs(fam, r, phi):
+    """First and second partial derivatives (x_r, x_phi, x_rr, x_rphi,
+    x_phiphi) of the saddle family's embedding, stacked on a last axis of 3."""
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    t, R = fam.t, fam.R
+    cp, sp = np.cos(phi), np.sin(phi)
+    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+    a, b = 1.0 + t**2, 1.0 - t**2
+    zero = np.zeros(np.broadcast(r, phi).shape)
+
+    x_r = np.stack(np.broadcast_arrays(a * cp, b * sp, 2.0 * t * r / R * s2), -1)
+    x_p = np.stack(np.broadcast_arrays(-r * a * sp, r * b * cp,
+                                       2.0 * t * r**2 / R * c2), -1)
+    x_rr = np.stack(np.broadcast_arrays(zero, zero, 2.0 * t / R * s2), -1)
+    x_rp = np.stack(np.broadcast_arrays(-a * sp, b * cp,
+                                        4.0 * t * r / R * c2), -1)
+    x_pp = np.stack(np.broadcast_arrays(-r * a * cp, -r * b * sp,
+                                        -4.0 * t * r**2 / R * s2), -1)
+    return x_r, x_p, x_rr, x_rp, x_pp
+
+
+def reference_K_dA(fam, r, phi):
+    """Reference for saddle._K_dA: K dA / (dr dphi) = (LN - M^2) / |n| from
+    the full second fundamental form, with n = x_r x x_phi."""
+    x_r, x_p, x_rr, x_rp, x_pp = surface_derivs(fam, r, phi)
+    n = np.cross(x_r, x_p)
+    nn = np.linalg.norm(n, axis=-1)
+    nhat = n / nn[..., None]
+    e = np.einsum("...i,...i->...", nhat, x_rr)
+    f = np.einsum("...i,...i->...", nhat, x_rp)
+    g = np.einsum("...i,...i->...", nhat, x_pp)
+    return (e * g - f * f) / nn
+
+
+def reference_boundary_curvatures(fam, phi):
+    """Reference for saddle.boundary_curvatures_exact: the boundary's
+    curvature vector projected on the unit normal of x_r x x_phi at r = R
+    and on the inward co-normal n x t."""
+    c1, c2, _ = saddle.boundary_derivatives(fam, phi)
+    x_r, x_p, *_ = surface_derivs(fam, fam.R, phi)
+    n = np.cross(x_r, x_p)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    sp2 = np.einsum("...i,...i->...", c1, c1)
+    that = c1 / np.sqrt(sp2)[..., None]
+    kvec = (c2 - np.einsum("...i,...i->...", c2, that)[..., None] * that) \
+        / sp2[..., None]
+    kn = np.einsum("...i,...i->...", kvec, n)
+    kg = np.einsum("...i,...i->...", kvec, np.cross(n, that))
+    return kn, kg
+
+
 def reference_two_loop(g, memory, apply_minv):
     """Reference for the optimizer's pair ring: the L-BFGS direction -H g by
     the two-loop recursion (Nocedal & Wright, Alg. 7.4) over a deque of

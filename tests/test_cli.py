@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import filmloop
-from filmloop import optimize
+from filmloop import optimize, saddle
 from filmloop.cli import main
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.stability import disk_solution
@@ -373,6 +373,8 @@ def test_asymptotic_command_table(tmp_path, capsys):
     assert len(lines) == 4
     first = [float(v) for v in lines[1].split(",")]
     assert first[1] == 0.0                        # below threshold: flat disk
+    # every curvature column of the flat disk prints 0, never -0
+    assert lines[1].split(",")[5:] == ["0"] * 4
     last = [float(v) for v in lines[3].split(",")]
     assert last[1] > 0.3                          # well above: twisted branch
     assert last[7] < 0                            # negative integrated K
@@ -386,8 +388,10 @@ def test_asymptotic_command_table(tmp_path, capsys):
     ("--gamma-min", ["--gamma-min", "0", "--num", "2"]),
     ("--num", ["--num", "0"]),
     ("--rings", ["--rings", "0", "--num", "2", "--save-meshes"]),
+    ("--gamma-min",
+     ["--gamma-min", repr(3 * saddle.gamma_star()), "--num", "2"]),
 ], ids=["length-nan", "length-negative", "gamma-min-nan", "gamma-max-inf",
-        "gamma-min-zero", "num-zero", "rings-zero"])
+        "gamma-min-zero", "num-zero", "rings-zero", "gamma-min-at-eight"])
 def test_asymptotic_bad_flag_exits_one_before_writing(tmp_path, capsys, flag,
                                                       argv):
     # a flag that cannot give a table is named and nothing is written, not
@@ -397,3 +401,36 @@ def test_asymptotic_bad_flag_exits_one_before_writing(tmp_path, capsys, flag,
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err
     assert not out.exists()
+
+
+def test_asymptotic_past_flat_eight_names_the_bound(tmp_path, capsys):
+    # the pitchfork amplitude reaches t = 1 at gamma = 288 pi^3, where the
+    # flat eight's normal vanishes on phi = pi/2: no partial table is left
+    out = tmp_path / "asym"
+    assert main(["asymptotic", "--gamma-max", "20000", "--num", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--gamma-max" in err and "288 pi^3" in err
+    assert not out.exists()
+    below = float(np.nextafter(3 * saddle.gamma_star(), 0.0))
+    assert main(["asymptotic", "--gamma-min", repr(below), "--gamma-max",
+                 repr(below), "--num", "1", "--out", str(out)]) == 0
+
+
+def test_asymptotic_rings_needs_save_meshes(tmp_path, capsys):
+    out = tmp_path / "asym"
+    assert main(["asymptotic", "--rings", "3", "--num", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--rings" in err and "--save-meshes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, vertices", [([], 817), (["--rings", "3"], 37)])
+def test_asymptotic_saved_mesh_rings(tmp_path, argv, vertices):
+    # with --save-meshes, --rings defaults to 16 (3 r (r + 1) + 1 vertices)
+    out = tmp_path / "asym"
+    assert main(["asymptotic", "--num", "2", "--save-meshes", *argv,
+                 "--out", str(out)]) == 0
+    obj = (out / "family_t0.05.obj").read_text().splitlines()
+    assert sum(line.startswith("v ") for line in obj) == vertices

@@ -2,8 +2,10 @@
 truncation orders, quadrature cross-checks, and the pitchfork amplitude.
 
 Independent oracles: central finite differences of the embedding for the
-metric, Frenet analysis of sampled boundary points for the curvature
-split, and the Gauss-Bonnet route for the integrated Gaussian curvature.
+metric and the normal, the full second fundamental form for the closed-form
+integrands and boundary curvatures, Frenet analysis of sampled boundary
+points for the curvature split, and the Gauss-Bonnet route for the
+integrated Gaussian curvature.
 """
 
 import numpy as np
@@ -13,7 +15,10 @@ from filmloop import saddle
 from filmloop.diffgeo import frenet_analyze, gauss_bonnet_defect, planarity
 from filmloop.mesh import validate_mesh
 
-from helpers import full_period_disk_integral
+from helpers import (full_period_disk_integral, reference_boundary_curvatures,
+                     reference_K_dA, surface_derivs)
+
+ORACLE_TS = [-0.3, 0.0, 0.05, 0.44, 0.87, 0.95]
 
 
 def test_family_parameter_validation():
@@ -42,6 +47,50 @@ def test_metric_matches_finite_differences():
         worst = max(worst, abs(g_rr - xr @ xr), abs(g_rp - xr @ xp),
                     abs(g_pp - xp @ xp))
     assert worst < 1e-8
+
+
+def test_normal_matches_finite_differences():
+    fam = saddle.SaddleFamily(R=1.3, t=0.3)
+    rng = np.random.default_rng(1)
+    h = 1e-5
+    worst = 0.0
+    for r, p in zip(rng.uniform(0.1, 1.3, 40), rng.uniform(0, 2 * np.pi, 40)):
+        xr = (saddle.family_point(fam, r + h, p)
+              - saddle.family_point(fam, r - h, p)) / (2 * h)
+        xp = (saddle.family_point(fam, r, p + h)
+              - saddle.family_point(fam, r, p - h)) / (2 * h)
+        n = saddle.family_normal(fam, r, p)
+        worst = max(worst,
+                    np.abs(n - np.cross(xr, xp)).max() / np.linalg.norm(n))
+    assert worst < 1e-8
+
+
+@pytest.mark.parametrize("t", ORACLE_TS)
+def test_disk_integrands_match_second_fundamental_form(t):
+    # r sqrt(Q) = |x_r x x_phi| and -(2tab/R)^2 r / Q^(3/2) = (LN - M^2) / |n|
+    fam = saddle.SaddleFamily(R=1.3, t=t)
+    rng = np.random.default_rng(7)
+    r = rng.uniform(0.0, fam.R, 200)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 200)
+    x_r, x_p, *_ = surface_derivs(fam, r, phi)
+    dA = np.linalg.norm(np.cross(x_r, x_p), axis=-1)
+    K_dA = reference_K_dA(fam, r, phi)
+    assert np.all(np.abs(saddle._dA(fam, r, phi) - dA) <= 1e-13 * dA)
+    assert np.all(np.abs(saddle._K_dA(fam, r, phi) - K_dA)
+                  <= 1e-13 * np.abs(K_dA))
+    n = saddle.family_normal(fam, r, phi)
+    assert np.abs(n - np.cross(x_r, x_p)).max() <= 1e-13 * dA.max()
+
+
+@pytest.mark.parametrize("t", ORACLE_TS)
+def test_boundary_curvatures_match_second_fundamental_form(t):
+    fam = saddle.SaddleFamily(R=1.3, t=t)
+    phi = np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, 200)
+    kn, kg = saddle.boundary_curvatures_exact(fam, phi)
+    kn_ref, kg_ref = reference_boundary_curvatures(fam, phi)
+    kappa = np.hypot(kn_ref, kg_ref)
+    assert np.all(np.abs(kn - kn_ref) <= 1e-13 * kappa)
+    assert np.all(np.abs(kg - kg_ref) <= 1e-13 * kappa)
 
 
 def test_boundary_line_element_and_curvature_are_exact():
@@ -149,16 +198,6 @@ def test_disk_quarter_matches_full_period(monkeypatch, t):
     full = (saddle.area_quadrature(fam), saddle.int_K_quadrature(fam))
     for q, ref in zip(quarter, full):
         assert abs(q - ref) <= 2e-15 * max(abs(ref), 1.0)
-
-
-@pytest.mark.parametrize("t", [0.0, 0.44, 0.87])
-def test_disk_row_chunks_match_the_whole_grid(monkeypatch, t):
-    # evaluating the grid DISK_ROW_CHUNK rows at a time changes no bit
-    fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
-    chunked = (saddle.area_quadrature(fam), saddle.int_K_quadrature(fam))
-    monkeypatch.setattr(saddle, "DISK_ROW_CHUNK", saddle.GL_NODES)
-    assert chunked == (saddle.area_quadrature(fam),
-                       saddle.int_K_quadrature(fam))
 
 
 def test_circle_limit_quadratures():
