@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -43,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache                # parse_args leaves a parser as it was
 def build_parser():
     parser = _Parser(prog="filmloop",
                      description="film-spanning elastic loop simulator")
@@ -212,12 +214,14 @@ def cmd_asymptotic(args):
         raise UsageError("--rings only sets the meshes of --save-meshes; "
                          "give --save-meshes too")
     _require_positive(args, "length", "gamma_min", "gamma_max", "num", "rings")
-    flat_eight = 3.0 * saddle.gamma_star()    # where the amplitude t is 1
+    t_max = saddle.TABLE_T_MAX    # gamma = 288 pi^3 / (3 - 2 t^2) there
+    gamma_max = 3.0 * saddle.gamma_star() / (3.0 - 2.0 * t_max**2)
     for name in ("gamma_min", "gamma_max"):
-        if getattr(args, name) >= flat_eight:
-            raise UsageError(f"--{name.replace('_', '-')} must be below "
-                             f"288 pi^3 = {flat_eight:.6g}, the flat eight, "
-                             f"got {getattr(args, name)!r}")
+        if saddle.pitchfork_amplitude(getattr(args, name)) > t_max:
+            raise UsageError(f"--{name.replace('_', '-')} must be at most "
+                             f"{gamma_max!r}, where the amplitude t reaches "
+                             f"{t_max:g} (the flat eight, t = 1, is at "
+                             f"288 pi^3), got {getattr(args, name)!r}")
     os.makedirs(args.out, exist_ok=True)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.num)
     L = args.length

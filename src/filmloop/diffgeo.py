@@ -178,11 +178,10 @@ class CurvatureField:
 def gaussian_curvature(mesh, x):
     """Angle-defect curvature of every vertex plus barycentric area weights."""
     _, areas, angles = triangle_geometry(mesh, x)
-    angle_sum = np.zeros(mesh.vertex_count)
-    area_w = np.zeros(mesh.vertex_count)
-    for k in range(3):
-        np.add.at(angle_sum, mesh.triangles[:, k], angles[:, k])
-        np.add.at(area_w, mesh.triangles[:, k], areas / 3.0)
+    # one bincount over the corners, k-major: the order np.add.at took them
+    corners, n = mesh.triangles.T.ravel(), mesh.vertex_count
+    angle_sum = np.bincount(corners, angles.T.ravel(), minlength=n)
+    area_w = np.bincount(corners, np.tile(areas / 3.0, 3), minlength=n)
     interior = np.ones(mesh.vertex_count, dtype=bool)
     interior[mesh.boundary_loop] = False
     defect = np.where(interior, 2.0 * np.pi - angle_sum, np.pi - angle_sum)
@@ -190,9 +189,10 @@ def gaussian_curvature(mesh, x):
                           area_weight=area_w, total_area=float(areas.sum()))
 
 
-def gauss_bonnet_defect(mesh, x):
-    """|sum of defects + turnings - 2 pi|; identically ~0 for any disk mesh."""
-    field = gaussian_curvature(mesh, x)
+def gauss_bonnet_defect(mesh, x, field=None):
+    """|sum of defects + turnings - 2 pi|; identically ~0 for any disk mesh.
+    field, when given, is gaussian_curvature(mesh, x), already computed."""
+    field = gaussian_curvature(mesh, x) if field is None else field
     return abs(float(field.defect.sum()) - 2.0 * np.pi)
 
 

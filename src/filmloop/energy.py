@@ -28,6 +28,8 @@ energy_and_gradient gathers the boundary loop once (boundary_frame), shifts
 along it with the index arrays cached on the mesh (loop_prev, loop_next) and
 scatters the edge gradients back in one step, keeping every float operation
 of the np.roll / np.add.at formulation in its order: results are bit-identical.
+On a loop mesh (TriMesh.loop_only) both are identity permutations, which the
+same body skips; a zero fill is made only when there is no film term.
 
 The control parameter k L^3 / alpha maps to gamma = sigma L^3 / alpha with
 sigma = SIGMA_PER_SPRING_K * k = (4 / sqrt(3)) k.  That factor is the
@@ -113,13 +115,12 @@ def energy_and_gradient(mesh, x, p):
     c_sq = np.einsum("ij,ij->i", c, c)
     bending = p.alpha * float((c_sq / savg).sum())
 
-    grad = np.zeros_like(x)
-    springs = 0.0
     if p.spring_k != 0.0:
-        lap = mesh.interior_laplacian()
-        lx = lap @ x
+        lx = mesh.interior_laplacian() @ x
         springs = p.spring_k * float((x * lx).sum())
-        grad += 2.0 * p.spring_k * lx
+        grad = 2.0 * p.spring_k * lx
+    else:
+        springs, grad = 0.0, np.zeros_like(x)
 
     # bending gradient through unit tangents and edge lengths.
     # dE/dt_v collects c_v (positive sign) and c_{v+1} (negative sign);
@@ -143,10 +144,11 @@ def energy_and_gradient(mesh, x, p):
     # gets + g_e[i-1] then - g_e[i], the order of np.add.at, np.subtract.at
     g_e = (g_t - np.einsum("ij,ij->i", g_t, t)[:, None] * t) / s[:, None] \
         + g_s[:, None] * t
-    gl = grad.take(loop, axis=0)
+    gl = grad if mesh.loop_only else grad.take(loop, axis=0)
     gl += g_e.take(prev, axis=0)
     gl -= g_e
-    grad[loop] = gl
+    if not mesh.loop_only:
+        grad[loop] = gl
 
     breakdown = EnergyBreakdown(bending=bending, springs=springs,
                                 length_penalty=e_pen,

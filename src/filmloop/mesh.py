@@ -40,7 +40,8 @@ class TriMesh:
     boundary_loop is the ordered cycle of boundary vertices, and
     interior_edges are (e, 2) index pairs.  loop_prev and loop_next hold the
     loop positions i-1 and i+1 (mod B) for loop shifts; loop edge i runs
-    from boundary_loop[i] to boundary_loop[loop_next[i]].
+    from boundary_loop[i] to boundary_loop[loop_next[i]].  loop_only marks
+    loop_reduction's mesh, whose boundary_loop is arange(B): no gathers.
     """
 
     vertex_count: int
@@ -49,6 +50,7 @@ class TriMesh:
     interior_edges: np.ndarray
     loop_prev: np.ndarray = field(repr=False)
     loop_next: np.ndarray = field(repr=False)
+    loop_only: bool = field(default=False, repr=False)
     _laplacian: Optional[scipy.sparse.csr_matrix] = field(
         default=None, repr=False, compare=False)
     _sharing_keys: Optional[np.ndarray] = field(
@@ -179,7 +181,8 @@ def _loop_reduction(mesh):
         vertex_count=nb, triangles=np.empty((0, 3), dtype=np.int64),
         boundary_loop=np.arange(nb),
         interior_edges=np.empty((0, 2), dtype=np.int64),
-        loop_prev=mesh.loop_prev, loop_next=mesh.loop_next, _laplacian=s)
+        loop_prev=mesh.loop_prev, loop_next=mesh.loop_next, loop_only=True,
+        _laplacian=s)
 
     def extend(x_b):
         x = np.empty((n, 3))
@@ -328,7 +331,7 @@ def boundary_frame(mesh, x):
     There is no guard: a zero-length edge leaves non-finite tangents, and
     each caller raises its own error for it.
     """
-    xb = x.take(mesh.boundary_loop, axis=0)
+    xb = x if mesh.loop_only else x.take(mesh.boundary_loop, axis=0)
     e = xb.take(mesh.loop_next, axis=0) - xb
     s = np.sqrt(np.add.reduce(e * e, axis=1))     # np.linalg.norm's float ops
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -37,7 +37,9 @@ minimize() therefore starts the L-BFGS recursion from the inverse
 (make_preconditioner) of a circulant bending + edge-penalty operator along
 the boundary loop and the spring-graph diagonal elsewhere, built from the
 starting configuration; the circulant inverse is one dense B x B matrix,
-built once per solve, so an apply is one small matrix product.  Convergence
+built once per solve, so an apply is one small matrix product.  On a loop
+mesh (mesh.TriMesh.loop_only) every row is a loop row, so the apply is that
+product alone, with no identity gather, scatter or diagonal.  Convergence
 is still judged on the raw gradient.  That operator is already the
 problem's stiffness, so it is used unscaled: the textbook scaling
 s.y / y.M^{-1}y would apply it a second time.
@@ -64,6 +66,7 @@ half-width KICK_AMPLITUDE.
 
 import dataclasses
 import logging
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -206,13 +209,13 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
 
     def evaluate(v):
         f, g = fun(v.reshape(shape))
-        g = np.reshape(g, -1)
-        if not (np.isfinite(f) and np.isfinite(np.max(np.abs(g)))):
+        g = g.reshape(-1)
+        if not (math.isfinite(f) and math.isfinite(np.abs(g).max())):
             raise NumericalError("non-finite energy or gradient")
         return f, g
 
     def apply_minv(v):
-        return v if minv is None else np.reshape(minv(v.reshape(shape)), -1)
+        return v if minv is None else minv(v.reshape(shape)).reshape(-1)
 
     search = _wolfe_step(evaluate, step_scale)
 
@@ -220,7 +223,7 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     f, g = evaluate(x)
     pairs = _PairRing(len(x))
 
-    ginf = float(np.max(np.abs(g)))
+    ginf = float(np.abs(g).max())
     if callback is not None:
         callback(0, x.reshape(shape), f, ginf)
 
@@ -261,7 +264,7 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
         x, g = x_new, g_new
         it += 1
 
-        ginf = float(np.max(np.abs(g)))
+        ginf = float(np.abs(g).max())
         if callback is not None:
             callback(it, x.reshape(shape), f, ginf)
 
@@ -393,12 +396,14 @@ def make_preconditioner(mesh, x0, params):
     top = max(diag.max(), symbol.max())
     if top <= 0.0:
         return None
-    diag = np.maximum(diag, 1e-12 * top)
     symbol = np.maximum(symbol, 1e-12 * top)
+    inv_circulant = scipy.linalg.circulant(np.fft.irfft(1.0 / symbol, n=nb))
+    if mesh.loop_only:          # every row is a loop row: g -> inv_circulant @ g
+        return inv_circulant.__matmul__
     # one inverse per vertex, repeated over x, y, z: a same-shape product
     # is cheaper than broadcasting an (n, 1) column
+    diag = np.maximum(diag, 1e-12 * top)
     inv_diag = np.repeat((1.0 / diag)[:, None], 3, axis=1)
-    inv_circulant = scipy.linalg.circulant(np.fft.irfft(1.0 / symbol, n=nb))
 
     def apply(g):
         z = g * inv_diag

@@ -115,7 +115,7 @@ def boundary_curve(fam, phi):
 
 
 def boundary_derivatives(fam, phi):
-    """Exact d/dphi derivatives (c', c'', c''') of the boundary curve."""
+    """Exact d/dphi derivatives (c', c'') of the boundary curve."""
     phi = np.asarray(phi, dtype=float)
     t, R = fam.t, fam.R
     a, b = R * (1.0 + t**2), R * (1.0 - t**2)
@@ -123,8 +123,7 @@ def boundary_derivatives(fam, phi):
     c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
     c1 = np.stack(np.broadcast_arrays(-a * sp, b * cp, 2.0 * t * R * c2), -1)
     c2_ = np.stack(np.broadcast_arrays(-a * cp, -b * sp, -4.0 * t * R * s2), -1)
-    c3 = np.stack(np.broadcast_arrays(a * sp, -b * cp, -8.0 * t * R * c2), -1)
-    return c1, c2_, c3
+    return c1, c2_
 
 
 def ds2_series(fam, phi):
@@ -166,7 +165,7 @@ def boundary_curvatures_exact(fam, phi):
     co-normal n x t: kappa_n = c'' . n / |c'|^2 and
     kappa_g = c'' . (n x t) / |c'|^2 = (c' x c'') . n / |c'|^3.
     """
-    c1, c2, _ = boundary_derivatives(fam, phi)
+    c1, c2 = boundary_derivatives(fam, phi)
     return _curvature_split(fam, phi, c1, c2, np.linalg.norm(c1, axis=-1))
 
 
@@ -187,8 +186,8 @@ def _curvature_split(fam, phi, c1, c2, sp):
 # disk integrals evaluate only the DISK_PANELS / 4 + 1 nodes of one
 # symmetric quarter, weighted to the same trapezoid sum (equal to the
 # full-period sum within 6e-16 relative up to t = 0.95).  Over the
-# asymptotic table's range (t = 0 to 0.87) halving either resolution moves
-# no smooth integral by more than 1.8e-13, and the two integral-of-K routes
+# default table range (t = 0 to 0.87) halving either resolution moves no
+# smooth integral by more than 1.8e-13, and the two integral-of-K routes
 # agree to 9e-15: the periodic trapezoid rule converges exponentially for
 # smooth integrands (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
 # DISK_PANELS must stay divisible by 4 for the quarter.  |kappa_n| has kinks
@@ -200,6 +199,10 @@ GL_NODES = 96
 DISK_PANELS = 1024
 BOUNDARY_PANELS = 2048
 KN_QUARTER_NODES = 64
+# largest amplitude t, on a 0.01 grid, at which the two integral-of-K routes
+# agree within 1e-12 relative (1.1e-13 at 0.98, 3.6e-7 at 0.99): beyond it
+# the disk grid cannot resolve Q's dip toward the flat eight at t = 1
+TABLE_T_MAX = 0.98
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,11 +237,21 @@ def _disk_integral(fam, integrand):
     return float(wr @ rows) * (2.0 * np.pi / DISK_PANELS)
 
 
+@functools.lru_cache(maxsize=1)
+def _boundary_sample(fam):
+    """Read-only (phi, c', c'', |c'|) at the BOUNDARY_PANELS trapezoid nodes,
+    shared by the boundary quadratures of one family (one table row)."""
+    phi = np.arange(BOUNDARY_PANELS) * (2.0 * np.pi / BOUNDARY_PANELS)
+    c1, c2 = boundary_derivatives(fam, phi)
+    sample = (phi, c1, c2, np.linalg.norm(c1, axis=-1))
+    for a in sample:
+        a.setflags(write=False)
+    return sample
+
+
 def _boundary_integral(fam, density):
     """Trapezoid integral of density(phi, c', c'', |c'|) ds around the boundary."""
-    phi = np.arange(BOUNDARY_PANELS) * (2.0 * np.pi / BOUNDARY_PANELS)
-    c1, c2, _ = boundary_derivatives(fam, phi)
-    sp = np.linalg.norm(c1, axis=-1)
+    phi, c1, c2, sp = _boundary_sample(fam)
     return float((density(phi, c1, c2, sp) * sp).sum()) \
         * (2.0 * np.pi / BOUNDARY_PANELS)
 
@@ -324,7 +337,7 @@ def int_abs_kn_quadrature(fam):
     """
     xg, wg = _gauss_legendre(KN_QUARTER_NODES)
     phi = (np.arange(4)[:, None] + 0.5 * (xg + 1.0)) * (0.5 * np.pi)
-    c1, c2, _ = boundary_derivatives(fam, phi)
+    c1, c2 = boundary_derivatives(fam, phi)
     sp = np.linalg.norm(c1, axis=-1)
     kn = _curvature_split(fam, phi, c1, c2, sp)[0]
     return float(np.abs((kn * sp) @ wg).sum()) * (0.25 * np.pi)

@@ -195,7 +195,7 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
         area=field_k.total_area,
         planarity=planarity(mesh, res.x),
         dominant_mode=dom, mode2_amp=mode2,
-        gauss_bonnet=gauss_bonnet_defect(mesh, res.x),
+        gauss_bonnet=gauss_bonnet_defect(mesh, res.x, field_k),
         self_intersections=count_self_intersections(mesh, res.x),
         iterations=res.iterations, function_evals=res.function_evals,
         penalty_rounds=res.penalty_rounds,

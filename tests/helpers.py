@@ -133,7 +133,8 @@ def reference_energy_and_gradient(mesh, x, p):
     """Reference for energy.energy_and_gradient: the boundary frame gathered
     per edge end, loop shifts by np.roll, the penalty derivative built by
     np.full, and the edge gradients scattered by np.add.at and
-    np.subtract.at.  No length multiplier term."""
+    np.subtract.at.  No length multiplier term.  The springs come from the
+    mesh's interior_laplacian(), the dense Kron-reduced S on a loop mesh."""
     loop = mesh.boundary_loop
     ends = np.stack([loop, np.roll(loop, -1)], axis=1)
     e = x[ends[:, 1]] - x[ends[:, 0]]
@@ -150,7 +151,7 @@ def reference_energy_and_gradient(mesh, x, p):
 
     grad = np.zeros_like(x)
     springs = 0.0
-    if p.spring_k != 0.0 and len(mesh.interior_edges):
+    if p.spring_k != 0.0:
         lap = mesh.interior_laplacian()
         lx = lap @ x
         springs = p.spring_k * float(np.sum(x * lx))
@@ -245,7 +246,7 @@ def reference_boundary_curvatures(fam, phi):
     """Reference for saddle.boundary_curvatures_exact: the boundary's
     curvature vector projected on the unit normal of x_r x x_phi at r = R
     and on the inward co-normal n x t."""
-    c1, c2, _ = saddle.boundary_derivatives(fam, phi)
+    c1, c2 = saddle.boundary_derivatives(fam, phi)
     x_r, x_p, *_ = surface_derivs(fam, fam.R, phi)
     n = np.cross(x_r, x_p)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
@@ -304,3 +305,28 @@ def fft_preconditioner(mesh, x0, params):
         return z
 
     return apply
+
+
+def read_obj(path):
+    """Reader for meshio.write_obj's files: (positions, triangles) with
+    0-based indices.
+
+    Only `v` and triangular `f` records are interpreted; `f` entries of the
+    form i/j/k keep their leading vertex index.
+    """
+    verts, tris = [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if parts[0] == "v":
+                verts.append([float(v) for v in parts[1:4]])
+            elif parts[0] == "f":
+                idx = [int(p.split("/")[0]) for p in parts[1:]]
+                if len(idx) != 3:
+                    raise ValueError(f"non-triangular face in {path}: {line.strip()}")
+                if any(i < 1 for i in idx):
+                    raise ValueError("negative OBJ indices are not supported")
+                tris.append([i - 1 for i in idx])
+    return np.array(verts, dtype=float), np.array(tris, dtype=np.int64)

@@ -412,9 +412,29 @@ def test_asymptotic_past_flat_eight_names_the_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--gamma-max" in err and "288 pi^3" in err
     assert not out.exists()
-    below = float(np.nextafter(3 * saddle.gamma_star(), 0.0))
+
+
+@pytest.mark.parametrize("flag", ["--gamma-min", "--gamma-max"])
+def test_asymptotic_bound_at_table_t_max(tmp_path, capsys, flag):
+    # a gamma whose amplitude t is just past TABLE_T_MAX, where the two
+    # integral-of-K routes part, is named; one just below gives its row
+    def gamma_at(t):                  # the inverse of pitchfork_amplitude
+        return 3.0 * saddle.gamma_star() / (3.0 - 2.0 * t * t)
+
+    other = {"--gamma-min": "--gamma-max", "--gamma-max": "--gamma-min"}
+    out = tmp_path / "asym"
+    above = gamma_at(saddle.TABLE_T_MAX + 1e-9)
+    assert main(["asymptotic", flag, repr(above), other[flag], "6000",
+                 "--num", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()
+    below = gamma_at(saddle.TABLE_T_MAX - 1e-9)
     assert main(["asymptotic", "--gamma-min", repr(below), "--gamma-max",
                  repr(below), "--num", "1", "--out", str(out)]) == 0
+    row = (out / "family.csv").read_text().splitlines()[1].split(",")
+    assert abs(float(row[1]) - saddle.TABLE_T_MAX) < 1e-8
+    assert abs(float(row[7]) - float(row[8])) <= 1e-12 * abs(float(row[8]))
 
 
 def test_asymptotic_rings_needs_save_meshes(tmp_path, capsys):

@@ -14,7 +14,8 @@ from filmloop.diffgeo import (DiffGeoError, InflectionError,
                               boundary_geometry, el_residuals,
                               frenet_analyze, gauss_bonnet_defect,
                               gaussian_curvature, mean_curvature_diagnostic,
-                              planarity, write_boundary_observables)
+                              planarity, triangle_geometry,
+                              write_boundary_observables)
 from filmloop.mesh import generate_disk_mesh
 
 from helpers import (circle_samples, fan_mesh, folded_pierced_disk,
@@ -101,6 +102,24 @@ def test_gauss_bonnet_identity_on_warped_disk():
     x[:, 2] = 0.4 * np.sin(x0[:, 0]) * np.cos(x0[:, 1])
     x += 0.05 * rng.standard_normal(x.shape)
     assert gauss_bonnet_defect(mesh, x) < 1e-10
+    field = gaussian_curvature(mesh, x)
+    assert gauss_bonnet_defect(mesh, x, field) == gauss_bonnet_defect(mesh, x)
+
+
+def test_gaussian_curvature_sums_corners_in_add_at_order():
+    # one bincount over the corners, k-major, gives np.add.at's bits
+    mesh, x = generate_disk_mesh(6, 1.2)
+    x = x + 0.05 * np.random.default_rng(6).standard_normal(x.shape)
+    _, areas, angles = triangle_geometry(mesh, x)
+    angle_sum, area_w = np.zeros(mesh.vertex_count), np.zeros(mesh.vertex_count)
+    for k in range(3):
+        np.add.at(angle_sum, mesh.triangles[:, k], angles[:, k])
+        np.add.at(area_w, mesh.triangles[:, k], areas / 3.0)
+    cf = gaussian_curvature(mesh, x)
+    assert cf.area_weight.tobytes() == area_w.tobytes()
+    m = cf.interior_mask
+    assert cf.defect[m].tobytes() == (2.0 * np.pi - angle_sum[m]).tobytes()
+    assert cf.defect[~m].tobytes() == (np.pi - angle_sum[~m]).tobytes()
 
 
 def test_gaussian_curvature_flat_disk():

@@ -212,6 +212,24 @@ def test_kernel_matches_reference_bitwise(rings, elongation, name):
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+@pytest.mark.parametrize("rings", [3, 8, 16])
+def test_kernel_matches_reference_on_loop_mesh(rings, name):
+    # the loop mesh skips the identity gather, scatter and zero fill; its
+    # springs are the dense S.  The planar start has exact zeros in z, where
+    # a changed order of operations would show as a flipped zero sign
+    mesh, x0 = generate_disk_mesh(rings, 1.2)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
+    loop_mesh, _ = mesh.loop_reduction()
+    assert loop_mesh.loop_only and not mesh.loop_only
+    rng = np.random.default_rng(rings)
+    scale = 0.2 / (6 * rings)
+    assert_matches_reference(loop_mesh, x0, KERNEL_PARAMS[name])
+    for _ in range(3):
+        x = x0 + scale * rng.standard_normal(x0.shape)
+        assert_matches_reference(loop_mesh, x, KERNEL_PARAMS[name])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
 def test_kernel_matches_reference_on_fan(name):
     mesh, x0 = fan_mesh(11, 0.2)
     rng = np.random.default_rng(11)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from filmloop.mesh import TriMesh, generate_disk_mesh, validate_mesh
-from filmloop.meshio import read_obj, write_obj
+from filmloop.meshio import write_obj
+
+from helpers import read_obj
 
 
 def test_obj_roundtrip_preserves_geometry(tmp_path):
@@ -24,6 +26,22 @@ def test_obj_vertices_only(tmp_path):
     back_x, back_t = read_obj(path)
     assert np.array_equal(back_x, x)
     assert back_t.size == 0
+
+
+def test_obj_bytes_match_the_per_line_writer(tmp_path):
+    # one formatting call per block writes the bytes a write per row wrote,
+    # signed zeros and 17-digit values included
+    mesh, x = generate_disk_mesh(3, 1.3)
+    x = x + 1e-3 * np.sin(np.arange(x.size)).reshape(x.shape)
+    x[0] = (-0.0, 1e-300, -1.5e17)
+    for tris in (mesh.triangles, None):
+        lines = ["v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]) for p in x]
+        if tris is not None:
+            lines += ["f %d %d %d\n" % (a + 1, b + 1, c + 1)
+                      for a, b, c in tris]
+        path = tmp_path / "disk.obj"
+        write_obj(path, x, tris)
+        assert path.read_bytes() == "".join(lines).encode()
 
 
 def test_read_obj_restores_connectivity(tmp_path):

@@ -8,6 +8,7 @@ line-search trial points, and the loop's flat state against callers' shapes.
 """
 
 import collections
+import dataclasses
 import io
 
 import numpy as np
@@ -144,6 +145,23 @@ def test_minimize_function_keeps_callers_shape(order):
     assert x.shape == g.shape == (7, 3) and seen == {(7, 3)}
     np.testing.assert_allclose(x, target, atol=1e-9)
     np.testing.assert_array_equal(g, weight * (x - target))
+
+
+@pytest.mark.parametrize("rings", [8, 16])
+def test_loop_mesh_preconditioner_is_the_general_apply(rings):
+    # on a loop mesh the apply is the circulant product alone: the bytes of
+    # the general apply's loop rows, which overwrite every row there
+    mesh, x = generate_disk_mesh(rings, 1.2)
+    x = perturb(scale_to_boundary_length(mesh, x, 1.0), KICK_AMPLITUDE, 0)
+    loop_mesh = mesh.loop_reduction()[0]
+    general = dataclasses.replace(loop_mesh, loop_only=False)
+    xb = x[mesh.boundary_loop]
+    p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
+                     length_penalty_k=90100.0, edge_penalty_k=90100.0)
+    fast = optimize.make_preconditioner(loop_mesh, xb, p)
+    slow = optimize.make_preconditioner(general, xb, p)
+    for g in np.random.default_rng(rings).standard_normal((3,) + xb.shape):
+        assert fast(g).tobytes() == slow(g)[general.boundary_loop].tobytes()
 
 
 def _pair(rng, n, sign=1.0):

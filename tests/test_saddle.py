@@ -98,7 +98,7 @@ def test_boundary_line_element_and_curvature_are_exact():
     phi = np.linspace(0.0, 2.0 * np.pi, 733, endpoint=False)
     for t in (0.05, 0.3, 0.7):
         fam = saddle.SaddleFamily(R=1.3, t=t)
-        c1, c2, _ = saddle.boundary_derivatives(fam, phi)
+        c1, c2 = saddle.boundary_derivatives(fam, phi)
         sp2 = np.einsum("ij,ij->i", c1, c1)
         cr = np.cross(c1, c2)
         k2 = np.einsum("ij,ij->i", cr, cr) / sp2**3
@@ -106,11 +106,23 @@ def test_boundary_line_element_and_curvature_are_exact():
         assert np.abs(saddle.kappa2_series(fam, phi) - k2).max() < 1e-12 * k2.max()
 
 
+def test_boundary_quadratures_share_one_sample():
+    # one table row samples its boundary once, read-only, for all three
+    fam = saddle.SaddleFamily(1.0, 0.6)
+    saddle._boundary_sample.cache_clear()
+    saddle.length_quadrature(fam)
+    saddle.bending_quadrature(fam)
+    saddle.int_K_gauss_bonnet(fam)
+    info = saddle._boundary_sample.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert not any(a.flags.writeable for a in saddle._boundary_sample(fam))
+
+
 def test_boundary_derivatives_match_finite_differences():
     fam = saddle.SaddleFamily(R=0.8, t=0.4)
     phi = np.array([0.3, 1.1, 4.0])
     h = 1e-5
-    c1, c2, c3 = saddle.boundary_derivatives(fam, phi)
+    c1, c2 = saddle.boundary_derivatives(fam, phi)
     fd1 = (saddle.boundary_curve(fam, phi + h)
            - saddle.boundary_curve(fam, phi - h)) / (2 * h)
     fd2 = (saddle.boundary_curve(fam, phi + h) - 2 * saddle.boundary_curve(fam, phi)
