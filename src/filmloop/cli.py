@@ -25,7 +25,8 @@ from .meshio import write_obj
 from .energy import EnergyParams, EnergyError, SIGMA_PER_SPRING_K
 from .optimize import (KICK_AMPLITUDE, MinimizeOptions, NumericalError,
                        perturb, relax)
-from .diffgeo import (boundary_geometry, gauss_bonnet_defect, planarity,
+from .diffgeo import (boundary_geometry, gauss_bonnet_defect,
+                      gaussian_curvature, planarity,
                       write_boundary_observables, DiffGeoError)
 from .stability import threshold_table
 from . import saddle
@@ -138,8 +139,9 @@ def cmd_relax(args):
     res = relax(mesh, x0, params, opts)
     os.makedirs(args.out, exist_ok=True)
     write_obj(os.path.join(args.out, "relaxed.obj"), res.x, mesh.triangles)
+    field = gaussian_curvature(mesh, res.x)
     write_boundary_observables(os.path.join(args.out, "boundary.csv"),
-                               mesh, res.x)
+                               mesh, res.x, field)
     bg = boundary_geometry(mesh, res.x)
     summary = {
         "k_l3_alpha": args.kl3a, "gamma": SIGMA_PER_SPRING_K * args.kl3a,
@@ -152,7 +154,7 @@ def cmd_relax(args):
         "planarity": planarity(mesh, res.x),
         "mean_abs_kn": bg.mean_abs_kn,
         "int_kn_signed": bg.integral_kn,
-        "gauss_bonnet_defect": gauss_bonnet_defect(mesh, res.x),
+        "gauss_bonnet_defect": gauss_bonnet_defect(mesh, res.x, field),
     }
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -352,10 +352,11 @@ def mean_curvature_diagnostic(mesh, x):
     return 0.5 * np.linalg.norm(hvec, axis=1)
 
 
-def write_boundary_observables(path, mesh, x):
-    """CSV of per-boundary-vertex observables: index, s, curvatures, turning."""
+def write_boundary_observables(path, mesh, x, field=None):
+    """CSV of per-boundary-vertex observables: index, s, curvatures, turning.
+    field, when given, is gaussian_curvature(mesh, x), already computed."""
     bg = boundary_geometry(mesh, x)
-    field = gaussian_curvature(mesh, x)
+    field = gaussian_curvature(mesh, x) if field is None else field
     s_cum = np.concatenate([[0.0], np.cumsum(bg.edge_length[:-1])])
     with open(path, "w") as fh:
         fh.write("index,s,kappa,kappa_n,kappa_g,defect\n")

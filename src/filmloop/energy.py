@@ -6,8 +6,11 @@ The energy has three parts:
                  kappa_v = |t_v - t_{v-1}| / <s_v> with unit edge tangents
                  t_v and the average  <s_v> = (s_v + s_{v-1}) / 2  of the two
                  incident boundary edge lengths;
-  springs        spring_k * sum over interior edges of |e|^2
-                 (zero-rest-length springs standing in for film tension);
+  springs        spring_k * x^T L x with L the mesh's interior_laplacian():
+                 on a full mesh the sum over interior edges of |e|^2
+                 (zero-rest-length springs standing in for film tension), on
+                 the loop mesh the film 2 sqrt(3) x_B^T D x_B
+                 (mesh.TriMesh.loop_film);
   length penalty length_multiplier * (total boundary length - L)
                  plus length_penalty_k * (total boundary length - L)^2
                  plus edge_penalty_k * sum (|e_i| - L/B)^2 over the B
@@ -34,10 +37,10 @@ same body skips; a zero fill is made only when there is no film term.
 The control parameter k L^3 / alpha maps to gamma = sigma L^3 / alpha with
 sigma = SIGMA_PER_SPRING_K * k = (4 / sqrt(3)) k.  That factor is the
 convention the reference transition values are written in (48 pi^3 * sqrt(3)
-/ 4 = 644.5 for the mode-2 threshold), not this lattice's own tension: the
-line tension of relaxed flat disks matches the continuum disk with
-sigma = 2 sqrt(3) k (tests/test_optimize.py), so the lattice's own gamma is
-1.5 times the gamma column.
+/ 4 = 644.5 for the mode-2 threshold), not the film's own tension: the loop
+film is exactly sigma = 2 sqrt(3) k times the Douglas form (a circle of
+radius R costs 2 sqrt(3) k pi R^2), the unit lattice's tension, so the
+model's own gamma is 1.5 times the gamma column.
 """
 
 from dataclasses import dataclass

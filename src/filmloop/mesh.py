@@ -10,11 +10,14 @@ The boundary loop is stored explicitly, oriented counterclockwise in the
 construction plane and consistent with the (counterclockwise) triangle
 winding.  Downstream code relies on that orientation for signed curvatures.
 
-The spring film is slaved to its loop: for fixed boundary positions its
-energy is least at the harmonic interior, so TriMesh.loop_reduction
-condenses the interior Laplacian onto the loop (a Kron reduction, Doerfler &
-Bullo, IEEE TCAS-I 60 (2013) 150; static condensation, Guyan, AIAA J. 3
-(1965) 380) and gives a loop-only mesh plus the map back to the full state.
+The film is slaved to its loop.  The Dirichlet energy (1/2) int |grad x|^2 of
+the harmonic disk spanning a loop x(theta) is Douglas's form (Trans. AMS 33
+(1931) 263) pi sum_m |m| |X_m|^2 in the loop's Fourier coefficients X_m, and
+it is the film's area when the parametrization is conformal.  The unit
+lattice's springs weigh 2 sqrt(3) times that energy, so TriMesh.loop_film
+puts the film on the B loop vertices, at uniform parameter, as the dense
+circulant 2 sqrt(3) D (douglas_form), and gives a loop-only mesh plus the
+map back to the full state: the lattice-harmonic interior.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +27,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-# columns of L_IB solved at a time while building the Kron reduction
-KRON_CHUNK = 16
+# film tension of the unit lattice per unit spring constant: k sum |e|^2
+# tends to 2 sqrt(3) k times the Dirichlet energy (1/2) int |grad x|^2
+LATTICE_TENSION = 2.0 * np.sqrt(3.0)
 
 
 class MeshError(ValueError):
@@ -41,7 +45,7 @@ class TriMesh:
     interior_edges are (e, 2) index pairs.  loop_prev and loop_next hold the
     loop positions i-1 and i+1 (mod B) for loop shifts; loop edge i runs
     from boundary_loop[i] to boundary_loop[loop_next[i]].  loop_only marks
-    loop_reduction's mesh, whose boundary_loop is arange(B): no gathers.
+    loop_film's mesh, whose boundary_loop is arange(B): no gathers.
     """
 
     vertex_count: int
@@ -55,7 +59,7 @@ class TriMesh:
         default=None, repr=False, compare=False)
     _sharing_keys: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False)
-    _reduction: Optional[tuple] = field(
+    _film: Optional[tuple] = field(
         default=None, repr=False, compare=False)
     _loop_tris: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False)
@@ -94,7 +98,7 @@ class TriMesh:
 
         x^T L x summed over coordinates equals the sum of squared interior
         edge lengths, which is what the spring energy needs.  A loop mesh
-        from loop_reduction holds its dense Kron-reduced Laplacian here.
+        from loop_film holds its dense film operator 2 sqrt(3) D here.
         """
         if self._laplacian is None:
             ia, ib = self.interior_edges[:, 0], self.interior_edges[:, 1]
@@ -107,22 +111,20 @@ class TriMesh:
             self._laplacian = lap.tocsr()
         return self._laplacian
 
-    def loop_reduction(self):
-        """The spring film condensed onto the boundary loop (cached):
-        (loop_mesh, extend).
+    def loop_film(self):
+        """The film on the boundary loop (cached): (loop_mesh, extend).
 
         loop_mesh has the B loop vertices, in loop order, and no triangles
-        or edges; its interior_laplacian() is the dense symmetric B x B Kron
-        reduction S = L_BB - L_BI L_II^-1 L_IB of this mesh's Laplacian L,
-        so x_B^T S x_B is the least x^T L x over interiors with boundary
-        positions x_B.  extend(x_B) returns the full (n, 3) state with that
-        interior, the harmonic one: L_II x_I = -L_IB x_B.  S comes from one
-        sparse LU factor of L_II, solved KRON_CHUNK columns at a time, and
-        extend reuses the factor; no dense n_I x B matrix is kept.
+        or edges; its interior_laplacian() is the dense B x B circulant
+        LATTICE_TENSION * D of douglas_form(B), so the spring term
+        k x_B^T (2 sqrt(3) D) x_B is 2 sqrt(3) k times the Dirichlet energy
+        of the harmonic disk spanning the loop.  extend(x_B) returns the
+        full (n, 3) state with the lattice-harmonic interior,
+        L_II x_I = -L_IB x_B, from one sparse LU factor of L_II.
         """
-        if self._reduction is None:
-            self._reduction = _loop_reduction(self)
-        return self._reduction
+        if self._film is None:
+            self._film = _loop_film(self)
+        return self._film
 
     def vertex_sharing_keys(self):
         """Sorted keys i * f + j (i < j, f triangles) of the triangle pairs
@@ -157,32 +159,40 @@ class TriMesh:
         return self._loop_tris
 
 
-def _loop_reduction(mesh):
-    """loop_reduction's (loop_mesh, extend), built uncached."""
+def circulant(col):
+    """Dense circulant matrix with first column col: entry (i, j) is
+    col[(i - j) % B]."""
+    i = np.arange(len(col))
+    return col[(i[:, None] - i) % len(col)]
+
+
+def douglas_form(nb):
+    """First column of the Douglas form D over B = nb loop samples at uniform
+    parameter: the symmetric circulant with eigenvalues pi |m| / B, so
+    x_B^T D x_B = pi sum_m |m| |X_m|^2 with X_m = fft(x_B)_m / B."""
+    return np.fft.irfft(np.pi * np.arange(nb // 2 + 1) / nb, n=nb)
+
+
+def _loop_film(mesh):
+    """loop_film's (loop_mesh, extend), built uncached."""
     n, loop = mesh.vertex_count, mesh.boundary_loop
     nb = len(loop)
     inner = np.setdiff1d(np.arange(n), loop)
-    lap = mesh.interior_laplacian()
-    rows = lap[inner]
-    l_ib = rows[:, loop].tocsc()
+    rows = mesh.interior_laplacian()[inner]
+    l_ib = rows[:, loop]
     # L_II is a grounded Laplacian, symmetric positive definite: a symmetric
     # ordering and no pivoting keep the factor small
     lu = scipy.sparse.linalg.splu(rows[:, inner].tocsc(),
                                   permc_spec="MMD_AT_PLUS_A",
                                   diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
-    s = lap[loop][:, loop].toarray()
-    for j in range(0, nb, KRON_CHUNK):
-        cols = slice(j, j + KRON_CHUNK)
-        s[:, cols] -= l_ib.T @ lu.solve(l_ib[:, cols].toarray())
-    s = 0.5 * (s + s.T)
 
     loop_mesh = TriMesh(
         vertex_count=nb, triangles=np.empty((0, 3), dtype=np.int64),
         boundary_loop=np.arange(nb),
         interior_edges=np.empty((0, 2), dtype=np.int64),
         loop_prev=mesh.loop_prev, loop_next=mesh.loop_next, loop_only=True,
-        _laplacian=s)
+        _laplacian=circulant(LATTICE_TENSION * douglas_form(nb)))
 
     def extend(x_b):
         x = np.empty((n, 3))
@@ -288,29 +298,30 @@ def generate_disk_mesh(rings, elongation=1.0):
     if not np.isfinite(elongation) or elongation <= 0:
         raise MeshError("elongation must be positive and finite")
 
-    index = {}
-    coords = []
-    for q in range(-m, m + 1):
-        for r in range(max(-m, -q - m), min(m, -q + m) + 1):
-            index[(q, r)] = len(coords)
-            coords.append((q + 0.5 * r, 0.5 * np.sqrt(3.0) * r))
-    positions = np.zeros((len(coords), 3))
-    positions[:, :2] = coords
+    # index[q + m + 1, r + m + 1] of lattice point (q, r), -1 off the disk
+    # |q|, |r|, |q + r| <= m; the margin of one lets the cells below look one
+    # step beyond the lattice
+    span = np.arange(-m - 1, m + 2)
+    q, r = np.meshgrid(span, span, indexing="ij")
+    on = (np.abs(q) <= m) & (np.abs(r) <= m) & (np.abs(q + r) <= m)
+    n = np.count_nonzero(on)
+    index = np.full(q.shape, -1, dtype=np.int64)
+    index[on] = np.arange(n)
+    positions = np.zeros((n, 3))
+    positions[:, 0] = q[on] + 0.5 * r[on]
+    positions[:, 1] = 0.5 * np.sqrt(3.0) * r[on]
 
-    tris = []
-    # cells are indexed by their lower-left lattice coordinate, which for
-    # down-pointing triangles is not itself a triangle vertex, so the cell
-    # scan has to run one step beyond the lattice on each side
-    for q in range(-m - 1, m + 1):
-        for r in range(-m - 1, m + 1):
-            up = ((q, r), (q + 1, r), (q, r + 1))
-            if all(k in index for k in up):
-                tris.append(tuple(index[k] for k in up))
-            down = ((q + 1, r), (q + 1, r + 1), (q, r + 1))
-            if all(k in index for k in down):
-                tris.append(tuple(index[k] for k in down))
+    # cells are indexed by their lower-left lattice coordinate (q, r) for
+    # q, r in [-m - 1, m], which for down-pointing triangles is not itself a
+    # triangle vertex; each cell gives its up triangle, then its down one
+    here, right = index[:-1, :-1], index[1:, :-1]
+    above, right_above = index[:-1, 1:], index[1:, 1:]
+    up = np.stack([here, right, above], axis=-1)
+    down = np.stack([right, right_above, above], axis=-1)
+    tris = np.stack([up, down], axis=2).reshape(-1, 3)
+    tris = tris[(tris >= 0).all(axis=1)]
 
-    mesh = TriMesh.from_triangles(len(coords), np.array(tris, dtype=np.int64))
+    mesh = TriMesh.from_triangles(n, tris)
     positions[:, 0] *= elongation
     positions[:, 1] /= elongation
     return mesh, positions

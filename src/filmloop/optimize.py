@@ -36,13 +36,13 @@ boundary resolution the Hessian spectrum spans six or more decades.
 minimize() therefore starts the L-BFGS recursion from the inverse
 (make_preconditioner) of a circulant bending + edge-penalty operator along
 the boundary loop and the spring-graph diagonal elsewhere, built from the
-starting configuration; the circulant inverse is one dense B x B matrix,
-built once per solve, so an apply is one small matrix product.  On a loop
-mesh (mesh.TriMesh.loop_only) every row is a loop row, so the apply is that
-product alone, with no identity gather, scatter or diagonal.  Convergence
-is still judged on the raw gradient.  That operator is already the
-problem's stiffness, so it is used unscaled: the textbook scaling
-s.y / y.M^{-1}y would apply it a second time.
+starting configuration; the circulant inverse is one dense B x B matrix
+(mesh.circulant), built once per solve, so an apply is one small matrix
+product.  On a loop mesh (mesh.TriMesh.loop_only) every row is a loop row,
+so the apply is that product alone, with no identity gather, scatter or
+diagonal.  Convergence is still judged on the raw gradient.  That operator
+is already the problem's stiffness, so it is used unscaled: the textbook
+scaling s.y / y.M^{-1}y would apply it a second time.
 
 relax() holds the boundary length with an augmented Lagrangian (Nocedal &
 Wright, Numerical Optimization, ch. 17): between rounds the length
@@ -53,11 +53,12 @@ MAX_PENALTY_ROUNDS rounds have run.  A caller that starts the multiplier
 near its final value (the sweep's warm start) usually needs one round.
 Its result carries the line tension beta, the length constraint's
 multiplier.  relax solves on the loop alone: its rounds minimize over the
-3B loop coordinates on the loop-only mesh of mesh.TriMesh.loop_reduction,
-whose spring term k x_B^T S x_B is the film's energy at the harmonic
-interior, and the result is extended to the full mesh once, so it depends
-on the start only through its loop.  minimize works on whichever mesh it
-is given.
+3B loop coordinates on the loop-only mesh of mesh.TriMesh.loop_film, whose
+spring term k x_B^T (2 sqrt(3) D) x_B is the film's energy in closed form
+(the Douglas form D, tension sigma = 2 sqrt(3) k), and the result is
+extended to the full mesh once, with the lattice-harmonic interior, so it
+depends on the start only through its loop.  minimize works on whichever
+mesh it is given.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
@@ -71,11 +72,10 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot
 
 from .energy import energy_and_gradient
-from .mesh import boundary_frame
+from .mesh import boundary_frame, circulant
 
 logger = logging.getLogger(__name__)
 
@@ -373,7 +373,11 @@ def make_preconditioner(mesh, x0, params):
     flatten that, but the exact circulant inverse applied along the loop
     index does.  That inverse is built once as a dense symmetric B x B
     matrix from its first column irfft(1 / symbol), so one apply is one
-    small matrix product.  Interior vertices use the spring-graph diagonal.
+    small matrix product.  Interior vertices use the diagonal of the film
+    operator (the spring graph's; on a loop mesh the loop film's), and the
+    symbol adds that diagonal's mean over the loop: on the loop film this
+    flat term took the rings 8/16/32 relax ladder to fewer evaluations than
+    the film's exact symbol 2k * 2 sqrt(3) pi |m| / B (809 against 1,273).
     All three coordinates share one scale per mode, so no orientation bias.
     Built once from the starting geometry; a stale positive-definite scaling
     stays a valid preconditioner even after the shape evolves.
@@ -391,13 +395,13 @@ def make_preconditioner(mesh, x0, params):
     w = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nb))
     symbol = 2.0 * params.alpha * w**2 / sbar**3
     symbol = symbol + 2.0 * params.edge_penalty_k * w  # boundary edge chain
-    symbol = symbol + diag[loop].mean()     # spokes anchoring the loop
+    symbol = symbol + diag[loop].mean()     # the film anchoring the loop
 
     top = max(diag.max(), symbol.max())
     if top <= 0.0:
         return None
     symbol = np.maximum(symbol, 1e-12 * top)
-    inv_circulant = scipy.linalg.circulant(np.fft.irfft(1.0 / symbol, n=nb))
+    inv_circulant = circulant(np.fft.irfft(1.0 / symbol, n=nb))
     if mesh.loop_only:          # every row is a loop row: g -> inv_circulant @ g
         return inv_circulant.__matmul__
     # one inverse per vertex, repeated over x, y, z: a same-shape product
@@ -546,12 +550,13 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     """Minimize with the boundary length held by an augmented Lagrangian.
 
     The solve runs on the loop alone: the rounds minimize over the B
-    boundary positions of x0 on mesh.loop_reduction()'s loop mesh, whose
-    spring term is the Kron-reduced x_B^T S x_B, and the result is the
-    extension of the last iterate with its harmonic interior.  So the
-    result depends on x0 only through its boundary loop.  That full state
-    is evaluated once more on mesh, an evaluation function_evals counts,
-    and its breakdown is the result's energy.
+    boundary positions of x0 on mesh.loop_film()'s loop mesh, whose spring
+    term is the closed-form film k x_B^T (2 sqrt(3) D) x_B, and the result
+    is the extension of the last iterate with its lattice-harmonic
+    interior.  So the result depends on x0 only through its boundary loop.
+    The result's energy is the last round's breakdown on the loop mesh, the
+    energy the rounds minimized, and function_evals counts the loop-mesh
+    calls of all rounds.
 
     If params.length_penalty_k (mu) is 0 a starting stiffness of
     100 * (spring_k + alpha / L^3) is chosen.  After every round whose
@@ -581,7 +586,7 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
         # term alone leaves that mode free and the spring energy abuses it
         p = replace(p, edge_penalty_k=100.0 * stiffness)
 
-    loop_mesh, extend = mesh.loop_reduction()
+    loop_mesh, extend = mesh.loop_film()
     x = np.array(x0, dtype=float).take(mesh.boundary_loop, axis=0)
     total_iters = total_evals = 0
     log_row = None
@@ -614,8 +619,7 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     if res.converged and err >= LENGTH_TOL:
         res.converged, res.status = False, "max_penalty_rounds"
     res.x = extend(x)
-    res.energy = energy_and_gradient(mesh, res.x, res.params)[0]
     res.iterations = total_iters
-    res.function_evals = total_evals + 1
+    res.function_evals = total_evals
     res.penalty_rounds = rnd
     return res

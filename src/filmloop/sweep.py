@@ -113,8 +113,9 @@ class SweepPoint:
     energy_bending: float
     energy_springs: float
     energy_penalty: float
-    start_energy: float          # warm-start energy under this point's params,
-                                 # penalty off, before perturbation
+    start_energy: float          # loop energy of the warm start under this
+                                 # point's params, penalty off, before
+                                 # perturbation
     boundary_length: float
     length_rel_err: float
     line_tension: float          # beta, the length constraint's multiplier
@@ -169,7 +170,8 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
     constraint's multiplier (0 for a cold start)."""
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
-    start_energy = energy(mesh, start, params).total
+    start_energy = energy(mesh.loop_film()[0],
+                          start.take(mesh.boundary_loop, axis=0), params).total
 
     x_pert = perturb(start, KICK_AMPLITUDE, seed)
     res = relax(mesh, x_pert,

@@ -25,6 +25,37 @@ def fan_mesh(n, radius=1.0):
     return TriMesh.from_triangles(n + 1, tris), pts
 
 
+def reference_disk_mesh(rings, elongation=1.0):
+    """Reference for mesh.generate_disk_mesh: the lattice points (q, r) in
+    lexicographic order in a dict, then a scan of the cells (q, r) over
+    [-m - 1, m]^2, each adding its up and then its down triangle when all
+    three corners are lattice points."""
+    m = int(rings)
+    index = {}
+    coords = []
+    for q in range(-m, m + 1):
+        for r in range(max(-m, -q - m), min(m, -q + m) + 1):
+            index[(q, r)] = len(coords)
+            coords.append((q + 0.5 * r, 0.5 * np.sqrt(3.0) * r))
+    positions = np.zeros((len(coords), 3))
+    positions[:, :2] = coords
+
+    tris = []
+    for q in range(-m - 1, m + 1):
+        for r in range(-m - 1, m + 1):
+            up = ((q, r), (q + 1, r), (q, r + 1))
+            if all(k in index for k in up):
+                tris.append(tuple(index[k] for k in up))
+            down = ((q + 1, r), (q + 1, r + 1), (q, r + 1))
+            if all(k in index for k in down):
+                tris.append(tuple(index[k] for k in down))
+
+    mesh = TriMesh.from_triangles(len(coords), np.array(tris, dtype=np.int64))
+    positions[:, 0] *= float(elongation)
+    positions[:, 1] /= float(elongation)
+    return mesh, positions
+
+
 def polygon_mesh(n, radius=1.0):
     """Regular n-gon in the z = 0 plane triangulated by the diagonals from
     vertex 0: every vertex lies on the boundary, and the diagonals are the
@@ -134,7 +165,7 @@ def reference_energy_and_gradient(mesh, x, p):
     per edge end, loop shifts by np.roll, the penalty derivative built by
     np.full, and the edge gradients scattered by np.add.at and
     np.subtract.at.  No length multiplier term.  The springs come from the
-    mesh's interior_laplacian(), the dense Kron-reduced S on a loop mesh."""
+    mesh's interior_laplacian(), the dense film 2 sqrt(3) D on a loop mesh."""
     loop = mesh.boundary_loop
     ends = np.stack([loop, np.roll(loop, -1)], axis=1)
     e = x[ends[:, 1]] - x[ends[:, 0]]

@@ -176,10 +176,12 @@ def test_criterion_04_transition_sequence(elongated_run, hexagon_diagram):
     record_criterion(4, ok, detail)
     assert ok, (
         "transition sequence differs from the reference values: " + detail
-        + ". The spring lattice carries no in-plane shear softening, so the "
-        "elongated mesh stays circular-planar until the transverse onset "
-        "in the bracket (854, 856) of kL^3/alpha, the same scale as the "
-        "hexagon onset, and no flat-eight appears below 900.")
+        + ". The film is the Douglas form of the loop at its uniform "
+        "parameter, a Dirichlet energy rather than an area, so it carries "
+        "no in-plane shear softening: the elongated mesh stays "
+        "circular-planar until the transverse onset in the bracket "
+        "(862, 864) of kL^3/alpha, the same scale as the hexagon onset, and "
+        "no flat-eight appears below 900.")
 
 
 def test_criterion_05_pitchfork_exponent(elongated_run):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import filmloop
-from filmloop import optimize, saddle
+from filmloop import cli, optimize, saddle
 from filmloop.cli import main
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.stability import disk_solution
@@ -92,6 +92,23 @@ def test_relax_command_summary(tmp_path, capsys):
     # a flat disk's line tension, at the lattice's film tension 2 sqrt(3) k
     beta = disk_solution(1.0, 2.0 * np.sqrt(3.0) * 30.0, 1.0).beta
     assert abs(summary["line_tension"] / beta - 1.0) < 0.05
+
+
+def test_relax_command_reuses_the_curvature_field(tmp_path, monkeypatch):
+    # the field built once for boundary.csv and the Gauss-Bonnet defect
+    # gives the bytes each call gets by building its own
+    argv = ["relax", "--kl3a", "900", "--rings", "6", "--max-iterations",
+            "60000"]
+    assert main(argv + ["--out", str(tmp_path / "once")]) == 0
+    write, defect = cli.write_boundary_observables, cli.gauss_bonnet_defect
+    monkeypatch.setattr(cli, "write_boundary_observables",
+                        lambda path, mesh, x, field: write(path, mesh, x))
+    monkeypatch.setattr(cli, "gauss_bonnet_defect",
+                        lambda mesh, x, field: defect(mesh, x))
+    assert main(argv + ["--out", str(tmp_path / "twice")]) == 0
+    for name in ("boundary.csv", "summary.json"):
+        assert ((tmp_path / "once" / name).read_bytes()
+                == (tmp_path / "twice" / name).read_bytes())
 
 
 def test_relax_command_exits_two_when_length_is_not_held(tmp_path, capsys,

@@ -14,7 +14,8 @@ import pytest
 
 from filmloop.energy import (SIGMA_PER_SPRING_K, DegenerateBoundaryError,
                              EnergyParams, energy, energy_and_gradient)
-from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
+from filmloop.mesh import (LATTICE_TENSION, generate_disk_mesh,
+                           scale_to_boundary_length)
 from filmloop.optimize import perturb
 
 from helpers import fan_mesh, reference_energy_and_gradient
@@ -215,11 +216,11 @@ def test_kernel_matches_reference_bitwise(rings, elongation, name):
 @pytest.mark.parametrize("rings", [3, 8, 16])
 def test_kernel_matches_reference_on_loop_mesh(rings, name):
     # the loop mesh skips the identity gather, scatter and zero fill; its
-    # springs are the dense S.  The planar start has exact zeros in z, where
+    # springs are the dense film 2 sqrt(3) D.  The planar start has exact zeros in z, where
     # a changed order of operations would show as a flipped zero sign
     mesh, x0 = generate_disk_mesh(rings, 1.2)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
-    loop_mesh, _ = mesh.loop_reduction()
+    loop_mesh, _ = mesh.loop_film()
     assert loop_mesh.loop_only and not mesh.loop_only
     rng = np.random.default_rng(rings)
     scale = 0.2 / (6 * rings)
@@ -267,22 +268,71 @@ def test_tension_conversions():
 
 @pytest.mark.parametrize("rings", [4, 16])
 def test_loop_mesh_energy_matches_full_mesh_at_extension(rings):
-    # at the harmonic interior the spring term is k x_B^T S x_B, the
-    # gradient's interior rows vanish and its loop rows are the loop mesh's
+    # at the lattice-harmonic extension the bending and length terms, and
+    # their gradient, are the full mesh's; the full gradient's interior rows
+    # vanish, and its loop rows differ from the loop mesh's only by the
+    # film terms, 2k (L x)_B on the lattice against 2k (2 sqrt(3) D) x_B
     mesh, x = generate_disk_mesh(rings, 1.2)
     x = perturb(scale_to_boundary_length(mesh, x, 1.0), 0.01, rings)
     loop = mesh.boundary_loop
-    loop_mesh, extend = mesh.loop_reduction()
+    loop_mesh, extend = mesh.loop_film()
     p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
                      length_penalty_k=90100.0, edge_penalty_k=90100.0,
                      length_multiplier=-3.0)
     fl, gl = energy_and_gradient(loop_mesh, x[loop], p)
     y = extend(x[loop])
     ff, gf = energy_and_gradient(mesh, y, p)
-    assert abs(fl.springs - ff.springs) <= 1e-12 * ff.springs
     for name in ("bending", "length_penalty", "boundary_length"):
         assert getattr(fl, name) == getattr(ff, name)
     scale = np.abs(gf).max()
     inner = np.setdiff1d(np.arange(mesh.vertex_count), loop)
     assert np.abs(gf[inner]).max() <= 1e-12 * scale
-    np.testing.assert_allclose(gf[loop], gl, rtol=0, atol=1e-12 * scale)
+    lattice = 2.0 * p.spring_k * (mesh.interior_laplacian() @ y)[loop]
+    film = 2.0 * p.spring_k * (loop_mesh.interior_laplacian() @ x[loop])
+    np.testing.assert_allclose(gf[loop] - lattice, gl - film, rtol=0,
+                               atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("nb", [48, 96, 192])
+def test_regular_polygon_film_energy(nb):
+    # a regular B-gon of circumradius R has only the m = +-1 modes, so its
+    # film energy is sigma pi R^2 with sigma = 2 sqrt(3) k, in any
+    # orientation (translations are D's null space, tests/test_mesh.py)
+    R, k = 0.37, 900.0
+    mesh, _ = generate_disk_mesh(nb // 6)
+    loop_mesh, _ = mesh.loop_film()
+    phi = 2.0 * np.pi * np.arange(nb) / nb + 0.3
+    xb = np.stack([R * np.cos(phi), R * np.sin(phi), np.zeros(nb)], axis=1)
+    q, _ = np.linalg.qr(np.random.default_rng(nb).standard_normal((3, 3)))
+    xb = xb @ q.T
+    fb = energy(loop_mesh, xb, EnergyParams(alpha=0.0, spring_k=k))
+    want = LATTICE_TENSION * k * np.pi * R * R
+    assert abs(fb.springs / want - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("rings", [4, 8])
+def test_loop_mesh_gradient_matches_finite_differences(rings):
+    # criterion 2's check, on the loop mesh with its film term
+    mesh, x0 = generate_disk_mesh(rings)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
+    loop_mesh, _ = mesh.loop_film()
+    rng = np.random.default_rng(rings)
+    h = 3e-6
+    for _ in range(10):
+        p = EnergyParams(alpha=rng.uniform(0.1, 3.0),
+                         spring_k=rng.uniform(0.0, 500.0), target_length=1.0,
+                         length_penalty_k=rng.choice([0.0, 100.0, 1000.0]),
+                         edge_penalty_k=rng.choice([0.0, 100.0, 1000.0]),
+                         length_multiplier=rng.uniform(-50.0, 50.0))
+        x = x0 + 0.05 * rng.standard_normal(x0.shape) / (2.0 * np.pi)
+        _, g = energy_and_gradient(loop_mesh, x, p)
+        gscale = np.abs(g).max()
+        for i in rng.choice(len(x), size=8, replace=False):
+            for c in range(3):
+                xp = x.copy()
+                xp[i, c] += h
+                xm = x.copy()
+                xm[i, c] -= h
+                fd = (energy(loop_mesh, xp, p).total
+                      - energy(loop_mesh, xm, p).total) / (2.0 * h)
+                assert abs(g[i, c] - fd) / gscale < 1e-6

@@ -10,11 +10,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from filmloop.mesh import (MeshError, TriMesh, boundary_length,
+import scipy.linalg
+
+from filmloop.mesh import (LATTICE_TENSION, MeshError, TriMesh,
+                           boundary_length, circulant, douglas_form,
                            generate_disk_mesh, scale_to_boundary_length,
                            validate_mesh)
 
-from helpers import fan_mesh, polygon_mesh
+from helpers import fan_mesh, polygon_mesh, reference_disk_mesh
 
 ANNULUS_TRIS = np.array([[0, 1, 4], [0, 4, 3], [1, 2, 5],
                          [1, 5, 4], [2, 0, 3], [2, 3, 5]], dtype=np.int64)
@@ -173,34 +176,80 @@ def test_vertex_sharing_keys_match_pairwise_comparison():
     assert mesh.vertex_sharing_keys() is keys       # built once per mesh
 
 
+@pytest.mark.parametrize("elongation", [1.0, 1.2])
+@pytest.mark.parametrize("rings", [1, 2, 3, 8, 16, 32])
+def test_disk_mesh_matches_the_cell_scan(rings, elongation):
+    # every field and every byte of the per-cell reference construction
+    mesh, x = generate_disk_mesh(rings, elongation)
+    ref, x_ref = reference_disk_mesh(rings, elongation)
+    assert mesh.vertex_count == ref.vertex_count
+    for name in ("triangles", "boundary_loop", "interior_edges", "loop_prev",
+                 "loop_next"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+    assert x.dtype == x_ref.dtype and x.shape == x_ref.shape
+    assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("nb", [48, 96, 192])
+def test_circulant_matches_scipy(nb):
+    col = np.random.default_rng(nb).standard_normal(nb)
+    assert circulant(col).tobytes() == scipy.linalg.circulant(col).tobytes()
+
+
+@pytest.mark.parametrize("nb", [6, 7, 48, 96, 192])
+def test_douglas_form_spectrum(nb):
+    # eigenvalues pi |m| / B on the Fourier modes, symmetric (to the
+    # rounding of irfft), and zero on translations
+    d = circulant(douglas_form(nb))
+    m = np.arange(nb)
+    eig = np.fft.fft(douglas_form(nb))
+    np.testing.assert_allclose(eig.real, np.pi * np.minimum(m, nb - m) / nb,
+                               rtol=0, atol=1e-13)
+    assert np.abs(eig.imag).max() <= 1e-13
+    assert np.abs(d - d.T).max() <= 1e-15 * np.abs(d).max()
+    assert np.abs(d @ np.ones(nb)).max() <= 1e-15 * np.abs(d).max()
+
+
 @pytest.mark.parametrize("rings", [1, 4, 16])
-def test_loop_reduction_is_a_laplacian_on_the_loop(rings):
-    # S = L_BB - L_BI L_II^-1 L_IB: symmetric, positive semidefinite, and
-    # zero on constants, over the B loop vertices in loop order
+def test_loop_film_is_a_laplacian_on_the_loop(rings):
+    # 2 sqrt(3) D over the B loop vertices in loop order: symmetric,
+    # positive semidefinite with the constants as its only null vectors
     mesh, _ = generate_disk_mesh(rings)
-    loop_mesh, _ = mesh.loop_reduction()
+    loop_mesh, _ = mesh.loop_film()
     nb = len(mesh.boundary_loop)
-    s = loop_mesh.interior_laplacian()
-    assert loop_mesh.vertex_count == nb and s.shape == (nb, nb)
+    film = loop_mesh.interior_laplacian()
+    assert loop_mesh.vertex_count == nb and film.shape == (nb, nb)
+    assert loop_mesh.loop_only and not mesh.loop_only
     np.testing.assert_array_equal(loop_mesh.boundary_loop, np.arange(nb))
-    np.testing.assert_array_equal(s, s.T)
-    eig = np.linalg.eigvalsh(s)
-    assert eig.min() >= -1e-12 * eig.max()
-    assert np.abs(s.sum(axis=1)).max() <= 1e-12 * np.abs(s).max()
-    assert mesh.loop_reduction() is mesh.loop_reduction()   # built once
+    np.testing.assert_array_equal(film,
+                                  circulant(LATTICE_TENSION
+                                            * douglas_form(nb)))
+    assert np.abs(film - film.T).max() <= 1e-15 * np.abs(film).max()
+    eig = np.linalg.eigvalsh(film)
+    assert abs(eig[0]) <= 1e-12 * eig[-1] and eig[1] > 1e-3 * eig[-1]
+    assert np.abs(film.sum(axis=1)).max() <= 1e-12 * np.abs(film).max()
+    assert mesh.loop_film() is mesh.loop_film()             # built once
 
 
-def test_fan_reduction_closed_form():
-    # a hub joined to n rim vertices: eliminating it leaves I - J / n
-    mesh, _ = fan_mesh(12)
-    s = mesh.loop_reduction()[0].interior_laplacian()
-    np.testing.assert_allclose(s, np.eye(12) - 1.0 / 12.0, rtol=0,
-                               atol=1e-15)
+def test_fan_film_closed_form():
+    # the fan's rim is a regular 12-gon: its film energy is 2 sqrt(3) pi R^2,
+    # and the harmonic hub sits at the rim's centre
+    R = 0.7
+    mesh, x = fan_mesh(12, R)
+    loop_mesh, extend = mesh.loop_film()
+    xb = x[mesh.boundary_loop]
+    film = float((xb * (loop_mesh.interior_laplacian() @ xb)).sum())
+    assert abs(film / (LATTICE_TENSION * np.pi * R * R) - 1.0) <= 1e-13
+    y = extend(xb)
+    np.testing.assert_array_equal(y[mesh.boundary_loop], xb)
+    assert np.abs(y[0]).max() <= 1e-15
 
 
 def test_extend_fills_a_harmonic_interior():
     mesh, _ = generate_disk_mesh(5, 1.2)
-    _, extend = mesh.loop_reduction()
+    _, extend = mesh.loop_film()
     xb = np.random.default_rng(3).standard_normal((len(mesh.boundary_loop), 3))
     y = extend(xb)
     np.testing.assert_array_equal(y[mesh.boundary_loop], xb)
@@ -208,12 +257,13 @@ def test_extend_fills_a_harmonic_interior():
     assert np.abs((mesh.interior_laplacian() @ y)[inner]).max() < 1e-13
 
 
-def test_reduction_without_interior_vertices_keeps_the_laplacian():
-    # nothing to eliminate: S is L_BB and extend only reorders
+def test_film_without_interior_vertices_is_the_douglas_form():
+    # the polygon's diagonals do not enter the film, and with no interior
+    # vertex extend only reorders
     mesh, x = polygon_mesh(9)
     loop = mesh.boundary_loop
-    loop_mesh, extend = mesh.loop_reduction()
-    lap = mesh.interior_laplacian().toarray()
+    loop_mesh, extend = mesh.loop_film()
     np.testing.assert_array_equal(loop_mesh.interior_laplacian(),
-                                  lap[np.ix_(loop, loop)])
+                                  circulant(LATTICE_TENSION
+                                            * douglas_form(9)))
     np.testing.assert_array_equal(extend(x[loop]), x)
