@@ -140,9 +140,9 @@ def cmd_relax(args):
     os.makedirs(args.out, exist_ok=True)
     write_obj(os.path.join(args.out, "relaxed.obj"), res.x, mesh.triangles)
     field = gaussian_curvature(mesh, res.x)
-    write_boundary_observables(os.path.join(args.out, "boundary.csv"),
-                               mesh, res.x, field)
     bg = boundary_geometry(mesh, res.x)
+    write_boundary_observables(os.path.join(args.out, "boundary.csv"),
+                               mesh, res.x, field, bg)
     summary = {
         "k_l3_alpha": args.kl3a, "gamma": SIGMA_PER_SPRING_K * args.kl3a,
         "status": res.status, "iterations": res.iterations,

@@ -121,9 +121,10 @@ def boundary_geometry(mesh, x):
     kappa_g its projection on the inward co-normal N x t_bar.
     """
     loop = mesh.boundary_loop
-    s, t, savg = boundary_frame(mesh, x)
+    s, e, savg = boundary_frame(mesh, x)
     if np.any(s <= 0.0):
         raise DiffGeoError("degenerate boundary edge")
+    t = e / s[:, None]
     cvec = (t - t[mesh.loop_prev]) / savg[:, None]
     kappa = np.linalg.norm(cvec, axis=1)
 
@@ -352,15 +353,18 @@ def mean_curvature_diagnostic(mesh, x):
     return 0.5 * np.linalg.norm(hvec, axis=1)
 
 
-def write_boundary_observables(path, mesh, x, field=None):
-    """CSV of per-boundary-vertex observables: index, s, curvatures, turning.
-    field, when given, is gaussian_curvature(mesh, x), already computed."""
-    bg = boundary_geometry(mesh, x)
+def write_boundary_observables(path, mesh, x, field=None, bg=None):
+    """CSV of per-boundary-vertex observables: index, s, curvatures, turning,
+    the rows written by one formatting call.  field and bg, when given, are
+    gaussian_curvature(mesh, x) and boundary_geometry(mesh, x), already
+    computed."""
+    bg = boundary_geometry(mesh, x) if bg is None else bg
     field = gaussian_curvature(mesh, x) if field is None else field
     s_cum = np.concatenate([[0.0], np.cumsum(bg.edge_length[:-1])])
+    # the loop indices ride as floats, exact, and %d prints them as ints
+    table = np.column_stack([bg.loop, s_cum, bg.kappa, bg.kappa_n,
+                             bg.kappa_g, field.defect[bg.loop]])
     with open(path, "w") as fh:
         fh.write("index,s,kappa,kappa_n,kappa_g,defect\n")
-        for i, v in enumerate(bg.loop):
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (v, s_cum[i], bg.kappa[i], bg.kappa_n[i],
-                        bg.kappa_g[i], field.defect[v]))
+        fh.write(("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(table))
+                 % tuple(table.ravel().tolist()))

@@ -110,10 +110,11 @@ def energy(mesh, x, p):
 def energy_and_gradient(mesh, x, p):
     """Energy breakdown and its exact gradient, one fused evaluation."""
     loop, prev, nxt = mesh.boundary_loop, mesh.loop_prev, mesh.loop_next
-    s, t, savg = boundary_frame(mesh, x)
+    s, e, savg = boundary_frame(mesh, x)
     if (s < 1e-12 * p.target_length).any():
         raise DegenerateBoundaryError(
             "boundary edge shorter than 1e-12 * L, curvature undefined")
+    t = e / s[:, None]
     c = t - t.take(prev, axis=0)        # curvature vector numerator at v
     c_sq = np.einsum("ij,ij->i", c, c)
     bending = p.alpha * float((c_sq / savg).sum())

@@ -17,15 +17,15 @@ it is the film's area when the parametrization is conformal.  The unit
 lattice's springs weigh 2 sqrt(3) times that energy, so TriMesh.loop_film
 puts the film on the B loop vertices, at uniform parameter, as the dense
 circulant 2 sqrt(3) D (douglas_form), and gives a loop-only mesh plus the
-map back to the full state: the lattice-harmonic interior.
+map back to the full state: the harmonic disk itself,
+x(rho, theta) = sum_m X_m rho^|m| e^{i m theta}, sampled at each vertex's
+hex ring and place.
 """
 
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 # film tension of the unit lattice per unit spring constant: k sum |e|^2
 # tends to 2 sqrt(3) k times the Dirichlet energy (1/2) int |grad x|^2
@@ -55,7 +55,9 @@ class TriMesh:
     loop_prev: np.ndarray = field(repr=False)
     loop_next: np.ndarray = field(repr=False)
     loop_only: bool = field(default=False, repr=False)
-    _laplacian: Optional[scipy.sparse.csr_matrix] = field(
+    ring: Optional[np.ndarray] = field(default=None, repr=False)
+    place: Optional[np.ndarray] = field(default=None, repr=False)
+    _laplacian: Optional[object] = field(
         default=None, repr=False, compare=False)
     _sharing_keys: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False)
@@ -101,6 +103,8 @@ class TriMesh:
         from loop_film holds its dense film operator 2 sqrt(3) D here.
         """
         if self._laplacian is None:
+            import scipy.sparse     # full-mesh energies only, not the solve
+
             ia, ib = self.interior_edges[:, 0], self.interior_edges[:, 1]
             n = self.vertex_count
             ones = np.ones(len(ia))
@@ -119,8 +123,12 @@ class TriMesh:
         LATTICE_TENSION * D of douglas_form(B), so the spring term
         k x_B^T (2 sqrt(3) D) x_B is 2 sqrt(3) k times the Dirichlet energy
         of the harmonic disk spanning the loop.  extend(x_B) returns the
-        full (n, 3) state with the lattice-harmonic interior,
-        L_II x_I = -L_IB x_B, from one sparse LU factor of L_II.
+        full (n, 3) state: the loop rows are x_B, and an interior vertex on
+        hex ring k at place p is that harmonic disk at rho = k / m,
+        theta = 2 pi (p / 6k - p_0 / 6m), m the loop's ring and p_0 the
+        place of boundary_loop[0], so loop vertex j sits at theta_j =
+        2 pi j / B.  Raises MeshError for a mesh with interior vertices but
+        no ring and place.
         """
         if self._film is None:
             self._film = _loop_film(self)
@@ -174,19 +182,17 @@ def douglas_form(nb):
 
 
 def _loop_film(mesh):
-    """loop_film's (loop_mesh, extend), built uncached."""
+    """loop_film's (loop_mesh, extend), built uncached.
+
+    The interior is the truncated Poisson kernel applied to x_B: the row of
+    a vertex at (rho, theta) is irfft over m of (rho e^{-i theta})^m.  The
+    vertex at place p + r k of ring k sits r m loop samples on from the one
+    at place p, so only the first sextant (places p < k, and the centre)
+    gets rows, and each row serves its six rotations through the six shifted
+    copies of x_B.
+    """
     n, loop = mesh.vertex_count, mesh.boundary_loop
     nb = len(loop)
-    inner = np.setdiff1d(np.arange(n), loop)
-    rows = mesh.interior_laplacian()[inner]
-    l_ib = rows[:, loop]
-    # L_II is a grounded Laplacian, symmetric positive definite: a symmetric
-    # ordering and no pivoting keep the factor small
-    lu = scipy.sparse.linalg.splu(rows[:, inner].tocsc(),
-                                  permc_spec="MMD_AT_PLUS_A",
-                                  diag_pivot_thresh=0.0,
-                                  options={"SymmetricMode": True})
-
     loop_mesh = TriMesh(
         vertex_count=nb, triangles=np.empty((0, 3), dtype=np.int64),
         boundary_loop=np.arange(nb),
@@ -194,10 +200,46 @@ def _loop_film(mesh):
         loop_prev=mesh.loop_prev, loop_next=mesh.loop_next, loop_only=True,
         _laplacian=circulant(LATTICE_TENSION * douglas_form(nb)))
 
+    inner = np.setdiff1d(np.arange(n), loop)
+    if len(inner) == 0:
+
+        def extend(x_b):
+            x = np.empty((n, 3))
+            x[loop] = x_b
+            return x
+
+        return loop_mesh, extend
+    if mesh.ring is None:
+        raise MeshError("the film's interior needs each vertex's hex ring "
+                        "and place, which only generate_disk_mesh records")
+
+    # the rotations (k, j + r k), r = 0..5, of sextant vertex (k, j) as row
+    # k (k - 1) / 2 + j of `orbits`, column r; the centre is its own orbit
+    m, p0 = mesh.ring[loop[0]], mesh.place[loop[0]]
+    k = mesh.ring[inner]
+    centre, inner = inner[k == 0], inner[k > 0]
+    k = k[k > 0]
+    r, j = np.divmod(mesh.place[inner], k)
+    orbits = np.empty(len(inner), dtype=np.int64)
+    orbits[6 * (k * (k - 1) // 2 + j) + r] = inner
+
+    k, j = mesh.ring[orbits[::6]], mesh.place[orbits[::6]]
+    z = np.zeros(len(k) + 1, dtype=complex)
+    z[1:] = (k / m) * np.exp(-2j * np.pi * (j / (6 * k) - p0 / (6 * m)))
+    powers = np.empty((len(z), nb // 2 + 1), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = z[:, None]
+    rows = np.fft.irfft(np.cumprod(powers, axis=1, out=powers), n=nb, axis=1)
+    # column block r of x_b[shifted] is the loop seen from rotation r:
+    # row i holds x_b[(i + r m) % B]
+    shifted = (np.arange(nb)[:, None] + m * np.arange(6)) % nb
+
     def extend(x_b):
         x = np.empty((n, 3))
         x[loop] = x_b
-        x[inner] = lu.solve(-(l_ib @ x_b))
+        inside = rows @ x_b[shifted].reshape(nb, 18)
+        x[centre] = inside[0, :3]
+        x[orbits] = inside[1:].reshape(-1, 3)
         return x
 
     return loop_mesh, extend
@@ -307,9 +349,10 @@ def generate_disk_mesh(rings, elongation=1.0):
     n = np.count_nonzero(on)
     index = np.full(q.shape, -1, dtype=np.int64)
     index[on] = np.arange(n)
+    q, r = q[on], r[on]
     positions = np.zeros((n, 3))
-    positions[:, 0] = q[on] + 0.5 * r[on]
-    positions[:, 1] = 0.5 * np.sqrt(3.0) * r[on]
+    positions[:, 0] = q + 0.5 * r
+    positions[:, 1] = 0.5 * np.sqrt(3.0) * r
 
     # cells are indexed by their lower-left lattice coordinate (q, r) for
     # q, r in [-m - 1, m], which for down-pointing triangles is not itself a
@@ -322,6 +365,16 @@ def generate_disk_mesh(rings, elongation=1.0):
     tris = tris[(tris >= 0).all(axis=1)]
 
     mesh = TriMesh.from_triangles(n, tris)
+    # hex ring and counterclockwise place, by the sextant of (q, r): the
+    # corners (k, 0), (0, k), (-k, k), (-k, 0), (0, -k), (k, -k) sit at
+    # places 0, k, ..., 5k
+    s = q + r
+    mesh.ring = np.maximum(np.maximum(np.abs(q), np.abs(r)), np.abs(s))
+    k = mesh.ring
+    mesh.place = np.select(
+        [(q > 0) & (r >= 0), (q <= 0) & (s > 0), (q < 0) & (s <= 0),
+         (q >= 0) & (s < 0)],
+        [r, k - q, 3 * k - r, 4 * k + q], 5 * k + s)
     positions[:, 0] *= elongation
     positions[:, 1] /= elongation
     return mesh, positions
@@ -332,22 +385,21 @@ class BoundaryFrame(NamedTuple):
     boundary_loop[i] -> boundary_loop[i + 1]."""
 
     length: np.ndarray        # (B,) edge lengths s_i
-    tangent: np.ndarray       # (B, 3) unit edge tangents
+    edge: np.ndarray          # (B, 3) edge vectors; edge / length are the tangents
     s_weight: np.ndarray      # (B,) <s_v> = (s_i + s_{i-1}) / 2 at boundary_loop[i]
 
 
 def boundary_frame(mesh, x):
-    """Edge lengths, unit tangents and vertex arc weights of the loop.
+    """Edge lengths, edge vectors and vertex arc weights of the loop.
 
-    There is no guard: a zero-length edge leaves non-finite tangents, and
-    each caller raises its own error for it.
+    The unit tangents are edge / length[:, None], which each caller divides
+    out after checking the lengths against its own degeneracy bound and
+    raising its own error, so a zero-length edge never reaches a division.
     """
     xb = x if mesh.loop_only else x.take(mesh.boundary_loop, axis=0)
     e = xb.take(mesh.loop_next, axis=0) - xb
     s = np.sqrt(np.add.reduce(e * e, axis=1))     # np.linalg.norm's float ops
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = e / s[:, None]
-    return BoundaryFrame(s, t, 0.5 * (s + s[mesh.loop_prev]))
+    return BoundaryFrame(s, e, 0.5 * (s + s[mesh.loop_prev]))
 
 
 def boundary_length(mesh, x):

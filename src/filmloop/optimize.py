@@ -56,9 +56,9 @@ multiplier.  relax solves on the loop alone: its rounds minimize over the
 3B loop coordinates on the loop-only mesh of mesh.TriMesh.loop_film, whose
 spring term k x_B^T (2 sqrt(3) D) x_B is the film's energy in closed form
 (the Douglas form D, tension sigma = 2 sqrt(3) k), and the result is
-extended to the full mesh once, with the lattice-harmonic interior, so it
-depends on the start only through its loop.  minimize works on whichever
-mesh it is given.
+extended to the full mesh once, with the harmonic disk spanning the loop
+as its interior, so it depends on the start only through its loop.
+minimize works on whichever mesh it is given.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
@@ -197,10 +197,11 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     FINISH_ITERATIONS more iterations; if those do not converge, the
     iterate where the search stalled is returned with status
     line_search_failed.  Every evaluation, line-search trials included,
-    raises NumericalError when the value or the gradient is not finite.
-    callback(it, x, f, ginf) runs per accepted iterate, the start included
-    (it = 0).  Returns (x, f, grad, iterations, status); f is the value fun
-    returned at x, and iterations count the finish.
+    raises NumericalError when the value or the gradient is not finite;
+    that check's max |g| is the accepted iterate's ginf.  callback(it, x,
+    f, ginf) runs per accepted iterate, the start included (it = 0).
+    Returns (x, f, grad, iterations, status); f is the value fun returned
+    at x, and iterations count the finish.
 
     The loop runs on one flat float64 copy of x0; fun, minv and callback
     see, and the returned x and grad have, the shape of x0.
@@ -210,9 +211,10 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     def evaluate(v):
         f, g = fun(v.reshape(shape))
         g = g.reshape(-1)
-        if not (math.isfinite(f) and math.isfinite(np.abs(g).max())):
+        ginf = float(np.abs(g).max())
+        if not (math.isfinite(f) and math.isfinite(ginf)):
             raise NumericalError("non-finite energy or gradient")
-        return f, g
+        return f, g, ginf
 
     def apply_minv(v):
         return v if minv is None else minv(v.reshape(shape)).reshape(-1)
@@ -220,10 +222,9 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     search = _wolfe_step(evaluate, step_scale)
 
     x = np.array(x0, dtype=float, order="C").reshape(-1)
-    f, g = evaluate(x)
+    f, g, ginf = evaluate(x)
     pairs = _PairRing(len(x))
 
-    ginf = float(np.abs(g).max())
     if callback is not None:
         callback(0, x.reshape(shape), f, ginf)
 
@@ -259,12 +260,11 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
             search = _secant_step(evaluate, step_scale)
             limit = it + FINISH_ITERATIONS
             continue
-        x_new, f, g_new = step
+        x_new, f, g_new, ginf = step
         pairs.push(x_new - x, g_new - g)
         x, g = x_new, g_new
         it += 1
 
-        ginf = float(np.abs(g).max())
         if callback is not None:
             callback(it, x.reshape(shape), f, ginf)
 
@@ -322,7 +322,8 @@ class _PairRing:
 
 def _wolfe_step(fun, step_scale):
     """Strong-Wolfe step of minimize_function, from the unit step, or from a
-    move of 0.01 * step_scale when fresh (the memory is empty)."""
+    move of 0.01 * step_scale when fresh (the memory is empty); a step is
+    (x, *fun(x)) at the accepted point, or None."""
 
     def search(x, d, f, dphi0, fresh):
         a0 = 1.0
@@ -330,7 +331,7 @@ def _wolfe_step(fun, step_scale):
             # move a small fraction of the problem length scale
             a0 = 0.01 * step_scale / max(float(np.linalg.norm(d)), 1e-300)
         ls = _wolfe_search(fun, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
-        return None if ls is None else ls[1:4]
+        return None if ls is None else (ls[1], *ls[3])
 
     return search
 
@@ -341,7 +342,7 @@ def _secant_step(fun, step_scale):
     derivative, clipped to within 1e3 of the previous step; the first step
     moves 0.01 * step_scale.  Gradients are plain sums with no cancellation
     floor, so within the quadratic basin it keeps converging to the
-    gradient rounding level."""
+    gradient rounding level.  A step is (x, *fun(x))."""
     a_prev = None                           # survives descent resets
 
     def search(x, d, f, dphi0, fresh):
@@ -349,7 +350,7 @@ def _secant_step(fun, step_scale):
         if a_prev is None:
             a_prev = 0.01 * step_scale / max(float(np.linalg.norm(d)),
                                              1e-300)
-        _, g_probe = fun(x + a_prev * d)
+        g_probe = fun(x + a_prev * d)[1]
         denom = dphi0 - ddot(g_probe, d)
         if denom >= -1e-12 * abs(dphi0):    # no usable positive curvature
             a = a_prev
@@ -486,22 +487,23 @@ def _line_tension(mesh, fb, params):
 
 def _wolfe_search(fun, x, d, f0, dphi0, a0, c1, c2,
                   max_bracket=30, max_zoom=40):
-    """Strong-Wolfe line search along d; returns (a, x, f, g, dphi)."""
+    """Strong-Wolfe line search along d, for fun(x) -> (f, g, ...);
+    returns (a, x, f, fun(x), dphi) at the accepted point, or None."""
 
     def phi(a):
         xa = x + a * d
-        fa, ga = fun(xa)
-        return xa, fa, ga, ddot(ga, d)
+        ea = fun(xa)
+        return xa, ea[0], ea, ddot(ea[1], d)
 
     a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     a = a0
     for i in range(max_bracket):
-        xa, fa, ga, dphia = phi(a)
+        xa, fa, ea, dphia = phi(a)
         if fa > f0 + c1 * a * dphi0 or (i > 0 and fa >= f_prev):
             return _zoom(phi, f0, dphi0, a_prev, f_prev, dphi_prev,
                          a, fa, dphia, c1, c2, max_zoom)
         if abs(dphia) <= -c2 * dphi0:
-            return a, xa, fa, ga, dphia
+            return a, xa, fa, ea, dphia
         if dphia >= 0.0:
             return _zoom(phi, f0, dphi0, a, fa, dphia,
                          a_prev, f_prev, dphi_prev, c1, c2, max_zoom)
@@ -534,12 +536,12 @@ def _zoom(phi, f0, dphi0, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2, max_zoom):
         safety = 0.1 * (hi_ - lo_)
         if a is None or not (lo_ + safety <= a <= hi_ - safety):
             a = 0.5 * (lo + hi)
-        xa, fa, ga, dphia = phi(a)
+        xa, fa, ea, dphia = phi(a)
         if fa > f0 + c1 * a * dphi0 or fa >= f_lo:
             hi, f_hi, d_hi = a, fa, dphia
         else:
             if abs(dphia) <= -c2 * dphi0:
-                return a, xa, fa, ga, dphia
+                return a, xa, fa, ea, dphia
             if dphia * (hi - lo) >= 0.0:
                 hi, f_hi, d_hi = lo, f_lo, d_lo
             lo, f_lo, d_lo = a, fa, dphia
@@ -552,8 +554,9 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     The solve runs on the loop alone: the rounds minimize over the B
     boundary positions of x0 on mesh.loop_film()'s loop mesh, whose spring
     term is the closed-form film k x_B^T (2 sqrt(3) D) x_B, and the result
-    is the extension of the last iterate with its lattice-harmonic
-    interior.  So the result depends on x0 only through its boundary loop.
+    is the extension of the last iterate, whose interior is the harmonic
+    disk spanning it (mesh.TriMesh.loop_film).  So the result depends on
+    x0 only through its boundary loop.
     The result's energy is the last round's breakdown on the loop mesh, the
     energy the rounds minimized, and function_evals counts the loop-mesh
     calls of all rounds.

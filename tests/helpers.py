@@ -56,6 +56,29 @@ def reference_disk_mesh(rings, elongation=1.0):
     return mesh, positions
 
 
+def poisson_extension(mesh, x_b):
+    """Reference for loop_film's extend: the harmonic disk
+    x(rho, theta) = Re sum_m X_m rho^|m| e^{i m theta}, X = fft(x_b) / B over
+    all B modes (the Nyquist mode at m = -B/2), summed densely at every
+    interior vertex with rho**|m| and exp, and no sixfold symmetry.  A
+    vertex on hex ring k at place p has rho = k / m and theta =
+    2 pi (p / 6k - p_0 / 6m), m and p_0 those of boundary_loop[0]."""
+    loop = mesh.boundary_loop
+    nb = len(loop)
+    m, p0 = mesh.ring[loop[0]], mesh.place[loop[0]]
+    k, p = mesh.ring, mesh.place
+    rho = k / m
+    theta = np.zeros(mesh.vertex_count)
+    ring = k > 0
+    theta[ring] = 2.0 * np.pi * (p[ring] / (6.0 * k[ring]) - p0 / (6.0 * m))
+    modes = np.rint(np.fft.fftfreq(nb, 1.0 / nb)).astype(int)
+    kernel = (rho[:, None] ** np.abs(modes)
+              * np.exp(1j * modes * theta[:, None]))
+    x = (kernel @ (np.fft.fft(x_b, axis=0) / nb)).real
+    x[loop] = x_b
+    return x
+
+
 def polygon_mesh(n, radius=1.0):
     """Regular n-gon in the z = 0 plane triangulated by the diagonals from
     vertex 0: every vertex lies on the boundary, and the diagonals are the

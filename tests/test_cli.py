@@ -95,14 +95,15 @@ def test_relax_command_summary(tmp_path, capsys):
 
 
 def test_relax_command_reuses_the_curvature_field(tmp_path, monkeypatch):
-    # the field built once for boundary.csv and the Gauss-Bonnet defect
-    # gives the bytes each call gets by building its own
+    # the curvature field and boundary geometry built once for boundary.csv,
+    # the Gauss-Bonnet defect and the summary give the bytes each call gets
+    # by building its own
     argv = ["relax", "--kl3a", "900", "--rings", "6", "--max-iterations",
             "60000"]
     assert main(argv + ["--out", str(tmp_path / "once")]) == 0
     write, defect = cli.write_boundary_observables, cli.gauss_bonnet_defect
     monkeypatch.setattr(cli, "write_boundary_observables",
-                        lambda path, mesh, x, field: write(path, mesh, x))
+                        lambda path, mesh, x, field, bg: write(path, mesh, x))
     monkeypatch.setattr(cli, "gauss_bonnet_defect",
                         lambda mesh, x, field: defect(mesh, x))
     assert main(argv + ["--out", str(tmp_path / "twice")]) == 0
@@ -243,17 +244,17 @@ def test_relax_accepts_zero_kl3a(tmp_path):
 
 
 def test_relax_and_sweep_leave_spatial_and_optimize_unimported(tmp_path):
-    # the KD-tree pair search and the power-law fit import their scipy
-    # modules when they run; a relax and a sweep whose states are all
-    # certified graphs need neither
+    # the KD-tree pair search, the power-law fit and the full-mesh spring
+    # Laplacian import their scipy modules when they run; a relax and a
+    # sweep whose states are all certified graphs need none of them
     script = (
         "import sys\n"
         "from filmloop.cli import main\n"
         f"assert main(['relax', '--rings', '2', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
         f"assert main(['sweep', '--start', '20', '--stop', '40', '--num', '2',"
         f" '--rings', '2', '--out', {str(tmp_path / 's')!r}]) == 0\n"
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize')"
-        " if m in sys.modules))\n")
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize',"
+        " 'scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,8 @@ regular polygon fan (vertex curvature exactly 1/R), spherical cap
 Gauss-Bonnet sum which is a combinatorial identity on any disk mesh.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,33 @@ def test_write_boundary_observables(tmp_path):
     row = lines[1].split(",")
     assert len(row) == 6
     assert np.isclose(float(row[2]), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("rings", [2, 8, 32])
+def test_boundary_csv_bytes_match_the_per_row_writer(tmp_path, rings):
+    # one formatting call writes the bytes a write per row wrote, and a
+    # geometry and field passed in give the bytes of building them here
+    mesh, x = generate_disk_mesh(rings, 1.2)
+    x = x.copy()
+    x[:, 2] = 0.1 * np.sin(x[:, 0]) * np.cos(0.7 * x[:, 1])
+    bg, field = boundary_geometry(mesh, x), gaussian_curvature(mesh, x)
+    s_cum = np.concatenate([[0.0], np.cumsum(bg.edge_length[:-1])])
+    lines = ["index,s,kappa,kappa_n,kappa_g,defect\n"]
+    lines += ["%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+              % (v, s_cum[i], bg.kappa[i], bg.kappa_n[i], bg.kappa_g[i],
+                 field.defect[v]) for i, v in enumerate(bg.loop)]
+    path = tmp_path / "boundary.csv"
+    write_boundary_observables(str(path), mesh, x)
+    assert path.read_bytes() == "".join(lines).encode()
+    write_boundary_observables(str(path), mesh, x, field, bg)
+    assert path.read_bytes() == "".join(lines).encode()
+
+
+def test_collapsed_edge_geometry_raises_without_runtime_warning():
+    mesh, x = generate_disk_mesh(3)
+    loop = mesh.boundary_loop
+    x[loop[4]] = x[loop[3]]                # one zero-length boundary edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiffGeoError, match="degenerate boundary edge"):
+            boundary_geometry(mesh, x)

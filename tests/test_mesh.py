@@ -17,7 +17,8 @@ from filmloop.mesh import (LATTICE_TENSION, MeshError, TriMesh,
                            generate_disk_mesh, scale_to_boundary_length,
                            validate_mesh)
 
-from helpers import fan_mesh, polygon_mesh, reference_disk_mesh
+from helpers import (fan_mesh, poisson_extension, polygon_mesh,
+                     reference_disk_mesh)
 
 ANNULUS_TRIS = np.array([[0, 1, 4], [0, 4, 3], [1, 2, 5],
                          [1, 5, 4], [2, 0, 3], [2, 3, 5]], dtype=np.int64)
@@ -234,33 +235,109 @@ def test_loop_film_is_a_laplacian_on_the_loop(rings):
 
 
 def test_fan_film_closed_form():
-    # the fan's rim is a regular 12-gon: its film energy is 2 sqrt(3) pi R^2,
-    # and the harmonic hub sits at the rim's centre
+    # the fan's rim is a regular 12-gon: its film energy is 2 sqrt(3) pi R^2.
+    # Its hub, labelled as the centre of a 12-vertex rim on ring 2, is the
+    # harmonic disk's value at rho = 0: the rim's centroid
     R = 0.7
     mesh, x = fan_mesh(12, R)
+    mesh.ring = np.array([0] + [2] * 12)
+    mesh.place = np.array([0, *range(12)])
     loop_mesh, extend = mesh.loop_film()
     xb = x[mesh.boundary_loop]
     film = float((xb * (loop_mesh.interior_laplacian() @ xb)).sum())
     assert abs(film / (LATTICE_TENSION * np.pi * R * R) - 1.0) <= 1e-13
+    rng = np.random.default_rng(12)
+    xb = xb + [0.3, -0.2, 0.1] + 0.05 * rng.standard_normal(xb.shape)
     y = extend(xb)
     np.testing.assert_array_equal(y[mesh.boundary_loop], xb)
-    assert np.abs(y[0]).max() <= 1e-15
+    np.testing.assert_allclose(y[0], xb.mean(axis=0), rtol=0, atol=1e-15)
+
+
+def test_film_interior_needs_rings_and_places():
+    # a mesh from bare triangles has no disk parameter for its hub
+    mesh, _ = fan_mesh(12)
+    assert mesh.ring is None and mesh.place is None
+    with pytest.raises(MeshError, match="ring and place"):
+        mesh.loop_film()
+
+
+@pytest.mark.parametrize("rings", [1, 2, 5, 8])
+def test_disk_mesh_rings_and_places(rings):
+    # ring k holds places 0..6k-1 once each, counterclockwise, place p + k is
+    # place p turned by 60 degrees, and the loop runs through consecutive
+    # places of ring m
+    mesh, x = generate_disk_mesh(rings)
+    k, p = mesh.ring, mesh.place
+    assert np.count_nonzero(k == 0) == 1 and p[k == 0] == 0
+    turn = np.array([[0.5, -0.5 * np.sqrt(3.0)], [0.5 * np.sqrt(3.0), 0.5]])
+    for ring in range(1, rings + 1):
+        on = np.flatnonzero(k == ring)
+        on = on[np.argsort(p[on])]
+        np.testing.assert_array_equal(p[on], np.arange(6 * ring))
+        np.testing.assert_allclose(x[np.roll(on, -ring), :2],
+                                   x[on, :2] @ turn.T, rtol=0, atol=1e-12)
+        angle = np.unwrap(np.arctan2(x[on, 1], x[on, 0]))
+        assert (np.diff(angle) > 0).all()
+    loop = mesh.boundary_loop
+    assert (k[loop] == rings).all()
+    np.testing.assert_array_equal((p[loop] - p[loop[0]]) % (6 * rings),
+                                  np.arange(6 * rings))
+
+
+@pytest.mark.parametrize("rings", [1, 2, 5, 16, 32])
+def test_extend_matches_the_dense_poisson_kernel(rings):
+    mesh, _ = generate_disk_mesh(rings, 1.2)
+    _, extend = mesh.loop_film()
+    xb = np.random.default_rng(rings).standard_normal(
+        (len(mesh.boundary_loop), 3))
+    y = extend(xb)
+    np.testing.assert_array_equal(y[mesh.boundary_loop], xb)
+    np.testing.assert_allclose(y, poisson_extension(mesh, xb), rtol=0,
+                               atol=1e-13)
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2, 5, 23])
+def test_extend_of_one_fourier_mode(mode):
+    # x_B = Re(c e^{i m theta_j}) extends to rho^m Re(c e^{i m theta})
+    rings = 8
+    mesh, _ = generate_disk_mesh(rings)
+    loop = mesh.boundary_loop
+    nb = len(loop)
+    c = np.array([1.0 - 0.5j, 0.3 + 2.0j, -0.7j])
+    theta_b = 2.0 * np.pi * np.arange(nb) / nb
+    xb = (c * np.exp(1j * mode * theta_b)[:, None]).real
+    k, p = mesh.ring, mesh.place
+    theta = 2.0 * np.pi * (p / (6.0 * np.maximum(k, 1))
+                           - mesh.place[loop[0]] / (6.0 * rings))
+    want = ((k / rings) ** mode * np.exp(1j * mode * theta))[:, None] * c
+    y = mesh.loop_film()[1](xb)
+    np.testing.assert_allclose(y, want.real, rtol=0, atol=1e-13)
 
 
 def test_extend_fills_a_harmonic_interior():
+    # the maximum principle and the mean value property at the centre, and
+    # constants and the linear map reproduced
     mesh, _ = generate_disk_mesh(5, 1.2)
     _, extend = mesh.loop_film()
-    xb = np.random.default_rng(3).standard_normal((len(mesh.boundary_loop), 3))
+    rng = np.random.default_rng(3)
+    xb, zb = rng.standard_normal((2, len(mesh.boundary_loop), 3))
     y = extend(xb)
     np.testing.assert_array_equal(y[mesh.boundary_loop], xb)
-    inner = np.setdiff1d(np.arange(mesh.vertex_count), mesh.boundary_loop)
-    assert np.abs((mesh.interior_laplacian() @ y)[inner]).max() < 1e-13
+    assert (y.min(axis=0) >= xb.min(axis=0)).all()
+    assert (y.max(axis=0) <= xb.max(axis=0)).all()
+    np.testing.assert_allclose(y[mesh.ring == 0][0], xb.mean(axis=0),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(extend(np.ones_like(xb)), 1.0, rtol=0,
+                               atol=1e-14)
+    np.testing.assert_allclose(extend(2.0 * xb - zb), 2.0 * y - extend(zb),
+                               rtol=0, atol=1e-14)
 
 
 def test_film_without_interior_vertices_is_the_douglas_form():
     # the polygon's diagonals do not enter the film, and with no interior
-    # vertex extend only reorders
+    # vertex extend only reorders, with no rings or places needed
     mesh, x = polygon_mesh(9)
+    assert mesh.ring is None
     loop = mesh.boundary_loop
     loop_mesh, extend = mesh.loop_film()
     np.testing.assert_array_equal(loop_mesh.interior_laplacian(),
