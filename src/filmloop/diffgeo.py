@@ -353,13 +353,11 @@ def mean_curvature_diagnostic(mesh, x):
     return 0.5 * np.linalg.norm(hvec, axis=1)
 
 
-def write_boundary_observables(path, mesh, x, field=None, bg=None):
+def write_boundary_observables(path, mesh, x, field, bg):
     """CSV of per-boundary-vertex observables: index, s, curvatures, turning,
-    the rows written by one formatting call.  field and bg, when given, are
+    the rows written by one formatting call.  field and bg are
     gaussian_curvature(mesh, x) and boundary_geometry(mesh, x), already
     computed."""
-    bg = boundary_geometry(mesh, x) if bg is None else bg
-    field = gaussian_curvature(mesh, x) if field is None else field
     s_cum = np.concatenate([[0.0], np.cumsum(bg.edge_length[:-1])])
     # the loop indices ride as floats, exact, and %d prints them as ints
     table = np.column_stack([bg.loop, s_cum, bg.kappa, bg.kappa_n,

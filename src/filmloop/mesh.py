@@ -46,6 +46,8 @@ class TriMesh:
     loop positions i-1 and i+1 (mod B) for loop shifts; loop edge i runs
     from boundary_loop[i] to boundary_loop[loop_next[i]].  loop_only marks
     loop_film's mesh, whose boundary_loop is arange(B): no gathers.
+    lattice holds generate_disk_mesh's (n, 2) hex-lattice coordinates
+    (q, r), None for other meshes.
     """
 
     vertex_count: int
@@ -55,8 +57,7 @@ class TriMesh:
     loop_prev: np.ndarray = field(repr=False)
     loop_next: np.ndarray = field(repr=False)
     loop_only: bool = field(default=False, repr=False)
-    ring: Optional[np.ndarray] = field(default=None, repr=False)
-    place: Optional[np.ndarray] = field(default=None, repr=False)
+    lattice: Optional[np.ndarray] = field(default=None, repr=False)
     _laplacian: Optional[object] = field(
         default=None, repr=False, compare=False)
     _sharing_keys: Optional[np.ndarray] = field(
@@ -124,11 +125,11 @@ class TriMesh:
         k x_B^T (2 sqrt(3) D) x_B is 2 sqrt(3) k times the Dirichlet energy
         of the harmonic disk spanning the loop.  extend(x_B) returns the
         full (n, 3) state: the loop rows are x_B, and an interior vertex on
-        hex ring k at place p is that harmonic disk at rho = k / m,
-        theta = 2 pi (p / 6k - p_0 / 6m), m the loop's ring and p_0 the
-        place of boundary_loop[0], so loop vertex j sits at theta_j =
-        2 pi j / B.  Raises MeshError for a mesh with interior vertices but
-        no ring and place.
+        hex ring k at place p (hex_ring_place) is that harmonic disk at
+        rho = k / m, theta = 2 pi (p / 6k - p_0 / 6m), m the loop's ring
+        and p_0 the place of boundary_loop[0], so loop vertex j sits at
+        theta_j = 2 pi j / B.  Raises MeshError for a mesh with interior
+        vertices but no lattice coordinates.
         """
         if self._film is None:
             self._film = _loop_film(self)
@@ -209,21 +210,23 @@ def _loop_film(mesh):
             return x
 
         return loop_mesh, extend
-    if mesh.ring is None:
+    if mesh.lattice is None:
         raise MeshError("the film's interior needs each vertex's hex ring "
-                        "and place, which only generate_disk_mesh records")
+                        "and place, from the lattice coordinates that only "
+                        "generate_disk_mesh records")
 
     # the rotations (k, j + r k), r = 0..5, of sextant vertex (k, j) as row
     # k (k - 1) / 2 + j of `orbits`, column r; the centre is its own orbit
-    m, p0 = mesh.ring[loop[0]], mesh.place[loop[0]]
-    k = mesh.ring[inner]
+    ring, place = hex_ring_place(mesh.lattice)
+    m, p0 = ring[loop[0]], place[loop[0]]
+    k = ring[inner]
     centre, inner = inner[k == 0], inner[k > 0]
     k = k[k > 0]
-    r, j = np.divmod(mesh.place[inner], k)
+    r, j = np.divmod(place[inner], k)
     orbits = np.empty(len(inner), dtype=np.int64)
     orbits[6 * (k * (k - 1) // 2 + j) + r] = inner
 
-    k, j = mesh.ring[orbits[::6]], mesh.place[orbits[::6]]
+    k, j = ring[orbits[::6]], place[orbits[::6]]
     z = np.zeros(len(k) + 1, dtype=complex)
     z[1:] = (k / m) * np.exp(-2j * np.pi * (j / (6 * k) - p0 / (6 * m)))
     powers = np.empty((len(z), nb // 2 + 1), dtype=complex)
@@ -325,6 +328,21 @@ def validate_mesh(mesh):
                            np.asarray(mesh.triangles, dtype=np.int64))[0]
 
 
+def hex_ring_place(lattice):
+    """Hex ring k = max(|q|, |r|, |q + r|) and counterclockwise place
+    p in [0, 6k) of each (q, r) row of lattice: the corners (k, 0), (0, k),
+    (-k, k), (-k, 0), (0, -k), (k, -k) sit at places 0, k, ..., 5k, and the
+    centre at ring 0, place 0.  Returns (ring, place)."""
+    q, r = lattice[:, 0], lattice[:, 1]
+    s = q + r
+    k = np.maximum(np.maximum(np.abs(q), np.abs(r)), np.abs(s))
+    p = np.select(
+        [(q > 0) & (r >= 0), (q <= 0) & (s > 0), (q < 0) & (s <= 0),
+         (q >= 0) & (s < 0)],
+        [r, k - q, 3 * k - r, 4 * k + q], 5 * k + s)
+    return k, p
+
+
 def generate_disk_mesh(rings, elongation=1.0):
     """Hexagonal-lattice disk with `rings` concentric rings, optionally stretched.
 
@@ -365,16 +383,7 @@ def generate_disk_mesh(rings, elongation=1.0):
     tris = tris[(tris >= 0).all(axis=1)]
 
     mesh = TriMesh.from_triangles(n, tris)
-    # hex ring and counterclockwise place, by the sextant of (q, r): the
-    # corners (k, 0), (0, k), (-k, k), (-k, 0), (0, -k), (k, -k) sit at
-    # places 0, k, ..., 5k
-    s = q + r
-    mesh.ring = np.maximum(np.maximum(np.abs(q), np.abs(r)), np.abs(s))
-    k = mesh.ring
-    mesh.place = np.select(
-        [(q > 0) & (r >= 0), (q <= 0) & (s > 0), (q < 0) & (s <= 0),
-         (q >= 0) & (s < 0)],
-        [r, k - q, 3 * k - r, 4 * k + q], 5 * k + s)
+    mesh.lattice = np.stack([q, r], axis=1)
     positions[:, 0] *= elongation
     positions[:, 1] /= elongation
     return mesh, positions

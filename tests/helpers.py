@@ -5,7 +5,8 @@ import scipy.spatial
 
 from filmloop.diffgeo import DiffGeoError, triangle_geometry
 from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
-from filmloop.mesh import TriMesh, boundary_frame, generate_disk_mesh
+from filmloop.mesh import (TriMesh, boundary_frame, generate_disk_mesh,
+                           hex_ring_place)
 from filmloop import saddle
 
 
@@ -61,12 +62,13 @@ def poisson_extension(mesh, x_b):
     x(rho, theta) = Re sum_m X_m rho^|m| e^{i m theta}, X = fft(x_b) / B over
     all B modes (the Nyquist mode at m = -B/2), summed densely at every
     interior vertex with rho**|m| and exp, and no sixfold symmetry.  A
-    vertex on hex ring k at place p has rho = k / m and theta =
-    2 pi (p / 6k - p_0 / 6m), m and p_0 those of boundary_loop[0]."""
+    vertex on hex ring k at place p (hex_ring_place of its lattice
+    coordinates) has rho = k / m and theta = 2 pi (p / 6k - p_0 / 6m), m
+    and p_0 those of boundary_loop[0]."""
     loop = mesh.boundary_loop
     nb = len(loop)
-    m, p0 = mesh.ring[loop[0]], mesh.place[loop[0]]
-    k, p = mesh.ring, mesh.place
+    k, p = hex_ring_place(mesh.lattice)
+    m, p0 = k[loop[0]], p[loop[0]]
     rho = k / m
     theta = np.zeros(mesh.vertex_count)
     ring = k > 0

@@ -15,6 +15,7 @@ import pytest
 import filmloop
 from filmloop import cli, optimize, saddle
 from filmloop.cli import main
+from filmloop.diffgeo import boundary_geometry, gaussian_curvature
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.stability import disk_solution
 from filmloop.sweep import (BifurcationDiagram, SweepPoint, SweepSchedule,
@@ -103,7 +104,9 @@ def test_relax_command_reuses_the_curvature_field(tmp_path, monkeypatch):
     assert main(argv + ["--out", str(tmp_path / "once")]) == 0
     write, defect = cli.write_boundary_observables, cli.gauss_bonnet_defect
     monkeypatch.setattr(cli, "write_boundary_observables",
-                        lambda path, mesh, x, field, bg: write(path, mesh, x))
+                        lambda path, mesh, x, field, bg: write(
+                            path, mesh, x, gaussian_curvature(mesh, x),
+                            boundary_geometry(mesh, x)))
     monkeypatch.setattr(cli, "gauss_bonnet_defect",
                         lambda mesh, x, field: defect(mesh, x))
     assert main(argv + ["--out", str(tmp_path / "twice")]) == 0

@@ -253,7 +253,8 @@ def test_el_residuals_reject_inflection():
 def test_write_boundary_observables(tmp_path):
     mesh, x = fan_mesh(16, 1.0)
     path = tmp_path / "boundary.csv"
-    write_boundary_observables(str(path), mesh, x)
+    write_boundary_observables(str(path), mesh, x, gaussian_curvature(mesh, x),
+                               boundary_geometry(mesh, x))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "index,s,kappa,kappa_n,kappa_g,defect"
     assert len(lines) == 1 + len(mesh.boundary_loop)
@@ -264,8 +265,7 @@ def test_write_boundary_observables(tmp_path):
 
 @pytest.mark.parametrize("rings", [2, 8, 32])
 def test_boundary_csv_bytes_match_the_per_row_writer(tmp_path, rings):
-    # one formatting call writes the bytes a write per row wrote, and a
-    # geometry and field passed in give the bytes of building them here
+    # one formatting call writes the bytes a write per row wrote
     mesh, x = generate_disk_mesh(rings, 1.2)
     x = x.copy()
     x[:, 2] = 0.1 * np.sin(x[:, 0]) * np.cos(0.7 * x[:, 1])
@@ -276,8 +276,6 @@ def test_boundary_csv_bytes_match_the_per_row_writer(tmp_path, rings):
               % (v, s_cum[i], bg.kappa[i], bg.kappa_n[i], bg.kappa_g[i],
                  field.defect[v]) for i, v in enumerate(bg.loop)]
     path = tmp_path / "boundary.csv"
-    write_boundary_observables(str(path), mesh, x)
-    assert path.read_bytes() == "".join(lines).encode()
     write_boundary_observables(str(path), mesh, x, field, bg)
     assert path.read_bytes() == "".join(lines).encode()
 

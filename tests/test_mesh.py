@@ -14,8 +14,8 @@ import scipy.linalg
 
 from filmloop.mesh import (LATTICE_TENSION, MeshError, TriMesh,
                            boundary_length, circulant, douglas_form,
-                           generate_disk_mesh, scale_to_boundary_length,
-                           validate_mesh)
+                           generate_disk_mesh, hex_ring_place,
+                           scale_to_boundary_length, validate_mesh)
 
 from helpers import (fan_mesh, poisson_extension, polygon_mesh,
                      reference_disk_mesh)
@@ -236,12 +236,16 @@ def test_loop_film_is_a_laplacian_on_the_loop(rings):
 
 def test_fan_film_closed_form():
     # the fan's rim is a regular 12-gon: its film energy is 2 sqrt(3) pi R^2.
-    # Its hub, labelled as the centre of a 12-vertex rim on ring 2, is the
-    # harmonic disk's value at rho = 0: the rim's centroid
+    # Its hub, labelled as the lattice centre and its rim as hex ring 2 in
+    # place order, is the harmonic disk's value at rho = 0: the rim's
+    # centroid
     R = 0.7
     mesh, x = fan_mesh(12, R)
-    mesh.ring = np.array([0] + [2] * 12)
-    mesh.place = np.array([0, *range(12)])
+    mesh.lattice = np.array([[0, 0], [2, 0], [1, 1], [0, 2], [-1, 2],
+                             [-2, 2], [-2, 1], [-2, 0], [-1, -1], [0, -2],
+                             [1, -2], [2, -2], [2, -1]])
+    np.testing.assert_array_equal(hex_ring_place(mesh.lattice),
+                                  [[0] + [2] * 12, [0, *range(12)]])
     loop_mesh, extend = mesh.loop_film()
     xb = x[mesh.boundary_loop]
     film = float((xb * (loop_mesh.interior_laplacian() @ xb)).sum())
@@ -256,7 +260,7 @@ def test_fan_film_closed_form():
 def test_film_interior_needs_rings_and_places():
     # a mesh from bare triangles has no disk parameter for its hub
     mesh, _ = fan_mesh(12)
-    assert mesh.ring is None and mesh.place is None
+    assert mesh.lattice is None
     with pytest.raises(MeshError, match="ring and place"):
         mesh.loop_film()
 
@@ -267,7 +271,7 @@ def test_disk_mesh_rings_and_places(rings):
     # place p turned by 60 degrees, and the loop runs through consecutive
     # places of ring m
     mesh, x = generate_disk_mesh(rings)
-    k, p = mesh.ring, mesh.place
+    k, p = hex_ring_place(mesh.lattice)
     assert np.count_nonzero(k == 0) == 1 and p[k == 0] == 0
     turn = np.array([[0.5, -0.5 * np.sqrt(3.0)], [0.5 * np.sqrt(3.0), 0.5]])
     for ring in range(1, rings + 1):
@@ -306,9 +310,9 @@ def test_extend_of_one_fourier_mode(mode):
     c = np.array([1.0 - 0.5j, 0.3 + 2.0j, -0.7j])
     theta_b = 2.0 * np.pi * np.arange(nb) / nb
     xb = (c * np.exp(1j * mode * theta_b)[:, None]).real
-    k, p = mesh.ring, mesh.place
+    k, p = hex_ring_place(mesh.lattice)
     theta = 2.0 * np.pi * (p / (6.0 * np.maximum(k, 1))
-                           - mesh.place[loop[0]] / (6.0 * rings))
+                           - p[loop[0]] / (6.0 * rings))
     want = ((k / rings) ** mode * np.exp(1j * mode * theta))[:, None] * c
     y = mesh.loop_film()[1](xb)
     np.testing.assert_allclose(y, want.real, rtol=0, atol=1e-13)
@@ -325,7 +329,8 @@ def test_extend_fills_a_harmonic_interior():
     np.testing.assert_array_equal(y[mesh.boundary_loop], xb)
     assert (y.min(axis=0) >= xb.min(axis=0)).all()
     assert (y.max(axis=0) <= xb.max(axis=0)).all()
-    np.testing.assert_allclose(y[mesh.ring == 0][0], xb.mean(axis=0),
+    centre = (mesh.lattice == 0).all(axis=1)
+    np.testing.assert_allclose(y[centre][0], xb.mean(axis=0),
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(extend(np.ones_like(xb)), 1.0, rtol=0,
                                atol=1e-14)
@@ -337,7 +342,7 @@ def test_film_without_interior_vertices_is_the_douglas_form():
     # the polygon's diagonals do not enter the film, and with no interior
     # vertex extend only reorders, with no rings or places needed
     mesh, x = polygon_mesh(9)
-    assert mesh.ring is None
+    assert mesh.lattice is None
     loop = mesh.boundary_loop
     loop_mesh, extend = mesh.loop_film()
     np.testing.assert_array_equal(loop_mesh.interior_laplacian(),
