@@ -1,12 +1,14 @@
 """Small constructions shared across test modules."""
 
+from typing import NamedTuple
+
 import numpy as np
+import scipy.sparse
 import scipy.spatial
 
 from filmloop.diffgeo import DiffGeoError, triangle_geometry
 from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
-from filmloop.mesh import (TriMesh, boundary_frame, generate_disk_mesh,
-                           hex_ring_place)
+from filmloop.mesh import TriMesh, generate_disk_mesh, hex_ring_place
 from filmloop import saddle
 
 
@@ -332,32 +334,98 @@ def reference_two_loop(g, memory, apply_minv):
     return -r
 
 
-def fft_preconditioner(mesh, x0, params):
-    """Reference for optimize.make_preconditioner: the same vertex diagonal
-    and boundary symbol, the circulant inverse applied by rfft / irfft
-    along the loop on every call."""
+def real_fourier_basis(nb):
+    """Orthonormal real Fourier rows over nb loop samples, (basis, modes):
+    the constant, then cos and sin of each 0 < m < nb / 2, then (-1)^j for
+    even nb; modes holds each row's m."""
+    j = np.arange(nb)
+    rows, modes = [np.full(nb, 1.0 / np.sqrt(nb))], [0]
+    for m in range(1, (nb + 1) // 2):
+        phase = 2.0 * np.pi * m * j / nb
+        rows += [np.sqrt(2.0 / nb) * np.cos(phase),
+                 np.sqrt(2.0 / nb) * np.sin(phase)]
+        modes += [m, m]
+    if nb % 2 == 0:
+        rows.append((-1.0) ** j / np.sqrt(nb))
+        modes.append(nb // 2)
+    return np.array(rows), np.array(modes)
+
+
+class PreconditionerModel(NamedTuple):
+    """The stiffness optimize.make_preconditioner inverts, written out."""
+
+    diag: np.ndarray        # (n,) film diagonal, the interior rows' stiffness
+    basis: np.ndarray       # (B, B) real_fourier_basis rows over the loop
+    symbol: np.ndarray      # (B,) the circulant C's eigenvalue on each row
+    u: np.ndarray           # (B, 3) dl/dx_B at the start
+    mu: float               # the length penalty stiffness
+
+    def loop_block(self):
+        """The dense (3B, 3B) C kron I_3 + 2 mu u u^T over the loop rows'
+        x, y, z in row-major order."""
+        c = self.basis.T @ (self.symbol[:, None] * self.basis)
+        u = self.u.ravel()
+        return np.kron(c, np.eye(3)) + 2.0 * self.mu * np.outer(u, u)
+
+
+def preconditioner_model(mesh, x0, params):
+    """PreconditionerModel of optimize.make_preconditioner at x0.
+
+    C's symbol is the bending and edge-chain symbol plus 2k rfft of the
+    film operator's column at boundary_loop[0], read at the loop rows in
+    loop order, with its m = 0 entry the film diagonal's mean over the
+    loop; u = t_{v-1} - t_v with the tangents from np.roll.  Symbol and
+    diagonal are floored at 1e-12 of their largest entry, as the
+    preconditioner does.
+    """
     n = mesh.vertex_count
     loop = mesh.boundary_loop
     nb = len(loop)
+    xb = np.asarray(x0, dtype=float)[loop]
+    e = np.roll(xb, -1, axis=0) - xb
+    s = np.linalg.norm(e, axis=1)
+    t = e / s[:, None]
+
     diag = np.zeros(n)
+    film = np.zeros(nb // 2 + 1)
     if params.spring_k > 0:
-        deg = np.asarray(mesh.interior_laplacian().diagonal()).ravel()
-        diag += 2.0 * params.spring_k * deg
-    sbar = max(float(boundary_frame(mesh, x0).length.mean()), 1e-300)
-    w = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nb))
-    symbol = 2.0 * params.alpha * w**2 / sbar**3
-    symbol = symbol + 2.0 * params.edge_penalty_k * w
-    symbol = symbol + diag[loop].mean()
+        lap = mesh.interior_laplacian()
+        col = lap[:, [loop[0]]]
+        col = col.toarray() if scipy.sparse.issparse(col) else col
+        diag = 2.0 * params.spring_k * np.asarray(lap.diagonal()).ravel()
+        film = 2.0 * params.spring_k * np.fft.rfft(col[loop, 0]).real
+        film[0] = diag[loop].mean()
+    w = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(nb // 2 + 1) / nb)
+    symbol = (2.0 * params.alpha * w**2 / s.mean()**3
+              + 2.0 * params.edge_penalty_k * w + film)
     top = max(diag.max(), symbol.max())
-    diag = np.maximum(diag, 1e-12 * top)
-    symbol = np.maximum(symbol, 1e-12 * top)
-    inv_diag = (1.0 / diag)[:, None]
-    inv_symbol = (1.0 / symbol)[:, None]
+    basis, modes = real_fourier_basis(nb)
+    return PreconditionerModel(
+        diag=np.maximum(diag, 1e-12 * top), basis=basis,
+        symbol=np.maximum(symbol, 1e-12 * top)[modes],
+        u=np.roll(t, 1, axis=0) - t, mu=params.length_penalty_k)
+
+
+def fft_preconditioner(mesh, x0, params):
+    """Reference for optimize.make_preconditioner: the interior rows divided
+    by preconditioner_model's diagonal, the loop rows a dense solve with its
+    loop block on every call.  The solve runs in the real Fourier basis F,
+    where C is the diagonal S and the block is S + 2 mu (F u)(F u)^T, scaled
+    by S^{-1/2} on both sides to I + 2 mu w w^T: in the loop basis the
+    block's condition number (7e5 at rings 32) would cost the solve that
+    factor of its accuracy."""
+    loop = mesh.boundary_loop
+    model = preconditioner_model(mesh, x0, params)
+    inv_diag = (1.0 / model.diag)[:, None]
+    f = model.basis
+    scale = np.repeat(model.symbol ** -0.5, 3)
+    w = scale * (f @ model.u).ravel()
+    block = np.eye(len(w)) + 2.0 * model.mu * np.outer(w, w)
 
     def apply(g):
         z = g * inv_diag
-        gb = np.fft.rfft(g[loop], axis=0)
-        z[loop] = np.fft.irfft(gb * inv_symbol, n=nb, axis=0)
+        y = np.linalg.solve(block, scale * (f @ g[loop]).ravel())
+        z[loop] = f.T @ (scale * y).reshape(-1, 3)
         return z
 
     return apply

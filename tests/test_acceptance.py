@@ -180,7 +180,7 @@ def test_criterion_04_transition_sequence(elongated_run, hexagon_diagram):
         "parameter, a Dirichlet energy rather than an area, so it carries "
         "no in-plane shear softening: the elongated mesh stays "
         "circular-planar until the transverse onset in the bracket "
-        "(862, 864) of kL^3/alpha, the same scale as the hexagon onset, and "
+        "(860, 862) of kL^3/alpha, the same scale as the hexagon onset, and "
         "no flat-eight appears below 900.")
 
 

@@ -2,19 +2,23 @@
 the augmented-Lagrangian length constraint and its line tension,
 determinism, evaluation counts and budget, and the secant finish of a
 stalled Wolfe search on the same loop, down to tolerances below the search's
-energy resolution.  The pair ring and the dense circulant preconditioner are
-checked against their deque and FFT references, the finiteness check at
-line-search trial points, and the loop's flat state against callers' shapes.
+energy resolution.  The pair ring is checked against its deque reference;
+the preconditioner against a dense solve of the stiffness it models, the
+film's Douglas-form symbol and that model itself; also the finiteness check
+at line-search trial points, and the loop's flat state against callers'
+shapes.
 """
 
 import collections
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from filmloop.energy import EnergyParams, energy, energy_and_gradient
+from filmloop.energy import (DegenerateBoundaryError, EnergyParams, energy,
+                             energy_and_gradient)
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 from filmloop.diffgeo import planarity
 from filmloop import optimize
@@ -23,7 +27,8 @@ from filmloop.optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
                                perturb, relax)
 from filmloop.stability import disk_solution
 
-from helpers import fft_preconditioner, polygon_mesh, reference_two_loop
+from helpers import (fft_preconditioner, polygon_mesh, preconditioner_model,
+                     real_fourier_basis, reference_two_loop)
 
 
 def quadratic_problem(n, seed):
@@ -93,6 +98,19 @@ def test_non_finite_energy_raises():
 
     with pytest.raises(NumericalError):
         minimize_function(fun, np.zeros(3), MinimizeOptions(), gtol_abs=1e-6)
+
+
+def test_collapsed_start_raises_degenerate_boundary():
+    # the preconditioner's tangents at a zero-length boundary edge warn about
+    # nothing, so the energy's own check names the fault
+    mesh, x0 = generate_disk_mesh(3)
+    x = scale_to_boundary_length(mesh, x0, 1.0)
+    loop = mesh.boundary_loop
+    x[loop[4]] = x[loop[3]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateBoundaryError):
+            minimize(mesh, x, PRECONDITIONER_PARAMS)
 
 
 @pytest.mark.parametrize("bad", ["nan_energy", "inf_gradient"])
@@ -213,15 +231,22 @@ def test_pair_ring_matches_deque_two_loop():
     check()
 
 
-@pytest.mark.parametrize("rings", [8, 16, 32])
-def test_dense_preconditioner_matches_fft(rings):
+# the penalties relax starts a kL^3/alpha = 900 solve with, 100 (k + alpha/L^3)
+PRECONDITIONER_PARAMS = EnergyParams(
+    alpha=1.0, spring_k=900.0, target_length=1.0, length_penalty_k=90100.0,
+    edge_penalty_k=90100.0)
+
+
+def _kicked_disk(rings):
     mesh, x = generate_disk_mesh(rings, 1.2)
-    x = perturb(scale_to_boundary_length(mesh, x, 1.0), KICK_AMPLITUDE, 0)
-    p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
-                     length_penalty_k=90100.0, edge_penalty_k=90100.0)
+    return mesh, perturb(scale_to_boundary_length(mesh, x, 1.0),
+                         KICK_AMPLITUDE, 0)
+
+
+def _assert_matches_oracle(mesh, x, p, seed):
     dense = optimize.make_preconditioner(mesh, x, p)
     fft = fft_preconditioner(mesh, x, p)
-    rng = np.random.default_rng(rings)
+    rng = np.random.default_rng(seed)
     v, w = rng.standard_normal((2,) + x.shape)
     for u in (v, w):
         ref = fft(u)
@@ -231,6 +256,54 @@ def test_dense_preconditioner_matches_fft(rings):
     assert abs(vw - wv) <= 1e-13 * np.sqrt(np.vdot(v, dense(v))
                                            * np.vdot(w, dense(w)))
     assert np.vdot(v, dense(v)) > 0.0 and np.vdot(w, dense(w)) > 0.0
+
+
+@pytest.mark.parametrize("rings", [8, 16, 32])
+def test_dense_preconditioner_matches_fft(rings):
+    mesh, x = _kicked_disk(rings)
+    _assert_matches_oracle(mesh, x, PRECONDITIONER_PARAMS, rings)
+
+
+@pytest.mark.parametrize("rings", [8, 16, 32])
+def test_loop_mesh_preconditioner_matches_fft(rings):
+    mesh, x = _kicked_disk(rings)
+    _assert_matches_oracle(mesh.loop_film()[0], x[mesh.boundary_loop],
+                           PRECONDITIONER_PARAMS, rings)
+
+
+@pytest.mark.parametrize("rings", [8, 16, 32])
+def test_loop_preconditioner_film_symbol_is_the_douglas_form(rings):
+    # with bending, edge chain and length penalty off, the apply divides
+    # loop Fourier mode m >= 1 by the film's 2k * 2 sqrt(3) pi m / B
+    mesh, x = _kicked_disk(rings)
+    loop_mesh = mesh.loop_film()[0]
+    nb = len(mesh.boundary_loop)
+    p = EnergyParams(alpha=0.0, spring_k=900.0, target_length=1.0)
+    apply = optimize.make_preconditioner(loop_mesh, x[mesh.boundary_loop], p)
+    basis, modes = real_fourier_basis(nb)
+    for wave, m in zip(basis[1:], modes[1:]):
+        film = 2.0 * 900.0 * 2.0 * np.sqrt(3.0) * np.pi * m / nb
+        g = np.outer(wave, [1.0, -2.0, 0.5])
+        assert np.linalg.norm(film * apply(g) - g) <= 1e-12 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("mu", [90100.0, 0.0])
+@pytest.mark.parametrize("rings", [8, 16, 32])
+def test_loop_preconditioner_inverts_its_model(rings, mu):
+    # apply(model @ v) = v for the dense C kron I_3 + 2 mu u u^T, to the
+    # accuracy its condition number allows: rounding in model @ v moves the
+    # result by about eps * cond |v| (measured 4e-14 / 7e-13 / 2e-11 of |v|
+    # at rings 8 / 16 / 32, cond 1.3e3 / 2.9e4 / 7.3e5)
+    mesh, x = _kicked_disk(rings)
+    xb = x[mesh.boundary_loop]
+    loop_mesh = mesh.loop_film()[0]
+    p = dataclasses.replace(PRECONDITIONER_PARAMS, length_penalty_k=mu)
+    apply = optimize.make_preconditioner(loop_mesh, xb, p)
+    model = preconditioner_model(loop_mesh, xb, p).loop_block()
+    tol = 8.0 * np.finfo(float).eps * np.linalg.cond(model)
+    for v in np.random.default_rng(rings).standard_normal((2,) + xb.shape):
+        got = apply((model @ v.ravel()).reshape(v.shape))
+        assert np.linalg.norm(got - v) <= tol * np.linalg.norm(v)
 
 
 def test_options_validation():
@@ -470,7 +543,7 @@ def test_minimize_finishes_stalled_search(monkeypatch):
 @pytest.mark.parametrize("stall_after", [None, 100])
 def test_relax_writes_one_log_across_rounds(monkeypatch, stall_after):
     # a cold rings-8 relax at kL^3/alpha = 900 takes 2 penalty rounds and
-    # 148 Wolfe searches, 131 in the first round; with the search stalled
+    # 132 Wolfe searches, 117 in the first round; with the search stalled
     # after 100 calls both rounds end in a secant finish
     if stall_after is not None:
         _stalling_search(monkeypatch, stall_after)
@@ -507,8 +580,8 @@ def test_function_evals_counts_every_energy_call(monkeypatch, stall_after):
 
 
 def test_cold_relax_evaluation_budget():
-    # L-BFGS directions take the unit step almost always: 183 evaluations
-    # over 148 iterations at seed 0, where Polak-Ribiere CG took 2,099 over
+    # L-BFGS directions take the unit step almost always: 159 evaluations
+    # over 132 iterations at seed 0, where Polak-Ribiere CG took 2,099 over
     # 726
     res = _cold_rings8_relax(opts=MinimizeOptions(max_iterations=60000))
     assert res.converged
