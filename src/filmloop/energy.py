@@ -6,11 +6,10 @@ The energy has three parts:
                  kappa_v = |t_v - t_{v-1}| / <s_v> with unit edge tangents
                  t_v and the average  <s_v> = (s_v + s_{v-1}) / 2  of the two
                  incident boundary edge lengths;
-  springs        spring_k * x^T L x with L the mesh's interior_laplacian():
-                 on a full mesh the sum over interior edges of |e|^2
-                 (zero-rest-length springs standing in for film tension), on
-                 the loop mesh the film 2 sqrt(3) x_B^T D x_B
-                 (mesh.TriMesh.loop_film);
+  springs        spring_k * x_B^T (2 sqrt(3) D) x_B over the loop positions
+                 x_B, with D the Douglas form (mesh.film_operator): the film
+                 slaved to its loop, 2 sqrt(3) spring_k times the Dirichlet
+                 energy of the harmonic disk spanning the loop;
   length penalty length_multiplier * (total boundary length - L)
                  plus length_penalty_k * (total boundary length - L)^2
                  plus edge_penalty_k * sum (|e_i| - L/B)^2 over the B
@@ -21,33 +20,34 @@ constraint (optimize.relax updates it between rounds); at a minimum the
 boundary line tension is the multiplier plus the two penalties' pulls.
 
 The global term pins the total length but is indifferent to how vertices
-distribute along the loop; because the spring term is a Dirichlet energy,
+distribute along the loop; because the film term is a Dirichlet energy,
 not an area, it pays to crowd boundary vertices together, and relaxation
 exploits that freedom until the boundary geometry degrades.  The per-edge
 term removes the degeneracy at modest stiffness without taking over the
 length constraint.
 
-energy_and_gradient gathers the boundary loop once (boundary_frame), shifts
-along it with the index arrays cached on the mesh (loop_prev, loop_next) and
-scatters the edge gradients back in one step, keeping every float operation
-of the np.roll / np.add.at formulation in its order: results are bit-identical.
-On a loop mesh (TriMesh.loop_only) both are identity permutations, which the
-same body skips; a zero fill is made only when there is no film term.
+Every term lives on the loop, so every mesh's energy is its loop mesh's
+(mesh.TriMesh.loop_mesh): energy_and_gradient gathers a full mesh's loop
+rows once, evaluates them on the loop mesh and scatters the loop gradient
+back, so the gradient's other rows are exactly 0.  The loop body shifts along
+the loop with the index arrays cached on the mesh (loop_prev, loop_next),
+keeping every float operation of the np.roll / np.add.at formulation in its
+order: results are bit-identical.
 
 The control parameter k L^3 / alpha maps to gamma = sigma L^3 / alpha with
 sigma = SIGMA_PER_SPRING_K * k = (4 / sqrt(3)) k.  That factor is the
 convention the reference transition values are written in (48 pi^3 * sqrt(3)
-/ 4 = 644.5 for the mode-2 threshold), not the film's own tension: the loop
-film is exactly sigma = 2 sqrt(3) k times the Douglas form (a circle of
-radius R costs 2 sqrt(3) k pi R^2), the unit lattice's tension, so the
-model's own gamma is 1.5 times the gamma column.
+/ 4 = 644.5 for the mode-2 threshold), not the film's own tension: the film
+is exactly sigma = 2 sqrt(3) k times the Douglas form (a circle of radius R
+costs 2 sqrt(3) k pi R^2), so the model's own gamma is 1.5 times the gamma
+column.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import boundary_frame
+from .mesh import boundary_frame, film_operator
 
 
 class EnergyError(RuntimeError):
@@ -62,10 +62,10 @@ class DegenerateBoundaryError(EnergyError):
 class EnergyParams:
     """Physical parameters of the discrete energy.
 
-    alpha >= 0 (bending modulus), spring_k >= 0, target_length > 0,
-    length_penalty_k >= 0, edge_penalty_k >= 0 and a length_multiplier of
-    either sign, all finite.  A springs-only model (alpha = 0) is allowed;
-    it is useful for testing the optimizer against a linear solve.
+    alpha >= 0 (bending modulus), spring_k >= 0 (the film's tension over
+    mesh.LATTICE_TENSION), target_length > 0, length_penalty_k >= 0,
+    edge_penalty_k >= 0 and a length_multiplier of either sign, all finite.
+    A film-only model (alpha = 0) is allowed.
     """
 
     alpha: float = 1.0
@@ -98,7 +98,7 @@ class EnergyBreakdown:
     boundary_length: float
 
 
-# continuum surface tension represented by a unit-lattice spring network
+# the kL^3/alpha -> gamma convention of the reference transition values
 SIGMA_PER_SPRING_K = 4.0 / np.sqrt(3.0)
 
 
@@ -108,8 +108,18 @@ def energy(mesh, x, p):
 
 
 def energy_and_gradient(mesh, x, p):
-    """Energy breakdown and its exact gradient, one fused evaluation."""
-    loop, prev, nxt = mesh.boundary_loop, mesh.loop_prev, mesh.loop_next
+    """Energy breakdown and its exact gradient, one fused evaluation.
+
+    A full mesh's are its loop mesh's (mesh.TriMesh.loop_mesh) at x's loop
+    rows, with the loop gradient scattered back and every other row 0."""
+    if not mesh.loop_only:
+        loop = mesh.boundary_loop
+        breakdown, g_loop = energy_and_gradient(
+            mesh.loop_mesh(), x.take(loop, axis=0), p)
+        grad = np.zeros_like(x)
+        grad[loop] = g_loop
+        return breakdown, grad
+    prev, nxt = mesh.loop_prev, mesh.loop_next
     s, e, savg = boundary_frame(mesh, x)
     if (s < 1e-12 * p.target_length).any():
         raise DegenerateBoundaryError(
@@ -120,7 +130,7 @@ def energy_and_gradient(mesh, x, p):
     bending = p.alpha * float((c_sq / savg).sum())
 
     if p.spring_k != 0.0:
-        lx = mesh.interior_laplacian() @ x
+        lx = film_operator(mesh.vertex_count) @ x
         springs = p.spring_k * float((x * lx).sum())
         grad = 2.0 * p.spring_k * lx
     else:
@@ -144,15 +154,12 @@ def energy_and_gradient(mesh, x, p):
                  + 2.0 * p.edge_penalty_k * diff)
 
     # chain rule to edge endpoints: dt/de = (I - t t^T)/s, ds/de = t.  Edge
-    # i runs loop[i] -> loop[i+1] and the loop repeats no vertex, so loop[i]
-    # gets + g_e[i-1] then - g_e[i], the order of np.add.at, np.subtract.at
+    # i runs from vertex i to i+1 and the loop repeats no vertex, so vertex
+    # i gets + g_e[i-1] then - g_e[i], the order of np.add.at, np.subtract.at
     g_e = (g_t - np.einsum("ij,ij->i", g_t, t)[:, None] * t) / s[:, None] \
         + g_s[:, None] * t
-    gl = grad if mesh.loop_only else grad.take(loop, axis=0)
-    gl += g_e.take(prev, axis=0)
-    gl -= g_e
-    if not mesh.loop_only:
-        grad[loop] = gl
+    grad += g_e.take(prev, axis=0)
+    grad -= g_e
 
     breakdown = EnergyBreakdown(bending=bending, springs=springs,
                                 length_penalty=e_pen,

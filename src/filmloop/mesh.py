@@ -13,22 +13,24 @@ winding.  Downstream code relies on that orientation for signed curvatures.
 The film is slaved to its loop.  The Dirichlet energy (1/2) int |grad x|^2 of
 the harmonic disk spanning a loop x(theta) is Douglas's form (Trans. AMS 33
 (1931) 263) pi sum_m |m| |X_m|^2 in the loop's Fourier coefficients X_m, and
-it is the film's area when the parametrization is conformal.  The unit
-lattice's springs weigh 2 sqrt(3) times that energy, so TriMesh.loop_film
-puts the film on the B loop vertices, at uniform parameter, as the dense
-circulant 2 sqrt(3) D (douglas_form), and gives a loop-only mesh plus the
-map back to the full state: the harmonic disk itself,
+it is the film's area when the parametrization is conformal.  On the B
+loop vertices, at uniform parameter, the film is the dense circulant
+2 sqrt(3) D (film_operator), and every mesh's film is its loop's:
+TriMesh.loop_mesh holds the loop alone, and TriMesh.loop_film adds the map
+back to the full state, the harmonic disk itself,
 x(rho, theta) = sum_m X_m rho^|m| e^{i m theta}, sampled at each vertex's
 hex ring and place.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-# film tension of the unit lattice per unit spring constant: k sum |e|^2
-# tends to 2 sqrt(3) k times the Dirichlet energy (1/2) int |grad x|^2
+# film tension per unit spring_k: the unit spring lattice's, whose
+# k sum |e|^2 tends to 2 sqrt(3) k times the Dirichlet energy, kept so that
+# k L^3 / alpha means what the transition brackets were measured in
 LATTICE_TENSION = 2.0 * np.sqrt(3.0)
 
 
@@ -40,12 +42,12 @@ class MeshError(ValueError):
 class TriMesh:
     """Connectivity of a triangulated disk.
 
-    triangles are (f, 3) vertex indices with counterclockwise winding,
-    boundary_loop is the ordered cycle of boundary vertices, and
-    interior_edges are (e, 2) index pairs.  loop_prev and loop_next hold the
-    loop positions i-1 and i+1 (mod B) for loop shifts; loop edge i runs
-    from boundary_loop[i] to boundary_loop[loop_next[i]].  loop_only marks
-    loop_film's mesh, whose boundary_loop is arange(B): no gathers.
+    triangles are (f, 3) vertex indices with counterclockwise winding and
+    boundary_loop is the ordered cycle of boundary vertices.  loop_prev and
+    loop_next hold the loop positions i-1 and i+1 (mod B) for loop shifts;
+    loop edge i runs from boundary_loop[i] to boundary_loop[loop_next[i]].
+    loop_only marks loop_mesh's mesh, whose boundary_loop is arange(B): no
+    gathers.
     lattice holds generate_disk_mesh's (n, 2) hex-lattice coordinates
     (q, r), None for other meshes.
     """
@@ -53,12 +55,11 @@ class TriMesh:
     vertex_count: int
     triangles: np.ndarray
     boundary_loop: np.ndarray
-    interior_edges: np.ndarray
     loop_prev: np.ndarray = field(repr=False)
     loop_next: np.ndarray = field(repr=False)
     loop_only: bool = field(default=False, repr=False)
     lattice: Optional[np.ndarray] = field(default=None, repr=False)
-    _laplacian: Optional[object] = field(
+    _loop: Optional["TriMesh"] = field(
         default=None, repr=False, compare=False)
     _sharing_keys: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False)
@@ -81,8 +82,7 @@ class TriMesh:
         if tris.size and (tris.min() < 0 or tris.max() >= vertex_count):
             raise MeshError("triangle indices out of range")
 
-        report, boundary_dir, interior_edges = _classify_edges(vertex_count,
-                                                               tris)
+        report, boundary_dir = _classify_edges(vertex_count, tris)
         if not report.passed:
             raise MeshError(report.summary())
         succ = dict(boundary_dir.tolist())
@@ -93,46 +93,37 @@ class TriMesh:
         b = np.arange(len(loop))
         prev, nxt = np.roll(b, 1), np.roll(b, -1)
         return cls(vertex_count=vertex_count, triangles=tris,
-                   boundary_loop=loop, interior_edges=interior_edges,
-                   loop_prev=prev, loop_next=nxt)
+                   boundary_loop=loop, loop_prev=prev, loop_next=nxt)
 
-    def interior_laplacian(self):
-        """Graph Laplacian of the interior-edge network (sparse, cached).
-
-        x^T L x summed over coordinates equals the sum of squared interior
-        edge lengths, which is what the spring energy needs.  A loop mesh
-        from loop_film holds its dense film operator 2 sqrt(3) D here.
-        """
-        if self._laplacian is None:
-            import scipy.sparse     # full-mesh energies only, not the solve
-
-            ia, ib = self.interior_edges[:, 0], self.interior_edges[:, 1]
-            n = self.vertex_count
-            ones = np.ones(len(ia))
-            rows = np.concatenate([ia, ib, ia, ib])
-            cols = np.concatenate([ib, ia, ia, ib])
-            vals = np.concatenate([-ones, -ones, ones, ones])
-            lap = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-            self._laplacian = lap.tocsr()
-        return self._laplacian
+    def loop_mesh(self):
+        """The B loop vertices, in loop order, as a loop-only mesh with no
+        triangles (cached; a loop mesh is its own).  Every mesh's energy is
+        its loop mesh's at its loop rows, whose film term
+        k x_B^T (2 sqrt(3) D) x_B (film_operator(B)) is 2 sqrt(3) k times
+        the Dirichlet energy of the harmonic disk spanning the loop."""
+        if self.loop_only:
+            return self
+        if self._loop is None:
+            nb = len(self.boundary_loop)
+            self._loop = TriMesh(
+                vertex_count=nb, triangles=np.empty((0, 3), dtype=np.int64),
+                boundary_loop=np.arange(nb), loop_prev=self.loop_prev,
+                loop_next=self.loop_next, loop_only=True)
+        return self._loop
 
     def loop_film(self):
-        """The film on the boundary loop (cached): (loop_mesh, extend).
+        """The film on the boundary loop (cached): (loop_mesh(), extend).
 
-        loop_mesh has the B loop vertices, in loop order, and no triangles
-        or edges; its interior_laplacian() is the dense B x B circulant
-        LATTICE_TENSION * D of douglas_form(B), so the spring term
-        k x_B^T (2 sqrt(3) D) x_B is 2 sqrt(3) k times the Dirichlet energy
-        of the harmonic disk spanning the loop.  extend(x_B) returns the
-        full (n, 3) state: the loop rows are x_B, and an interior vertex on
-        hex ring k at place p (hex_ring_place) is that harmonic disk at
-        rho = k / m, theta = 2 pi (p / 6k - p_0 / 6m), m the loop's ring
-        and p_0 the place of boundary_loop[0], so loop vertex j sits at
+        extend(x_B) returns the full (n, 3) state: the loop rows are x_B,
+        and an interior vertex on hex ring k at place p (hex_ring_place) is
+        the harmonic disk spanning the loop at rho = k / m,
+        theta = 2 pi (p / 6k - p_0 / 6m), m the loop's ring and p_0 the
+        place of boundary_loop[0], so loop vertex j sits at
         theta_j = 2 pi j / B.  Raises MeshError for a mesh with interior
         vertices but no lattice coordinates.
         """
         if self._film is None:
-            self._film = _loop_film(self)
+            self._film = self.loop_mesh(), _extension(self)
         return self._film
 
     def vertex_sharing_keys(self):
@@ -170,9 +161,13 @@ class TriMesh:
 
 def circulant(col):
     """Dense circulant matrix with first column col: entry (i, j) is
-    col[(i - j) % B]."""
-    i = np.arange(len(col))
-    return col[(i[:, None] - i) % len(col)]
+    col[(i - j) % B].  Row i is the window of B entries of the doubled,
+    reversed column that starts at B - 1 - i."""
+    nb = len(col)
+    rev = col[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([rev, rev[:-1]]), nb)
+    return windows[::-1].copy()
 
 
 def douglas_form(nb):
@@ -182,8 +177,17 @@ def douglas_form(nb):
     return np.fft.irfft(np.pi * np.arange(nb // 2 + 1) / nb, n=nb)
 
 
-def _loop_film(mesh):
-    """loop_film's (loop_mesh, extend), built uncached.
+@functools.cache
+def film_operator(nb):
+    """The film on B = nb loop samples (cached, read-only): the dense
+    circulant LATTICE_TENSION * D of douglas_form(nb)."""
+    op = circulant(LATTICE_TENSION * douglas_form(nb))
+    op.flags.writeable = False
+    return op
+
+
+def _extension(mesh):
+    """loop_film's extend, built uncached.
 
     The interior is the truncated Poisson kernel applied to x_B: the row of
     a vertex at (rho, theta) is irfft over m of (rho e^{-i theta})^m.  The
@@ -194,12 +198,6 @@ def _loop_film(mesh):
     """
     n, loop = mesh.vertex_count, mesh.boundary_loop
     nb = len(loop)
-    loop_mesh = TriMesh(
-        vertex_count=nb, triangles=np.empty((0, 3), dtype=np.int64),
-        boundary_loop=np.arange(nb),
-        interior_edges=np.empty((0, 2), dtype=np.int64),
-        loop_prev=mesh.loop_prev, loop_next=mesh.loop_next, loop_only=True,
-        _laplacian=circulant(LATTICE_TENSION * douglas_form(nb)))
 
     inner = np.setdiff1d(np.arange(n), loop)
     if len(inner) == 0:
@@ -209,7 +207,7 @@ def _loop_film(mesh):
             x[loop] = x_b
             return x
 
-        return loop_mesh, extend
+        return extend
     if mesh.lattice is None:
         raise MeshError("the film's interior needs each vertex's hex ring "
                         "and place, from the lattice coordinates that only "
@@ -245,7 +243,7 @@ def _loop_film(mesh):
         x[orbits] = inside[1:].reshape(-1, 3)
         return x
 
-    return loop_mesh, extend
+    return extend
 
 
 @dataclass
@@ -273,9 +271,8 @@ class ValidationReport:
 def _classify_edges(vertex_count, tris):
     """Sort the directed edges of (f, 3) triangles into boundary and interior.
 
-    Returns (ValidationReport, directed boundary edges in triangle order,
-    interior edges as sorted (a < b) pairs in lexicographic order).  An
-    undirected edge in one triangle is a boundary edge, in two an interior
+    Returns (ValidationReport, directed boundary edges in triangle order).
+    An undirected edge in one triangle is a boundary edge, in two an interior
     edge, in more a non-manifold edge; a directed edge seen twice is an
     orientation violation.  The boundary cycle count is the number of
     independent cycles of the boundary graph (edges - vertices +
@@ -290,8 +287,6 @@ def _classify_edges(vertex_count, tris):
     dir_counts = np.unique(directed[:, 0] * n + directed[:, 1],
                            return_counts=True)[1]
     boundary_dir = directed[counts[inverse] == 1]
-    interior = uniq[counts == 2]
-    interior_edges = np.stack([interior // n, interior % n], axis=1)
 
     root = {}                               # union-find over boundary vertices
 
@@ -314,7 +309,7 @@ def _classify_edges(vertex_count, tris):
         orientation_violations=violations, nonmanifold_edges=nonmanifold,
         passed=(chi == 1 and cycles == 1 and violations == 0
                 and nonmanifold == 0))
-    return report, boundary_dir, interior_edges
+    return report, boundary_dir
 
 
 def validate_mesh(mesh):

@@ -35,16 +35,13 @@ The vertex-wise bending stiffness grows like alpha / spacing^3, so at fine
 boundary resolution the Hessian spectrum spans six or more decades.
 minimize() therefore starts the L-BFGS recursion from the inverse
 (make_preconditioner) of a circulant bending + edge-penalty + film operator
-along the boundary loop, plus the length penalty's rank-one stiffness, and
-the spring-graph diagonal elsewhere, built from the starting configuration;
-the circulant inverse is one dense B x B matrix (mesh.circulant), built
-once per solve, and the rank-one term joins it by Sherman-Morrison, so an
-apply is one small matrix product and one scaled vector.  On a loop mesh
-(mesh.TriMesh.loop_only) every row is a loop row, so the apply is that
-alone, with no identity gather, scatter or diagonal.  Convergence is still
-judged on the raw gradient.  That operator is already the problem's
-stiffness, so it is used unscaled: the textbook scaling s.y / y.M^{-1}y
-would apply it a second time.
+along the boundary loop, plus the length penalty's rank-one stiffness,
+built from the starting configuration; the circulant inverse is one dense
+B x B matrix (mesh.circulant), built once per solve, and the rank-one term
+joins it by Sherman-Morrison, so an apply is one small matrix product and
+one scaled vector.  Convergence is still judged on the raw gradient.  That
+operator is already the problem's stiffness, so it is used unscaled: the
+textbook scaling s.y / y.M^{-1}y would apply it a second time.
 
 relax() holds the boundary length with an augmented Lagrangian (Nocedal &
 Wright, Numerical Optimization, ch. 17): between rounds the length
@@ -77,7 +74,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .energy import energy_and_gradient
-from .mesh import boundary_frame, circulant
+from .mesh import boundary_frame, circulant, film_operator
 
 logger = logging.getLogger(__name__)
 
@@ -367,48 +364,51 @@ def _secant_step(fun, step_scale):
 
 
 def make_preconditioner(mesh, x0, params):
-    """Inverse-stiffness operator combining a boundary circulant plus the
-    length penalty's rank-one stiffness with a vertex diagonal; returns a
-    callable g -> M^{-1} g.
+    """Inverse-stiffness operator of a boundary circulant plus the length
+    penalty's rank-one stiffness; returns a callable g -> M^{-1} g, or None
+    when the energy has no stiffness.
 
     The boundary bending energy is, for near-uniform spacing s, a periodic
     fourth-difference operator with Fourier symbol 2*alpha*(2-2cos(theta))^2
     / s^3 whose eigenvalue spread scales like (B/2pi)^4; no diagonal can
     flatten that, but the exact circulant inverse applied along the loop
     index does.  The symbol adds the edge chain and the film: 2k rfft(c),
-    with c the film operator's loop-block column at boundary_loop[0] in loop
-    order (on a loop mesh exactly 2k * 2 sqrt(3) pi |m| / B), except at
-    m = 0, the translations, where it takes the mean of the film diagonal
-    over the loop.  The circulant inverse C^{-1} is built once as a dense
-    symmetric B x B matrix from its first column irfft(1 / symbol).
+    with c the first column of mesh.film_operator(B) (exactly
+    2k * 2 sqrt(3) pi |m| / B), except at m = 0, the translations, where it
+    takes the mean of the film's diagonal.  The circulant inverse C^{-1} is
+    built once as a dense symmetric B x B matrix from its first column
+    irfft(1 / symbol).
     The length penalty mu (l - L)^2 adds 2 mu u u^T, u = dl/dx_B =
     t_{v-1} - t_v, the loop's stiffest direction; Sherman-Morrison inverts
     C + 2 mu u u^T as C^{-1} g - coef (v.g) v with v = C^{-1} u and coef =
     2 mu / (1 + 2 mu u.v), so one apply is one small matrix product, one
-    dot product and one scaled subtraction.  The flat film term this
-    symbol once used stood in for the missing rank-one stiffness: with
-    both, the rings 8/16/32 relax ladder takes 659 evaluations, against 809
-    with the flat term alone and 1,273 with the exact symbol alone.
-    Interior vertices use the diagonal of the film operator (the spring
-    graph's).  All three coordinates share one scale per mode, so no
-    orientation bias.  Built once from the starting geometry; a stale
-    positive-definite scaling stays a valid preconditioner even after the
-    shape evolves.
+    dot product and one scaled subtraction.  On a full mesh the loop rows
+    are its loop mesh's (mesh.TriMesh.loop_mesh), and the other rows, where
+    the energy has no stiffness, pass through.  All three coordinates share
+    one scale per mode, so no orientation bias.  Built once from the
+    starting geometry; a stale positive-definite scaling stays a valid
+    preconditioner even after the shape evolves.
     """
-    n = mesh.vertex_count
-    loop = mesh.boundary_loop
-    nb = len(loop)
+    if not mesh.loop_only:
+        loop = mesh.boundary_loop
+        loop_rows = make_preconditioner(mesh.loop_mesh(),
+                                        x0.take(loop, axis=0), params)
+        if loop_rows is None:
+            return None
 
-    diag = np.zeros(n)
+        def apply(g):
+            z = g.copy()
+            z[loop] = loop_rows(g.take(loop, axis=0))
+            return z
+
+        return apply
+
+    nb = mesh.vertex_count
     film = 0.0
     if params.spring_k > 0:
-        lap = mesh.interior_laplacian()
-        deg = np.asarray(lap.diagonal()).ravel()
-        diag += 2.0 * params.spring_k * deg
-        unit = np.zeros(n)              # lap @ unit: its column at loop[0]
-        unit[loop[0]] = 1.0
-        film = 2.0 * params.spring_k * np.fft.rfft((lap @ unit)[loop]).real
-        film[0] = diag[loop].mean()
+        op = film_operator(nb)
+        film = 2.0 * params.spring_k * np.fft.rfft(op[:, 0]).real
+        film[0] = (2.0 * params.spring_k * np.diag(op)).mean()
 
     frame = boundary_frame(mesh, x0)
     sbar = max(float(frame.length.mean()), 1e-300)
@@ -417,7 +417,7 @@ def make_preconditioner(mesh, x0, params):
     symbol = symbol + 2.0 * params.edge_penalty_k * w  # boundary edge chain
     symbol = symbol + film                  # the film anchoring the loop
 
-    top = max(diag.max(), symbol.max())
+    top = symbol.max()
     if top <= 0.0:
         return None
     symbol = np.maximum(symbol, 1e-12 * top)
@@ -429,22 +429,10 @@ def make_preconditioner(mesh, x0, params):
     mu2 = 2.0 * params.length_penalty_k
     coef = mu2 / (1.0 + mu2 * ddot(u.reshape(-1), v))
 
-    def loop_rows(gb):
+    def apply(gb):
         z = inv_circulant @ gb
         # z -= coef (v.g) v, in place on z's flat view
         daxpy(v, z.reshape(-1), 3 * nb, -coef * ddot(v, gb.reshape(-1)))
-        return z
-
-    if mesh.loop_only:          # every row is a loop row
-        return loop_rows
-    # one inverse per vertex, repeated over x, y, z: a same-shape product
-    # is cheaper than broadcasting an (n, 1) column
-    diag = np.maximum(diag, 1e-12 * top)
-    inv_diag = np.repeat((1.0 / diag)[:, None], 3, axis=1)
-
-    def apply(g):
-        z = g * inv_diag
-        z[loop] = loop_rows(np.take(g, loop, axis=0))
         return z
 
     return apply

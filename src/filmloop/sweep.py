@@ -16,6 +16,7 @@ descending run of the same values perturb each point identically.
 import dataclasses
 import json
 import logging
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 from typing import List
@@ -57,11 +58,13 @@ class SweepSchedule:
     options: MinimizeOptions = field(default_factory=MinimizeOptions)
 
     def __post_init__(self):
-        try:
-            self.values = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError):
+        # a bool or a numeric string would pass np.asarray's float parse
+        values = np.asarray(self.values, dtype=object).ravel().tolist()
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in values):
             raise ValueError(f"sweep config 'values' must be a list of "
-                             f"numbers, got {self.values!r}") from None
+                             f"numbers, got {self.values!r}")
+        self.values = np.asarray(self.values, dtype=float)
         check_field_types(self, "sweep config")
         if not (np.isfinite(self.elongation) and self.elongation > 0):
             raise ValueError(f"sweep config 'elongation' must be finite and "
@@ -170,8 +173,7 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
     constraint's multiplier (0 for a cold start)."""
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
-    start_energy = energy(mesh.loop_film()[0],
-                          start.take(mesh.boundary_loop, axis=0), params).total
+    start_energy = energy(mesh, start, params).total
 
     x_pert = perturb(start, KICK_AMPLITUDE, seed)
     res = relax(mesh, x_pert,
@@ -543,9 +545,14 @@ def read_diagram_csv(path):
             if len(cells) != len(CSV_COLUMNS):
                 raise ValueError(f"{path} line {lineno}: {len(cells)} cells, "
                                  f"header has {len(CSV_COLUMNS)}")
-            points.append(SweepPoint(**{
-                name: _COLUMN_TYPES[name](cell)
-                for name, cell in zip(CSV_COLUMNS, cells)}))
+            row = {}
+            for name, cell in zip(CSV_COLUMNS, cells):
+                try:
+                    row[name] = _COLUMN_TYPES[name](cell)
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}, column "
+                                     f"{name!r}: {exc}") from None
+            points.append(SweepPoint(**row))
     return BifurcationDiagram(points=points)
 
 

@@ -3,12 +3,12 @@
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 import scipy.spatial
 
 from filmloop.diffgeo import DiffGeoError, triangle_geometry
 from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
-from filmloop.mesh import TriMesh, generate_disk_mesh, hex_ring_place
+from filmloop.mesh import (LATTICE_TENSION, TriMesh, film_operator,
+                           generate_disk_mesh, hex_ring_place)
 from filmloop import saddle
 
 
@@ -191,8 +191,9 @@ def reference_energy_and_gradient(mesh, x, p):
     """Reference for energy.energy_and_gradient: the boundary frame gathered
     per edge end, loop shifts by np.roll, the penalty derivative built by
     np.full, and the edge gradients scattered by np.add.at and
-    np.subtract.at.  No length multiplier term.  The springs come from the
-    mesh's interior_laplacian(), the dense film 2 sqrt(3) D on a loop mesh."""
+    np.subtract.at.  No length multiplier term.  The springs are the film
+    k x_B^T (2 sqrt(3) D) x_B of film_operator at the loop rows, added to
+    the zero gradient there, so every other row stays 0."""
     loop = mesh.boundary_loop
     ends = np.stack([loop, np.roll(loop, -1)], axis=1)
     e = x[ends[:, 1]] - x[ends[:, 0]]
@@ -210,10 +211,9 @@ def reference_energy_and_gradient(mesh, x, p):
     grad = np.zeros_like(x)
     springs = 0.0
     if p.spring_k != 0.0:
-        lap = mesh.interior_laplacian()
-        lx = lap @ x
-        springs = p.spring_k * float(np.sum(x * lx))
-        grad += 2.0 * p.spring_k * lx
+        lx = film_operator(len(loop)) @ x[loop]
+        springs = p.spring_k * float(np.sum(x[loop] * lx))
+        grad[loop] += 2.0 * p.spring_k * lx
 
     if p.alpha != 0.0:
         c_next = np.roll(c, -1, axis=0)
@@ -352,9 +352,9 @@ def real_fourier_basis(nb):
 
 
 class PreconditionerModel(NamedTuple):
-    """The stiffness optimize.make_preconditioner inverts, written out."""
+    """The stiffness optimize.make_preconditioner inverts on the loop rows,
+    written out; the other rows pass through."""
 
-    diag: np.ndarray        # (n,) film diagonal, the interior rows' stiffness
     basis: np.ndarray       # (B, B) real_fourier_basis rows over the loop
     symbol: np.ndarray      # (B,) the circulant C's eigenvalue on each row
     u: np.ndarray           # (B, 3) dl/dx_B at the start
@@ -371,14 +371,13 @@ class PreconditionerModel(NamedTuple):
 def preconditioner_model(mesh, x0, params):
     """PreconditionerModel of optimize.make_preconditioner at x0.
 
-    C's symbol is the bending and edge-chain symbol plus 2k rfft of the
-    film operator's column at boundary_loop[0], read at the loop rows in
-    loop order, with its m = 0 entry the film diagonal's mean over the
-    loop; u = t_{v-1} - t_v with the tangents from np.roll.  Symbol and
-    diagonal are floored at 1e-12 of their largest entry, as the
+    C's symbol is the bending and edge-chain symbol plus 2k times the
+    film's eigenvalues 2 sqrt(3) pi |m| / B (the Douglas form's, tests/
+    test_mesh.py), with its m = 0 entry the film's diagonal, 2k times the
+    mean of those eigenvalues; u = t_{v-1} - t_v with the tangents from
+    np.roll.  The symbol is floored at 1e-12 of its largest entry, as the
     preconditioner does.
     """
-    n = mesh.vertex_count
     loop = mesh.boundary_loop
     nb = len(loop)
     xb = np.asarray(x0, dtype=float)[loop]
@@ -386,29 +385,23 @@ def preconditioner_model(mesh, x0, params):
     s = np.linalg.norm(e, axis=1)
     t = e / s[:, None]
 
-    diag = np.zeros(n)
-    film = np.zeros(nb // 2 + 1)
-    if params.spring_k > 0:
-        lap = mesh.interior_laplacian()
-        col = lap[:, [loop[0]]]
-        col = col.toarray() if scipy.sparse.issparse(col) else col
-        diag = 2.0 * params.spring_k * np.asarray(lap.diagonal()).ravel()
-        film = 2.0 * params.spring_k * np.fft.rfft(col[loop, 0]).real
-        film[0] = diag[loop].mean()
-    w = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(nb // 2 + 1) / nb)
+    m = np.arange(nb // 2 + 1)
+    film = 2.0 * params.spring_k * LATTICE_TENSION * np.pi * m / nb
+    film[0] = 2.0 * params.spring_k * LATTICE_TENSION * np.pi * np.mean(
+        np.minimum(np.arange(nb), nb - np.arange(nb))) / nb
+    w = 2.0 - 2.0 * np.cos(2.0 * np.pi * m / nb)
     symbol = (2.0 * params.alpha * w**2 / s.mean()**3
               + 2.0 * params.edge_penalty_k * w + film)
-    top = max(diag.max(), symbol.max())
+    top = symbol.max()
     basis, modes = real_fourier_basis(nb)
     return PreconditionerModel(
-        diag=np.maximum(diag, 1e-12 * top), basis=basis,
-        symbol=np.maximum(symbol, 1e-12 * top)[modes],
+        basis=basis, symbol=np.maximum(symbol, 1e-12 * top)[modes],
         u=np.roll(t, 1, axis=0) - t, mu=params.length_penalty_k)
 
 
 def fft_preconditioner(mesh, x0, params):
-    """Reference for optimize.make_preconditioner: the interior rows divided
-    by preconditioner_model's diagonal, the loop rows a dense solve with its
+    """Reference for optimize.make_preconditioner: the rows off the loop
+    passed through, the loop rows a dense solve with preconditioner_model's
     loop block on every call.  The solve runs in the real Fourier basis F,
     where C is the diagonal S and the block is S + 2 mu (F u)(F u)^T, scaled
     by S^{-1/2} on both sides to I + 2 mu w w^T: in the loop basis the
@@ -416,14 +409,13 @@ def fft_preconditioner(mesh, x0, params):
     factor of its accuracy."""
     loop = mesh.boundary_loop
     model = preconditioner_model(mesh, x0, params)
-    inv_diag = (1.0 / model.diag)[:, None]
     f = model.basis
     scale = np.repeat(model.symbol ** -0.5, 3)
     w = scale * (f @ model.u).ravel()
     block = np.eye(len(w)) + 2.0 * model.mu * np.outer(w, w)
 
     def apply(g):
-        z = g * inv_diag
+        z = np.array(g, dtype=float)
         y = np.linalg.solve(block, scale * (f @ g[loop]).ravel())
         z[loop] = f.T @ (scale * y).reshape(-1, 3)
         return z

@@ -4,6 +4,7 @@ check of the module entry point.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -18,8 +19,8 @@ from filmloop.cli import main
 from filmloop.diffgeo import boundary_geometry, gaussian_curvature
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.stability import disk_solution
-from filmloop.sweep import (BifurcationDiagram, SweepPoint, SweepSchedule,
-                            run_sweep, write_diagram_csv)
+from filmloop.sweep import (CSV_COLUMNS, BifurcationDiagram, SweepPoint,
+                            SweepSchedule, run_sweep, write_diagram_csv)
 
 
 def test_version_flag_exits_zero(capsys):
@@ -29,9 +30,19 @@ def test_version_flag_exits_zero(capsys):
     assert filmloop.__version__ in capsys.readouterr().out
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports this filmloop, with or without
+    PYTHONPATH=src in the environment (pytest's own pythonpath setting does
+    not reach a child process)."""
+    path = [str(Path(filmloop.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
 def test_module_entry_point_runs():
-    proc = subprocess.run([sys.executable, "-m", "filmloop.cli", "--version"],
-                          capture_output=True, text=True)
+    proc = _python("-m", "filmloop.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == filmloop.__version__
 
@@ -196,6 +207,8 @@ def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
     ("elongation", {"elongation": float("nan")}),
     ("values", {"values": [100.0, float("inf")]}),
     ("base_seed", {"base_seed": -1}),
+    ("values", {"values": ["500", "600", "700"], "rings": 2}),
+    ("values", {"values": [True, 2, 3], "rings": 2}),
 ])
 def test_sweep_config_bad_value_types_exit_one(tmp_path, capsys, key, cfg):
     # a value of the wrong type (or a zero or non-finite modulus, which
@@ -247,19 +260,23 @@ def test_relax_accepts_zero_kl3a(tmp_path):
 
 
 def test_relax_and_sweep_leave_spatial_and_optimize_unimported(tmp_path):
-    # the KD-tree pair search, the power-law fit and the full-mesh spring
-    # Laplacian import their scipy modules when they run; a relax and a
-    # sweep whose states are all certified graphs need none of them
+    # the KD-tree pair search and the power-law fit import their scipy
+    # modules when they run; a relax and a sweep whose states are all
+    # certified graphs need none of them, and a full mesh's energy, its
+    # loop's film, needs no sparse matrix
     script = (
         "import sys\n"
         "from filmloop.cli import main\n"
+        "from filmloop.energy import EnergyParams, energy\n"
+        "from filmloop.mesh import generate_disk_mesh\n"
+        "mesh, x = generate_disk_mesh(2)\n"
+        "assert energy(mesh, x, EnergyParams(spring_k=1.0)).springs > 0\n"
         f"assert main(['relax', '--rings', '2', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
         f"assert main(['sweep', '--start', '20', '--stop', '40', '--num', '2',"
         f" '--rings', '2', '--out', {str(tmp_path / 's')!r}]) == 0\n"
         "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize',"
         " 'scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -383,6 +400,22 @@ def test_fit_rejects_spring_k_diagram(tmp_path, capsys):
     assert main(["fit", "--diagram", str(csv), "--threshold", "1000"]) == 1
     err = capsys.readouterr().err
     assert "'spring_k'" in err and "Traceback" not in err
+
+
+def test_fit_names_the_cell_it_cannot_read(tmp_path, capsys):
+    # a cell its column's type does not parse is named by path, line and
+    # column, exit 1
+    csv = tmp_path / "diagram.csv"
+    _write_fit_csv(csv, 12)
+    lines = csv.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[CSV_COLUMNS.index("converged")] = "1.0"
+    lines[3] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--diagram", str(csv), "--threshold", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert f"{csv} line 4, column 'converged'" in err
+    assert "Traceback" not in err
 
 
 def test_asymptotic_command_table(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 On a triangle fan whose rim is a regular n-gon of radius R the pieces have
 exact values: discrete bending 2 alpha n sin(pi/n) / R (the vertex curvature
-of a regular polygon is exactly 1/R), spring energy k n R^2 (the spokes are
-the only interior edges), boundary length 2 n R sin(pi/n).
+of a regular polygon is exactly 1/R), film energy 2 sqrt(3) k pi R^2 (the
+rim has only the m = +-1 modes), boundary length 2 n R sin(pi/n).  Every
+mesh's energy is its loop mesh's, bit for bit.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from filmloop.mesh import (LATTICE_TENSION, generate_disk_mesh,
                            scale_to_boundary_length)
 from filmloop.optimize import perturb
 
-from helpers import fan_mesh, reference_energy_and_gradient
+from helpers import fan_mesh, polygon_mesh, reference_energy_and_gradient
 
 
 def test_fan_energy_closed_form():
@@ -28,7 +29,8 @@ def test_fan_energy_closed_form():
     fb = energy(mesh, x, p)
     assert np.isclose(fb.bending, 2.0 * alpha * n * np.sin(np.pi / n) / R,
                       rtol=1e-12)
-    assert np.isclose(fb.springs, k * n * R * R, rtol=1e-12)
+    assert np.isclose(fb.springs, LATTICE_TENSION * k * np.pi * R * R,
+                      rtol=1e-12)
     assert np.isclose(fb.boundary_length, 2.0 * n * R * np.sin(np.pi / n),
                       rtol=1e-12)
     assert fb.length_penalty == 0.0
@@ -266,32 +268,50 @@ def test_tension_conversions():
     assert np.isclose(SIGMA_PER_SPRING_K, 4.0 / np.sqrt(3.0), rtol=1e-15)
 
 
+# the penalties relax adds at kL^3/alpha = 900, with a multiplier
+FULL_MESH_PARAMS = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
+                                length_penalty_k=90100.0,
+                                edge_penalty_k=90100.0, length_multiplier=-3.0)
+
+
+def assert_full_mesh_is_loop_call(mesh, x, p):
+    """The full mesh's breakdown and loop gradient rows are the loop mesh's
+    at x's loop rows, byte for byte, and every other gradient row is 0."""
+    loop = mesh.boundary_loop
+    fl, gl = energy_and_gradient(mesh.loop_mesh(), x[loop], p)
+    ff, gf = energy_and_gradient(mesh, x, p)
+    assert dataclasses.astuple(ff) == dataclasses.astuple(fl)
+    assert gf.shape == x.shape and gf[loop].tobytes() == gl.tobytes()
+    inner = np.setdiff1d(np.arange(mesh.vertex_count), loop)
+    assert not gf[inner].any()
+
+
 @pytest.mark.parametrize("rings", [4, 16])
 def test_loop_mesh_energy_matches_full_mesh_at_extension(rings):
-    # at the extension the bending and length terms, and their gradient, are
-    # the full mesh's: they reach no interior vertex, so the full gradient's
-    # interior rows are the lattice springs' alone, and its loop rows differ
-    # from the loop mesh's only by the film terms, 2k (L x)_B on the lattice
-    # against 2k (2 sqrt(3) D) x_B
+    # relax minimizes on the loop mesh and returns the extension: there the
+    # full mesh's energy is the one it minimized
     mesh, x = generate_disk_mesh(rings, 1.2)
     x = perturb(scale_to_boundary_length(mesh, x, 1.0), 0.01, rings)
-    loop = mesh.boundary_loop
     loop_mesh, extend = mesh.loop_film()
-    p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
-                     length_penalty_k=90100.0, edge_penalty_k=90100.0,
-                     length_multiplier=-3.0)
-    fl, gl = energy_and_gradient(loop_mesh, x[loop], p)
-    y = extend(x[loop])
-    ff, gf = energy_and_gradient(mesh, y, p)
-    for name in ("bending", "length_penalty", "boundary_length"):
-        assert getattr(fl, name) == getattr(ff, name)
-    scale = np.abs(gf).max()
-    lattice = 2.0 * p.spring_k * (mesh.interior_laplacian() @ y)
-    inner = np.setdiff1d(np.arange(mesh.vertex_count), loop)
-    np.testing.assert_array_equal(gf[inner], lattice[inner])
-    film = 2.0 * p.spring_k * (loop_mesh.interior_laplacian() @ x[loop])
-    np.testing.assert_allclose(gf[loop] - lattice[loop], gl - film, rtol=0,
-                               atol=1e-12 * scale)
+    assert loop_mesh is mesh.loop_mesh()
+    assert_full_mesh_is_loop_call(mesh, extend(x[mesh.boundary_loop]),
+                                  FULL_MESH_PARAMS)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+@pytest.mark.parametrize("shape", ["disk3", "disk8", "disk16", "fan",
+                                   "polygon"])
+def test_full_mesh_energy_is_the_loop_call(shape, name):
+    # at any interior, and on meshes without lattice coordinates
+    if shape.startswith("disk"):
+        mesh, x0 = generate_disk_mesh(int(shape[4:]), 1.2)
+        x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    else:
+        mesh, x0 = (fan_mesh if shape == "fan" else polygon_mesh)(11, 0.2)
+    rng = np.random.default_rng(len(x0))
+    x = x0 + 0.01 * rng.standard_normal(x0.shape) / len(mesh.boundary_loop)
+    for p in (KERNEL_PARAMS[name], FULL_MESH_PARAMS):
+        assert_full_mesh_is_loop_call(mesh, x, p)
 
 
 @pytest.mark.parametrize("nb", [48, 96, 192])

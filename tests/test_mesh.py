@@ -14,7 +14,7 @@ import scipy.linalg
 
 from filmloop.mesh import (LATTICE_TENSION, MeshError, TriMesh,
                            boundary_length, circulant, douglas_form,
-                           generate_disk_mesh, hex_ring_place,
+                           film_operator, generate_disk_mesh, hex_ring_place,
                            scale_to_boundary_length, validate_mesh)
 
 from helpers import (fan_mesh, poisson_extension, polygon_mesh,
@@ -31,7 +31,7 @@ def test_disk_counts(m):
     assert len(mesh.triangles) == 6 * m * m
     assert len(mesh.boundary_loop) == 6 * m
     assert len(mesh.loop_next) == 6 * m
-    assert len(mesh.interior_edges) == 9 * m * m - 3 * m
+    assert validate_mesh(mesh).edge_count - 6 * m == 9 * m * m - 3 * m
     assert x.shape == (mesh.vertex_count, 3)
     assert np.all(x[:, 2] == 0.0)
 
@@ -40,7 +40,8 @@ def test_disk_has_unit_lattice_edges():
     mesh, x = generate_disk_mesh(3)
     loop = mesh.boundary_loop
     loop_edges = np.stack([loop, loop[mesh.loop_next]], axis=1)
-    for edges in (mesh.interior_edges, loop_edges):
+    tri_edges = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    for edges in (tri_edges, loop_edges):
         e = x[edges[:, 1]] - x[edges[:, 0]]
         assert np.allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-12)
 
@@ -154,17 +155,6 @@ def test_rescale_degenerate_raises():
         scale_to_boundary_length(mesh, np.zeros_like(x), 1.0)
 
 
-def test_interior_laplacian_quadratic_form():
-    mesh, x = generate_disk_mesh(3)
-    rng = np.random.default_rng(7)
-    y = x + 0.1 * rng.standard_normal(x.shape)
-    e = y[mesh.interior_edges[:, 1]] - y[mesh.interior_edges[:, 0]]
-    direct = float(np.sum(e * e))
-    lap = mesh.interior_laplacian()
-    via_form = float(sum(y[:, d] @ (lap @ y[:, d]) for d in range(3)))
-    assert np.isclose(direct, via_form, rtol=1e-12)
-
-
 def test_vertex_sharing_keys_match_pairwise_comparison():
     mesh, _ = generate_disk_mesh(3)
     tris = mesh.triangles
@@ -184,8 +174,7 @@ def test_disk_mesh_matches_the_cell_scan(rings, elongation):
     mesh, x = generate_disk_mesh(rings, elongation)
     ref, x_ref = reference_disk_mesh(rings, elongation)
     assert mesh.vertex_count == ref.vertex_count
-    for name in ("triangles", "boundary_loop", "interior_edges", "loop_prev",
-                 "loop_next"):
+    for name in ("triangles", "boundary_loop", "loop_prev", "loop_next"):
         got, want = getattr(mesh, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
@@ -216,13 +205,16 @@ def test_douglas_form_spectrum(nb):
 @pytest.mark.parametrize("rings", [1, 4, 16])
 def test_loop_film_is_a_laplacian_on_the_loop(rings):
     # 2 sqrt(3) D over the B loop vertices in loop order: symmetric,
-    # positive semidefinite with the constants as its only null vectors
+    # positive semidefinite with the constants as its only null vectors;
+    # one read-only operator per B
     mesh, _ = generate_disk_mesh(rings)
     loop_mesh, _ = mesh.loop_film()
     nb = len(mesh.boundary_loop)
-    film = loop_mesh.interior_laplacian()
+    film = film_operator(nb)
     assert loop_mesh.vertex_count == nb and film.shape == (nb, nb)
     assert loop_mesh.loop_only and not mesh.loop_only
+    assert loop_mesh is mesh.loop_mesh() and loop_mesh.loop_mesh() is loop_mesh
+    assert film_operator(nb) is film and not film.flags.writeable
     np.testing.assert_array_equal(loop_mesh.boundary_loop, np.arange(nb))
     np.testing.assert_array_equal(film,
                                   circulant(LATTICE_TENSION
@@ -248,7 +240,7 @@ def test_fan_film_closed_form():
                                   [[0] + [2] * 12, [0, *range(12)]])
     loop_mesh, extend = mesh.loop_film()
     xb = x[mesh.boundary_loop]
-    film = float((xb * (loop_mesh.interior_laplacian() @ xb)).sum())
+    film = float((xb * (film_operator(12) @ xb)).sum())
     assert abs(film / (LATTICE_TENSION * np.pi * R * R) - 1.0) <= 1e-13
     rng = np.random.default_rng(12)
     xb = xb + [0.3, -0.2, 0.1] + 0.05 * rng.standard_normal(xb.shape)
@@ -345,7 +337,8 @@ def test_film_without_interior_vertices_is_the_douglas_form():
     assert mesh.lattice is None
     loop = mesh.boundary_loop
     loop_mesh, extend = mesh.loop_film()
-    np.testing.assert_array_equal(loop_mesh.interior_laplacian(),
+    assert loop_mesh.loop_only and loop_mesh.vertex_count == 9
+    np.testing.assert_array_equal(film_operator(9),
                                   circulant(LATTICE_TENSION
                                             * douglas_form(9)))
     np.testing.assert_array_equal(extend(x[loop]), x)

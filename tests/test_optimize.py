@@ -420,20 +420,25 @@ def test_relax_depends_on_start_only_through_loop():
     assert np.array_equal(a.x, b.x) and a.energy == b.energy
 
 
-def _loop_energy(mesh, x, params):
-    """Breakdown and gradient of relax's loop-mesh energy at x's loop."""
-    return energy_and_gradient(mesh.loop_film()[0],
-                               x.take(mesh.boundary_loop, axis=0), params)
-
-
 def test_relaxed_state_is_stationary_on_the_loop():
     # the twisted state's loop is within the tolerance of the energy relax
     # minimizes, the film on the loop
     res = _cold_rings8_relax()
     mesh, _ = generate_disk_mesh(8, 1.2)
-    fb, g = _loop_energy(mesh, res.x, res.params)
+    fb, g = energy_and_gradient(mesh, res.x, res.params)
     assert res.converged and res.energy == fb
     assert np.abs(g).max() <= MinimizeOptions().gradient_tolerance * 901.0
+
+
+@pytest.mark.parametrize("rings", [4, 8, 16])
+def test_relax_energy_is_the_full_mesh_energy(rings):
+    # the loop energy relax minimized and reports is the full mesh's at the
+    # extension it returns
+    mesh, x0 = _kicked_disk(rings)
+    p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0)
+    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=60000))
+    assert res.converged
+    assert res.energy == energy(mesh, res.x, res.params)
 
 
 @pytest.mark.parametrize("case", ["no_interior_vertex", "no_springs"])
@@ -448,7 +453,7 @@ def test_relax_without_interior_vertices_or_springs(case):
     x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
     p = EnergyParams(alpha=1.0, spring_k=k, target_length=1.0)
     res = relax(mesh, x0, p, MinimizeOptions(max_iterations=20000))
-    fb, g = _loop_energy(mesh, res.x, res.params)
+    fb, g = energy_and_gradient(mesh, res.x, res.params)
     assert res.converged and res.length_error < LENGTH_TOL
     assert np.abs(g).max() <= MinimizeOptions().gradient_tolerance * (k + 1.0)
     assert res.energy == fb
@@ -576,7 +581,7 @@ def test_function_evals_counts_every_energy_call(monkeypatch, stall_after):
     assert res.penalty_rounds == 2 and res.converged
     assert res.function_evals == calls[0]
     mesh, _ = generate_disk_mesh(8, 1.2)
-    assert res.energy == _loop_energy(mesh, res.x, res.params)[0]
+    assert res.energy == energy(mesh, res.x, res.params)
 
 
 def test_cold_relax_evaluation_budget():
@@ -659,7 +664,7 @@ def test_relax_finishes_below_wolfe_floor():
     x0 = perturb(x0, KICK_AMPLITUDE, 0)
     opts = MinimizeOptions(max_iterations=20000, gradient_tolerance=1e-11)
     res = relax(mesh, x0, p, opts)
-    _, g = _loop_energy(mesh, res.x, res.params)
+    _, g = energy_and_gradient(mesh, res.x, res.params)
     assert res.status == "converged" and res.converged
     assert np.abs(g).max() <= 1e-11 * (50.0 + 1.0)          # L = 1
     assert planarity(mesh, res.x) < 1e-12
