@@ -245,11 +245,12 @@ def cmd_asymptotic(args):
                         int_abs_kn / saddle.length_quadrature(fam),
                         ik_quad, saddle.int_K_gauss_bonnet(fam)))
     if args.save_meshes:
+        mesh, rho, theta = saddle.disk_polar(args.rings)
         for t in (0.05, 0.2, 0.5):
             fam = saddle.SaddleFamily(R=saddle.radius_for_length(L, t), t=t)
-            mesh, x = saddle.family_trimesh(fam, args.rings)
             write_obj(os.path.join(args.out, f"family_t{t:.2f}.obj"),
-                      x, mesh.triangles)
+                      saddle.family_point(fam, fam.R * rho, theta),
+                      mesh.triangles)
     print(f"asymptotic family table in {path}")
     return 0
 

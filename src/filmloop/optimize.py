@@ -57,7 +57,8 @@ spring term k x_B^T (2 sqrt(3) D) x_B is the film's energy in closed form
 (the Douglas form D, tension sigma = 2 sqrt(3) k), and the result is
 extended to the full mesh once, with the harmonic disk spanning the loop
 as its interior, so it depends on the start only through its loop.
-minimize works on whichever mesh it is given.
+minimize solves on whichever mesh it is given, whose interior rows carry
+no energy, and returns the same extension of its last loop.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
@@ -455,9 +456,17 @@ def minimize(mesh, x0, params, opts=None, log_stream=None):
     A solve whose Wolfe search stalls is finished by the secant step (see
     the module docstring); its iterations and log count the finish.
     log_stream, when given, receives a CSV header and one row per iteration.
+    The energy depends on the loop alone, so the result is the extension of
+    the solve's last loop (mesh.TriMesh.loop_film), as relax's is: its
+    interior is the harmonic disk spanning the loop, not x0's interior.
+    Raises MeshError, before the solve, for a mesh with interior vertices
+    but no lattice coordinates.
     """
-    return _minimize(mesh, x0, params, opts,
-                     _log_writer(log_stream) if log_stream is not None else None)
+    extend = mesh.loop_film()[1]
+    res = _minimize(mesh, x0, params, opts,
+                    _log_writer(log_stream) if log_stream is not None else None)
+    res.x = extend(res.x[mesh.boundary_loop])
+    return res
 
 
 def _minimize(mesh, x0, params, opts, log_row):

@@ -11,9 +11,14 @@ small t it models the twisted shape at the onset of non-planarity.
 Every series expression here (metric, boundary arc length and curvature,
 energy, boundary length) is paired with an independent quadrature of the
 exact embedding, because small coefficient mistakes in the series are the
-main risk.  The integrands are closed forms of the embedding, not of the
-series, built on its normal x_r x x_phi (family_normal; do Carmo,
-Differential Geometry of Curves and Surfaces, 3-3 and 4-4).  Quadratures
+main risk.  The integrands are scalar closed forms of the embedding, not of
+the series, built on its normal
+
+    x_r x x_phi = r (-(2tbr/R) sin phi, -(2tar/R) cos phi, ab),
+    a = 1 + t^2,  b = 1 - t^2
+
+(do Carmo, Differential Geometry of Curves and Surfaces, 3-3 and 4-4), and
+on the boundary curve's c', c'' and c' x c''.  Quadratures
 use Gauss-Legendre nodes radially and the periodic trapezoid rule in phi
 (spectrally accurate for smooth periodic integrands), each at one fixed
 resolution whose measured accuracy is given with the resolution constants
@@ -33,6 +38,7 @@ t = sqrt(3 (gamma - 96 pi^3) / (2 gamma)) above it.
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,20 +92,6 @@ def family_metric(fam, r, phi):
     return g_rr, g_rp, g_pp
 
 
-def family_normal(fam, r, phi):
-    """Closed-form normal x_r x x_phi
-    = r (-(2tbr/R) sin phi, -(2tar/R) cos phi, ab), a = 1 + t^2, b = 1 - t^2;
-    broadcasts over r and phi."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    t, R = fam.t, fam.R
-    a, b = 1.0 + t**2, 1.0 - t**2
-    n = np.stack(np.broadcast_arrays(-2.0 * t * b * r / R * np.sin(phi),
-                                     -2.0 * t * a * r / R * np.cos(phi),
-                                     a * b), -1)
-    return n * r[..., None]
-
-
 def _normal_sq(fam, r, phi):
     """Q = |x_r x x_phi|^2 / r^2 = a^2 b^2 + (2tr/R)^2 (b^2 sin^2 phi
     + a^2 cos^2 phi)."""
@@ -112,18 +104,6 @@ def _normal_sq(fam, r, phi):
 def boundary_curve(fam, phi):
     """Boundary (r = R) position samples."""
     return family_point(fam, fam.R, phi)
-
-
-def boundary_derivatives(fam, phi):
-    """Exact d/dphi derivatives (c', c'') of the boundary curve."""
-    phi = np.asarray(phi, dtype=float)
-    t, R = fam.t, fam.R
-    a, b = R * (1.0 + t**2), R * (1.0 - t**2)
-    cp, sp = np.cos(phi), np.sin(phi)
-    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
-    c1 = np.stack(np.broadcast_arrays(-a * sp, b * cp, 2.0 * t * R * c2), -1)
-    c2_ = np.stack(np.broadcast_arrays(-a * cp, -b * sp, -4.0 * t * R * s2), -1)
-    return c1, c2_
 
 
 def ds2_series(fam, phi):
@@ -155,27 +135,6 @@ def boundary_curvature_series(fam, phi):
     kn = -(2.0 * t / R) * s2 + (t**3 / R) * (3.0 * s2 - s4 + s6)
     kg = 1.0 / R + t**2 * (1.0 + 3.0 * c2 - 5.0 * c4) / (2.0 * R)
     return kn, kg
-
-
-def boundary_curvatures_exact(fam, phi):
-    """Exact (kappa_n, kappa_g) of the boundary from the embedding.
-
-    The curvature vector c'' / |c'|^2 (its tangential part drops out) is
-    projected on the unit surface normal n at r = R and on the inward
-    co-normal n x t: kappa_n = c'' . n / |c'|^2 and
-    kappa_g = c'' . (n x t) / |c'|^2 = (c' x c'') . n / |c'|^3.
-    """
-    c1, c2 = boundary_derivatives(fam, phi)
-    return _curvature_split(fam, phi, c1, c2, np.linalg.norm(c1, axis=-1))
-
-
-def _curvature_split(fam, phi, c1, c2, sp):
-    """(kappa_n, kappa_g) from the boundary derivatives c', c'' and |c'|."""
-    n = family_normal(fam, fam.R, phi)
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    conormal = np.cross(n, c1 / sp[..., None])
-    return (np.einsum("...i,...i->...", c2, n) / sp**2,
-            np.einsum("...i,...i->...", c2, conormal) / sp**2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +196,116 @@ def _disk_integral(fam, integrand):
     return float(wr @ rows) * (2.0 * np.pi / DISK_PANELS)
 
 
+class _Trig(NamedTuple):
+    """sin and cos of phi and 2 phi at boundary nodes, and the two
+    combinations u = sin phi cos 2phi - 2 cos phi sin 2phi and
+    v = cos phi cos 2phi + 2 sin phi sin 2phi that c' x c'' is made of."""
+
+    s: np.ndarray
+    c: np.ndarray
+    s2: np.ndarray
+    c2: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def _trig(phi):
+    """_Trig of the boundary parameter phi (any shape)."""
+    s, c = np.sin(phi), np.cos(phi)
+    s2, c2 = np.sin(2.0 * phi), np.cos(2.0 * phi)
+    return _Trig(s, c, s2, c2, s * c2 - 2.0 * c * s2, c * c2 + 2.0 * s * s2)
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _panel_trig(n):
+    """Read-only _trig at the n trapezoid nodes 2 pi k / n of the period."""
+    return _read_only(_trig(np.arange(n) * (2.0 * np.pi / n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _quarter_trig(n):
+    """Read-only _trig at the n Gauss-Legendre nodes of each quarter between
+    phi = 0, pi/2, pi, 3pi/2: rows are quarters, shape (4, n)."""
+    xg, _ = _gauss_legendre(n)
+    return _read_only(
+        _trig((np.arange(4)[:, None] + 0.5 * (xg + 1.0)) * (0.5 * np.pi)))
+
+
+# The boundary integrands, per dphi.  With A = R a, B = R b, T = t R the
+# boundary is c = (A cos phi, B sin phi, T sin 2phi), so
+# c' = (-A sin phi, B cos phi, 2T cos 2phi), c'' = -(A cos phi, B sin phi,
+# 4T sin 2phi) and c' x c'' = (2BTu, -2ATv, AB).  The surface normal there
+# is x_r x x_phi = R^2 (-2tb sin phi, -2ta cos phi, ab), of length R^2 N.
+# kappa_n = c''.n / |c'|^2 and kappa_g = (c' x c'').n / |c'|^3, n the unit
+# normal (the inward co-normal is n x c' / |c'|).
+
+
+def _speed_sq(fam, tr):
+    """|c'|^2 = (A sin phi)^2 + (B cos phi)^2 + (2T cos 2phi)^2."""
+    t, R = fam.t, fam.R
+    return (R * (1.0 + t**2) * tr.s) ** 2 + (R * (1.0 - t**2) * tr.c) ** 2 \
+        + (2.0 * t * R * tr.c2) ** 2
+
+
+def _boundary_normal(fam, tr):
+    """N = |x_r x x_phi| / R^2 at r = R
+    = sqrt((2tb sin phi)^2 + (2ta cos phi)^2 + (ab)^2)."""
+    t = fam.t
+    a, b = 1.0 + t**2, 1.0 - t**2
+    return np.sqrt((2.0 * t * b * tr.s) ** 2 + (2.0 * t * a * tr.c) ** 2
+                   + (a * b) ** 2)
+
+
+def _kappa2_ds(fam, tr, sp2, sp):
+    """kappa^2 ds / dphi = |c' x c''|^2 / |c'|^5
+    = [(2BTu)^2 + (2ATv)^2 + (AB)^2] / |c'|^5, given sp2 = |c'|^2 and
+    sp = |c'|."""
+    t, R = fam.t, fam.R
+    A, B, T = R * (1.0 + t**2), R * (1.0 - t**2), t * R
+    return ((2.0 * B * T * tr.u) ** 2 + (2.0 * A * T * tr.v) ** 2
+            + (A * B) ** 2) / (sp2 * sp2 * sp)
+
+
+def _kappa_g_ds(fam, tr, sp2):
+    """kappa_g ds / dphi = (c' x c'').n / |c'|^2
+    = R^2 [4t^2 (a^2 cos phi v - b^2 sin phi u) + (ab)^2] / (N |c'|^2),
+    given sp2 = |c'|^2."""
+    t, R = fam.t, fam.R
+    a, b = 1.0 + t**2, 1.0 - t**2
+    return R**2 * (4.0 * t**2 * (a**2 * tr.c * tr.v - b**2 * tr.s * tr.u)
+                   + (a * b) ** 2) / (_boundary_normal(fam, tr) * sp2)
+
+
+def _kappa_n_ds(fam, tr, sp):
+    """kappa_n ds / dphi = c''.n / |c'| = -2tRab sin 2phi / (N |c'|), given
+    sp = |c'|."""
+    t = fam.t
+    return -2.0 * t * fam.R * (1.0 + t**2) * (1.0 - t**2) * tr.s2 \
+        / (_boundary_normal(fam, tr) * sp)
+
+
 @functools.lru_cache(maxsize=1)
 def _boundary_sample(fam):
-    """Read-only (phi, c', c'', |c'|) at the BOUNDARY_PANELS trapezoid nodes,
+    """Read-only (|c'|^2, |c'|) at the BOUNDARY_PANELS trapezoid nodes,
     shared by the boundary quadratures of one family (one table row)."""
-    phi = np.arange(BOUNDARY_PANELS) * (2.0 * np.pi / BOUNDARY_PANELS)
-    c1, c2 = boundary_derivatives(fam, phi)
-    sample = (phi, c1, c2, np.linalg.norm(c1, axis=-1))
-    for a in sample:
-        a.setflags(write=False)
-    return sample
+    sp2 = _speed_sq(fam, _panel_trig(BOUNDARY_PANELS))
+    return _read_only((sp2, np.sqrt(sp2)))
 
 
-def _boundary_integral(fam, density):
-    """Trapezoid integral of density(phi, c', c'', |c'|) ds around the boundary."""
-    phi, c1, c2, sp = _boundary_sample(fam)
-    return float((density(phi, c1, c2, sp) * sp).sum()) \
-        * (2.0 * np.pi / BOUNDARY_PANELS)
+def _boundary_sum(per_dphi):
+    """Periodic trapezoid sum of per_dphi at the BOUNDARY_PANELS nodes."""
+    return float(per_dphi.sum()) * (2.0 * np.pi / BOUNDARY_PANELS)
 
 
 def length_quadrature(fam):
     """Boundary length by the periodic trapezoid rule."""
-    return _boundary_integral(fam, lambda *_: 1.0)
+    return _boundary_sum(_boundary_sample(fam)[1])
 
 
 def length_series(fam):
@@ -291,12 +338,8 @@ def area_quadrature(fam):
 
 def bending_quadrature(fam):
     """Integral of kappa^2 ds around the boundary, from exact derivatives."""
-
-    def k2(phi, c1, c2, sp):
-        cr = np.cross(c1, c2)
-        return np.einsum("...i,...i->...", cr, cr) / sp**6
-
-    return _boundary_integral(fam, k2)
+    return _boundary_sum(_kappa2_ds(fam, _panel_trig(BOUNDARY_PANELS),
+                                    *_boundary_sample(fam)))
 
 
 def energy_quadrature(fam, sigma, alpha):
@@ -324,8 +367,8 @@ def int_K_quadrature(fam):
 
 def int_K_gauss_bonnet(fam):
     """Integral of K dA via 2 pi minus the integrated geodesic curvature."""
-    return 2.0 * np.pi - _boundary_integral(
-        fam, lambda phi, c1, c2, sp: _curvature_split(fam, phi, c1, c2, sp)[1])
+    return 2.0 * np.pi - _boundary_sum(_kappa_g_ds(
+        fam, _panel_trig(BOUNDARY_PANELS), _boundary_sample(fam)[0]))
 
 
 def int_abs_kn_quadrature(fam):
@@ -335,12 +378,10 @@ def int_abs_kn_quadrature(fam):
     so the integral is the sum of |integral of kappa_n ds| over the quarters,
     each a smooth Gauss-Legendre integral.
     """
-    xg, wg = _gauss_legendre(KN_QUARTER_NODES)
-    phi = (np.arange(4)[:, None] + 0.5 * (xg + 1.0)) * (0.5 * np.pi)
-    c1, c2 = boundary_derivatives(fam, phi)
-    sp = np.linalg.norm(c1, axis=-1)
-    kn = _curvature_split(fam, phi, c1, c2, sp)[0]
-    return float(np.abs((kn * sp) @ wg).sum()) * (0.25 * np.pi)
+    tr = _quarter_trig(KN_QUARTER_NODES)
+    kn_ds = _kappa_n_ds(fam, tr, np.sqrt(_speed_sq(fam, tr)))
+    return float(np.abs(kn_ds @ _gauss_legendre(KN_QUARTER_NODES)[1]).sum()) \
+        * (0.25 * np.pi)
 
 
 def int_abs_kn_leading(fam):
@@ -405,17 +446,25 @@ def _hexagon_radius(theta, m):
     return (np.sqrt(3.0) / 2.0) * m / np.cos(reduced)
 
 
+def disk_polar(rings):
+    """A hex-lattice disk mesh with its vertices' polar coordinates
+    (TriMesh, rho, theta), rho scaled radially so the hexagonal perimeter
+    lands on rho = 1; any family samples onto it as
+    family_point(fam, fam.R * rho, theta)."""
+    mesh, flat = generate_disk_mesh(rings, 1.0)
+    r_lat = np.hypot(flat[:, 0], flat[:, 1])
+    theta = np.arctan2(flat[:, 1], flat[:, 0])
+    rho = np.zeros_like(r_lat)
+    nz = r_lat > 0
+    rho[nz] = r_lat[nz] / _hexagon_radius(theta[nz], rings)
+    return mesh, rho, theta
+
+
 def family_trimesh(fam, rings):
     """Sample the family on a hex-lattice disk mesh; returns (TriMesh, positions).
 
     Lattice vertices are mapped radially so the hexagonal perimeter lands on
-    the r = R boundary circle of the family parametrization.
+    the r = R boundary circle of the family parametrization (disk_polar).
     """
-    mesh, flat = generate_disk_mesh(rings, 1.0)
-    r_lat = np.hypot(flat[:, 0], flat[:, 1])
-    theta = np.arctan2(flat[:, 1], flat[:, 0])
-    r_norm = np.zeros_like(r_lat)
-    nz = r_lat > 0
-    r_norm[nz] = r_lat[nz] / _hexagon_radius(theta[nz], rings)
-    positions = family_point(fam, fam.R * r_norm, theta)
-    return mesh, positions
+    mesh, rho, theta = disk_polar(rings)
+    return mesh, family_point(fam, fam.R * rho, theta)

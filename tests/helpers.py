@@ -300,11 +300,54 @@ def reference_K_dA(fam, r, phi):
     return (e * g - f * f) / nn
 
 
+def boundary_derivatives(fam, phi):
+    """The saddle boundary's exact d/dphi derivatives (c', c''), each
+    stacked on a last axis of 3."""
+    phi = np.asarray(phi, dtype=float)
+    t, R = fam.t, fam.R
+    a, b = R * (1.0 + t**2), R * (1.0 - t**2)
+    cp, sp = np.cos(phi), np.sin(phi)
+    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+    c1 = np.stack(np.broadcast_arrays(-a * sp, b * cp, 2.0 * t * R * c2), -1)
+    c2_ = np.stack(np.broadcast_arrays(-a * cp, -b * sp, -4.0 * t * R * s2), -1)
+    return c1, c2_
+
+
+def family_normal(fam, r, phi):
+    """The saddle family's normal x_r x x_phi in closed form,
+    r (-(2tbr/R) sin phi, -(2tar/R) cos phi, ab), a = 1 + t^2, b = 1 - t^2,
+    stacked on a last axis of 3; broadcasts over r and phi."""
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    t, R = fam.t, fam.R
+    a, b = 1.0 + t**2, 1.0 - t**2
+    n = np.stack(np.broadcast_arrays(-2.0 * t * b * r / R * np.sin(phi),
+                                     -2.0 * t * a * r / R * np.cos(phi),
+                                     a * b), -1)
+    return n * r[..., None]
+
+
+def boundary_curvatures_exact(fam, phi):
+    """Reference for saddle's boundary integrands: (kappa_n, kappa_g) of the
+    boundary by cross products of stacked vectors.  The curvature vector
+    c'' / |c'|^2 (its tangential part drops out) is projected on the unit
+    family_normal n at r = R and on the inward co-normal n x t:
+    kappa_n = c''.n / |c'|^2 and kappa_g = c''.(n x t) / |c'|^2."""
+    c1, c2 = boundary_derivatives(fam, phi)
+    sp = np.linalg.norm(c1, axis=-1)
+    n = family_normal(fam, fam.R, phi)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    conormal = np.cross(n, c1 / sp[..., None])
+    return (np.einsum("...i,...i->...", c2, n) / sp**2,
+            np.einsum("...i,...i->...", c2, conormal) / sp**2)
+
+
 def reference_boundary_curvatures(fam, phi):
-    """Reference for saddle.boundary_curvatures_exact: the boundary's
-    curvature vector projected on the unit normal of x_r x x_phi at r = R
-    and on the inward co-normal n x t."""
-    c1, c2 = saddle.boundary_derivatives(fam, phi)
+    """Reference for boundary_curvatures_exact and saddle's boundary
+    integrands: the boundary's curvature vector, its tangential part
+    removed, projected on the unit normal of x_r x x_phi from
+    surface_derivs at r = R and on the inward co-normal n x t."""
+    c1, c2 = boundary_derivatives(fam, phi)
     x_r, x_p, *_ = surface_derivs(fam, fam.R, phi)
     n = np.cross(x_r, x_p)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)

@@ -18,6 +18,7 @@ from filmloop import cli, optimize, saddle
 from filmloop.cli import main
 from filmloop.diffgeo import boundary_geometry, gaussian_curvature
 from filmloop.energy import SIGMA_PER_SPRING_K
+from filmloop.meshio import write_obj
 from filmloop.stability import disk_solution
 from filmloop.sweep import (CSV_COLUMNS, BifurcationDiagram, SweepPoint,
                             SweepSchedule, run_sweep, write_diagram_csv)
@@ -489,6 +490,48 @@ def test_asymptotic_bound_at_table_t_max(tmp_path, capsys, flag):
     row = (out / "family.csv").read_text().splitlines()[1].split(",")
     assert abs(float(row[1]) - saddle.TABLE_T_MAX) < 1e-8
     assert abs(float(row[7]) - float(row[8])) <= 1e-12 * abs(float(row[8]))
+
+
+def test_asymptotic_calls_each_quadrature_once_a_row(tmp_path, monkeypatch):
+    # perfbench's traced saddle.quadrature_ms_per_row times these five
+    # saddle attributes by name, one call of each a table row
+    names = ("energy_quadrature", "int_K_quadrature", "int_abs_kn_quadrature",
+             "length_quadrature", "int_K_gauss_bonnet")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(saddle, name, counted(name, getattr(saddle, name)))
+    assert main(["asymptotic", "--num", "3", "--out", str(tmp_path)]) == 0
+    assert calls == dict.fromkeys(names, 3)
+
+
+def test_asymptotic_saved_meshes_share_one_disk(tmp_path, monkeypatch):
+    # the three saved shapes are sampled on one disk mesh, with the bytes of
+    # family_trimesh's positions
+    built = []
+    generate = saddle.generate_disk_mesh
+
+    def counted(*args):
+        built.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(saddle, "generate_disk_mesh", counted)
+    assert main(["asymptotic", "--num", "2", "--save-meshes", "--rings", "3",
+                 "--out", str(tmp_path / "asym")]) == 0
+    assert len(built) == 1
+    for t in (0.05, 0.2, 0.5):
+        fam = saddle.SaddleFamily(R=saddle.radius_for_length(2.0 * np.pi, t),
+                                  t=t)
+        mesh, x = saddle.family_trimesh(fam, 3)
+        write_obj(tmp_path / "ref.obj", x, mesh.triangles)
+        assert ((tmp_path / "asym" / f"family_t{t:.2f}.obj").read_bytes()
+                == (tmp_path / "ref.obj").read_bytes())
 
 
 def test_asymptotic_rings_needs_save_meshes(tmp_path, capsys):

@@ -19,7 +19,8 @@ import pytest
 
 from filmloop.energy import (DegenerateBoundaryError, EnergyParams, energy,
                              energy_and_gradient)
-from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
+from filmloop.mesh import (MeshError, generate_disk_mesh,
+                           scale_to_boundary_length)
 from filmloop.diffgeo import planarity
 from filmloop import optimize
 from filmloop.optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
@@ -27,8 +28,9 @@ from filmloop.optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
                                perturb, relax)
 from filmloop.stability import disk_solution
 
-from helpers import (fft_preconditioner, polygon_mesh, preconditioner_model,
-                     real_fourier_basis, reference_two_loop)
+from helpers import (fan_mesh, fft_preconditioner, polygon_mesh,
+                     preconditioner_model, real_fourier_basis,
+                     reference_two_loop)
 
 
 def quadratic_problem(n, seed):
@@ -327,14 +329,42 @@ def test_perturb_touches_only_z():
 
 
 def test_max_iterations_zero_returns_start():
+    # the start's loop, and the harmonic disk spanning it as the interior
     mesh, x0 = generate_disk_mesh(3)
-    x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
     p = EnergyParams(alpha=1.0, spring_k=10.0, target_length=1.0)
     res = minimize(mesh, x0, p, MinimizeOptions(max_iterations=0))
     assert res.iterations == 0
     assert res.status == "max_iterations"
     assert not res.converged
-    assert np.array_equal(res.x, x0)
+    loop = mesh.boundary_loop
+    assert np.array_equal(res.x[loop], x0[loop])
+    assert np.array_equal(res.x, mesh.loop_film()[1](x0[loop]))
+
+
+def test_full_mesh_minimize_ends_with_the_extension():
+    # the energy moves only the loop, so a full-mesh solve returns the
+    # extension of its last loop, as relax does: on the kicked rings-4 disk
+    # the start's interior rows sit up to 0.010 off that extension
+    mesh, x0, p, _ = _stall_problem()
+    res = minimize(mesh, x0, p)
+    loop = mesh.boundary_loop
+    assert res.converged
+    assert np.array_equal(res.x, mesh.loop_film()[1](res.x[loop]))
+    inner = np.setdiff1d(np.arange(mesh.vertex_count), loop)
+    assert np.abs(res.x[inner] - x0[inner]).max() > 0.005
+    assert res.energy == energy(mesh, res.x, res.params)
+
+
+def test_minimize_without_lattice_raises_before_solving():
+    # a mesh with interior vertices but no lattice coordinates has no
+    # extension, so minimize refuses it as relax does
+    mesh, x0 = fan_mesh(12)
+    p = EnergyParams(alpha=1.0, spring_k=10.0, target_length=2.0 * np.pi)
+    with pytest.raises(MeshError, match="ring and place"):
+        minimize(mesh, x0, p)
+    with pytest.raises(MeshError, match="ring and place"):
+        relax(mesh, x0, p)
 
 
 def test_minimize_writes_iteration_log():

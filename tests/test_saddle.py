@@ -2,8 +2,10 @@
 truncation orders, quadrature cross-checks, and the pitchfork amplitude.
 
 Independent oracles: central finite differences of the embedding for the
-metric and the normal, the full second fundamental form for the closed-form
-integrands and boundary curvatures, Frenet analysis of sampled boundary
+metric, the normal and the boundary derivatives, the full second
+fundamental form for the closed-form disk integrands and boundary
+curvatures, cross products of the stacked boundary derivatives for the
+scalar boundary integrands, Frenet analysis of sampled boundary
 points for the curvature split, and the Gauss-Bonnet route for the
 integrated Gaussian curvature.
 """
@@ -15,8 +17,10 @@ from filmloop import saddle
 from filmloop.diffgeo import frenet_analyze, gauss_bonnet_defect, planarity
 from filmloop.mesh import validate_mesh
 
-from helpers import (full_period_disk_integral, reference_boundary_curvatures,
-                     reference_K_dA, surface_derivs)
+from helpers import (boundary_curvatures_exact, boundary_derivatives,
+                     family_normal, full_period_disk_integral,
+                     reference_boundary_curvatures, reference_K_dA,
+                     surface_derivs)
 
 ORACLE_TS = [-0.3, 0.0, 0.05, 0.44, 0.87, 0.95]
 
@@ -59,7 +63,7 @@ def test_normal_matches_finite_differences():
               - saddle.family_point(fam, r - h, p)) / (2 * h)
         xp = (saddle.family_point(fam, r, p + h)
               - saddle.family_point(fam, r, p - h)) / (2 * h)
-        n = saddle.family_normal(fam, r, p)
+        n = family_normal(fam, r, p)
         worst = max(worst,
                     np.abs(n - np.cross(xr, xp)).max() / np.linalg.norm(n))
     assert worst < 1e-8
@@ -78,7 +82,7 @@ def test_disk_integrands_match_second_fundamental_form(t):
     assert np.all(np.abs(saddle._dA(fam, r, phi) - dA) <= 1e-13 * dA)
     assert np.all(np.abs(saddle._K_dA(fam, r, phi) - K_dA)
                   <= 1e-13 * np.abs(K_dA))
-    n = saddle.family_normal(fam, r, phi)
+    n = family_normal(fam, r, phi)
     assert np.abs(n - np.cross(x_r, x_p)).max() <= 1e-13 * dA.max()
 
 
@@ -86,11 +90,58 @@ def test_disk_integrands_match_second_fundamental_form(t):
 def test_boundary_curvatures_match_second_fundamental_form(t):
     fam = saddle.SaddleFamily(R=1.3, t=t)
     phi = np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, 200)
-    kn, kg = saddle.boundary_curvatures_exact(fam, phi)
+    kn, kg = boundary_curvatures_exact(fam, phi)
     kn_ref, kg_ref = reference_boundary_curvatures(fam, phi)
     kappa = np.hypot(kn_ref, kg_ref)
     assert np.all(np.abs(kn - kn_ref) <= 1e-13 * kappa)
     assert np.all(np.abs(kg - kg_ref) <= 1e-13 * kappa)
+
+
+@pytest.mark.parametrize("t", ORACLE_TS + [saddle.TABLE_T_MAX])
+def test_boundary_integrands_match_cross_products(t):
+    # the scalar closed forms per dphi against the stacked-vector routes:
+    # |c'|^2 = c'.c', kappa^2 |c'| = |c' x c''|^2 / |c'|^5, and kappa_n |c'|
+    # and kappa_g |c'| from both curvature oracles
+    fam = saddle.SaddleFamily(R=1.3, t=t)
+    phi = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, 200)
+    tr = saddle._trig(phi)
+    c1, c2 = boundary_derivatives(fam, phi)
+    sp2_ref = np.einsum("ij,ij->i", c1, c1)
+    cross = np.cross(c1, c2)
+    k2_ds_ref = np.einsum("ij,ij->i", cross, cross) / sp2_ref**2.5
+    sp2 = saddle._speed_sq(fam, tr)
+    sp = np.sqrt(sp2)
+    assert np.all(np.abs(sp2 - sp2_ref) <= 1e-13 * sp2_ref)
+    assert np.all(np.abs(saddle._kappa2_ds(fam, tr, sp2, sp) - k2_ds_ref)
+                  <= 1e-13 * k2_ds_ref)
+    kn_ds = saddle._kappa_n_ds(fam, tr, sp)
+    kg_ds = saddle._kappa_g_ds(fam, tr, sp2)
+    for oracle in (boundary_curvatures_exact, reference_boundary_curvatures):
+        kn, kg = oracle(fam, phi)
+        scale = 1e-13 * np.hypot(kn, kg) * sp
+        assert np.all(np.abs(kn_ds - kn * sp) <= scale)
+        assert np.all(np.abs(kg_ds - kg * sp) <= scale)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.44, saddle.TABLE_T_MAX])
+def test_boundary_quadratures_match_cross_product_sums(t):
+    # the same trapezoid and per-quarter Gauss-Legendre sums over the
+    # stacked-vector curvatures
+    fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
+    n = saddle.BOUNDARY_PANELS
+    phi = np.arange(n) * (2.0 * np.pi / n)
+    sp = np.linalg.norm(boundary_derivatives(fam, phi)[0], axis=-1)
+    kn, kg = boundary_curvatures_exact(fam, phi)
+    bending = float(((kn**2 + kg**2) * sp).sum()) * (2.0 * np.pi / n)
+    gauss_bonnet = 2.0 * np.pi - float((kg * sp).sum()) * (2.0 * np.pi / n)
+    xg, wg = np.polynomial.legendre.leggauss(saddle.KN_QUARTER_NODES)
+    phi = (np.arange(4)[:, None] + 0.5 * (xg + 1.0)) * (0.5 * np.pi)
+    sp = np.linalg.norm(boundary_derivatives(fam, phi)[0], axis=-1)
+    kn = boundary_curvatures_exact(fam, phi)[0]
+    abs_kn = float(np.abs((kn * sp) @ wg).sum()) * (0.25 * np.pi)
+    assert abs(saddle.bending_quadrature(fam) - bending) <= 1e-13 * bending
+    assert abs(saddle.int_K_gauss_bonnet(fam) - gauss_bonnet) <= 1e-13
+    assert abs(saddle.int_abs_kn_quadrature(fam) - abs_kn) <= 1e-13 * abs_kn
 
 
 def test_boundary_line_element_and_curvature_are_exact():
@@ -98,7 +149,7 @@ def test_boundary_line_element_and_curvature_are_exact():
     phi = np.linspace(0.0, 2.0 * np.pi, 733, endpoint=False)
     for t in (0.05, 0.3, 0.7):
         fam = saddle.SaddleFamily(R=1.3, t=t)
-        c1, c2 = saddle.boundary_derivatives(fam, phi)
+        c1, c2 = boundary_derivatives(fam, phi)
         sp2 = np.einsum("ij,ij->i", c1, c1)
         cr = np.cross(c1, c2)
         k2 = np.einsum("ij,ij->i", cr, cr) / sp2**3
@@ -107,7 +158,8 @@ def test_boundary_line_element_and_curvature_are_exact():
 
 
 def test_boundary_quadratures_share_one_sample():
-    # one table row samples its boundary once, read-only, for all three
+    # one table row samples its boundary once, read-only, for all three;
+    # the sin / cos tables under it are built once for every row
     fam = saddle.SaddleFamily(1.0, 0.6)
     saddle._boundary_sample.cache_clear()
     saddle.length_quadrature(fam)
@@ -116,13 +168,16 @@ def test_boundary_quadratures_share_one_sample():
     info = saddle._boundary_sample.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert not any(a.flags.writeable for a in saddle._boundary_sample(fam))
+    tables = (saddle._panel_trig(saddle.BOUNDARY_PANELS)
+              + saddle._quarter_trig(saddle.KN_QUARTER_NODES))
+    assert not any(a.flags.writeable for a in tables)
 
 
 def test_boundary_derivatives_match_finite_differences():
     fam = saddle.SaddleFamily(R=0.8, t=0.4)
     phi = np.array([0.3, 1.1, 4.0])
     h = 1e-5
-    c1, c2 = saddle.boundary_derivatives(fam, phi)
+    c1, c2 = boundary_derivatives(fam, phi)
     fd1 = (saddle.boundary_curve(fam, phi + h)
            - saddle.boundary_curve(fam, phi - h)) / (2 * h)
     fd2 = (saddle.boundary_curve(fam, phi + h) - 2 * saddle.boundary_curve(fam, phi)
@@ -153,7 +208,7 @@ def test_curvature_split_matches_frenet_projection():
     phi = np.arange(n) * 2.0 * np.pi / n
     fr = frenet_analyze(saddle.boundary_curve(fam, phi))
     kn_s, kg_s = saddle.boundary_curvature_series(fam, phi)
-    kn_e, kg_e = saddle.boundary_curvatures_exact(fam, phi)
+    kn_e, kg_e = boundary_curvatures_exact(fam, phi)
     kscale = fr.kappa.max()
     assert np.abs(np.sqrt(kn_s**2 + kg_s**2) - fr.kappa).max() < 0.01 * kscale
     assert np.abs(kn_s - kn_e).max() < 0.01 * np.abs(kn_e).max()
@@ -193,7 +248,7 @@ def test_int_abs_kn_quarters_are_resolved(monkeypatch, t):
     # is converged: 64 nodes agree with 256
     fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
     phi = (np.arange(4000) + 0.5) * (2.0 * np.pi / 4000)   # no quarter ends
-    kn = saddle.boundary_curvatures_exact(fam, phi)[0].reshape(4, 1000)
+    kn = boundary_curvatures_exact(fam, phi)[0].reshape(4, 1000)
     assert np.all((kn > 0).all(axis=1) | (kn < 0).all(axis=1))
     q64 = saddle.int_abs_kn_quadrature(fam)
     monkeypatch.setattr(saddle, "KN_QUARTER_NODES", 256)
