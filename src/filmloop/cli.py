@@ -113,6 +113,19 @@ def _require_positive(args, *names):
                              f"positive, got {v!r}")
 
 
+def _linspace(args, lo, hi):
+    """np.linspace from flag lo to flag hi in --num points.  One point is
+    the lo end alone, so --num 1 with ends that differ is a UsageError: it
+    would drop flag hi."""
+    a, b = getattr(args, lo), getattr(args, hi)
+    if args.num == 1 and a != b:
+        lo, hi = (f"--{name.replace('_', '-')}" for name in (lo, hi))
+        raise UsageError(f"--num 1 gives one point, at {lo}, and ignores "
+                         f"{hi}; give --num 2 or more, or {lo} equal to "
+                         f"{hi}, got {a!r} and {b!r}")
+    return np.linspace(a, b, args.num)
+
+
 def cmd_mesh(args):
     mesh, x = generate_disk_mesh(args.rings, args.elongation)
     report = validate_mesh(mesh)
@@ -171,7 +184,7 @@ def _sweep_schedule_from_args(args):
     given = [v is not None for v in (args.start, args.stop, args.num)]
     if all(given):
         config["values"] = [float(v) for v in
-                            np.linspace(args.start, args.stop, args.num)]
+                            _linspace(args, "start", "stop")]
     elif any(given):
         raise UsageError("--start, --stop and --num go together")
     elif not args.config:
@@ -224,8 +237,10 @@ def cmd_asymptotic(args):
                              f"{gamma_max!r}, where the amplitude t reaches "
                              f"{t_max:g} (the flat eight, t = 1, is at "
                              f"288 pi^3), got {getattr(args, name)!r}")
+    gammas = _linspace(args, "gamma_min", "gamma_max")
+    if args.save_meshes:        # so an oversized mesh fails before the table
+        mesh, rho, theta = saddle.disk_polar(args.rings)
     os.makedirs(args.out, exist_ok=True)
-    gammas = np.linspace(args.gamma_min, args.gamma_max, args.num)
     L = args.length
     alpha = 1.0
     path = os.path.join(args.out, "family.csv")
@@ -245,7 +260,6 @@ def cmd_asymptotic(args):
                         int_abs_kn / saddle.length_quadrature(fam),
                         ik_quad, saddle.int_K_gauss_bonnet(fam)))
     if args.save_meshes:
-        mesh, rho, theta = saddle.disk_polar(args.rings)
         for t in (0.05, 0.2, 0.5):
             fam = saddle.SaddleFamily(R=saddle.radius_for_length(L, t), t=t)
             write_obj(os.path.join(args.out, f"family_t{t:.2f}.obj"),
@@ -290,7 +304,7 @@ def main(argv=None):
                                 format="%(levelname)s %(name)s: %(message)s")
         return _COMMANDS[args.command](args)
     except (UsageError, MeshError, ValueError, json.JSONDecodeError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EnergyError, NumericalError, DiffGeoError, FitError) as exc:

@@ -9,21 +9,23 @@ gradient tolerance:
 
     converged  iff  ||g||_inf <= gradient_tolerance * (spring_k * L + alpha / L^2)
 
-so the stopping rule is invariant under rescaling the energy unit.  A
-direction that does not descend, or a failed line search, clears the memory
-and retries from preconditioned steepest descent.  If the search fails again,
-the Wolfe search has hit its energy-resolution floor (it cannot resolve
-energy decreases below the rounding level of the energy), and the same loop
-goes on with a gradient-only secant step for at most FINISH_ITERATIONS more
-iterations: one solve, one loop and one iteration count.  The solve is
-converged only if that finish reaches the tolerance; otherwise the Wolfe
-iterate is returned with status line_search_failed.  Every evaluation,
-line-search trials included, gets one finiteness check, isfinite(f) and
-isfinite(max |g|) (max propagates NaN), and a non-finite energy or gradient
-aborts with NumericalError.  MinimizeOptions holds the two settings a caller
-may change: max_iterations and gradient_tolerance.  A result's
-function_evals counts every energy_and_gradient call of the solve, and its
-energy is the breakdown computed when its iterate was accepted.
+so the stopping rule is invariant under rescaling the energy unit.  The
+search compares energies only to within their rounding, ENERGY_ROUNDING *
+|f| (Hager & Zhang, SIAM J. Optim. 16 (2005) 170): below that the
+gradient-only curvature test decides, so the one search runs every
+iteration, down to tolerances under the energy's resolution.  A direction
+that does not descend, or a failed line search, clears the memory and
+retries from preconditioned steepest descent; a search that fails again
+ends the solve with status line_search_failed.  So does a gradient that
+cannot reach the tolerance: from the first accepted step that does not
+lower the energy, the solve has FINISH_ITERATIONS more iterations.  Every
+evaluation, line-search trials included, gets one finiteness check,
+isfinite(f) and isfinite(max |g|) (max propagates NaN), and a non-finite
+energy or gradient aborts with NumericalError.  MinimizeOptions holds the
+two settings a caller may change: max_iterations and gradient_tolerance.
+A result's function_evals counts every energy_and_gradient call of the
+solve, and its energy is the breakdown computed when its iterate was
+accepted.
 
 The loop keeps its state as one flat float64 vector and reshapes only to
 call the objective, the preconditioner and the callback, and to return.
@@ -96,8 +98,16 @@ LBFGS_MEMORY = 8
 # relative boundary-length error a relaxed state must reach
 LENGTH_TOL = 1e-3
 
-# most secant-step iterations that finish a solve whose Wolfe search stalled
+# most iterations after the first accepted step that does not lower the energy
 FINISH_ITERATIONS = 400
+
+# the line search's energy comparisons allow this much relative to |f0|, the
+# energy's rounding, below which the curvature test, reading only the
+# gradient, decides the step (Hager & Zhang, SIAM J. Optim. 16 (2005) 170).
+# On cold relaxes at rings 4-32 some searches still stalled at 1e-15
+# (4.5 eps) and none at 64 eps, and every solve's status was the same for
+# allowances from 1e-15 to 2.5e-13
+ENERGY_ROUNDING = 64.0 * np.finfo(float).eps
 
 # most augmented-Lagrangian rounds of one relax
 MAX_PENALTY_ROUNDS = 5
@@ -190,18 +200,17 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     given, is a callable g -> M^{-1} g applying a positive-definite inverse
     preconditioner, used unscaled as the recursion's starting inverse
     Hessian (the identity without it).  Steps come from the strong-Wolfe
-    search, whose first trial is the unit step, or 0.01 * step_scale when
-    the memory is empty.  A direction that does not descend, or a first
-    stalled search, clears the memory.  A search that stalls with an empty
-    memory switches the loop to the secant step for at most
-    FINISH_ITERATIONS more iterations; if those do not converge, the
-    iterate where the search stalled is returned with status
-    line_search_failed.  Every evaluation, line-search trials included,
-    raises NumericalError when the value or the gradient is not finite;
-    that check's max |g| is the accepted iterate's ginf.  callback(it, x,
-    f, ginf) runs per accepted iterate, the start included (it = 0).
-    Returns (x, f, grad, iterations, status); f is the value fun returned
-    at x, and iterations count the finish.
+    search, whose first trial is the unit step, or a move of 0.01 *
+    step_scale when the memory is empty.  A direction that does not
+    descend, or a stalled search, clears the memory; a search that stalls
+    with an empty memory returns the current iterate with status
+    line_search_failed, as does the FINISH_ITERATIONS-th iteration after
+    the first accepted step that did not lower the value.  Every
+    evaluation, line-search trials included, raises NumericalError when
+    the value or the gradient is not finite; that check's max |g| is the
+    accepted iterate's ginf.  callback(it, x, f, ginf) runs per accepted
+    iterate, the start included (it = 0).  Returns (x, f, grad,
+    iterations, status); f is the value fun returned at x.
 
     The loop runs on one flat float64 copy of x0; fun, minv and callback
     see, and the returned x and grad have, the shape of x0.
@@ -219,8 +228,6 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     def apply_minv(v):
         return v if minv is None else minv(v.reshape(shape)).reshape(-1)
 
-    search = _wolfe_step(evaluate, step_scale)
-
     x = np.array(x0, dtype=float, order="C").reshape(-1)
     f, g, ginf = evaluate(x)
     pairs = _PairRing(len(x))
@@ -228,15 +235,13 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     if callback is not None:
         callback(0, x.reshape(shape), f, ginf)
 
-    it, limit = 0, opts.max_iterations
-    stalled = None                  # (x, f, g) where the Wolfe search stalled
+    it, limit, limit_status = 0, opts.max_iterations, "max_iterations"
     while True:
         if ginf <= gtol_abs:
             status = "converged"
             break
         if it >= limit:
-            status = ("max_iterations" if stalled is None
-                      else "line_search_failed")
+            status = limit_status
             break
 
         d = pairs.direction(g, apply_minv)
@@ -246,30 +251,31 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
             d = -apply_minv(g)
             dphi0 = ddot(g, d)
 
-        step = search(x, d, f, dphi0, not pairs.count)
-        if step is None:
+        a0 = 1.0
+        if not pairs.count:
+            # move a small fraction of the problem length scale
+            a0 = 0.01 * step_scale / max(float(np.linalg.norm(d)), 1e-300)
+        ls = _wolfe_search(evaluate, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
+        if ls is None:
             if pairs.count:
                 # retry once from preconditioned steepest descent
                 logger.debug("line search stalled at iteration %d", it)
                 pairs.clear()
                 continue
-            # the Wolfe search hit its energy-resolution floor: finish with
-            # the gradient-only secant step
             logger.debug("line search failed at iteration %d", it)
-            stalled = x, f, g
-            search = _secant_step(evaluate, step_scale)
-            limit = it + FINISH_ITERATIONS
-            continue
-        x_new, f, g_new, ginf = step
+            status = "line_search_failed"
+            break
+        x_new, f_new, (_, g_new, ginf) = ls[1:4]
         pairs.push(x_new - x, g_new - g)
-        x, g = x_new, g_new
         it += 1
+        if f_new >= f and it + FINISH_ITERATIONS < limit:
+            # the energy no longer falls: FINISH_ITERATIONS more at most
+            limit, limit_status = it + FINISH_ITERATIONS, "line_search_failed"
+        x, f, g = x_new, f_new, g_new
 
         if callback is not None:
             callback(it, x.reshape(shape), f, ginf)
 
-    if status == "line_search_failed":
-        x, f, g = stalled
     return x.reshape(shape), f, g.reshape(shape), it, status
 
 
@@ -318,50 +324,6 @@ class _PairRing:
         for k in reversed(newest_first):
             r = daxpy(s[k], r, n, alpha[k] - rho[k] * ddot(y[k], r))
         return r
-
-
-def _wolfe_step(fun, step_scale):
-    """Strong-Wolfe step of minimize_function, from the unit step, or from a
-    move of 0.01 * step_scale when fresh (the memory is empty); a step is
-    (x, *fun(x)) at the accepted point, or None."""
-
-    def search(x, d, f, dphi0, fresh):
-        a0 = 1.0
-        if fresh:
-            # move a small fraction of the problem length scale
-            a0 = 0.01 * step_scale / max(float(np.linalg.norm(d)), 1e-300)
-        ls = _wolfe_search(fun, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
-        return None if ls is None else (ls[1], *ls[3])
-
-    return search
-
-
-def _secant_step(fun, step_scale):
-    """Gradient-only step that finishes a stalled minimize_function solve:
-    one probe along d, then the secant minimizer of the directional
-    derivative, clipped to within 1e3 of the previous step; the first step
-    moves 0.01 * step_scale.  Gradients are plain sums with no cancellation
-    floor, so within the quadratic basin it keeps converging to the
-    gradient rounding level.  A step is (x, *fun(x))."""
-    a_prev = None                           # survives descent resets
-
-    def search(x, d, f, dphi0, fresh):
-        nonlocal a_prev
-        if a_prev is None:
-            a_prev = 0.01 * step_scale / max(float(np.linalg.norm(d)),
-                                             1e-300)
-        g_probe = fun(x + a_prev * d)[1]
-        denom = dphi0 - ddot(g_probe, d)
-        if denom >= -1e-12 * abs(dphi0):    # no usable positive curvature
-            a = a_prev
-        else:
-            a = float(np.clip(a_prev * dphi0 / denom,
-                              1e-3 * a_prev, 1e3 * a_prev))
-        a_prev = a
-        x_new = x + a * d
-        return (x_new, *fun(x_new))
-
-    return search
 
 
 def make_preconditioner(mesh, x0, params):
@@ -453,8 +415,6 @@ def _log_writer(stream):
 def minimize(mesh, x0, params, opts=None, log_stream=None):
     """Minimize the discrete energy from x0; deterministic for fixed inputs.
 
-    A solve whose Wolfe search stalls is finished by the secant step (see
-    the module docstring); its iterations and log count the finish.
     log_stream, when given, receives a CSV header and one row per iteration.
     The energy depends on the loop alone, so the result is the extension of
     the solve's last loop (mesh.TriMesh.loop_film), as relax's is: its
@@ -516,25 +476,27 @@ def _line_tension(mesh, fb, params):
 
 def _wolfe_search(fun, x, d, f0, dphi0, a0, c1, c2,
                   max_bracket=30, max_zoom=40):
-    """Strong-Wolfe line search along d, for fun(x) -> (f, g, ...);
-    returns (a, x, f, fun(x), dphi) at the accepted point, or None."""
+    """Strong-Wolfe line search along d, for fun(x) -> (f, g, ...), whose
+    energy comparisons allow ENERGY_ROUNDING * |f0|; returns (a, x, f,
+    fun(x), dphi) at the accepted point, or None."""
 
     def phi(a):
         xa = x + a * d
         ea = fun(xa)
         return xa, ea[0], ea, ddot(ea[1], d)
 
+    tol = ENERGY_ROUNDING * abs(f0)
     a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     a = a0
     for i in range(max_bracket):
         xa, fa, ea, dphia = phi(a)
-        if fa > f0 + c1 * a * dphi0 or (i > 0 and fa >= f_prev):
-            return _zoom(phi, f0, dphi0, a_prev, f_prev, dphi_prev,
+        if fa > f0 + c1 * a * dphi0 + tol or (i > 0 and fa >= f_prev + tol):
+            return _zoom(phi, f0, dphi0, tol, a_prev, f_prev, dphi_prev,
                          a, fa, dphia, c1, c2, max_zoom)
         if abs(dphia) <= -c2 * dphi0:
             return a, xa, fa, ea, dphia
         if dphia >= 0.0:
-            return _zoom(phi, f0, dphi0, a, fa, dphia,
+            return _zoom(phi, f0, dphi0, tol, a, fa, dphia,
                          a_prev, f_prev, dphi_prev, c1, c2, max_zoom)
         a_prev, f_prev, dphi_prev = a, fa, dphia
         a *= 2.0
@@ -556,7 +518,8 @@ def _cubic_min(a, fa, da, b, fb, db):
     return am if np.isfinite(am) else None
 
 
-def _zoom(phi, f0, dphi0, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2, max_zoom):
+def _zoom(phi, f0, dphi0, tol, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2,
+          max_zoom):
     for _ in range(max_zoom):
         if abs(hi - lo) <= 1e-12 * max(abs(lo), abs(hi)):
             return None
@@ -566,7 +529,7 @@ def _zoom(phi, f0, dphi0, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2, max_zoom):
         if a is None or not (lo_ + safety <= a <= hi_ - safety):
             a = 0.5 * (lo + hi)
         xa, fa, ea, dphia = phi(a)
-        if fa > f0 + c1 * a * dphi0 or fa >= f_lo:
+        if fa > f0 + c1 * a * dphi0 + tol or fa >= f_lo + tol:
             hi, f_hi, d_hi = a, fa, dphia
         else:
             if abs(dphia) <= -c2 * dphi0:

@@ -64,8 +64,8 @@ def subcritical_state():
     params = EnergyParams(alpha=1.0,
                           spring_k=float(kl3a_from_gamma(0.5 * critical_gamma(2))),
                           target_length=1.0)
-    # the Wolfe search stalls at its energy resolution, and the secant
-    # finish carries the solve to this tolerance
+    # below the energy's rounding the Wolfe search's curvature test, which
+    # reads only the gradient, carries the solve to this tolerance
     res = relax(mesh, x0, params,
                 MinimizeOptions(max_iterations=60000, gradient_tolerance=1e-11))
     assert res.converged, res.status

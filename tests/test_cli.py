@@ -295,6 +295,36 @@ def test_sweep_partial_range_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["sweep", "--start", "500", "--stop", "900", "--num", "1"],
+     ("--start", "--stop")),
+    (["asymptotic", "--num", "1", "--gamma-max", "3000"],
+     ("--gamma-min", "--gamma-max")),
+], ids=["sweep", "asymptotic"])
+def test_num_one_with_two_ends_exits_one(tmp_path, capsys, argv, flags):
+    # linspace(a, b, 1) is [a]: one point would silently drop the other end
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--num 1" in err
+    assert all(flag in err for flag in flags)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh"], ["relax"], ["sweep", "--start", "500", "--stop", "600",
+                          "--num", "2"], ["asymptotic", "--save-meshes"],
+], ids=["mesh", "relax", "sweep", "asymptotic"])
+def test_oversized_rings_is_one_error_line(tmp_path, capsys, argv):
+    # the mesh's first array, 2e14 int64s, is past any address space, so
+    # numpy refuses it at once, before anything else is allocated
+    out = tmp_path / "out"
+    assert main([*argv, "--rings", str(10**14), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_relax_negative_seed_exits_one(tmp_path, capsys):
     # named by its flag before the mesh is built or anything is written
     out = tmp_path / "relax"
