@@ -8,7 +8,7 @@ continuation driver that sweeps the dimensionless tension and records the
 resulting bifurcation diagram.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 from .mesh import TriMesh, generate_disk_mesh, validate_mesh
 from .energy import EnergyParams, EnergyBreakdown, energy, energy_and_gradient

@@ -35,48 +35,66 @@ class InflectionError(DiffGeoError):
 
 def triangle_geometry(mesh, x):
     """Per-triangle (unit normals, areas, corner angles); errors on zero area."""
-    return _corner_geometry(mesh.triangles, x)
+    nhat, areas, angles = _corner_geometry(mesh.triangles, x)
+    return nhat.T, areas, angles.T
+
+
+def _cross(a, b):
+    """a x b of component-first (3, ...) arrays, by np.cross's float ops."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _norm(a):
+    """|a| of a component-first array, by np.linalg.norm's float ops."""
+    return np.sqrt((a * a).sum(axis=0))
+
+
+def _dot(u, v):
+    """u . v of component-first arrays, paired as np.einsum("ij,ij->i") pairs
+    rows on x86-64 numpy (left to right moves the corner angles an ulp)."""
+    return u[0] * v[0] + u[2] * v[2] + u[1] * v[1]
+
+
+def _corners(tris, x):
+    """Corners of the (f, 3) triangles tris as (3 xyz, 3 corners, f)."""
+    return np.ascontiguousarray(x.T).take(tris.T, axis=1)
 
 
 def _corner_geometry(tris, x):
-    """triangle_geometry of the (f, 3) triangles tris.  Every quantity is
-    computed triangle by triangle, so a subset of a mesh's triangles gets
-    the same bits as the whole mesh gives it."""
-    a, b, c = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
-    n = np.cross(b - a, c - a)
-    nlen = np.linalg.norm(n, axis=1)
+    """(unit normals, areas, angles) of the (f, 3) triangles tris as (3 xyz,
+    f), (f,), (3 corners, f), by np.cross's, np.linalg.norm's and np.einsum's
+    float ops on (f, 3) rows; a subset of the triangles gets the same bits."""
+    pts = _corners(tris, x)
+    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+    u, v = b - a, c - a
+    n = _cross(u, v)
+    nlen = _norm(n)
     if np.any(nlen <= 0.0):
         raise DiffGeoError("zero-area triangle")
-    areas = 0.5 * nlen
-    nhat = n / nlen[:, None]
-    angles = np.empty((len(tris), 3))
-    for k, (p, q, r) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
+    angles = np.empty((3, len(tris)))
+    angles[0] = np.arctan2(nlen, _dot(u, v))      # corner a's u x v is n
+    for k, (p, q, r) in enumerate(((b, c, a), (c, a, b)), 1):
         u, v = q - p, r - p
-        cr = np.linalg.norm(np.cross(u, v), axis=1)
-        dt = np.einsum("ij,ij->i", u, v)
-        angles[:, k] = np.arctan2(cr, dt)
-    return nhat, areas, angles
+        angles[k] = np.arctan2(_norm(_cross(u, v)), _dot(u, v))
+    return n / nlen, 0.5 * nlen, angles
 
 
 def _loop_normals(mesh, x):
     """Angle-weighted average of the triangle normals incident on each loop
-    vertex, normalized, in loop order.
-
-    Only the triangles touching the loop (mesh.loop_triangles) are read.
-    They are accumulated corner by corner in increasing triangle order,
-    the order a pass over every triangle adds them in, so each normal has
-    the bits of the all-vertex average at that vertex.
-    """
+    vertex, normalized, in loop order, as (3, B).  Only the triangles
+    touching the loop (mesh.loop_triangles) are read, added corner by corner
+    in increasing triangle order as a pass over every triangle adds them, so
+    each normal has the bits of the all-vertex average at that vertex."""
     tris = mesh.triangles[mesh.loop_triangles()]
     nhat, _, angles = _corner_geometry(tris, x)
-    acc = np.zeros((mesh.vertex_count, 3))
-    for k in range(3):
-        np.add.at(acc, tris[:, k], angles[:, k][:, None] * nhat)
-    acc = acc[mesh.boundary_loop]
-    norms = np.linalg.norm(acc, axis=1)
+    acc = np.stack([np.bincount(tris.T.ravel(), (angles * ni).ravel(),
+                                minlength=mesh.vertex_count)
+                    for ni in nhat])[:, mesh.boundary_loop]
+    norms = _norm(acc)
     if np.any(norms <= 0.0):
         raise DiffGeoError("degenerate vertex normal (zero incident-angle fan)")
-    return acc / norms[:, None]
+    return acc / norms
 
 
 # ---------------------------------------------------------------------------
@@ -124,27 +142,22 @@ def boundary_geometry(mesh, x):
     s, e, savg = boundary_frame(mesh, x)
     if np.any(s <= 0.0):
         raise DiffGeoError("degenerate boundary edge")
-    t = e / s[:, None]
-    cvec = (t - t[mesh.loop_prev]) / savg[:, None]
-    kappa = np.linalg.norm(cvec, axis=1)
+    t = e.T / s                                   # component-first (3, B)
+    cvec = (t - t[:, mesh.loop_prev]) / savg
+    kappa = _norm(cvec)
 
     normals = _loop_normals(mesh, x)
-    tbar = t + t[mesh.loop_prev]
-    tnorm = np.linalg.norm(tbar, axis=1)
+    tbar = t + t[:, mesh.loop_prev]
     # a nearly reversing corner leaves the averaged tangent ill-defined;
     # fall back to the outgoing edge direction there
-    bad = tnorm < 1e-8
-    if np.any(bad):
-        tbar[bad] = t[bad]
-        tnorm = np.linalg.norm(tbar, axis=1)
-    tbar = tbar / tnorm[:, None]
+    tbar = np.where(_norm(tbar) < 1e-8, t, tbar)
+    tbar = tbar / _norm(tbar)
 
-    conormal = np.cross(normals, tbar)
-    kappa_n = np.einsum("ij,ij->i", cvec, normals)
-    kappa_g = np.einsum("ij,ij->i", cvec, conormal)
+    kappa_n = _dot(cvec, normals)
+    kappa_g = _dot(cvec, _cross(normals, tbar))
     return BoundaryGeometry(loop=loop, edge_length=s, s_weight=savg,
                             kappa=kappa, kappa_n=kappa_n, kappa_g=kappa_g,
-                            normal=normals)
+                            normal=normals.T)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +191,10 @@ class CurvatureField:
 
 def gaussian_curvature(mesh, x):
     """Angle-defect curvature of every vertex plus barycentric area weights."""
-    _, areas, angles = triangle_geometry(mesh, x)
+    _, areas, angles = _corner_geometry(mesh.triangles, x)
     # one bincount over the corners, k-major: the order np.add.at took them
     corners, n = mesh.triangles.T.ravel(), mesh.vertex_count
-    angle_sum = np.bincount(corners, angles.T.ravel(), minlength=n)
+    angle_sum = np.bincount(corners, angles.ravel(), minlength=n)
     area_w = np.bincount(corners, np.tile(areas / 3.0, 3), minlength=n)
     interior = np.ones(mesh.vertex_count, dtype=bool)
     interior[mesh.boundary_loop] = False

@@ -32,6 +32,10 @@ import numpy as np
 # k sum |e|^2 tends to 2 sqrt(3) k times the Dirichlet energy, kept so that
 # k L^3 / alpha means what the transition brackets were measured in
 LATTICE_TENSION = 2.0 * np.sqrt(3.0)
+# most rings: extend's Poisson-kernel rows and powers, the largest dense
+# arrays of a mesh and its loop film, hold n m float64 and complex128 for the
+# n = 3m(m + 1) + 1 vertices, 0.15 + 0.15 GB at rings 182 (n = 100,171)
+MAX_RINGS = 182
 
 
 class MeshError(ValueError):
@@ -347,8 +351,8 @@ def generate_disk_mesh(rings, elongation=1.0):
     regular hexagonal perimeter.
     """
     m = int(rings)
-    if m < 1:
-        raise MeshError("rings must be >= 1")
+    if not 1 <= m <= MAX_RINGS:
+        raise MeshError(f"rings must be in 1 .. {MAX_RINGS}, got {m}")
     elongation = float(elongation)
     if not np.isfinite(elongation) or elongation <= 0:
         raise MeshError("elongation must be positive and finite")

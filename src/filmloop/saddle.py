@@ -175,9 +175,9 @@ def _gauss_legendre(n):
 
 
 def _disk_integral(fam, integrand):
-    """Gauss-Legendre (r) x trapezoid (phi) integral of integrand(r, phi) dr dphi.
+    """Gauss-Legendre (r) x trapezoid (phi) integral of an integrand dr dphi.
 
-    integrand must broadcast over r[:, None] and phi[None, :] and be
+    integrand(fam, r, Q, sqrt(Q)) takes _disk_sample(fam), and must be
     invariant under phi -> -phi and phi -> pi - phi (both family integrands
     are: these are rotations by pi about the x and y axes).  The periodic
     trapezoid sum over DISK_PANELS (divisible by 4) panels is then taken
@@ -185,15 +185,21 @@ def _disk_integral(fam, integrand):
     k = 0 .. DISK_PANELS / 4: the end nodes stand for orbits of 2 nodes,
     the inner nodes for orbits of 4.
     """
-    xg, wg = _gauss_legendre(GL_NODES)
-    r = 0.5 * (xg + 1.0) * fam.R
-    wr = 0.5 * fam.R * wg
-    quarter = DISK_PANELS // 4
-    phi = np.arange(quarter + 1) * (2.0 * np.pi / DISK_PANELS)
-    wphi = np.full(quarter + 1, 4.0)
+    wr = 0.5 * fam.R * _gauss_legendre(GL_NODES)[1]
+    wphi = np.full(DISK_PANELS // 4 + 1, 4.0)
     wphi[[0, -1]] = 2.0
-    rows = integrand(r[:, None], phi[None, :]) @ wphi
+    rows = integrand(fam, *_disk_sample(fam)) @ wphi
     return float(wr @ rows) * (2.0 * np.pi / DISK_PANELS)
+
+
+@functools.lru_cache(maxsize=1)
+def _disk_sample(fam):
+    """Read-only (r, Q, sqrt(Q)) on _disk_integral's quarter grid, r a
+    column, shared by the two disk quadratures of one family (a table row)."""
+    r = (0.5 * (_gauss_legendre(GL_NODES)[0] + 1.0) * fam.R)[:, None]
+    phi = np.arange(DISK_PANELS // 4 + 1) * (2.0 * np.pi / DISK_PANELS)
+    q = _normal_sq(fam, r, phi[None, :])
+    return _read_only((r, q, np.sqrt(q)))
 
 
 class _Trig(NamedTuple):
@@ -314,26 +320,25 @@ def length_series(fam):
     return np.pi * fam.R * (2.0 + 2.0 * t**2 - t**4)
 
 
-def _dA(fam, r, phi):
+def _dA(fam, r, q, sqrt_q):
     """Area element dA / (dr dphi) = |x_r x x_phi| = r sqrt(Q)."""
-    return r * np.sqrt(_normal_sq(fam, r, phi))
+    return r * sqrt_q
 
 
-def _K_dA(fam, r, phi):
+def _K_dA(fam, r, q, sqrt_q):
     """Gaussian curvature times the area element, K dA / (dr dphi).
 
     With n = x_r x x_phi, (n.x_rr)(n.x_phiphi) - (n.x_rphi)^2 is exactly
     -4 t^2 a^2 b^2 r^4 / R^2, so K |n| = -(2tab/R)^2 r / Q^(3/2).
     """
     t = fam.t
-    q = _normal_sq(fam, r, phi)
     return -(2.0 * t * (1.0 + t**2) * (1.0 - t**2) / fam.R) ** 2 * r \
-        / (q * np.sqrt(q))
+        / (q * sqrt_q)
 
 
 def area_quadrature(fam):
     """Surface area by Gauss-Legendre (r) x trapezoid (phi)."""
-    return _disk_integral(fam, functools.partial(_dA, fam))
+    return _disk_integral(fam, _dA)
 
 
 def bending_quadrature(fam):
@@ -362,7 +367,7 @@ def gaussian_K_leading(fam):
 
 def int_K_quadrature(fam):
     """Integral of K dA from the second fundamental form of the embedding."""
-    return _disk_integral(fam, functools.partial(_K_dA, fam))
+    return _disk_integral(fam, _K_dA)
 
 
 def int_K_gauss_bonnet(fam):

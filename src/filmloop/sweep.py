@@ -28,8 +28,8 @@ from .mesh import generate_disk_mesh, scale_to_boundary_length
 from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy
 from .optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
                        check_field_types, perturb, relax)
-from .diffgeo import (boundary_geometry, gaussian_curvature, gauss_bonnet_defect,
-                      planarity)
+from .diffgeo import (_corners, _cross, _norm, boundary_geometry,
+                      gaussian_curvature, gauss_bonnet_defect, planarity)
 from .stability import boundary_mode_spectrum
 
 logger = logging.getLogger(__name__)
@@ -173,7 +173,8 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
     constraint's multiplier (0 for a cold start)."""
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
-    start_energy = energy(mesh, start, params).total
+    start_energy = energy(mesh.loop_mesh(),
+                          start.take(mesh.boundary_loop, axis=0), params).total
 
     x_pert = perturb(start, KICK_AMPLITUDE, seed)
     res = relax(mesh, x_pert,
@@ -429,21 +430,20 @@ def _is_graph(mesh, x):
     it is one-to-one (the degree argument of Lipman, SIAM J. Imaging Sci. 7
     (2014) 1263), and triangles that share no vertex are disjoint.
     """
-    tris = mesh.triangles
-    p0 = x[tris[:, 0]]
-    n = np.cross(x[tris[:, 1]] - p0, x[tris[:, 2]] - p0)
-    v = n.sum(axis=0)
+    pts = _corners(mesh.triangles, x)
+    n = _cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])      # (3, f)
+    v = n.sum(axis=1)
     v_len = float(np.sqrt(v @ v))
     if not v_len > 0.0:            # a flat eight's two lobes cancel
         return False
     v = v / v_len
-    if not np.all(n @ v > GRAPH_MARGIN * np.sqrt(_dot(n, n))):
+    if not np.all(v @ n > GRAPH_MARGIN * np.sqrt(_dot(n, n))):
         return False
-    r = x[mesh.boundary_loop]
-    r = r - r.mean(axis=0)
-    r = r - np.outer(r @ v, v)                    # in the plane normal to v
-    r_next = r[mesh.loop_next]
-    sin = np.cross(r, r_next) @ v
+    r = x[mesh.boundary_loop].T
+    r = r - r.mean(axis=1, keepdims=True)
+    r = r - np.outer(v, v @ r)                    # in the plane normal to v
+    r_next = r[:, mesh.loop_next]
+    sin = v @ _cross(r, r_next)
     cos = _dot(r, r_next)
     r_len = np.sqrt(_dot(r, r))
     if not np.all(sin > GRAPH_MARGIN * r_len * r_len[mesh.loop_next]):
@@ -455,55 +455,52 @@ def _crossing_pairs(mesh, x):
     """(n, 2) triangle index pairs i < j counted by count_self_intersections."""
     import scipy.spatial
 
-    tris = mesh.triangles
-    pts = x[tris]                                        # (f, 3, 3)
-    # the corner slices reduce the length-3 axis faster than axis=1 does,
-    # to the same bits
+    pts = _corners(mesh.triangles, x)             # (3 xyz, 3 corners, f)
     p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
     centroids = (p0 + p1 + p2) / 3.0
-    crad = np.linalg.norm(pts - centroids[:, None, :], axis=2).max(axis=1)
-    tree = scipy.spatial.cKDTree(centroids)
+    crad = _norm(pts - centroids[:, None])               # (3 corners, f)
+    tree = scipy.spatial.cKDTree(centroids.T)
     pairs = tree.query_pairs(2.0 * float(crad.max()), output_type="ndarray")
 
     # drop pairs sharing any vertex, then pairs whose bounding boxes are apart
-    keys = pairs[:, 0] * len(tris) + pairs[:, 1]         # pairs have i < j
+    keys = pairs[:, 0] * pts.shape[2] + pairs[:, 1]      # pairs have i < j
     sharing = mesh.vertex_sharing_keys()
     pairs = pairs[sharing[np.searchsorted(sharing, keys)] != keys]
     lo = np.minimum(np.minimum(p0, p1), p2)
     hi = np.maximum(np.maximum(p0, p1), p2)
     i, j = pairs[:, 0], pairs[:, 1]
-    pairs = pairs[((lo[i] <= hi[j]) & (lo[j] <= hi[i])).all(axis=1)]
+    pairs = pairs[((lo[:, i] <= hi[:, j]) & (lo[:, j] <= hi[:, i])).all(0)]
     if len(pairs) == 0:       # spare the edge test's fixed numpy overhead
         return pairs
 
-    a, b = pts[pairs[:, 0]], pts[pairs[:, 1]]
+    a, b = pts[..., pairs[:, 0]], pts[..., pairs[:, 1]]
     return pairs[_edges_cross(a, b) | _edges_cross(b, a)]
 
 
 def _dot(a, b):
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _edges_cross(tri_a, tri_b, eps=1e-12):
-    """Per pair of (n, 3, 3) triangles: does any edge of tri_a cross the
-    interior of tri_b transversally?
+    """Per pair of component-first (3 xyz, 3 corners, n) triangles: does
+    any edge of tri_a cross the interior of tri_b transversally?
 
     A lane with |det| < eps (edge parallel to or in the plane of tri_b) is
     masked out; its division by a zero or tiny det is not an error.
     """
     a0 = tri_b[:, 0]
     e1, e2 = tri_b[:, 1] - a0, tri_b[:, 2] - a0
-    hit = np.zeros(len(tri_a), dtype=bool)
+    hit = np.zeros(tri_a.shape[2], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(3):
             p = tri_a[:, k]
             d = tri_a[:, (k + 1) % 3] - p
-            h = np.cross(d, e2)
+            h = _cross(d, e2)
             det = _dot(e1, h)
             inv = 1.0 / det
             s = p - a0
             u = inv * _dot(s, h)
-            qv = np.cross(s, e1)
+            qv = _cross(s, e1)
             v = inv * _dot(d, qv)
             t = inv * _dot(e2, qv)
             hit |= ((np.abs(det) >= eps) & (u > eps) & (u < 1.0 - eps)

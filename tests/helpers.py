@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.spatial
 
-from filmloop.diffgeo import DiffGeoError, triangle_geometry
+from filmloop.diffgeo import DiffGeoError
 from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
 from filmloop.mesh import (LATTICE_TENSION, TriMesh, film_operator,
                            generate_disk_mesh, hex_ring_place)
@@ -102,11 +102,29 @@ def circle_samples(n, radius=1.0):
                     axis=1)
 
 
+def reference_triangle_geometry(mesh, x):
+    """Reference for diffgeo.triangle_geometry: per-triangle (unit normals,
+    areas, corner angles) from (f, 3) row gathers, np.cross,
+    np.linalg.norm(axis=1) and np.einsum("ij,ij->i")."""
+    tris = mesh.triangles
+    a, b, c = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
+    n = np.cross(b - a, c - a)
+    nlen = np.linalg.norm(n, axis=1)
+    if np.any(nlen <= 0.0):
+        raise DiffGeoError("zero-area triangle")
+    angles = np.empty((len(tris), 3))
+    for k, (p, q, r) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
+        u, v = q - p, r - p
+        cr = np.linalg.norm(np.cross(u, v), axis=1)
+        angles[:, k] = np.arctan2(cr, np.einsum("ij,ij->i", u, v))
+    return n / nlen[:, None], 0.5 * nlen, angles
+
+
 def vertex_normals(mesh, x):
     """Reference for boundary_geometry's normals: the angle-weighted average
     of incident triangle normals at every vertex, normalized, over a pass of
     all triangles."""
-    nhat, _, angles = triangle_geometry(mesh, x)
+    nhat, _, angles = reference_triangle_geometry(mesh, x)
     acc = np.zeros((mesh.vertex_count, 3))
     for k in range(3):
         np.add.at(acc, mesh.triangles[:, k], angles[:, k][:, None] * nhat)
@@ -116,6 +134,67 @@ def vertex_normals(mesh, x):
         raise DiffGeoError("degenerate vertex normal (zero incident-angle fan)")
     norms[norms == 0.0] = 1.0
     return acc / norms[:, None]
+
+
+def reference_curvature_field(mesh, x):
+    """Reference for gaussian_curvature: (defect, area weights, total area)
+    of reference_triangle_geometry, the corners added by np.add.at."""
+    _, areas, angles = reference_triangle_geometry(mesh, x)
+    angle_sum = np.zeros(mesh.vertex_count)
+    area_w = np.zeros(mesh.vertex_count)
+    for k in range(3):
+        np.add.at(angle_sum, mesh.triangles[:, k], angles[:, k])
+        np.add.at(area_w, mesh.triangles[:, k], areas / 3.0)
+    defect = 2.0 * np.pi - angle_sum
+    defect[mesh.boundary_loop] = np.pi - angle_sum[mesh.boundary_loop]
+    return defect, area_w, float(areas.sum())
+
+
+def reference_loop_curvatures(mesh, x):
+    """Reference for boundary_geometry: (normal, kappa, kappa_n, kappa_g)
+    along the loop from (B, 3) rows, np.linalg.norm(axis=1), np.cross and
+    np.einsum, with vertex_normals' normals."""
+    loop = mesh.boundary_loop
+    xb = x[loop]
+    e = np.roll(xb, -1, axis=0) - xb
+    s = np.linalg.norm(e, axis=1)
+    t = e / s[:, None]
+    savg = 0.5 * (s + np.roll(s, 1))
+    cvec = (t - np.roll(t, 1, axis=0)) / savg[:, None]
+    normals = vertex_normals(mesh, x)[loop]
+    tbar = t + np.roll(t, 1, axis=0)
+    tnorm = np.linalg.norm(tbar, axis=1)
+    bad = tnorm < 1e-8
+    tbar[bad] = t[bad]
+    tbar = tbar / np.linalg.norm(tbar, axis=1)[:, None]
+    conormal = np.cross(normals, tbar)
+    return (normals, np.linalg.norm(cvec, axis=1),
+            np.einsum("ij,ij->i", cvec, normals),
+            np.einsum("ij,ij->i", cvec, conormal))
+
+
+def reference_is_graph(mesh, x, margin):
+    """Reference for sweep._is_graph: the same two conditions on (f, 3)
+    row gathers, np.cross and matrix-vector products."""
+    tris = mesh.triangles
+    p0 = x[tris[:, 0]]
+    n = np.cross(x[tris[:, 1]] - p0, x[tris[:, 2]] - p0)
+    v = n.sum(axis=0)
+    if not np.linalg.norm(v) > 0.0:
+        return False
+    v = v / np.linalg.norm(v)
+    if not np.all(n @ v > margin * np.linalg.norm(n, axis=1)):
+        return False
+    r = x[mesh.boundary_loop]
+    r = r - r.mean(axis=0)
+    r = r - np.outer(r @ v, v)
+    r_next = np.roll(r, -1, axis=0)
+    sin = np.cross(r, r_next) @ v
+    r_len = np.linalg.norm(r, axis=1)
+    if not np.all(sin > margin * r_len * np.roll(r_len, -1)):
+        return False
+    cos = np.einsum("ij,ij->i", r, r_next)
+    return float(np.arctan2(sin, cos).sum()) < 3.0 * np.pi
 
 
 def folded_pierced_disk(rings, degrees, bump=2.0):
@@ -254,14 +333,15 @@ def reference_energy_and_gradient(mesh, x, p):
 
 def full_period_disk_integral(fam, integrand):
     """Reference for saddle._disk_integral: Gauss-Legendre (r) x trapezoid
-    (phi) over the whole period, the integrand evaluated on the full
-    GL_NODES x DISK_PANELS meshgrid."""
+    (phi) over the whole period, the integrand evaluated with Q and sqrt(Q)
+    on the full GL_NODES x DISK_PANELS meshgrid."""
     xg, wg = np.polynomial.legendre.leggauss(saddle.GL_NODES)
     r = 0.5 * (xg + 1.0) * fam.R
     wr = 0.5 * fam.R * wg
     phi = np.arange(saddle.DISK_PANELS) * (2.0 * np.pi / saddle.DISK_PANELS)
     rg, pg = np.meshgrid(r, phi, indexing="ij")
-    return float((integrand(rg, pg) * wr[:, None]).sum()) \
+    q = saddle._normal_sq(fam, rg, pg)
+    return float((integrand(fam, rg, q, np.sqrt(q)) * wr[:, None]).sum()) \
         * (2.0 * np.pi / saddle.DISK_PANELS)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from filmloop import cli, optimize, saddle
 from filmloop.cli import main
 from filmloop.diffgeo import boundary_geometry, gaussian_curvature
 from filmloop.energy import SIGMA_PER_SPRING_K
+from filmloop.mesh import MAX_RINGS
 from filmloop.meshio import write_obj
 from filmloop.stability import disk_solution
 from filmloop.sweep import (CSV_COLUMNS, BifurcationDiagram, SweepPoint,
@@ -316,12 +318,32 @@ def test_num_one_with_two_ends_exits_one(tmp_path, capsys, argv, flags):
                           "--num", "2"], ["asymptotic", "--save-meshes"],
 ], ids=["mesh", "relax", "sweep", "asymptotic"])
 def test_oversized_rings_is_one_error_line(tmp_path, capsys, argv):
-    # the mesh's first array, 2e14 int64s, is past any address space, so
-    # numpy refuses it at once, before anything else is allocated
+    # refused by the mesh's vertex bound before any array is allocated
     out = tmp_path / "out"
     assert main([*argv, "--rings", str(10**14), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rings", [20000, 100000000])
+@pytest.mark.parametrize("argv", [
+    ["mesh"], ["relax"], ["sweep", "--start", "500", "--stop", "600",
+                          "--num", "2"], ["asymptotic", "--save-meshes"],
+], ids=["mesh", "relax", "sweep", "asymptotic"])
+def test_oversized_rings_fail_before_allocating(tmp_path, capsys, argv,
+                                                rings):
+    # rings 20000 would build (2m + 3)^2 int64 lattice grids of 12.8 GB
+    # each, rings 1e8 a 1.6 GB arange: MAX_RINGS refuses both first
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--rings", str(rings), "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert f"rings must be in 1 .. {MAX_RINGS}" in capsys.readouterr().err
     assert not out.exists()
 
 

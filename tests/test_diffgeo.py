@@ -21,7 +21,9 @@ from filmloop.diffgeo import (DiffGeoError, InflectionError,
 from filmloop.mesh import generate_disk_mesh
 
 from helpers import (circle_samples, fan_mesh, folded_pierced_disk,
-                     saddle_shape, vertex_normals)
+                     reference_curvature_field, reference_loop_curvatures,
+                     reference_triangle_geometry, saddle_shape,
+                     vertex_normals)
 
 
 def test_frenet_circle_second_order_convergence():
@@ -174,19 +176,50 @@ def _lifted_disk(rings):
     return mesh, x
 
 
-@pytest.mark.parametrize("shape, args", [
+def _reversing_fan():
+    # rim vertex 3 sits 1e-10 off rim vertex 1, so the loop doubles back at
+    # vertex 2, whose averaged tangent falls back to its outgoing edge
+    mesh, x = fan_mesh(8)
+    x[3] = x[1] + [0.0, 1e-10, 1e-10]
+    return mesh, x
+
+
+SHAPES = [
     *[pytest.param(_lifted_disk, (rings,), id=f"disk-r{rings}")
       for rings in (1, 4, 16)],
     *[pytest.param(saddle_shape, (16, t), id=f"saddle-r16-t{t}")
       for t in (0.3, 0.6, 0.9)],
     pytest.param(folded_pierced_disk, (6, 160.0), id="folded-pierced-r6"),
-])
+    pytest.param(_reversing_fan, (), id="fan-reversing-corner"),
+]
+
+
+@pytest.mark.parametrize("shape, args", SHAPES)
 def test_boundary_normals_are_the_vertex_normals_bit_for_bit(shape, args):
     # boundary_geometry reads only the triangles touching the loop (all of
     # them at rings 1), in the order a pass over every triangle adds them
     mesh, x = shape(*args)
     np.testing.assert_array_equal(boundary_geometry(mesh, x).normal,
                                   vertex_normals(mesh, x)[mesh.boundary_loop])
+
+
+@pytest.mark.parametrize("shape, args", SHAPES)
+def test_surface_observables_match_the_row_reference_bit_for_bit(shape, args):
+    # the component-first geometry takes the float operations of np.cross,
+    # np.linalg.norm and np.einsum on (f, 3) rows, in their order
+    mesh, x = shape(*args)
+    for got, want in zip(triangle_geometry(mesh, x),
+                         reference_triangle_geometry(mesh, x)):
+        np.testing.assert_array_equal(got, want)
+    cf = gaussian_curvature(mesh, x)
+    defect, area_w, total_area = reference_curvature_field(mesh, x)
+    np.testing.assert_array_equal(cf.defect, defect)
+    np.testing.assert_array_equal(cf.area_weight, area_w)
+    assert cf.total_area == total_area
+    bg = boundary_geometry(mesh, x)
+    for got, want in zip((bg.normal, bg.kappa, bg.kappa_n, bg.kappa_g),
+                         reference_loop_curvatures(mesh, x)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_zero_area_interior_triangle_still_raises():

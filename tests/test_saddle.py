@@ -79,8 +79,9 @@ def test_disk_integrands_match_second_fundamental_form(t):
     x_r, x_p, *_ = surface_derivs(fam, r, phi)
     dA = np.linalg.norm(np.cross(x_r, x_p), axis=-1)
     K_dA = reference_K_dA(fam, r, phi)
-    assert np.all(np.abs(saddle._dA(fam, r, phi) - dA) <= 1e-13 * dA)
-    assert np.all(np.abs(saddle._K_dA(fam, r, phi) - K_dA)
+    q = saddle._normal_sq(fam, r, phi)
+    assert np.all(np.abs(saddle._dA(fam, r, q, np.sqrt(q)) - dA) <= 1e-13 * dA)
+    assert np.all(np.abs(saddle._K_dA(fam, r, q, np.sqrt(q)) - K_dA)
                   <= 1e-13 * np.abs(K_dA))
     n = family_normal(fam, r, phi)
     assert np.abs(n - np.cross(x_r, x_p)).max() <= 1e-13 * dA.max()
@@ -171,6 +172,18 @@ def test_boundary_quadratures_share_one_sample():
     tables = (saddle._panel_trig(saddle.BOUNDARY_PANELS)
               + saddle._quarter_trig(saddle.KN_QUARTER_NODES))
     assert not any(a.flags.writeable for a in tables)
+
+
+def test_disk_quadratures_share_one_sample():
+    # one table row evaluates Q on the quarter grid once, read-only, for
+    # the area and the integral of K
+    fam = saddle.SaddleFamily(1.0, 0.6)
+    saddle._disk_sample.cache_clear()
+    saddle.area_quadrature(fam)
+    saddle.int_K_quadrature(fam)
+    info = saddle._disk_sample.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not any(a.flags.writeable for a in saddle._disk_sample(fam))
 
 
 def test_boundary_derivatives_match_finite_differences():

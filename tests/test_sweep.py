@@ -22,7 +22,8 @@ from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
                             read_diagram_csv, read_manifest, run_sweep,
                             write_diagram_csv, write_manifest)
 
-from helpers import folded_pierced_disk, loop_crossing_pairs, saddle_shape
+from helpers import (folded_pierced_disk, loop_crossing_pairs,
+                     reference_is_graph, saddle_shape)
 
 
 def make_point(**over):
@@ -277,6 +278,24 @@ def test_double_cover_fails_the_winding_check():
     count = count_self_intersections(mesh, x)
     assert count == _brute_force_crossings(mesh, x)
     assert count == 4
+
+
+@pytest.mark.parametrize("shape, args", [
+    *[pytest.param(_kicked_disk, (rings,), id=f"disk-r{rings}")
+      for rings in (1, 4, 16)],
+    *[pytest.param(saddle_shape, (16, t), id=f"saddle-r16-t{t}")
+      for t in (0.3, 0.6, 0.9)],
+    *[pytest.param(folded_pierced_disk, (6, 160.0, bump),
+                   id=f"fold-r6-160deg-bump{bump:g}")
+      for bump in (0.0, 0.75, 2.0)],
+    pytest.param(_lifted_double_cover, (), id="double-cover"),
+])
+def test_graph_verdicts_match_the_row_reference(shape, args):
+    # the component-first normals and loop turns reach the same verdicts as
+    # the (f, 3) row form on graphs, folds and a double cover alike
+    mesh, x = shape(*args)
+    assert _is_graph(mesh, x) == reference_is_graph(mesh, x,
+                                                    sweep.GRAPH_MARGIN)
 
 
 @pytest.mark.parametrize("shape, args", [
