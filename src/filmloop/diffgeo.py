@@ -1,10 +1,11 @@
-"""Discrete and smooth differential-geometry observables.
+"""Discrete differential-geometry observables of a relaxed film.
 
 Boundary curvature and its normal/geodesic decomposition, angle-defect
-Gaussian curvature with the (exact) discrete Gauss-Bonnet audit, cyclic
-finite-difference Frenet analysis of closed sampled curves, equilibrium
-residuals of the boundary curve equations, a planarity metric, and a
-cotangent mean-curvature diagnostic.
+Gaussian curvature with the (exact) discrete Gauss-Bonnet audit, a
+planarity metric, and the per-boundary-vertex CSV.  The smooth-curve
+oracles the tests hold these to (the Frenet analysis of closed sampled
+curves and the equilibrium residuals of the boundary curve equations) live
+in the tests.
 
 Sign conventions: the boundary loop is oriented counterclockwise with
 respect to the surface orientation, vertex normals are angle-weighted face
@@ -14,7 +15,6 @@ turning angles sum to +2 pi.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,18 +25,8 @@ class DiffGeoError(RuntimeError):
     pass
 
 
-class InflectionError(DiffGeoError):
-    """Torsion or equilibrium residuals requested at a curvature zero."""
-
-
 # ---------------------------------------------------------------------------
 # surface helpers
-
-
-def triangle_geometry(mesh, x):
-    """Per-triangle (unit normals, areas, corner angles); errors on zero area."""
-    nhat, areas, angles = _corner_geometry(mesh.triangles, x)
-    return nhat.T, areas, angles.T
 
 
 def _cross(a, b):
@@ -183,11 +173,6 @@ class CurvatureField:
         """Area-averaged Gaussian curvature."""
         return self.integral_K / self.total_area
 
-    def pointwise_K(self):
-        """Defect / barycentric area on interior vertices."""
-        m = self.interior_mask
-        return self.defect[m] / self.area_weight[m]
-
 
 def gaussian_curvature(mesh, x):
     """Angle-defect curvature of every vertex plus barycentric area weights."""
@@ -211,112 +196,6 @@ def gauss_bonnet_defect(mesh, x, field=None):
 
 
 # ---------------------------------------------------------------------------
-# Frenet analysis of closed sampled curves
-
-
-@dataclass(eq=False)
-class FrenetData:
-    """Closed-curve samples with tangent/curvature/torsion per sample.
-
-    speed is |dx/du| with u the (uniform) sample parameter; arc-length
-    derivatives of any per-sample field are available via deriv_s.
-    """
-
-    points: np.ndarray
-    speed: np.ndarray
-    tangent: np.ndarray
-    normal: Optional[np.ndarray]
-    binormal: Optional[np.ndarray]
-    kappa: np.ndarray
-    tau: np.ndarray
-    tau_defined: np.ndarray
-
-    @property
-    def total_length(self):
-        seg = np.linalg.norm(np.roll(self.points, -1, axis=0) - self.points, axis=1)
-        return float(seg.sum())
-
-    def deriv_u(self, f):
-        return 0.5 * (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0))
-
-    def deriv_s(self, f):
-        """Cyclic central-difference derivative with respect to arc length."""
-        if np.ndim(f) == 1:
-            return self.deriv_u(f) / self.speed
-        return self.deriv_u(f) / self.speed[:, None]
-
-
-def frenet_analyze(points):
-    """Curvature, torsion and frames of a closed curve by cyclic differences.
-
-    Second-order central differences in the sample parameter; the formulas
-    kappa = |x' x x''| / |x'|^3 and tau = (x' x x'') . x''' / |x' x x''|^2
-    are parametrization invariant, so uniform parameter sampling suffices.
-    Torsion is marked undefined where kappa < 1e-10 / L.
-    """
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 3 or len(x) < 5:
-        raise DiffGeoError("need at least 5 samples of a closed 3D curve")
-    d1 = 0.5 * (np.roll(x, -1, axis=0) - np.roll(x, 1, axis=0))
-    d2 = np.roll(x, -1, axis=0) - 2.0 * x + np.roll(x, 1, axis=0)
-    d3 = 0.5 * (np.roll(x, -2, axis=0) - 2.0 * np.roll(x, -1, axis=0)
-                + 2.0 * np.roll(x, 1, axis=0) - np.roll(x, 2, axis=0))
-
-    speed = np.linalg.norm(d1, axis=1)
-    if np.any(speed <= 0.0):
-        raise DiffGeoError("stationary sample point (zero speed)")
-    tangent = d1 / speed[:, None]
-    cr = np.cross(d1, d2)
-    crn = np.linalg.norm(cr, axis=1)
-    kappa = crn / speed**3
-
-    seg = np.linalg.norm(np.roll(x, -1, axis=0) - x, axis=1)
-    L = float(seg.sum())
-    defined = kappa >= 1e-10 / L
-
-    tau = np.zeros(len(x))
-    tau[defined] = np.einsum("ij,ij->i", cr[defined], d3[defined]) / crn[defined]**2
-
-    binormal = np.zeros_like(x)
-    normal = np.zeros_like(x)
-    binormal[defined] = cr[defined] / crn[defined][:, None]
-    normal[defined] = np.cross(binormal[defined], tangent[defined])
-    return FrenetData(points=x, speed=speed, tangent=tangent, normal=normal,
-                      binormal=binormal, kappa=kappa, tau=tau,
-                      tau_defined=defined)
-
-
-def el_residuals(curve, contact_angle, alpha, sigma, beta):
-    """Equilibrium residuals of the boundary curve equations.
-
-    residual_a = kappa'' + kappa^3/2 - (tau^2 + beta/(2 alpha)) kappa
-                 - sigma/(2 alpha) * sin(theta)
-    residual_b = 2 kappa' tau + kappa tau' + sigma/(2 alpha) * cos(theta)
-
-    with ' the arc-length derivative (same cyclic scheme as frenet_analyze)
-    and theta the film contact angle along the curve.  curve is a FrenetData;
-    analytic kappa/tau arrays may be substituted before the call.
-    """
-    if not np.all(curve.tau_defined):
-        i = int(np.argmin(curve.tau_defined))
-        s_at = float(np.linalg.norm(
-            np.roll(curve.points, -1, axis=0) - curve.points, axis=1)[:i].sum())
-        raise InflectionError(
-            f"curvature vanishes at sample {i} (arc length {s_at:.6g})")
-    theta = np.broadcast_to(np.asarray(contact_angle, dtype=float),
-                            curve.kappa.shape)
-    kappa, tau = curve.kappa, curve.tau
-    kp = curve.deriv_s(kappa)
-    kpp = curve.deriv_s(kp)
-    taup = curve.deriv_s(tau)
-    half = sigma / (2.0 * alpha)
-    res_a = kpp + 0.5 * kappa**3 - (tau**2 + beta / (2.0 * alpha)) * kappa \
-        - half * np.sin(theta)
-    res_b = 2.0 * kp * tau + kappa * taup + half * np.cos(theta)
-    return res_a, res_b
-
-
-# ---------------------------------------------------------------------------
 # global shape diagnostics
 
 
@@ -327,43 +206,6 @@ def planarity(mesh, x):
     rms = svals[-1] / np.sqrt(len(x))
     scale = boundary_length(mesh, x) / (2.0 * np.pi)
     return float(rms / scale)
-
-
-def mean_curvature_diagnostic(mesh, x):
-    """|H| per interior vertex via the cotangent Laplacian with mixed areas.
-
-    The spring-relaxed film is harmonic rather than exactly minimal, so this
-    is a diagnostic distribution, not an equilibrium condition.
-    """
-    tris = mesh.triangles
-    nhat, areas, angles = triangle_geometry(mesh, x)
-    cot = 1.0 / np.tan(angles)
-
-    lap = np.zeros_like(x)
-    mixed = np.zeros(mesh.vertex_count)
-    obtuse = angles > 0.5 * np.pi
-    any_obtuse = obtuse.any(axis=1)
-    pts = x[tris]                                   # (f, 3corner, 3)
-    for k in range(3):
-        j, l = (k + 1) % 3, (k + 2) % 3
-        # cot at corner k weights the opposite edge (j, l)
-        diff = pts[:, l] - pts[:, j]
-        w = cot[:, k][:, None] * diff
-        np.add.at(lap, tris[:, j], w)
-        np.add.at(lap, tris[:, l], -w)
-        # Meyer mixed area for corner k
-        e_j = np.einsum("ij,ij->i", pts[:, j] - pts[:, k], pts[:, j] - pts[:, k])
-        e_l = np.einsum("ij,ij->i", pts[:, l] - pts[:, k], pts[:, l] - pts[:, k])
-        voronoi = (e_j * cot[:, l] + e_l * cot[:, j]) / 8.0
-        contrib = np.where(any_obtuse,
-                           np.where(obtuse[:, k], areas / 2.0, areas / 4.0),
-                           voronoi)
-        np.add.at(mixed, tris[:, k], contrib)
-
-    interior = np.ones(mesh.vertex_count, dtype=bool)
-    interior[mesh.boundary_loop] = False
-    hvec = lap[interior] / (2.0 * mixed[interior][:, None])
-    return 0.5 * np.linalg.norm(hvec, axis=1)
 
 
 def write_boundary_observables(path, mesh, x, field, bg):

@@ -111,7 +111,10 @@ def energy_and_gradient(mesh, x, p):
     """Energy breakdown and its exact gradient, one fused evaluation.
 
     A full mesh's are its loop mesh's (mesh.TriMesh.loop_mesh) at x's loop
-    rows, with the loop gradient scattered back and every other row 0."""
+    rows, with the loop gradient scattered back and every other row 0.
+    relax calls it on loop meshes only; the full-mesh branch stays because
+    the public energy() takes full states and the benchmark's per-call
+    probe evaluates full rings-8/16/32 meshes."""
     if not mesh.loop_only:
         loop = mesh.boundary_loop
         breakdown, g_loop = energy_and_gradient(

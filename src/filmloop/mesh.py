@@ -23,6 +23,7 @@ hex ring and place.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -64,8 +65,6 @@ class TriMesh:
     loop_only: bool = field(default=False, repr=False)
     lattice: Optional[np.ndarray] = field(default=None, repr=False)
     _loop: Optional["TriMesh"] = field(
-        default=None, repr=False, compare=False)
-    _sharing_keys: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False)
     _film: Optional[tuple] = field(
         default=None, repr=False, compare=False)
@@ -129,28 +128,6 @@ class TriMesh:
         if self._film is None:
             self._film = self.loop_mesh(), _extension(self)
         return self._film
-
-    def vertex_sharing_keys(self):
-        """Sorted keys i * f + j (i < j, f triangles) of the triangle pairs
-        that share a vertex, then the sentinel f * f (cached).
-
-        The triangle-vertex incidences are sorted by vertex; the stable sort
-        keeps each vertex's triangles in increasing order, so incidences k
-        apart within one vertex's run pair a triangle i with a later j.  The
-        sentinel, above every key, lets a sorted search for any pair key
-        land on an entry.
-        """
-        if self._sharing_keys is None:
-            f = len(self.triangles)
-            vertex = self.triangles.ravel()
-            order = np.argsort(vertex, kind="stable")
-            vertex, tri = vertex[order], order // 3
-            keys = [np.array([f * f])]
-            for k in range(1, np.bincount(vertex).max()):
-                same = vertex[k:] == vertex[:-k]
-                keys.append(tri[:-k][same] * f + tri[k:][same])
-            self._sharing_keys = np.unique(np.concatenate(keys))
-        return self._sharing_keys
 
     def loop_triangles(self):
         """Increasing indices of the triangles with a corner on the boundary
@@ -348,8 +325,10 @@ def generate_disk_mesh(rings, elongation=1.0):
     Returns (TriMesh, positions).  Lattice edges have unit length; positions
     lie in the z = 0 plane and are mapped (x, y) -> (x * elongation,
     y / elongation), an area-preserving stretch.  elongation = 1 keeps the
-    regular hexagonal perimeter.
+    regular hexagonal perimeter.  rings must be an integer (a bool is not).
     """
+    if not isinstance(rings, numbers.Integral) or isinstance(rings, bool):
+        raise MeshError(f"rings must be an integer, got {rings!r}")
     m = int(rings)
     if not 1 <= m <= MAX_RINGS:
         raise MeshError(f"rings must be in 1 .. {MAX_RINGS}, got {m}")

@@ -1,4 +1,4 @@
-"""Energy minimization by limited-memory BFGS.
+"""Energy minimization by limited-memory BFGS under a length constraint.
 
 L-BFGS directions (Nocedal, Math. Comp. 35 (1980) 773; Liu & Nocedal,
 Math. Prog. 45 (1989) 503): the two-loop recursion over the last
@@ -35,11 +35,11 @@ with BLAS ddot / daxpy.
 
 The vertex-wise bending stiffness grows like alpha / spacing^3, so at fine
 boundary resolution the Hessian spectrum spans six or more decades.
-minimize() therefore starts the L-BFGS recursion from the inverse
+Each round therefore starts the L-BFGS recursion from the inverse
 (make_preconditioner) of a circulant bending + edge-penalty + film operator
 along the boundary loop, plus the length penalty's rank-one stiffness,
 built from the starting configuration; the circulant inverse is one dense
-B x B matrix (mesh.circulant), built once per solve, and the rank-one term
+B x B matrix (mesh.circulant), built once per round, and the rank-one term
 joins it by Sherman-Morrison, so an apply is one small matrix product and
 one scaled vector.  Convergence is still judged on the raw gradient.  That
 operator is already the problem's stiffness, so it is used unscaled: the
@@ -59,8 +59,8 @@ spring term k x_B^T (2 sqrt(3) D) x_B is the film's energy in closed form
 (the Douglas form D, tension sigma = 2 sqrt(3) k), and the result is
 extended to the full mesh once, with the harmonic disk spanning the loop
 as its interior, so it depends on the start only through its loop.
-minimize solves on whichever mesh it is given, whose interior rows carry
-no energy, and returns the same extension of its last loop.
+relax is the one solve entry point; minimize_function is its L-BFGS core
+on a generic objective.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
@@ -347,8 +347,10 @@ def make_preconditioner(mesh, x0, params):
     2 mu / (1 + 2 mu u.v), so one apply is one small matrix product, one
     dot product and one scaled subtraction.  On a full mesh the loop rows
     are its loop mesh's (mesh.TriMesh.loop_mesh), and the other rows, where
-    the energy has no stiffness, pass through.  All three coordinates share
-    one scale per mode, so no orientation bias.  Built once from the
+    the energy has no stiffness, pass through; relax builds it on the loop
+    mesh, and that branch stays for callers holding a full state, such as
+    the benchmark's per-call probe on full rings-8/16/32 meshes.  All three
+    coordinates share one scale per mode, so no orientation bias.  Built once from the
     starting geometry; a stale positive-definite scaling stays a valid
     preconditioner even after the shape evolves.
     """
@@ -410,54 +412,6 @@ def _log_writer(stream):
         stream.write("%d,%.17g,%.17g,%.17g\n" % (it, f, ginf, blen_err))
 
     return row
-
-
-def minimize(mesh, x0, params, opts=None, log_stream=None):
-    """Minimize the discrete energy from x0; deterministic for fixed inputs.
-
-    log_stream, when given, receives a CSV header and one row per iteration.
-    The energy depends on the loop alone, so the result is the extension of
-    the solve's last loop (mesh.TriMesh.loop_film), as relax's is: its
-    interior is the harmonic disk spanning the loop, not x0's interior.
-    Raises MeshError, before the solve, for a mesh with interior vertices
-    but no lattice coordinates.
-    """
-    extend = mesh.loop_film()[1]
-    res = _minimize(mesh, x0, params, opts,
-                    _log_writer(log_stream) if log_stream is not None else None)
-    res.x = extend(res.x[mesh.boundary_loop])
-    return res
-
-
-def _minimize(mesh, x0, params, opts, log_row):
-    """minimize with the log as a row writer log_row(it, f, ginf,
-    length_error), or None."""
-    opts = opts or MinimizeOptions()
-    x = np.array(x0, dtype=float)
-
-    L = params.target_length
-    gscale = params.spring_k * L + params.alpha / L**2
-    if gscale == 0.0:
-        gscale = 1.0
-    gtol = opts.gradient_tolerance * gscale
-
-    log_cb = None
-    if log_row is not None:
-
-        def log_cb(it, x, f, ginf):
-            log_row(it, f, ginf, abs(f.parts.boundary_length - L))
-
-    fun = _Objective(mesh, params)
-    x_fin, f_fin, _, it, status = minimize_function(
-        fun, x, opts, gtol, step_scale=L, callback=log_cb,
-        minv=make_preconditioner(mesh, x, params))
-    fb_fin = f_fin.parts
-    return MinimizeResult(
-        x=x_fin, energy=fb_fin, iterations=it, converged=(status == "converged"),
-        status=status, params=params, penalty_rounds=0,
-        function_evals=fun.evals,
-        length_error=abs(fb_fin.boundary_length - L) / L,
-        line_tension=_line_tension(mesh, fb_fin, params))
 
 
 def _line_tension(mesh, fb, params):
@@ -578,43 +532,48 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
         p = replace(p, length_penalty_k=100.0 * stiffness)
     if p.edge_penalty_k == 0.0:
         # suppresses tangential crowding of boundary vertices; the global
-        # term alone leaves that mode free and the spring energy abuses it
+        # term alone leaves that mode free and the film term abuses it
         p = replace(p, edge_penalty_k=100.0 * stiffness)
+    gscale = p.spring_k * L + p.alpha / L**2
+    gtol = opts.gradient_tolerance * (gscale if gscale != 0.0 else 1.0)
 
     loop_mesh, extend = mesh.loop_film()
     x = np.array(x0, dtype=float).take(mesh.boundary_loop, axis=0)
     total_iters = total_evals = 0
-    log_row = None
+    log_cb = None
     if log_stream is not None:
         write_row = _log_writer(log_stream)
 
-        def log_row(it, f, ginf, blen_err):
+        def log_cb(it, x, f, ginf):
             if it or rnd == 1:
-                write_row(total_iters + it, f, ginf, blen_err)
+                write_row(total_iters + it, f, ginf,
+                          abs(f.parts.boundary_length - L))
 
     prev_err = np.inf
     for rnd in range(1, MAX_PENALTY_ROUNDS + 1):
-        res = _minimize(loop_mesh, x, p, opts, log_row)
-        total_iters += res.iterations
-        total_evals += res.function_evals
-        x = res.x
-        err = res.length_error
+        fun = _Objective(loop_mesh, p)
+        x, f, _, it, status = minimize_function(
+            fun, x, opts, gtol, step_scale=L, callback=log_cb,
+            minv=make_preconditioner(loop_mesh, x, p))
+        total_iters += it
+        total_evals += fun.evals
+        fb = f.parts
+        err = abs(fb.boundary_length - L) / L
         logger.debug("penalty round %d: length error %.3g, status %s",
-                     rnd, err, res.status)
-        if err < LENGTH_TOL:
+                     rnd, err, status)
+        if err < LENGTH_TOL or rnd == MAX_PENALTY_ROUNDS:
             break
         mu = p.length_penalty_k
-        lam = p.length_multiplier \
-            + 2.0 * mu * (res.energy.boundary_length - L)
+        lam = p.length_multiplier + 2.0 * mu * (fb.boundary_length - L)
         if err >= 0.25 * prev_err:
             mu *= 10.0
         p = replace(p, length_penalty_k=mu, length_multiplier=lam)
         prev_err = err
 
-    if res.converged and err >= LENGTH_TOL:
-        res.converged, res.status = False, "max_penalty_rounds"
-    res.x = extend(x)
-    res.iterations = total_iters
-    res.function_evals = total_evals
-    res.penalty_rounds = rnd
-    return res
+    if status == "converged" and err >= LENGTH_TOL:
+        status = "max_penalty_rounds"
+    return MinimizeResult(
+        x=extend(x), energy=fb, iterations=total_iters,
+        converged=(status == "converged"), status=status, params=p,
+        penalty_rounds=rnd, function_evals=total_evals, length_error=err,
+        line_tension=_line_tension(loop_mesh, fb, p))

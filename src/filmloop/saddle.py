@@ -8,9 +8,11 @@ interpolates between a flat disk of radius R (t = 0) and a flat figure-eight
 bounded by a lemniscate of Gerono (t = +-1); t -> -t flips handedness.  For
 small t it models the twisted shape at the onset of non-planarity.
 
-Every series expression here (metric, boundary arc length and curvature,
-energy, boundary length) is paired with an independent quadrature of the
-exact embedding, because small coefficient mistakes in the series are the
+The `asymptotic` table pairs the constrained energy series below with
+quadratures of the exact embedding, and the tests pair every other series
+expression (metric, boundary arc length and curvature, energy, boundary
+length, leading-order curvatures), which they hold, with the same
+quadratures, because small coefficient mistakes in the series are the
 main risk.  The integrands are scalar closed forms of the embedding, not of
 the series, built on its normal
 
@@ -64,7 +66,7 @@ class SaddleFamily:
 
 
 # ---------------------------------------------------------------------------
-# embedding, metric, boundary curve
+# embedding
 
 
 def family_point(fam, r, phi):
@@ -78,20 +80,6 @@ def family_point(fam, r, phi):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def family_metric(fam, r, phi):
-    """Analytic first fundamental form (g_rr, g_rphi, g_phiphi)."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    t, R = fam.t, fam.R
-    rho2 = (r / R) ** 2
-    c2, c4 = np.cos(2.0 * phi), np.cos(4.0 * phi)
-    s2, s4 = np.sin(2.0 * phi), np.sin(4.0 * phi)
-    g_rr = t**4 + 2.0 * t**2 * (rho2 + c2 - rho2 * c4) + 1.0
-    g_rp = 2.0 * r * t**2 * (rho2 * s4 - s2)
-    g_pp = r**2 * (t**4 + 2.0 * t**2 * (rho2 - c2 + rho2 * c4) + 1.0)
-    return g_rr, g_rp, g_pp
-
-
 def _normal_sq(fam, r, phi):
     """Q = |x_r x x_phi|^2 / r^2 = a^2 b^2 + (2tr/R)^2 (b^2 sin^2 phi
     + a^2 cos^2 phi)."""
@@ -99,42 +87,6 @@ def _normal_sq(fam, r, phi):
     a, b = 1.0 + t**2, 1.0 - t**2
     return (a * b) ** 2 + (2.0 * t * r / R) ** 2 \
         * ((b * np.sin(phi)) ** 2 + (a * np.cos(phi)) ** 2)
-
-
-def boundary_curve(fam, phi):
-    """Boundary (r = R) position samples."""
-    return family_point(fam, fam.R, phi)
-
-
-def ds2_series(fam, phi):
-    """Series squared line element of the boundary: (ds/dphi)^2."""
-    phi = np.asarray(phi, dtype=float)
-    t, R = fam.t, fam.R
-    return R**2 * ((1.0 + t**2) ** 2
-                   - 2.0 * t**2 * (np.cos(2.0 * phi) - np.cos(4.0 * phi)))
-
-
-def kappa2_series(fam, phi):
-    """Series squared curvature of the boundary curve."""
-    phi = np.asarray(phi, dtype=float)
-    t, R = fam.t, fam.R
-    c2, c4, c6 = (np.cos(2.0 * phi), np.cos(4.0 * phi), np.cos(6.0 * phi))
-    num = (1.0 + t**2 * (10.0 - 6.0 * c4)
-           - t**4 * (2.0 - 6.0 * c2 - 2.0 * c6)
-           + t**6 * (10.0 - 6.0 * c4) + t**8)
-    den = R**2 * ((1.0 + t**2) ** 2 - 2.0 * t**2 * (c2 - c4)) ** 3
-    return num / den
-
-
-def boundary_curvature_series(fam, phi):
-    """Series normal and geodesic curvature (kappa_n, kappa_g) of the boundary."""
-    phi = np.asarray(phi, dtype=float)
-    t, R = fam.t, fam.R
-    s2, s4, s6 = np.sin(2 * phi), np.sin(4 * phi), np.sin(6 * phi)
-    c2, c4 = np.cos(2 * phi), np.cos(4 * phi)
-    kn = -(2.0 * t / R) * s2 + (t**3 / R) * (3.0 * s2 - s4 + s6)
-    kg = 1.0 / R + t**2 * (1.0 + 3.0 * c2 - 5.0 * c4) / (2.0 * R)
-    return kn, kg
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +266,6 @@ def length_quadrature(fam):
     return _boundary_sum(_boundary_sample(fam)[1])
 
 
-def length_series(fam):
-    """Boundary length series pi R (2 + 2 t^2 - t^4)."""
-    t = fam.t
-    return np.pi * fam.R * (2.0 + 2.0 * t**2 - t**4)
-
-
 def _dA(fam, r, q, sqrt_q):
     """Area element dA / (dr dphi) = |x_r x x_phi| = r sqrt(Q)."""
     return r * sqrt_q
@@ -352,19 +298,6 @@ def energy_quadrature(fam, sigma, alpha):
     return sigma * area_quadrature(fam) + alpha * bending_quadrature(fam)
 
 
-def energy_series(fam, sigma, alpha):
-    """Series energy (pi alpha / R) [2 + s + t^2 (10 + s) - t^4 (9 + 5 s / 3)]."""
-    t, R = fam.t, fam.R
-    s = sigma * R**3 / alpha
-    return (np.pi * alpha / R) * (2.0 + s + t**2 * (10.0 + s)
-                                  - t**4 * (9.0 + 5.0 * s / 3.0))
-
-
-def gaussian_K_leading(fam):
-    """Leading-order Gaussian curvature -(2t/R)^2 (uniform over the surface)."""
-    return -((2.0 * fam.t / fam.R) ** 2)
-
-
 def int_K_quadrature(fam):
     """Integral of K dA from the second fundamental form of the embedding."""
     return _disk_integral(fam, _K_dA)
@@ -394,16 +327,6 @@ def int_abs_kn_quadrature(fam):
     kn_ds = _kappa_n_ds(fam, tr, np.sqrt(_speed_sq(fam, tr)))
     return float(np.abs(kn_ds @ _gauss_legendre(KN_QUARTER_NODES)[1]).sum()) \
         * (0.25 * np.pi)
-
-
-def int_abs_kn_leading(fam):
-    """Leading-order integral of |kappa_n| ds: 8 |t|, independent of R."""
-    return 8.0 * abs(fam.t)
-
-
-def mean_abs_kn_leading(fam):
-    """Leading-order length average of |kappa_n|: 4 |t| / (pi R)."""
-    return 4.0 * abs(fam.t) / (np.pi * fam.R)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +385,8 @@ def disk_polar(rings):
     """A hex-lattice disk mesh with its vertices' polar coordinates
     (TriMesh, rho, theta), rho scaled radially so the hexagonal perimeter
     lands on rho = 1; any family samples onto it as
-    family_point(fam, fam.R * rho, theta)."""
+    family_point(fam, fam.R * rho, theta).  generate_disk_mesh raises
+    MeshError, before the scaling, for a rings that is not an integer."""
     mesh, flat = generate_disk_mesh(rings, 1.0)
     r_lat = np.hypot(flat[:, 0], flat[:, 1])
     theta = np.arctan2(flat[:, 1], flat[:, 0])

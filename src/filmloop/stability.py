@@ -1,4 +1,5 @@
-"""Closed-form flat-disk solution and its linear stability.
+"""Buckling thresholds of the flat circular state, and the boundary mode
+spectrum of simulated shapes.
 
 A circular boundary of length L spanned by a flat film has radius R = L/2pi
 and a length multiplier beta fixed by sigma R^3 + beta R^2 - alpha = 0.  A
@@ -8,11 +9,11 @@ order by a coefficient proportional to
     C(k, gamma) = (1 - k^2) gamma / (8 pi^3) + 2 (k^2 - 1)^2,
 
 which crosses zero at gamma = 16 pi^3 (k^2 - 1); mode 2 therefore destabilizes
-the circle at gamma = 48 pi^3.  Also provides the boundary Fourier analysis
-used to identify the dominant mode of simulated shapes.
+the circle at gamma = 48 pi^3.  The `stability` command prints these
+thresholds (threshold_table); the flat-disk solution and C itself are the
+tests' oracles.  The boundary Fourier analysis identifies the dominant mode
+of simulated shapes.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,41 +24,6 @@ from .mesh import boundary_frame
 _MODE_SAMPLES = 256
 
 
-@dataclass
-class DiskSolution:
-    radius: float
-    beta: float
-    gamma: float
-    sigma: float
-    alpha: float
-
-    @property
-    def cubic_residual(self):
-        """sigma R^3 + beta R^2 - alpha, zero for a valid solution."""
-        return self.sigma * self.radius**3 + self.beta * self.radius**2 - self.alpha
-
-
-def disk_solution(length, sigma, alpha):
-    """Flat-disk equilibrium for boundary length L, tension sigma, modulus alpha."""
-    if length <= 0 or alpha <= 0:
-        raise ValueError("need length > 0 and alpha > 0")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    radius = length / (2.0 * np.pi)
-    beta = (alpha - sigma * radius**3) / radius**2
-    gamma = sigma * length**3 / alpha
-    return DiskSolution(radius=radius, beta=beta, gamma=gamma,
-                        sigma=sigma, alpha=alpha)
-
-
-def second_order_coefficient(k, gamma):
-    """Dimensionless second-order energy coefficient of radial mode k."""
-    if k < 1:
-        raise ValueError("mode number must be >= 1")
-    k2 = float(k) ** 2
-    return (1.0 - k2) * gamma / (8.0 * np.pi**3) + 2.0 * (k2 - 1.0) ** 2
-
-
 def critical_gamma(k):
     """Tension ratio at which radial mode k destabilizes the flat circle."""
     if k < 2:
@@ -66,7 +32,7 @@ def critical_gamma(k):
 
 
 def kl3a_from_gamma(gamma):
-    """Convert gamma = sigma L^3/alpha to the spring-lattice group k L^3/alpha."""
+    """Convert gamma = sigma L^3/alpha to the sweep's control group k L^3/alpha."""
     return gamma / SIGMA_PER_SPRING_K
 
 

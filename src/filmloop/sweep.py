@@ -360,11 +360,13 @@ def fit_exponent(diagram, gamma_threshold):
     def model(gamma, amp, gamma_c, p):
         return amp * np.clip(gamma - gamma_c, 1e-12, None) ** p
 
-    g_min = g.min()
+    # gamma_c starts at the threshold, or at its upper bound when the first
+    # point lies within 1e-9 relative above the threshold
+    gamma_c_max = g.min() - 1e-9 * gamma_threshold
     p0 = (a.max() / max(np.sqrt(g.max() - gamma_threshold), 1e-6),
-          gamma_threshold, 0.5)
+          min(gamma_threshold, gamma_c_max), 0.5)
     bounds = ([1e-12, 0.5 * gamma_threshold, 0.1],
-              [np.inf, g_min - 1e-9 * gamma_threshold, 1.5])
+              [np.inf, gamma_c_max, 1.5])
     try:
         popt, pcov = scipy.optimize.curve_fit(
             model, g, a, p0=p0, bounds=bounds, maxfev=20000)
@@ -405,9 +407,8 @@ def count_self_intersections(mesh, x):
 
     A state that _is_graph certifies has none, and no pair is searched.
     Otherwise candidate pairs come from a centroid KD-tree query; pairs
-    sharing a vertex (found by a sorted search of their keys i * f + j among
-    the mesh's cached vertex_sharing_keys) and pairs whose axis-aligned
-    bounding boxes do not overlap are dropped.  One array pass of the
+    sharing a vertex (a 3 x 3 comparison of their corner indices) and pairs
+    whose axis-aligned bounding boxes do not overlap are dropped.  One array pass of the
     Moller-Trumbore ray-triangle test over the rest then counts a pair when
     an edge of one triangle crosses the interior of the other.  Exactly
     coplanar overlaps are skipped (the diagnostic targets genuine crossings
@@ -463,9 +464,8 @@ def _crossing_pairs(mesh, x):
     pairs = tree.query_pairs(2.0 * float(crad.max()), output_type="ndarray")
 
     # drop pairs sharing any vertex, then pairs whose bounding boxes are apart
-    keys = pairs[:, 0] * pts.shape[2] + pairs[:, 1]      # pairs have i < j
-    sharing = mesh.vertex_sharing_keys()
-    pairs = pairs[sharing[np.searchsorted(sharing, keys)] != keys]
+    ta, tb = mesh.triangles[pairs[:, 0]], mesh.triangles[pairs[:, 1]]
+    pairs = pairs[~(ta[:, :, None] == tb[:, None, :]).any(axis=(1, 2))]
     lo = np.minimum(np.minimum(p0, p1), p2)
     hi = np.maximum(np.maximum(p0, p1), p2)
     i, j = pairs[:, 0], pairs[:, 1]

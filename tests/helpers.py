@@ -1,6 +1,7 @@
 """Small constructions shared across test modules."""
 
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.spatial
@@ -10,6 +11,7 @@ from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
 from filmloop.mesh import (LATTICE_TENSION, TriMesh, film_operator,
                            generate_disk_mesh, hex_ring_place)
 from filmloop import saddle
+from filmloop.saddle import family_point
 
 
 def fan_mesh(n, radius=1.0):
@@ -103,9 +105,9 @@ def circle_samples(n, radius=1.0):
 
 
 def reference_triangle_geometry(mesh, x):
-    """Reference for diffgeo.triangle_geometry: per-triangle (unit normals,
-    areas, corner angles) from (f, 3) row gathers, np.cross,
-    np.linalg.norm(axis=1) and np.einsum("ij,ij->i")."""
+    """Reference for diffgeo._corner_geometry, transposed to rows:
+    per-triangle (unit normals, areas, corner angles) from (f, 3) row
+    gathers, np.cross, np.linalg.norm(axis=1) and np.einsum("ij,ij->i")."""
     tris = mesh.triangles
     a, b, c = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
     n = np.cross(b - a, c - a)
@@ -569,3 +571,229 @@ def read_obj(path):
                     raise ValueError("negative OBJ indices are not supported")
                 tris.append([i - 1 for i in idx])
     return np.array(verts, dtype=float), np.array(tris, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracles of the paper's analysis: the flat-disk equilibrium and
+# the second-order coefficient of its radial modes, the twisted saddle's
+# series, and the Frenet analysis and equilibrium residuals of closed curves
+
+
+@dataclass
+class DiskSolution:
+    radius: float
+    beta: float
+    gamma: float
+    sigma: float
+    alpha: float
+
+    @property
+    def cubic_residual(self):
+        """sigma R^3 + beta R^2 - alpha, zero for a valid solution."""
+        return self.sigma * self.radius**3 + self.beta * self.radius**2 - self.alpha
+
+
+def disk_solution(length, sigma, alpha):
+    """Flat-disk equilibrium for boundary length L, tension sigma, modulus alpha."""
+    if length <= 0 or alpha <= 0:
+        raise ValueError("need length > 0 and alpha > 0")
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    radius = length / (2.0 * np.pi)
+    beta = (alpha - sigma * radius**3) / radius**2
+    gamma = sigma * length**3 / alpha
+    return DiskSolution(radius=radius, beta=beta, gamma=gamma,
+                        sigma=sigma, alpha=alpha)
+
+
+def second_order_coefficient(k, gamma):
+    """Dimensionless second-order energy coefficient of radial mode k."""
+    if k < 1:
+        raise ValueError("mode number must be >= 1")
+    k2 = float(k) ** 2
+    return (1.0 - k2) * gamma / (8.0 * np.pi**3) + 2.0 * (k2 - 1.0) ** 2
+
+
+def family_metric(fam, r, phi):
+    """Analytic first fundamental form (g_rr, g_rphi, g_phiphi)."""
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    t, R = fam.t, fam.R
+    rho2 = (r / R) ** 2
+    c2, c4 = np.cos(2.0 * phi), np.cos(4.0 * phi)
+    s2, s4 = np.sin(2.0 * phi), np.sin(4.0 * phi)
+    g_rr = t**4 + 2.0 * t**2 * (rho2 + c2 - rho2 * c4) + 1.0
+    g_rp = 2.0 * r * t**2 * (rho2 * s4 - s2)
+    g_pp = r**2 * (t**4 + 2.0 * t**2 * (rho2 - c2 + rho2 * c4) + 1.0)
+    return g_rr, g_rp, g_pp
+
+
+def boundary_curve(fam, phi):
+    """Boundary (r = R) position samples."""
+    return family_point(fam, fam.R, phi)
+
+
+def ds2_series(fam, phi):
+    """Series squared line element of the boundary: (ds/dphi)^2."""
+    phi = np.asarray(phi, dtype=float)
+    t, R = fam.t, fam.R
+    return R**2 * ((1.0 + t**2) ** 2
+                   - 2.0 * t**2 * (np.cos(2.0 * phi) - np.cos(4.0 * phi)))
+
+
+def kappa2_series(fam, phi):
+    """Series squared curvature of the boundary curve."""
+    phi = np.asarray(phi, dtype=float)
+    t, R = fam.t, fam.R
+    c2, c4, c6 = (np.cos(2.0 * phi), np.cos(4.0 * phi), np.cos(6.0 * phi))
+    num = (1.0 + t**2 * (10.0 - 6.0 * c4)
+           - t**4 * (2.0 - 6.0 * c2 - 2.0 * c6)
+           + t**6 * (10.0 - 6.0 * c4) + t**8)
+    den = R**2 * ((1.0 + t**2) ** 2 - 2.0 * t**2 * (c2 - c4)) ** 3
+    return num / den
+
+
+def boundary_curvature_series(fam, phi):
+    """Series normal and geodesic curvature (kappa_n, kappa_g) of the boundary."""
+    phi = np.asarray(phi, dtype=float)
+    t, R = fam.t, fam.R
+    s2, s4, s6 = np.sin(2 * phi), np.sin(4 * phi), np.sin(6 * phi)
+    c2, c4 = np.cos(2 * phi), np.cos(4 * phi)
+    kn = -(2.0 * t / R) * s2 + (t**3 / R) * (3.0 * s2 - s4 + s6)
+    kg = 1.0 / R + t**2 * (1.0 + 3.0 * c2 - 5.0 * c4) / (2.0 * R)
+    return kn, kg
+
+
+def length_series(fam):
+    """Boundary length series pi R (2 + 2 t^2 - t^4)."""
+    t = fam.t
+    return np.pi * fam.R * (2.0 + 2.0 * t**2 - t**4)
+
+
+def energy_series(fam, sigma, alpha):
+    """Series energy (pi alpha / R) [2 + s + t^2 (10 + s) - t^4 (9 + 5 s / 3)]."""
+    t, R = fam.t, fam.R
+    s = sigma * R**3 / alpha
+    return (np.pi * alpha / R) * (2.0 + s + t**2 * (10.0 + s)
+                                  - t**4 * (9.0 + 5.0 * s / 3.0))
+
+
+def gaussian_K_leading(fam):
+    """Leading-order Gaussian curvature -(2t/R)^2 (uniform over the surface)."""
+    return -((2.0 * fam.t / fam.R) ** 2)
+
+
+def int_abs_kn_leading(fam):
+    """Leading-order integral of |kappa_n| ds: 8 |t|, independent of R."""
+    return 8.0 * abs(fam.t)
+
+
+def mean_abs_kn_leading(fam):
+    """Leading-order length average of |kappa_n|: 4 |t| / (pi R)."""
+    return 4.0 * abs(fam.t) / (np.pi * fam.R)
+
+
+class InflectionError(DiffGeoError):
+    """Torsion or equilibrium residuals requested at a curvature zero."""
+
+
+@dataclass(eq=False)
+class FrenetData:
+    """Closed-curve samples with tangent/curvature/torsion per sample.
+
+    speed is |dx/du| with u the (uniform) sample parameter; arc-length
+    derivatives of any per-sample field are available via deriv_s.
+    """
+
+    points: np.ndarray
+    speed: np.ndarray
+    tangent: np.ndarray
+    normal: Optional[np.ndarray]
+    binormal: Optional[np.ndarray]
+    kappa: np.ndarray
+    tau: np.ndarray
+    tau_defined: np.ndarray
+
+    @property
+    def total_length(self):
+        seg = np.linalg.norm(np.roll(self.points, -1, axis=0) - self.points, axis=1)
+        return float(seg.sum())
+
+    def deriv_u(self, f):
+        return 0.5 * (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0))
+
+    def deriv_s(self, f):
+        """Cyclic central-difference derivative with respect to arc length."""
+        if np.ndim(f) == 1:
+            return self.deriv_u(f) / self.speed
+        return self.deriv_u(f) / self.speed[:, None]
+
+
+def frenet_analyze(points):
+    """Curvature, torsion and frames of a closed curve by cyclic differences.
+
+    Second-order central differences in the sample parameter; the formulas
+    kappa = |x' x x''| / |x'|^3 and tau = (x' x x'') . x''' / |x' x x''|^2
+    are parametrization invariant, so uniform parameter sampling suffices.
+    Torsion is marked undefined where kappa < 1e-10 / L.
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 3 or len(x) < 5:
+        raise DiffGeoError("need at least 5 samples of a closed 3D curve")
+    d1 = 0.5 * (np.roll(x, -1, axis=0) - np.roll(x, 1, axis=0))
+    d2 = np.roll(x, -1, axis=0) - 2.0 * x + np.roll(x, 1, axis=0)
+    d3 = 0.5 * (np.roll(x, -2, axis=0) - 2.0 * np.roll(x, -1, axis=0)
+                + 2.0 * np.roll(x, 1, axis=0) - np.roll(x, 2, axis=0))
+
+    speed = np.linalg.norm(d1, axis=1)
+    if np.any(speed <= 0.0):
+        raise DiffGeoError("stationary sample point (zero speed)")
+    tangent = d1 / speed[:, None]
+    cr = np.cross(d1, d2)
+    crn = np.linalg.norm(cr, axis=1)
+    kappa = crn / speed**3
+
+    seg = np.linalg.norm(np.roll(x, -1, axis=0) - x, axis=1)
+    L = float(seg.sum())
+    defined = kappa >= 1e-10 / L
+
+    tau = np.zeros(len(x))
+    tau[defined] = np.einsum("ij,ij->i", cr[defined], d3[defined]) / crn[defined]**2
+
+    binormal = np.zeros_like(x)
+    normal = np.zeros_like(x)
+    binormal[defined] = cr[defined] / crn[defined][:, None]
+    normal[defined] = np.cross(binormal[defined], tangent[defined])
+    return FrenetData(points=x, speed=speed, tangent=tangent, normal=normal,
+                      binormal=binormal, kappa=kappa, tau=tau,
+                      tau_defined=defined)
+
+
+def el_residuals(curve, contact_angle, alpha, sigma, beta):
+    """Equilibrium residuals of the boundary curve equations.
+
+    residual_a = kappa'' + kappa^3/2 - (tau^2 + beta/(2 alpha)) kappa
+                 - sigma/(2 alpha) * sin(theta)
+    residual_b = 2 kappa' tau + kappa tau' + sigma/(2 alpha) * cos(theta)
+
+    with ' the arc-length derivative (same cyclic scheme as frenet_analyze)
+    and theta the film contact angle along the curve.  curve is a FrenetData;
+    analytic kappa/tau arrays may be substituted before the call.
+    """
+    if not np.all(curve.tau_defined):
+        i = int(np.argmin(curve.tau_defined))
+        s_at = float(np.linalg.norm(
+            np.roll(curve.points, -1, axis=0) - curve.points, axis=1)[:i].sum())
+        raise InflectionError(
+            f"curvature vanishes at sample {i} (arc length {s_at:.6g})")
+    theta = np.broadcast_to(np.asarray(contact_angle, dtype=float),
+                            curve.kappa.shape)
+    kappa, tau = curve.kappa, curve.tau
+    kp = curve.deriv_s(kappa)
+    kpp = curve.deriv_s(kp)
+    taup = curve.deriv_s(tau)
+    half = sigma / (2.0 * alpha)
+    res_a = kpp + 0.5 * kappa**3 - (tau**2 + beta / (2.0 * alpha)) * kappa \
+        - half * np.sin(theta)
+    res_b = 2.0 * kp * tau + kappa * taup + half * np.cos(theta)
+    return res_a, res_b

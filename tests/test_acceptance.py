@@ -15,17 +15,19 @@ the runtime; everything else completes in seconds.
 import numpy as np
 import pytest
 from conftest import record_criterion
-from helpers import boundary_curvatures_exact
+from helpers import (boundary_curvature_series, boundary_curvatures_exact,
+                     boundary_curve, disk_solution, el_residuals,
+                     energy_series, family_metric, frenet_analyze,
+                     length_series, second_order_coefficient)
 
 from filmloop import saddle
-from filmloop.diffgeo import (boundary_geometry, el_residuals, frenet_analyze,
-                              gauss_bonnet_defect, planarity)
+from filmloop.diffgeo import (boundary_geometry, gauss_bonnet_defect,
+                              planarity)
 from filmloop.energy import (EnergyParams, SIGMA_PER_SPRING_K, energy,
                              energy_and_gradient)
 from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 from filmloop.optimize import KICK_AMPLITUDE, MinimizeOptions, perturb, relax
-from filmloop.stability import (critical_gamma, disk_solution, kl3a_from_gamma,
-                                second_order_coefficient)
+from filmloop.stability import critical_gamma, kl3a_from_gamma
 from filmloop.sweep import (SweepSchedule, detect_transitions, fit_exponent,
                             fit_linear_K, read_manifest, run_sweep)
 
@@ -237,7 +239,7 @@ def test_criterion_08_asymptotic_oracles():
               - saddle.family_point(fam, r - h, p)) / (2 * h)
         xp = (saddle.family_point(fam, r, p + h)
               - saddle.family_point(fam, r, p - h)) / (2 * h)
-        g_rr, g_rp, g_pp = saddle.family_metric(fam, r, p)
+        g_rr, g_rp, g_pp = family_metric(fam, r, p)
         metric_err = max(metric_err, abs(g_rr - xr @ xr), abs(g_rp - xr @ xp),
                          abs(g_pp - xp @ xp))
     ok_a = metric_err < 1e-8
@@ -245,10 +247,10 @@ def test_criterion_08_asymptotic_oracles():
     # (b) series truncation residuals scale as t^6
     ts = np.geomspace(0.05, 0.3, 7)
     res_len = [abs(saddle.length_quadrature(saddle.SaddleFamily(1.0, t))
-                   - saddle.length_series(saddle.SaddleFamily(1.0, t)))
+                   - length_series(saddle.SaddleFamily(1.0, t)))
                for t in ts]
     res_en = [abs(saddle.energy_quadrature(saddle.SaddleFamily(1.0, t), 6.0, 1.0)
-                  - saddle.energy_series(saddle.SaddleFamily(1.0, t), 6.0, 1.0))
+                  - energy_series(saddle.SaddleFamily(1.0, t), 6.0, 1.0))
               for t in ts]
     slope_len = float(np.polyfit(np.log(ts), np.log(res_len), 1)[0])
     slope_en = float(np.polyfit(np.log(ts), np.log(res_en), 1)[0])
@@ -257,8 +259,8 @@ def test_criterion_08_asymptotic_oracles():
     # (c) curvature split series vs Frenet projection at t = 0.05
     fam_c = saddle.SaddleFamily(R=1.0, t=0.05)
     phi = np.arange(512) * 2.0 * np.pi / 512
-    fr = frenet_analyze(saddle.boundary_curve(fam_c, phi))
-    kn_s, kg_s = saddle.boundary_curvature_series(fam_c, phi)
+    fr = frenet_analyze(boundary_curve(fam_c, phi))
+    kn_s, kg_s = boundary_curvature_series(fam_c, phi)
     kn_e, kg_e = boundary_curvatures_exact(fam_c, phi)
     kerr = np.abs(np.sqrt(kn_s**2 + kg_s**2) - fr.kappa).max() / fr.kappa.max()
     kn_err = np.abs(kn_s - kn_e).max() / np.abs(kn_e).max()

@@ -21,9 +21,10 @@ from filmloop.diffgeo import boundary_geometry, gaussian_curvature
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.mesh import MAX_RINGS
 from filmloop.meshio import write_obj
-from filmloop.stability import disk_solution
 from filmloop.sweep import (CSV_COLUMNS, BifurcationDiagram, SweepPoint,
                             SweepSchedule, run_sweep, write_diagram_csv)
+
+from helpers import disk_solution
 
 
 def test_version_flag_exits_zero(capsys):
@@ -104,7 +105,7 @@ def test_relax_command_summary(tmp_path, capsys):
     assert summary["planarity"] < 1e-4            # well below any onset
     assert summary["length_rel_err"] < 1e-3
     assert abs(summary["gauss_bonnet_defect"]) < 1e-9
-    # a flat disk's line tension, at the lattice's film tension 2 sqrt(3) k
+    # a flat disk's line tension, at the film's tension 2 sqrt(3) k
     beta = disk_solution(1.0, 2.0 * np.sqrt(3.0) * 30.0, 1.0).beta
     assert abs(summary["line_tension"] / beta - 1.0) < 0.05
 

@@ -155,16 +155,18 @@ def test_rescale_degenerate_raises():
         scale_to_boundary_length(mesh, np.zeros_like(x), 1.0)
 
 
-def test_vertex_sharing_keys_match_pairwise_comparison():
-    mesh, _ = generate_disk_mesh(3)
-    tris = mesh.triangles
-    f = len(tris)
-    i, j = np.triu_indices(f, k=1)
-    shares = (tris[i][:, :, None] == tris[j][:, None, :]).any(axis=(1, 2))
-    keys = mesh.vertex_sharing_keys()
-    np.testing.assert_array_equal(keys[:-1], i[shares] * f + j[shares])
-    assert keys[-1] == f * f                        # the search sentinel
-    assert mesh.vertex_sharing_keys() is keys       # built once per mesh
+@pytest.mark.parametrize("rings", [2.5, 3.0, True])
+def test_generate_rejects_non_integral_rings(rings):
+    # int() would truncate 2.5 to 2 rings without a word
+    with pytest.raises(MeshError, match="rings must be an integer"):
+        generate_disk_mesh(rings)
+
+
+def test_generate_accepts_numpy_integer_rings():
+    mesh, x = generate_disk_mesh(np.int64(3))
+    ref, x_ref = generate_disk_mesh(3)
+    assert np.array_equal(mesh.triangles, ref.triangles)
+    assert np.array_equal(x, x_ref)
 
 
 @pytest.mark.parametrize("elongation", [1.0, 1.2])

@@ -25,11 +25,11 @@ from filmloop.diffgeo import planarity
 from filmloop import optimize
 from filmloop.optimize import (ENERGY_ROUNDING, FINISH_ITERATIONS,
                                KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
-                               NumericalError, minimize, minimize_function,
-                               perturb, relax)
-from filmloop.stability import critical_gamma, disk_solution, kl3a_from_gamma
+                               NumericalError, minimize_function, perturb,
+                               relax)
+from filmloop.stability import critical_gamma, kl3a_from_gamma
 
-from helpers import (fan_mesh, fft_preconditioner, polygon_mesh,
+from helpers import (disk_solution, fan_mesh, fft_preconditioner, polygon_mesh,
                      preconditioner_model, real_fourier_basis,
                      reference_two_loop)
 
@@ -113,7 +113,7 @@ def test_collapsed_start_raises_degenerate_boundary():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateBoundaryError):
-            minimize(mesh, x, PRECONDITIONER_PARAMS)
+            relax(mesh, x, PRECONDITIONER_PARAMS)
 
 
 @pytest.mark.parametrize("bad", ["nan_energy", "inf_gradient"])
@@ -334,8 +334,8 @@ def test_max_iterations_zero_returns_start():
     mesh, x0 = generate_disk_mesh(3)
     x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
     p = EnergyParams(alpha=1.0, spring_k=10.0, target_length=1.0)
-    res = minimize(mesh, x0, p, MinimizeOptions(max_iterations=0))
-    assert res.iterations == 0
+    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=0))
+    assert res.iterations == 0 and res.penalty_rounds == 1
     assert res.status == "max_iterations"
     assert not res.converged
     loop = mesh.boundary_loop
@@ -343,27 +343,11 @@ def test_max_iterations_zero_returns_start():
     assert np.array_equal(res.x, mesh.loop_film()[1](x0[loop]))
 
 
-def test_full_mesh_minimize_ends_with_the_extension():
-    # the energy moves only the loop, so a full-mesh solve returns the
-    # extension of its last loop, as relax does: on the kicked rings-4 disk
-    # the start's interior rows sit up to 0.010 off that extension
-    mesh, x0, p, _ = _stall_problem()
-    res = minimize(mesh, x0, p)
-    loop = mesh.boundary_loop
-    assert res.converged
-    assert np.array_equal(res.x, mesh.loop_film()[1](res.x[loop]))
-    inner = np.setdiff1d(np.arange(mesh.vertex_count), loop)
-    assert np.abs(res.x[inner] - x0[inner]).max() > 0.005
-    assert res.energy == energy(mesh, res.x, res.params)
-
-
 def test_minimize_without_lattice_raises_before_solving():
     # a mesh with interior vertices but no lattice coordinates has no
-    # extension, so minimize refuses it as relax does
+    # extension, so relax refuses it before its first round
     mesh, x0 = fan_mesh(12)
     p = EnergyParams(alpha=1.0, spring_k=10.0, target_length=2.0 * np.pi)
-    with pytest.raises(MeshError, match="ring and place"):
-        minimize(mesh, x0, p)
     with pytest.raises(MeshError, match="ring and place"):
         relax(mesh, x0, p)
 
@@ -374,8 +358,8 @@ def test_minimize_writes_iteration_log():
     p = EnergyParams(alpha=1.0, spring_k=10.0, target_length=1.0,
                      length_penalty_k=100.0, edge_penalty_k=100.0)
     stream = io.StringIO()
-    res = minimize(mesh, x0, p, MinimizeOptions(max_iterations=50),
-                   log_stream=stream)
+    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=50),
+                log_stream=stream)
     lines = stream.getvalue().strip().split("\n")
     assert lines[0] == "iteration,total_energy,gradient_inf_norm,boundary_length_error"
     assert len(lines) == res.iterations + 2    # header + iterate 0 + accepted
@@ -622,10 +606,11 @@ def test_cold_relax_evaluation_budget():
 
 
 def test_minimize_forced_stall_returns_stalled_iterate(monkeypatch):
+    # any later penalty round stalls at its start, with no step taken
     mesh, x0, p, gtol = _stall_problem()
     _stalling_search(monkeypatch, 5)
-    res = minimize(mesh, x0, p)
-    _, g = energy_and_gradient(mesh, res.x, p)
+    res = relax(mesh, x0, p)
+    _, g = energy_and_gradient(mesh, res.x, res.params)
     assert res.status == "line_search_failed" and not res.converged
     assert res.iterations == 5
     assert np.abs(g).max() > gtol
@@ -677,7 +662,7 @@ def test_wolfe_debug_assertions_hold(monkeypatch):
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
     p = EnergyParams(alpha=1.0, spring_k=10.0, target_length=1.0,
                      length_penalty_k=100.0, edge_penalty_k=100.0)
-    res = minimize(mesh, x0, p, MinimizeOptions(max_iterations=200))
+    res = relax(mesh, x0, p, MinimizeOptions(max_iterations=200))
     assert res.iterations > 0
     assert len(accepted) == res.iterations
 

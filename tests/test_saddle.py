@@ -1,5 +1,7 @@
 """Twisted-saddle trial family: exact embedding identities, series
 truncation orders, quadrature cross-checks, and the pitchfork amplitude.
+The series (metric, line element, curvatures, length, energy, leading
+orders) are the tests' own oracles, in helpers.
 
 Independent oracles: central finite differences of the embedding for the
 metric, the normal and the boundary derivatives, the full second
@@ -14,11 +16,15 @@ import numpy as np
 import pytest
 
 from filmloop import saddle
-from filmloop.diffgeo import frenet_analyze, gauss_bonnet_defect, planarity
-from filmloop.mesh import validate_mesh
+from filmloop.diffgeo import gauss_bonnet_defect, planarity
+from filmloop.mesh import MeshError, validate_mesh
 
-from helpers import (boundary_curvatures_exact, boundary_derivatives,
-                     family_normal, full_period_disk_integral,
+from helpers import (boundary_curvature_series, boundary_curvatures_exact,
+                     boundary_curve, boundary_derivatives, ds2_series,
+                     energy_series, family_metric, family_normal,
+                     frenet_analyze, full_period_disk_integral,
+                     gaussian_K_leading, int_abs_kn_leading, kappa2_series,
+                     length_series, mean_abs_kn_leading,
                      reference_boundary_curvatures, reference_K_dA,
                      surface_derivs)
 
@@ -47,7 +53,7 @@ def test_metric_matches_finite_differences():
               - saddle.family_point(fam, r - h, p)) / (2 * h)
         xp = (saddle.family_point(fam, r, p + h)
               - saddle.family_point(fam, r, p - h)) / (2 * h)
-        g_rr, g_rp, g_pp = saddle.family_metric(fam, r, p)
+        g_rr, g_rp, g_pp = family_metric(fam, r, p)
         worst = max(worst, abs(g_rr - xr @ xr), abs(g_rp - xr @ xp),
                     abs(g_pp - xp @ xp))
     assert worst < 1e-8
@@ -154,8 +160,8 @@ def test_boundary_line_element_and_curvature_are_exact():
         sp2 = np.einsum("ij,ij->i", c1, c1)
         cr = np.cross(c1, c2)
         k2 = np.einsum("ij,ij->i", cr, cr) / sp2**3
-        assert np.abs(saddle.ds2_series(fam, phi) - sp2).max() < 1e-13 * sp2.max()
-        assert np.abs(saddle.kappa2_series(fam, phi) - k2).max() < 1e-12 * k2.max()
+        assert np.abs(ds2_series(fam, phi) - sp2).max() < 1e-13 * sp2.max()
+        assert np.abs(kappa2_series(fam, phi) - k2).max() < 1e-12 * k2.max()
 
 
 def test_boundary_quadratures_share_one_sample():
@@ -191,10 +197,10 @@ def test_boundary_derivatives_match_finite_differences():
     phi = np.array([0.3, 1.1, 4.0])
     h = 1e-5
     c1, c2 = boundary_derivatives(fam, phi)
-    fd1 = (saddle.boundary_curve(fam, phi + h)
-           - saddle.boundary_curve(fam, phi - h)) / (2 * h)
-    fd2 = (saddle.boundary_curve(fam, phi + h) - 2 * saddle.boundary_curve(fam, phi)
-           + saddle.boundary_curve(fam, phi - h)) / h**2
+    fd1 = (boundary_curve(fam, phi + h)
+           - boundary_curve(fam, phi - h)) / (2 * h)
+    fd2 = (boundary_curve(fam, phi + h) - 2 * boundary_curve(fam, phi)
+           + boundary_curve(fam, phi - h)) / h**2
     assert np.abs(c1 - fd1).max() < 1e-8
     assert np.abs(c2 - fd2).max() < 1e-5
 
@@ -205,9 +211,9 @@ def test_series_residuals_are_sixth_order():
     for t in ts:
         fam = saddle.SaddleFamily(R=1.0, t=t)
         res_len.append(abs(saddle.length_quadrature(fam)
-                           - saddle.length_series(fam)))
+                           - length_series(fam)))
         res_en.append(abs(saddle.energy_quadrature(fam, 6.0, 1.0)
-                          - saddle.energy_series(fam, 6.0, 1.0)))
+                          - energy_series(fam, 6.0, 1.0)))
     slope_len = np.polyfit(np.log(ts), np.log(res_len), 1)[0]
     slope_en = np.polyfit(np.log(ts), np.log(res_en), 1)[0]
     assert abs(slope_len - 6.0) < 0.3
@@ -219,8 +225,8 @@ def test_curvature_split_matches_frenet_projection():
     fam = saddle.SaddleFamily(R=1.0, t=t)
     n = 512
     phi = np.arange(n) * 2.0 * np.pi / n
-    fr = frenet_analyze(saddle.boundary_curve(fam, phi))
-    kn_s, kg_s = saddle.boundary_curvature_series(fam, phi)
+    fr = frenet_analyze(boundary_curve(fam, phi))
+    kn_s, kg_s = boundary_curvature_series(fam, phi)
     kn_e, kg_e = boundary_curvatures_exact(fam, phi)
     kscale = fr.kappa.max()
     assert np.abs(np.sqrt(kn_s**2 + kg_s**2) - fr.kappa).max() < 0.01 * kscale
@@ -242,7 +248,7 @@ def test_int_K_leading_order():
     t = 0.05
     fam = saddle.SaddleFamily(R=1.0, t=t)
     quad = saddle.int_K_quadrature(fam)
-    lead = saddle.gaussian_K_leading(fam) * np.pi * fam.R**2
+    lead = gaussian_K_leading(fam) * np.pi * fam.R**2
     assert abs(quad - lead) < 0.05 * abs(lead)
 
 
@@ -250,8 +256,8 @@ def test_int_abs_kn_leading_order():
     for t, tol in ((0.02, 2e-3), (0.05, 1e-2)):
         fam = saddle.SaddleFamily(R=1.0, t=t)
         q = saddle.int_abs_kn_quadrature(fam)
-        assert abs(q - saddle.int_abs_kn_leading(fam)) < tol * 8.0 * t
-        assert np.isclose(saddle.mean_abs_kn_leading(fam),
+        assert abs(q - int_abs_kn_leading(fam)) < tol * 8.0 * t
+        assert np.isclose(mean_abs_kn_leading(fam),
                           4.0 * t / (np.pi * fam.R), rtol=1e-15)
 
 
@@ -336,8 +342,8 @@ def test_pitchfork_amplitude_is_stationary_point():
 
 def test_lemniscate_endpoint_pinches():
     fam = saddle.SaddleFamily(R=1.0, t=1.0)
-    p1 = saddle.boundary_curve(fam, np.pi / 2.0)
-    p2 = saddle.boundary_curve(fam, 3.0 * np.pi / 2.0)
+    p1 = boundary_curve(fam, np.pi / 2.0)
+    p2 = boundary_curve(fam, 3.0 * np.pi / 2.0)
     assert np.linalg.norm(p1) < 1e-12
     assert np.linalg.norm(p1 - p2) < 1e-12
 
@@ -351,3 +357,14 @@ def test_family_trimesh_samples_the_surface():
     loop = mesh.boundary_loop
     r_xy = np.hypot(x[loop, 0] / (1 + fam.t**2), x[loop, 1] / (1 - fam.t**2))
     assert np.abs(r_xy - fam.R).max() < 1e-12
+
+
+@pytest.mark.parametrize("rings", [2.5, 3.0, True])
+def test_family_trimesh_rejects_non_integral_rings(rings):
+    # disk_polar's hexagon radius would scale by the fractional ring count,
+    # putting the boundary inside rho = 1 (rho = 0.8 at 2.5 rings)
+    fam = saddle.SaddleFamily(R=1.0, t=0.2)
+    with pytest.raises(MeshError, match="rings must be an integer"):
+        saddle.disk_polar(rings)
+    with pytest.raises(MeshError, match="rings must be an integer"):
+        saddle.family_trimesh(fam, rings)

@@ -1,14 +1,15 @@
-"""Closed-form disk stability results and the boundary mode spectrum."""
+"""Closed-form disk stability results and the boundary mode spectrum.
+The flat-disk solution and the second-order coefficient are the tests' own
+oracles, in helpers."""
 
 import numpy as np
 import pytest
 
 from filmloop.stability import (boundary_mode_spectrum, critical_gamma,
-                                disk_solution, kl3a_from_gamma,
-                                second_order_coefficient, threshold_table)
+                                kl3a_from_gamma, threshold_table)
 from filmloop.mesh import generate_disk_mesh
 
-from helpers import fan_mesh
+from helpers import disk_solution, fan_mesh, second_order_coefficient
 
 
 def test_mode_thresholds_closed_form():

@@ -127,6 +127,17 @@ def test_fit_exponent_monte_carlo_with_noise():
     assert hits >= 95
 
 
+@pytest.mark.parametrize("rel", [1e-10, 1e-12])
+def test_fit_exponent_threshold_just_below_first_point(rel):
+    # gamma_c's upper bound sits 1e-9 relative below the first window point,
+    # so a threshold closer than that starts gamma_c at the bound
+    gammas = np.linspace(3010.0, 3700.0, 10)
+    fit = fit_exponent(fit_diagram(0.1, 3000.0, 0.5, gammas),
+                       3010.0 * (1.0 - rel))
+    assert abs(fit.exponent - 0.5) < 1e-3
+    assert fit.n_points == 10
+
+
 def test_fit_exponent_needs_six_window_points():
     gammas = np.linspace(1010.0, 1240.0, 5)
     with pytest.raises(FitError):
@@ -305,9 +316,10 @@ def test_graph_verdicts_match_the_row_reference(shape, args):
     pytest.param(saddle_shape, (8, 0.9), id="saddle-r8-t0.9"),
 ])
 def test_vectorized_crossings_match_per_pair_loop(shape, args):
-    # the array pass computes each pair's arithmetic as the per-pair loop
-    # does, so the bounding-box prefilter and the vectorization must leave
-    # the crossing pairs exactly as they were
+    # the vertex-sharing filter is the reference's 3 x 3 index comparison,
+    # and the array pass computes each pair's arithmetic as the per-pair
+    # loop does, so the bounding-box prefilter and the vectorization must
+    # leave the crossing pairs exactly as they were
     mesh, x = shape(*args)
     np.testing.assert_array_equal(_crossing_pairs(mesh, x),
                                   loop_crossing_pairs(mesh, x))
