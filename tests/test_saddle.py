@@ -4,12 +4,14 @@ The series (metric, line element, curvatures, length, energy, leading
 orders) are the tests' own oracles, in helpers.
 
 Independent oracles: central finite differences of the embedding for the
-metric, the normal and the boundary derivatives, the full second
-fundamental form for the closed-form disk integrands and boundary
-curvatures, cross products of the stacked boundary derivatives for the
-scalar boundary integrands, Frenet analysis of sampled boundary
-points for the curvature split, and the Gauss-Bonnet route for the
-integrated Gaussian curvature.
+metric, the normal and the boundary derivatives, Gauss-Legendre
+integration in r of the full second fundamental form for the closed-form
+radial integrals and the disk quadratures, the full second fundamental
+form for the boundary curvatures, cross products of the stacked boundary
+derivatives for the scalar boundary integrands, full-period sums for the
+symmetric quarters, Frenet analysis of sampled boundary points for the
+curvature split, and the Gauss-Bonnet route for the integrated Gaussian
+curvature.
 """
 
 import numpy as np
@@ -22,13 +24,25 @@ from filmloop.mesh import MeshError, validate_mesh
 from helpers import (boundary_curvature_series, boundary_curvatures_exact,
                      boundary_curve, boundary_derivatives, ds2_series,
                      energy_series, family_metric, family_normal,
-                     frenet_analyze, full_period_disk_integral,
-                     gaussian_K_leading, int_abs_kn_leading, kappa2_series,
-                     length_series, mean_abs_kn_leading,
-                     reference_boundary_curvatures, reference_K_dA,
-                     surface_derivs)
+                     frenet_analyze, gaussian_K_leading, int_abs_kn_leading,
+                     kappa2_series, length_series, mean_abs_kn_leading,
+                     _normal_sq, reference_boundary_curvatures,
+                     reference_disk_integrals, surface_derivs)
 
 ORACLE_TS = [-0.3, 0.0, 0.05, 0.44, 0.87, 0.95]
+QUARTER_TS = [0.0, 0.12, 0.44, 0.71, 0.87, 0.95]
+
+
+def _quarter_and_full(fam, per_dphi):
+    """per_dphi(fam, trig, |c'|^2, |c'|, N) summed over saddle's closed
+    quarter, and by the PHI_PANELS-panel trapezoid rule over the period."""
+    n = saddle.PHI_PANELS
+    tr = saddle._trig(np.arange(n) * (2.0 * np.pi / n))
+    sp2 = saddle._speed_sq(fam, tr)
+    full = per_dphi(fam, tr, sp2, np.sqrt(sp2), saddle._boundary_normal(fam, tr))
+    quarter = per_dphi(fam, saddle._trapezoid_quarter(n)[0],
+                       *saddle._quarter_sample(fam))
+    return saddle._phi_sum(quarter), float(full.sum()) * (2.0 * np.pi / n)
 
 
 def test_family_parameter_validation():
@@ -76,21 +90,49 @@ def test_normal_matches_finite_differences():
 
 
 @pytest.mark.parametrize("t", ORACLE_TS)
-def test_disk_integrands_match_second_fundamental_form(t):
-    # r sqrt(Q) = |x_r x x_phi| and -(2tab/R)^2 r / Q^(3/2) = (LN - M^2) / |n|
+def test_radial_closed_forms_match_gauss_legendre(t):
+    # per phi, the closed-form radial integrals of r sqrt(Q) and
+    # -(2tab/R)^2 r Q^(-3/2) against 32-node Gauss-Legendre on the r panels
+    # [0, 0.05, 0.2, 0.5, 1] R, graded toward Q's complex zero near r = 0
+    # (one 96-node rule carries 4e-15 of rounding), and X = Q(R) = N^2.
+    # Measured at most 7.6e-16 (X), 5.3e-16 (area) and 8.7e-16 (K) relative
+    # over ORACLE_TS
     fam = saddle.SaddleFamily(R=1.3, t=t)
     rng = np.random.default_rng(7)
-    r = rng.uniform(0.0, fam.R, 200)
     phi = rng.uniform(0.0, 2.0 * np.pi, 200)
+    xg, wg = np.polynomial.legendre.leggauss(32)
+    cuts = fam.R * np.array([0.0, 0.05, 0.2, 0.5, 1.0])
+    r = (cuts[:-1, None] + 0.5 * (xg + 1.0) * np.diff(cuts)[:, None]) \
+        .reshape(-1, 1)
+    w = (0.5 * np.diff(cuts)[:, None] * wg).ravel()
+    q = _normal_sq(fam, r, phi)
+    area = w @ (r * np.sqrt(q))
+    int_K = -(2.0 * t * (1.0 + t**2) * (1.0 - t**2) / fam.R) ** 2 \
+        * (w @ (r / (q * np.sqrt(q))))
+    n = saddle._boundary_normal(fam, saddle._trig(phi))
+    x = _normal_sq(fam, fam.R, phi)
+    assert np.all(np.abs(n * n - x) <= 2e-15 * x)
+    assert np.all(np.abs(saddle._area_dphi(fam, n) - area) <= 2e-15 * area)
+    assert np.all(np.abs(saddle._K_dA_dphi(fam, n) - int_K)
+                  <= 2e-15 * np.abs(int_K))
+    # the oracle normal against the cross product of the derivatives
+    r = rng.uniform(0.0, fam.R, 200)
     x_r, x_p, *_ = surface_derivs(fam, r, phi)
-    dA = np.linalg.norm(np.cross(x_r, x_p), axis=-1)
-    K_dA = reference_K_dA(fam, r, phi)
-    q = saddle._normal_sq(fam, r, phi)
-    assert np.all(np.abs(saddle._dA(fam, r, q, np.sqrt(q)) - dA) <= 1e-13 * dA)
-    assert np.all(np.abs(saddle._K_dA(fam, r, q, np.sqrt(q)) - K_dA)
-                  <= 1e-13 * np.abs(K_dA))
-    n = family_normal(fam, r, phi)
-    assert np.abs(n - np.cross(x_r, x_p)).max() <= 1e-13 * dA.max()
+    n = np.cross(x_r, x_p)
+    assert np.abs(family_normal(fam, r, phi) - n).max() \
+        <= 1e-13 * np.linalg.norm(n, axis=-1).max()
+
+
+@pytest.mark.parametrize("t", ORACLE_TS)
+def test_disk_integrands_match_second_fundamental_form(t):
+    # the disk quadratures against the full 96-node Gauss-Legendre (r) x
+    # 1024-panel trapezoid (phi) grid of |x_r x x_phi| and (LN - M^2) / |n|;
+    # measured at most 1.9e-15 (area) and 2.5e-15 (K) relative over
+    # ORACLE_TS, and both integrals of K are exactly 0 at t = 0
+    fam = saddle.SaddleFamily(R=1.3, t=t)
+    area, int_K = reference_disk_integrals(fam)
+    assert abs(saddle.area_quadrature(fam) - area) <= 4e-15 * area
+    assert abs(saddle.int_K_quadrature(fam) - int_K) <= 4e-15 * abs(int_K)
 
 
 @pytest.mark.parametrize("t", ORACLE_TS)
@@ -121,8 +163,9 @@ def test_boundary_integrands_match_cross_products(t):
     assert np.all(np.abs(sp2 - sp2_ref) <= 1e-13 * sp2_ref)
     assert np.all(np.abs(saddle._kappa2_ds(fam, tr, sp2, sp) - k2_ds_ref)
                   <= 1e-13 * k2_ds_ref)
-    kn_ds = saddle._kappa_n_ds(fam, tr, sp)
-    kg_ds = saddle._kappa_g_ds(fam, tr, sp2)
+    n = saddle._boundary_normal(fam, tr)
+    kn_ds = saddle._kappa_n_ds(fam, tr, sp, n)
+    kg_ds = saddle._kappa_g_ds(fam, tr, sp2, n)
     for oracle in (boundary_curvatures_exact, reference_boundary_curvatures):
         kn, kg = oracle(fam, phi)
         scale = 1e-13 * np.hypot(kn, kg) * sp
@@ -135,7 +178,7 @@ def test_boundary_quadratures_match_cross_product_sums(t):
     # the same trapezoid and per-quarter Gauss-Legendre sums over the
     # stacked-vector curvatures
     fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
-    n = saddle.BOUNDARY_PANELS
+    n = saddle.PHI_PANELS
     phi = np.arange(n) * (2.0 * np.pi / n)
     sp = np.linalg.norm(boundary_derivatives(fam, phi)[0], axis=-1)
     kn, kg = boundary_curvatures_exact(fam, phi)
@@ -165,31 +208,31 @@ def test_boundary_line_element_and_curvature_are_exact():
 
 
 def test_boundary_quadratures_share_one_sample():
-    # one table row samples its boundary once, read-only, for all three;
-    # the sin / cos tables under it are built once for every row
+    # one table row samples its phi quarter once, read-only, for all three;
+    # the sin / cos tables and weights under it are built once for every row
     fam = saddle.SaddleFamily(1.0, 0.6)
-    saddle._boundary_sample.cache_clear()
+    saddle._quarter_sample.cache_clear()
     saddle.length_quadrature(fam)
     saddle.bending_quadrature(fam)
     saddle.int_K_gauss_bonnet(fam)
-    info = saddle._boundary_sample.cache_info()
+    info = saddle._quarter_sample.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    assert not any(a.flags.writeable for a in saddle._boundary_sample(fam))
-    tables = (saddle._panel_trig(saddle.BOUNDARY_PANELS)
-              + saddle._quarter_trig(saddle.KN_QUARTER_NODES))
-    assert not any(a.flags.writeable for a in tables)
+    assert not any(a.flags.writeable for a in saddle._quarter_sample(fam))
+    for tr, w in (saddle._trapezoid_quarter(saddle.PHI_PANELS),
+                  saddle._gauss_quarter(saddle.KN_QUARTER_NODES)):
+        assert not any(a.flags.writeable for a in (*tr, w))
 
 
 def test_disk_quadratures_share_one_sample():
-    # one table row evaluates Q on the quarter grid once, read-only, for
-    # the area and the integral of K
+    # the area and the integral of K read N = sqrt(X) from the same
+    # read-only sample as the boundary quadratures of the row
     fam = saddle.SaddleFamily(1.0, 0.6)
-    saddle._disk_sample.cache_clear()
+    saddle._quarter_sample.cache_clear()
     saddle.area_quadrature(fam)
     saddle.int_K_quadrature(fam)
-    info = saddle._disk_sample.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert not any(a.flags.writeable for a in saddle._disk_sample(fam))
+    saddle.length_quadrature(fam)
+    info = saddle._quarter_sample.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_boundary_derivatives_match_finite_differences():
@@ -274,26 +317,65 @@ def test_int_abs_kn_quarters_are_resolved(monkeypatch, t):
     assert abs(q64 - saddle.int_abs_kn_quadrature(fam)) <= 1e-12
 
 
-@pytest.mark.parametrize("t", [0.0, 0.12, 0.44, 0.71, 0.87, 0.95])
-def test_disk_quarter_matches_full_period(monkeypatch, t):
-    # the symmetric quarter reproduces the full-period trapezoid sum up to
-    # summation order
+@pytest.mark.parametrize("t", QUARTER_TS)
+def test_disk_quarter_matches_full_period(t):
+    # the symmetric quarter reproduces the full-period trapezoid sum of the
+    # closed-form radial integrals up to summation order: measured at most
+    # 0 (area) and 4.3e-16 (K) relative over QUARTER_TS
     fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
-    quarter = (saddle.area_quadrature(fam), saddle.int_K_quadrature(fam))
-    monkeypatch.setattr(saddle, "_disk_integral", full_period_disk_integral)
-    full = (saddle.area_quadrature(fam), saddle.int_K_quadrature(fam))
-    for q, ref in zip(quarter, full):
-        assert abs(q - ref) <= 2e-15 * max(abs(ref), 1.0)
+    quarter, full = _quarter_and_full(
+        fam, lambda fam, tr, sp2, sp, n: saddle._area_dphi(fam, n))
+    assert quarter == saddle.area_quadrature(fam)
+    assert abs(quarter - full) <= 1e-15 * full
+    quarter, full = _quarter_and_full(
+        fam, lambda fam, tr, sp2, sp, n: saddle._K_dA_dphi(fam, n))
+    assert quarter == saddle.int_K_quadrature(fam)
+    assert abs(quarter - full) <= 1e-15 * abs(full)
+
+
+@pytest.mark.parametrize("t", QUARTER_TS + [saddle.TABLE_T_MAX])
+def test_boundary_quarter_matches_full_period(t):
+    # the same for the length, bending and kappa_g sums: measured at most
+    # 2.8e-16 relative
+    fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
+    sums = (
+        (saddle.length_quadrature, lambda fam, tr, sp2, sp, n: sp),
+        (saddle.bending_quadrature,
+         lambda fam, tr, sp2, sp, n: saddle._kappa2_ds(fam, tr, sp2, sp)),
+        (lambda fam: 2.0 * np.pi - saddle.int_K_gauss_bonnet(fam),
+         lambda fam, tr, sp2, sp, n: saddle._kappa_g_ds(fam, tr, sp2, n)))
+    for quadrature, per_dphi in sums:
+        quarter, full = _quarter_and_full(fam, per_dphi)
+        assert abs(quadrature(fam) - full) <= 1e-15 * full
+        assert abs(quarter - full) <= 1e-15 * full
+
+
+@pytest.mark.parametrize("t", [0.12, 0.44, 0.71, 0.87, 0.95,
+                               saddle.TABLE_T_MAX])
+def test_int_abs_kn_is_four_times_one_quarter(t):
+    # |kappa_n| ds is invariant under phi -> -phi and phi -> pi - phi, so
+    # the first quarter times 4 is the sum over the four quarters: measured
+    # at most 2.2e-16 relative
+    fam = saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
+    xg, wg = np.polynomial.legendre.leggauss(saddle.KN_QUARTER_NODES)
+    tr = saddle._trig((np.arange(4)[:, None] + 0.5 * (xg + 1.0)) * (0.5 * np.pi))
+    kn_ds = saddle._kappa_n_ds(fam, tr, np.sqrt(saddle._speed_sq(fam, tr)),
+                               saddle._boundary_normal(fam, tr))
+    four = float(np.abs(kn_ds @ wg).sum()) * (0.25 * np.pi)
+    assert abs(saddle.int_abs_kn_quadrature(fam) - four) <= 1e-15 * four
 
 
 def test_circle_limit_quadratures():
+    # the radial closed forms hold at t = 0: the area is pi R^2 and the
+    # integral of K is exactly 0
     fam = saddle.SaddleFamily(R=0.7, t=0.0)
     assert np.isclose(saddle.length_quadrature(fam), 2 * np.pi * 0.7,
                       rtol=1e-12)
-    assert np.isclose(saddle.area_quadrature(fam), np.pi * 0.49, rtol=1e-12)
+    area = np.pi * 0.7**2
+    assert abs(saddle.area_quadrature(fam) - area) <= 1e-15 * area
     assert np.isclose(saddle.bending_quadrature(fam), 2 * np.pi / 0.7,
                       rtol=1e-12)
-    assert abs(saddle.int_K_quadrature(fam)) < 1e-10
+    assert saddle.int_K_quadrature(fam) == 0.0
 
 
 def test_radius_for_length_holds_constraint():
