@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .mesh import generate_disk_mesh, validate_mesh, scale_to_boundary_length, MeshError
-from .meshio import write_obj
+from .meshio import obj_faces, write_obj
 from .energy import EnergyParams, EnergyError, SIGMA_PER_SPRING_K
 from .optimize import (KICK_AMPLITUDE, MinimizeOptions, NumericalError,
                        perturb, relax)
-from .diffgeo import (boundary_geometry, gauss_bonnet_defect,
-                      gaussian_curvature, planarity,
+from .diffgeo import (_corner_geometry, boundary_geometry,
+                      gauss_bonnet_defect, gaussian_curvature, planarity,
                       write_boundary_observables, DiffGeoError)
 from .stability import threshold_table
 from . import saddle
@@ -152,8 +152,9 @@ def cmd_relax(args):
     res = relax(mesh, x0, params, opts)
     os.makedirs(args.out, exist_ok=True)
     write_obj(os.path.join(args.out, "relaxed.obj"), res.x, mesh.triangles)
-    field = gaussian_curvature(mesh, res.x)
-    bg = boundary_geometry(mesh, res.x)
+    geometry = _corner_geometry(mesh.triangles, res.x)
+    field = gaussian_curvature(mesh, res.x, geometry)
+    bg = boundary_geometry(mesh, res.x, geometry)
     write_boundary_observables(os.path.join(args.out, "boundary.csv"),
                                mesh, res.x, field, bg)
     summary = {
@@ -242,29 +243,18 @@ def cmd_asymptotic(args):
         mesh, rho, theta = saddle.disk_polar(args.rings)
     os.makedirs(args.out, exist_ok=True)
     L = args.length
-    alpha = 1.0
     path = os.path.join(args.out, "family.csv")
+    row = ",".join(["%.17g"] * len(saddle.TABLE_COLUMNS)) + "\n"
     with open(path, "w") as fh:
-        fh.write("gamma,t,radius,energy_series,energy_quadrature,"
-                 "int_abs_kn,mean_abs_kn,int_K_quadrature,int_K_gauss_bonnet\n")
-        for gam in gammas:
-            sigma = gam * alpha / L**3
-            t = saddle.pitchfork_amplitude(gam)
-            fam = saddle.SaddleFamily(R=saddle.radius_for_length(L, t), t=t)
-            e_series = saddle.constrained_energy_series(L, t, sigma, alpha)
-            e_quad = saddle.energy_quadrature(fam, sigma, alpha)
-            ik_quad = saddle.int_K_quadrature(fam)
-            int_abs_kn = saddle.int_abs_kn_quadrature(fam)
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (gam, t, fam.R, e_series, e_quad, int_abs_kn,
-                        int_abs_kn / saddle.length_quadrature(fam),
-                        ik_quad, saddle.int_K_gauss_bonnet(fam)))
+        fh.write(",".join(saddle.TABLE_COLUMNS) + "\n")
+        for block in saddle.family_table(gammas, L):
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
     if args.save_meshes:
+        faces = obj_faces(mesh.triangles)
         for t in (0.05, 0.2, 0.5):
             fam = saddle.SaddleFamily(R=saddle.radius_for_length(L, t), t=t)
             write_obj(os.path.join(args.out, f"family_t{t:.2f}.obj"),
-                      saddle.family_point(fam, fam.R * rho, theta),
-                      mesh.triangles)
+                      saddle.family_point(fam, fam.R * rho, theta), faces)
     print(f"asymptotic family table in {path}")
     return 0
 

@@ -15,6 +15,7 @@ turning angles sum to +2 pi.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +52,22 @@ def _corners(tris, x):
     return np.ascontiguousarray(x.T).take(tris.T, axis=1)
 
 
+class CornerGeometry(NamedTuple):
+    """Per-triangle geometry of one state, component-first."""
+
+    unit_normal: np.ndarray   # (3 xyz, f)
+    area: np.ndarray          # (f,)
+    angle: np.ndarray         # (3 corners, f)
+    normal: np.ndarray        # (3 xyz, f): (b - a) x (c - a), twice the area
+
+
 def _corner_geometry(tris, x):
-    """(unit normals, areas, angles) of the (f, 3) triangles tris as (3 xyz,
-    f), (f,), (3 corners, f), by np.cross's, np.linalg.norm's and np.einsum's
-    float ops on (f, 3) rows; a subset of the triangles gets the same bits."""
+    """CornerGeometry of the (f, 3) triangles tris, by np.cross's,
+    np.linalg.norm's and np.einsum's float ops on (f, 3) rows; a subset of
+    the triangles gets the same bits.  boundary_geometry,
+    gaussian_curvature and sweep.count_self_intersections take it for
+    mesh.triangles as an argument, so one state's observables compute it
+    once."""
     pts = _corners(tris, x)
     a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
     u, v = b - a, c - a
@@ -67,17 +80,22 @@ def _corner_geometry(tris, x):
     for k, (p, q, r) in enumerate(((b, c, a), (c, a, b)), 1):
         u, v = q - p, r - p
         angles[k] = np.arctan2(_norm(_cross(u, v)), _dot(u, v))
-    return n / nlen, 0.5 * nlen, angles
+    return CornerGeometry(n / nlen, 0.5 * nlen, angles, n)
 
 
-def _loop_normals(mesh, x):
+def _loop_normals(mesh, x, geometry=None):
     """Angle-weighted average of the triangle normals incident on each loop
     vertex, normalized, in loop order, as (3, B).  Only the triangles
     touching the loop (mesh.loop_triangles) are read, added corner by corner
     in increasing triangle order as a pass over every triangle adds them, so
-    each normal has the bits of the all-vertex average at that vertex."""
-    tris = mesh.triangles[mesh.loop_triangles()]
-    nhat, _, angles = _corner_geometry(tris, x)
+    each normal has the bits of the all-vertex average at that vertex.
+    geometry, when given, is _corner_geometry(mesh.triangles, x)."""
+    lt = mesh.loop_triangles()
+    tris = mesh.triangles[lt]
+    if geometry is None:
+        nhat, _, angles, _ = _corner_geometry(tris, x)
+    else:
+        nhat, angles = geometry.unit_normal[:, lt], geometry.angle[:, lt]
     acc = np.stack([np.bincount(tris.T.ravel(), (angles * ni).ravel(),
                                 minlength=mesh.vertex_count)
                     for ni in nhat])[:, mesh.boundary_loop]
@@ -121,12 +139,13 @@ class BoundaryGeometry:
         return self.integral_abs_kn / float(self.s_weight.sum())
 
 
-def boundary_geometry(mesh, x):
+def boundary_geometry(mesh, x, geometry=None):
     """Curvature of the boundary loop decomposed along the surface frame.
 
     kappa_v = |t_v - t_{v-1}| / <s_v> with unit tangents; kappa_n is the
     projection of the discrete curvature vector on the vertex normal and
-    kappa_g its projection on the inward co-normal N x t_bar.
+    kappa_g its projection on the inward co-normal N x t_bar.  geometry,
+    when given, is _corner_geometry(mesh.triangles, x), already computed.
     """
     loop = mesh.boundary_loop
     s, e, savg = boundary_frame(mesh, x)
@@ -136,7 +155,7 @@ def boundary_geometry(mesh, x):
     cvec = (t - t[:, mesh.loop_prev]) / savg
     kappa = _norm(cvec)
 
-    normals = _loop_normals(mesh, x)
+    normals = _loop_normals(mesh, x, geometry)
     tbar = t + t[:, mesh.loop_prev]
     # a nearly reversing corner leaves the averaged tangent ill-defined;
     # fall back to the outgoing edge direction there
@@ -174,9 +193,13 @@ class CurvatureField:
         return self.integral_K / self.total_area
 
 
-def gaussian_curvature(mesh, x):
-    """Angle-defect curvature of every vertex plus barycentric area weights."""
-    _, areas, angles = _corner_geometry(mesh.triangles, x)
+def gaussian_curvature(mesh, x, geometry=None):
+    """Angle-defect curvature of every vertex plus barycentric area weights.
+    geometry, when given, is _corner_geometry(mesh.triangles, x), already
+    computed."""
+    if geometry is None:
+        geometry = _corner_geometry(mesh.triangles, x)
+    _, areas, angles, _ = geometry
     # one bincount over the corners, k-major: the order np.add.at took them
     corners, n = mesh.triangles.T.ravel(), mesh.vertex_count
     angle_sum = np.bincount(corners, angles.ravel(), minlength=n)

@@ -39,7 +39,11 @@ substitution u = Q, so they hold at t = 0.  Every quadrature is then a
 1-D integral in phi at one fixed resolution, whose measured accuracy is
 given with the resolution constants below.  All the integrands are
 invariant under phi -> -phi and phi -> pi - phi, so each samples one
-quarter of the phi period.
+quarter of the phi period.  The table (family_table) takes its rows in
+blocks: a FamilyBlock holds the family-dependent factors of the
+integrands, each by its one-family float expression, as columns, so one
+array pass evaluates a block and every row keeps the bits its family's
+own quadratures give.
 
 Eliminating R through the boundary-length series L = pi R (2 + 2 t^2 - t^4)
 turns the energy into a quartic in t whose stationarity condition
@@ -110,14 +114,22 @@ def family_point(fam, r, phi):
 # nodes the difference is below 1e-12).
 PHI_PANELS = 2048
 KN_QUARTER_NODES = 64
-# largest amplitude t the table accepts, kept because it fixes the gamma
-# range of `asymptotic`: the last t on a 0.01 grid at which the two
-# integral-of-K routes agreed within 1e-12 relative on the earlier
-# Gauss-Legendre disk grid.  With the closed form in r they agree to
-# 4.3e-16 at 0.97, 1.8e-15 at 0.98 and 1.2e-13 at 0.99 (3.6e-7 with 1024
-# panels), as X's dip toward the flat eight at t = 1 narrows to a width of
-# order 1 - t^2 around phi = pi/2
-TABLE_T_MAX = 0.98
+# largest amplitude t the table accepts, which fixes the gamma range of
+# `asymptotic`: the last t on a 0.01 grid at which the two integral-of-K
+# routes agree within 1e-12 relative.  They agree to 4.3e-16 at 0.97,
+# 1.8e-15 at 0.98 and 1.2e-13 at 0.99 (3.6e-7 with 1024 panels), as X's
+# dip toward the flat eight at t = 1 narrows to a width of order 1 - t^2
+# around phi = pi/2, and t = 1 has no integral of K (N = 0 at phi = pi/2)
+TABLE_T_MAX = 0.99
+
+
+# rows of the asymptotic table evaluated together (family_table): a
+# (rows, 513) array of a block is 32 x 513 x 8 B = 0.13 MB, and about six
+# are live at once, so a table of any length allocates under 1 MB for its
+# quadratures.  On the 50-row default table, 64 rows raised the benchmark
+# pass's peak resident set by 1.4-1.7 MB and 32 rows by 0.5-0.7 MB, at
+# the same speed within the host's noise
+TABLE_BLOCK_ROWS = 32
 
 
 class _Trig(NamedTuple):
@@ -168,11 +180,19 @@ def _gauss_quarter(n):
     return _read_only(_trig(0.5 * (x + 1.0) * (0.5 * np.pi))), w
 
 
+def _value(x):
+    """A quadrature's result: a float for one family, the array of a
+    FamilyBlock's rows as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _phi_sum(per_dphi):
     """PHI_PANELS-panel periodic trapezoid sum of a symmetric integrand
-    given at the _trapezoid_quarter nodes."""
-    return float(_trapezoid_quarter(PHI_PANELS)[1] @ per_dphi) \
-        * (2.0 * np.pi / PHI_PANELS)
+    given at the _trapezoid_quarter nodes, one sum a row of a block.
+    np.vecdot takes each row's dot product as the one-row w @ row does (a
+    matrix-vector product, block @ w, sums in another order)."""
+    return _value(np.vecdot(per_dphi, _trapezoid_quarter(PHI_PANELS)[1])
+                  * (2.0 * np.pi / PHI_PANELS))
 
 
 # The boundary integrands, per dphi.  With A = R a, B = R b, T = t R the
@@ -184,47 +204,98 @@ def _phi_sum(per_dphi):
 # normal (the inward co-normal is n x c' / |c'|).
 
 
+class _Coef(NamedTuple):
+    """The factors of the per-dphi integrands that depend on the family
+    alone, each by its own float expression of t and R (Python's pow for
+    the squares, which rounds about one square in a thousand otherwise
+    than an array square).  Floats for one family; for a FamilyBlock, each
+    is a (rows, 1) column of those floats."""
+
+    A: float        # R (1 + t^2)
+    B: float        # R (1 - t^2)
+    T2: float       # 2 t R
+    Nb: float       # 2 t b
+    Na: float       # 2 t a
+    ab2: float      # (a b)^2
+    kB: float       # 2 B (t R)
+    kA: float       # 2 A (t R)
+    AB2: float      # (A B)^2
+    R2: float       # R^2
+    t4: float       # 4 t^2
+    a2: float       # a^2
+    b2: float       # b^2
+    kn: float       # -2 t R a b
+    ab: float       # a b
+    abab: float     # (a b) (a b)
+    kK: float       # -4 t^2 (a b)
+
+
+def _family_coef(fam):
+    t, R = fam.t, fam.R
+    a, b = 1.0 + t**2, 1.0 - t**2
+    A, B, T = R * a, R * b, t * R
+    ab = a * b
+    return _Coef(A, B, 2.0 * t * R, 2.0 * t * b, 2.0 * t * a, ab**2,
+                 2.0 * B * T, 2.0 * A * T, (A * B) ** 2, R**2, 4.0 * t**2,
+                 a**2, b**2, -2.0 * t * R * a * b, ab, ab * ab,
+                 -4.0 * t**2 * ab)
+
+
+class FamilyBlock:
+    """Families whose quadratures are taken together: given a block, each
+    quadrature returns an array of one value a family, in order.
+
+    Every coefficient is a column of the one-family floats and every
+    array operation on them is elementwise, so each row has the bits of
+    that family's own quadrature; a table of any length is a sequence of
+    blocks (family_table).
+    """
+
+    def __init__(self, families):
+        cols = np.array([_family_coef(f) for f in families]).T
+        self.coef = _Coef(*cols[:, :, None])
+
+
+def _coef(fam):
+    """_Coef of a SaddleFamily (floats) or a FamilyBlock (columns)."""
+    return fam.coef if isinstance(fam, FamilyBlock) else _family_coef(fam)
+
+
 def _speed_sq(fam, tr):
     """|c'|^2 = (A sin phi)^2 + (B cos phi)^2 + (2T cos 2phi)^2."""
-    t, R = fam.t, fam.R
-    return (R * (1.0 + t**2) * tr.s) ** 2 + (R * (1.0 - t**2) * tr.c) ** 2 \
-        + (2.0 * t * R * tr.c2) ** 2
+    k = _coef(fam)
+    return (k.A * tr.s) ** 2 + (k.B * tr.c) ** 2 + (k.T2 * tr.c2) ** 2
 
 
 def _boundary_normal(fam, tr):
     """N = |x_r x x_phi| / R^2 at r = R
     = sqrt((2tb sin phi)^2 + (2ta cos phi)^2 + (ab)^2)."""
-    t = fam.t
-    a, b = 1.0 + t**2, 1.0 - t**2
-    return np.sqrt((2.0 * t * b * tr.s) ** 2 + (2.0 * t * a * tr.c) ** 2
-                   + (a * b) ** 2)
+    k = _coef(fam)
+    return np.sqrt((k.Nb * tr.s) ** 2 + (k.Na * tr.c) ** 2 + k.ab2)
 
 
 def _kappa2_ds(fam, tr, sp2, sp):
     """kappa^2 ds / dphi = |c' x c''|^2 / |c'|^5
     = [(2BTu)^2 + (2ATv)^2 + (AB)^2] / |c'|^5, given sp2 = |c'|^2 and
     sp = |c'|."""
-    t, R = fam.t, fam.R
-    A, B, T = R * (1.0 + t**2), R * (1.0 - t**2), t * R
-    return ((2.0 * B * T * tr.u) ** 2 + (2.0 * A * T * tr.v) ** 2
-            + (A * B) ** 2) / (sp2 * sp2 * sp)
+    k = _coef(fam)
+    return ((k.kB * tr.u) ** 2 + (k.kA * tr.v) ** 2 + k.AB2) \
+        / (sp2 * sp2 * sp)
 
 
 def _kappa_g_ds(fam, tr, sp2, n):
     """kappa_g ds / dphi = (c' x c'').n / |c'|^2
     = R^2 [4t^2 (a^2 cos phi v - b^2 sin phi u) + (ab)^2] / (N |c'|^2),
     given sp2 = |c'|^2 and n = N."""
-    t, R = fam.t, fam.R
-    a, b = 1.0 + t**2, 1.0 - t**2
-    return R**2 * (4.0 * t**2 * (a**2 * tr.c * tr.v - b**2 * tr.s * tr.u)
-                   + (a * b) ** 2) / (n * sp2)
+    k = _coef(fam)
+    return k.R2 * (k.t4 * (k.a2 * tr.c * tr.v - k.b2 * tr.s * tr.u)
+                   + k.ab2) / (n * sp2)
 
 
 def _kappa_n_ds(fam, tr, sp, n):
     """kappa_n ds / dphi = c''.n / |c'| = -2tRab sin 2phi / (N |c'|), given
     sp = |c'| and n = N."""
-    t = fam.t
-    return -2.0 * t * fam.R * (1.0 + t**2) * (1.0 - t**2) * tr.s2 / (n * sp)
+    return _coef(fam).kn * tr.s2 / (n * sp)
 
 
 # The disk integrands, per dphi: the radial integrals over [0, R] of
@@ -234,26 +305,28 @@ def _kappa_n_ds(fam, tr, sp, n):
 
 def _area_dphi(fam, n):
     """R^2 (X + A N + A^2) / (3 (N + A)), A = ab."""
-    t = fam.t
-    ab = (1.0 + t**2) * (1.0 - t**2)
-    return fam.R**2 * (n * n + ab * n + ab * ab) / (3.0 * (n + ab))
+    k = _coef(fam)
+    return k.R2 * (n * n + k.ab * n + k.abab) / (3.0 * (n + k.ab))
 
 
 def _K_dA_dphi(fam, n):
     """-(2tA/R)^2 R^2 / (A N (N + A)) = -4 t^2 A / (N (N + A)), A = ab."""
-    t = fam.t
-    ab = (1.0 + t**2) * (1.0 - t**2)
-    return -4.0 * t**2 * ab / (n * (n + ab))
+    k = _coef(fam)
+    return k.kK / (n * (n + k.ab))
 
 
 @functools.lru_cache(maxsize=1)
 def _quarter_sample(fam):
     """Read-only (|c'|^2, |c'|, N) at the _trapezoid_quarter(PHI_PANELS)
     nodes, shared by the five trapezoid quadratures of one family (one
-    table row)."""
+    table row) or FamilyBlock (one row a family)."""
     tr = _trapezoid_quarter(PHI_PANELS)[0]
     sp2 = _speed_sq(fam, tr)
     return _read_only((sp2, np.sqrt(sp2), _boundary_normal(fam, tr)))
+
+
+# Each quadrature takes a SaddleFamily, and returns a float, or a
+# FamilyBlock, and returns one value a family.
 
 
 def length_quadrature(fam):
@@ -274,7 +347,8 @@ def bending_quadrature(fam):
 
 
 def energy_quadrature(fam, sigma, alpha):
-    """sigma * area + alpha * bending by quadrature."""
+    """sigma * area + alpha * bending by quadrature (sigma may hold one
+    value a row of a FamilyBlock)."""
     return sigma * area_quadrature(fam) + alpha * bending_quadrature(fam)
 
 
@@ -309,7 +383,7 @@ def int_abs_kn_quadrature(fam):
     tr, w = _gauss_quarter(KN_QUARTER_NODES)
     kn_ds = _kappa_n_ds(fam, tr, np.sqrt(_speed_sq(fam, tr)),
                         _boundary_normal(fam, tr))
-    return abs(float(kn_ds @ w)) * np.pi
+    return _value(np.abs(np.vecdot(kn_ds, w)) * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +426,42 @@ def pitchfork_amplitude(gamma):
     if gamma <= gs:
         return 0.0
     return float(np.sqrt(3.0 * (gamma - gs) / (2.0 * gamma)))
+
+
+# ---------------------------------------------------------------------------
+# the asymptotic table
+
+TABLE_COLUMNS = ("gamma", "t", "radius", "energy_series", "energy_quadrature",
+                 "int_abs_kn", "mean_abs_kn", "int_K_quadrature",
+                 "int_K_gauss_bonnet")
+
+
+def family_table(gammas, length, alpha=1.0):
+    """The series against the quadratures along the pitchfork branch, one
+    row (TABLE_COLUMNS) a film tension gamma = sigma L^3 / alpha: the
+    amplitude t, the R of boundary length L = `length`, the constrained
+    series energy and the quadrature energy, the integral of |kappa_n| ds
+    and its mean over the boundary, and the two integrals of K.
+
+    Yields the rows in (rows, 9) arrays of up to TABLE_BLOCK_ROWS, each
+    block's quadratures taken once on a FamilyBlock; every row has the
+    bits of the one-family quadratures of its gamma.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    for start in range(0, len(gammas), TABLE_BLOCK_ROWS):
+        gamma = gammas[start:start + TABLE_BLOCK_ROWS]
+        fams = [SaddleFamily(R=radius_for_length(length, t), t=t)
+                for t in map(pitchfork_amplitude, gamma)]
+        block = FamilyBlock(fams)
+        t = np.array([f.t for f in fams])
+        sigma = gamma * alpha / length**3
+        int_abs_kn = int_abs_kn_quadrature(block)
+        yield np.column_stack([
+            gamma, t, [f.R for f in fams],
+            constrained_energy_series(length, t, sigma, alpha),
+            energy_quadrature(block, sigma, alpha), int_abs_kn,
+            int_abs_kn / length_quadrature(block), int_K_quadrature(block),
+            int_K_gauss_bonnet(block)])
 
 
 # ---------------------------------------------------------------------------

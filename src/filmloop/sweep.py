@@ -28,8 +28,9 @@ from .mesh import generate_disk_mesh, scale_to_boundary_length
 from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy
 from .optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
                        check_field_types, perturb, relax)
-from .diffgeo import (_corners, _cross, _norm, boundary_geometry,
-                      gaussian_curvature, gauss_bonnet_defect, planarity)
+from .diffgeo import (_corner_geometry, _corners, _cross, _norm,
+                      boundary_geometry, gaussian_curvature,
+                      gauss_bonnet_defect, planarity)
 from .stability import boundary_mode_spectrum
 
 logger = logging.getLogger(__name__)
@@ -181,8 +182,9 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
                 dataclasses.replace(params, length_multiplier=length_multiplier),
                 schedule.options)
 
-    bg = boundary_geometry(mesh, res.x)
-    field_k = gaussian_curvature(mesh, res.x)
+    geometry = _corner_geometry(mesh.triangles, res.x)
+    bg = boundary_geometry(mesh, res.x, geometry)
+    field_k = gaussian_curvature(mesh, res.x, geometry)
     modes, amps = boundary_mode_spectrum(mesh, res.x)
     dom = int(modes[np.argmax(amps)])
     mode2 = float(amps[1]) if len(amps) > 1 else 0.0
@@ -201,7 +203,7 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
         planarity=planarity(mesh, res.x),
         dominant_mode=dom, mode2_amp=mode2,
         gauss_bonnet=gauss_bonnet_defect(mesh, res.x, field_k),
-        self_intersections=count_self_intersections(mesh, res.x),
+        self_intersections=count_self_intersections(mesh, res.x, geometry),
         iterations=res.iterations, function_evals=res.function_evals,
         penalty_rounds=res.penalty_rounds,
         seed=seed, converged=int(res.converged and res.length_error < LENGTH_TOL),
@@ -251,10 +253,11 @@ def run_sweep(schedule, out_dir=None, save_meshes=False):
         write_diagram_csv(os.path.join(out_dir, "diagram.csv"), diagram)
         write_manifest(os.path.join(out_dir, "manifest.json"), schedule)
         if save_meshes:
-            from .meshio import write_obj
+            from .meshio import obj_faces, write_obj
+            faces = obj_faces(mesh.triangles)
             for idx, x_final in saved.items():
                 write_obj(os.path.join(out_dir, f"point_{idx:04d}.obj"),
-                          x_final, mesh.triangles)
+                          x_final, faces)
     return diagram
 
 
@@ -402,7 +405,7 @@ def fit_linear_K(diagram, gamma_c):
 GRAPH_MARGIN = 1e-9
 
 
-def count_self_intersections(mesh, x):
+def count_self_intersections(mesh, x, geometry=None):
     """Number of transversally intersecting non-adjacent triangle pairs.
 
     A state that _is_graph certifies has none, and no pair is searched.
@@ -412,14 +415,16 @@ def count_self_intersections(mesh, x):
     Moller-Trumbore ray-triangle test over the rest then counts a pair when
     an edge of one triangle crosses the interior of the other.  Exactly
     coplanar overlaps are skipped (the diagnostic targets genuine crossings
-    of the immersed surface).
+    of the immersed surface).  geometry, when given, is
+    diffgeo._corner_geometry(mesh.triangles, x), whose face normals the
+    graph test reads.
     """
-    if _is_graph(mesh, x):
+    if _is_graph(mesh, x, geometry):
         return 0
     return len(_crossing_pairs(mesh, x))
 
 
-def _is_graph(mesh, x):
+def _is_graph(mesh, x, geometry=None):
     """True when the surface is a graph over the plane normal to its vector
     area v, which makes it embedded.
 
@@ -431,8 +436,11 @@ def _is_graph(mesh, x):
     it is one-to-one (the degree argument of Lipman, SIAM J. Imaging Sci. 7
     (2014) 1263), and triangles that share no vertex are disjoint.
     """
-    pts = _corners(mesh.triangles, x)
-    n = _cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])      # (3, f)
+    if geometry is None:
+        pts = _corners(mesh.triangles, x)
+        n = _cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])  # (3, f)
+    else:
+        n = geometry.normal
     v = n.sum(axis=1)
     v_len = float(np.sqrt(v @ v))
     if not v_len > 0.0:            # a flat eight's two lobes cancel

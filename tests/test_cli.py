@@ -24,7 +24,7 @@ from filmloop.meshio import write_obj
 from filmloop.sweep import (CSV_COLUMNS, BifurcationDiagram, SweepPoint,
                             SweepSchedule, run_sweep, write_diagram_csv)
 
-from helpers import disk_solution
+from helpers import disk_solution, one_family_table_row
 
 
 def test_version_flag_exits_zero(capsys):
@@ -556,12 +556,14 @@ def test_asymptotic_bound_at_table_t_max(tmp_path, capsys, flag):
     assert abs(float(row[7]) - float(row[8])) <= 1e-12 * abs(float(row[8]))
 
 
-def test_asymptotic_calls_each_quadrature_once_a_row(tmp_path, monkeypatch):
+def test_asymptotic_calls_each_quadrature_once_a_block(tmp_path, monkeypatch):
     # perfbench's traced saddle.quadrature_ms_per_row times these five
-    # saddle attributes by name, one call of each a table row
+    # saddle attributes by name, one call of each a block of table rows,
+    # and counts the rows as pitchfork_amplitude calls: one a row, besides
+    # the command's two checks of its gamma range
     names = ("energy_quadrature", "int_K_quadrature", "int_abs_kn_quadrature",
              "length_quadrature", "int_K_gauss_bonnet")
-    calls = dict.fromkeys(names, 0)
+    calls = dict.fromkeys(names + ("pitchfork_amplitude",), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -569,10 +571,45 @@ def test_asymptotic_calls_each_quadrature_once_a_row(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in names:
+    for name in calls:
         monkeypatch.setattr(saddle, name, counted(name, getattr(saddle, name)))
-    assert main(["asymptotic", "--num", "3", "--out", str(tmp_path)]) == 0
-    assert calls == dict.fromkeys(names, 3)
+    rows = 2 * saddle.TABLE_BLOCK_ROWS + 3
+    assert main(["asymptotic", "--num", str(rows),
+                 "--out", str(tmp_path)]) == 0
+    assert calls == {**dict.fromkeys(names, 3),
+                     "pitchfork_amplitude": rows + 2}
+
+
+def test_asymptotic_rows_have_the_bytes_of_one_family_rows(tmp_path):
+    # three blocks, the last of two rows: every line is the row computed
+    # alone by the one-family quadratures, printed the same way
+    rows = 2 * saddle.TABLE_BLOCK_ROWS + 2
+    assert main(["asymptotic", "--num", str(rows),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "family.csv").read_text().splitlines()
+    assert lines[0] == ",".join(saddle.TABLE_COLUMNS)
+    gammas = np.linspace(0.9 * 96 * np.pi**3, 2.0 * 96 * np.pi**3, rows)
+    assert lines[1:] == [",".join("%.17g" % v for v in
+                                  one_family_table_row(g, 2.0 * np.pi))
+                         for g in gammas]
+
+
+def test_asymptotic_formats_the_mesh_faces_once(tmp_path, monkeypatch):
+    # the three saved meshes share one face block, and its bytes
+    faces = []
+    obj_faces = cli.obj_faces
+
+    def counted(tris):
+        faces.append(obj_faces(tris))
+        return faces[-1]
+
+    monkeypatch.setattr(cli, "obj_faces", counted)
+    assert main(["asymptotic", "--num", "2", "--save-meshes", "--rings", "3",
+                 "--out", str(tmp_path)]) == 0
+    assert len(faces) == 1
+    for t in (0.05, 0.2, 0.5):
+        obj = (tmp_path / f"family_t{t:.2f}.obj").read_text()
+        assert obj.endswith(faces[0])
 
 
 def test_asymptotic_saved_meshes_share_one_disk(tmp_path, monkeypatch):

@@ -115,7 +115,7 @@ def test_gaussian_curvature_sums_corners_in_add_at_order():
     # one bincount over the corners, k-major, gives np.add.at's bits
     mesh, x = generate_disk_mesh(6, 1.2)
     x = x + 0.05 * np.random.default_rng(6).standard_normal(x.shape)
-    _, areas, angles = _corner_geometry(mesh.triangles, x)
+    _, areas, angles, _ = _corner_geometry(mesh.triangles, x)
     angle_sum, area_w = np.zeros(mesh.vertex_count), np.zeros(mesh.vertex_count)
     for k in range(3):
         np.add.at(angle_sum, mesh.triangles[:, k], angles[k])
@@ -200,7 +200,7 @@ def test_surface_observables_match_the_row_reference_bit_for_bit(shape, args):
     # the component-first geometry takes the float operations of np.cross,
     # np.linalg.norm and np.einsum on (f, 3) rows, in their order
     mesh, x = shape(*args)
-    nhat, areas, angles = _corner_geometry(mesh.triangles, x)
+    nhat, areas, angles, _ = _corner_geometry(mesh.triangles, x)
     for got, want in zip((nhat.T, areas, angles.T),
                          reference_triangle_geometry(mesh, x)):
         np.testing.assert_array_equal(got, want)
@@ -213,6 +213,23 @@ def test_surface_observables_match_the_row_reference_bit_for_bit(shape, args):
     for got, want in zip((bg.normal, bg.kappa, bg.kappa_n, bg.kappa_g),
                          reference_loop_curvatures(mesh, x)):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape, args", SHAPES)
+def test_observables_from_one_corner_geometry_bit_for_bit(shape, args):
+    # a state's corner geometry, computed once and passed in, gives the
+    # bits each observable computes from the state alone
+    mesh, x = shape(*args)
+    geometry = _corner_geometry(mesh.triangles, x)
+    cf = gaussian_curvature(mesh, x, geometry)
+    cf_own = gaussian_curvature(mesh, x)
+    for name in ("defect", "area_weight"):
+        assert getattr(cf, name).tobytes() == getattr(cf_own, name).tobytes()
+    assert cf.total_area == cf_own.total_area
+    bg = boundary_geometry(mesh, x, geometry)
+    bg_own = boundary_geometry(mesh, x)
+    for name in ("normal", "kappa", "kappa_n", "kappa_g", "s_weight"):
+        assert getattr(bg, name).tobytes() == getattr(bg_own, name).tobytes()
 
 
 def test_zero_area_interior_triangle_still_raises():

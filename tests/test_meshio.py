@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from filmloop.mesh import TriMesh, generate_disk_mesh, validate_mesh
-from filmloop.meshio import write_obj
+from filmloop.meshio import obj_faces, write_obj
 
 from helpers import read_obj
 
@@ -42,6 +42,17 @@ def test_obj_bytes_match_the_per_line_writer(tmp_path):
         path = tmp_path / "disk.obj"
         write_obj(path, x, tris)
         assert path.read_bytes() == "".join(lines).encode()
+
+
+def test_obj_faces_text_writes_the_same_bytes(tmp_path):
+    # a face block formatted once serves every file of the mesh
+    mesh, x = generate_disk_mesh(3, 1.3)
+    faces = obj_faces(mesh.triangles)
+    for shift in (0.0, 1e-3):
+        write_obj(tmp_path / "array.obj", x + shift, mesh.triangles)
+        write_obj(tmp_path / "text.obj", x + shift, faces)
+        assert ((tmp_path / "text.obj").read_bytes()
+                == (tmp_path / "array.obj").read_bytes())
 
 
 def test_read_obj_restores_connectivity(tmp_path):

@@ -13,8 +13,9 @@ import pytest
 import filmloop
 from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.mesh import TriMesh, generate_disk_mesh, scale_to_boundary_length
-from filmloop import sweep
+from filmloop import diffgeo, meshio, sweep
 from filmloop.optimize import KICK_AMPLITUDE, MinimizeOptions, perturb, relax
+from filmloop.diffgeo import _corner_geometry
 from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
                             SweepSchedule, _crossing_pairs, _is_graph,
                             count_self_intersections,
@@ -325,6 +326,42 @@ def test_vectorized_crossings_match_per_pair_loop(shape, args):
                                   loop_crossing_pairs(mesh, x))
 
 
+@pytest.mark.parametrize("shape, args", [
+    pytest.param(_kicked_disk, (8,), id="disk-r8"),
+    pytest.param(saddle_shape, (16, 0.9), id="saddle-r16-t0.9"),
+    *[pytest.param(folded_pierced_disk, (6, 160.0, bump),
+                   id=f"fold-r6-160deg-bump{bump:g}")
+      for bump in (0.0, 0.75, 2.0)],
+    pytest.param(_lifted_double_cover, (), id="double-cover"),
+])
+def test_graph_test_reads_the_corner_geometry_normals(shape, args):
+    # the face normals of diffgeo's corner geometry are the graph test's
+    # own, so passing them changes no verdict and no count
+    mesh, x = shape(*args)
+    geometry = _corner_geometry(mesh.triangles, x)
+    assert _is_graph(mesh, x, geometry) == _is_graph(mesh, x)
+    assert (count_self_intersections(mesh, x, geometry)
+            == count_self_intersections(mesh, x))
+
+
+def test_sweep_point_computes_one_corner_geometry(monkeypatch):
+    # boundary_geometry, gaussian_curvature and count_self_intersections
+    # share the state's corner geometry: one computation a point
+    calls = []
+    geometry = sweep._corner_geometry
+
+    def counted(tris, x):
+        calls.append(len(tris))
+        return geometry(tris, x)
+
+    monkeypatch.setattr(sweep, "_corner_geometry", counted)
+    monkeypatch.setattr(diffgeo, "_corner_geometry", counted)
+    schedule = SweepSchedule(values=[100.0, 200.0], rings=3)
+    run_sweep(schedule)
+    mesh = generate_disk_mesh(3)[0]
+    assert calls == [len(mesh.triangles)] * 2
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -461,6 +498,26 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
     run_sweep(read_manifest(out1 / "manifest.json"), out_dir=out2)
     assert ((out1 / "diagram.csv").read_bytes()
             == (out2 / "diagram.csv").read_bytes())
+
+
+def test_saved_meshes_share_one_face_block(tmp_path, monkeypatch):
+    # every point's OBJ carries the face block formatted once a sweep
+    faces = []
+    obj_faces = meshio.obj_faces
+
+    def counted(tris):
+        faces.append(obj_faces(tris))
+        return faces[-1]
+
+    monkeypatch.setattr(meshio, "obj_faces", counted)
+    schedule = tiny_schedule()
+    run_sweep(schedule, out_dir=tmp_path, save_meshes=True)
+    assert len(faces) == 1
+    mesh = generate_disk_mesh(schedule.rings)[0]
+    assert faces[0] == obj_faces(mesh.triangles)
+    for idx in range(len(schedule.values)):
+        obj = (tmp_path / f"point_{idx:04d}.obj").read_text()
+        assert obj.endswith(faces[0])
 
 
 def _recorded_multipliers(monkeypatch, schedule):
