@@ -151,7 +151,7 @@ def boundary_geometry(mesh, x, geometry=None):
     s, e, savg = boundary_frame(mesh, x)
     if np.any(s <= 0.0):
         raise DiffGeoError("degenerate boundary edge")
-    t = e.T / s                                   # component-first (3, B)
+    t = e / s                                     # component-first (3, B)
     cvec = (t - t[:, mesh.loop_prev]) / savg
     kappa = _norm(cvec)
 

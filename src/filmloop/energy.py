@@ -29,10 +29,18 @@ length constraint.
 Every term lives on the loop, so every mesh's energy is its loop mesh's
 (mesh.TriMesh.loop_mesh): energy_and_gradient gathers a full mesh's loop
 rows once, evaluates them on the loop mesh and scatters the loop gradient
-back, so the gradient's other rows are exactly 0.  The loop body shifts along
-the loop with the index arrays cached on the mesh (loop_prev, loop_next),
-keeping every float operation of the np.roll / np.add.at formulation in its
-order: results are bit-identical.
+back, so the gradient's other rows are exactly 0.  The loop body runs
+component-first, on (3, B) rows of one coordinate each, starting from the
+edges and lengths of mesh.boundary_frame: the tangents, curvature
+numerators and edge gradients are row operations against (B,) vectors,
+shifted along the loop with the index arrays cached on the mesh
+(loop_prev, loop_next), and the gradient accumulates in place through
+grad.T.  The film term, film_operator(B) @ x, stays on the (B, 3) rows.
+Every float operation of the np.roll / np.einsum / np.add.at formulation
+keeps its order, so results are bit-identical: a squared edge length sums
+its components as np.add.reduce(e * e, axis=1) rounds, (p0 + p1) + p2, and
+the two row dot products as einsum("ij,ij->i") rounds over three columns,
+(p0 + p2) + p1.
 
 The control parameter k L^3 / alpha maps to gamma = sigma L^3 / alpha with
 sigma = SIGMA_PER_SPRING_K * k = (4 / sqrt(3)) k.  That factor is the
@@ -123,13 +131,15 @@ def energy_and_gradient(mesh, x, p):
         grad[loop] = g_loop
         return breakdown, grad
     prev, nxt = mesh.loop_prev, mesh.loop_next
-    s, e, savg = boundary_frame(mesh, x)
-    if (s < 1e-12 * p.target_length).any():
+    s, e, savg = boundary_frame(mesh, x)            # e is (3, B)
+    if (s < 1e-12 * p.target_length).any():    # not s.min(): NaN would mask
         raise DegenerateBoundaryError(
             "boundary edge shorter than 1e-12 * L, curvature undefined")
-    t = e / s[:, None]
-    c = t - t.take(prev, axis=0)        # curvature vector numerator at v
-    c_sq = np.einsum("ij,ij->i", c, c)
+    t = np.divide(e, s, out=e)
+    c = t - t.take(prev, axis=1)        # curvature vector numerator at v
+    sq = c * c
+    c_sq = sq[0] + sq[2]                # einsum("ij,ij->i")'s (p0 + p2) + p1
+    c_sq += sq[1]
     bending = p.alpha * float((c_sq / savg).sum())
 
     if p.spring_k != 0.0:
@@ -142,9 +152,9 @@ def energy_and_gradient(mesh, x, p):
     # bending gradient through unit tangents and edge lengths.
     # dE/dt_v collects c_v (positive sign) and c_{v+1} (negative sign);
     # dE/ds_v comes from the two <s> averages containing s_v.
-    c_s = c / savg[:, None]
+    c_s = c / savg
     csq_s2 = c_sq / savg**2
-    g_t = 2.0 * p.alpha * (c_s - c_s.take(nxt, axis=0))
+    g_t = 2.0 * p.alpha * (c_s - c_s.take(nxt, axis=1))
     g_s = -0.5 * p.alpha * (csq_s2 + csq_s2[nxt])
 
     # length penalties; their derivative in s is summed before joining g_s
@@ -159,10 +169,15 @@ def energy_and_gradient(mesh, x, p):
     # chain rule to edge endpoints: dt/de = (I - t t^T)/s, ds/de = t.  Edge
     # i runs from vertex i to i+1 and the loop repeats no vertex, so vertex
     # i gets + g_e[i-1] then - g_e[i], the order of np.add.at, np.subtract.at
-    g_e = (g_t - np.einsum("ij,ij->i", g_t, t)[:, None] * t) / s[:, None] \
-        + g_s[:, None] * t
-    grad += g_e.take(prev, axis=0)
-    grad -= g_e
+    np.multiply(g_t, t, out=sq)
+    g_dot_t = sq[0] + sq[2]             # einsum's order again
+    g_dot_t += sq[1]
+    g_e = np.subtract(g_t, np.multiply(g_dot_t, t, out=sq), out=g_t)
+    g_e /= s
+    g_e += np.multiply(g_s, t, out=sq)
+    grad_t = grad.T
+    grad_t += g_e.take(prev, axis=1)
+    grad_t -= g_e
 
     breakdown = EnergyBreakdown(bending=bending, springs=springs,
                                 length_penalty=e_pen,

@@ -372,20 +372,31 @@ class BoundaryFrame(NamedTuple):
     boundary_loop[i] -> boundary_loop[i + 1]."""
 
     length: np.ndarray        # (B,) edge lengths s_i
-    edge: np.ndarray          # (B, 3) edge vectors; edge / length are the tangents
+    edge: np.ndarray          # (3, B) edge vectors, component-first; the
+                              # tangents are edge / length
     s_weight: np.ndarray      # (B,) <s_v> = (s_i + s_{i-1}) / 2 at boundary_loop[i]
 
 
 def boundary_frame(mesh, x):
     """Edge lengths, edge vectors and vertex arc weights of the loop.
 
-    The unit tangents are edge / length[:, None], which each caller divides
-    out after checking the lengths against its own degeneracy bound and
-    raising its own error, so a zero-length edge never reaches a division.
+    The edges are built component-first, on x.T as (3, B) rows of one
+    coordinate each, so every later step is a row operation against a (B,)
+    vector.  A squared length sums its components (p0 + p1) + p2, the order
+    in which np.add.reduce(e * e, axis=1) rounds on (B, 3) rows, so the
+    lengths are np.linalg.norm's bit for bit.  The edge array is the
+    caller's to overwrite.  The unit tangents are edge / length, which each
+    caller divides out after checking the lengths against its own
+    degeneracy bound and raising its own error, so a zero-length edge never
+    reaches a division.
     """
     xb = x if mesh.loop_only else x.take(mesh.boundary_loop, axis=0)
-    e = xb.take(mesh.loop_next, axis=0) - xb
-    s = np.sqrt(np.add.reduce(e * e, axis=1))     # np.linalg.norm's float ops
+    xt = xb.T
+    e = xt.take(mesh.loop_next, axis=1) - xt
+    sq = e * e
+    s = sq[0] + sq[1]
+    s += sq[2]
+    np.sqrt(s, out=s)
     return BoundaryFrame(s, e, 0.5 * (s + s[mesh.loop_prev]))
 
 

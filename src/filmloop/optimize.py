@@ -16,12 +16,14 @@ gradient-only curvature test decides, so the one search runs every
 iteration, down to tolerances under the energy's resolution.  A direction
 that does not descend, or a failed line search, clears the memory and
 retries from preconditioned steepest descent; a search that fails again
-ends the solve with status line_search_failed.  So does a gradient that
-cannot reach the tolerance: from the first accepted step that does not
-lower the energy, the solve has FINISH_ITERATIONS more iterations.  Every
-evaluation, line-search trials included, gets one finiteness check,
-isfinite(f) and isfinite(max |g|) (max propagates NaN), and a non-finite
-energy or gradient aborts with NumericalError.  MinimizeOptions holds the
+ends the solve, relax's remaining penalty rounds included, with status
+line_search_failed.  A gradient that cannot reach the tolerance ends a
+round with that status too: from the first accepted step that does not
+lower the energy, the round has FINISH_ITERATIONS more iterations, and
+relax goes on to its next penalty round, if any.  Every evaluation,
+line-search trials included, gets one finiteness check, isfinite(f) and
+isfinite(max |g|) (max propagates NaN), and a non-finite energy or
+gradient aborts with NumericalError.  MinimizeOptions holds the
 two settings a caller may change: max_iterations and gradient_tolerance.
 A result's function_evals counts every energy_and_gradient call of the
 solve, and its energy is the breakdown computed when its iterate was
@@ -49,9 +51,10 @@ relax() holds the boundary length with an augmented Lagrangian (Nocedal &
 Wright, Numerical Optimization, ch. 17): between rounds the length
 multiplier moves by 2 mu (l - L), and the quadratic stiffness mu grows
 tenfold only when a round cut the length error by less than a factor 4,
-until the boundary length matches its target to LENGTH_TOL relative or
-MAX_PENALTY_ROUNDS rounds have run.  A caller that starts the multiplier
-near its final value (the sweep's warm start) usually needs one round.
+until the boundary length matches its target to LENGTH_TOL relative,
+MAX_PENALTY_ROUNDS rounds have run, or a round's search stalls with an
+empty memory.  A caller that starts the multiplier near its final value
+(the sweep's warm start) usually needs one round.
 Its result carries the line tension beta, the length constraint's
 multiplier.  relax solves on the loop alone: its rounds minimize over the
 3B loop coordinates on the loop-only mesh of mesh.TriMesh.loop_film, whose
@@ -204,11 +207,11 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     step_scale when the memory is empty.  A direction that does not
     descend, or a stalled search, clears the memory; a search that stalls
     with an empty memory returns the current iterate with status
-    line_search_failed, as does the FINISH_ITERATIONS-th iteration after
-    the first accepted step that did not lower the value.  Every
-    evaluation, line-search trials included, raises NumericalError when
-    the value or the gradient is not finite; that check's max |g| is the
-    accepted iterate's ginf.  callback(it, x, f, ginf) runs per accepted
+    search_stalled, and the FINISH_ITERATIONS-th iteration after the first
+    accepted step that did not lower the value returns with status
+    line_search_failed.  Every evaluation, line-search trials included,
+    raises NumericalError when the value or the gradient is not finite;
+    that check's max |g| is the accepted iterate's ginf.  callback(it, x, f, ginf) runs per accepted
     iterate, the start included (it = 0).  Returns (x, f, grad,
     iterations, status); f is the value fun returned at x.
 
@@ -263,7 +266,7 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
                 pairs.clear()
                 continue
             logger.debug("line search failed at iteration %d", it)
-            status = "line_search_failed"
+            status = "search_stalled"
             break
         x_new, f_new, (_, g_new, ginf) = ls[1:4]
         pairs.push(x_new - x, g_new - g)
@@ -388,8 +391,8 @@ def make_preconditioner(mesh, x0, params):
     symbol = np.maximum(symbol, 1e-12 * top)
     inv_circulant = circulant(np.fft.irfft(1.0 / symbol, n=nb))
 
-    t = frame.edge / np.maximum(frame.length, 1e-300)[:, None]
-    u = t.take(mesh.loop_prev, axis=0) - t
+    t = frame.edge / np.maximum(frame.length, 1e-300)
+    u = (t.take(mesh.loop_prev, axis=1) - t).T.copy()   # (B, 3), C order
     v = (inv_circulant @ u).reshape(-1)
     mu2 = 2.0 * params.length_penalty_k
     coef = mu2 / (1.0 + mu2 * ddot(u.reshape(-1), v))
@@ -512,12 +515,16 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     boundary length l misses the target by more than LENGTH_TOL relative,
     the multiplier becomes length_multiplier + 2 mu (l - L), and mu is
     multiplied by 10 unless the length error fell below a quarter of the
-    previous round's; at most MAX_PENALTY_ROUNDS rounds.  A last round
-    that converges with the length still off returns converged False and
-    status max_penalty_rounds.  params' length_multiplier is the first
-    round's multiplier, so a caller continuing from a nearby solve can
-    warm-start it; the result's params hold the last round's multiplier
-    and stiffness.
+    previous round's; at most MAX_PENALTY_ROUNDS rounds.  A round whose
+    search stalls with an empty memory ends the relax line_search_failed
+    and leaves the multiplier as it was; a round that ends
+    line_search_failed on its FINISH_ITERATIONS budget is followed by the
+    next round, whose new multiplier and stiffness change the objective.
+    A last round that converges with the length still off returns
+    converged False and status max_penalty_rounds.  params'
+    length_multiplier is the first round's multiplier, so a caller
+    continuing from a nearby solve can warm-start it; the result's params
+    hold the last round's multiplier and stiffness.
 
     log_stream, when given, receives one CSV for the whole relax: one
     header, and an iteration column that counts on across rounds.  A later
@@ -561,6 +568,9 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
         err = abs(fb.boundary_length - L) / L
         logger.debug("penalty round %d: length error %.3g, status %s",
                      rnd, err, status)
+        if status == "search_stalled":
+            status = "line_search_failed"
+            break
         if err < LENGTH_TOL or rnd == MAX_PENALTY_ROUNDS:
             break
         mu = p.length_penalty_k

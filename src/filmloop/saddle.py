@@ -55,6 +55,7 @@ t = sqrt(3 (gamma - 96 pi^3) / (2 gamma)) above it.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,7 +73,7 @@ class SaddleFamily:
 
     def __post_init__(self):
         for name in ("R", "t"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, "
                                  f"got {getattr(self, name)!r}")
         if self.R <= 0:

@@ -272,7 +272,9 @@ def reference_energy_and_gradient(mesh, x, p):
     """Reference for energy.energy_and_gradient: the boundary frame gathered
     per edge end, loop shifts by np.roll, the penalty derivative built by
     np.full, and the edge gradients scattered by np.add.at and
-    np.subtract.at.  No length multiplier term.  The springs are the film
+    np.subtract.at.  The length multiplier joins the global penalty's
+    energy and derivative before the edge term, in the kernel's order of
+    operations.  The springs are the film
     k x_B^T (2 sqrt(3) D) x_B of film_operator at the loop rows, added to
     the zero gradient there, so every other row stays 0."""
     loop = mesh.boundary_loop
@@ -308,10 +310,11 @@ def reference_energy_and_gradient(mesh, x, p):
 
     e_pen = 0.0
     dpen_ds = None
-    if p.length_penalty_k != 0.0:
-        excess = float(s.sum()) - p.target_length
-        e_pen += p.length_penalty_k * excess**2
-        dpen_ds = np.full(len(s), 2.0 * p.length_penalty_k * excess)
+    excess = float(s.sum()) - p.target_length
+    if p.length_penalty_k != 0.0 or p.length_multiplier != 0.0:
+        e_pen += p.length_penalty_k * excess**2 + p.length_multiplier * excess
+        dpen_ds = np.full(len(s), 2.0 * p.length_penalty_k * excess
+                          + p.length_multiplier)
     if p.edge_penalty_k != 0.0:
         diff = s - p.target_length / len(s)
         e_pen += p.edge_penalty_k * float(diff @ diff)

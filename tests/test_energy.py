@@ -176,8 +176,9 @@ def test_degenerate_boundary_raises():
 
 
 # parameter sets for the reference comparison: all terms, each term or
-# penalty switched off, each penalty alone, and both penalties off; all at
-# length_multiplier 0, since the reference kernel has no multiplier term
+# penalty switched off, each penalty alone, both penalties off, and a length
+# multiplier, as every warm-started sweep round has, with and without the
+# global penalty
 KERNEL_PARAMS = {
     "all": EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
                         length_penalty_k=1e4, edge_penalty_k=100.0),
@@ -190,6 +191,12 @@ KERNEL_PARAMS = {
     "edge_only": EnergyParams(alpha=1.0, spring_k=900.0, target_length=0.9,
                               edge_penalty_k=300.0),
     "no_penalty": EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0),
+    "multiplier": EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
+                               length_penalty_k=1e4, edge_penalty_k=100.0,
+                               length_multiplier=-3.0),
+    "multiplier_only": EnergyParams(alpha=1.0, spring_k=900.0,
+                                    target_length=0.9, edge_penalty_k=300.0,
+                                    length_multiplier=2.5),
 }
 
 
@@ -203,7 +210,7 @@ def assert_matches_reference(mesh, x, p):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
 @pytest.mark.parametrize("elongation", [1.0, 1.2])
-@pytest.mark.parametrize("rings", [3, 8, 16])
+@pytest.mark.parametrize("rings", [3, 8, 16, 32])
 def test_kernel_matches_reference_bitwise(rings, elongation, name):
     mesh, x0 = generate_disk_mesh(rings, elongation)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)
@@ -262,6 +269,26 @@ def test_collapsed_edge_raises_without_runtime_warning():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateBoundaryError):
             energy_and_gradient(mesh, x, KERNEL_PARAMS["all"])
+
+
+@pytest.mark.parametrize("loop_only", [False, True])
+def test_nan_edge_does_not_mask_a_collapsed_edge(loop_only):
+    # the degeneracy test reads every edge: a minimum over the lengths would
+    # be NaN and let the collapsed edge through
+    mesh, x = generate_disk_mesh(3)
+    x = scale_to_boundary_length(mesh, x, 1.0)[mesh.boundary_loop]
+    x[4] = x[3]                            # one zero-length boundary edge
+    x[8, 2] = np.nan                       # two NaN edges elsewhere
+    if loop_only:
+        mesh = mesh.loop_mesh()
+    else:
+        full = np.zeros((mesh.vertex_count, 3))
+        full[mesh.boundary_loop] = x
+        x = full
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateBoundaryError):
+            energy_and_gradient(mesh, x, KERNEL_PARAMS["multiplier"])
 
 
 def test_tension_conversions():

@@ -92,7 +92,7 @@ def test_nonsmooth_objective_reports_line_search_failure():
     opts = MinimizeOptions(max_iterations=100)
     x, f, g, it, status = minimize_function(fun, np.array([1.0]), opts,
                                             gtol_abs=1e-12)
-    assert status == "line_search_failed"
+    assert status == "search_stalled"
 
 
 def test_non_finite_energy_raises():
@@ -551,16 +551,17 @@ def _assert_cold_rings8_outcome(res, stall_after):
     if stall_after is None:
         assert res.penalty_rounds == 2 and res.converged
     else:
+        # a round whose search stalls on an empty memory ends the relax
         assert res.status == "line_search_failed" and not res.converged
-        assert res.iterations == stall_after
+        assert res.iterations == stall_after and res.penalty_rounds == 1
 
 
 @pytest.mark.parametrize("stall_after", [None, 100])
 def test_relax_writes_one_log_across_rounds(monkeypatch, stall_after):
     # a cold rings-8 relax at kL^3/alpha = 900 takes 2 penalty rounds and
     # 132 Wolfe searches, 117 in the first round; with the search stalled
-    # after 100 calls every round ends line_search_failed, the first after
-    # its 100 steps and the others at their start
+    # after 100 calls the first round's search stalls on an empty memory
+    # after its 100 steps, and the relax ends there
     if stall_after is not None:
         _stalling_search(monkeypatch, stall_after)
     stream = io.StringIO()
@@ -606,13 +607,15 @@ def test_cold_relax_evaluation_budget():
 
 
 def test_minimize_forced_stall_returns_stalled_iterate(monkeypatch):
-    # any later penalty round stalls at its start, with no step taken
+    # the first penalty round stalls after 5 steps, and the relax ends there
+    # with the round's own parameters
     mesh, x0, p, gtol = _stall_problem()
     _stalling_search(monkeypatch, 5)
     res = relax(mesh, x0, p)
     _, g = energy_and_gradient(mesh, res.x, res.params)
     assert res.status == "line_search_failed" and not res.converged
-    assert res.iterations == 5
+    assert res.iterations == 5 and res.penalty_rounds == 1
+    assert res.params == p
     assert np.abs(g).max() > gtol
     # the stalled iterate comes back with the breakdown from its acceptance
     assert res.energy == energy(mesh, res.x, res.params)
@@ -701,6 +704,29 @@ def test_subcritical_relax_never_stalls(monkeypatch):
     opts = MinimizeOptions(max_iterations=60000, gradient_tolerance=1e-11)
     res = relax(mesh, x0, p, opts)
     assert res.converged and stalls[0] == 0
+
+
+def test_finish_budget_round_is_followed_by_the_next(monkeypatch):
+    # a cold rings-8 relax of the bare loop (kL^3/alpha = 0) at 1e-9: its
+    # first round ends line_search_failed on the FINISH_ITERATIONS budget
+    # with the length 15 % off, and the later rounds, whose multiplier and
+    # stiffness change the objective, converge
+    solve = optimize.minimize_function
+    statuses = []
+
+    def recorded(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        statuses.append(out[4])
+        return out
+
+    monkeypatch.setattr(optimize, "minimize_function", recorded)
+    mesh, x0 = generate_disk_mesh(8, 1.2)
+    x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
+    p = EnergyParams(alpha=1.0, spring_k=0.0, target_length=1.0)
+    res = relax(mesh, x0, p, MinimizeOptions(gradient_tolerance=1e-9))
+    assert statuses[0] == "line_search_failed"
+    assert res.converged and res.penalty_rounds == len(statuses) > 1
+    assert res.length_error < LENGTH_TOL
 
 
 def test_unreachable_tolerance_ends_within_finish_budget(monkeypatch):
