@@ -233,7 +233,7 @@ def cmd_asymptotic(args):
     t_max = saddle.TABLE_T_MAX    # gamma = 288 pi^3 / (3 - 2 t^2) there
     gamma_max = 3.0 * saddle.gamma_star() / (3.0 - 2.0 * t_max**2)
     for name in ("gamma_min", "gamma_max"):
-        if saddle.pitchfork_amplitude(getattr(args, name)) > t_max:
+        if getattr(args, name) > gamma_max:
             raise UsageError(f"--{name.replace('_', '-')} must be at most "
                              f"{gamma_max!r}, where the amplitude t reaches "
                              f"{t_max:g} (the flat eight, t = 1, is at "

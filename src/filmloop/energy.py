@@ -132,7 +132,8 @@ def energy_and_gradient(mesh, x, p):
         return breakdown, grad
     prev, nxt = mesh.loop_prev, mesh.loop_next
     s, e, savg = boundary_frame(mesh, x)            # e is (3, B)
-    if (s < 1e-12 * p.target_length).any():    # not s.min(): NaN would mask
+    # not s.min(): a NaN would mask a short edge
+    if np.count_nonzero(s < 1e-12 * p.target_length):
         raise DegenerateBoundaryError(
             "boundary edge shorter than 1e-12 * L, curvature undefined")
     t = np.divide(e, s, out=e)

@@ -40,10 +40,12 @@ substitution u = Q, so they hold at t = 0.  Every quadrature is then a
 given with the resolution constants below.  All the integrands are
 invariant under phi -> -phi and phi -> pi - phi, so each samples one
 quarter of the phi period.  The table (family_table) takes its rows in
-blocks: a FamilyBlock holds the family-dependent factors of the
-integrands, each by its one-family float expression, as columns, so one
-array pass evaluates a block and every row keeps the bits its family's
-own quadratures give.
+blocks: a FamilyBlock holds t and R as (rows, 1) columns, which each
+integrand reads as it reads one family's floats, so one array pass
+evaluates a block.  Every square of t, R or a factor of them is a product,
+t * t, or np.square of a node array (for a float, t**2 is libm's pow,
+which rounds otherwise than t * t), so every row keeps the bits its
+family's own quadratures give.
 
 Eliminating R through the boundary-length series L = pi R (2 + 2 t^2 - t^4)
 turns the energy into a quartic in t whose stationarity condition
@@ -196,6 +198,20 @@ def _phi_sum(per_dphi):
                   * (2.0 * np.pi / PHI_PANELS))
 
 
+class FamilyBlock:
+    """Families whose quadratures are taken together: given a block, each
+    quadrature returns an array of one value a family, in order.
+
+    t and R are (rows, 1) columns, which the integrands read as they read
+    one family's floats, elementwise and with every square a product, so
+    each row has the bits of its family's own quadrature.
+    """
+
+    def __init__(self, families):
+        self.t = np.array([f.t for f in families])[:, None]
+        self.R = np.array([f.R for f in families])[:, None]
+
+
 # The boundary integrands, per dphi.  With A = R a, B = R b, T = t R the
 # boundary is c = (A cos phi, B sin phi, T sin 2phi), so
 # c' = (-A sin phi, B cos phi, 2T cos 2phi), c'' = -(A cos phi, B sin phi,
@@ -205,98 +221,48 @@ def _phi_sum(per_dphi):
 # normal (the inward co-normal is n x c' / |c'|).
 
 
-class _Coef(NamedTuple):
-    """The factors of the per-dphi integrands that depend on the family
-    alone, each by its own float expression of t and R (Python's pow for
-    the squares, which rounds about one square in a thousand otherwise
-    than an array square).  Floats for one family; for a FamilyBlock, each
-    is a (rows, 1) column of those floats."""
-
-    A: float        # R (1 + t^2)
-    B: float        # R (1 - t^2)
-    T2: float       # 2 t R
-    Nb: float       # 2 t b
-    Na: float       # 2 t a
-    ab2: float      # (a b)^2
-    kB: float       # 2 B (t R)
-    kA: float       # 2 A (t R)
-    AB2: float      # (A B)^2
-    R2: float       # R^2
-    t4: float       # 4 t^2
-    a2: float       # a^2
-    b2: float       # b^2
-    kn: float       # -2 t R a b
-    ab: float       # a b
-    abab: float     # (a b) (a b)
-    kK: float       # -4 t^2 (a b)
-
-
-def _family_coef(fam):
-    t, R = fam.t, fam.R
-    a, b = 1.0 + t**2, 1.0 - t**2
-    A, B, T = R * a, R * b, t * R
-    ab = a * b
-    return _Coef(A, B, 2.0 * t * R, 2.0 * t * b, 2.0 * t * a, ab**2,
-                 2.0 * B * T, 2.0 * A * T, (A * B) ** 2, R**2, 4.0 * t**2,
-                 a**2, b**2, -2.0 * t * R * a * b, ab, ab * ab,
-                 -4.0 * t**2 * ab)
-
-
-class FamilyBlock:
-    """Families whose quadratures are taken together: given a block, each
-    quadrature returns an array of one value a family, in order.
-
-    Every coefficient is a column of the one-family floats and every
-    array operation on them is elementwise, so each row has the bits of
-    that family's own quadrature; a table of any length is a sequence of
-    blocks (family_table).
-    """
-
-    def __init__(self, families):
-        cols = np.array([_family_coef(f) for f in families]).T
-        self.coef = _Coef(*cols[:, :, None])
-
-
-def _coef(fam):
-    """_Coef of a SaddleFamily (floats) or a FamilyBlock (columns)."""
-    return fam.coef if isinstance(fam, FamilyBlock) else _family_coef(fam)
-
-
 def _speed_sq(fam, tr):
     """|c'|^2 = (A sin phi)^2 + (B cos phi)^2 + (2T cos 2phi)^2."""
-    k = _coef(fam)
-    return (k.A * tr.s) ** 2 + (k.B * tr.c) ** 2 + (k.T2 * tr.c2) ** 2
+    t, R = fam.t, fam.R
+    return (np.square(R * (1.0 + t * t) * tr.s)
+            + np.square(R * (1.0 - t * t) * tr.c)
+            + np.square(2.0 * t * R * tr.c2))
 
 
 def _boundary_normal(fam, tr):
     """N = |x_r x x_phi| / R^2 at r = R
     = sqrt((2tb sin phi)^2 + (2ta cos phi)^2 + (ab)^2)."""
-    k = _coef(fam)
-    return np.sqrt((k.Nb * tr.s) ** 2 + (k.Na * tr.c) ** 2 + k.ab2)
+    t = fam.t
+    a, b = 1.0 + t * t, 1.0 - t * t
+    return np.sqrt(np.square(2.0 * t * b * tr.s)
+                   + np.square(2.0 * t * a * tr.c) + (a * b) * (a * b))
 
 
 def _kappa2_ds(fam, tr, sp2, sp):
     """kappa^2 ds / dphi = |c' x c''|^2 / |c'|^5
     = [(2BTu)^2 + (2ATv)^2 + (AB)^2] / |c'|^5, given sp2 = |c'|^2 and
     sp = |c'|."""
-    k = _coef(fam)
-    return ((k.kB * tr.u) ** 2 + (k.kA * tr.v) ** 2 + k.AB2) \
-        / (sp2 * sp2 * sp)
+    t, R = fam.t, fam.R
+    A, B, T = R * (1.0 + t * t), R * (1.0 - t * t), t * R
+    return (np.square(2.0 * B * T * tr.u) + np.square(2.0 * A * T * tr.v)
+            + (A * B) * (A * B)) / (sp2 * sp2 * sp)
 
 
 def _kappa_g_ds(fam, tr, sp2, n):
     """kappa_g ds / dphi = (c' x c'').n / |c'|^2
     = R^2 [4t^2 (a^2 cos phi v - b^2 sin phi u) + (ab)^2] / (N |c'|^2),
     given sp2 = |c'|^2 and n = N."""
-    k = _coef(fam)
-    return k.R2 * (k.t4 * (k.a2 * tr.c * tr.v - k.b2 * tr.s * tr.u)
-                   + k.ab2) / (n * sp2)
+    t, R = fam.t, fam.R
+    a, b = 1.0 + t * t, 1.0 - t * t
+    return R * R * (4.0 * t * t * (a * a * tr.c * tr.v - b * b * tr.s * tr.u)
+                    + (a * b) * (a * b)) / (n * sp2)
 
 
 def _kappa_n_ds(fam, tr, sp, n):
     """kappa_n ds / dphi = c''.n / |c'| = -2tRab sin 2phi / (N |c'|), given
     sp = |c'| and n = N."""
-    return _coef(fam).kn * tr.s2 / (n * sp)
+    t = fam.t
+    return -2.0 * t * fam.R * (1.0 + t * t) * (1.0 - t * t) * tr.s2 / (n * sp)
 
 
 # The disk integrands, per dphi: the radial integrals over [0, R] of
@@ -306,14 +272,16 @@ def _kappa_n_ds(fam, tr, sp, n):
 
 def _area_dphi(fam, n):
     """R^2 (X + A N + A^2) / (3 (N + A)), A = ab."""
-    k = _coef(fam)
-    return k.R2 * (n * n + k.ab * n + k.abab) / (3.0 * (n + k.ab))
+    t = fam.t
+    ab = (1.0 + t * t) * (1.0 - t * t)
+    return fam.R * fam.R * (n * n + ab * n + ab * ab) / (3.0 * (n + ab))
 
 
 def _K_dA_dphi(fam, n):
     """-(2tA/R)^2 R^2 / (A N (N + A)) = -4 t^2 A / (N (N + A)), A = ab."""
-    k = _coef(fam)
-    return k.kK / (n * (n + k.ab))
+    t = fam.t
+    ab = (1.0 + t * t) * (1.0 - t * t)
+    return -4.0 * t * t * ab / (n * (n + ab))
 
 
 @functools.lru_cache(maxsize=1)
@@ -454,12 +422,11 @@ def family_table(gammas, length, alpha=1.0):
         fams = [SaddleFamily(R=radius_for_length(length, t), t=t)
                 for t in map(pitchfork_amplitude, gamma)]
         block = FamilyBlock(fams)
-        t = np.array([f.t for f in fams])
         sigma = gamma * alpha / length**3
         int_abs_kn = int_abs_kn_quadrature(block)
         yield np.column_stack([
-            gamma, t, [f.R for f in fams],
-            constrained_energy_series(length, t, sigma, alpha),
+            gamma, block.t, block.R,
+            constrained_energy_series(length, block.t.ravel(), sigma, alpha),
             energy_quadrature(block, sigma, alpha), int_abs_kn,
             int_abs_kn / length_quadrature(block), int_K_quadrature(block),
             int_K_gauss_bonnet(block)])

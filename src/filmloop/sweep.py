@@ -28,7 +28,7 @@ from .mesh import generate_disk_mesh, scale_to_boundary_length
 from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy
 from .optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
                        check_field_types, perturb, relax)
-from .diffgeo import (_corner_geometry, _corners, _cross, _norm,
+from .diffgeo import (_corner_geometry, _corners, _cross, _dot, _norm,
                       boundary_geometry, gaussian_curvature,
                       gauss_bonnet_defect, planarity)
 from .stability import boundary_mode_spectrum
@@ -483,10 +483,6 @@ def _crossing_pairs(mesh, x):
 
     a, b = pts[..., pairs[:, 0]], pts[..., pairs[:, 1]]
     return pairs[_edges_cross(a, b) | _edges_cross(b, a)]
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _edges_cross(tri_a, tri_b, eps=1e-12):

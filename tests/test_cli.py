@@ -556,11 +556,30 @@ def test_asymptotic_bound_at_table_t_max(tmp_path, capsys, flag):
     assert abs(float(row[7]) - float(row[8])) <= 1e-12 * abs(float(row[8]))
 
 
+def test_asymptotic_bound_is_the_gamma_max_its_message_names(tmp_path, capsys):
+    # the bound is the float the message prints: that gamma gives its row,
+    # the next float above it is refused
+    assert main(["asymptotic", "--gamma-max", "1e9",
+                 "--out", str(tmp_path / "big")]) == 1
+    err = capsys.readouterr().err
+    gamma_max = float(err.split("must be at most ")[1].split(",")[0])
+    out = tmp_path / "asym"
+    assert main(["asymptotic", "--gamma-min", "6000", "--gamma-max",
+                 repr(float(np.nextafter(gamma_max, np.inf))), "--num", "2",
+                 "--out", str(out)]) == 1
+    assert "--gamma-max must be at most" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["asymptotic", "--gamma-min", "6000", "--gamma-max",
+                 repr(gamma_max), "--num", "2", "--out", str(out)]) == 0
+    row = (out / "family.csv").read_text().splitlines()[2].split(",")
+    assert float(row[0]) == gamma_max
+
+
 def test_asymptotic_calls_each_quadrature_once_a_block(tmp_path, monkeypatch):
     # perfbench's traced saddle.quadrature_ms_per_row times these five
     # saddle attributes by name, one call of each a block of table rows,
-    # and counts the rows as pitchfork_amplitude calls: one a row, besides
-    # the command's two checks of its gamma range
+    # and counts the rows as pitchfork_amplitude calls, one a row: the
+    # command checks its gamma range without them
     names = ("energy_quadrature", "int_K_quadrature", "int_abs_kn_quadrature",
              "length_quadrature", "int_K_gauss_bonnet")
     calls = dict.fromkeys(names + ("pitchfork_amplitude",), 0)
@@ -576,8 +595,7 @@ def test_asymptotic_calls_each_quadrature_once_a_block(tmp_path, monkeypatch):
     rows = 2 * saddle.TABLE_BLOCK_ROWS + 3
     assert main(["asymptotic", "--num", str(rows),
                  "--out", str(tmp_path)]) == 0
-    assert calls == {**dict.fromkeys(names, 3),
-                     "pitchfork_amplitude": rows + 2}
+    assert calls == {**dict.fromkeys(names, 3), "pitchfork_amplitude": rows}
 
 
 def test_asymptotic_rows_have_the_bytes_of_one_family_rows(tmp_path):

@@ -1,5 +1,6 @@
 """src/ holds the program: every module-level function and class of
-src/filmloop is reached, by name, from the program or the benchmark.
+src/filmloop is reached, by name, from the program or the benchmark, and
+no name is defined in two of its modules.
 
 A definition is reached when a reached place names it: module-level code of
 src/filmloop (the command table, constants, the __main__ guard), the body of
@@ -68,3 +69,18 @@ def test_every_src_definition_is_reached():
         "definitions in src/filmloop that no command, workload or program "
         "module reaches (move test oracles to tests/helpers.py, delete "
         "the rest): " + ", ".join(unreached))
+
+
+def test_no_name_is_defined_in_two_src_modules():
+    # two definitions of one helper (a component-first _dot, say) can sum
+    # in two orders; a module that needs it imports the other's
+    modules = {}                              # name -> {module}
+    for path in sorted((ROOT / "src" / "filmloop").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                modules.setdefault(node.name, set()).add(path.stem)
+    twice = sorted(f"{name} ({', '.join(sorted(places))})"
+                   for name, places in modules.items() if len(places) > 1)
+    assert not twice, ("names defined in more than one src/filmloop "
+                       "module: " + "; ".join(twice))

@@ -381,12 +381,16 @@ def test_circle_limit_quadratures():
 
 
 # t = 0, a small t, the default table's range and its bound, and two t at
-# which Python's t**2 (libm pow, as the one-family floats take it) and an
-# array square round differently: on numpy 2.4 with glibc they differ at
-# 0.21537672880606282 and agree at 0.42451376784852607, where they were
-# seen to differ on another host
+# which a float's t**2 (libm pow) and t * t round differently: on numpy 2.4
+# with glibc they differ at 0.21537672880606282 and agree at
+# 0.42451376784852607, where they were seen to differ on another host;
+# SPLIT_TS holds eight more that differ on the host at hand.  The
+# integrands square by products; a t**2 put back on a family factor would
+# split a block's row from its family's float integrand at such a t
 BLOCK_TS = [0.0, 1e-3, 0.05, 0.3, 0.6, np.sqrt(3.0) / 2.0, saddle.TABLE_T_MAX,
             0.21537672880606282, 0.42451376784852607]
+SPLIT_TS = [t for t in np.random.default_rng(0).random(40000).tolist()
+            if t**2 != t * t][:8]
 QUADRATURES = [saddle.length_quadrature, saddle.area_quadrature,
                saddle.bending_quadrature, saddle.int_K_quadrature,
                saddle.int_K_gauss_bonnet, saddle.int_abs_kn_quadrature]
@@ -409,6 +413,25 @@ def test_block_rows_are_the_one_family_quadratures_bit_for_bit(quadrature):
     assert energy.tobytes() == np.array(
         [saddle.energy_quadrature(f, s, 1.0)
          for f, s in zip(fams, sigma)]).tobytes()
+
+
+def test_block_integrands_are_the_one_family_integrands_bit_for_bit():
+    # node by node, before a sum can round a split row away
+    fams = [saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
+            for t in BLOCK_TS + SPLIT_TS]
+    tr = saddle._trapezoid_quarter(saddle.PHI_PANELS)[0]
+
+    def integrands(fam):
+        sp2, sp, n = saddle._quarter_sample(fam)
+        return [sp2, n, saddle._kappa2_ds(fam, tr, sp2, sp),
+                saddle._kappa_g_ds(fam, tr, sp2, n),
+                saddle._kappa_n_ds(fam, tr, sp, n),
+                saddle._area_dphi(fam, n), saddle._K_dA_dphi(fam, n)]
+
+    block = integrands(saddle.FamilyBlock(fams))
+    for row, fam in enumerate(fams):
+        for rows, one in zip(block, integrands(fam)):
+            assert rows[row].tobytes() == one.tobytes()
 
 
 def test_family_table_rows_are_the_one_family_rows_bit_for_bit():
