@@ -33,7 +33,11 @@ The loop keeps its state as one flat float64 vector and reshapes only to
 call the objective, the preconditioner and the callback, and to return.
 The pairs live in a ring of two preallocated (LBFGS_MEMORY, n) arrays plus
 their 1 / s.y, and the two-loop recursion updates its work vector in place
-with BLAS ddot / daxpy.
+with BLAS ddot / daxpy.  Those come from scipy.linalg.blas, imported by
+minimize_function and make_preconditioner when they run (a command that
+solves nothing loads no scipy module) and passed on to the pair ring and
+the line search; daxpy fuses its multiply-add, so b + c * a would not give
+its bits, and np.dot gives ddot's at three times its per-call cost.
 
 The vertex-wise bending stiffness grows like alpha / spacing^3, so at fine
 boundary resolution the Hessian spectrum spans six or more decades.
@@ -77,7 +81,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot
 
 from .energy import energy_and_gradient
 from .mesh import boundary_frame, circulant, film_operator
@@ -218,6 +221,8 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     The loop runs on one flat float64 copy of x0; fun, minv and callback
     see, and the returned x and grad have, the shape of x0.
     """
+    from scipy.linalg.blas import daxpy, ddot
+
     shape = np.shape(x0)
 
     def evaluate(v):
@@ -233,7 +238,7 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
 
     x = np.array(x0, dtype=float, order="C").reshape(-1)
     f, g, ginf = evaluate(x)
-    pairs = _PairRing(len(x))
+    pairs = _PairRing(len(x), ddot, daxpy)
 
     if callback is not None:
         callback(0, x.reshape(shape), f, ginf)
@@ -258,7 +263,8 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
         if not pairs.count:
             # move a small fraction of the problem length scale
             a0 = 0.01 * step_scale / max(float(np.linalg.norm(d)), 1e-300)
-        ls = _wolfe_search(evaluate, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2)
+        ls = _wolfe_search(evaluate, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2,
+                           ddot=ddot)
         if ls is None:
             if pairs.count:
                 # retry once from preconditioned steepest descent
@@ -285,10 +291,12 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
 class _PairRing:
     """The last LBFGS_MEMORY step / gradient-change pairs (s, y) with
     s.y > 0, as rows of two preallocated (LBFGS_MEMORY, n) arrays used as a
-    ring, with rho = 1 / s.y; direction() is the two-loop recursion."""
+    ring, with rho = 1 / s.y; direction() is the two-loop recursion, with
+    the BLAS ddot and daxpy given."""
 
-    def __init__(self, n):
+    def __init__(self, n, ddot, daxpy):
         self.n = n
+        self.ddot, self.daxpy = ddot, daxpy
         self.s = list(np.empty((LBFGS_MEMORY, n)))      # row views
         self.y = list(np.empty((LBFGS_MEMORY, n)))
         self.rho = [0.0] * LBFGS_MEMORY
@@ -301,7 +309,7 @@ class _PairRing:
 
     def push(self, s, y):
         """Keep (s, y) unless s.y <= 0; the oldest pair leaves a full ring."""
-        sy = ddot(s, y)
+        sy = self.ddot(s, y)
         if sy > 0.0:
             k = self.next
             self.s[k][:] = s
@@ -315,6 +323,7 @@ class _PairRing:
         Alg. 7.4) with starting inverse Hessian apply_minv, updated in
         place by BLAS daxpy."""
         s, y, rho, n = self.s, self.y, self.rho, self.n
+        ddot, daxpy = self.ddot, self.daxpy
         newest_first = [(self.next - 1 - i) % LBFGS_MEMORY
                         for i in range(self.count)]
         # the recursion is linear, so running it on -g yields -H g directly
@@ -357,6 +366,8 @@ def make_preconditioner(mesh, x0, params):
     starting geometry; a stale positive-definite scaling stays a valid
     preconditioner even after the shape evolves.
     """
+    from scipy.linalg.blas import daxpy, ddot
+
     if not mesh.loop_only:
         loop = mesh.boundary_loop
         loop_rows = make_preconditioner(mesh.loop_mesh(),
@@ -431,11 +442,11 @@ def _line_tension(mesh, fb, params):
             + 2.0 * params.edge_penalty_k * excess / nb)
 
 
-def _wolfe_search(fun, x, d, f0, dphi0, a0, c1, c2,
+def _wolfe_search(fun, x, d, f0, dphi0, a0, c1, c2, ddot,
                   max_bracket=30, max_zoom=40):
     """Strong-Wolfe line search along d, for fun(x) -> (f, g, ...), whose
-    energy comparisons allow ENERGY_ROUNDING * |f0|; returns (a, x, f,
-    fun(x), dphi) at the accepted point, or None."""
+    energy comparisons allow ENERGY_ROUNDING * |f0|; slopes are ddot(g, d).
+    Returns (a, x, f, fun(x), dphi) at the accepted point, or None."""
 
     def phi(a):
         xa = x + a * d

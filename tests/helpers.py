@@ -12,6 +12,7 @@ from filmloop.mesh import (LATTICE_TENSION, TriMesh, film_operator,
                            generate_disk_mesh, hex_ring_place)
 from filmloop import saddle
 from filmloop.saddle import family_point
+from filmloop.sweep import ExponentFit, FitError, _fit_window, _r_squared
 
 
 def fan_mesh(n, radius=1.0):
@@ -607,6 +608,48 @@ def read_obj(path):
                     raise ValueError("negative OBJ indices are not supported")
                 tris.append([i - 1 for i in idx])
     return np.array(verts, dtype=float), np.array(tris, dtype=np.int64)
+
+
+def curve_fit_exponent(diagram, gamma_threshold):
+    """Reference for sweep.fit_exponent: the same model, window, start and
+    bounds through scipy.optimize.curve_fit (trust-region reflective, its
+    stderr from the finite-difference Jacobian at the solution)."""
+    import scipy.optimize
+
+    rows = _fit_window(diagram, gamma_threshold)
+    g = np.array([p.gamma for p in rows])
+    a = np.array([p.mean_abs_kn for p in rows])
+
+    def model(gamma, amp, gamma_c, p):
+        return amp * np.clip(gamma - gamma_c, 1e-12, None) ** p
+
+    # gamma_c starts at the threshold, or at its upper bound when the first
+    # point lies within 1e-9 relative above the threshold
+    gamma_c_max = g.min() - 1e-9 * gamma_threshold
+    p0 = (a.max() / max(np.sqrt(g.max() - gamma_threshold), 1e-6),
+          min(gamma_threshold, gamma_c_max), 0.5)
+    bounds = ([1e-12, 0.5 * gamma_threshold, 0.1],
+              [np.inf, gamma_c_max, 1.5])
+    try:
+        popt, pcov = scipy.optimize.curve_fit(
+            model, g, a, p0=p0, bounds=bounds, maxfev=20000)
+    except RuntimeError as exc:
+        raise FitError(f"power-law fit did not converge: {exc}") from exc
+    stderr = float(np.sqrt(pcov[2, 2])) if np.all(np.isfinite(pcov)) else np.inf
+    return ExponentFit(exponent=float(popt[2]), stderr=stderr,
+                       gamma_c=float(popt[1]), amplitude=float(popt[0]),
+                       r_squared=_r_squared(a, model(g, *popt)),
+                       n_points=len(rows))
+
+
+def exponent_fit_ssr(diagram, gamma_threshold, fit):
+    """Sum of squared residuals of fit's A (gamma - gamma_c)^p over the
+    fit window."""
+    rows = _fit_window(diagram, gamma_threshold)
+    g = np.array([p.gamma for p in rows])
+    a = np.array([p.mean_abs_kn for p in rows])
+    pred = fit.amplitude * np.clip(g - fit.gamma_c, 1e-12, None) ** fit.exponent
+    return float(np.sum((a - pred) ** 2))
 
 
 # ---------------------------------------------------------------------------

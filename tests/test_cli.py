@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import filmloop
-from filmloop import cli, optimize, saddle
+from filmloop import cli, optimize, saddle, sweep
 from filmloop.cli import main
 from filmloop.diffgeo import boundary_geometry, gaussian_curvature
 from filmloop.energy import SIGMA_PER_SPRING_K
@@ -264,25 +264,49 @@ def test_relax_accepts_zero_kl3a(tmp_path):
 
 
 def test_relax_and_sweep_leave_spatial_and_optimize_unimported(tmp_path):
-    # the KD-tree pair search and the power-law fit import their scipy
-    # modules when they run; a relax and a sweep whose states are all
-    # certified graphs need none of them, and a full mesh's energy, its
-    # loop's film, needs no sparse matrix
+    # in one fresh interpreter: the commands that solve nothing load no
+    # scipy module; relax and sweep load the solver's BLAS when they solve,
+    # but a relax and a sweep whose states are all certified graphs need
+    # neither the KD-tree pair search nor scipy.optimize, and a full mesh's
+    # energy, its loop's film, needs no sparse matrix
+    _write_fit_csv(tmp_path / "diagram.csv", 12)
+    out = str(tmp_path)
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "from filmloop.cli import main\n"
+        "print(json.dumps(['import', scipy_modules()]))\n"
+        f"for argv in (['mesh', '--rings', '2', '--out', {out + '/m'!r}],\n"
+        "             ['stability'],\n"
+        "             ['asymptotic', '--num', '3', '--rings', '2',\n"
+        f"              '--save-meshes', '--out', {out + '/a'!r}],\n"
+        f"             ['fit', '--diagram', {out + '/diagram.csv'!r},\n"
+        "              '--threshold', '1000', '--units', 'gamma']):\n"
+        "    assert main(argv) == 0\n"
+        "    print(json.dumps([argv[0], scipy_modules()]))\n"
         "from filmloop.energy import EnergyParams, energy\n"
         "from filmloop.mesh import generate_disk_mesh\n"
         "mesh, x = generate_disk_mesh(2)\n"
         "assert energy(mesh, x, EnergyParams(spring_k=1.0)).springs > 0\n"
-        f"assert main(['relax', '--rings', '2', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
-        f"assert main(['sweep', '--start', '20', '--stop', '40', '--num', '2',"
-        f" '--rings', '2', '--out', {str(tmp_path / 's')!r}]) == 0\n"
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize',"
-        " 'scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules))\n")
+        f"assert main(['relax', '--rings', '2', '--out', {out + '/r'!r}]) == 0\n"
+        "print(json.dumps(['relax', scipy_modules()]))\n"
+        "assert main(['sweep', '--start', '20', '--stop', '40', '--num', '2',"
+        f" '--rings', '2', '--out', {out + '/s'!r}]) == 0\n"
+        "print(json.dumps(['sweep', scipy_modules()]))\n")
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = dict(json.loads(line) for line in proc.stdout.splitlines()
+                  if line.startswith("["))
+    assert list(loaded) == ["import", "mesh", "stability", "asymptotic",
+                            "fit", "relax", "sweep"]
+    for command in ("import", "mesh", "stability", "asymptotic", "fit"):
+        assert loaded[command] == [], command
+    for command in ("relax", "sweep"):
+        assert "scipy.linalg.blas" in loaded[command]
+        assert not [m for m in loaded[command]
+                    if m.startswith(("scipy.optimize", "scipy.spatial",
+                                     "scipy.sparse"))], command
 
 
 def test_sweep_partial_range_is_a_usage_error(tmp_path, capsys):
@@ -419,6 +443,35 @@ def test_fit_command_error_codes(tmp_path):
     _write_fit_csv(sparse, 5)
     assert main(["fit", "--diagram", str(sparse), "--threshold", "1000",
                  "--units", "gamma"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["mean_abs_kn", "gamma"])
+def test_fit_non_finite_cell_exits_one(tmp_path, capsys, column, value):
+    # a non-finite value the fit would read is named by point and column
+    csv = tmp_path / "diagram.csv"
+    _write_fit_csv(csv, 12)
+    lines = csv.read_text().splitlines()
+    cells = lines[6].split(",")
+    cells[CSV_COLUMNS.index(column)] = value
+    lines[6] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--diagram", str(csv), "--threshold", "1000",
+                 "--units", "gamma"]) == 1
+    err = capsys.readouterr().err
+    assert f"diagram point 5: {column} is {value}, not finite" in err
+    assert "Traceback" not in err
+
+
+def test_fit_that_does_not_converge_exits_two(tmp_path, capsys, monkeypatch):
+    csv = tmp_path / "diagram.csv"
+    _write_fit_csv(csv, 12)
+    monkeypatch.setattr(sweep, "FIT_MAX_ITERATIONS", 1)
+    assert main(["fit", "--diagram", str(csv), "--threshold", "1000",
+                 "--units", "gamma"]) == 2
+    err = capsys.readouterr().err
+    assert "power-law fit did not converge in 1 iteration" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1000"])

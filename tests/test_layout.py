@@ -1,6 +1,7 @@
 """src/ holds the program: every module-level function and class of
-src/filmloop is reached, by name, from the program or the benchmark, and
-no name is defined in two of its modules.
+src/filmloop is reached, by name, from the program or the benchmark, no
+name is defined in two of its modules, and none imports scipy when it is
+imported itself.
 
 A definition is reached when a reached place names it: module-level code of
 src/filmloop (the command table, constants, the __main__ guard), the body of
@@ -84,3 +85,32 @@ def test_no_name_is_defined_in_two_src_modules():
                    for name, places in modules.items() if len(places) > 1)
     assert not twice, ("names defined in more than one src/filmloop "
                        "module: " + "; ".join(twice))
+
+
+def _import_time_statements(node):
+    """The statements under node that run when its module is imported:
+    everything but the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _import_time_statements(child)
+
+
+def test_no_src_module_imports_scipy_at_import_time():
+    # scipy's import cost `import filmloop.cli` 0.21 s and 28 MB on a
+    # 2-core Xeon, even for a command that never uses it; the functions that
+    # need a scipy module import it when they run
+    found = []
+    for path in sorted((ROOT / "src" / "filmloop").glob("*.py")):
+        for node in _import_time_statements(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, ("module-level scipy imports in src/filmloop: "
+                       + ", ".join(found))

@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import daxpy, ddot
 
 from filmloop.energy import (DegenerateBoundaryError, EnergyParams, energy,
                              energy_and_gradient)
@@ -202,7 +203,7 @@ def test_pair_ring_matches_deque_two_loop():
     def apply_minv(v):
         return scale * v
 
-    ring = optimize._PairRing(n)
+    ring = optimize._PairRing(n, ddot, daxpy)
     memory = collections.deque(maxlen=optimize.LBFGS_MEMORY)
 
     def push(s, y):

@@ -391,6 +391,30 @@ BLOCK_TS = [0.0, 1e-3, 0.05, 0.3, 0.6, np.sqrt(3.0) / 2.0, saddle.TABLE_T_MAX,
             0.21537672880606282, 0.42451376784852607]
 SPLIT_TS = [t for t in np.random.default_rng(0).random(40000).tolist()
             if t**2 != t * t][:8]
+
+
+def _square_split_families(count):
+    """(t, R) families at which x**2 and x * x round differently for both
+    x = ab and x = AB (a = 1 + t^2, b = 1 - t^2, A = Ra, B = Rb), the
+    products the integrands square; at a t of SPLIT_TS they may agree, and
+    a (ab)**2 or (AB)**2 put back then goes unseen."""
+    def splits(x):
+        return x**2 != x * x
+
+    rng = np.random.default_rng(1)
+    fams = []
+    while len(fams) < count:
+        t = rng.random()
+        a, b = 1.0 + t * t, 1.0 - t * t
+        if splits(a * b):
+            R = 0.5 + rng.random()
+            while not splits((R * a) * (R * b)):
+                R = 0.5 + rng.random()
+            fams.append(saddle.SaddleFamily(R=R, t=t))
+    return fams
+
+
+SQUARE_SPLIT_FAMILIES = _square_split_families(8)
 QUADRATURES = [saddle.length_quadrature, saddle.area_quadrature,
                saddle.bending_quadrature, saddle.int_K_quadrature,
                saddle.int_K_gauss_bonnet, saddle.int_abs_kn_quadrature]
@@ -418,7 +442,7 @@ def test_block_rows_are_the_one_family_quadratures_bit_for_bit(quadrature):
 def test_block_integrands_are_the_one_family_integrands_bit_for_bit():
     # node by node, before a sum can round a split row away
     fams = [saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
-            for t in BLOCK_TS + SPLIT_TS]
+            for t in BLOCK_TS + SPLIT_TS] + SQUARE_SPLIT_FAMILIES
     tr = saddle._trapezoid_quarter(saddle.PHI_PANELS)[0]
 
     def integrands(fam):

@@ -23,8 +23,10 @@ from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
                             read_diagram_csv, read_manifest, run_sweep,
                             write_diagram_csv, write_manifest)
 
-from helpers import (folded_pierced_disk, loop_crossing_pairs,
+from helpers import (curve_fit_exponent, exponent_fit_ssr,
+                     folded_pierced_disk, loop_crossing_pairs,
                      reference_is_graph, saddle_shape)
+from test_acceptance import ELONGATED_VALUES, RINGS, SWEEP_OPTS
 
 
 def make_point(**over):
@@ -107,9 +109,33 @@ def fit_diagram(amp, gamma_c, p, gammas, noise=None):
     return BifurcationDiagram(points=points)
 
 
+SQRT_GAMMAS = np.linspace(1010.0, 1240.0, 12)
+NEAR_GAMMAS = np.linspace(3010.0, 3700.0, 10)
+NEAR_RELS = [1e-10, 1e-12]
+
+
+def noisy_fit_diagrams():
+    """The Monte Carlo test's 100 square-root laws with 1 % noise."""
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        noise = 0.01 * rng.standard_normal(len(SQRT_GAMMAS))
+        yield fit_diagram(0.1, 1005.0, 0.5, SQRT_GAMMAS, noise)
+
+
+def synthetic_fits():
+    """(diagram, threshold) of every exponent fit the tests below make."""
+    yield fit_diagram(0.1, 1005.0, 0.5, SQRT_GAMMAS), 1000.0
+    for diagram in noisy_fit_diagrams():
+        yield diagram, 1000.0
+    for rel in NEAR_RELS:
+        yield (fit_diagram(0.1, 3000.0, 0.5, NEAR_GAMMAS),
+               3010.0 * (1.0 - rel))
+    yield (fit_diagram(0.1, 1005.0, 0.5, np.linspace(1010.0, 1240.0, 9)),
+           1000.0)
+
+
 def test_fit_exponent_recovers_square_root_law():
-    gammas = np.linspace(1010.0, 1240.0, 12)
-    fit = fit_exponent(fit_diagram(0.1, 1005.0, 0.5, gammas), 1000.0)
+    fit = fit_exponent(fit_diagram(0.1, 1005.0, 0.5, SQRT_GAMMAS), 1000.0)
     assert abs(fit.exponent - 0.5) < 1e-3
     assert abs(fit.gamma_c - 1005.0) < 0.5
     assert fit.r_squared > 0.9999
@@ -118,22 +144,18 @@ def test_fit_exponent_recovers_square_root_law():
 
 
 def test_fit_exponent_monte_carlo_with_noise():
-    gammas = np.linspace(1010.0, 1240.0, 12)
-    rng = np.random.default_rng(7)
     hits = 0
-    for _ in range(100):
-        noise = 0.01 * rng.standard_normal(len(gammas))
-        fit = fit_exponent(fit_diagram(0.1, 1005.0, 0.5, gammas, noise), 1000.0)
+    for diagram in noisy_fit_diagrams():
+        fit = fit_exponent(diagram, 1000.0)
         hits += 0.45 <= fit.exponent <= 0.55
     assert hits >= 95
 
 
-@pytest.mark.parametrize("rel", [1e-10, 1e-12])
+@pytest.mark.parametrize("rel", NEAR_RELS)
 def test_fit_exponent_threshold_just_below_first_point(rel):
     # gamma_c's upper bound sits 1e-9 relative below the first window point,
     # so a threshold closer than that starts gamma_c at the bound
-    gammas = np.linspace(3010.0, 3700.0, 10)
-    fit = fit_exponent(fit_diagram(0.1, 3000.0, 0.5, gammas),
+    fit = fit_exponent(fit_diagram(0.1, 3000.0, 0.5, NEAR_GAMMAS),
                        3010.0 * (1.0 - rel))
     assert abs(fit.exponent - 0.5) < 1e-3
     assert fit.n_points == 10
@@ -151,6 +173,63 @@ def test_fit_exponent_rejects_planar_branch():
     for p in diagram.points:
         p.planarity = 1e-8       # below the twisted threshold
     with pytest.raises(FitError):
+        fit_exponent(diagram, 1000.0)
+
+
+def _check_fit_parity(diagram, threshold):
+    fit = fit_exponent(diagram, threshold)
+    ref = curve_fit_exponent(diagram, threshold)
+    assert fit.n_points == ref.n_points
+    assert fit.exponent == pytest.approx(ref.exponent, rel=1e-6, abs=0.0)
+    assert fit.gamma_c == pytest.approx(ref.gamma_c, rel=1e-6, abs=0.0)
+    # on a noise-free power law both SSRs are rounding, and so are both
+    # stderrs (below 5e-12): those agree absolutely, the SSRs to within
+    # the SSR of residuals of one ulp of the largest value
+    assert fit.stderr == pytest.approx(ref.stderr, rel=1e-4, abs=1e-10)
+    a = np.abs([p.mean_abs_kn for p in diagram.points])
+    ulps = len(a) * (np.finfo(float).eps * a.max()) ** 2
+    assert (exponent_fit_ssr(diagram, threshold, fit)
+            <= exponent_fit_ssr(diagram, threshold, ref) * (1.0 + 1e-9) + ulps)
+
+
+def test_fit_exponent_matches_curve_fit_on_synthetic_diagrams():
+    # the variable-projection fit against the curve_fit call it replaced
+    for diagram, threshold in synthetic_fits():
+        _check_fit_parity(diagram, threshold)
+
+
+@pytest.fixture(scope="module")
+def acceptance_diagrams():
+    """The elongated acceptance sweep at seeds 0 and 1."""
+    return [run_sweep(SweepSchedule(
+        values=ELONGATED_VALUES, rings=RINGS, elongation=1.2, base_seed=seed,
+        options=SWEEP_OPTS)) for seed in (0, 1)]
+
+
+def test_fit_exponent_matches_curve_fit_on_acceptance_sweeps(
+        acceptance_diagrams):
+    for diagram in acceptance_diagrams:
+        twist = [e for e in detect_transitions(diagram)
+                 if e.kind == "PLANAR->TWISTED"][0]
+        _check_fit_parity(diagram, 0.5 * (twist.lower + twist.upper)
+                          * SIGMA_PER_SPRING_K)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("column", ["mean_abs_kn", "gamma"])
+def test_fit_window_names_a_non_finite_point(column, value):
+    diagram = fit_diagram(0.1, 1005.0, 0.5, SQRT_GAMMAS)
+    setattr(diagram.points[4], column, value)
+    for fit in (fit_exponent, fit_linear_K):
+        with pytest.raises(ValueError,
+                           match=f"point 4: {column} is {value!r}, not finite"):
+            fit(diagram, 1000.0)
+
+
+def test_fit_exponent_iteration_cap_raises_fit_error(monkeypatch):
+    diagram = fit_diagram(0.1, 1005.0, 0.5, SQRT_GAMMAS)
+    monkeypatch.setattr(sweep, "FIT_MAX_ITERATIONS", 1)
+    with pytest.raises(FitError, match="did not converge in 1 iteration"):
         fit_exponent(diagram, 1000.0)
 
 
