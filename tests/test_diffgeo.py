@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from filmloop.diffgeo import (DiffGeoError, _corner_geometry,
+from filmloop.diffgeo import (DiffGeoError, _corner_geometry, _loop_normals,
                               boundary_geometry, gauss_bonnet_defect,
                               gaussian_curvature, planarity,
                               write_boundary_observables)
@@ -84,9 +84,9 @@ def test_boundary_geometry_regular_polygon():
     assert np.abs(bg.kappa - 1.0 / R).max() < 1e-12
     assert np.abs(bg.kappa_n).max() < 1e-12
     assert np.abs(bg.kappa_g - 1.0 / R).max() < 1e-12   # inward is positive
-    assert np.isclose(bg.s_weight.sum(), bg.boundary_length, rtol=1e-12)
-    assert np.isclose(bg.boundary_length, 2 * n * R * np.sin(np.pi / n),
-                      rtol=1e-12)
+    length = bg.edge_length.sum()
+    assert np.isclose(bg.s_weight.sum(), length, rtol=1e-12)
+    assert np.isclose(length, 2 * n * R * np.sin(np.pi / n), rtol=1e-12)
     assert abs(bg.integral_kn) < 1e-12
     assert bg.mean_abs_kn < 1e-12
 
@@ -115,13 +115,11 @@ def test_gaussian_curvature_sums_corners_in_add_at_order():
     # one bincount over the corners, k-major, gives np.add.at's bits
     mesh, x = generate_disk_mesh(6, 1.2)
     x = x + 0.05 * np.random.default_rng(6).standard_normal(x.shape)
-    _, areas, angles, _ = _corner_geometry(mesh.triangles, x)
-    angle_sum, area_w = np.zeros(mesh.vertex_count), np.zeros(mesh.vertex_count)
+    angles = _corner_geometry(mesh.triangles, x).angle
+    angle_sum = np.zeros(mesh.vertex_count)
     for k in range(3):
         np.add.at(angle_sum, mesh.triangles[:, k], angles[k])
-        np.add.at(area_w, mesh.triangles[:, k], areas / 3.0)
     cf = gaussian_curvature(mesh, x)
-    assert cf.area_weight.tobytes() == area_w.tobytes()
     m = cf.interior_mask
     assert cf.defect[m].tobytes() == (2.0 * np.pi - angle_sum[m]).tobytes()
     assert cf.defect[~m].tobytes() == (np.pi - angle_sum[~m]).tobytes()
@@ -143,7 +141,8 @@ def test_gaussian_curvature_spherical_cap():
     x[:, 2] = rho - np.sqrt(rho**2 - x[:, 0]**2 - x[:, 1]**2)
     cf = gaussian_curvature(mesh, x)
     m = cf.interior_mask
-    pk = cf.defect[m] / cf.area_weight[m]       # defect / barycentric area
+    area_w = reference_curvature_field(mesh, x)[1]   # barycentric areas
+    pk = cf.defect[m] / area_w[m]
     assert (cf.defect[m] > 0).all()
     assert np.abs(pk - 1.0 / rho**2).max() < 0.05 / rho**2
     # interior defects only, so the integral undershoots area / rho^2 by the
@@ -191,7 +190,7 @@ def test_boundary_normals_are_the_vertex_normals_bit_for_bit(shape, args):
     # boundary_geometry reads only the triangles touching the loop (all of
     # them at rings 1), in the order a pass over every triangle adds them
     mesh, x = shape(*args)
-    np.testing.assert_array_equal(boundary_geometry(mesh, x).normal,
+    np.testing.assert_array_equal(_loop_normals(mesh, x).T,
                                   vertex_normals(mesh, x)[mesh.boundary_loop])
 
 
@@ -205,12 +204,12 @@ def test_surface_observables_match_the_row_reference_bit_for_bit(shape, args):
                          reference_triangle_geometry(mesh, x)):
         np.testing.assert_array_equal(got, want)
     cf = gaussian_curvature(mesh, x)
-    defect, area_w, total_area = reference_curvature_field(mesh, x)
+    defect, _, total_area = reference_curvature_field(mesh, x)
     np.testing.assert_array_equal(cf.defect, defect)
-    np.testing.assert_array_equal(cf.area_weight, area_w)
     assert cf.total_area == total_area
     bg = boundary_geometry(mesh, x)
-    for got, want in zip((bg.normal, bg.kappa, bg.kappa_n, bg.kappa_g),
+    for got, want in zip((_loop_normals(mesh, x).T, bg.kappa, bg.kappa_n,
+                          bg.kappa_g),
                          reference_loop_curvatures(mesh, x)):
         np.testing.assert_array_equal(got, want)
 
@@ -223,13 +222,14 @@ def test_observables_from_one_corner_geometry_bit_for_bit(shape, args):
     geometry = _corner_geometry(mesh.triangles, x)
     cf = gaussian_curvature(mesh, x, geometry)
     cf_own = gaussian_curvature(mesh, x)
-    for name in ("defect", "area_weight"):
-        assert getattr(cf, name).tobytes() == getattr(cf_own, name).tobytes()
+    assert cf.defect.tobytes() == cf_own.defect.tobytes()
     assert cf.total_area == cf_own.total_area
     bg = boundary_geometry(mesh, x, geometry)
     bg_own = boundary_geometry(mesh, x)
-    for name in ("normal", "kappa", "kappa_n", "kappa_g", "s_weight"):
+    for name in ("kappa", "kappa_n", "kappa_g", "s_weight"):
         assert getattr(bg, name).tobytes() == getattr(bg_own, name).tobytes()
+    assert (_loop_normals(mesh, x, geometry).tobytes()
+            == _loop_normals(mesh, x).tobytes())
 
 
 def test_zero_area_interior_triangle_still_raises():
@@ -296,7 +296,7 @@ def test_el_residuals_reject_inflection():
 def test_write_boundary_observables(tmp_path):
     mesh, x = fan_mesh(16, 1.0)
     path = tmp_path / "boundary.csv"
-    write_boundary_observables(str(path), mesh, x, gaussian_curvature(mesh, x),
+    write_boundary_observables(str(path), gaussian_curvature(mesh, x),
                                boundary_geometry(mesh, x))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "index,s,kappa,kappa_n,kappa_g,defect"
@@ -319,7 +319,7 @@ def test_boundary_csv_bytes_match_the_per_row_writer(tmp_path, rings):
               % (v, s_cum[i], bg.kappa[i], bg.kappa_n[i], bg.kappa_g[i],
                  field.defect[v]) for i, v in enumerate(bg.loop)]
     path = tmp_path / "boundary.csv"
-    write_boundary_observables(str(path), mesh, x, field, bg)
+    write_boundary_observables(str(path), field, bg)
     assert path.read_bytes() == "".join(lines).encode()
 
 

@@ -1,17 +1,19 @@
 """src/ holds the program: every module-level function and class of
-src/filmloop is reached, by name, from the program or the benchmark, no
-name is defined in two of its modules, and none imports scipy when it is
-imported itself.
+src/filmloop is reached, by name, from the program or the benchmark, so is
+every method and property of its classes, no name is defined in two of its
+modules, and none imports scipy when it is imported itself.
 
 A definition is reached when a reached place names it: module-level code of
 src/filmloop (the command table, constants, the __main__ guard), the body of
 a reached definition, or any non-test perfbench/*.py file, whose strings
 count too (it instruments sites by attribute name).  Import statements in
-src/filmloop and the package's __init__ re-exports reach nothing.  Test
-oracles belong in tests/helpers.py.
+src/filmloop and the package's __init__ re-exports reach nothing.  A class
+member is named when a src/filmloop module or such a perfbench file names
+it anywhere.  Test oracles belong in tests/helpers.py.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +72,42 @@ def test_every_src_definition_is_reached():
         "definitions in src/filmloop that no command, workload or program "
         "module reaches (move test oracles to tests/helpers.py, delete "
         "the rest): " + ", ".join(unreached))
+
+
+def unnamed_members():
+    """Sorted 'module.Class.member' of the methods and properties of
+    src/filmloop classes that no program module or benchmark file names.
+    Dunders are exempt, and so are overrides of a library base class (an
+    argparse.ArgumentParser's error, say), which the library calls."""
+    named, classes = set(), []
+    for path in sorted((ROOT / "src" / "filmloop").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named |= _names([tree])
+        classes += [(path.stem, node) for node in tree.body
+                    if isinstance(node, ast.ClassDef)]
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            named |= _names([ast.parse(path.read_text())], strings=True)
+    unnamed = []
+    for module, node in classes:
+        cls = getattr(importlib.import_module(f"filmloop.{module}"), node.name)
+        library = [base for base in cls.__mro__[1:]
+                   if not base.__module__.startswith("filmloop")]
+        unnamed += [f"{module}.{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                    and m.name not in named
+                    and not any(m.name in vars(base) for base in library)]
+    return sorted(unnamed)
+
+
+def test_every_src_class_member_is_named():
+    # a method that only the tests call is a test oracle in the program
+    unnamed = unnamed_members()
+    assert not unnamed, (
+        "methods and properties of src/filmloop classes that no program "
+        "module or benchmark file names (move test oracles to "
+        "tests/helpers.py, delete the rest): " + ", ".join(unnamed))
 
 
 def test_no_name_is_defined_in_two_src_modules():

@@ -12,7 +12,7 @@ derivatives for the scalar boundary integrands, full-period sums for the
 symmetric quarters, Frenet analysis of sampled boundary points for the
 curvature split, the Gauss-Bonnet route for the integrated Gaussian
 curvature, and the one-family quadratures, byte for byte, for every row of
-a FamilyBlock and of the table.
+a block of families and of the table.
 """
 
 import numpy as np
@@ -42,8 +42,7 @@ def _quarter_and_full(fam, per_dphi):
     tr = saddle._trig(np.arange(n) * (2.0 * np.pi / n))
     sp2 = saddle._speed_sq(fam, tr)
     full = per_dphi(fam, tr, sp2, np.sqrt(sp2), saddle._boundary_normal(fam, tr))
-    quarter = per_dphi(fam, saddle._trapezoid_quarter(n)[0],
-                       *saddle._quarter_sample(fam))
+    quarter = per_dphi(fam, saddle._trapezoid_quarter(n)[0], *fam._sample)
     return saddle._phi_sum(quarter), float(full.sum()) * (2.0 * np.pi / n)
 
 
@@ -57,6 +56,22 @@ def test_family_parameter_validation():
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             saddle.SaddleFamily(R=R, t=t)
     saddle.SaddleFamily(R=1.0, t=-1.0)       # endpoints are allowed
+
+
+def test_block_parameter_validation():
+    # a block's columns are checked row by row, with one family's messages
+    R, t = np.array([[1.0], [2.0]]), np.array([[0.1], [-1.0]])
+    for bad, field, message in ((0.0, "R", "R must be positive"),
+                                (1.5, "t", "t must lie in"),
+                                (-np.inf, "R", "R must be finite"),
+                                (np.nan, "t", "t must be finite")):
+        cols = {"R": R.copy(), "t": t.copy()}
+        cols[field][1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{message}"):
+            saddle.SaddleFamily(**cols)
+    with pytest.raises(ValueError, match="^R and t must have one shape"):
+        saddle.SaddleFamily(R=R, t=t.ravel())
+    saddle.SaddleFamily(R=R, t=t)
 
 
 def test_metric_matches_finite_differences():
@@ -209,32 +224,49 @@ def test_boundary_line_element_and_curvature_are_exact():
         assert np.abs(kappa2_series(fam, phi) - k2).max() < 1e-12 * k2.max()
 
 
-def test_boundary_quadratures_share_one_sample():
+def _count_samples(monkeypatch):
+    """The families whose |c'|^2 is computed from here on, one entry a
+    computation (the trapezoid sample computes it once)."""
+    sampled = []
+    speed_sq = saddle._speed_sq
+
+    def counted(fam, tr):
+        sampled.append(fam)
+        return speed_sq(fam, tr)
+
+    monkeypatch.setattr(saddle, "_speed_sq", counted)
+    return sampled
+
+
+def test_boundary_quadratures_share_one_sample(monkeypatch):
     # one table row samples its phi quarter once, read-only, for all three;
     # the sin / cos tables and weights under it are built once for every row
+    sampled = _count_samples(monkeypatch)
     fam = saddle.SaddleFamily(1.0, 0.6)
-    saddle._quarter_sample.cache_clear()
     saddle.length_quadrature(fam)
     saddle.bending_quadrature(fam)
     saddle.int_K_gauss_bonnet(fam)
-    info = saddle._quarter_sample.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    assert not any(a.flags.writeable for a in saddle._quarter_sample(fam))
+    assert sampled == [fam]
+    assert not any(a.flags.writeable for a in fam._sample)
     for tr, w in (saddle._trapezoid_quarter(saddle.PHI_PANELS),
                   saddle._gauss_quarter(saddle.KN_QUARTER_NODES)):
         assert not any(a.flags.writeable for a in (*tr, w))
 
 
-def test_disk_quadratures_share_one_sample():
+def test_disk_quadratures_share_one_sample(monkeypatch):
     # the area and the integral of K read N = sqrt(X) from the same
-    # read-only sample as the boundary quadratures of the row
-    fam = saddle.SaddleFamily(1.0, 0.6)
-    saddle._quarter_sample.cache_clear()
-    saddle.area_quadrature(fam)
-    saddle.int_K_quadrature(fam)
-    saddle.length_quadrature(fam)
-    info = saddle._quarter_sample.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    # read-only sample as the boundary quadratures of the row; another
+    # family, or a block, samples once for itself
+    sampled = _count_samples(monkeypatch)
+    fam, other = saddle.SaddleFamily(1.0, 0.6), saddle.SaddleFamily(1.0, 0.6)
+    block = saddle.SaddleFamily(R=np.array([[1.0], [1.3]]),
+                                t=np.array([[0.6], [0.2]]))
+    for f in (fam, other, block):
+        saddle.area_quadrature(f)
+        saddle.int_K_quadrature(f)
+        saddle.length_quadrature(f)
+    assert sampled == [fam, other, block]
+    assert not any(a.flags.writeable for a in block._sample)
 
 
 def test_boundary_derivatives_match_finite_differences():
@@ -415,6 +447,12 @@ def _square_split_families(count):
 
 
 SQUARE_SPLIT_FAMILIES = _square_split_families(8)
+
+
+def _block(fams):
+    """The families as one SaddleFamily of (rows, 1) columns."""
+    return saddle.SaddleFamily(R=np.array([[f.R] for f in fams]),
+                               t=np.array([[f.t] for f in fams]))
 QUADRATURES = [saddle.length_quadrature, saddle.area_quadrature,
                saddle.bending_quadrature, saddle.int_K_quadrature,
                saddle.int_K_gauss_bonnet, saddle.int_abs_kn_quadrature]
@@ -423,17 +461,17 @@ QUADRATURES = [saddle.length_quadrature, saddle.area_quadrature,
 @pytest.mark.parametrize("quadrature", QUADRATURES,
                          ids=lambda q: q.__name__)
 def test_block_rows_are_the_one_family_quadratures_bit_for_bit(quadrature):
-    # every row of a FamilyBlock has the bytes of its family's one-family
+    # every row of a block has the bytes of its family's one-family
     # quadrature, whatever the other rows and their order
     fams = [saddle.SaddleFamily(R=saddle.radius_for_length(2 * np.pi, t), t=t)
             for t in BLOCK_TS]
     one = np.array([quadrature(f) for f in fams])
     assert all(type(quadrature(f)) is float for f in fams)
     for order in (slice(None), slice(None, None, -1)):
-        block = quadrature(saddle.FamilyBlock(fams[order]))
+        block = quadrature(_block(fams[order]))
         assert block.tobytes() == one[order].tobytes()
     sigma = np.array(BLOCK_TS) + 7.0
-    energy = saddle.energy_quadrature(saddle.FamilyBlock(fams), sigma, 1.0)
+    energy = saddle.energy_quadrature(_block(fams), sigma, 1.0)
     assert energy.tobytes() == np.array(
         [saddle.energy_quadrature(f, s, 1.0)
          for f, s in zip(fams, sigma)]).tobytes()
@@ -446,13 +484,13 @@ def test_block_integrands_are_the_one_family_integrands_bit_for_bit():
     tr = saddle._trapezoid_quarter(saddle.PHI_PANELS)[0]
 
     def integrands(fam):
-        sp2, sp, n = saddle._quarter_sample(fam)
+        sp2, sp, n = fam._sample
         return [sp2, n, saddle._kappa2_ds(fam, tr, sp2, sp),
                 saddle._kappa_g_ds(fam, tr, sp2, n),
                 saddle._kappa_n_ds(fam, tr, sp, n),
                 saddle._area_dphi(fam, n), saddle._K_dA_dphi(fam, n)]
 
-    block = integrands(saddle.FamilyBlock(fams))
+    block = integrands(_block(fams))
     for row, fam in enumerate(fams):
         for rows, one in zip(block, integrands(fam)):
             assert rows[row].tobytes() == one.tobytes()
