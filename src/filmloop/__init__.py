@@ -9,7 +9,7 @@ continuation driver that sweeps the dimensionless tension and records the
 resulting bifurcation diagram.
 """
 
-__version__ = "0.9.6"
+__version__ = "0.9.7"
 
 from .mesh import TriMesh, generate_disk_mesh, validate_mesh
 from .energy import EnergyParams, EnergyBreakdown, energy, energy_and_gradient

@@ -25,7 +25,7 @@ from .meshio import obj_faces, write_obj
 from .energy import EnergyParams, EnergyError, SIGMA_PER_SPRING_K
 from .optimize import (KICK_AMPLITUDE, MinimizeOptions, NumericalError,
                        perturb, relax)
-from .diffgeo import (_corner_geometry, boundary_geometry,
+from .diffgeo import (boundary_geometry, corner_geometry,
                       gauss_bonnet_defect, gaussian_curvature, planarity,
                       write_boundary_observables, DiffGeoError)
 from .stability import threshold_table
@@ -159,7 +159,7 @@ def cmd_relax(args):
     res = relax(mesh, x0, params, opts)
     os.makedirs(args.out, exist_ok=True)
     write_obj(os.path.join(args.out, "relaxed.obj"), res.x, mesh.triangles)
-    geometry = _corner_geometry(mesh.triangles, res.x)
+    geometry = corner_geometry(mesh.triangles, res.x)
     field = gaussian_curvature(mesh, res.x, geometry)
     bg = boundary_geometry(mesh, res.x, geometry)
     write_boundary_observables(os.path.join(args.out, "boundary.csv"),

@@ -2,10 +2,11 @@
 
 Boundary curvature and its normal/geodesic decomposition, angle-defect
 Gaussian curvature with the (exact) discrete Gauss-Bonnet audit, a
-planarity metric, and the per-boundary-vertex CSV.  The smooth-curve
-oracles the tests hold these to (the Frenet analysis of closed sampled
-curves and the equilibrium residuals of the boundary curve equations) live
-in the tests.
+planarity metric, the self-intersection count and the per-boundary-vertex
+CSV, from one state's triangle geometry (corner_geometry).  The
+smooth-curve oracles the tests hold these to (the Frenet analysis of closed
+sampled curves and the equilibrium residuals of the boundary curve
+equations) live in the tests.
 
 Sign conventions: the boundary loop is oriented counterclockwise with
 respect to the surface orientation, vertex normals are angle-weighted face
@@ -61,11 +62,11 @@ class CornerGeometry(NamedTuple):
     normal: np.ndarray        # (3 xyz, f): (b - a) x (c - a), twice the area
 
 
-def _corner_geometry(tris, x):
+def corner_geometry(tris, x):
     """CornerGeometry of the (f, 3) triangles tris, by np.cross's,
     np.linalg.norm's and np.einsum's float ops on (f, 3) rows; a subset of
     the triangles gets the same bits.  boundary_geometry,
-    gaussian_curvature and sweep.count_self_intersections take it for
+    gaussian_curvature and count_self_intersections take it for
     mesh.triangles as an argument, so one state's observables compute it
     once."""
     pts = _corners(tris, x)
@@ -89,11 +90,11 @@ def _loop_normals(mesh, x, geometry=None):
     touching the loop (mesh.loop_triangles) are read, added corner by corner
     in increasing triangle order as a pass over every triangle adds them, so
     each normal has the bits of the all-vertex average at that vertex.
-    geometry, when given, is _corner_geometry(mesh.triangles, x)."""
+    geometry, when given, is corner_geometry(mesh.triangles, x)."""
     lt = mesh.loop_triangles()
     tris = mesh.triangles[lt]
     if geometry is None:
-        nhat, _, angles, _ = _corner_geometry(tris, x)
+        nhat, _, angles, _ = corner_geometry(tris, x)
     else:
         nhat, angles = geometry.unit_normal[:, lt], geometry.angle[:, lt]
     acc = np.stack([np.bincount(tris.T.ravel(), (angles * ni).ravel(),
@@ -140,7 +141,7 @@ def boundary_geometry(mesh, x, geometry=None):
     kappa_v = |t_v - t_{v-1}| / <s_v> with unit tangents; kappa_n is the
     projection of the discrete curvature vector on the vertex normal and
     kappa_g its projection on the inward co-normal N x t_bar.  geometry,
-    when given, is _corner_geometry(mesh.triangles, x), already computed.
+    when given, is corner_geometry(mesh.triangles, x), already computed.
     """
     loop = mesh.boundary_loop
     s, e, savg = boundary_frame(mesh, x)
@@ -188,10 +189,10 @@ class CurvatureField:
 
 def gaussian_curvature(mesh, x, geometry=None):
     """Angle-defect curvature of every vertex and the total area.
-    geometry, when given, is _corner_geometry(mesh.triangles, x), already
+    geometry, when given, is corner_geometry(mesh.triangles, x), already
     computed."""
     if geometry is None:
-        geometry = _corner_geometry(mesh.triangles, x)
+        geometry = corner_geometry(mesh.triangles, x)
     _, areas, angles, _ = geometry
     # one bincount over the corners, k-major: the order np.add.at took them
     angle_sum = np.bincount(mesh.triangles.T.ravel(), angles.ravel(),
@@ -208,6 +209,131 @@ def gauss_bonnet_defect(mesh, x, field=None):
     field, when given, is gaussian_curvature(mesh, x), already computed."""
     field = gaussian_curvature(mesh, x) if field is None else field
     return abs(float(field.defect.sum()) - 2.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# self-intersection diagnostic
+
+
+# least cosine between a triangle normal and the vector area, and least sine
+# of a boundary turn about the loop's centroid, for the graph certificate:
+# far above the rounding of a cross product (~1e-15), far below the tilts
+# and turns of the shapes it certifies (cosines >= 0.88 on sweep states and
+# 0.1 on the t = 0.9 saddle, sines >= 0.0058)
+GRAPH_MARGIN = 1e-9
+
+# the crossing test's margin: an edge whose |det| is below it (parallel to
+# the other triangle) or that crosses within it of an edge or a corner
+# (barycentric units) does not count; touching is not crossing
+EDGE_CROSS_EPS = 1e-12
+
+
+def count_self_intersections(mesh, x, geometry=None):
+    """Number of transversally intersecting non-adjacent triangle pairs.
+
+    A state that _is_graph certifies has none, and no pair is searched.
+    Otherwise candidate pairs come from a centroid KD-tree query; pairs
+    sharing a vertex (a 3 x 3 comparison of their corner indices) and pairs
+    whose axis-aligned bounding boxes do not overlap are dropped.  One
+    array pass of the Moller-Trumbore ray-triangle test over the rest then
+    counts a pair when an edge of one triangle crosses the interior of the
+    other.  Exactly coplanar overlaps are skipped (the diagnostic targets
+    genuine crossings of the immersed surface).  The graph test reads the
+    face normals of geometry, corner_geometry(mesh.triangles, x), if given.
+    """
+    if _is_graph(mesh, x, geometry):
+        return 0
+    return len(_crossing_pairs(mesh, x))
+
+
+def _is_graph(mesh, x, geometry=None):
+    """True when the surface is a graph over the plane normal to its vector
+    area v, which makes it embedded.
+
+    Two conditions, each with GRAPH_MARGIN to spare: every triangle normal
+    has a positive component along v, and the boundary loop seen along v
+    turns monotonically about its centroid, once (turns summing to 2 pi,
+    not 4 pi or more).  The projection along v then keeps every triangle's
+    orientation and maps the boundary onto a simple, star-shaped curve, so
+    it is one-to-one (the degree argument of Lipman, SIAM J. Imaging Sci. 7
+    (2014) 1263), and triangles that share no vertex are disjoint.
+    """
+    if geometry is None:
+        pts = _corners(mesh.triangles, x)
+        n = _cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])  # (3, f)
+    else:
+        n = geometry.normal
+    v = n.sum(axis=1)
+    v_len = float(np.sqrt(v @ v))
+    if not v_len > 0.0:            # a flat eight's two lobes cancel
+        return False
+    v = v / v_len
+    if not np.all(v @ n > GRAPH_MARGIN * np.sqrt(_dot(n, n))):
+        return False
+    r = x[mesh.boundary_loop].T
+    r = r - r.mean(axis=1, keepdims=True)
+    r = r - np.outer(v, v @ r)                    # in the plane normal to v
+    r_next = r[:, mesh.loop_next]
+    sin = v @ _cross(r, r_next)
+    cos = _dot(r, r_next)
+    r_len = np.sqrt(_dot(r, r))
+    if not np.all(sin > GRAPH_MARGIN * r_len * r_len[mesh.loop_next]):
+        return False
+    return float(np.arctan2(sin, cos).sum()) < 3.0 * np.pi
+
+
+def _crossing_pairs(mesh, x):
+    """(n, 2) triangle index pairs i < j counted by count_self_intersections."""
+    import scipy.spatial
+
+    pts = _corners(mesh.triangles, x)             # (3 xyz, 3 corners, f)
+    p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
+    centroids = (p0 + p1 + p2) / 3.0
+    crad = _norm(pts - centroids[:, None])               # (3 corners, f)
+    tree = scipy.spatial.cKDTree(centroids.T)
+    pairs = tree.query_pairs(2.0 * float(crad.max()), output_type="ndarray")
+
+    # drop pairs sharing any vertex, then pairs whose bounding boxes are apart
+    ta, tb = mesh.triangles[pairs[:, 0]], mesh.triangles[pairs[:, 1]]
+    pairs = pairs[~(ta[:, :, None] == tb[:, None, :]).any(axis=(1, 2))]
+    lo = np.minimum(np.minimum(p0, p1), p2)
+    hi = np.maximum(np.maximum(p0, p1), p2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    pairs = pairs[((lo[:, i] <= hi[:, j]) & (lo[:, j] <= hi[:, i])).all(0)]
+    if len(pairs) == 0:       # spare the edge test's fixed numpy overhead
+        return pairs
+
+    a, b = pts[..., pairs[:, 0]], pts[..., pairs[:, 1]]
+    return pairs[_edges_cross(a, b) | _edges_cross(b, a)]
+
+
+def _edges_cross(tri_a, tri_b):
+    """Per pair of component-first (3 xyz, 3 corners, n) triangles: does
+    any edge of tri_a cross the interior of tri_b transversally?
+
+    A lane with |det| < EDGE_CROSS_EPS (edge parallel to or in the plane of
+    tri_b) is masked out; its division by a zero or tiny det is no error.
+    """
+    eps = EDGE_CROSS_EPS
+    a0 = tri_b[:, 0]
+    e1, e2 = tri_b[:, 1] - a0, tri_b[:, 2] - a0
+    hit = np.zeros(tri_a.shape[2], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(3):
+            p = tri_a[:, k]
+            d = tri_a[:, (k + 1) % 3] - p
+            h = _cross(d, e2)
+            det = _dot(e1, h)
+            inv = 1.0 / det
+            s = p - a0
+            u = inv * _dot(s, h)
+            qv = _cross(s, e1)
+            v = inv * _dot(d, qv)
+            t = inv * _dot(e2, qv)
+            hit |= ((np.abs(det) >= eps) & (u > eps) & (u < 1.0 - eps)
+                    & (v > eps) & (u + v < 1.0 - eps)
+                    & (t > eps) & (t < 1.0 - eps))
+    return hit
 
 
 # ---------------------------------------------------------------------------

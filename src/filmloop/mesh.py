@@ -48,28 +48,28 @@ class TriMesh:
     """Connectivity of a triangulated disk.
 
     triangles are (f, 3) vertex indices with counterclockwise winding and
-    boundary_loop is the ordered cycle of boundary vertices.  loop_prev and
-    loop_next hold the loop positions i-1 and i+1 (mod B) for loop shifts;
-    loop edge i runs from boundary_loop[i] to boundary_loop[loop_next[i]].
-    loop_only marks loop_mesh's mesh, whose boundary_loop is arange(B): no
-    gathers.
-    lattice holds generate_disk_mesh's (n, 2) hex-lattice coordinates
-    (q, r), None for other meshes.
+    boundary_loop is the ordered cycle of boundary vertices; lattice holds
+    generate_disk_mesh's (n, 2) hex-lattice coordinates (q, r), None for
+    other meshes.  Derived: loop_prev and loop_next, the loop positions i-1
+    and i+1 (mod B), so loop edge i runs from boundary_loop[i] to
+    boundary_loop[loop_next[i]]; loop_only, for a mesh with no triangles,
+    which only loop_mesh builds (from_triangles refuses one): its
+    boundary_loop is arange(B), so no gathers.
     """
 
     vertex_count: int
     triangles: np.ndarray
     boundary_loop: np.ndarray
-    loop_prev: np.ndarray = field(repr=False)
-    loop_next: np.ndarray = field(repr=False)
-    loop_only: bool = field(default=False, repr=False)
     lattice: Optional[np.ndarray] = field(default=None, repr=False)
-    _loop: Optional["TriMesh"] = field(
-        default=None, repr=False, compare=False)
-    _film: Optional[tuple] = field(
-        default=None, repr=False, compare=False)
-    _loop_tris: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False)
+    loop_prev: np.ndarray = field(init=False, repr=False)
+    loop_next: np.ndarray = field(init=False, repr=False)
+    loop_only: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        b = np.arange(len(self.boundary_loop))
+        self.loop_prev, self.loop_next = np.roll(b, 1), np.roll(b, -1)
+        self.loop_only = len(self.triangles) == 0
+        self._loop = self._film = self._loop_tris = None     # caches
 
     @classmethod
     def from_triangles(cls, vertex_count, triangles):
@@ -92,11 +92,8 @@ class TriMesh:
         loop = [int(boundary_dir[0, 0])]
         while succ[loop[-1]] != loop[0]:
             loop.append(succ[loop[-1]])
-        loop = np.array(loop, dtype=np.int64)
-        b = np.arange(len(loop))
-        prev, nxt = np.roll(b, 1), np.roll(b, -1)
         return cls(vertex_count=vertex_count, triangles=tris,
-                   boundary_loop=loop, loop_prev=prev, loop_next=nxt)
+                   boundary_loop=np.array(loop, dtype=np.int64))
 
     def loop_mesh(self):
         """The B loop vertices, in loop order, as a loop-only mesh with no
@@ -110,8 +107,7 @@ class TriMesh:
             nb = len(self.boundary_loop)
             self._loop = TriMesh(
                 vertex_count=nb, triangles=np.empty((0, 3), dtype=np.int64),
-                boundary_loop=np.arange(nb), loop_prev=self.loop_prev,
-                loop_next=self.loop_next, loop_only=True)
+                boundary_loop=np.arange(nb))
         return self._loop
 
     def loop_film(self):

@@ -10,14 +10,12 @@ def obj_faces(triangles):
     return ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist())
 
 
-def write_obj(path, positions, triangles=None):
-    """Write vertices (and faces, if given: the (F, 3) triangles or their
-    obj_faces text) as OBJ with 1-based indexing; each block is one
-    formatting call over all of its rows."""
+def write_obj(path, positions, triangles):
+    """Write vertices and faces (the (F, 3) triangles or their obj_faces
+    text) as OBJ with 1-based indexing; each block is one formatting call
+    over all of its rows."""
     x = np.asarray(positions, dtype=float)
     text = ("v %.17g %.17g %.17g\n" * len(x)) % tuple(x.ravel().tolist())
-    if triangles is not None:
-        text += triangles if isinstance(triangles, str) \
-            else obj_faces(triangles)
+    text += triangles if isinstance(triangles, str) else obj_faces(triangles)
     with open(path, "w") as fh:
         fh.write(text)

@@ -23,11 +23,7 @@ lower the energy, the round has FINISH_ITERATIONS more iterations, and
 relax goes on to its next penalty round, if any.  Every evaluation,
 line-search trials included, gets one finiteness check, isfinite(f) and
 isfinite(max |g|) (max propagates NaN), and a non-finite energy or
-gradient aborts with NumericalError.  MinimizeOptions holds the
-two settings a caller may change: max_iterations and gradient_tolerance.
-A result's function_evals counts every energy_and_gradient call of the
-solve, and its energy is the breakdown computed when its iterate was
-accepted.
+gradient aborts with NumericalError.
 
 The loop keeps its state as one flat float64 vector and reshapes only to
 call the objective, the preconditioner and the callback, and to return.
@@ -60,14 +56,9 @@ MAX_PENALTY_ROUNDS rounds have run, or a round's search stalls with an
 empty memory.  A caller that starts the multiplier near its final value
 (the sweep's warm start) usually needs one round.
 Its result carries the line tension beta, the length constraint's
-multiplier.  relax solves on the loop alone: its rounds minimize over the
-3B loop coordinates on the loop-only mesh of mesh.TriMesh.loop_film, whose
-spring term k x_B^T (2 sqrt(3) D) x_B is the film's energy in closed form
-(the Douglas form D, tension sigma = 2 sqrt(3) k), and the result is
-extended to the full mesh once, with the harmonic disk spanning the loop
-as its interior, so it depends on the start only through its loop.
-relax is the one solve entry point; minimize_function is its L-BFGS core
-on a generic objective.
+multiplier.  relax solves on the loop alone (mesh.TriMesh.loop_film) and
+is the one solve entry point; minimize_function is its L-BFGS core on a
+generic objective.
 
 Nothing here perturbs its input: callers that need to break the planar
 symmetry (the sweep driver, the relax command) apply perturb() first, with
@@ -95,10 +86,14 @@ class NumericalError(RuntimeError):
 
 
 # strong-Wolfe constants (sufficient decrease, curvature; the usual
-# quasi-Newton values, Nocedal & Wright sec. 3.1) and the number of (s, y)
-# pairs the L-BFGS directions remember
+# quasi-Newton values, Nocedal & Wright sec. 3.1), caps on one search's steps
+# (beside each, the most the benchmark's sweep_elongated at seeds 0-9 and
+# relax_ladder take) and the number of (s, y) pairs the L-BFGS directions
+# remember
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+WOLFE_MAX_BRACKET = 30          # trial steps while bracketing: 5
+WOLFE_MAX_ZOOM = 40             # interpolations inside the bracket: 3
 LBFGS_MEMORY = 8
 
 # relative boundary-length error a relaxed state must reach
@@ -154,14 +149,17 @@ class MinimizeResult:
     x: np.ndarray
     energy: object                   # EnergyBreakdown at x
     iterations: int
-    converged: bool
     status: str                      # converged | max_iterations |
                                      # line_search_failed | max_penalty_rounds
-    params: object = None            # EnergyParams of the last penalty round
-    penalty_rounds: int = 0
-    function_evals: int = 0          # energy_and_gradient calls of the solve
-    length_error: float = 0.0
-    line_tension: float = 0.0        # beta, the length constraint's multiplier
+    params: object                   # EnergyParams of the last penalty round
+    penalty_rounds: int
+    function_evals: int              # energy_and_gradient calls of the solve
+    length_error: float
+    line_tension: float              # beta, the length constraint's multiplier
+
+    @property
+    def converged(self):
+        return self.status == "converged"
 
 
 def perturb(x, amplitude, seed):
@@ -263,8 +261,7 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
         if not pairs.count:
             # move a small fraction of the problem length scale
             a0 = 0.01 * step_scale / max(float(np.linalg.norm(d)), 1e-300)
-        ls = _wolfe_search(evaluate, x, d, f, dphi0, a0, WOLFE_C1, WOLFE_C2,
-                           ddot=ddot)
+        ls = _wolfe_search(evaluate, x, d, f, dphi0, a0, ddot)
         if ls is None:
             if pairs.count:
                 # retry once from preconditioned steepest descent
@@ -442,30 +439,50 @@ def _line_tension(mesh, fb, params):
             + 2.0 * params.edge_penalty_k * excess / nb)
 
 
-def _wolfe_search(fun, x, d, f0, dphi0, a0, c1, c2, ddot,
-                  max_bracket=30, max_zoom=40):
-    """Strong-Wolfe line search along d, for fun(x) -> (f, g, ...), whose
-    energy comparisons allow ENERGY_ROUNDING * |f0|; slopes are ddot(g, d).
+def _wolfe_search(fun, x, d, f0, dphi0, a0, ddot):
+    """Strong-Wolfe line search along d (WOLFE_C1, WOLFE_C2, and at most
+    WOLFE_MAX_BRACKET doubling trials, then WOLFE_MAX_ZOOM interpolations)
+    for fun(x) -> (f, g, ...), whose energy comparisons allow
+    ENERGY_ROUNDING * |f0|; slopes are ddot(g, d).
     Returns (a, x, f, fun(x), dphi) at the accepted point, or None."""
+    tol = ENERGY_ROUNDING * abs(f0)
 
     def phi(a):
         xa = x + a * d
         ea = fun(xa)
         return xa, ea[0], ea, ddot(ea[1], d)
 
-    tol = ENERGY_ROUNDING * abs(f0)
+    def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
+        for _ in range(WOLFE_MAX_ZOOM):
+            if abs(hi - lo) <= 1e-12 * max(abs(lo), abs(hi)):
+                return None
+            a = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
+            lo_, hi_ = min(lo, hi), max(lo, hi)
+            safety = 0.1 * (hi_ - lo_)
+            if a is None or not (lo_ + safety <= a <= hi_ - safety):
+                a = 0.5 * (lo + hi)
+            xa, fa, ea, dphia = phi(a)
+            if fa > f0 + WOLFE_C1 * a * dphi0 + tol or fa >= f_lo + tol:
+                hi, f_hi, d_hi = a, fa, dphia
+            else:
+                if abs(dphia) <= -WOLFE_C2 * dphi0:
+                    return a, xa, fa, ea, dphia
+                if dphia * (hi - lo) >= 0.0:
+                    hi, f_hi, d_hi = lo, f_lo, d_lo
+                lo, f_lo, d_lo = a, fa, dphia
+        return None
+
     a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     a = a0
-    for i in range(max_bracket):
+    for i in range(WOLFE_MAX_BRACKET):
         xa, fa, ea, dphia = phi(a)
-        if fa > f0 + c1 * a * dphi0 + tol or (i > 0 and fa >= f_prev + tol):
-            return _zoom(phi, f0, dphi0, tol, a_prev, f_prev, dphi_prev,
-                         a, fa, dphia, c1, c2, max_zoom)
-        if abs(dphia) <= -c2 * dphi0:
+        if (fa > f0 + WOLFE_C1 * a * dphi0 + tol
+                or (i > 0 and fa >= f_prev + tol)):
+            return zoom(a_prev, f_prev, dphi_prev, a, fa, dphia)
+        if abs(dphia) <= -WOLFE_C2 * dphi0:
             return a, xa, fa, ea, dphia
         if dphia >= 0.0:
-            return _zoom(phi, f0, dphi0, tol, a, fa, dphia,
-                         a_prev, f_prev, dphi_prev, c1, c2, max_zoom)
+            return zoom(a, fa, dphia, a_prev, f_prev, dphi_prev)
         a_prev, f_prev, dphi_prev = a, fa, dphia
         a *= 2.0
     return None
@@ -486,28 +503,6 @@ def _cubic_min(a, fa, da, b, fb, db):
     return am if np.isfinite(am) else None
 
 
-def _zoom(phi, f0, dphi0, tol, lo, f_lo, d_lo, hi, f_hi, d_hi, c1, c2,
-          max_zoom):
-    for _ in range(max_zoom):
-        if abs(hi - lo) <= 1e-12 * max(abs(lo), abs(hi)):
-            return None
-        a = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi)
-        lo_, hi_ = min(lo, hi), max(lo, hi)
-        safety = 0.1 * (hi_ - lo_)
-        if a is None or not (lo_ + safety <= a <= hi_ - safety):
-            a = 0.5 * (lo + hi)
-        xa, fa, ea, dphia = phi(a)
-        if fa > f0 + c1 * a * dphi0 + tol or fa >= f_lo + tol:
-            hi, f_hi, d_hi = a, fa, dphia
-        else:
-            if abs(dphia) <= -c2 * dphi0:
-                return a, xa, fa, ea, dphia
-            if dphia * (hi - lo) >= 0.0:
-                hi, f_hi, d_hi = lo, f_lo, d_lo
-            lo, f_lo, d_lo = a, fa, dphia
-    return None
-
-
 def relax(mesh, x0, params, opts=None, log_stream=None):
     """Minimize with the boundary length held by an augmented Lagrangian.
 
@@ -522,7 +517,8 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     calls of all rounds.
 
     If params.length_penalty_k (mu) is 0 a starting stiffness of
-    100 * (spring_k + alpha / L^3) is chosen.  After every round whose
+    100 * (spring_k + alpha / L^3) is chosen (edge_penalty_k's too;
+    ValueError if it is not finite).  After every round whose
     boundary length l misses the target by more than LENGTH_TOL relative,
     the multiplier becomes length_multiplier + 2 mu (l - L), and mu is
     multiplied by 10 unless the length error fell below a quarter of the
@@ -545,13 +541,18 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     opts = opts or MinimizeOptions()
     p = params
     L = p.target_length
-    stiffness = p.spring_k + p.alpha / L**3
+    stiffness = 100.0 * (p.spring_k + p.alpha / L**3)
+    chosen = p.length_penalty_k == 0.0 or p.edge_penalty_k == 0.0
+    if chosen and not math.isfinite(stiffness):
+        raise ValueError(f"the starting penalty 100 * (spring_k + alpha / "
+                         f"L^3) is not finite: spring_k = {p.spring_k!r}, "
+                         f"alpha / L^3 = {p.alpha / L**3!r}")
     if p.length_penalty_k == 0.0:
-        p = replace(p, length_penalty_k=100.0 * stiffness)
+        p = replace(p, length_penalty_k=stiffness)
     if p.edge_penalty_k == 0.0:
         # suppresses tangential crowding of boundary vertices; the global
         # term alone leaves that mode free and the film term abuses it
-        p = replace(p, edge_penalty_k=100.0 * stiffness)
+        p = replace(p, edge_penalty_k=stiffness)
     gscale = p.spring_k * L + p.alpha / L**2
     gtol = opts.gradient_tolerance * (gscale if gscale != 0.0 else 1.0)
 
@@ -594,7 +595,6 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     if status == "converged" and err >= LENGTH_TOL:
         status = "max_penalty_rounds"
     return MinimizeResult(
-        x=extend(x), energy=fb, iterations=total_iters,
-        converged=(status == "converged"), status=status, params=p,
-        penalty_rounds=rnd, function_evals=total_evals, length_error=err,
-        line_tension=_line_tension(loop_mesh, fb, p))
+        x=extend(x), energy=fb, iterations=total_iters, status=status,
+        params=p, penalty_rounds=rnd, function_evals=total_evals,
+        length_error=err, line_tension=_line_tension(loop_mesh, fb, p))

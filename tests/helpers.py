@@ -106,7 +106,7 @@ def circle_samples(n, radius=1.0):
 
 
 def reference_triangle_geometry(mesh, x):
-    """Reference for diffgeo._corner_geometry, transposed to rows:
+    """Reference for diffgeo.corner_geometry, transposed to rows:
     per-triangle (unit normals, areas, corner angles) from (f, 3) row
     gathers, np.cross, np.linalg.norm(axis=1) and np.einsum("ij,ij->i")."""
     tris = mesh.triangles
@@ -179,7 +179,7 @@ def reference_loop_curvatures(mesh, x):
 
 
 def reference_is_graph(mesh, x, margin):
-    """Reference for sweep._is_graph: the same two conditions on (f, 3)
+    """Reference for diffgeo._is_graph: the same two conditions on (f, 3)
     row gathers, np.cross and matrix-vector products."""
     tris = mesh.triangles
     p0 = x[tris[:, 0]]
@@ -225,7 +225,7 @@ def saddle_shape(rings, t):
 
 
 def loop_crossing_pairs(mesh, x):
-    """Reference for sweep._crossing_pairs: the same KD-tree candidates and
+    """Reference for diffgeo._crossing_pairs: the same KD-tree candidates and
     vertex-sharing filter, then one scalar Moller-Trumbore test per pair and
     edge, with no bounding-box prefilter."""
     tris = mesh.triangles

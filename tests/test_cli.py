@@ -270,6 +270,26 @@ def test_relax_bad_kl3a_is_named_by_its_flag(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["relax", "--rings", "2", "--kl3a", "1e307"],
+    ["sweep", "--rings", "2", "--start", "1e307", "--stop", "1e307",
+     "--num", "1"],
+])
+def test_overflowing_penalty_names_the_terms_it_comes_from(tmp_path, capsys,
+                                                           argv):
+    # a finite kL^3/alpha whose starting penalty 100 (spring_k + alpha / L^3)
+    # overflows: the error names those terms, not length_penalty_k, which
+    # no flag sets
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the starting penalty 100 * (spring_k + "
+                          "alpha / L^3) is not finite: spring_k = 1e+307, "
+                          "alpha / L^3 = 1.0")
+    assert "length_penalty_k" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_relax_accepts_zero_kl3a(tmp_path):
     # no film: the bending-only loop relaxes to its circle
     out = tmp_path / "relax"

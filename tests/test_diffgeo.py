@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from filmloop.diffgeo import (DiffGeoError, _corner_geometry, _loop_normals,
+from filmloop.diffgeo import (DiffGeoError, _loop_normals, corner_geometry,
                               boundary_geometry, gauss_bonnet_defect,
                               gaussian_curvature, planarity,
                               write_boundary_observables)
@@ -115,7 +115,7 @@ def test_gaussian_curvature_sums_corners_in_add_at_order():
     # one bincount over the corners, k-major, gives np.add.at's bits
     mesh, x = generate_disk_mesh(6, 1.2)
     x = x + 0.05 * np.random.default_rng(6).standard_normal(x.shape)
-    angles = _corner_geometry(mesh.triangles, x).angle
+    angles = corner_geometry(mesh.triangles, x).angle
     angle_sum = np.zeros(mesh.vertex_count)
     for k in range(3):
         np.add.at(angle_sum, mesh.triangles[:, k], angles[k])
@@ -199,7 +199,7 @@ def test_surface_observables_match_the_row_reference_bit_for_bit(shape, args):
     # the component-first geometry takes the float operations of np.cross,
     # np.linalg.norm and np.einsum on (f, 3) rows, in their order
     mesh, x = shape(*args)
-    nhat, areas, angles, _ = _corner_geometry(mesh.triangles, x)
+    nhat, areas, angles, _ = corner_geometry(mesh.triangles, x)
     for got, want in zip((nhat.T, areas, angles.T),
                          reference_triangle_geometry(mesh, x)):
         np.testing.assert_array_equal(got, want)
@@ -219,7 +219,7 @@ def test_observables_from_one_corner_geometry_bit_for_bit(shape, args):
     # a state's corner geometry, computed once and passed in, gives the
     # bits each observable computes from the state alone
     mesh, x = shape(*args)
-    geometry = _corner_geometry(mesh.triangles, x)
+    geometry = corner_geometry(mesh.triangles, x)
     cf = gaussian_curvature(mesh, x, geometry)
     cf_own = gaussian_curvature(mesh, x)
     assert cf.defect.tobytes() == cf_own.defect.tobytes()

@@ -1,7 +1,9 @@
 """src/ holds the program: every module-level function and class of
 src/filmloop is reached, by name, from the program or the benchmark, so is
 every method and property of its classes, no name is defined in two of its
-modules, and none imports scipy when it is imported itself.
+modules, and none imports scipy when it is imported itself.  A module's
+_-prefixed names are its own: no other module imports them, and no
+dataclass takes a _-prefixed field from its caller.
 
 A definition is reached when a reached place names it: module-level code of
 src/filmloop (the command table, constants, the __main__ guard), the body of
@@ -13,7 +15,9 @@ it anywhere.  Test oracles belong in tests/helpers.py.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +127,52 @@ def test_no_name_is_defined_in_two_src_modules():
                    for name, places in modules.items() if len(places) > 1)
     assert not twice, ("names defined in more than one src/filmloop "
                        "module: " + "; ".join(twice))
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_src_module_imports_another_modules_private_name():
+    # a helper another module needs is public, so its owner sees every
+    # caller that depends on its float-op order
+    found = []
+    for path in sorted((ROOT / "src" / "filmloop").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()           # names bound to filmloop modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("filmloop")):
+                package = node.module is None or node.module == "filmloop"
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append(f"{path.name}:{node.lineno} "
+                                     f"{alias.name}")
+                    elif package:
+                        modules.add(alias.asname or alias.name)
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules]
+    assert not found, ("src/filmloop modules reading another module's "
+                       "private names: " + ", ".join(found))
+
+
+def test_no_src_dataclass_takes_a_private_field():
+    # a cache or derived value set by its caller can be out of step with
+    # the data it is derived from
+    found = []
+    for path in sorted((ROOT / "src" / "filmloop").glob("*.py")):
+        module = importlib.import_module(f"filmloop.{path.stem}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ \
+                    and dataclasses.is_dataclass(cls):
+                found += [f"{path.stem}.{name}.{f.name}"
+                          for f in dataclasses.fields(cls)
+                          if f.init and f.name.startswith("_")]
+    assert not found, ("src/filmloop dataclasses taking a private field "
+                       "as an __init__ argument: " + ", ".join(found))
 
 
 def _import_time_statements(node):

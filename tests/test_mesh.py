@@ -5,6 +5,7 @@ vertices, 6m^2 triangles, 9m^2 + 3m edges of which 6m are boundary, and
 Euler characteristic 1.
 """
 
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,20 @@ def test_disk_counts(m):
     assert validate_mesh(mesh).edge_count - 6 * m == 9 * m * m - 3 * m
     assert x.shape == (mesh.vertex_count, 3)
     assert np.all(x[:, 2] == 0.0)
+
+
+def test_trimesh_derives_its_loop_data():
+    # the loop shifts and the loop-only mark follow from the loop and the
+    # triangles, so no caller can give a mesh loop data out of step
+    assert list(inspect.signature(TriMesh).parameters) == [
+        "vertex_count", "triangles", "boundary_loop", "lattice"]
+    mesh, _ = generate_disk_mesh(2)
+    for m in (mesh, mesh.loop_mesh(), fan_mesh(7)[0]):
+        b = np.arange(len(m.boundary_loop))
+        np.testing.assert_array_equal(m.loop_prev, np.roll(b, 1))
+        np.testing.assert_array_equal(m.loop_next, np.roll(b, -1))
+        assert m.loop_only == (len(m.triangles) == 0)
+    assert mesh.loop_mesh().loop_only
 
 
 def test_disk_has_unit_lattice_edges():

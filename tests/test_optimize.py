@@ -172,18 +172,20 @@ def test_minimize_function_keeps_callers_shape(order):
 @pytest.mark.parametrize("rings", [8, 16])
 def test_loop_mesh_preconditioner_is_the_general_apply(rings):
     # on a loop mesh the apply is the circulant product alone: the bytes of
-    # the general apply's loop rows, which overwrite every row there
+    # the full mesh's apply at its loop rows, which gathers the loop rows of
+    # a full gradient, overwrites them and passes the other rows through
     mesh, x = generate_disk_mesh(rings, 1.2)
     x = perturb(scale_to_boundary_length(mesh, x, 1.0), KICK_AMPLITUDE, 0)
-    loop_mesh = mesh.loop_film()[0]
-    general = dataclasses.replace(loop_mesh, loop_only=False)
-    xb = x[mesh.boundary_loop]
+    loop = mesh.boundary_loop
+    inner = np.setdiff1d(np.arange(mesh.vertex_count), loop)
     p = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
                      length_penalty_k=90100.0, edge_penalty_k=90100.0)
-    fast = optimize.make_preconditioner(loop_mesh, xb, p)
-    slow = optimize.make_preconditioner(general, xb, p)
-    for g in np.random.default_rng(rings).standard_normal((3,) + xb.shape):
-        assert fast(g).tobytes() == slow(g)[general.boundary_loop].tobytes()
+    fast = optimize.make_preconditioner(mesh.loop_film()[0], x[loop], p)
+    full = optimize.make_preconditioner(mesh, x, p)
+    for g in np.random.default_rng(rings).standard_normal((3,) + x.shape):
+        z = full(g)
+        assert fast(g[loop]).tobytes() == z[loop].tobytes()
+        assert z[inner].tobytes() == g[inner].tobytes()
 
 
 def _pair(rng, n, sign=1.0):
@@ -425,6 +427,19 @@ def test_relax_fails_when_rounds_run_out_with_length_off():
     assert res.status == "max_penalty_rounds" and not res.converged
 
 
+def test_converged_is_read_from_the_status():
+    # a result's converged is its status, not a field a caller could set
+    # out of step with it
+    assert "converged" not in {
+        f.name for f in dataclasses.fields(optimize.MinimizeResult)}
+    mesh, x0 = generate_disk_mesh(3)
+    x0 = scale_to_boundary_length(mesh, x0, 1.0)
+    p = EnergyParams(alpha=1.0, spring_k=10.0, target_length=1.0)
+    for opts in (MinimizeOptions(), MinimizeOptions(max_iterations=1)):
+        res = relax(mesh, x0, p, opts)
+        assert res.converged == (res.status == "converged")
+
+
 def test_relax_depends_on_start_only_through_loop():
     mesh, x0 = generate_disk_mesh(4)
     x0 = perturb(scale_to_boundary_length(mesh, x0, 1.0), KICK_AMPLITUDE, 0)
@@ -650,8 +665,10 @@ def test_wolfe_debug_assertions_hold(monkeypatch):
     search = optimize._wolfe_search
     accepted = []
 
-    def checked(fun, x, d, f0, dphi0, a0, c1, c2, **kw):
-        ls = search(fun, x, d, f0, dphi0, a0, c1, c2, **kw)
+    c1, c2 = optimize.WOLFE_C1, optimize.WOLFE_C2
+
+    def checked(fun, x, d, f0, dphi0, a0, ddot):
+        ls = search(fun, x, d, f0, dphi0, a0, ddot)
         if ls is not None:
             a, _, f_new, _, dphi_a = ls
             assert f_new <= f0 + c1 * a * dphi0 + 1e-12 * abs(f0), \

@@ -15,11 +15,10 @@ from filmloop.energy import SIGMA_PER_SPRING_K
 from filmloop.mesh import TriMesh, generate_disk_mesh, scale_to_boundary_length
 from filmloop import diffgeo, meshio, sweep
 from filmloop.optimize import KICK_AMPLITUDE, MinimizeOptions, perturb, relax
-from filmloop.diffgeo import _corner_geometry
+from filmloop.diffgeo import (_crossing_pairs, _is_graph, corner_geometry,
+                              count_self_intersections)
 from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
-                            SweepSchedule, _crossing_pairs, _is_graph,
-                            count_self_intersections,
-                            detect_transitions, fit_exponent, fit_linear_K,
+                            SweepSchedule, detect_transitions, fit_exponent, fit_linear_K,
                             read_diagram_csv, read_manifest, run_sweep,
                             write_diagram_csv, write_manifest)
 
@@ -386,7 +385,7 @@ def test_graph_verdicts_match_the_row_reference(shape, args):
     # the (f, 3) row form on graphs, folds and a double cover alike
     mesh, x = shape(*args)
     assert _is_graph(mesh, x) == reference_is_graph(mesh, x,
-                                                    sweep.GRAPH_MARGIN)
+                                                    diffgeo.GRAPH_MARGIN)
 
 
 @pytest.mark.parametrize("shape, args", [
@@ -417,7 +416,7 @@ def test_graph_test_reads_the_corner_geometry_normals(shape, args):
     # the face normals of diffgeo's corner geometry are the graph test's
     # own, so passing them changes no verdict and no count
     mesh, x = shape(*args)
-    geometry = _corner_geometry(mesh.triangles, x)
+    geometry = corner_geometry(mesh.triangles, x)
     assert _is_graph(mesh, x, geometry) == _is_graph(mesh, x)
     assert (count_self_intersections(mesh, x, geometry)
             == count_self_intersections(mesh, x))
@@ -427,14 +426,14 @@ def test_sweep_point_computes_one_corner_geometry(monkeypatch):
     # boundary_geometry, gaussian_curvature and count_self_intersections
     # share the state's corner geometry: one computation a point
     calls = []
-    geometry = sweep._corner_geometry
+    geometry = diffgeo.corner_geometry
 
     def counted(tris, x):
         calls.append(len(tris))
         return geometry(tris, x)
 
-    monkeypatch.setattr(sweep, "_corner_geometry", counted)
-    monkeypatch.setattr(diffgeo, "_corner_geometry", counted)
+    monkeypatch.setattr(sweep, "corner_geometry", counted)
+    monkeypatch.setattr(diffgeo, "corner_geometry", counted)
     schedule = SweepSchedule(values=[100.0, 200.0], rings=3)
     run_sweep(schedule)
     mesh = generate_disk_mesh(3)[0]
