@@ -5,11 +5,12 @@ length penalties), relaxation by limited-memory BFGS from a circulant
 boundary preconditioner under an augmented-Lagrangian length constraint,
 boundary and surface curvature observables, the buckling thresholds of the
 flat circular state, a one-parameter twisted-saddle trial family, and a
-continuation driver that sweeps the dimensionless tension and records the
+continuation driver that sweeps the dimensionless tension, certifies each
+relaxed state by a Cholesky factor of its loop Hessian, and records the
 resulting bifurcation diagram.
 """
 
-__version__ = "0.9.7"
+__version__ = "0.10.0"
 
 from .mesh import TriMesh, generate_disk_mesh, validate_mesh
 from .energy import EnergyParams, EnergyBreakdown, energy, energy_and_gradient

@@ -42,6 +42,10 @@ its components as np.add.reduce(e * e, axis=1) rounds, (p0 + p1) + p2, and
 the two row dot products as einsum("ij,ij->i") rounds over three columns,
 (p0 + p2) + p1.
 
+loop_hessian is the exact dense Hessian of the same loop energy at the
+(B, 3) loop positions, component-first, over all three coordinates or a
+subset of them; sweep.unstable_mode factors it to certify a relaxed state.
+
 The control parameter k L^3 / alpha maps to gamma = sigma L^3 / alpha with
 sigma = SIGMA_PER_SPRING_K * k = (4 / sqrt(3)) k.  That factor is the
 convention the reference transition values are written in (48 pi^3 * sqrt(3)
@@ -185,3 +189,96 @@ def energy_and_gradient(mesh, x, p):
                                 total=bending + springs + e_pen,
                                 boundary_length=blen)
     return breakdown, grad
+
+
+def loop_hessian(x_b, p, coords=(0, 1, 2)):
+    """Exact dense Hessian of the loop energy at the (B, 3) loop positions
+    x_b, B >= 5, over the coordinates coords, component-first: entry
+    (i B + v, j B + w) is d^2 E / dx_{v,coords[i]} dx_{w,coords[j]}, so
+    each coordinate's block is contiguous; the default is the full 3B x 3B.
+
+    Four parts.  Bending, the edge penalty and the length's curvature
+    (multiplier + 2 mu (l - L)) P_i / s_i, P = I - t t^T, are functions of
+    the edges e_i = x_{i+1} - x_i; with q = t_v . t_{v-1}, the vertex
+    bending term is 4 alpha (1 - q) / (s_v + s_{v-1}), whose second
+    derivatives couple edges v - 1 and v only, so through e = D x they fill
+    a cyclic band two vertices wide.  The film adds 2 spring_k
+    film_operator(B) to each coordinate's block, and the length penalty its
+    rank-one 2 mu u u^T, u = dl/dx_v = t_{v-1} - t_v.  The 3 x 3 edge
+    blocks are built as (c, d, B) arrays over the requested coordinates
+    only, from the tangents' outer products plus a multiple of the identity.
+    On a planar loop (z = 0) every t is zero in z, so the xz and yz blocks
+    are exactly 0, and coords (2,) and (0, 1) give the two that are not.
+    """
+    nb = len(x_b)
+    if nb < 5:
+        raise ValueError(f"loop_hessian needs B >= 5 loop vertices, got {nb}")
+    j = np.arange(nb)
+    nxt, prev = (j + 1) % nb, j - 1
+    xt = x_b.T
+    e = xt.take(nxt, axis=1) - xt               # (3, B) edge i, from v = i
+    s = np.sqrt((e * e).sum(axis=0))
+    t = e / s
+
+    # bending at vertex v over its edges a = v and b = v - 1
+    t_b, s_b = t.take(prev, axis=1), s.take(prev)
+    q = (t * t_b).sum(axis=0)
+    rest, S = 1.0 - q, s + s_b
+    w_a = (t_b - q * t) / s                     # dq/de_a
+    w_b = (t - q * t_b) / s_b
+    cs = list(coords)
+    t, t_b, w_a, w_b = t[cs], t_b[cs], w_a[cs], w_b[cs]
+
+    def outer(u, v):                            # (c, d, B)
+        return u[:, None] * v[None, :]
+
+    S2 = S * S
+    c3 = 2.0 * rest / (S2 * S)
+    g = 1.0 / (s * s_b * S)
+    a2 = q / (s * s * S) - rest / (s * S2)      # identity parts of d^2/de_a^2
+    b2 = q / (s_b * s_b * S) - rest / (s_b * S2)
+    tt, tt_b = outer(t, t), outer(t_b, t_b)
+    sym_a, sym_b = outer(t, w_a), outer(t_b, w_b)
+    sym_a += sym_a.transpose(1, 0, 2)
+    sym_b += sym_b.transpose(1, 0, 2)
+    f_aa = sym_a * (1.0 / (s * S) + 1.0 / S2) + tt * (c3 - a2)
+    f_bb = sym_b * (1.0 / (s_b * S) + 1.0 / S2) + tt_b * (c3 - b2)
+    four_alpha = 4.0 * p.alpha
+    coupling = four_alpha * (                   # rows e_v, columns e_{v-1}
+        g * (tt + tt_b) + outer(t, t_b) * (c3 - q * g)
+        + (outer(w_a, t_b) + outer(t, w_b)) / S2)
+
+    # edge blocks: both bending terms of edge i, the edge penalty and the
+    # length's curvature
+    excess = s.sum() - p.target_length
+    pull = p.length_multiplier + 2.0 * p.length_penalty_k * excess
+    k_pull = (2.0 * p.edge_penalty_k * (s - p.target_length / nb) + pull) / s
+    edge = (four_alpha * (f_aa + f_bb.take(nxt, axis=2))
+            + tt * (2.0 * p.edge_penalty_k - k_pull))
+    ii = np.arange(len(cs))
+    edge[ii, ii] += four_alpha * (a2 + b2.take(nxt)) + k_pull
+    coupling[ii, ii] -= four_alpha * g
+
+    # vertex j meets edge j - 1 with sign + and edge j with sign -
+    c_t = coupling.transpose(1, 0, 2)
+    c_t_next = c_t.take(nxt, axis=2)
+    bands = (edge.take(prev, axis=2) + edge - coupling - c_t,   # (j, j)
+             c_t - edge + c_t_next,                             # (j, j + 1)
+             -c_t_next)                                         # (j, j + 2)
+
+    # one allocation, as the rank-one term; the band and film add in place
+    nc = len(cs)
+    u = (t_b - t).reshape(-1)
+    hess = np.multiply.outer(2.0 * p.length_penalty_k * u, u)
+    h4 = hess.reshape(nc, nb, nc, nb)
+    for offset, block in enumerate(bands):
+        k = (j + offset) % nb
+        block = block.transpose(2, 0, 1)        # (B, c, d), as h4[:, j, :, k]
+        h4[:, j, :, k] += block
+        if offset:
+            h4[:, k, :, j] += block.transpose(0, 2, 1)
+    if p.spring_k != 0.0:
+        film = 2.0 * p.spring_k * film_operator(nb)
+        for c in range(nc):
+            hess[c * nb:(c + 1) * nb, c * nb:(c + 1) * nb] += film
+    return hess

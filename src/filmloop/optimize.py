@@ -60,9 +60,10 @@ multiplier.  relax solves on the loop alone (mesh.TriMesh.loop_film) and
 is the one solve entry point; minimize_function is its L-BFGS core on a
 generic objective.
 
-Nothing here perturbs its input: callers that need to break the planar
-symmetry (the sweep driver, the relax command) apply perturb() first, with
-half-width KICK_AMPLITUDE.
+Nothing here perturbs its input.  The relax command breaks the planar
+symmetry of its cold start with perturb(), half-width KICK_AMPLITUDE; the
+sweep driver kicks nothing and leaves a state only along an unstable
+eigenvector of its loop Hessian (sweep.run_sweep).
 """
 
 import dataclasses
@@ -414,6 +415,15 @@ def make_preconditioner(mesh, x0, params):
     return apply
 
 
+def absolute_tolerance(params, opts):
+    """The gradient infinity norm at which relax's rounds stop:
+    opts.gradient_tolerance * (spring_k L + alpha / L^2), or times 1 when
+    that scale is 0."""
+    L = params.target_length
+    gscale = params.spring_k * L + params.alpha / L**2
+    return opts.gradient_tolerance * (gscale if gscale != 0.0 else 1.0)
+
+
 def _log_writer(stream):
     """Write the iteration-log CSV header to stream; returns the row writer
     row(it, f, ginf, length_error)."""
@@ -518,7 +528,8 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
 
     If params.length_penalty_k (mu) is 0 a starting stiffness of
     100 * (spring_k + alpha / L^3) is chosen (edge_penalty_k's too;
-    ValueError if it is not finite).  After every round whose
+    ValueError if twice it, the gradient's and the Hessian's factor, is not
+    finite).  After every round whose
     boundary length l misses the target by more than LENGTH_TOL relative,
     the multiplier becomes length_multiplier + 2 mu (l - L), and mu is
     multiplied by 10 unless the length error fell below a quarter of the
@@ -543,9 +554,11 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     L = p.target_length
     stiffness = 100.0 * (p.spring_k + p.alpha / L**3)
     chosen = p.length_penalty_k == 0.0 or p.edge_penalty_k == 0.0
-    if chosen and not math.isfinite(stiffness):
+    # the gradient's 2 mu (l - L) and the Hessian's 2 mu u u^T double it
+    if chosen and not math.isfinite(2.0 * stiffness):
         raise ValueError(f"the starting penalty 100 * (spring_k + alpha / "
-                         f"L^3) is not finite: spring_k = {p.spring_k!r}, "
+                         f"L^3), doubled in the gradient and the Hessian, "
+                         f"is not finite: spring_k = {p.spring_k!r}, "
                          f"alpha / L^3 = {p.alpha / L**3!r}")
     if p.length_penalty_k == 0.0:
         p = replace(p, length_penalty_k=stiffness)
@@ -553,8 +566,7 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
         # suppresses tangential crowding of boundary vertices; the global
         # term alone leaves that mode free and the film term abuses it
         p = replace(p, edge_penalty_k=stiffness)
-    gscale = p.spring_k * L + p.alpha / L**2
-    gtol = opts.gradient_tolerance * (gscale if gscale != 0.0 else 1.0)
+    gtol = absolute_tolerance(p, opts)
 
     loop_mesh, extend = mesh.loop_film()
     x = np.array(x0, dtype=float).take(mesh.boundary_loop, axis=0)

@@ -2,15 +2,22 @@
 
 A sweep relaxes the mesh at each scheduled value of k L^3 / alpha, warm
 starting from the previous relaxed state (or from the initial flat mesh when
-warm starts are off), applies a small deterministic transverse perturbation
-before each relaxation, and records boundary curvature, Gaussian curvature,
-planarity and Fourier-mode observables per point.  Detection of the
-transition sequence (circle -> ellipse -> twisted -> flat eight) and the
-near-onset scaling fits operate on the recorded diagram.
+warm starts are off), certifies each relaxed state by a Cholesky factor of
+its loop Hessian plus a small shift, leaves a state that fails along its
+unstable eigenvector and relaxes again, and records boundary curvature,
+Gaussian curvature, planarity and Fourier-mode observables per point.  No
+point is kicked at random: a planar start stays exactly planar, so the
+Hessian splits into its z and in-plane blocks, and a buckling shows as a
+failed certificate, the test-function approach to bifurcations (Seydel,
+Practical Bifurcation and Stability Analysis, 3rd ed., 2010), not as the
+response to noise.  Detection of the transition sequence (circle -> ellipse
+-> twisted -> flat eight) and the near-onset scaling fits operate on the
+recorded diagram.
 
 Determinism: identical schedules produce byte-identical CSV output.  Seeds
-are assigned per ascending schedule position, so an ascending and a
-descending run of the same values perturb each point identically.
+are assigned per ascending schedule position, and a point's seed picks the
+sign of its escape step, so an ascending and a descending run of the same
+values step each point the same way.
 """
 
 import dataclasses
@@ -25,9 +32,12 @@ import numpy as np
 
 from . import __version__
 from .mesh import generate_disk_mesh, scale_to_boundary_length
-from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy
-from .optimize import (KICK_AMPLITUDE, MinimizeOptions, check_field_types,
-                       perturb, relax)
+from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy, loop_hessian
+from .optimize import (MinimizeOptions, absolute_tolerance, check_field_types,
+                       relax)
+# the sweep kicks no point, but perfbench's traced pass wraps
+# filmloop.sweep.perturb by name, so the name stays
+from .optimize import perturb  # noqa: F401
 from .diffgeo import (boundary_geometry, corner_geometry,
                       count_self_intersections, gaussian_curvature,
                       gauss_bonnet_defect, planarity)
@@ -53,6 +63,25 @@ RADIUS = 1.0 / (2.0 * np.pi)    # R of the flat disk: sweeps run at alpha = L = 
 FIT_XTOL = 1e-12
 FIT_SSR_ROUNDING = 4.0 * np.finfo(float).eps
 FIT_MAX_ITERATIONS = 1000
+
+# The certificate tests H + tau I, tau = CERTIFICATE_SHIFT * gtol / L for
+# relax's absolute gradient tolerance gtol.  The energy does not change
+# along a rotation x -> x + w x x, so the Hessian's curvature along that
+# rigid mode is -g . (w x (w x x)) over |w x x|^2, at most
+# sqrt(3) |g|_inf / R in size on a loop at distance R = L / 2 pi from the
+# axis: the curvature a converged gradient alone can leave there.  On the
+# acceptance sweeps (rings 16, tolerances 1e-6 and 1e-8) the least rigid
+# eigenvalue read -0.09 tau and -0.24 tau, and the twist's planar saddle
+# at kL^3/alpha = 860 reads -0.52, 55 tau.
+CERTIFICATE_SHIFT = 2.0 * np.pi * np.sqrt(3.0)
+# a failing state is left by ESCAPE_STEP * gtol / |lambda| along its
+# eigenvector, where the mode's own gradient is ESCAPE_STEP tolerances: at
+# 3 every restart measured fell back to the planar saddle, at 30 one
+# restart left every failing state of the acceptance sweeps
+ESCAPE_STEP = 30.0
+# restarts of one point before it is reported unstable; one has sufficed
+# on every state measured, so more would mean a step that falls back
+MAX_RESTARTS = 3
 
 
 @dataclass
@@ -127,8 +156,7 @@ class SweepPoint:
     energy_springs: float
     energy_penalty: float
     start_energy: float          # loop energy of the warm start under this
-                                 # point's params, penalty off, before
-                                 # perturbation
+                                 # point's params, penalty off
     boundary_length: float
     length_rel_err: float
     line_tension: float          # beta, the length constraint's multiplier
@@ -143,8 +171,9 @@ class SweepPoint:
     gauss_bonnet: float
     self_intersections: int
     iterations: int
-    function_evals: int          # energy_and_gradient calls of the relax
+    function_evals: int          # energy_and_gradient calls, all relaxes
     penalty_rounds: int
+    restarts: int                # relaxes after a failed certificate
     seed: int
     converged: int
     status: str
@@ -171,19 +200,79 @@ def _fmt(v):
     return repr(float(v))
 
 
+def unstable_mode(x_b, params, tau):
+    """None when loop_hessian(x_b, params) + tau I is positive definite;
+    else the lowest eigenvalue of the block that fails and its unit
+    eigenvector as (B, 3) loop rows.
+
+    On a planar loop (z = 0 exactly) the xz and yz blocks are 0, so the
+    z block and the in-plane block are built and factored apart, z first,
+    and the eigenvector of a failing one has no component in the other.
+    LAPACK's dpotrf factors each block in place (the block is symmetric, so
+    its C-order array is the Fortran-order one); only a failing block is
+    built again for its eigenpairs."""
+    from scipy.linalg.lapack import dpotrf
+
+    nb = len(x_b)
+    blocks = [(0, 1, 2)]
+    if not x_b[:, 2].any():
+        blocks = [(2,), (0, 1)]
+    for coords in blocks:
+        block = loop_hessian(x_b, params, coords)
+        block.flat[::len(block) + 1] += tau
+        if dpotrf(block.T, lower=1, clean=0, overwrite_a=1)[1] == 0:
+            continue
+        lam, vec = np.linalg.eigh(loop_hessian(x_b, params, coords))
+        mode = np.zeros((3, nb))
+        mode[list(coords)] = vec[:, 0].reshape(len(coords), nb)
+        return float(lam[0]), mode.T
+    return None
+
+
 def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
-    """Relax one sweep point from start and collect its observables; returns
-    the point and the relax result.  length_multiplier starts the length
-    constraint's multiplier (0 for a cold start)."""
+    """Relax one sweep point from start, certify it and collect its
+    observables; returns the point and the last relax result.
+    length_multiplier starts the length constraint's multiplier (0 for a
+    cold start).
+
+    The certificate is unstable_mode at the relaxed loop and the result's
+    own params, with the shift CERTIFICATE_SHIFT * gtol / L, gtol relax's
+    absolute gradient tolerance.  A state that fails it is left along the
+    failing eigenvector, by ESCAPE_STEP * gtol / |lambda| with the sign
+    (-1)^seed, and relaxed again from there under the same params; after
+    MAX_RESTARTS such restarts a state that still fails is status
+    "unstable".  iterations, function_evals and penalty_rounds sum over the
+    point's relaxes."""
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
-    start_energy = energy(mesh.loop_mesh(),
-                          start.take(mesh.boundary_loop, axis=0), params).total
+    loop = mesh.boundary_loop
+    start_energy = energy(mesh.loop_mesh(), start.take(loop, axis=0),
+                          params).total
 
-    x_pert = perturb(start, KICK_AMPLITUDE, seed)
-    res = relax(mesh, x_pert,
+    res = relax(mesh, start,
                 dataclasses.replace(params, length_multiplier=length_multiplier),
                 schedule.options)
+    solves = [res]
+    status = res.status
+    while res.converged:
+        gtol = absolute_tolerance(res.params, schedule.options)
+        mode = unstable_mode(res.x.take(loop, axis=0), res.params,
+                             CERTIFICATE_SHIFT * gtol
+                             / res.params.target_length)
+        if mode is None:
+            break
+        lam, vec = mode
+        if len(solves) > MAX_RESTARTS:
+            status = "unstable"
+            break
+        logger.info("point %d: kL^3/a=%.6g fails the certificate, "
+                    "eigenvalue %.6g; restart %d", idx, kl3a, lam,
+                    len(solves))
+        x = res.x.copy()
+        x[loop] += (-1.0) ** seed * (ESCAPE_STEP * gtol / abs(lam)) * vec
+        res = relax(mesh, x, res.params, schedule.options)
+        solves.append(res)
+        status = res.status
 
     geometry = corner_geometry(mesh.triangles, res.x)
     bg = boundary_geometry(mesh, res.x, geometry)
@@ -207,10 +296,12 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
         dominant_mode=dom, mode2_amp=mode2,
         gauss_bonnet=gauss_bonnet_defect(mesh, res.x, field_k),
         self_intersections=count_self_intersections(mesh, res.x, geometry),
-        iterations=res.iterations, function_evals=res.function_evals,
-        penalty_rounds=res.penalty_rounds,
-        seed=seed, converged=int(res.converged),
-        status=res.status)
+        iterations=sum(r.iterations for r in solves),
+        function_evals=sum(r.function_evals for r in solves),
+        penalty_rounds=sum(r.penalty_rounds for r in solves),
+        restarts=len(solves) - 1,
+        seed=seed, converged=int(status == "converged"),
+        status=status)
     return point, res
 
 
@@ -222,8 +313,10 @@ def run_sweep(schedule, out_dir=None, save_meshes=False):
     state and from its length multiplier scaled by the ratio of the
     kL^3/alpha values (the line tension grows with the film tension); with
     it off, every point starts from the flat mesh and a zero multiplier.
-    Every point perturbs its start transversally with seed base_seed + index
-    (index = position in the ascending value list).
+    No start is perturbed; each relaxed state is certified, and one that
+    fails is stepped along its unstable eigenvector with the sign of
+    (-1)^seed, seed = base_seed + index (index = position in the ascending
+    value list), and relaxed again (_evaluate_point).
     """
     mesh, x0 = generate_disk_mesh(schedule.rings, schedule.elongation)
     x0 = scale_to_boundary_length(mesh, x0, 1.0)

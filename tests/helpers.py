@@ -7,7 +7,8 @@ import numpy as np
 import scipy.spatial
 
 from filmloop.diffgeo import DiffGeoError
-from filmloop.energy import DegenerateBoundaryError, EnergyBreakdown
+from filmloop.energy import (DegenerateBoundaryError, EnergyBreakdown,
+                             EnergyParams, energy_and_gradient)
 from filmloop.mesh import (LATTICE_TENSION, TriMesh, film_operator,
                            generate_disk_mesh, hex_ring_place)
 from filmloop import saddle
@@ -96,6 +97,27 @@ def polygon_mesh(n, radius=1.0):
     pts[:, 1] = radius * np.sin(ang)
     tris = np.array([[0, i, i + 1] for i in range(1, n - 1)], dtype=np.int64)
     return TriMesh.from_triangles(n, tris), pts
+
+
+def stationary_bgon(nb, kl3a):
+    """The regular B-gon of perimeter 1 in the z = 0 plane, counterclockwise
+    from (R, 0, 0), and the EnergyParams (alpha = L = 1, spring_k = kl3a)
+    that make it stationary: relax's starting penalties 100 (k + alpha), which
+    pull on nothing there, and the length multiplier that balances the
+    bending and film gradient against the length's."""
+    theta = 2.0 * np.pi * np.arange(nb) / nb
+    R = 1.0 / (2.0 * nb * np.sin(np.pi / nb))
+    xb = np.stack([R * np.cos(theta), R * np.sin(theta), np.zeros(nb)], axis=1)
+    stiff = 100.0 * (kl3a + 1.0)
+    p = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0,
+                     length_penalty_k=stiff, edge_penalty_k=stiff)
+    loop_mesh = generate_disk_mesh(nb // 6)[0].loop_mesh()
+    g = energy_and_gradient(loop_mesh, xb, p)[1]
+    t = np.roll(xb, -1, axis=0) - xb
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    u = np.roll(t, 1, axis=0) - t                  # the length's gradient
+    p.length_multiplier = -float((g * u).sum() / (u * u).sum())
+    return xb, p
 
 
 def circle_samples(n, radius=1.0):

@@ -183,8 +183,12 @@ def test_criterion_04_transition_sequence(elongated_run, hexagon_diagram):
         "parameter, a Dirichlet energy rather than an area, so it carries "
         "no in-plane shear softening: the elongated mesh stays "
         "circular-planar until the transverse onset in the bracket "
-        "(860, 862) of kL^3/alpha, the same scale as the hexagon onset, and "
-        "no flat-eight appears below 900.")
+        "(858, 860) of kL^3/alpha, the same scale as the hexagon onset, and "
+        "no flat-eight appears below 900. The bracket read (860, 862) while "
+        "every point relaxed a random kick, which returned a converged "
+        "planar saddle at 860 (loop Hessian eigenvalue -0.52); the "
+        "certified sweep steps off it, beside the regular B-gon's discrete "
+        "onset 858.35.")
 
 
 def test_criterion_05_pitchfork_exponent(elongated_run):

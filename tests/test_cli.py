@@ -274,18 +274,26 @@ def test_relax_bad_kl3a_is_named_by_its_flag(tmp_path, capsys, value):
     ["relax", "--rings", "2", "--kl3a", "1e307"],
     ["sweep", "--rings", "2", "--start", "1e307", "--stop", "1e307",
      "--num", "1"],
+    ["relax", "--rings", "2", "--kl3a", "1e306"],
+    ["sweep", "--rings", "2", "--start", "1e306", "--stop", "1e306",
+     "--num", "1"],
+    ["relax", "--rings", "2", "--kl3a", "9e305"],
+    ["sweep", "--rings", "2", "--start", "9e305", "--stop", "9e305",
+     "--num", "1"],
 ])
 def test_overflowing_penalty_names_the_terms_it_comes_from(tmp_path, capsys,
                                                            argv):
     # a finite kL^3/alpha whose starting penalty 100 (spring_k + alpha / L^3)
-    # overflows: the error names those terms, not length_penalty_k, which
-    # no flag sets
+    # overflows, or overflows when doubled (from 9e305 on), as the
+    # gradient's 2 mu (l - L) and the Hessian's 2 mu u u^T double it: the
+    # error names those terms, not length_penalty_k, which no flag sets
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the starting penalty 100 * (spring_k + "
-                          "alpha / L^3) is not finite: spring_k = 1e+307, "
-                          "alpha / L^3 = 1.0")
+                          "alpha / L^3), doubled in the gradient and the "
+                          "Hessian, is not finite: spring_k = "
+                          f"{float(argv[4])!r}, alpha / L^3 = 1.0")
     assert "length_penalty_k" not in err and "Traceback" not in err
     assert not out.exists()
 
@@ -448,7 +456,8 @@ def _write_fit_csv(path, n):
             line_tension=-15.0, mean_abs_kn=a, int_abs_kn=a, int_K=2.5 - 0.003 * g, mean_K=0.0,
             area=0.08, planarity=0.05, dominant_mode=2, mode2_amp=0.01,
             gauss_bonnet=1e-12, self_intersections=0, iterations=100,
-            function_evals=120, penalty_rounds=1, seed=i, converged=1,
+            function_evals=120, penalty_rounds=1, restarts=0, seed=i,
+            converged=1,
             status="converged"))
     write_diagram_csv(path, BifurcationDiagram(points=points))
 

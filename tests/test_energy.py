@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from filmloop.energy import (SIGMA_PER_SPRING_K, DegenerateBoundaryError,
-                             EnergyParams, energy, energy_and_gradient)
+                             EnergyParams, energy, energy_and_gradient,
+                             loop_hessian)
 from filmloop.mesh import (LATTICE_TENSION, generate_disk_mesh,
                            scale_to_boundary_length)
 from filmloop.optimize import perturb
 
-from helpers import fan_mesh, polygon_mesh, reference_energy_and_gradient
+from helpers import (fan_mesh, polygon_mesh, reference_energy_and_gradient,
+                     stationary_bgon)
 
 
 def test_fan_energy_closed_form():
@@ -384,3 +386,105 @@ def test_loop_mesh_gradient_matches_finite_differences(rings):
                 fd = (energy(loop_mesh, xp, p).total
                       - energy(loop_mesh, xm, p).total) / (2.0 * h)
                 assert abs(g[i, c] - fd) / gscale < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the loop Hessian
+
+
+def _all_terms_params(rng):
+    """EnergyParams with all six terms non-zero."""
+    return EnergyParams(alpha=rng.uniform(0.5, 2.0),
+                        spring_k=rng.uniform(100.0, 900.0),
+                        target_length=rng.uniform(0.9, 1.1),
+                        length_penalty_k=rng.uniform(100.0, 1000.0),
+                        edge_penalty_k=rng.uniform(100.0, 1000.0),
+                        length_multiplier=rng.uniform(-50.0, 50.0))
+
+
+@pytest.mark.parametrize("rings", [8, 16])
+def test_loop_hessian_matches_central_differences(rings):
+    # column by column against central differences of the analytic
+    # gradient, on a perturbed non-planar loop, component-first
+    mesh, x0 = generate_disk_mesh(rings, 1.2)
+    loop_mesh, _ = mesh.loop_film()
+    rng = np.random.default_rng(rings)
+    xb = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
+    xb = xb + 0.02 * rng.standard_normal(xb.shape) / (2.0 * np.pi)
+    p = _all_terms_params(rng)
+    hess = loop_hessian(xb, p)
+    nb = len(xb)
+    assert hess.shape == (3 * nb, 3 * nb)
+    h = 1e-6
+    fd = np.empty_like(hess)
+    for col in range(3 * nb):
+        c, v = divmod(col, nb)
+        xp, xm = xb.copy(), xb.copy()
+        xp[v, c] += h
+        xm[v, c] -= h
+        fd[:, col] = (energy_and_gradient(loop_mesh, xp, p)[1]
+                      - energy_and_gradient(loop_mesh, xm, p)[1]).T.ravel()
+    fd /= 2.0 * h
+    scale = np.abs(hess).max()
+    assert np.abs(hess - fd).max() <= 1e-6 * scale
+    assert np.abs(hess - hess.T).max() <= 1e-12 * scale
+
+
+def test_loop_hessian_splits_exactly_on_a_planar_loop():
+    # z = 0: every xz and yz entry is exactly 0, so the z block and the
+    # in-plane block can be factored apart
+    mesh, x0 = generate_disk_mesh(8, 1.2)
+    rng = np.random.default_rng(3)
+    xb = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
+    xb[:, :2] += 0.02 * rng.standard_normal((len(xb), 2)) / (2.0 * np.pi)
+    assert not xb[:, 2].any()
+    hess = loop_hessian(xb, _all_terms_params(rng))
+    nb = len(xb)
+    assert not hess[2 * nb:, :2 * nb].any()
+    assert not hess[:2 * nb, 2 * nb:].any()
+    assert hess[2 * nb:, 2 * nb:].any() and hess[:2 * nb, :2 * nb].any()
+
+
+@pytest.mark.parametrize("coords", [(2,), (0, 1), (0, 2), (1,)])
+def test_loop_hessian_coordinate_blocks_are_the_full_ones(coords):
+    # a block over some coordinates is the full matrix's, bit for bit
+    mesh, x0 = generate_disk_mesh(4, 1.2)
+    rng = np.random.default_rng(5)
+    xb = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
+    xb = xb + 0.02 * rng.standard_normal(xb.shape) / (2.0 * np.pi)
+    p = _all_terms_params(rng)
+    nb = len(xb)
+    rows = np.concatenate([np.arange(c * nb, (c + 1) * nb) for c in coords])
+    full = loop_hessian(xb, p)
+    assert np.array_equal(loop_hessian(xb, p, coords),
+                          full[np.ix_(rows, rows)])
+
+
+def test_loop_hessian_needs_five_vertices():
+    with pytest.raises(ValueError, match="B >= 5"):
+        loop_hessian(np.eye(4, 3), EnergyParams())
+
+
+def _bgon_mode2_curvature(nb, kl3a):
+    """Curvature of the out-of-plane mode cos 2 theta of the stationary
+    regular B-gon: its z block is circulant, so cos 2 theta is an
+    eigenvector."""
+    xb, p = stationary_bgon(nb, kl3a)
+    theta = 2.0 * np.pi * np.arange(nb) / nb
+    loop_mesh = generate_disk_mesh(nb // 6)[0].loop_mesh()
+    assert np.abs(energy_and_gradient(loop_mesh, xb, p)[1]).max() < 1e-8
+    v = np.cos(2.0 * theta)
+    return v @ loop_hessian(xb, p)[2 * nb:, 2 * nb:] @ v / (v @ v)
+
+
+@pytest.mark.parametrize("rings, onset", [(8, 855.61), (16, 858.35)])
+def test_bgon_out_of_plane_onset(rings, onset):
+    # the mode-2 curvature is linear in kL^3/alpha, so one secant step
+    # finds its zero: the discrete twist onset below 96 pi^3 / (2 sqrt(3))
+    nb = 6 * rings
+    lo, hi = 800.0, 900.0
+    c_lo, c_hi = _bgon_mode2_curvature(nb, lo), _bgon_mode2_curvature(nb, hi)
+    assert c_lo > 0.0 > c_hi
+    zero = lo - c_lo * (hi - lo) / (c_hi - c_lo)
+    assert abs(zero - onset) < 1e-2
+    assert abs(_bgon_mode2_curvature(nb, zero)) < 1e-6

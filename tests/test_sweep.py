@@ -20,12 +20,12 @@ from filmloop.diffgeo import (_crossing_pairs, _is_graph, corner_geometry,
 from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
                             SweepSchedule, detect_transitions, fit_exponent, fit_linear_K,
                             read_diagram_csv, read_manifest, run_sweep,
-                            write_diagram_csv, write_manifest)
+                            unstable_mode, write_diagram_csv, write_manifest)
 
 from helpers import (curve_fit_exponent, diagram_column, exponent_fit_ssr,
                      folded_pierced_disk, loop_crossing_pairs,
-                     reference_is_graph, saddle_shape)
-from test_acceptance import ELONGATED_VALUES, RINGS, SWEEP_OPTS
+                     reference_is_graph, saddle_shape, stationary_bgon)
+from test_acceptance import ELONGATED_VALUES, HEX_VALUES, RINGS, SWEEP_OPTS
 
 
 def make_point(**over):
@@ -37,7 +37,8 @@ def make_point(**over):
                 int_abs_kn=0.0, int_K=0.0, mean_K=0.0, area=1.0 / (4 * np.pi),
                 planarity=1e-9, dominant_mode=6, mode2_amp=0.0,
                 gauss_bonnet=1e-12, self_intersections=0, iterations=100,
-                function_evals=120, penalty_rounds=1, seed=0, converged=1,
+                function_evals=120, penalty_rounds=1, restarts=0, seed=0,
+                converged=1,
                 status="converged")
     base.update(over)
     return SweepPoint(**base)
@@ -198,11 +199,124 @@ def test_fit_exponent_matches_curve_fit_on_synthetic_diagrams():
 
 
 @pytest.fixture(scope="module")
-def acceptance_diagrams():
+def certified_sweeps():
+    """The elongated acceptance sweep (the benchmark's sweep_elongated
+    schedule) keyed by (seed, gradient tolerance), at (0, 1e-6), (1, 1e-6)
+    and (0, 1e-8), and the hexagon sweep at ("hexagon", 1e-6): each
+    diagram with the eigenvalues of the certificates it failed and its count
+    of certificates passed."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for seed, tol in ((0, 1e-6), (1, 1e-6), (0, 1e-8), ("hexagon", 1e-6)):
+            failed, passed = [], []
+
+            def recording(x_b, params, tau, failed=failed, passed=passed):
+                mode = unstable_mode(x_b, params, tau)
+                if mode is None:
+                    passed.append(tau)
+                else:
+                    failed.append(mode[0])
+                return mode
+
+            mp.setattr(sweep, "unstable_mode", recording)
+            opts = dataclasses.replace(SWEEP_OPTS, gradient_tolerance=tol)
+            if seed == "hexagon":
+                schedule = SweepSchedule(values=HEX_VALUES, rings=RINGS,
+                                         options=opts)
+            else:
+                schedule = SweepSchedule(values=ELONGATED_VALUES, rings=RINGS,
+                                         elongation=1.2, base_seed=seed,
+                                         options=opts)
+            runs[seed, tol] = run_sweep(schedule), failed, len(passed)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def acceptance_diagrams(certified_sweeps):
     """The elongated acceptance sweep at seeds 0 and 1."""
-    return [run_sweep(SweepSchedule(
-        values=ELONGATED_VALUES, rings=RINGS, elongation=1.2, base_seed=seed,
-        options=SWEEP_OPTS)) for seed in (0, 1)]
+    return [certified_sweeps[seed, 1e-6][0] for seed in (0, 1)]
+
+
+def _twist(diagram):
+    return [(e.lower, e.upper) for e in detect_transitions(diagram)
+            if e.kind == "PLANAR->TWISTED"]
+
+
+def test_certificate_restarts_only_the_planar_saddle(certified_sweeps):
+    # seed 0: only the planar state at 860, the loop Hessian's double
+    # eigenvalue -0.52 out of plane, fails; one restart leaves it
+    diagram, failed, passed = certified_sweeps[0, 1e-6]
+    assert [(p.k_l3_alpha, p.restarts) for p in diagram.points
+            if p.restarts] == [(860.0, 1)]
+    assert len(failed) == 1 and -0.53 < failed[0] < -0.51
+    assert passed == len(diagram.points)
+
+
+def test_no_returned_state_fails_the_certificate(certified_sweeps):
+    # every point's last certificate passed, the hexagon's too, and each
+    # restart relaxed again
+    for diagram, failed, passed in certified_sweeps.values():
+        assert passed == len(diagram.points)
+        assert len(failed) == sum(p.restarts for p in diagram.points)
+        assert all(p.converged and p.status == "converged"
+                   for p in diagram.points)
+
+
+def test_twist_bracket_holds_across_seeds_and_tolerances(certified_sweeps):
+    # with no kick the bracket no longer moves with the tolerance or seed
+    brackets = {key: _twist(run[0]) for key, run in certified_sweeps.items()
+                if key[0] != "hexagon"}
+    assert set(map(tuple, brackets.values())) == {((858.0, 860.0),)}
+    assert _twist(certified_sweeps["hexagon", 1e-6][0]) == [(850.0, 875.0)]
+
+
+def test_certified_sweep_evaluations_stay_below_the_kicked_sweeps(
+        certified_sweeps):
+    # a deterministic guard against relaxing a kick at every point again:
+    # the kicked seed-0 sweep took 2,547 evaluations, this one 738
+    for seed in (0, 1):
+        diagram = certified_sweeps[seed, 1e-6][0]
+        assert sum(p.function_evals for p in diagram.points) <= 1000
+
+
+def test_unstable_mode_splits_a_planar_loop():
+    # the stationary B-gon fails out of plane just above its onset
+    # (858.35 at B = 96) along a z-only mode, and passes just below it
+    xb, p = stationary_bgon(96, 860.0)
+    lam, vec = unstable_mode(xb, p, 1e-2)
+    assert lam < -1e-2
+    assert not vec[:, :2].any() and np.isclose(np.linalg.norm(vec), 1.0)
+    xb, p = stationary_bgon(96, 857.0)
+    assert unstable_mode(xb, p, 1e-2) is None
+
+
+def test_restarts_stop_at_their_cap(monkeypatch, caplog):
+    # a state that keeps failing is reported unstable after MAX_RESTARTS
+    # restarts, each logged with its eigenvalue, and its work sums them
+    solves = []
+
+    def recording(mesh, x0, params, opts):
+        solves.append(relax(mesh, x0, params, opts))
+        return solves[-1]
+
+    def failing(x_b, params, tau):
+        vec = np.zeros_like(x_b)
+        vec[:, 2] = 1.0 / np.sqrt(len(x_b))
+        return -1.0, vec
+
+    monkeypatch.setattr(sweep, "relax", recording)
+    monkeypatch.setattr(sweep, "unstable_mode", failing)
+    with caplog.at_level("INFO", logger="filmloop.sweep"):
+        diagram = run_sweep(tiny_schedule(values=np.array([20.0])))
+    (point,) = diagram.points
+    assert point.restarts == sweep.MAX_RESTARTS == len(solves) - 1
+    assert point.status == "unstable" and point.converged == 0
+    assert point.function_evals == sum(r.function_evals for r in solves)
+    assert point.iterations == sum(r.iterations for r in solves)
+    escapes = [r.getMessage() for r in caplog.records
+               if "fails the certificate" in r.getMessage()]
+    assert len(escapes) == sweep.MAX_RESTARTS
+    assert all("eigenvalue -1" in m for m in escapes)
 
 
 def test_fit_exponent_matches_curve_fit_on_acceptance_sweeps(
