@@ -42,9 +42,9 @@ its components as np.add.reduce(e * e, axis=1) rounds, (p0 + p1) + p2, and
 the two row dot products as einsum("ij,ij->i") rounds over three columns,
 (p0 + p2) + p1.
 
-loop_hessian is the exact dense Hessian of the same loop energy at the
-(B, 3) loop positions, component-first, over all three coordinates or a
-subset of them; sweep.unstable_mode factors it to certify a relaxed state.
+loop_hessian is the exact dense 3B x 3B Hessian of the same loop energy on
+the loop mesh, component-first, from the same boundary_frame and index
+arrays; sweep.unstable_mode factors it to certify a relaxed state.
 
 The control parameter k L^3 / alpha maps to gamma = sigma L^3 / alpha with
 sigma = SIGMA_PER_SPRING_K * k = (4 / sqrt(3)) k.  That factor is the
@@ -191,11 +191,11 @@ def energy_and_gradient(mesh, x, p):
     return breakdown, grad
 
 
-def loop_hessian(x_b, p, coords=(0, 1, 2)):
-    """Exact dense Hessian of the loop energy at the (B, 3) loop positions
-    x_b, B >= 5, over the coordinates coords, component-first: entry
-    (i B + v, j B + w) is d^2 E / dx_{v,coords[i]} dx_{w,coords[j]}, so
-    each coordinate's block is contiguous; the default is the full 3B x 3B.
+def loop_hessian(mesh, x_b, p):
+    """Exact dense 3B x 3B Hessian of the loop energy at the loop mesh's
+    (B, 3) positions x_b, B >= 5, from its boundary_frame, component-first:
+    entry (c B + v, d B + w) is d^2 E / dx_{v,c} dx_{w,d}, so each
+    coordinate's block is contiguous.
 
     Four parts.  Bending, the edge penalty and the length's curvature
     (multiplier + 2 mu (l - L)) P_i / s_i, P = I - t t^T, are functions of
@@ -205,20 +205,16 @@ def loop_hessian(x_b, p, coords=(0, 1, 2)):
     a cyclic band two vertices wide.  The film adds 2 spring_k
     film_operator(B) to each coordinate's block, and the length penalty its
     rank-one 2 mu u u^T, u = dl/dx_v = t_{v-1} - t_v.  The 3 x 3 edge
-    blocks are built as (c, d, B) arrays over the requested coordinates
-    only, from the tangents' outer products plus a multiple of the identity.
-    On a planar loop (z = 0) every t is zero in z, so the xz and yz blocks
-    are exactly 0, and coords (2,) and (0, 1) give the two that are not.
+    blocks are built as (3, 3, B) arrays from the tangents' outer products
+    plus a multiple of the identity.  On a planar loop (z = 0) every t is
+    zero in z, so the xz and yz blocks are exactly 0.
     """
     nb = len(x_b)
     if nb < 5:
         raise ValueError(f"loop_hessian needs B >= 5 loop vertices, got {nb}")
-    j = np.arange(nb)
-    nxt, prev = (j + 1) % nb, j - 1
-    xt = x_b.T
-    e = xt.take(nxt, axis=1) - xt               # (3, B) edge i, from v = i
-    s = np.sqrt((e * e).sum(axis=0))
-    t = e / s
+    prev, nxt = mesh.loop_prev, mesh.loop_next
+    s, e, _ = boundary_frame(mesh, x_b)         # (3, B) edge i, from v = i
+    t = np.divide(e, s, out=e)
 
     # bending at vertex v over its edges a = v and b = v - 1
     t_b, s_b = t.take(prev, axis=1), s.take(prev)
@@ -226,10 +222,8 @@ def loop_hessian(x_b, p, coords=(0, 1, 2)):
     rest, S = 1.0 - q, s + s_b
     w_a = (t_b - q * t) / s                     # dq/de_a
     w_b = (t - q * t_b) / s_b
-    cs = list(coords)
-    t, t_b, w_a, w_b = t[cs], t_b[cs], w_a[cs], w_b[cs]
 
-    def outer(u, v):                            # (c, d, B)
+    def outer(u, v):                            # (3, 3, B)
         return u[:, None] * v[None, :]
 
     S2 = S * S
@@ -255,7 +249,7 @@ def loop_hessian(x_b, p, coords=(0, 1, 2)):
     k_pull = (2.0 * p.edge_penalty_k * (s - p.target_length / nb) + pull) / s
     edge = (four_alpha * (f_aa + f_bb.take(nxt, axis=2))
             + tt * (2.0 * p.edge_penalty_k - k_pull))
-    ii = np.arange(len(cs))
+    ii = np.arange(3)
     edge[ii, ii] += four_alpha * (a2 + b2.take(nxt)) + k_pull
     coupling[ii, ii] -= four_alpha * g
 
@@ -267,18 +261,17 @@ def loop_hessian(x_b, p, coords=(0, 1, 2)):
              -c_t_next)                                         # (j, j + 2)
 
     # one allocation, as the rank-one term; the band and film add in place
-    nc = len(cs)
     u = (t_b - t).reshape(-1)
     hess = np.multiply.outer(2.0 * p.length_penalty_k * u, u)
-    h4 = hess.reshape(nc, nb, nc, nb)
-    for offset, block in enumerate(bands):
-        k = (j + offset) % nb
-        block = block.transpose(2, 0, 1)        # (B, c, d), as h4[:, j, :, k]
+    h4 = hess.reshape(3, nb, 3, nb)
+    j = np.arange(nb)
+    for offset, (k, block) in enumerate(zip((j, nxt, nxt.take(nxt)), bands)):
+        block = block.transpose(2, 0, 1)        # (B, 3, 3), as h4[:, j, :, k]
         h4[:, j, :, k] += block
         if offset:
             h4[:, k, :, j] += block.transpose(0, 2, 1)
     if p.spring_k != 0.0:
         film = 2.0 * p.spring_k * film_operator(nb)
-        for c in range(nc):
-            hess[c * nb:(c + 1) * nb, c * nb:(c + 1) * nb] += film
+        for c in range(3):
+            h4[c, :, c] += film
     return hess

@@ -113,6 +113,9 @@ class SweepSchedule:
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"sweep config 'values' must be finite, got "
                              f"{self.values.tolist()!r}")
+        if np.any(self.values < 0):
+            raise ValueError(f"sweep config 'values' must be >= 0, got "
+                             f"{self.values.tolist()!r}")
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("schedule values must be strictly increasing")
         if self.base_seed < 0:
@@ -200,33 +203,37 @@ def _fmt(v):
     return repr(float(v))
 
 
-def unstable_mode(x_b, params, tau):
-    """None when loop_hessian(x_b, params) + tau I is positive definite;
-    else the lowest eigenvalue of the block that fails and its unit
-    eigenvector as (B, 3) loop rows.
+def unstable_mode(mesh, x_b, params, tau):
+    """None when loop_hessian(mesh, x_b, params) + tau I is positive
+    definite, for the loop mesh and its positions; else the lowest
+    eigenvalue of the block that fails and its unit eigenvector as (B, 3)
+    loop rows.
 
-    On a planar loop (z = 0 exactly) the xz and yz blocks are 0, so the
-    z block and the in-plane block are built and factored apart, z first,
-    and the eigenvector of a failing one has no component in the other.
-    LAPACK's dpotrf factors each block in place (the block is symmetric, so
-    its C-order array is the Fortran-order one); only a failing block is
-    built again for its eigenpairs."""
+    The Hessian is built once, tau added to its diagonal in place.  On a
+    planar loop (z = 0 exactly) its xz and yz blocks are 0, so the z block
+    [2B:, 2B:] and the in-plane block [:2B, :2B] are factored apart, z
+    first; otherwise LAPACK's dpotrf factors the whole matrix in place (it
+    is symmetric, so its C-order array is the Fortran-order one).  Only a
+    failing state builds the Hessian again, once the factored one is
+    released, for the failing block's eigenpairs."""
     from scipy.linalg.lapack import dpotrf
 
     nb = len(x_b)
-    blocks = [(0, 1, 2)]
+    hess = loop_hessian(mesh, x_b, params)
+    hess.flat[::3 * nb + 1] += tau
+    blocks = [slice(0, 3 * nb)]
     if not x_b[:, 2].any():
-        blocks = [(2,), (0, 1)]
-    for coords in blocks:
-        block = loop_hessian(x_b, params, coords)
-        block.flat[::len(block) + 1] += tau
-        if dpotrf(block.T, lower=1, clean=0, overwrite_a=1)[1] == 0:
-            continue
-        lam, vec = np.linalg.eigh(loop_hessian(x_b, params, coords))
-        mode = np.zeros((3, nb))
-        mode[list(coords)] = vec[:, 0].reshape(len(coords), nb)
-        return float(lam[0]), mode.T
-    return None
+        blocks = [slice(2 * nb, 3 * nb), slice(0, 2 * nb)]
+    for block in blocks:
+        if dpotrf(hess[block, block].T, lower=1, clean=0, overwrite_a=1)[1]:
+            break
+    else:
+        return None
+    del hess
+    lam, vec = np.linalg.eigh(loop_hessian(mesh, x_b, params)[block, block])
+    mode = np.zeros(3 * nb)
+    mode[block] = vec[:, 0]
+    return float(lam[0]), mode.reshape(3, nb).T
 
 
 def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
@@ -245,9 +252,8 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
     point's relaxes."""
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
-    loop = mesh.boundary_loop
-    start_energy = energy(mesh.loop_mesh(), start.take(loop, axis=0),
-                          params).total
+    loop, loop_mesh = mesh.boundary_loop, mesh.loop_mesh()
+    start_energy = energy(loop_mesh, start.take(loop, axis=0), params).total
 
     res = relax(mesh, start,
                 dataclasses.replace(params, length_multiplier=length_multiplier),
@@ -256,7 +262,7 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
     status = res.status
     while res.converged:
         gtol = absolute_tolerance(res.params, schedule.options)
-        mode = unstable_mode(res.x.take(loop, axis=0), res.params,
+        mode = unstable_mode(loop_mesh, res.x.take(loop, axis=0), res.params,
                              CERTIFICATE_SHIFT * gtol
                              / res.params.target_length)
         if mode is None:
@@ -311,8 +317,9 @@ def run_sweep(schedule, out_dir=None, save_meshes=False):
     Points run one after another in schedule order (reversed for direction
     "down").  With warm_start on, each starts from the previous relaxed
     state and from its length multiplier scaled by the ratio of the
-    kL^3/alpha values (the line tension grows with the film tension); with
-    it off, every point starts from the flat mesh and a zero multiplier.
+    kL^3/alpha values (the line tension grows with the film tension),
+    unscaled after a value of 0; with it off, every point starts from the
+    flat mesh and a zero multiplier.
     No start is perturbed; each relaxed state is certified, and one that
     fails is stepped along its unstable eigenvector with the sign of
     (-1)^seed, seed = base_seed + index (index = position in the ascending
@@ -332,7 +339,9 @@ def run_sweep(schedule, out_dir=None, save_meshes=False):
         start, lam = x0, 0.0
         if schedule.warm_start and prev_x is not None:
             # continue from best-so-far even if unconverged
-            start, lam = prev_x, prev_lam * kl3a / prev_kl3a
+            start, lam = prev_x, prev_lam
+            if prev_kl3a:               # no ratio to scale by after 0
+                lam = prev_lam * kl3a / prev_kl3a
         point, res = _evaluate_point(mesh, start, schedule, idx, kl3a, lam)
         points[idx] = point
         if save_meshes:

@@ -228,6 +228,7 @@ def test_sweep_config_unknown_keys_exit_one(tmp_path, capsys):
     ("base_seed", {"base_seed": -1}),
     ("values", {"values": ["500", "600", "700"], "rings": 2}),
     ("values", {"values": [True, 2, 3], "rings": 2}),
+    ("values", {"values": [-10.0, 0.0, 10.0], "direction": "down"}),
 ])
 def test_sweep_config_bad_value_types_exit_one(tmp_path, capsys, key, cfg):
     # a value of the wrong type (or a zero or non-finite modulus, which

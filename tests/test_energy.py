@@ -16,7 +16,7 @@ import pytest
 from filmloop.energy import (SIGMA_PER_SPRING_K, DegenerateBoundaryError,
                              EnergyParams, energy, energy_and_gradient,
                              loop_hessian)
-from filmloop.mesh import (LATTICE_TENSION, generate_disk_mesh,
+from filmloop.mesh import (LATTICE_TENSION, TriMesh, generate_disk_mesh,
                            scale_to_boundary_length)
 from filmloop.optimize import perturb
 
@@ -412,7 +412,7 @@ def test_loop_hessian_matches_central_differences(rings):
     xb = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
     xb = xb + 0.02 * rng.standard_normal(xb.shape) / (2.0 * np.pi)
     p = _all_terms_params(rng)
-    hess = loop_hessian(xb, p)
+    hess = loop_hessian(loop_mesh, xb, p)
     nb = len(xb)
     assert hess.shape == (3 * nb, 3 * nb)
     h = 1e-6
@@ -438,31 +438,18 @@ def test_loop_hessian_splits_exactly_on_a_planar_loop():
     xb = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
     xb[:, :2] += 0.02 * rng.standard_normal((len(xb), 2)) / (2.0 * np.pi)
     assert not xb[:, 2].any()
-    hess = loop_hessian(xb, _all_terms_params(rng))
+    hess = loop_hessian(mesh.loop_mesh(), xb, _all_terms_params(rng))
     nb = len(xb)
     assert not hess[2 * nb:, :2 * nb].any()
     assert not hess[:2 * nb, 2 * nb:].any()
     assert hess[2 * nb:, 2 * nb:].any() and hess[:2 * nb, :2 * nb].any()
 
 
-@pytest.mark.parametrize("coords", [(2,), (0, 1), (0, 2), (1,)])
-def test_loop_hessian_coordinate_blocks_are_the_full_ones(coords):
-    # a block over some coordinates is the full matrix's, bit for bit
-    mesh, x0 = generate_disk_mesh(4, 1.2)
-    rng = np.random.default_rng(5)
-    xb = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
-    xb = xb + 0.02 * rng.standard_normal(xb.shape) / (2.0 * np.pi)
-    p = _all_terms_params(rng)
-    nb = len(xb)
-    rows = np.concatenate([np.arange(c * nb, (c + 1) * nb) for c in coords])
-    full = loop_hessian(xb, p)
-    assert np.array_equal(loop_hessian(xb, p, coords),
-                          full[np.ix_(rows, rows)])
-
-
 def test_loop_hessian_needs_five_vertices():
+    square = TriMesh(vertex_count=4, boundary_loop=np.arange(4),
+                     triangles=np.empty((0, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="B >= 5"):
-        loop_hessian(np.eye(4, 3), EnergyParams())
+        loop_hessian(square, np.eye(4, 3), EnergyParams())
 
 
 def _bgon_mode2_curvature(nb, kl3a):
@@ -474,7 +461,7 @@ def _bgon_mode2_curvature(nb, kl3a):
     loop_mesh = generate_disk_mesh(nb // 6)[0].loop_mesh()
     assert np.abs(energy_and_gradient(loop_mesh, xb, p)[1]).max() < 1e-8
     v = np.cos(2.0 * theta)
-    return v @ loop_hessian(xb, p)[2 * nb:, 2 * nb:] @ v / (v @ v)
+    return v @ loop_hessian(loop_mesh, xb, p)[2 * nb:, 2 * nb:] @ v / (v @ v)
 
 
 @pytest.mark.parametrize("rings, onset", [(8, 855.61), (16, 858.35)])

@@ -3,7 +3,8 @@ src/filmloop is reached, by name, from the program or the benchmark, so is
 every method and property of its classes, no name is defined in two of its
 modules, and none imports scipy when it is imported itself.  A module's
 _-prefixed names are its own: no other module imports them, and no
-dataclass takes a _-prefixed field from its caller.
+dataclass takes a _-prefixed field from its caller.  Every program name the
+benchmark wraps by string resolves, and its workloads import.
 
 A definition is reached when a reached place names it: module-level code of
 src/filmloop (the command table, constants, the __main__ guard), the body of
@@ -17,6 +18,7 @@ it anywhere.  Test oracles belong in tests/helpers.py.
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -202,3 +204,24 @@ def test_no_src_module_imports_scipy_at_import_time():
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, ("module-level scipy imports in src/filmloop: "
                        + ", ".join(found))
+
+
+def _load_perfbench(name):
+    """perfbench/<name>.py, loaded by path (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_wraps_resolves():
+    # the benchmark replaces these attributes by name, so a program name it
+    # wraps (sweep.perturb, say) cannot go without a test noticing
+    layers = _load_perfbench("layers")
+    sites = [site[:2] for site in layers.SPAN_SITES] + layers.SOLVE_SITES
+    missing = [f"{module}.{attr}" for module, attr in sites
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, ("names perfbench/layers.py wraps that the program "
+                         "no longer defines: " + ", ".join(missing))
+    _load_perfbench("workloads")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import filmloop
-from filmloop.energy import SIGMA_PER_SPRING_K
+from filmloop.energy import SIGMA_PER_SPRING_K, loop_hessian
 from filmloop.mesh import TriMesh, generate_disk_mesh, scale_to_boundary_length
 from filmloop import diffgeo, meshio, sweep
 from filmloop.optimize import KICK_AMPLITUDE, MinimizeOptions, perturb, relax
@@ -210,8 +210,9 @@ def certified_sweeps():
         for seed, tol in ((0, 1e-6), (1, 1e-6), (0, 1e-8), ("hexagon", 1e-6)):
             failed, passed = [], []
 
-            def recording(x_b, params, tau, failed=failed, passed=passed):
-                mode = unstable_mode(x_b, params, tau)
+            def recording(mesh, x_b, params, tau, failed=failed,
+                          passed=passed):
+                mode = unstable_mode(mesh, x_b, params, tau)
                 if mode is None:
                     passed.append(tau)
                 else:
@@ -282,12 +283,37 @@ def test_certified_sweep_evaluations_stay_below_the_kicked_sweeps(
 def test_unstable_mode_splits_a_planar_loop():
     # the stationary B-gon fails out of plane just above its onset
     # (858.35 at B = 96) along a z-only mode, and passes just below it
+    loop_mesh = generate_disk_mesh(16)[0].loop_mesh()
     xb, p = stationary_bgon(96, 860.0)
-    lam, vec = unstable_mode(xb, p, 1e-2)
+    lam, vec = unstable_mode(loop_mesh, xb, p, 1e-2)
     assert lam < -1e-2
     assert not vec[:, :2].any() and np.isclose(np.linalg.norm(vec), 1.0)
     xb, p = stationary_bgon(96, 857.0)
-    assert unstable_mode(xb, p, 1e-2) is None
+    assert unstable_mode(loop_mesh, xb, p, 1e-2) is None
+
+
+def test_unstable_mode_builds_the_hessian_once_unless_it_fails(monkeypatch):
+    # a passing state, planar (two blocks) or not (one), builds the loop
+    # Hessian once; a failing one builds it again for its eigenpairs
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return loop_hessian(*args)
+
+    monkeypatch.setattr(sweep, "loop_hessian", counting)
+    loop_mesh = generate_disk_mesh(16)[0].loop_mesh()
+    planar, p = stationary_bgon(96, 857.0)
+    twisted = planar.copy()
+    twisted[:, 2] = 1e-9 * np.cos(2.0 * np.arange(96))
+    failing, p_fail = stationary_bgon(96, 860.0)
+    for xb, params, fails, count in ((planar, p, False, 1),
+                                     (twisted, p, False, 1),
+                                     (failing, p_fail, True, 2)):
+        builds.clear()
+        mode = unstable_mode(loop_mesh, xb, params, 1e-2)
+        assert (mode is not None) == fails
+        assert len(builds) == count
 
 
 def test_restarts_stop_at_their_cap(monkeypatch, caplog):
@@ -299,7 +325,7 @@ def test_restarts_stop_at_their_cap(monkeypatch, caplog):
         solves.append(relax(mesh, x0, params, opts))
         return solves[-1]
 
-    def failing(x_b, params, tau):
+    def failing(mesh, x_b, params, tau):
         vec = np.zeros_like(x_b)
         vec[:, 2] = 1.0 / np.sqrt(len(x_b))
         return -1.0, vec
@@ -651,6 +677,8 @@ def test_schedule_validation():
         SweepSchedule(values=np.array([]))
     with pytest.raises(ValueError):
         SweepSchedule(values=np.array([1.0, 2.0]), direction="sideways")
+    with pytest.raises(ValueError, match="sweep config 'values' must be >= 0"):
+        SweepSchedule(values=np.array([-10.0, 0.0, 10.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +771,16 @@ def test_warm_sweep_carries_scaled_multiplier(monkeypatch):
                                                   values[1:]):
             assert prev.params.length_multiplier != 0.0
             assert lam == prev.params.length_multiplier * k / k_prev
+
+
+def test_warm_sweep_carries_the_multiplier_unscaled_after_zero(monkeypatch):
+    # kL^3/alpha = 0 gives no ratio to scale by
+    calls = _recorded_multipliers(monkeypatch, tiny_schedule(
+        values=np.array([0.0, 5.0, 10.0]), rings=2))
+    (_, first), (lam, second), (lam_next, last) = calls
+    assert lam == first.params.length_multiplier
+    assert lam_next == second.params.length_multiplier * 10.0 / 5.0
+    assert first.converged and second.converged and last.converged
 
 
 def test_cold_sweep_starts_multiplier_at_zero(monkeypatch):
