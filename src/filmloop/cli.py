@@ -54,47 +54,83 @@ def build_parser():
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    rings_help = ("hexagonal rings of the disk mesh; the loop has 6 x rings "
+                  "vertices")
+    elongation_help = ("elongation e of the flat disk, the area-preserving "
+                       "stretch (x, y) -> (e x, y / e); 1 keeps the regular "
+                       "hexagon")
+    out_help = "output directory"
+
     p_mesh = sub.add_parser("mesh", help="generate and validate a disk mesh")
-    p_mesh.add_argument("--rings", type=int, default=16)
-    p_mesh.add_argument("--elongation", type=float, default=1.0)
-    p_mesh.add_argument("--out", default="runs/mesh")
+    p_mesh.add_argument("--rings", type=int, default=16, help=rings_help)
+    p_mesh.add_argument("--elongation", type=float, default=1.0,
+                        help=elongation_help)
+    p_mesh.add_argument("--out", default="runs/mesh", help=out_help)
 
     p_relax = sub.add_parser("relax", help="relax one configuration")
     p_relax.add_argument("--kl3a", type=float, default=100.0,
                          help="k L^3 / alpha")
-    p_relax.add_argument("--rings", type=int, default=16)
-    p_relax.add_argument("--elongation", type=float, default=1.2)
-    p_relax.add_argument("--seed", type=int, default=0)
-    p_relax.add_argument("--max-iterations", type=int, default=5000)
-    p_relax.add_argument("--gradient-tolerance", type=float, default=1e-6)
-    p_relax.add_argument("--out", default="runs/relax")
+    p_relax.add_argument("--rings", type=int, default=16, help=rings_help)
+    p_relax.add_argument("--elongation", type=float, default=1.2,
+                         help=elongation_help)
+    p_relax.add_argument("--seed", type=int, default=0,
+                         help="seed of the cold start's random transverse "
+                         "kick")
+    p_relax.add_argument("--max-iterations", type=int, default=5000,
+                         help="most L-BFGS iterations of a penalty round")
+    p_relax.add_argument("--gradient-tolerance", type=float, default=1e-6,
+                         help="gradient infinity norm to reach, relative to "
+                         "spring_k L + alpha / L^2")
+    p_relax.add_argument("--out", default="runs/relax", help=out_help)
 
     p_sweep = sub.add_parser("sweep", help="parameter continuation sweep")
     p_sweep.add_argument("--config", help="JSON config or manifest")
-    p_sweep.add_argument("--start", type=float)
-    p_sweep.add_argument("--stop", type=float)
-    p_sweep.add_argument("--num", type=int)
-    p_sweep.add_argument("--rings", type=int)
-    p_sweep.add_argument("--elongation", type=float)
-    p_sweep.add_argument("--seed", type=int, dest="base_seed")
-    p_sweep.add_argument("--direction", choices=["up", "down"])
-    p_sweep.add_argument("--no-warm-start", action="store_true")
-    p_sweep.add_argument("--save-meshes", action="store_true")
-    p_sweep.add_argument("--out", default="runs/sweep")
+    p_sweep.add_argument("--start", type=float,
+                         help="first k L^3 / alpha value, included")
+    p_sweep.add_argument("--stop", type=float,
+                         help="last k L^3 / alpha value, included")
+    p_sweep.add_argument("--num", type=int,
+                         help="number of evenly spaced k L^3 / alpha values "
+                         "from --start to --stop, both ends included")
+    p_sweep.add_argument("--rings", type=int,
+                         help=rings_help + " (default 16)")
+    p_sweep.add_argument("--elongation", type=float,
+                         help=elongation_help + " (default 1)")
+    p_sweep.add_argument("--seed", type=int, dest="base_seed", metavar="SEED",
+                         help="point i's seed is SEED + i, whose parity "
+                         "picks the sign of the point's escape step after a "
+                         "failed certificate; no point is kicked (default "
+                         "0)")
+    p_sweep.add_argument("--direction", choices=["up", "down"],
+                         help="run the values ascending or descending "
+                         "(default up)")
+    p_sweep.add_argument("--no-warm-start", action="store_true",
+                         help="start every point from the flat mesh, not "
+                         "from the previous relaxed state")
+    p_sweep.add_argument("--save-meshes", action="store_true",
+                         help="also write each point's relaxed mesh as OBJ")
+    p_sweep.add_argument("--out", default="runs/sweep", help=out_help)
 
     p_stab = sub.add_parser("stability", help="print buckling thresholds")
-    p_stab.add_argument("--max-mode", type=int, default=6)
+    p_stab.add_argument("--max-mode", type=int, default=6,
+                        help="highest loop mode of the table, >= 2")
 
     p_asym = sub.add_parser("asymptotic",
                             help="twisted-saddle family tables and meshes")
-    p_asym.add_argument("--gamma-min", type=float, default=0.9 * 96 * np.pi**3)
-    p_asym.add_argument("--gamma-max", type=float, default=2.0 * 96 * np.pi**3)
-    p_asym.add_argument("--num", type=int, default=50)
-    p_asym.add_argument("--length", type=float, default=2.0 * np.pi)
+    p_asym.add_argument("--gamma-min", type=float, default=0.9 * 96 * np.pi**3,
+                        help="first gamma of the table, included")
+    p_asym.add_argument("--gamma-max", type=float, default=2.0 * 96 * np.pi**3,
+                        help="last gamma of the table, included")
+    p_asym.add_argument("--num", type=int, default=50,
+                        help="number of evenly spaced gamma rows")
+    p_asym.add_argument("--length", type=float, default=2.0 * np.pi,
+                        help="loop length L")
     p_asym.add_argument("--rings", type=int,
                         help="rings of the --save-meshes meshes (default 16)")
-    p_asym.add_argument("--save-meshes", action="store_true")
-    p_asym.add_argument("--out", default="runs/asymptotic")
+    p_asym.add_argument("--save-meshes", action="store_true",
+                        help="also write the family's shapes at t = 0.05, "
+                        "0.2 and 0.5 as OBJ")
+    p_asym.add_argument("--out", default="runs/asymptotic", help=out_help)
 
     p_fit = sub.add_parser(
         "fit", help="scaling fits on an existing diagram",
@@ -104,10 +140,12 @@ def build_parser():
         "on very noisy data it can end in another local minimum: on power "
         "laws with 50% noise, 3 of 300 ended with a sum of squares 0.014% "
         "to 3.5% above curve_fit's (and 2 curve_fits up to 6.9% above it).")
-    p_fit.add_argument("--diagram", required=True)
+    p_fit.add_argument("--diagram", required=True,
+                       help="diagram.csv written by sweep")
     p_fit.add_argument("--threshold", type=float, required=True,
                        help="onset estimate")
-    p_fit.add_argument("--units", choices=["kl3a", "gamma"], default="kl3a")
+    p_fit.add_argument("--units", choices=["kl3a", "gamma"], default="kl3a",
+                       help="units of --threshold")
     return parser
 
 

@@ -4,8 +4,8 @@ L-BFGS directions (Nocedal, Math. Comp. 35 (1980) 773; Liu & Nocedal,
 Math. Prog. 45 (1989) 503): the two-loop recursion over the last
 LBFGS_MEMORY step / gradient-change pairs, started from the preconditioner
 below, with a strong-Wolfe cubic-interpolation line search (constants
-WOLFE_C1, WOLFE_C2) that first tries the unit step, and a scale-aware
-gradient tolerance:
+WOLFE_C1, WOLFE_C2) that first tries the unit step, capped at a move of
+0.01 L while the memory is empty, and a scale-aware gradient tolerance:
 
     converged  iff  ||g||_inf <= gradient_tolerance * (spring_k * L + alpha / L^2)
 
@@ -45,7 +45,8 @@ B x B matrix (mesh.circulant), built once per round, and the rank-one term
 joins it by Sherman-Morrison, so an apply is one small matrix product and
 one scaled vector.  Convergence is still judged on the raw gradient.  That
 operator is already the problem's stiffness, so it is used unscaled: the
-textbook scaling s.y / y.M^{-1}y would apply it a second time.
+textbook scaling s.y / y.M^{-1}y would apply it a second time, and its unit
+step has the right length even with an empty memory (minimize_function).
 
 relax() holds the boundary length with an augmented Lagrangian (Nocedal &
 Wright, Numerical Optimization, ch. 17): between rounds the length
@@ -157,6 +158,9 @@ class MinimizeResult:
     function_evals: int              # energy_and_gradient calls of the solve
     length_error: float
     line_tension: float              # beta, the length constraint's multiplier
+    start: object                    # EnergyBreakdown of x0's loop under the
+                                     # first round's params: the solve's
+                                     # first evaluation
 
     @property
     def converged(self):
@@ -181,14 +185,18 @@ class _Objective:
     """fun(x) -> (total energy, gradient) of the mesh energy; the total is
     a _Total, so whichever iterate minimize_function returns brings the
     breakdown computed when it was accepted.  Counts its
-    energy_and_gradient calls in evals."""
+    energy_and_gradient calls in evals and keeps the first call's
+    breakdown, minimize_function's at its start, as start."""
 
     def __init__(self, mesh, params):
         self.mesh, self.params = mesh, params
         self.evals = 0
+        self.start = None
 
     def __call__(self, x):
         fb, g = energy_and_gradient(self.mesh, x, self.params)
+        if not self.evals:
+            self.start = fb
         self.evals += 1
         f = _Total(fb.total)
         f.parts = fb
@@ -205,17 +213,22 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
     given, is a callable g -> M^{-1} g applying a positive-definite inverse
     preconditioner, used unscaled as the recursion's starting inverse
     Hessian (the identity without it).  Steps come from the strong-Wolfe
-    search, whose first trial is the unit step, or a move of 0.01 *
-    step_scale when the memory is empty.  A direction that does not
-    descend, or a stalled search, clears the memory; a search that stalls
-    with an empty memory returns the current iterate with status
+    search, whose first trial is the unit step (Nocedal & Wright, sec.
+    3.5), capped at a move of 0.01 * step_scale when the memory is empty:
+    min(1, 0.01 * step_scale / |d|).  A preconditioner that is the
+    problem's stiffness makes the unit step about right from a warm start
+    (the sweep's planar points take it in 2 evaluations), while a cold
+    start's can overshoot by orders of magnitude.  A direction that does
+    not descend, or a stalled search, clears the memory; a search that
+    stalls with an empty memory returns the current iterate with status
     search_stalled, and the FINISH_ITERATIONS-th iteration after the first
     accepted step that did not lower the value returns with status
     line_search_failed.  Every evaluation, line-search trials included,
     raises NumericalError when the value or the gradient is not finite;
-    that check's max |g| is the accepted iterate's ginf.  callback(it, x, f, ginf) runs per accepted
-    iterate, the start included (it = 0).  Returns (x, f, grad,
-    iterations, status); f is the value fun returned at x.
+    that check's max |g| is the accepted iterate's ginf.  callback(it, x,
+    f, ginf) runs per accepted iterate, the start included (it = 0).
+    Returns (x, f, grad, iterations, status); f is the value fun returned
+    at x.
 
     The loop runs on one flat float64 copy of x0; fun, minv and callback
     see, and the returned x and grad have, the shape of x0.
@@ -260,8 +273,9 @@ def minimize_function(fun, x0, opts, gtol_abs, step_scale=1.0, callback=None,
 
         a0 = 1.0
         if not pairs.count:
-            # move a small fraction of the problem length scale
-            a0 = 0.01 * step_scale / max(float(np.linalg.norm(d)), 1e-300)
+            # the unit step, moving at most 0.01 of the length scale
+            a0 = min(1.0, 0.01 * step_scale
+                     / max(float(np.linalg.norm(d)), 1e-300))
         ls = _wolfe_search(evaluate, x, d, f, dphi0, a0, ddot)
         if ls is None:
             if pairs.count:
@@ -523,8 +537,9 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     disk spanning it (mesh.TriMesh.loop_film).  So the result depends on
     x0 only through its boundary loop.
     The result's energy is the last round's breakdown on the loop mesh, the
-    energy the rounds minimized, and function_evals counts the loop-mesh
-    calls of all rounds.
+    energy the rounds minimized, its start the first round's first
+    evaluation (x0's loop under the first round's params), and
+    function_evals counts the loop-mesh calls of all rounds.
 
     If params.length_penalty_k (mu) is 0 a starting stiffness of
     100 * (spring_k + alpha / L^3) is chosen (edge_penalty_k's too;
@@ -588,6 +603,8 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
             minv=make_preconditioner(loop_mesh, x, p))
         total_iters += it
         total_evals += fun.evals
+        if rnd == 1:
+            start = fun.start
         fb = f.parts
         err = abs(fb.boundary_length - L) / L
         logger.debug("penalty round %d: length error %.3g, status %s",
@@ -609,4 +626,5 @@ def relax(mesh, x0, params, opts=None, log_stream=None):
     return MinimizeResult(
         x=extend(x), energy=fb, iterations=total_iters, status=status,
         params=p, penalty_rounds=rnd, function_evals=total_evals,
-        length_error=err, line_tension=_line_tension(loop_mesh, fb, p))
+        length_error=err, line_tension=_line_tension(loop_mesh, fb, p),
+        start=start)

@@ -32,11 +32,13 @@ import numpy as np
 
 from . import __version__
 from .mesh import generate_disk_mesh, scale_to_boundary_length
-from .energy import EnergyParams, SIGMA_PER_SPRING_K, energy, loop_hessian
+from .energy import EnergyParams, SIGMA_PER_SPRING_K, loop_hessian
 from .optimize import (MinimizeOptions, absolute_tolerance, check_field_types,
                        relax)
-# the sweep kicks no point, but perfbench's traced pass wraps
-# filmloop.sweep.perturb by name, so the name stays
+# the sweep kicks no point and reads start_energy off relax's result, but
+# perfbench's traced pass wraps filmloop.sweep.perturb and .energy by name,
+# so the names stay
+from .energy import energy  # noqa: F401
 from .optimize import perturb  # noqa: F401
 from .diffgeo import (boundary_geometry, corner_geometry,
                       count_self_intersections, gaussian_curvature,
@@ -159,7 +161,8 @@ class SweepPoint:
     energy_springs: float
     energy_penalty: float
     start_energy: float          # loop energy of the warm start under this
-                                 # point's params, penalty off
+                                 # point's params, penalty off: bending +
+                                 # springs of the first relax's start
     boundary_length: float
     length_rel_err: float
     line_tension: float          # beta, the length constraint's multiplier
@@ -209,28 +212,35 @@ def unstable_mode(mesh, x_b, params, tau):
     eigenvalue of the block that fails and its unit eigenvector as (B, 3)
     loop rows.
 
-    The Hessian is built once, tau added to its diagonal in place.  On a
-    planar loop (z = 0 exactly) its xz and yz blocks are 0, so the z block
-    [2B:, 2B:] and the in-plane block [:2B, :2B] are factored apart, z
-    first; otherwise LAPACK's dpotrf factors the whole matrix in place (it
-    is symmetric, so its C-order array is the Fortran-order one).  Only a
-    failing state builds the Hessian again, once the factored one is
-    released, for the failing block's eigenpairs."""
+    The Hessian is built once.  On a planar loop (z = 0 exactly) its xz and
+    yz blocks are 0, so the z block [2B:, 2B:] and the in-plane block
+    [:2B, :2B] are factored apart, z first, each as a tau-shifted copy
+    (LAPACK's dpotrf would copy the slice anyway), and a failing block's
+    eigenpairs are read from the unshifted Hessian.  Otherwise tau is added
+    to the diagonal in place and dpotrf factors the whole matrix in place
+    (its C-order array is the Fortran-order transpose); only a failing
+    state builds the Hessian again, once the factored one is released, for
+    its eigenpairs."""
     from scipy.linalg.lapack import dpotrf
 
     nb = len(x_b)
     hess = loop_hessian(mesh, x_b, params)
-    hess.flat[::3 * nb + 1] += tau
-    blocks = [slice(0, 3 * nb)]
-    if not x_b[:, 2].any():
-        blocks = [slice(2 * nb, 3 * nb), slice(0, 2 * nb)]
-    for block in blocks:
-        if dpotrf(hess[block, block].T, lower=1, clean=0, overwrite_a=1)[1]:
-            break
+    if x_b[:, 2].any():
+        block = slice(0, 3 * nb)
+        hess.flat[::3 * nb + 1] += tau
+        if not dpotrf(hess.T, lower=1, clean=0, overwrite_a=1)[1]:
+            return None
+        del hess
+        hess = loop_hessian(mesh, x_b, params)
     else:
-        return None
-    del hess
-    lam, vec = np.linalg.eigh(loop_hessian(mesh, x_b, params)[block, block])
+        for block in (slice(2 * nb, 3 * nb), slice(0, 2 * nb)):
+            shifted = hess[block, block].copy()
+            shifted.flat[::len(shifted) + 1] += tau
+            if dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1]:
+                break
+        else:
+            return None
+    lam, vec = np.linalg.eigh(hess[block, block])
     mode = np.zeros(3 * nb)
     mode[block] = vec[:, 0]
     return float(lam[0]), mode.reshape(3, nb).T
@@ -253,11 +263,12 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
     loop, loop_mesh = mesh.boundary_loop, mesh.loop_mesh()
-    start_energy = energy(loop_mesh, start.take(loop, axis=0), params).total
-
     res = relax(mesh, start,
                 dataclasses.replace(params, length_multiplier=length_multiplier),
                 schedule.options)
+    # bending and springs do not read the penalty terms, which add exactly
+    # 0.0 under params: this is energy(loop_mesh, start loop, params).total
+    start_energy = res.start.bending + res.start.springs
     solves = [res]
     status = res.status
     while res.converged:

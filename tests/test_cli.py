@@ -3,6 +3,7 @@ determinism, driven in process through main(argv) plus one real subprocess
 check of the module entry point.
 """
 
+import argparse
 import json
 import os
 import re
@@ -40,6 +41,16 @@ def test_fit_help_says_the_fit_is_one_local_search(capsys):
     assert exc.value.code == 0
     assert "one local search from one start" in " ".join(
         capsys.readouterr().out.split())
+
+
+def test_every_subcommand_option_has_a_help_string():
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    missing = [f"{name} {action.option_strings[-1]}"
+               for name, sub in subcommands.choices.items()
+               for action in sub._actions if not action.help]
+    assert missing == []
 
 
 def _python(*args):

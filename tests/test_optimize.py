@@ -29,6 +29,7 @@ from filmloop.optimize import (ENERGY_ROUNDING, FINISH_ITERATIONS,
                                NumericalError, minimize_function, perturb,
                                relax)
 from filmloop.stability import critical_gamma, kl3a_from_gamma
+from filmloop.sweep import SweepSchedule, run_sweep
 
 from helpers import (disk_solution, fan_mesh, fft_preconditioner, polygon_mesh,
                      preconditioner_model, real_fourier_basis,
@@ -613,13 +614,38 @@ def test_function_evals_counts_every_energy_call(monkeypatch, stall_after):
 
 
 def test_cold_relax_evaluation_budget():
-    # L-BFGS directions take the unit step almost always: 159 evaluations
+    # L-BFGS directions take the unit step almost always: 158 evaluations
     # over 132 iterations at seed 0, where Polak-Ribiere CG took 2,099 over
     # 726
     res = _cold_rings8_relax(opts=MinimizeOptions(max_iterations=60000))
     assert res.converged
     assert res.function_evals <= 1.5 * res.iterations
     assert res.function_evals < 1000
+
+
+def test_first_trial_is_the_unit_step_capped_at_a_small_move(monkeypatch):
+    # an iteration with an empty memory tries the unit step, capped at a
+    # move of 0.01 L: a cold start keeps the cap (0.062 on the cold rings-8
+    # relax), a warm sweep's planar points try the unit step itself, and no
+    # trial exceeds it
+    search = optimize._wolfe_search
+    trials = []
+
+    def recording(fun, x, d, f0, dphi0, a0, ddot):
+        trials.append(a0)
+        return search(fun, x, d, f0, dphi0, a0, ddot)
+
+    monkeypatch.setattr(optimize, "_wolfe_search", recording)
+    assert _cold_rings8_relax(
+        opts=MinimizeOptions(max_iterations=60000)).converged
+    assert trials[0] == pytest.approx(0.062, abs=5e-4)
+    assert max(trials) <= 1.0
+    trials.clear()
+    diagram = run_sweep(SweepSchedule(
+        values=np.array([20.0, 40.0, 60.0]), rings=4,
+        options=MinimizeOptions(max_iterations=4000, gradient_tolerance=1e-5)))
+    assert all(p.converged for p in diagram.points)
+    assert max(trials) == 1.0
 
 
 def test_minimize_forced_stall_returns_stalled_iterate(monkeypatch):

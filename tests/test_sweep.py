@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import filmloop
-from filmloop.energy import SIGMA_PER_SPRING_K, loop_hessian
+from filmloop.energy import (SIGMA_PER_SPRING_K, EnergyParams, energy,
+                             loop_hessian)
 from filmloop.mesh import TriMesh, generate_disk_mesh, scale_to_boundary_length
 from filmloop import diffgeo, meshio, sweep
 from filmloop.optimize import KICK_AMPLITUDE, MinimizeOptions, perturb, relax
@@ -274,10 +275,22 @@ def test_twist_bracket_holds_across_seeds_and_tolerances(certified_sweeps):
 def test_certified_sweep_evaluations_stay_below_the_kicked_sweeps(
         certified_sweeps):
     # a deterministic guard against relaxing a kick at every point again:
-    # the kicked seed-0 sweep took 2,547 evaluations, this one 738
+    # the kicked seed-0 sweep took 2,547 evaluations, this one 588 at both
+    # seeds
     for seed in (0, 1):
         diagram = certified_sweeps[seed, 1e-6][0]
-        assert sum(p.function_evals for p in diagram.points) <= 1000
+        assert sum(p.function_evals for p in diagram.points) <= 600
+
+
+def test_warm_planar_points_take_the_unit_step(certified_sweeps):
+    # a warm planar start is about one preconditioned step from its answer:
+    # every planar point after the first takes the unit step of its single
+    # iteration, 2 evaluations
+    for diagram, _, _ in certified_sweeps.values():
+        planar = [p for p in diagram.points
+                  if p.planarity <= sweep.PLANARITY_THRESHOLD]
+        assert len(planar) > 1
+        assert all(p.function_evals <= 2 for p in planar[1:])
 
 
 def test_unstable_mode_splits_a_planar_loop():
@@ -294,7 +307,9 @@ def test_unstable_mode_splits_a_planar_loop():
 
 def test_unstable_mode_builds_the_hessian_once_unless_it_fails(monkeypatch):
     # a passing state, planar (two blocks) or not (one), builds the loop
-    # Hessian once; a failing one builds it again for its eigenpairs
+    # Hessian once, and so does a failing planar one, whose blocks are
+    # factored as shifted copies; a failing twisted one, factored in place,
+    # builds it again for its eigenpairs
     builds = []
 
     def counting(*args):
@@ -307,9 +322,12 @@ def test_unstable_mode_builds_the_hessian_once_unless_it_fails(monkeypatch):
     twisted = planar.copy()
     twisted[:, 2] = 1e-9 * np.cos(2.0 * np.arange(96))
     failing, p_fail = stationary_bgon(96, 860.0)
+    failing_twisted = failing.copy()
+    failing_twisted[:, 2] = twisted[:, 2]
     for xb, params, fails, count in ((planar, p, False, 1),
                                      (twisted, p, False, 1),
-                                     (failing, p_fail, True, 2)):
+                                     (failing, p_fail, True, 1),
+                                     (failing_twisted, p_fail, True, 2)):
         builds.clear()
         mode = unstable_mode(loop_mesh, xb, params, 1e-2)
         assert (mode is not None) == fails
@@ -714,6 +732,37 @@ def test_run_sweep_records_schedule_columns(tmp_path):
     assert np.all(diagram_column(diagram, "function_evals")
                   >= diagram_column(diagram, "iterations")
                   + diagram_column(diagram, "penalty_rounds"))
+
+
+def test_start_energy_is_the_energy_of_each_warm_start(monkeypatch):
+    # start_energy is bending + springs of relax's first evaluation: the
+    # energy() of the point's start under its params, penalties off, to the
+    # bit; the middle point fails its first certificate and restarts
+    starts, failed = [], []
+    evaluate = sweep._evaluate_point
+
+    def recording(mesh, start, schedule, idx, kl3a, *args):
+        starts.append((mesh, start, kl3a))
+        return evaluate(mesh, start, schedule, idx, kl3a, *args)
+
+    def failing_once(mesh, x_b, params, tau):
+        if params.spring_k == 40.0 and not failed:
+            failed.append(tau)
+            vec = np.zeros_like(x_b)
+            vec[:, 2] = 1.0 / np.sqrt(len(x_b))
+            return -1.0, vec
+        return unstable_mode(mesh, x_b, params, tau)
+
+    monkeypatch.setattr(sweep, "_evaluate_point", recording)
+    monkeypatch.setattr(sweep, "unstable_mode", failing_once)
+    diagram = run_sweep(tiny_schedule())
+    assert [p.restarts for p in diagram.points] == [0, 1, 0]
+    assert len(starts) == len(diagram.points)
+    for point, (mesh, start, kl3a) in zip(diagram.points, starts):
+        params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
+        assert point.start_energy == energy(
+            mesh.loop_mesh(), start.take(mesh.boundary_loop, axis=0),
+            params).total
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
