@@ -229,6 +229,7 @@ def _sweep_schedule_from_args(args):
     config = read_manifest(args.config).to_dict() if args.config else {}
     given = [v is not None for v in (args.start, args.stop, args.num)]
     if all(given):
+        _require_positive(args, "num")
         config["values"] = [float(v) for v in
                             _linspace(args, "start", "stop")]
     elif any(given):

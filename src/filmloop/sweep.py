@@ -212,34 +212,30 @@ def unstable_mode(mesh, x_b, params, tau):
     eigenvalue of the block that fails and its unit eigenvector as (B, 3)
     loop rows.
 
-    The Hessian is built once.  On a planar loop (z = 0 exactly) its xz and
-    yz blocks are 0, so the z block [2B:, 2B:] and the in-plane block
-    [:2B, :2B] are factored apart, z first, each as a tau-shifted copy
-    (LAPACK's dpotrf would copy the slice anyway), and a failing block's
-    eigenpairs are read from the unshifted Hessian.  Otherwise tau is added
-    to the diagonal in place and dpotrf factors the whole matrix in place
-    (its C-order array is the Fortran-order transpose); only a failing
-    state builds the Hessian again, once the factored one is released, for
-    its eigenpairs."""
+    The Hessian is built once and tau is added to its diagonal in place.
+    On a planar loop (z = 0 exactly) its xz and yz blocks are 0, so the z
+    block [2B:, 2B:] and the in-plane block [:2B, :2B] are factored apart,
+    z first; otherwise the whole matrix is one block.  A failing block's
+    eigenpairs are read from the same matrix once its diagonal is back."""
     from scipy.linalg.lapack import dpotrf
 
     nb = len(x_b)
     hess = loop_hessian(mesh, x_b, params)
-    if x_b[:, 2].any():
-        block = slice(0, 3 * nb)
-        hess.flat[::3 * nb + 1] += tau
-        if not dpotrf(hess.T, lower=1, clean=0, overwrite_a=1)[1]:
-            return None
-        del hess
-        hess = loop_hessian(mesh, x_b, params)
+    diag = hess.diagonal().copy()
+    hess.flat[::3 * nb + 1] += tau
+    blocks = ((slice(0, 3 * nb),) if x_b[:, 2].any()
+              else (slice(2 * nb, 3 * nb), slice(0, 2 * nb)))
+    for block in blocks:
+        # dpotrf's lower factor of the Fortran-order transpose writes only
+        # hess's upper triangle and diagonal (a planar slice's in f2py's
+        # copy), and eigh's default UPLO='L' reads only the lower triangle
+        # and diagonal: with diag written back ((d + tau) - tau need not
+        # round to d), eigh sees the unshifted Hessian bit for bit
+        if dpotrf(hess[block, block].T, lower=1, clean=0, overwrite_a=1)[1]:
+            break
     else:
-        for block in (slice(2 * nb, 3 * nb), slice(0, 2 * nb)):
-            shifted = hess[block, block].copy()
-            shifted.flat[::len(shifted) + 1] += tau
-            if dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1]:
-                break
-        else:
-            return None
+        return None
+    hess.flat[::3 * nb + 1] = diag
     lam, vec = np.linalg.eigh(hess[block, block])
     mode = np.zeros(3 * nb)
     mode[block] = vec[:, 0]
@@ -254,12 +250,12 @@ def _evaluate_point(mesh, start, schedule, idx, kl3a, length_multiplier=0.0):
 
     The certificate is unstable_mode at the relaxed loop and the result's
     own params, with the shift CERTIFICATE_SHIFT * gtol / L, gtol relax's
-    absolute gradient tolerance.  A state that fails it is left along the
-    failing eigenvector, by ESCAPE_STEP * gtol / |lambda| with the sign
-    (-1)^seed, and relaxed again from there under the same params; after
-    MAX_RESTARTS such restarts a state that still fails is status
-    "unstable".  iterations, function_evals and penalty_rounds sum over the
-    point's relaxes."""
+    absolute gradient tolerance; it builds the loop Hessian once, pass or
+    fail.  A state that fails it is left along the failing eigenvector, by
+    ESCAPE_STEP * gtol / |lambda| with the sign (-1)^seed, and relaxed
+    again from there under the same params; after MAX_RESTARTS such
+    restarts a state that still fails is status "unstable".  iterations,
+    function_evals and penalty_rounds sum over the point's relaxes."""
     params = EnergyParams(alpha=1.0, spring_k=kl3a, target_length=1.0)
     seed = schedule.base_seed + idx
     loop, loop_mesh = mesh.boundary_loop, mesh.loop_mesh()

@@ -393,6 +393,20 @@ def test_num_one_with_two_ends_exits_one(tmp_path, capsys, argv, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("num", ["0", "-1"])
+def test_sweep_num_below_one_is_named_by_its_flag(tmp_path, capsys, num):
+    # as asymptotic --num is: not the schedule's empty value array, nor
+    # numpy's negative sample count
+    out = tmp_path / "s"
+    assert main(["sweep", "--start", "20", "--stop", "60", "--num", num,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --num must be finite and positive, got "
+                          f"{int(num)!r}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["mesh"], ["relax"], ["sweep", "--start", "500", "--stop", "600",
                           "--num", "2"], ["asymptotic", "--save-meshes"],

@@ -4,8 +4,10 @@ configurations, CSV and manifest round-trips, and small end-to-end sweeps
 checked for byte-level rerun determinism.
 """
 
+import collections
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,20 +206,20 @@ def certified_sweeps():
     """The elongated acceptance sweep (the benchmark's sweep_elongated
     schedule) keyed by (seed, gradient tolerance), at (0, 1e-6), (1, 1e-6)
     and (0, 1e-8), and the hexagon sweep at ("hexagon", 1e-6): each
-    diagram with the eigenvalues of the certificates it failed and its count
-    of certificates passed."""
+    diagram with the eigenvalues of the certificates it failed, its count
+    of certificates passed and a Counter of its certificates by kind,
+    ("planar" or "twisted", "pass" or "fail")."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         for seed, tol in ((0, 1e-6), (1, 1e-6), (0, 1e-8), ("hexagon", 1e-6)):
-            failed, passed = [], []
+            failed, kinds = [], collections.Counter()
 
-            def recording(mesh, x_b, params, tau, failed=failed,
-                          passed=passed):
+            def recording(mesh, x_b, params, tau, failed=failed, kinds=kinds):
                 mode = unstable_mode(mesh, x_b, params, tau)
-                if mode is None:
-                    passed.append(tau)
-                else:
+                if mode is not None:
                     failed.append(mode[0])
+                kinds["twisted" if x_b[:, 2].any() else "planar",
+                      "pass" if mode is None else "fail"] += 1
                 return mode
 
             mp.setattr(sweep, "unstable_mode", recording)
@@ -229,7 +231,9 @@ def certified_sweeps():
                 schedule = SweepSchedule(values=ELONGATED_VALUES, rings=RINGS,
                                          elongation=1.2, base_seed=seed,
                                          options=opts)
-            runs[seed, tol] = run_sweep(schedule), failed, len(passed)
+            diagram = run_sweep(schedule)
+            passed = kinds["planar", "pass"] + kinds["twisted", "pass"]
+            runs[seed, tol] = diagram, failed, passed, kinds
     return runs
 
 
@@ -247,7 +251,7 @@ def _twist(diagram):
 def test_certificate_restarts_only_the_planar_saddle(certified_sweeps):
     # seed 0: only the planar state at 860, the loop Hessian's double
     # eigenvalue -0.52 out of plane, fails; one restart leaves it
-    diagram, failed, passed = certified_sweeps[0, 1e-6]
+    diagram, failed, passed, _ = certified_sweeps[0, 1e-6]
     assert [(p.k_l3_alpha, p.restarts) for p in diagram.points
             if p.restarts] == [(860.0, 1)]
     assert len(failed) == 1 and -0.53 < failed[0] < -0.51
@@ -257,11 +261,21 @@ def test_certificate_restarts_only_the_planar_saddle(certified_sweeps):
 def test_no_returned_state_fails_the_certificate(certified_sweeps):
     # every point's last certificate passed, the hexagon's too, and each
     # restart relaxed again
-    for diagram, failed, passed in certified_sweeps.values():
+    for diagram, failed, passed, _ in certified_sweeps.values():
         assert passed == len(diagram.points)
         assert len(failed) == sum(p.restarts for p in diagram.points)
         assert all(p.converged and p.status == "converged"
                    for p in diagram.points)
+
+
+def test_certificate_traffic_is_planar_until_the_twist(certified_sweeps):
+    # the traffic behind unstable_mode's two block lists: the planar points
+    # up to 858 pass in two blocks, the planar saddle at 860 fails in its z
+    # block, and every twisted state after it passes as one block
+    for seed in (0, 1):
+        assert certified_sweeps[seed, 1e-6][3] == {
+            ("planar", "pass"): 19, ("planar", "fail"): 1,
+            ("twisted", "pass"): 17}
 
 
 def test_twist_bracket_holds_across_seeds_and_tolerances(certified_sweeps):
@@ -286,7 +300,7 @@ def test_warm_planar_points_take_the_unit_step(certified_sweeps):
     # a warm planar start is about one preconditioned step from its answer:
     # every planar point after the first takes the unit step of its single
     # iteration, 2 evaluations
-    for diagram, _, _ in certified_sweeps.values():
+    for diagram, *_ in certified_sweeps.values():
         planar = [p for p in diagram.points
                   if p.planarity <= sweep.PLANARITY_THRESHOLD]
         assert len(planar) > 1
@@ -305,11 +319,10 @@ def test_unstable_mode_splits_a_planar_loop():
     assert unstable_mode(loop_mesh, xb, p, 1e-2) is None
 
 
-def test_unstable_mode_builds_the_hessian_once_unless_it_fails(monkeypatch):
-    # a passing state, planar (two blocks) or not (one), builds the loop
-    # Hessian once, and so does a failing planar one, whose blocks are
-    # factored as shifted copies; a failing twisted one, factored in place,
-    # builds it again for its eigenpairs
+def test_unstable_mode_builds_the_hessian_once(monkeypatch):
+    # passing or failing, planar (two blocks) or not (one), a certificate
+    # builds the loop Hessian once: a failing block's eigenpairs are read
+    # from the factored matrix
     builds = []
 
     def counting(*args):
@@ -319,19 +332,96 @@ def test_unstable_mode_builds_the_hessian_once_unless_it_fails(monkeypatch):
     monkeypatch.setattr(sweep, "loop_hessian", counting)
     loop_mesh = generate_disk_mesh(16)[0].loop_mesh()
     planar, p = stationary_bgon(96, 857.0)
-    twisted = planar.copy()
-    twisted[:, 2] = 1e-9 * np.cos(2.0 * np.arange(96))
     failing, p_fail = stationary_bgon(96, 860.0)
-    failing_twisted = failing.copy()
-    failing_twisted[:, 2] = twisted[:, 2]
-    for xb, params, fails, count in ((planar, p, False, 1),
-                                     (twisted, p, False, 1),
-                                     (failing, p_fail, True, 1),
-                                     (failing_twisted, p_fail, True, 2)):
+    for xb, params, fails in ((planar, p, False), (_twisted(planar), p, False),
+                              (failing, p_fail, True),
+                              (_twisted(failing), p_fail, True)):
         builds.clear()
         mode = unstable_mode(loop_mesh, xb, params, 1e-2)
         assert (mode is not None) == fails
-        assert len(builds) == count
+        assert len(builds) == 1
+
+
+def _twisted(xb):
+    """xb lifted off its plane by z = 1e-9 cos 2 theta, theta the vertex
+    index, so that its certificate factors the whole Hessian."""
+    out = xb.copy()
+    out[:, 2] = 1e-9 * np.cos(2.0 * np.arange(len(xb)))
+    return out
+
+
+def _lowest_pair(hess, block, nb):
+    """np.linalg.eigh's lowest eigenvalue of hess[block, block] and its
+    eigenvector as (B, 3) loop rows, zero off the block."""
+    lam, vec = np.linalg.eigh(hess[block, block])
+    mode = np.zeros(3 * nb)
+    mode[block] = vec[:, 0]
+    return lam[0], mode.reshape(3, nb).T
+
+
+@pytest.mark.parametrize("rings, kl3a", [
+    (2, 900.0), (2, 2000.0), (8, 860.0), (8, 900.0), (8, 2000.0),
+    (16, 860.0), (16, 900.0), (16, 2000.0)])
+def test_unstable_mode_returns_the_unshifted_eigenpair(rings, kl3a):
+    # the shift is added and the blocks factored in the Hessian's own
+    # memory, yet a failing state returns the bits of a fresh eigh of the
+    # unshifted Hessian: the z block of a planar B-gon, the whole matrix
+    # once it leaves the plane
+    nb = 6 * rings
+    loop_mesh = generate_disk_mesh(rings)[0].loop_mesh()
+    planar, p = stationary_bgon(nb, kl3a)
+    for xb, block in ((planar, slice(2 * nb, 3 * nb)),
+                      (_twisted(planar), slice(0, 3 * nb))):
+        lam, vec = unstable_mode(loop_mesh, xb, p, 1e-2)
+        want_lam, want_vec = _lowest_pair(loop_hessian(loop_mesh, xb, p),
+                                          block, nb)
+        assert lam == want_lam < -1e-2
+        assert np.array_equal(vec, want_vec)
+
+
+def test_unstable_mode_reads_a_failing_in_plane_block(monkeypatch):
+    # no B-gon fails in plane, so a block-diagonal stand-in for the Hessian
+    # does: a positive definite z block passes, and the in-plane block's
+    # negative eigenvalue fails with its eigh pair, zero in z
+    nb = 12
+    rng = np.random.default_rng(3)
+
+    def symmetric(eigenvalues):
+        q = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))[0]
+        a = (q * eigenvalues) @ q.T
+        return 0.5 * (a + a.T)
+
+    z_block = symmetric(np.linspace(1.0, 2.0, nb))
+    in_plane = symmetric(np.r_[-0.5, np.linspace(1.0, 2.0, 2 * nb - 1)])
+
+    def stand_in(*args):
+        hess = np.zeros((3 * nb, 3 * nb))
+        hess[:2 * nb, :2 * nb] = in_plane
+        hess[2 * nb:, 2 * nb:] = z_block
+        return hess
+
+    monkeypatch.setattr(sweep, "loop_hessian", stand_in)
+    xb = stationary_bgon(nb, 20.0)[0]
+    lam, vec = unstable_mode(None, xb, None, 1e-2)
+    want_lam, want_vec = _lowest_pair(stand_in(), slice(0, 2 * nb), nb)
+    assert lam == want_lam and -0.51 < lam < -0.49
+    assert np.array_equal(vec, want_vec) and not vec[:, 2].any()
+
+
+def test_passing_certificate_holds_one_hessian():
+    # a passing rings-16 certificate peaks below 1.75 Hessians' bytes,
+    # planar or not: no 3B x 3B copy is made (the twisted state's shifted
+    # copy peaked at 2.01)
+    loop_mesh = generate_disk_mesh(16)[0].loop_mesh()
+    planar, p = stationary_bgon(96, 857.0)
+    for xb in (planar, _twisted(planar)):
+        tracemalloc.start()
+        try:
+            assert unstable_mode(loop_mesh, xb, p, 1e-2) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * (3 * 96) ** 2 * 8
 
 
 def test_restarts_stop_at_their_cap(monkeypatch, caplog):
