@@ -31,10 +31,15 @@ class DiffGeoError(RuntimeError):
 # surface helpers
 
 
-def _cross(a, b):
-    """a x b of component-first (3, ...) arrays, by np.cross's float ops."""
-    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def _cross(a, b, out=None):
+    """a x b of component-first (3, ...) arrays, by np.cross's float ops,
+    written row by row into out (a new array if None)."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[i], b[j], out=out[k])
+        out[k] -= a[j] * b[i]
+    return out
 
 
 def _norm(a):
@@ -68,7 +73,8 @@ def corner_geometry(tris, x):
     the triangles gets the same bits.  boundary_geometry,
     gaussian_curvature and count_self_intersections take it for
     mesh.triangles as an argument, so one state's observables compute it
-    once."""
+    once.  The three cross products are written row by row into (3, f)
+    arrays, the two corner ones sharing one."""
     pts = _corners(tris, x)
     a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
     u, v = b - a, c - a
@@ -78,9 +84,10 @@ def corner_geometry(tris, x):
         raise DiffGeoError("zero-area triangle")
     angles = np.empty((3, len(tris)))
     angles[0] = np.arctan2(nlen, _dot(u, v))      # corner a's u x v is n
+    cross = np.empty_like(n)
     for k, (p, q, r) in enumerate(((b, c, a), (c, a, b)), 1):
         u, v = q - p, r - p
-        angles[k] = np.arctan2(_norm(_cross(u, v)), _dot(u, v))
+        angles[k] = np.arctan2(_norm(_cross(u, v, cross)), _dot(u, v))
     return CornerGeometry(n / nlen, 0.5 * nlen, angles, n)
 
 

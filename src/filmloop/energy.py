@@ -44,7 +44,11 @@ the two row dot products as einsum("ij,ij->i") rounds over three columns,
 
 loop_hessian is the exact dense 3B x 3B Hessian of the same loop energy on
 the loop mesh, component-first, from the same boundary_frame and index
-arrays; sweep.unstable_mode factors it to certify a relaxed state.
+arrays; sweep.unstable_mode factors it to certify a relaxed state.  It is
+assembled in place in one matrix: the rank-one term by BLAS dger into
+zeros, the band by one scatter through flat indices cached per B
+(_band_index, read-only, as film_operator is), then the film, so every
+entry is (rank-one + band) + film.
 
 The control parameter k L^3 / alpha maps to gamma = sigma L^3 / alpha with
 sigma = SIGMA_PER_SPRING_K * k = (4 / sqrt(3)) k.  That factor is the
@@ -55,6 +59,7 @@ costs 2 sqrt(3) k pi R^2), so the model's own gamma is 1.5 times the gamma
 column.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +213,15 @@ def loop_hessian(mesh, x_b, p):
     blocks are built as (3, 3, B) arrays from the tangents' outer products
     plus a multiple of the identity.  On a planar loop (z = 0) every t is
     zero in z, so the xz and yz blocks are exactly 0.
+
+    Assembly: 2 mu u u^T is written by dger into zeros, so each entry is
+    0 + (2 mu u_r) u_c (a -0.0 product reads +0.0, as from np.einsum);
+    the three bands (j, j), (j, j + 1), (j, j + 2) and the transposes of
+    the last two add in one scatter through the flat indices _band_index(B),
+    distinct for B >= 5; the film adds last.
     """
+    from scipy.linalg.blas import dger
+
     nb = len(x_b)
     if nb < 5:
         raise ValueError(f"loop_hessian needs B >= 5 loop vertices, got {nb}")
@@ -260,18 +273,35 @@ def loop_hessian(mesh, x_b, p):
              c_t - edge + c_t_next,                             # (j, j + 1)
              -c_t_next)                                         # (j, j + 2)
 
-    # one allocation, as the rank-one term; the band and film add in place
+    # each entry is (rank-one + band) + film; dger fills the Fortran-order
+    # transpose of zeros in place
     u = (t_b - t).reshape(-1)
-    hess = np.multiply.outer(2.0 * p.length_penalty_k * u, u)
-    h4 = hess.reshape(3, nb, 3, nb)
-    j = np.arange(nb)
-    for offset, (k, block) in enumerate(zip((j, nxt, nxt.take(nxt)), bands)):
-        block = block.transpose(2, 0, 1)        # (B, 3, 3), as h4[:, j, :, k]
-        h4[:, j, :, k] += block
-        if offset:
-            h4[:, k, :, j] += block.transpose(0, 2, 1)
+    hess = dger(1.0, u, 2.0 * p.length_penalty_k * u,
+                a=np.zeros((3 * nb, 3 * nb)).T, overwrite_a=1).T
+    flat = hess.reshape(-1)
+    flat[_band_index(nb)] += np.concatenate(bands + bands[1:], axis=None)
     if p.spring_k != 0.0:
         film = 2.0 * p.spring_k * film_operator(nb)
+        h4 = hess.reshape(3, nb, 3, nb)
         for c in range(3):
             h4[c, :, c] += film
     return hess
+
+
+@functools.cache
+def _band_index(nb):
+    """Flat indices into a 3B x 3B loop_hessian of its band entries (cached,
+    read-only), in the order np.concatenate(bands + bands[1:], axis=None)
+    lists their values: offset o = 0, 1, 2 entry (c, d, j) of a (3, 3, B)
+    band at (c B + j, d B + j + o), then offsets 1 and 2 again at the
+    transposed (d B + j + o, c B + j).  For B >= 5 no two coincide."""
+    n = 3 * nb
+    c = np.arange(3)[:, None, None] * nb
+    d = np.arange(3)[None, :, None] * nb
+    j = np.arange(nb)
+    k = [(j + o) % nb for o in range(3)]
+    index = np.concatenate(
+        [((c + j) * n + d + ko).ravel() for ko in k]
+        + [((d + ko) * n + c + j).ravel() for ko in k[1:]])
+    index.flags.writeable = False
+    return index

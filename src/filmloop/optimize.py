@@ -68,6 +68,7 @@ eigenvector of its loop Hessian (sweep.run_sweep).
 """
 
 import dataclasses
+import functools
 import logging
 import math
 import numbers
@@ -143,7 +144,8 @@ class MinimizeOptions:
             raise ValueError(f"option 'gradient_tolerance' must be finite and "
                              f"positive, got {self.gradient_tolerance!r}")
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+            raise ValueError(f"option 'max_iterations' must be >= 0, got "
+                             f"{self.max_iterations!r}")
 
 
 @dataclass
@@ -362,9 +364,11 @@ def make_preconditioner(mesh, x0, params):
     index does.  The symbol adds the edge chain and the film: 2k rfft(c),
     with c the first column of mesh.film_operator(B) (exactly
     2k * 2 sqrt(3) pi |m| / B), except at m = 0, the translations, where it
-    takes the mean of the film's diagonal.  The circulant inverse C^{-1} is
-    built once as a dense symmetric B x B matrix from its first column
-    irfft(1 / symbol).
+    takes the mean of the film's diagonal.  rfft(c).real, that diagonal
+    and w = 2 - 2 cos(2 pi m / B) are cached per B (_symbol_parts,
+    read-only); each call scales them by its own k, alpha, s and
+    edge_penalty_k.  The circulant inverse C^{-1} is built once as a dense
+    symmetric B x B matrix from its first column irfft(1 / symbol).
     The length penalty mu (l - L)^2 adds 2 mu u u^T, u = dl/dx_B =
     t_{v-1} - t_v, the loop's stiffest direction; Sherman-Morrison inverts
     C + 2 mu u u^T as C^{-1} g - coef (v.g) v with v = C^{-1} u and coef =
@@ -395,15 +399,14 @@ def make_preconditioner(mesh, x0, params):
         return apply
 
     nb = mesh.vertex_count
+    film_modes, film_diagonal, w = _symbol_parts(nb)
     film = 0.0
     if params.spring_k > 0:
-        op = film_operator(nb)
-        film = 2.0 * params.spring_k * np.fft.rfft(op[:, 0]).real
-        film[0] = (2.0 * params.spring_k * np.diag(op)).mean()
+        film = 2.0 * params.spring_k * film_modes
+        film[0] = (2.0 * params.spring_k * film_diagonal).mean()
 
     frame = boundary_frame(mesh, x0)
     sbar = max(float(frame.length.mean()), 1e-300)
-    w = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nb))
     symbol = 2.0 * params.alpha * w**2 / sbar**3
     symbol = symbol + 2.0 * params.edge_penalty_k * w  # boundary edge chain
     symbol = symbol + film                  # the film anchoring the loop
@@ -427,6 +430,19 @@ def make_preconditioner(mesh, x0, params):
         return z
 
     return apply
+
+
+@functools.cache
+def _symbol_parts(nb):
+    """make_preconditioner's per-B parts of the symbol (cached, read-only):
+    rfft(c).real of the first column c of film_operator(nb), the film's
+    diagonal, and w = 2 - 2 cos(2 pi m / B) of each rfft mode m."""
+    op = film_operator(nb)
+    parts = (np.fft.rfft(op[:, 0]).real, np.diag(op),
+             2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nb)))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def absolute_tolerance(params, opts):

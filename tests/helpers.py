@@ -6,11 +6,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.spatial
 
-from filmloop.diffgeo import DiffGeoError
+from filmloop.diffgeo import CornerGeometry, DiffGeoError, _corners, _dot, _norm
 from filmloop.energy import (DegenerateBoundaryError, EnergyBreakdown,
                              EnergyParams, energy_and_gradient)
-from filmloop.mesh import (LATTICE_TENSION, TriMesh, film_operator,
-                           generate_disk_mesh, hex_ring_place)
+from filmloop.mesh import (LATTICE_TENSION, TriMesh, boundary_frame,
+                           film_operator, generate_disk_mesh, hex_ring_place)
 from filmloop import saddle
 from filmloop.saddle import family_point
 from filmloop.sweep import ExponentFit, FitError, _fit_window, _r_squared
@@ -143,6 +143,30 @@ def reference_triangle_geometry(mesh, x):
         cr = np.linalg.norm(np.cross(u, v), axis=1)
         angles[:, k] = np.arctan2(cr, np.einsum("ij,ij->i", u, v))
     return n / nlen[:, None], 0.5 * nlen, angles
+
+
+def _stacked_cross(a, b):
+    """a x b of component-first (3, ...) arrays, by np.cross's float ops."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def reference_corner_geometry(tris, x):
+    """Reference for diffgeo.corner_geometry: its float operations with each
+    cross product a fresh np.stack of its three rows."""
+    pts = _corners(tris, x)
+    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+    u, v = b - a, c - a
+    n = _stacked_cross(u, v)
+    nlen = _norm(n)
+    if np.any(nlen <= 0.0):
+        raise DiffGeoError("zero-area triangle")
+    angles = np.empty((3, len(tris)))
+    angles[0] = np.arctan2(nlen, _dot(u, v))      # corner a's u x v is n
+    for k, (p, q, r) in enumerate(((b, c, a), (c, a, b)), 1):
+        u, v = q - p, r - p
+        angles[k] = np.arctan2(_norm(_stacked_cross(u, v)), _dot(u, v))
+    return CornerGeometry(n / nlen, 0.5 * nlen, angles, n)
 
 
 def vertex_normals(mesh, x):
@@ -359,6 +383,81 @@ def reference_energy_and_gradient(mesh, x, p):
                                 total=bending + springs + e_pen,
                                 boundary_length=blen)
     return breakdown, grad
+
+
+def reference_loop_hessian(mesh, x_b, p):
+    """Reference for energy.loop_hessian: the same band blocks, assembled
+    as np.multiply.outer's rank-one term with the bands added through
+    mixed fancy indices on its (3, B, 3, B) view and the film through one
+    view per diagonal block.  Its entries equal loop_hessian's, each summed
+    as (rank-one + band) + film; a product that is -0.0 here is +0.0
+    there."""
+    nb = len(x_b)
+    if nb < 5:
+        raise ValueError(f"loop_hessian needs B >= 5 loop vertices, got {nb}")
+    prev, nxt = mesh.loop_prev, mesh.loop_next
+    s, e, _ = boundary_frame(mesh, x_b)         # (3, B) edge i, from v = i
+    t = np.divide(e, s, out=e)
+
+    # bending at vertex v over its edges a = v and b = v - 1
+    t_b, s_b = t.take(prev, axis=1), s.take(prev)
+    q = (t * t_b).sum(axis=0)
+    rest, S = 1.0 - q, s + s_b
+    w_a = (t_b - q * t) / s                     # dq/de_a
+    w_b = (t - q * t_b) / s_b
+
+    def outer(u, v):                            # (3, 3, B)
+        return u[:, None] * v[None, :]
+
+    S2 = S * S
+    c3 = 2.0 * rest / (S2 * S)
+    g = 1.0 / (s * s_b * S)
+    a2 = q / (s * s * S) - rest / (s * S2)      # identity parts of d^2/de_a^2
+    b2 = q / (s_b * s_b * S) - rest / (s_b * S2)
+    tt, tt_b = outer(t, t), outer(t_b, t_b)
+    sym_a, sym_b = outer(t, w_a), outer(t_b, w_b)
+    sym_a += sym_a.transpose(1, 0, 2)
+    sym_b += sym_b.transpose(1, 0, 2)
+    f_aa = sym_a * (1.0 / (s * S) + 1.0 / S2) + tt * (c3 - a2)
+    f_bb = sym_b * (1.0 / (s_b * S) + 1.0 / S2) + tt_b * (c3 - b2)
+    four_alpha = 4.0 * p.alpha
+    coupling = four_alpha * (                   # rows e_v, columns e_{v-1}
+        g * (tt + tt_b) + outer(t, t_b) * (c3 - q * g)
+        + (outer(w_a, t_b) + outer(t, w_b)) / S2)
+
+    # edge blocks: both bending terms of edge i, the edge penalty and the
+    # length's curvature
+    excess = s.sum() - p.target_length
+    pull = p.length_multiplier + 2.0 * p.length_penalty_k * excess
+    k_pull = (2.0 * p.edge_penalty_k * (s - p.target_length / nb) + pull) / s
+    edge = (four_alpha * (f_aa + f_bb.take(nxt, axis=2))
+            + tt * (2.0 * p.edge_penalty_k - k_pull))
+    ii = np.arange(3)
+    edge[ii, ii] += four_alpha * (a2 + b2.take(nxt)) + k_pull
+    coupling[ii, ii] -= four_alpha * g
+
+    # vertex j meets edge j - 1 with sign + and edge j with sign -
+    c_t = coupling.transpose(1, 0, 2)
+    c_t_next = c_t.take(nxt, axis=2)
+    bands = (edge.take(prev, axis=2) + edge - coupling - c_t,   # (j, j)
+             c_t - edge + c_t_next,                             # (j, j + 1)
+             -c_t_next)                                         # (j, j + 2)
+
+    # one allocation, as the rank-one term; the band and film add in place
+    u = (t_b - t).reshape(-1)
+    hess = np.multiply.outer(2.0 * p.length_penalty_k * u, u)
+    h4 = hess.reshape(3, nb, 3, nb)
+    j = np.arange(nb)
+    for offset, (k, block) in enumerate(zip((j, nxt, nxt.take(nxt)), bands)):
+        block = block.transpose(2, 0, 1)        # (B, 3, 3), as h4[:, j, :, k]
+        h4[:, j, :, k] += block
+        if offset:
+            h4[:, k, :, j] += block.transpose(0, 2, 1)
+    if p.spring_k != 0.0:
+        film = 2.0 * p.spring_k * film_operator(nb)
+        for c in range(3):
+            h4[c, :, c] += film
+    return hess
 
 
 def _normal_sq(fam, r, phi):

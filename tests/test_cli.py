@@ -270,6 +270,18 @@ def test_relax_non_finite_flag_exits_one(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_relax_negative_max_iterations_names_the_option(tmp_path, capsys):
+    # rejected in the form its sibling gradient_tolerance uses, with the value
+    out = tmp_path / "relax"
+    assert main(["relax", "--rings", "3", "--max-iterations", "-1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: option 'max_iterations' must be >= 0, "
+                          "got -1")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
 def test_relax_bad_kl3a_is_named_by_its_flag(tmp_path, capsys, value):
     # rejected before EnergyParams could name it by its field, spring_k

@@ -22,9 +22,9 @@ from filmloop.mesh import generate_disk_mesh
 
 from helpers import (InflectionError, circle_samples, el_residuals, fan_mesh,
                      folded_pierced_disk, frenet_analyze,
-                     reference_curvature_field, reference_loop_curvatures,
-                     reference_triangle_geometry, saddle_shape,
-                     vertex_normals)
+                     reference_corner_geometry, reference_curvature_field,
+                     reference_loop_curvatures, reference_triangle_geometry,
+                     saddle_shape, vertex_normals)
 
 
 def test_frenet_circle_second_order_convergence():
@@ -212,6 +212,31 @@ def test_surface_observables_match_the_row_reference_bit_for_bit(shape, args):
                           bg.kappa_g),
                          reference_loop_curvatures(mesh, x)):
         np.testing.assert_array_equal(got, want)
+
+
+def _twisted_disk(rings):
+    # a twisted sweep state's shape: the elongated loop lifted by
+    # z = 0.05 R cos 2 theta and the harmonic disk spanning it
+    mesh, x = generate_disk_mesh(rings, 1.2)
+    xb = x[mesh.boundary_loop]
+    theta = 2.0 * np.pi * np.arange(len(xb)) / len(xb)
+    xb[:, 2] = 0.05 * rings * np.cos(2.0 * theta)
+    return mesh, mesh.loop_film()[1](xb)
+
+
+@pytest.mark.parametrize("shape, args", [
+    pytest.param(generate_disk_mesh, (16, 1.2), id="disk-r16"),
+    pytest.param(_twisted_disk, (16,), id="twisted-r16"),
+    pytest.param(saddle_shape, (16, 0.9), id="saddle-r16-t0.9")])
+def test_corner_geometry_matches_the_stacked_reference_bit_for_bit(shape,
+                                                                   args):
+    # the cross products written row by row into (3, f) arrays give the
+    # bits, signed zeros included, of each row computed apart and stacked
+    mesh, x = shape(*args)
+    got = corner_geometry(mesh.triangles, x)
+    want = reference_corner_geometry(mesh.triangles, x)
+    for name, a, b in zip(got._fields, got, want):
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("shape, args", SHAPES)

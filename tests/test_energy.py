@@ -21,7 +21,7 @@ from filmloop.mesh import (LATTICE_TENSION, TriMesh, generate_disk_mesh,
 from filmloop.optimize import perturb
 
 from helpers import (fan_mesh, polygon_mesh, reference_energy_and_gradient,
-                     stationary_bgon)
+                     reference_loop_hessian, stationary_bgon)
 
 
 def test_fan_energy_closed_form():
@@ -443,6 +443,39 @@ def test_loop_hessian_splits_exactly_on_a_planar_loop():
     assert not hess[2 * nb:, :2 * nb].any()
     assert not hess[:2 * nb, 2 * nb:].any()
     assert hess[2 * nb:, 2 * nb:].any() and hess[:2 * nb, :2 * nb].any()
+
+
+def _hessian_loop(rings, shape, rng):
+    """Loop rows of the rings-ring elongated disk at length 1: planar (z = 0,
+    in-plane noise), twisted (z = 0.05 cos 2 theta) or random (noise on all
+    three coordinates)."""
+    mesh, x0 = generate_disk_mesh(rings, 1.2)
+    xb = scale_to_boundary_length(mesh, x0, 1.0)[mesh.boundary_loop]
+    theta = 2.0 * np.pi * np.arange(len(xb)) / len(xb)
+    if shape == "planar":
+        xb[:, :2] += 0.02 * rng.standard_normal((len(xb), 2)) / (2.0 * np.pi)
+    elif shape == "twisted":
+        xb[:, 2] = 0.05 * np.cos(2.0 * theta) / (2.0 * np.pi)
+    else:
+        xb += 0.02 * rng.standard_normal(xb.shape) / (2.0 * np.pi)
+    return mesh.loop_mesh(), xb
+
+
+@pytest.mark.parametrize("spring_k", ["all-terms", 0.0])
+@pytest.mark.parametrize("shape", ["planar", "twisted", "random"])
+@pytest.mark.parametrize("rings", [2, 4, 8, 16])
+def test_loop_hessian_matches_the_reference_assembly(rings, shape, spring_k):
+    # dger into zeros, one flat band scatter and the film give the entries
+    # of the outer-product / fancy-index assembly, each summed as
+    # (rank-one + band) + film; array_equal counts -0.0 == +0.0
+    rng = np.random.default_rng(rings)
+    loop_mesh, xb = _hessian_loop(rings, shape, rng)
+    p = _all_terms_params(rng)
+    if spring_k != "all-terms":
+        p = dataclasses.replace(p, spring_k=spring_k)
+    hess = loop_hessian(loop_mesh, xb, p)
+    assert hess.flags.c_contiguous
+    np.testing.assert_array_equal(hess, reference_loop_hessian(loop_mesh, xb, p))
 
 
 def test_loop_hessian_needs_five_vertices():

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import daxpy, ddot
 
-from filmloop.energy import (DegenerateBoundaryError, EnergyParams, energy,
-                             energy_and_gradient)
-from filmloop.mesh import (MeshError, generate_disk_mesh,
+from filmloop.energy import (DegenerateBoundaryError, EnergyParams,
+                             _band_index, energy, energy_and_gradient)
+from filmloop.mesh import (MeshError, film_operator, generate_disk_mesh,
                            scale_to_boundary_length)
 from filmloop.diffgeo import planarity
 from filmloop import optimize
@@ -187,6 +187,38 @@ def test_loop_mesh_preconditioner_is_the_general_apply(rings):
         z = full(g)
         assert fast(g[loop]).tobytes() == z[loop].tobytes()
         assert z[inner].tobytes() == g[inner].tobytes()
+
+
+@pytest.mark.parametrize("rings", [2, 8, 16, 32])
+def test_preconditioner_applies_match_an_uncached_build(rings, monkeypatch):
+    # B = 12 / 48 / 96 / 192: the symbol's per-B parts, cached and scaled
+    # on each call, give the bits of parts built afresh for the call, with
+    # and without the film
+    mesh, x = generate_disk_mesh(rings, 1.2)
+    x = perturb(scale_to_boundary_length(mesh, x, 1.0), KICK_AMPLITUDE, 0)
+    loop_mesh, xb = mesh.loop_mesh(), x[mesh.boundary_loop]
+    film = EnergyParams(alpha=1.0, spring_k=900.0, target_length=1.0,
+                        length_penalty_k=90100.0, edge_penalty_k=90100.0)
+    params = (film, dataclasses.replace(film, spring_k=0.0))
+    cached = [[optimize.make_preconditioner(loop_mesh, xb, p)
+               for _ in range(2)] for p in params]
+    monkeypatch.setattr(optimize, "_symbol_parts",
+                        optimize._symbol_parts.__wrapped__)
+    fresh = [optimize.make_preconditioner(loop_mesh, xb, p) for p in params]
+    rng = np.random.default_rng(rings)
+    for g in rng.standard_normal((3,) + xb.shape):
+        for applies, apply in zip(cached, fresh):
+            want = apply(g).tobytes()
+            assert all(a(g).tobytes() == want for a in applies)
+
+
+@pytest.mark.parametrize("nb", [12, 96])
+def test_per_b_caches_are_read_only(nb):
+    # one array per B serves every call, so none may be written to
+    arrays = (film_operator(nb), _band_index(nb), *optimize._symbol_parts(nb))
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
 
 
 def _pair(rng, n, sign=1.0):
