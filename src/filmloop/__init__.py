@@ -10,7 +10,7 @@ relaxed state by a Cholesky factor of its loop Hessian, and records the
 resulting bifurcation diagram.
 """
 
-__version__ = "0.10.4"
+__version__ = "0.10.5"
 
 from .mesh import TriMesh, generate_disk_mesh, validate_mesh
 from .energy import EnergyParams, EnergyBreakdown, energy, energy_and_gradient

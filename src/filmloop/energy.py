@@ -152,12 +152,9 @@ def energy_and_gradient(mesh, x, p):
     c_sq += sq[1]
     bending = p.alpha * float((c_sq / savg).sum())
 
-    if p.spring_k != 0.0:
-        lx = film_operator(mesh.vertex_count) @ x
-        springs = p.spring_k * float((x * lx).sum())
-        grad = 2.0 * p.spring_k * lx
-    else:
-        springs, grad = 0.0, np.zeros_like(x)
+    lx = film_operator(mesh.vertex_count) @ x
+    springs = p.spring_k * float((x * lx).sum())
+    grad = 2.0 * p.spring_k * lx
 
     # bending gradient through unit tangents and edge lengths.
     # dE/dt_v collects c_v (positive sign) and c_{v+1} (negative sign);
@@ -280,11 +277,10 @@ def loop_hessian(mesh, x_b, p):
                 a=np.zeros((3 * nb, 3 * nb)).T, overwrite_a=1).T
     flat = hess.reshape(-1)
     flat[_band_index(nb)] += np.concatenate(bands + bands[1:], axis=None)
-    if p.spring_k != 0.0:
-        film = 2.0 * p.spring_k * film_operator(nb)
-        h4 = hess.reshape(3, nb, 3, nb)
-        for c in range(3):
-            h4[c, :, c] += film
+    film = 2.0 * p.spring_k * film_operator(nb)
+    h4 = hess.reshape(3, nb, 3, nb)
+    for c in range(3):
+        h4[c, :, c] += film
     return hess
 
 

@@ -50,11 +50,11 @@ class TriMesh:
     triangles are (f, 3) vertex indices with counterclockwise winding and
     boundary_loop is the ordered cycle of boundary vertices; lattice holds
     generate_disk_mesh's (n, 2) hex-lattice coordinates (q, r), None for
-    other meshes.  Derived: loop_prev and loop_next, the loop positions i-1
-    and i+1 (mod B), so loop edge i runs from boundary_loop[i] to
-    boundary_loop[loop_next[i]]; loop_only, for a mesh with no triangles,
-    which only loop_mesh builds (from_triangles refuses one): its
-    boundary_loop is arange(B), so no gathers.
+    other meshes, such as a loop mesh.  Derived: loop_prev and loop_next,
+    the loop positions i-1 and i+1 (mod B), so loop edge i runs from
+    boundary_loop[i] to boundary_loop[loop_next[i]]; loop_only, for a mesh
+    with no triangles, which only loop_mesh builds: its boundary_loop is
+    arange(B), so no gathers.
     """
 
     vertex_count: int
@@ -70,30 +70,6 @@ class TriMesh:
         self.loop_prev, self.loop_next = np.roll(b, 1), np.roll(b, -1)
         self.loop_only = len(self.triangles) == 0
         self._loop = self._film = self._loop_tris = None     # caches
-
-    @classmethod
-    def from_triangles(cls, vertex_count, triangles):
-        """Build a TriMesh from raw triangles, extracting edges and the boundary loop.
-
-        Raises MeshError carrying validate_mesh's summary line unless the
-        triangles are a consistently oriented topological disk with a single
-        boundary cycle.
-        """
-        tris = np.asarray(triangles, dtype=np.int64)
-        if tris.ndim != 2 or tris.shape[1] != 3:
-            raise MeshError("triangles must be an (f, 3) index array")
-        if tris.size and (tris.min() < 0 or tris.max() >= vertex_count):
-            raise MeshError("triangle indices out of range")
-
-        report, boundary_dir = _classify_edges(vertex_count, tris)
-        if not report.passed:
-            raise MeshError(report.summary())
-        succ = dict(boundary_dir.tolist())
-        loop = [int(boundary_dir[0, 0])]
-        while succ[loop[-1]] != loop[0]:
-            loop.append(succ[loop[-1]])
-        return cls(vertex_count=vertex_count, triangles=tris,
-                   boundary_loop=np.array(loop, dtype=np.int64))
 
     def loop_mesh(self):
         """The B loop vertices, in loop order, as a loop-only mesh with no
@@ -322,6 +298,13 @@ def generate_disk_mesh(rings, elongation=1.0):
     lie in the z = 0 plane and are mapped (x, y) -> (x * elongation,
     y / elongation), an area-preserving stretch.  elongation = 1 keeps the
     regular hexagonal perimeter.  rings must be an integer (a bool is not).
+
+    The mesh is read off the lattice, with no edge classification: the
+    boundary loop is hex ring m (hex_ring_place) counterclockwise from its
+    corner (q, r) = (0, -m) at place 4m.  That corner is where a walk of
+    the triangles' directed boundary edges starts, the tail of the first
+    one in triangle order, and the loop's start fixes the order of every
+    sum over the loop, so starting there keeps each output's bits.
     """
     if not isinstance(rings, numbers.Integral) or isinstance(rings, bool):
         raise MeshError(f"rings must be an integer, got {rings!r}")
@@ -356,8 +339,13 @@ def generate_disk_mesh(rings, elongation=1.0):
     tris = np.stack([up, down], axis=2).reshape(-1, 3)
     tris = tris[(tris >= 0).all(axis=1)]
 
-    mesh = TriMesh.from_triangles(n, tris)
-    mesh.lattice = np.stack([q, r], axis=1)
+    lattice = np.stack([q, r], axis=1)
+    ring, place = hex_ring_place(lattice)
+    on_loop = np.flatnonzero(ring == m)
+    loop = np.empty(6 * m, dtype=np.int64)
+    loop[(place[on_loop] - 4 * m) % (6 * m)] = on_loop
+    mesh = TriMesh(vertex_count=n, triangles=tris, boundary_loop=loop,
+                   lattice=lattice)
     positions[:, 0] *= elongation
     positions[:, 1] /= elongation
     return mesh, positions

@@ -400,10 +400,8 @@ def make_preconditioner(mesh, x0, params):
 
     nb = mesh.vertex_count
     film_modes, film_diagonal, w = _symbol_parts(nb)
-    film = 0.0
-    if params.spring_k > 0:
-        film = 2.0 * params.spring_k * film_modes
-        film[0] = (2.0 * params.spring_k * film_diagonal).mean()
+    film = 2.0 * params.spring_k * film_modes
+    film[0] = (2.0 * params.spring_k * film_diagonal).mean()
 
     frame = boundary_frame(mesh, x0)
     sbar = max(float(frame.length.mean()), 1e-300)

@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import generate_disk_mesh
+from .mesh import generate_disk_mesh, hex_ring_place
 
 
 @dataclass(frozen=True)
@@ -422,24 +422,17 @@ def family_table(gammas, length):
 # sampling the family onto a disk mesh
 
 
-def _hexagon_radius(theta, m):
-    """Distance from the center to the perimeter of a radius-m hexagon."""
-    reduced = np.mod(theta, np.pi / 3.0) - np.pi / 6.0
-    return (np.sqrt(3.0) / 2.0) * m / np.cos(reduced)
-
-
 def disk_polar(rings):
     """A hex-lattice disk mesh with its vertices' polar coordinates
-    (TriMesh, rho, theta), rho scaled radially so the hexagonal perimeter
-    lands on rho = 1; any family samples onto it as
+    (TriMesh, rho, theta): rho = k / m for a vertex on hex ring k of m
+    (hex_ring_place), so the hexagonal perimeter is rho = 1 exactly and the
+    centre rho = 0, and theta is the polar angle of the flat lattice
+    position.  Any family samples onto it as
     family_point(fam, fam.R * rho, theta).  generate_disk_mesh raises
-    MeshError, before the scaling, for a rings that is not an integer."""
+    MeshError for a rings that is not an integer."""
     mesh, flat = generate_disk_mesh(rings, 1.0)
-    r_lat = np.hypot(flat[:, 0], flat[:, 1])
+    rho = hex_ring_place(mesh.lattice)[0] / rings
     theta = np.arctan2(flat[:, 1], flat[:, 0])
-    rho = np.zeros_like(r_lat)
-    nz = r_lat > 0
-    rho[nz] = r_lat[nz] / _hexagon_radius(theta[nz], rings)
     return mesh, rho, theta
 
 

@@ -615,7 +615,9 @@ def write_diagram_csv(path, diagram):
 
 
 def read_diagram_csv(path):
-    """Load a diagram written by write_diagram_csv."""
+    """Load a diagram written by write_diagram_csv.  A cell its column's
+    type does not parse, or a float cell that is not finite (no sweep
+    writes one), is a ValueError naming the path, line and column."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != CSV_COLUMNS:
@@ -629,7 +631,9 @@ def read_diagram_csv(path):
             row = {}
             for name, cell in zip(CSV_COLUMNS, cells):
                 try:
-                    row[name] = _COLUMN_TYPES[name](cell)
+                    row[name] = value = _COLUMN_TYPES[name](cell)
+                    if isinstance(value, float) and not np.isfinite(value):
+                        raise ValueError(f"{cell!r} is not finite")
                 except ValueError as exc:
                     raise ValueError(f"{path} line {lineno}, column "
                                      f"{name!r}: {exc}") from None

@@ -9,11 +9,37 @@ import scipy.spatial
 from filmloop.diffgeo import CornerGeometry, DiffGeoError, _corners, _dot, _norm
 from filmloop.energy import (DegenerateBoundaryError, EnergyBreakdown,
                              EnergyParams, energy_and_gradient)
-from filmloop.mesh import (LATTICE_TENSION, TriMesh, boundary_frame,
-                           film_operator, generate_disk_mesh, hex_ring_place)
+from filmloop.mesh import (LATTICE_TENSION, MeshError, TriMesh,
+                           _classify_edges, boundary_frame, film_operator,
+                           generate_disk_mesh, hex_ring_place)
 from filmloop import saddle
 from filmloop.saddle import family_point
 from filmloop.sweep import ExponentFit, FitError, _fit_window, _r_squared
+
+
+def mesh_from_triangles(vertex_count, triangles):
+    """Build a TriMesh from raw triangles, extracting edges and the boundary loop.
+
+    Raises MeshError carrying validate_mesh's summary line unless the
+    triangles are a consistently oriented topological disk with a single
+    boundary cycle.  The loop walks the directed boundary edges from the
+    tail of the first one in triangle order.
+    """
+    tris = np.asarray(triangles, dtype=np.int64)
+    if tris.ndim != 2 or tris.shape[1] != 3:
+        raise MeshError("triangles must be an (f, 3) index array")
+    if tris.size and (tris.min() < 0 or tris.max() >= vertex_count):
+        raise MeshError("triangle indices out of range")
+
+    report, boundary_dir = _classify_edges(vertex_count, tris)
+    if not report.passed:
+        raise MeshError(report.summary())
+    succ = dict(boundary_dir.tolist())
+    loop = [int(boundary_dir[0, 0])]
+    while succ[loop[-1]] != loop[0]:
+        loop.append(succ[loop[-1]])
+    return TriMesh(vertex_count=vertex_count, triangles=tris,
+                   boundary_loop=np.array(loop, dtype=np.int64))
 
 
 def fan_mesh(n, radius=1.0):
@@ -29,7 +55,7 @@ def fan_mesh(n, radius=1.0):
     pts[1:, 1] = radius * np.sin(ang)
     tris = np.array([[0, 1 + i, 1 + (i + 1) % n] for i in range(n)],
                     dtype=np.int64)
-    return TriMesh.from_triangles(n + 1, tris), pts
+    return mesh_from_triangles(n + 1, tris), pts
 
 
 def reference_disk_mesh(rings, elongation=1.0):
@@ -57,7 +83,7 @@ def reference_disk_mesh(rings, elongation=1.0):
             if all(k in index for k in down):
                 tris.append(tuple(index[k] for k in down))
 
-    mesh = TriMesh.from_triangles(len(coords), np.array(tris, dtype=np.int64))
+    mesh = mesh_from_triangles(len(coords), np.array(tris, dtype=np.int64))
     positions[:, 0] *= float(elongation)
     positions[:, 1] /= float(elongation)
     return mesh, positions
@@ -96,7 +122,7 @@ def polygon_mesh(n, radius=1.0):
     pts[:, 0] = radius * np.cos(ang)
     pts[:, 1] = radius * np.sin(ang)
     tris = np.array([[0, i, i + 1] for i in range(1, n - 1)], dtype=np.int64)
-    return TriMesh.from_triangles(n, tris), pts
+    return mesh_from_triangles(n, tris), pts
 
 
 def stationary_bgon(nb, kl3a):

@@ -528,9 +528,10 @@ def test_fit_command_error_codes(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("column", ["mean_abs_kn", "gamma"])
+@pytest.mark.parametrize("column", ["mean_abs_kn", "gamma", "planarity"])
 def test_fit_non_finite_cell_exits_one(tmp_path, capsys, column, value):
-    # a non-finite value the fit would read is named by point and column
+    # the diagram reader names a non-finite cell by path, line and column
+    # before the fit reads it (a nan planarity would count as twisted)
     csv = tmp_path / "diagram.csv"
     _write_fit_csv(csv, 12)
     lines = csv.read_text().splitlines()
@@ -541,7 +542,7 @@ def test_fit_non_finite_cell_exits_one(tmp_path, capsys, column, value):
     assert main(["fit", "--diagram", str(csv), "--threshold", "1000",
                  "--units", "gamma"]) == 1
     err = capsys.readouterr().err
-    assert f"diagram point 5: {column} is {value}, not finite" in err
+    assert f"{csv} line 7, column {column!r}: {value!r} is not finite" in err
     assert "Traceback" not in err
 
 

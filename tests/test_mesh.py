@@ -13,13 +13,13 @@ import pytest
 
 import scipy.linalg
 
-from filmloop.mesh import (LATTICE_TENSION, MeshError, TriMesh,
+from filmloop.mesh import (LATTICE_TENSION, MAX_RINGS, MeshError, TriMesh,
                            boundary_length, circulant, douglas_form,
                            film_operator, generate_disk_mesh, hex_ring_place,
                            scale_to_boundary_length, validate_mesh)
 
-from helpers import (fan_mesh, poisson_extension, polygon_mesh,
-                     reference_disk_mesh)
+from helpers import (fan_mesh, mesh_from_triangles, poisson_extension,
+                     polygon_mesh, reference_disk_mesh)
 
 ANNULUS_TRIS = np.array([[0, 1, 4], [0, 4, 3], [1, 2, 5],
                          [1, 5, 4], [2, 0, 3], [2, 3, 5]], dtype=np.int64)
@@ -106,12 +106,12 @@ def test_boundary_loop_is_counterclockwise():
 
 def test_from_triangles_rejects_duplicate_directed_edge():
     with pytest.raises(MeshError):
-        TriMesh.from_triangles(4, np.array([[0, 1, 2], [0, 1, 3]]))
+        mesh_from_triangles(4, np.array([[0, 1, 2], [0, 1, 3]]))
 
 
 def test_from_triangles_rejects_annulus():
     with pytest.raises(MeshError):
-        TriMesh.from_triangles(6, ANNULUS_TRIS)
+        mesh_from_triangles(6, ANNULUS_TRIS)
 
 
 def test_validate_reports_annulus_without_raising():
@@ -135,7 +135,7 @@ def test_validate_and_from_triangles_reject_bowtie():
     assert report.euler_characteristic == 1
     assert report.boundary_cycle_count >= 2
     with pytest.raises(MeshError):
-        TriMesh.from_triangles(2 * n - 1, tris)
+        mesh_from_triangles(2 * n - 1, tris)
 
 
 def test_validate_reports_orientation_violation():
@@ -197,6 +197,18 @@ def test_disk_mesh_matches_the_cell_scan(rings, elongation):
         assert got.tobytes() == want.tobytes(), name
     assert x.dtype == x_ref.dtype and x.shape == x_ref.shape
     assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("rings", [64, MAX_RINGS])
+def test_disk_loop_matches_the_boundary_walk(rings):
+    # the loop read off the lattice is the walk of the triangles' directed
+    # boundary edges, byte for byte, at sizes the cell scan does not reach
+    mesh, _ = generate_disk_mesh(rings)
+    walked = mesh_from_triangles(mesh.vertex_count, mesh.triangles)
+    assert mesh.boundary_loop.dtype == walked.boundary_loop.dtype
+    assert mesh.boundary_loop.tobytes() == walked.boundary_loop.tobytes()
+    q, r = mesh.lattice[mesh.boundary_loop[0]]
+    assert (q, r) == (0, -rings)
 
 
 @pytest.mark.parametrize("nb", [48, 96, 192])

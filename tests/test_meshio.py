@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from filmloop.mesh import TriMesh, generate_disk_mesh, validate_mesh
+from filmloop.mesh import generate_disk_mesh, validate_mesh
 from filmloop.meshio import obj_faces, write_obj
 
-from helpers import read_obj
+from helpers import mesh_from_triangles, read_obj
 
 
 def test_obj_roundtrip_preserves_geometry(tmp_path):
@@ -49,7 +49,7 @@ def test_read_obj_restores_connectivity(tmp_path):
     path = tmp_path / "disk.obj"
     write_obj(path, x, mesh.triangles)
     back_x, back_t = read_obj(path)
-    back_mesh = TriMesh.from_triangles(len(back_x), back_t)
+    back_mesh = mesh_from_triangles(len(back_x), back_t)
     assert validate_mesh(back_mesh).passed
     assert np.array_equal(back_mesh.triangles, mesh.triangles)
     assert np.array_equal(back_mesh.boundary_loop, mesh.boundary_loop)

@@ -20,7 +20,7 @@ import pytest
 
 from filmloop import saddle
 from filmloop.diffgeo import gauss_bonnet_defect, planarity
-from filmloop.mesh import MeshError, validate_mesh
+from filmloop.mesh import MeshError, hex_ring_place, validate_mesh
 
 from helpers import (boundary_curvature_series, boundary_curvatures_exact,
                      boundary_curve, boundary_derivatives, ds2_series,
@@ -575,10 +575,22 @@ def test_family_trimesh_samples_the_surface():
     assert np.abs(r_xy - fam.R).max() < 1e-12
 
 
+@pytest.mark.parametrize("rings", [1, 2, 8, 16, 32])
+def test_disk_polar_rho_is_the_hex_ring(rings):
+    # rho is ring / rings bit for bit, so the whole perimeter sits on
+    # rho = 1 exactly, corners and edge midpoints alike
+    mesh, rho, theta = saddle.disk_polar(rings)
+    ring = hex_ring_place(mesh.lattice)[0]
+    assert rho.tobytes() == (ring / rings).tobytes()
+    assert np.all(rho[mesh.boundary_loop] == 1.0)
+    assert np.count_nonzero(rho == 1.0) == 6 * rings
+    assert rho[ring == 0].tolist() == [0.0]
+
+
 @pytest.mark.parametrize("rings", [2.5, 3.0, True])
 def test_family_trimesh_rejects_non_integral_rings(rings):
-    # disk_polar's hexagon radius would scale by the fractional ring count,
-    # putting the boundary inside rho = 1 (rho = 0.8 at 2.5 rings)
+    # disk_polar's rho = k / rings would put the boundary inside rho = 1
+    # for a fractional ring count (rho = 0.8 at 2.5 rings)
     fam = saddle.SaddleFamily(R=1.0, t=0.2)
     with pytest.raises(MeshError, match="rings must be an integer"):
         saddle.disk_polar(rings)

@@ -15,19 +15,21 @@ import pytest
 import filmloop
 from filmloop.energy import (SIGMA_PER_SPRING_K, EnergyParams, energy,
                              loop_hessian)
-from filmloop.mesh import TriMesh, generate_disk_mesh, scale_to_boundary_length
+from filmloop.mesh import generate_disk_mesh, scale_to_boundary_length
 from filmloop import diffgeo, meshio, sweep
 from filmloop.optimize import KICK_AMPLITUDE, MinimizeOptions, perturb, relax
 from filmloop.diffgeo import (_crossing_pairs, _is_graph, corner_geometry,
                               count_self_intersections)
-from filmloop.sweep import (BifurcationDiagram, FitError, SweepPoint,
-                            SweepSchedule, detect_transitions, fit_exponent, fit_linear_K,
-                            read_diagram_csv, read_manifest, run_sweep,
-                            unstable_mode, write_diagram_csv, write_manifest)
+from filmloop.sweep import (CSV_COLUMNS, BifurcationDiagram, FitError,
+                            SweepPoint, SweepSchedule, detect_transitions,
+                            fit_exponent, fit_linear_K, read_diagram_csv,
+                            read_manifest, run_sweep, unstable_mode,
+                            write_diagram_csv, write_manifest)
 
 from helpers import (curve_fit_exponent, diagram_column, exponent_fit_ssr,
                      folded_pierced_disk, loop_crossing_pairs,
-                     reference_is_graph, saddle_shape, stationary_bgon)
+                     mesh_from_triangles, reference_is_graph, saddle_shape,
+                     stationary_bgon)
 from test_acceptance import ELONGATED_VALUES, HEX_VALUES, RINGS, SWEEP_OPTS
 
 
@@ -504,12 +506,12 @@ STRIP_X = np.array([[-1.0, -1.0, 0.0], [2.0, -1.0, 0.0], [-1.0, 2.0, 0.0],
 
 
 def test_counts_crossing_triangle_pair():
-    mesh = TriMesh.from_triangles(6, STRIP_TRIS)
+    mesh = mesh_from_triangles(6, STRIP_TRIS)
     assert count_self_intersections(mesh, STRIP_X) == 1
 
 
 def test_flat_configurations_have_no_crossings():
-    mesh = TriMesh.from_triangles(6, STRIP_TRIS)
+    mesh = mesh_from_triangles(6, STRIP_TRIS)
     flat = STRIP_X.copy()
     flat[4] = [4.0, 1.0, 0.0]
     flat[5] = [4.0, -1.0, 0.0]
@@ -708,6 +710,23 @@ def test_diagram_csv_roundtrip_and_byte_stability(tmp_path):
             assert getattr(orig, f.name) == getattr(rt, f.name), f.name
     write_diagram_csv(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_diagram_csv_rejects_a_non_finite_float_cell(tmp_path, cell):
+    # no sweep writes one: a non-finite energy or gradient raises first, and
+    # a nan planarity would read as a twist between two planar states
+    path = tmp_path / "diagram.csv"
+    write_diagram_csv(path, BifurcationDiagram(
+        points=[make_point(index=i) for i in range(3)]))
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[CSV_COLUMNS.index("planarity")] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=(
+            f"line 3, column 'planarity': '{cell}' is not finite")):
+        read_diagram_csv(path)
 
 
 def test_diagram_csv_rejects_unknown_columns(tmp_path):
